@@ -25,8 +25,15 @@ from dataclasses import dataclass
 
 from . import __version__
 from .expr import EvalError, ParseError, evaluate, format_expr, parse
-from .extension import ExtendedSurface, ExtensionError, extend, measure_contact
-from .minkowski import LVector, Plane
+from .extension import (
+    REFLECTED_COORD,
+    ExtendedSurface,
+    ExtensionError,
+    assemble,
+    extend,
+    measure_contact,
+)
+from .minkowski import LVector, Plane, plane_class
 from .verify import full_diagnostics, GridSpec
 from .weierstrass import (
     DegenerateMetricError,
@@ -107,13 +114,34 @@ def _get_complex(raw_value: str, key: str) -> complex:
         raise ConfigError(key, f"not a complex constant: {exc}") from None
 
 
-def _get_float(raw: dict, key: str, default: float | None = None) -> float | None:
-    if key not in raw:
-        return default
+def _finite(text: str, key: str) -> float:
     try:
-        return float(raw[key])
+        x = float(text)
     except ValueError:
         raise ConfigError(key, "not a number") from None
+    if not math.isfinite(x):
+        raise ConfigError(key, f"must be finite, got {x}")
+    return x
+
+
+def _get_float(raw: dict, key: str, default: float | None = None) -> float | None:
+    return _finite(raw[key], key) if key in raw else default
+
+
+def _numbers(text: str, key: str, layout: str) -> tuple[float, ...]:
+    """Comma-separated finite numbers laid out as ``layout``, e.g. "u,v"."""
+    parts = text.split(",")
+    if len(parts) != layout.count(",") + 1:
+        raise ConfigError(key, f"expected {layout}")
+    return tuple(_finite(p, key) for p in parts)
+
+
+def _plane(text: str, key: str) -> Plane:
+    nx, ny, nz, d = _numbers(text, key, "nx,ny,nz,d")
+    try:
+        return Plane(LVector(nx, ny, nz), d)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 @dataclass
@@ -125,7 +153,7 @@ class SurfaceConfig:
     plane: Plane | None = None
     mask_eps: float = 1e-8
     mesh_range: tuple[float, float, float, float] | None = None
-    minus_exprs: tuple | None = None  # (f_minus, g_minus, reflected) for extended configs
+    minus_exprs: tuple | None = None  # (f_minus, g_minus, reflected or "") for extended configs
     source_bytes: bytes = b""
 
     @property
@@ -176,29 +204,12 @@ class SurfaceConfig:
         if "z0" not in raw:
             raise ConfigError("z0", "missing")
         z0 = _get_complex(raw["z0"], "z0")
-        X0 = LVector(0, 0, 0)
-        if "X0" in raw:
-            parts = raw["X0"].split(",")
-            if len(parts) != 3:
-                raise ConfigError("X0", "expected three comma-separated numbers")
-            try:
-                X0 = LVector(*(float(p) for p in parts))
-            except ValueError:
-                raise ConfigError("X0", "not numbers") from None
+        X0 = LVector(*_numbers(raw["X0"], "X0", "x1,x2,x3")) if "X0" in raw else LVector(0, 0, 0)
         try:
             data = WeierstrassData(f, g, domain, z0, X0, g_poles)
         except ValueError as exc:
             raise ConfigError("z0", str(exc)) from None
-        plane = None
-        if "plane" in raw:
-            parts = raw["plane"].split(",")
-            if len(parts) != 4:
-                raise ConfigError("plane", "expected nx,ny,nz,d")
-            try:
-                nx, ny, nz, d = (float(p) for p in parts)
-                plane = Plane(LVector(nx, ny, nz), d)
-            except ValueError as exc:
-                raise ConfigError("plane", str(exc)) from None
+        plane = _plane(raw["plane"], "plane") if "plane" in raw else None
         minus = None
         if "f_minus" in raw or "g_minus" in raw:
             fm = _get_expr(raw, "f_minus")
@@ -206,13 +217,7 @@ class SurfaceConfig:
             minus = (fm, gm, raw.get("reflected", ""))
         mesh_range = None
         if "mesh_range" in raw:
-            parts = raw["mesh_range"].split(",")
-            if len(parts) != 4:
-                raise ConfigError("mesh_range", "expected a0,a1,b0,b1")
-            try:
-                mesh_range = tuple(float(p) for p in parts)
-            except ValueError:
-                raise ConfigError("mesh_range", "not numbers") from None
+            mesh_range = _numbers(raw["mesh_range"], "mesh_range", "a0,a1,b0,b1")
         tol = _get_float(raw, "tol", 1e-10)
         if tol <= 0:
             raise ConfigError("tol", "must be positive")
@@ -242,19 +247,13 @@ class SurfaceConfig:
         if self.plane is None:
             raise ConfigError("plane", "extended config needs the plane")
         fm, gm, reflected = self.minus_exprs
-        contact = measure_contact(self.data, self.plane)
-        from .extension import _case_shift, _match_report
-
-        matching = _match_report(self.data, fm, gm, contact.boundary, 1e-7)
-        return ExtendedSurface(
-            original=self.data,
-            contact=contact,
-            g_minus=gm,
-            f_minus=fm,
-            reflected=reflected or {"x3": "x3"}.get(reflected, "x3"),
-            shift=_case_shift(contact.plane_kind, contact.offset),
-            matching=matching,
-        )
+        kind = plane_class(self.plane)
+        if reflected and reflected != REFLECTED_COORD[kind]:
+            raise ConfigError(
+                "reflected",
+                f"a {kind.value} plane reflects '{REFLECTED_COORD[kind]}', not '{reflected}'",
+            )
+        return assemble(self.data, measure_contact(self.data, self.plane), fm, gm)
 
 
 def _f17(x: float) -> str:
@@ -406,13 +405,23 @@ def _config_sha(cfg: SurfaceConfig) -> str:
     return hashlib.sha256(cfg.source_bytes).hexdigest()
 
 
+def _quadrature(tol: float | None, cfg: SurfaceConfig) -> QuadratureConfig:
+    """The config's quadrature settings, with the --tol flag taking precedence."""
+    if tol is None:
+        return cfg.quadrature
+    try:
+        return QuadratureConfig(tol=tol)
+    except ValueError as exc:
+        raise ConfigError("--tol", f"{exc}, got {tol}") from None
+
+
 def cmd_check(args) -> int:
     cfg = SurfaceConfig.from_file(args.config)
     grid = GridSpec()
     if args.grid:
         n1, n2 = _parse_grid(args.grid)
         grid = GridSpec(n_radial=n1, n_angular=n2)
-    q = QuadratureConfig(tol=args.tol if args.tol else cfg.tol)
+    q = _quadrature(args.tol, cfg)
     target = cfg.extended_surface() or cfg.data
     report = full_diagnostics(target, grid, q)
     sys.stdout.write(report.to_json() + "\n")
@@ -421,12 +430,9 @@ def cmd_check(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = SurfaceConfig.from_file(args.config)
-    try:
-        u_s, v_s = args.at.split(",")
-        z = complex(float(u_s), float(v_s))
-    except ValueError:
-        raise ConfigError("--at", "expected u,v") from None
-    q = QuadratureConfig(tol=args.tol if args.tol else cfg.tol)
+    u, v = _numbers(args.at, "--at", "u,v")
+    z = complex(u, v)
+    q = _quadrature(args.tol, cfg)
     ext = cfg.extended_surface()
     if ext is not None:
         inside = cfg.data.domain.contains(z) or cfg.data.domain.contains(ext.reflect(z))
@@ -434,28 +440,20 @@ def cmd_eval(args) -> int:
             sys.stderr.write(f"error: point {z} outside the assembled domain\n")
             return 1
         X = ext.evaluate(z, q)
+        side = ext.side(z)
     else:
         if not cfg.data.domain.contains(z):
             sys.stderr.write(f"error: point {z} outside the domain\n")
             return 1
         X = evaluate_surface(cfg.data, z, q)
+        side = cfg.data
     sys.stdout.write(f"X = ({_f17(X.x1)}, {_f17(X.x2)}, {_f17(X.x3)})\n")
-    if ext is not None and not ext.on_original_side(z):
-        fv = evaluate(ext.f_minus, z)
-        gv = evaluate(ext.g_minus, z)
-    else:
-        fv = evaluate(cfg.data.f, z)
-        gv = evaluate(cfg.data.g, z)
+    lam = conformal_factor(side, z)
     try:
-        from .weierstrass import gauss_from_g
-
-        N = gauss_from_g(gv)
+        N = gauss_map(side, z)
         sys.stdout.write(f"N = ({_f17(N.x1)}, {_f17(N.x2)}, {_f17(N.x3)})\n")
     except DegenerateMetricError:
         sys.stdout.write("N = degenerate (|g| = 1)\n")
-    g2 = gv * gv
-    p1, p2, p3 = 0.5 * fv * (1 + g2), 0.5j * fv * (1 - g2), fv * gv
-    lam = abs(p1) ** 2 + abs(p2) ** 2 - abs(p3) ** 2
     sys.stdout.write(f"conformal_factor = {_f17(lam)}\n")
     return 0
 
@@ -531,13 +529,7 @@ def _extend_report(ext: ExtendedSurface) -> dict:
 
 def cmd_extend(args) -> int:
     cfg = SurfaceConfig.from_file(args.config)
-    plane = cfg.plane
-    if args.plane:
-        parts = args.plane.split(",")
-        if len(parts) != 4:
-            raise ConfigError("--plane", "expected nx,ny,nz,d")
-        nx, ny, nz, d = (float(p) for p in parts)
-        plane = Plane(LVector(nx, ny, nz), d)
+    plane = _plane(args.plane, "--plane") if args.plane else cfg.plane
     if plane is None:
         raise ConfigError("plane", "missing (config key or --plane)")
     try:
@@ -572,7 +564,7 @@ def cmd_mesh(args) -> int:
     nu, nv = _parse_grid(args.grid)
     if nu < 2 or nv < 2:
         raise ConfigError("--grid", "grid must be at least 2x2")
-    q = QuadratureConfig(tol=args.tol if args.tol else cfg.tol)
+    q = _quadrature(args.tol, cfg)
     mesh = build_mesh(cfg.data, nu, nv, cfg.mask_eps, q, cfg.mesh_range)
     sha = _config_sha(cfg)
     try:
@@ -628,6 +620,12 @@ def main(argv: list[str] | None = None) -> int:
     p_cat = sub.add_parser("catenoid", help="print the built-in reference config")
     p_cat.set_defaults(fn=cmd_catenoid)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse would read a negative u in "--at -0.1,0.2" as an option
+    for i, tok in enumerate(argv[:-1]):
+        if tok == "--at":
+            argv[i : i + 2] = [f"--at={argv[i + 1]}"]
+            break
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

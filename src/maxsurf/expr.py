@@ -337,11 +337,8 @@ def _eval(e: Expr, z: complex) -> complex:
 
 
 def compile_fn(e: Expr) -> Callable[[complex], complex]:
-    """Compile to a closure; same semantics as evaluate but without dispatch cost.
-
-    Faults surface as the underlying ZeroDivisionError/ValueError rather than
-    EvalError; hot loops that need diagnostics should fall back to evaluate.
-    """
+    """Compile to a closure; same semantics and EvalError faults as evaluate,
+    without the dispatch cost."""
     if isinstance(e, Const):
         v = e.value
         return lambda z: v
@@ -361,13 +358,38 @@ def compile_fn(e: Expr) -> Callable[[complex], complex]:
         return lambda z: l(z) * r(z)
     if isinstance(e, Div):
         l, r = compile_fn(e.left), compile_fn(e.right)
-        return lambda z: l(z) / r(z)
+
+        def div(z):
+            try:
+                return l(z) / r(z)
+            except ZeroDivisionError:
+                raise EvalError("division by zero", e) from None
+
+        return div
     if isinstance(e, Pow):
         b, n = compile_fn(e.base), e.exponent
-        return lambda z: b(z) ** n
+
+        def power(z):
+            try:
+                return b(z) ** n
+            except ZeroDivisionError:
+                raise EvalError("zero base with negative exponent", e) from None
+            except OverflowError:
+                raise EvalError("overflow", e) from None
+
+        return power
     if isinstance(e, Call):
         fn, a = _FUNCTIONS[e.func], compile_fn(e.arg)
-        return lambda z: fn(a(z))
+
+        def call(z):
+            arg = a(z)
+            try:
+                return fn(arg)
+            except (ValueError, OverflowError) as exc:
+                message = "log of zero" if e.func == "log" and arg == 0 else str(exc)
+                raise EvalError(message, e) from None
+
+        return call
     if isinstance(e, Sconj):
         a = compile_fn(e.arg)
         return lambda z: a(z.conjugate()).conjugate()

@@ -33,7 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .expr import (
     Add,
     Const,
     Div,
+    EvalError,
     Expr,
     Mul,
     Neg,
@@ -60,9 +61,9 @@ from .weierstrass import (
     QuadratureConfig,
     WeierstrassData,
     _build_path,
-    _integrate_segment,
-    _phi_fn,
     gauss_from_g,
+    integrate_path,
+    phi,
     phi_exprs,
 )
 
@@ -77,7 +78,9 @@ __all__ = [
     "HypothesisViolationError",
     "MatchReport",
     "OrthogonalContactError",
+    "REFLECTED_COORD",
     "SingularReconstructionError",
+    "assemble",
     "boundary_points",
     "boundary_samples",
     "extend",
@@ -517,11 +520,8 @@ class MatchReport:
         return self.max_gap <= self.tol
 
 
-def _match_report(data, f_minus, g_minus, boundary, tol, n=9) -> MatchReport:
-    if boundary.kind == "circle":
-        pts = [boundary.rho * cmath.exp(1j * t) for t in np.linspace(-math.pi, math.pi, n, endpoint=False)]
-    else:
-        pts = boundary_points(data.domain, n)
+def _match_report(data, f_minus, g_minus, tol, n=9) -> MatchReport:
+    pts = boundary_points(data.domain, n)
     plus = {"f": data.f, "g": data.g}
     minus = {"f": f_minus, "g": g_minus}
     for name, ep, em in zip(("phi1", "phi2", "phi3"), phi_exprs(data.f, data.g), phi_exprs(f_minus, g_minus)):
@@ -543,7 +543,8 @@ def _match_report(data, f_minus, g_minus, boundary, tol, n=9) -> MatchReport:
     return MatchReport(gaps=gaps, tol=tol, points=tuple(pts))
 
 
-_REFLECTED_COORD = {
+# the coordinate that reflects oddly across a plane of each causal class
+REFLECTED_COORD = {
     CausalClass.SPACELIKE: "x3",
     CausalClass.TIMELIKE: "x2",
     CausalClass.LIGHTLIKE: "psi",
@@ -573,6 +574,8 @@ class ExtendedSurface:
         z = complex(z)
         if self.contact.boundary.kind == "segment":
             return z.conjugate()
+        if z == 0:
+            return complex(math.inf)  # the inversion sends the center to infinity
         rho = self.contact.boundary.rho
         return rho * rho / z.conjugate()
 
@@ -583,19 +586,24 @@ class ExtendedSurface:
         return abs(z) >= self.contact.boundary.rho
 
     @cached_property
-    def _phi_plus(self) -> Callable:
-        return _phi_fn(self.original.f, self.original.g)
+    def minus(self) -> WeierstrassData:
+        """The reflected-side formulas as a patch on the original domain's chart."""
+        data = self.original
+        return WeierstrassData(self.f_minus, self.g_minus, data.domain, data.z0, data.X0)
 
-    @cached_property
-    def _phi_minus(self) -> Callable:
-        return _phi_fn(self.f_minus, self.g_minus)
+    def reflected_value(self, X: LVector) -> float:
+        """The coordinate of X that reflects oddly, measured from the contact plane."""
+        d = X - self.shift
+        return d.x1 - d.x3 if self.reflected == "psi" else getattr(d, self.reflected)
+
+    def side(self, z: complex) -> WeierstrassData:
+        """The Weierstrass data that holds at z: the original or the reflected side."""
+        return self.original if self.on_original_side(z) else self.minus
 
     @cached_property
     def _punctures(self) -> tuple[complex, ...]:
         pts = list(self.original.domain.punctures)
         for p in self.original.domain.punctures:
-            if self.contact.boundary.kind == "circle" and abs(p) < 1e-12:
-                continue  # the inversion sends the center to infinity
             q = self.reflect(p)
             if abs(q) < 1e12 and all(abs(q - r) > 1e-12 for r in pts):
                 pts.append(q)
@@ -604,10 +612,10 @@ class ExtendedSurface:
         return tuple(pts)
 
     def phi_plus(self, z: complex) -> PhiTriple:
-        return PhiTriple(*self._phi_plus(complex(z)))
+        return phi(self.original, z)
 
     def phi_minus(self, z: complex) -> PhiTriple:
-        return PhiTriple(*self._phi_minus(complex(z)))
+        return phi(self.minus, z)
 
     def _crossings(self, a: complex, b: complex) -> list[complex]:
         if self.contact.boundary.kind == "segment":
@@ -640,26 +648,14 @@ class ExtendedSurface:
         z = complex(z)
         data = self.original
         points = _build_path(data.z0, z, self._punctures, q)
-        subsegments: list[tuple[complex, complex]] = []
+        knots = [points[0]]
         for a, b in zip(points, points[1:]):
-            knots = [a, *sorted(self._crossings(a, b), key=lambda w: abs(w - a)), b]
-            subsegments.extend(zip(knots, knots[1:]))
-        tol_each = q.tol / max(len(subsegments), 1)
-        tot1 = tot2 = tot3 = 0j
-        err = 0.0
-        for a, b in subsegments:
-            if a == b:
-                continue
-            mid = 0.5 * (a + b)
-            fn = self._phi_plus if self.on_original_side(mid) else self._phi_minus
-            (i1, i2, i3), e, _ = _integrate_segment(fn, a, b, tol_each, q.max_depth)
-            tot1 += i1
-            tot2 += i2
-            tot3 += i3
-            err += e
-        return LVector(
-            data.X0.x1 + tot1.real, data.X0.x2 + tot2.real, data.X0.x3 + tot3.real
+            knots += sorted(self._crossings(a, b), key=lambda w: abs(w - a))
+            knots.append(b)
+        (t1, t2, t3), _ = integrate_path(
+            lambda a, b: self.side(0.5 * (a + b)).field, knots, q
         )
+        return LVector(data.X0.x1 + t1.real, data.X0.x2 + t2.real, data.X0.x3 + t3.real)
 
 
 def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offsets: Sequence[complex], tol: float = 1e-8):
@@ -668,7 +664,7 @@ def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offset
     for z in pts:
         try:
             gv = fn(complex(z))
-        except (ZeroDivisionError, ValueError, OverflowError):
+        except EvalError:
             continue
         for w in offsets:
             if abs(gv - w) < tol:
@@ -700,6 +696,30 @@ def _case_shift(kind: CausalClass, offset: float) -> LVector:
     return LVector(offset, 0, 0)
 
 
+def assemble(
+    data: WeierstrassData,
+    contact: ContactData,
+    f_minus: Expr,
+    g_minus: Expr,
+    *,
+    match_tol: float = 1e-7,
+) -> ExtendedSurface:
+    """The extended surface for given reflected-side formulas.
+
+    The reflected coordinate and the frame shift follow from the plane's
+    causal class; the matching report measures the two sides on the arc.
+    """
+    return ExtendedSurface(
+        original=data,
+        contact=contact,
+        g_minus=g_minus,
+        f_minus=f_minus,
+        reflected=REFLECTED_COORD[contact.plane_kind],
+        shift=_case_shift(contact.plane_kind, contact.offset),
+        matching=_match_report(data, f_minus, g_minus, match_tol),
+    )
+
+
 def extend_spacelike(
     data: WeierstrassData, contact: ContactData, *, match_tol: float = 1e-7
 ) -> ExtendedSurface:
@@ -710,20 +730,9 @@ def extend_spacelike(
         raise ValueError("use extend_circular for a circular boundary arc")
     if contact.locus.kind != "circle":
         raise GeometryMismatchError("spacelike contact requires a circular Gauss locus")
-    r = contact.locus.radius
-    g_minus = reflect_spacelike_g(data.g, r)
+    g_minus = reflect_spacelike_g(data.g, contact.locus.radius)
     phi3_minus = Neg(sconj(Mul(data.f, data.g)))
-    f_minus = Div(phi3_minus, g_minus)
-    matching = _match_report(data, f_minus, g_minus, contact.boundary, match_tol)
-    return ExtendedSurface(
-        original=data,
-        contact=contact,
-        g_minus=g_minus,
-        f_minus=f_minus,
-        reflected="x3",
-        shift=_case_shift(contact.plane_kind, contact.offset),
-        matching=matching,
-    )
+    return assemble(data, contact, Div(phi3_minus, g_minus), g_minus, match_tol=match_tol)
 
 
 def extend_timelike(
@@ -732,8 +741,7 @@ def extend_timelike(
     """Extension across a timelike plane; x2 reflects oddly."""
     if contact.plane_kind is not CausalClass.TIMELIKE:
         raise ValueError("contact is not with a timelike plane")
-    lam = contact.lam
-    g_minus = reflect_timelike_g(data.g, lam)
+    g_minus = reflect_timelike_g(data.g, contact.lam)
     _, phi2, _ = phi_exprs(data.f, data.g)
     phi2_minus = Neg(sconj(phi2))
     # phi2 = i f (1 - g^2) / 2 inverts to f = 2 phi2 / (i (1 - g^2))
@@ -743,16 +751,7 @@ def extend_timelike(
     _check_reconstruction_singular(
         g_minus, _minus_grid(data.domain, lambda z: z.conjugate()), (1 + 0j, -1 + 0j)
     )
-    matching = _match_report(data, f_minus, g_minus, contact.boundary, match_tol)
-    return ExtendedSurface(
-        original=data,
-        contact=contact,
-        g_minus=g_minus,
-        f_minus=f_minus,
-        reflected="x2",
-        shift=_case_shift(contact.plane_kind, contact.offset),
-        matching=matching,
-    )
+    return assemble(data, contact, f_minus, g_minus, match_tol=match_tol)
 
 
 def extend_lightlike(
@@ -761,8 +760,7 @@ def extend_lightlike(
     """Extension across a lightlike plane; psi = x1 - x3 reflects oddly."""
     if contact.plane_kind is not CausalClass.LIGHTLIKE:
         raise ValueError("contact is not with a lightlike plane")
-    lam = contact.lam
-    g_minus = reflect_lightlike_g(data.g, lam)
+    g_minus = reflect_lightlike_g(data.g, contact.lam)
     # phi1 - phi3 = f (1 - g)^2 / 2
     p13 = Mul(Const(0.5), Mul(data.f, Pow(Sub(Const(1), data.g), 2)))
     p13_minus = Neg(sconj(p13))
@@ -770,16 +768,7 @@ def extend_lightlike(
     _check_reconstruction_singular(
         g_minus, _minus_grid(data.domain, lambda z: z.conjugate()), (1 + 0j,)
     )
-    matching = _match_report(data, f_minus, g_minus, contact.boundary, match_tol)
-    return ExtendedSurface(
-        original=data,
-        contact=contact,
-        g_minus=g_minus,
-        f_minus=f_minus,
-        reflected="psi",
-        shift=_case_shift(contact.plane_kind, contact.offset),
-        matching=matching,
-    )
+    return assemble(data, contact, f_minus, g_minus, match_tol=match_tol)
 
 
 def extend_circular(
@@ -799,22 +788,11 @@ def extend_circular(
     if contact.boundary.kind != "circle":
         raise ValueError("contact boundary is not a circle")
     rho = contact.boundary.rho
-    r = contact.locus.radius
-    g_minus = reflect_circular_g(data.g, r, rho)
+    g_minus = reflect_circular_g(data.g, contact.locus.radius, rho)
     _, _, phi3 = phi_exprs(data.f, data.g)
     # dx3 odd across the circle: phi3_minus(z) = -sconj(phi3)(rho^2/z) * d(rho^2/z)/dz
     phi3_minus = Mul(_circle_conj(phi3, rho), Div(Const(rho * rho), Pow(Var(), 2)))
-    f_minus = Div(phi3_minus, g_minus)
-    matching = _match_report(data, f_minus, g_minus, contact.boundary, match_tol)
-    return ExtendedSurface(
-        original=data,
-        contact=contact,
-        g_minus=g_minus,
-        f_minus=f_minus,
-        reflected="x3",
-        shift=_case_shift(contact.plane_kind, contact.offset),
-        matching=matching,
-    )
+    return assemble(data, contact, Div(phi3_minus, g_minus), g_minus, match_tol=match_tol)
 
 
 def extend(

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import compile_fn, parse
+from .expr import EvalError, compile_fn, evaluate, parse
 from .minkowski import CausalClass, LVector, Plane, lorentz_cross, lorentz_inner, plane_class
 from .weierstrass import (
     DegenerateMetricError,
@@ -27,9 +27,9 @@ from .weierstrass import (
     QuadratureConfig,
     WeierstrassData,
     _gk15,
-    _integrate_segment,
-    _phi_fn,
     gauss_from_g,
+    integrate_path,
+    phi,
     stereo_inverse,
     surface_path,
 )
@@ -179,7 +179,7 @@ def estimate_order(e, p: complex, radii: Sequence[float] = (1e-2, 3e-3, 1e-3)) -
             w = p + r * cmath.exp(2j * math.pi * (k + 0.5) / 8)
             try:
                 v = abs(fn(w))
-            except (ZeroDivisionError, ValueError, OverflowError):
+            except EvalError:
                 continue
             if v > 0 and math.isfinite(v):
                 vals.append(math.log(v))
@@ -301,18 +301,16 @@ def check_cross_product_normal(
     |f|^2 (1-|g|^2) (2 Re g, 2 Im g, 1+|g|^2), fitting the overall scalar."""
     q = q or QuadratureConfig()
     tol = tol if tol is not None else 100 * h * h
-    fn = _phi_fn(data.f, data.g)
+    field = data.field
     z = complex(z)
 
     def diff(delta: complex) -> LVector:
-        (i1, i2, i3), _, _ = _integrate_segment(fn, z - delta, z + delta, q.tol, q.max_depth)
+        (i1, i2, i3), _ = integrate_path(lambda a, b: field, (z - delta, z + delta), q)
         return LVector(i1.real / (2 * abs(delta)), i2.real / (2 * abs(delta)), i3.real / (2 * abs(delta)))
 
     Xu = diff(h + 0j)
     Xv = diff(1j * h)
     cross = lorentz_cross(Xu, Xv)
-    from .expr import evaluate
-
     gv = evaluate(data.g, z)
     fv = evaluate(data.f, z)
     w = abs(fv) ** 2 * (1 - abs(gv) ** 2)
@@ -338,12 +336,11 @@ def check_cross_product_normal(
 # the full suite
 
 def _phi_values(data: WeierstrassData, pts: Sequence[complex]) -> list[PhiTriple]:
-    fn = _phi_fn(data.f, data.g)
     out = []
     for z in pts:
         try:
-            out.append(PhiTriple(*fn(complex(z))))
-        except (ZeroDivisionError, ValueError, OverflowError):
+            out.append(phi(data, z))
+        except EvalError:
             continue
     return out
 
@@ -354,7 +351,7 @@ def _data_checks(data: WeierstrassData, pts: Sequence[complex], q: QuadratureCon
     res21 = max((eq_zero_residual(p) for p in phis), default=0.0)
     checks.append(CheckRecord(tag + "quadratic_identity", res21 <= 1e-12, res21, 1e-12, {"points": len(phis)}))
 
-    factors = [abs(p.phi1) ** 2 + abs(p.phi2) ** 2 - abs(p.phi3) ** 2 for p in phis]
+    factors = [p.density() for p in phis]
     live = [f for f in factors if f > 1e-18]
     min_factor = min(live) if live else 0.0
     checks.append(
@@ -376,7 +373,7 @@ def _data_checks(data: WeierstrassData, pts: Sequence[complex], q: QuadratureCon
         try:
             gv = gfun(complex(z))
             N = gauss_from_g(gv)
-        except (DegenerateMetricError, ZeroDivisionError, ValueError, OverflowError):
+        except (DegenerateMetricError, EvalError):
             continue
         hyp_res = max(hyp_res, abs(lorentz_inner(N, N) + 1))
         sheet_vals.append(1 if N.x3 > 0 else -1)
@@ -403,13 +400,12 @@ def _data_checks(data: WeierstrassData, pts: Sequence[complex], q: QuadratureCon
         )
     )
 
-    fn = _phi_fn(data.f, data.g)
     hs = (1e-3, 5e-4, 2.5e-4)
     orders = []
     residuals = []
     constants = []
     for z in pts[:: max(len(pts) // 3, 1)][:3]:
-        order, res = harmonicity_order(fn, z, hs)
+        order, res = harmonicity_order(data.field, z, hs)
         orders.append(order)
         residuals.append(max(res))
         constants.append(max(res) / hs[0] ** 2)  # |Lap X| <= C h^2
@@ -513,9 +509,8 @@ def _diagnose_extended(ext: ExtendedSurface, grid: GridSpec, q: QuadratureConfig
     from .extension import boundary_samples
 
     band = boundary_samples(data.domain, depths=(0.1, 0.05, 0.02, 0.012, 0.004))
-    minus = WeierstrassData(ext.f_minus, ext.g_minus, data.domain, data.z0, data.X0)
     minus_pts = [ext.reflect(z) for z in band]
-    checks.extend(_data_checks(minus, minus_pts, q, tag="minus_"))
+    checks.extend(_data_checks(ext.minus, minus_pts, q, tag="minus_"))
 
     contact = ext.contact
     checks.append(
@@ -568,17 +563,8 @@ def _diagnose_extended(ext: ExtendedSurface, grid: GridSpec, q: QuadratureConfig
         z = complex(z)
         if not data.domain.contains(z):
             continue
-        Xp = ext.evaluate(z, q)
-        Xm = ext.evaluate(ext.reflect(z), q)
-        if ext.reflected == "x3":
-            a = Xp.x3 - ext.shift.x3
-            b = Xm.x3 - ext.shift.x3
-        elif ext.reflected == "x2":
-            a = Xp.x2 - ext.shift.x2
-            b = Xm.x2 - ext.shift.x2
-        else:
-            a = (Xp.x1 - ext.shift.x1) - (Xp.x3 - ext.shift.x3)
-            b = (Xm.x1 - ext.shift.x1) - (Xm.x3 - ext.shift.x3)
+        a = ext.reflected_value(ext.evaluate(z, q))
+        b = ext.reflected_value(ext.evaluate(ext.reflect(z), q))
         sym = max(sym, abs(a + b))
         sym_pts += 1
     sym_tol = max(1e-7, 20 * q.tol)

@@ -20,9 +20,11 @@ pure, so surfaces may be sampled point-parallel without coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .expr import Expr, compile_fn, evaluate
 from .minkowski import LVector
@@ -42,6 +44,7 @@ __all__ = [
     "evaluate_surface",
     "gauss_from_g",
     "gauss_map",
+    "integrate_path",
     "loop_periods",
     "phi",
     "phi_exprs",
@@ -154,6 +157,10 @@ class PhiTriple:
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (self.phi1, self.phi2, self.phi3)
 
+    def density(self) -> float:
+        """|phi1|^2 + |phi2|^2 - |phi3|^2, the induced metric density."""
+        return abs(self.phi1) ** 2 + abs(self.phi2) ** 2 - abs(self.phi3) ** 2
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -170,8 +177,8 @@ class QuadratureConfig:
     path_policy: str = "detour"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tolerance must be positive and finite")
         if self.path_policy not in ("detour", "straight"):
             raise ValueError("path_policy must be 'detour' or 'straight'")
 
@@ -205,16 +212,18 @@ class WeierstrassData:
             if not any(abs(p - q) <= 1e-9 for q in self.domain.punctures):
                 raise ValueError(f"declared pole {p} is not a domain puncture")
 
+    @cached_property
+    def field(self) -> Callable[[complex], tuple[complex, complex, complex]]:
+        """The phi triple as a compiled function of z, built once per patch."""
+        return _phi_fn(self.f, self.g)
+
 
 # ---------------------------------------------------------------------------
 # pointwise quantities
 
 def phi(data: WeierstrassData, z: complex) -> PhiTriple:
     """The holomorphic triple at z; raises EvalError at punctures."""
-    fv = evaluate(data.f, z)
-    gv = evaluate(data.g, z)
-    g2 = gv * gv
-    return PhiTriple(0.5 * fv * (1 + g2), 0.5j * fv * (1 - g2), fv * gv)
+    return PhiTriple(*data.field(complex(z)))
 
 
 def phi_exprs(f: Expr, g: Expr) -> tuple[Expr, Expr, Expr]:
@@ -269,10 +278,7 @@ def stereo_inverse(N: LVector, tol: float = 1e-9) -> complex:
 
 def conformal_factor(data: WeierstrassData, z: complex) -> float:
     """|phi1|^2 + |phi2|^2 - |phi3|^2, the induced metric density; 0 iff |g| = 1."""
-    p = phi(data, z)
-    return (
-        abs(p.phi1) ** 2 + abs(p.phi2) ** 2 - abs(p.phi3) ** 2
-    )
+    return phi(data, z).density()
 
 
 # ---------------------------------------------------------------------------
@@ -390,28 +396,40 @@ class SurfaceValue:
     error: float
 
 
-def surface_path(data: WeierstrassData, z: complex, q: QuadratureConfig | None = None) -> SurfaceValue:
-    """Evaluate X(z) and report the integration path and achieved error estimate."""
-    q = q or QuadratureConfig()
-    fn = _phi_fn(data.f, data.g)
-    points = _build_path(data.z0, complex(z), data.domain.punctures, q)
-    nseg = len(points) - 1
-    tol_each = q.tol / max(nseg, 1)
+def integrate_path(
+    field_for: Callable, points: Sequence[complex], q: QuadratureConfig
+) -> tuple[tuple[complex, complex, complex], float]:
+    """Integral of a phi field along a polyline: (triple, error estimate).
+
+    ``field_for(a, b)`` returns the field to integrate on the segment from a
+    to b.  The tolerance is split evenly over the segments; when any segment
+    misses its share, ToleranceError reports the estimate for the path.
+    """
+    tol_each = q.tol / max(len(points) - 1, 1)
     tot1 = tot2 = tot3 = 0j
     err = 0.0
     ok = True
     for a, b in zip(points, points[1:]):
         if a == b:
             continue
-        (i1, i2, i3), e, good = _integrate_segment(fn, a, b, tol_each, q.max_depth)
+        (i1, i2, i3), e, good = _integrate_segment(field_for(a, b), a, b, tol_each, q.max_depth)
         tot1 += i1
         tot2 += i2
         tot3 += i3
         err += e
         ok = ok and good
     if not ok:
-        raise ToleranceError(f"quadrature did not converge on path to {z}", err)
-    X = LVector(data.X0.x1 + tot1.real, data.X0.x2 + tot2.real, data.X0.x3 + tot3.real)
+        raise ToleranceError(f"quadrature did not converge on path to {points[-1]}", err)
+    return (tot1, tot2, tot3), err
+
+
+def surface_path(data: WeierstrassData, z: complex, q: QuadratureConfig | None = None) -> SurfaceValue:
+    """Evaluate X(z) and report the integration path and achieved error estimate."""
+    q = q or QuadratureConfig()
+    field = data.field
+    points = _build_path(data.z0, complex(z), data.domain.punctures, q)
+    (t1, t2, t3), err = integrate_path(lambda a, b: field, points, q)
+    X = LVector(data.X0.x1 + t1.real, data.X0.x2 + t2.real, data.X0.x3 + t3.real)
     return SurfaceValue(X, tuple(points), err)
 
 
@@ -438,14 +456,9 @@ def loop_periods(
         raise ValueError("a loop needs at least 3 waypoints")
     if pts[0] != pts[-1]:
         pts.append(pts[0])
-    fn = _phi_fn(data.f, data.g)
-    tol_each = q.tol / (len(pts) - 1)
-    tot1 = tot2 = tot3 = 0j
+    path = [pts[0]]
     for a, b in zip(pts, pts[1:]):
-        detoured = _build_path(a, b, data.domain.punctures, q)
-        for s, t in zip(detoured, detoured[1:]):
-            (i1, i2, i3), _, _ = _integrate_segment(fn, s, t, tol_each, q.max_depth)
-            tot1 += i1
-            tot2 += i2
-            tot3 += i3
-    return (tot1, tot2, tot3)
+        path += _build_path(a, b, data.domain.punctures, q)[1:]
+    field = data.field
+    periods, _ = integrate_path(lambda a, b: field, path, q)
+    return periods

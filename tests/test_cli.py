@@ -279,3 +279,112 @@ def test_mesh_bad_grid_exits_2(plane_cfg, tmp_path):
 
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def _extend_to(cfg_path, out_path, capsys):
+    assert main(["extend", cfg_path, "-o", out_path]) == 0
+    capsys.readouterr()
+    return open(out_path).read()
+
+
+def test_check_derives_reflected_from_plane(timelike_cfg, tmp_path, capsys):
+    text = _extend_to(timelike_cfg, str(tmp_path / "timelike.extended"), capsys)
+    assert "reflected = x2\n" in text
+    p = tmp_path / "derived.cfg"
+    p.write_text(text.replace("reflected = x2\n", ""))
+    assert main(["check", str(p)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    entry = [c for c in report["checks"] if c["name"] == "reflection_symmetry"][0]
+    assert entry["passed"] is True
+    assert entry["details"]["coordinate"] == "x2"
+
+
+@pytest.mark.parametrize("command", [["check"], ["eval", "--at", "0.2,-0.3"]])
+def test_reflected_disagreeing_with_plane_exits_2(timelike_cfg, tmp_path, capsys, command):
+    text = _extend_to(timelike_cfg, str(tmp_path / "timelike.extended"), capsys)
+    for wrong in ("x3", "bogus"):
+        p = tmp_path / f"{wrong}.cfg"
+        p.write_text(text.replace("reflected = x2", f"reflected = {wrong}"))
+        assert main([command[0], str(p), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "'reflected'" in captured.err and wrong in captured.err
+
+
+def _with_line(config: str, key: str, value: str) -> str:
+    kept = [line for line in config.splitlines() if not line.startswith(key + " ")]
+    return "\n".join(kept + [f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("tol", "nan"),
+        ("tol", "inf"),
+        ("radius", "inf"),
+        ("mask_eps", "nan"),
+        ("X0", "0,nan,0"),
+        ("plane", "0,0,1,inf"),
+        ("mesh_range", "0.1,1,nan,3"),
+    ],
+)
+def test_non_finite_config_number_exits_2(tmp_path, capsys, key, value):
+    p = tmp_path / "nonfinite.cfg"
+    p.write_text(_with_line(PLANE_CONFIG, key, value))
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["check", "eval", "mesh"])
+def test_tol_flag_must_be_positive_and_finite(plane_cfg, tmp_path, capsys, command, tol):
+    extra = {"check": [], "eval": ["--at", "0.1,0.1"], "mesh": ["-o", str(tmp_path / "m.obj")]}
+    assert main([command, plane_cfg, f"--tol={tol}", *extra[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'--tol'" in captured.err
+
+
+def test_eval_at_nan_exits_2(plane_cfg, capsys):
+    assert main(["eval", plane_cfg, "--at", "nan,0"]) == 2
+    assert "'--at'" in capsys.readouterr().err
+
+
+def test_eval_negative_u_parses_like_the_equals_form(plane_cfg, capsys):
+    assert main(["eval", plane_cfg, "--at", "-0.1,0.2"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["eval", plane_cfg, "--at=-0.1,0.2"]) == 0
+    assert capsys.readouterr().out == spaced
+    xs = [float(t) for t in spaced.splitlines()[0][5:-1].split(",")]
+    assert abs(xs[0] + 0.05) < 1e-12  # x1 = Re z / 2 on the plane fixture
+
+
+def test_eval_extended_catenoid_center_is_outside(tmp_path, capsys):
+    p = tmp_path / "cat_ext.cfg"
+    p.write_text(
+        CATENOID_CONFIG + f"plane = 0,0,1,0.7\nboundary_circle = {math.exp(-0.7)!r}\n"
+    )
+    out_path = str(tmp_path / "cat.extended")
+    _extend_to(str(p), out_path, capsys)
+    assert main(["eval", out_path, "--at", "0,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: point 0j outside the assembled domain\n"
+
+
+def test_eval_overflow_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "overflow.cfg"
+    p.write_text("f = exp(1000*z)\ng = 0\ndomain = disk\nradius = 1\nz0 = 0\ntol = 1e-10\n")
+    assert main(["eval", str(p), "--at", "0.9,0"]) == 2
+    assert capsys.readouterr().err == "error: math range error in 'exp(1000*z)'\n"
+
+
+@pytest.mark.parametrize("plane", ["0,0,1,nan", "0,0,1", "a,b,c,d", "0,0,0,1"])
+def test_extend_bad_plane_flag_exits_2(timelike_cfg, capsys, plane):
+    assert main(["extend", timelike_cfg, "--plane", plane]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "'--plane'" in err

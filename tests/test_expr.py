@@ -95,16 +95,19 @@ def test_eval_precedence():
     assert evaluate(parse("z^-1"), 4) == 0.25
 
 
-def test_eval_faults_carry_the_offending_node():
+@pytest.mark.parametrize(
+    "run", [evaluate, lambda e, z: compile_fn(e)(z)], ids=["evaluate", "compile_fn"]
+)
+def test_eval_faults_carry_the_offending_node(run):
     with pytest.raises(EvalError) as exc:
-        evaluate(parse("1/z"), 0)
+        run(parse("1/z"), 0)
     assert "1/z" in str(exc.value)
     with pytest.raises(EvalError):
-        evaluate(parse("log(z)"), 0)
+        run(parse("log(z)"), 0)
     with pytest.raises(EvalError):
-        evaluate(parse("z^-2"), 0)
+        run(parse("z^-2"), 0)
     with pytest.raises(EvalError):
-        evaluate(parse("exp(z)"), 1e6)
+        run(parse("exp(z)"), 1e6)
 
 
 def test_derivative_power_rule():

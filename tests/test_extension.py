@@ -35,7 +35,13 @@ from maxsurf.extension import (
     reflect_timelike_g,
 )
 from maxsurf.minkowski import CausalClass, LVector, Plane
-from maxsurf.weierstrass import Domain, DomainKind, WeierstrassData
+from maxsurf.weierstrass import (
+    Domain,
+    DomainKind,
+    QuadratureConfig,
+    ToleranceError,
+    WeierstrassData,
+)
 
 
 def minus_points(n=50, radius=0.6, seed=0):
@@ -369,6 +375,15 @@ def test_extend_circular_plane_containment():
     for t in np.linspace(-math.pi, math.pi, 7, endpoint=False):
         X = ext.evaluate(rho * cmath.exp(1j * t))
         assert abs(X.x3 - (-0.7)) < 1e-9
+
+
+def test_extended_evaluate_raises_below_tolerance():
+    # the path crosses the arc; both sides must honour the quadrature flag
+    data, plane = catenoid_extension_fixture(b=-0.7)
+    ext = extend(data, plane)
+    with pytest.raises(ToleranceError) as exc:
+        ext.evaluate(0.06 + 0.01j, QuadratureConfig(tol=1e-14, max_depth=1))
+    assert exc.value.achieved > 1e-14
 
 
 def test_extend_circular_matching():

@@ -1,0 +1,40 @@
+"""The traced benchmark wraps maxsurf functions by module attribute name, so
+a refactor that drops or renames one of them breaks ``--trace 1``."""
+
+import sys
+from pathlib import Path
+
+from maxsurf import expr, verify, weierstrass
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tracer():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from tracing import Tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return Tracer()
+
+
+def test_tracer_installs_on_every_traced_name():
+    watched = [
+        (weierstrass, "_gk15"),
+        (verify, "_gk15"),
+        (expr, "evaluate"),
+        (weierstrass, "compile_fn"),
+        (weierstrass, "conformal_factor"),
+        (weierstrass, "gauss_map"),
+        (weierstrass, "surface_path"),
+    ]
+    before = [getattr(mod, name) for mod, name in watched]
+    tracer = _tracer()
+    try:
+        tracer.install()
+        for (mod, name), original in zip(watched, before):
+            assert getattr(mod, name) is not original, f"{mod.__name__}.{name} not wrapped"
+    finally:
+        tracer.uninstall()
+    for (mod, name), original in zip(watched, before):
+        assert getattr(mod, name) is original

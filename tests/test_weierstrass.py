@@ -244,6 +244,16 @@ def test_loop_periods_flag_real_period():
     assert abs(p1.real + math.pi) < 1e-10
 
 
+def test_loop_periods_raise_below_tolerance():
+    # one bisection cannot reach 1e-14 on the loop; a period that missed its
+    # tolerance must not come back looking like (0, 0, 2 pi i)
+    data = catenoid_data()
+    square = [0.3 + 0.3j, -0.3 + 0.3j, -0.3 - 0.3j, 0.3 - 0.3j]
+    with pytest.raises(ToleranceError) as exc:
+        loop_periods(data, square, QuadratureConfig(tol=1e-14, max_depth=1))
+    assert exc.value.achieved > 1e-14
+
+
 def test_path_independence_two_polylines():
     data = catenoid_data()
     z = 0.3 + 0.4j

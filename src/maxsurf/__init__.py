@@ -50,21 +50,20 @@ from .weierstrass import (
     surface_path,
 )
 from .extension import (
+    CASES,
     BoundaryArc,
     CircleOrLine,
     ContactData,
     DegenerateContactWarning,
     ExtendedSurface,
+    ExtensionError,
     GeometryMismatchError,
     HypothesisViolationError,
     OrthogonalContactError,
     SingularReconstructionError,
     extend,
-    extend_circular,
-    extend_lightlike,
-    extend_spacelike,
-    extend_timelike,
     measure_contact,
+    reflect_g,
 )
 from .verify import (
     CheckRecord,

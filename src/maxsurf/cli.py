@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import __version__
 from .expr import EvalError, ParseError, evaluate, format_expr, parse
 from .extension import (
-    REFLECTED_COORD,
+    CASES,
     ExtendedSurface,
     ExtensionError,
     assemble,
@@ -247,11 +247,11 @@ class SurfaceConfig:
         if self.plane is None:
             raise ConfigError("plane", "extended config needs the plane")
         fm, gm, reflected = self.minus_exprs
-        kind = plane_class(self.plane)
-        if reflected and reflected != REFLECTED_COORD[kind]:
+        case = CASES[plane_class(self.plane)]
+        if reflected and reflected != case.reflected:
             raise ConfigError(
                 "reflected",
-                f"a {kind.value} plane reflects '{REFLECTED_COORD[kind]}', not '{reflected}'",
+                f"a {case.kind.value} plane reflects '{case.reflected}', not '{reflected}'",
             )
         return assemble(self.data, measure_contact(self.data, self.plane), fm, gm)
 

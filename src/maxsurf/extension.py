@@ -1,25 +1,32 @@
 """Analytic extension of a maximal surface across a planar boundary.
 
-Given Weierstrass data on the upper half disk whose boundary values meet a
-plane at a constant angle c = lim <N, n> != 0, the Gauss map sends the
-boundary arc into a circle or line, so both g and the reflected harmonic
-coordinate continue by Schwarz reflection and f is recovered algebraically.
-The continuation formulas depend on the causal class of the plane:
+Given Weierstrass data whose boundary values meet a plane at a constant
+angle c = lim <N, n> != 0, the Gauss map sends the boundary arc into a
+circle or line, so both g and the one linear functional L of the phi triple
+that is odd across the plane continue by Schwarz reflection, and f is
+recovered algebraically from L and the reflected g.  Every case is that one
+construction; two independent axes supply its parameters.
 
-  spacelike  (n ~ (0,0,1)):  g(D0) on |w| = r,  g_minus = r^2 / sconj(g),
-              x3 reflects oddly, phi3_minus = -sconj(phi3), f = phi3/g.
-  timelike   (n ~ (0,1,0)):  g(D0) on the circle centered -i*lam of radius
-              sqrt(1+lam^2) with lam = 1/c; x2 reflects oddly and
-              f = 2 phi2 / (i (1 - g^2)).
-  lightlike  (n ~ (1,0,1)):  lam = c - 1; for lam = 0 the locus is the
-              line Re w = 1 and g_minus = 2 - sconj(g); otherwise the circle
-              centered -1/lam of radius |1 + 1/lam|.  psi = x1 - x3 reflects
-              oddly and f = 2 (phi1 - phi3) / (1 - g)^2, using the identity
-              phi1 - phi3 = f (1 - g)^2 / 2.
+The causal class of the plane is a row of ``CASES``:
 
-A circular variant replaces the domain reflection z -> conj(z) by the
-inversion z -> rho^2 / conj(z) across a circle |z| = rho, which extends
-annular data (rings around a conelike vertex) across the contact circle.
+  spacelike  (n ~ (0,0,1)):  c = +-cosh(theta); g(arc) on |w| = r and
+              g_minus = r^2 / conj(g); x3 is odd, L = phi3 = f g.
+  timelike   (n ~ (0,1,0)):  c = 1/lam; g(arc) on the circle centered
+              -i*lam of radius sqrt(1+lam^2); x2 is odd,
+              L = phi2 = i f (1 - g^2) / 2.
+  lightlike  (n ~ (1,0,1)):  c = 1 + lam; for lam = 0 the locus is the line
+              Re w = 1 and g_minus = 2 - conj(g), otherwise the circle
+              centered -1/lam of radius |1 + 1/lam|; psi = x1 - x3 is odd,
+              L = phi1 - phi3 = f (1 - g)^2 / 2.
+
+The shape of the boundary arc is a ``BoundaryArc``: the real diameter with
+the domain reflection sigma(z) = conj(z), or a circle |z| = rho with the
+inversion sigma(z) = rho^2 / conj(z), which extends annular data (rings
+around a conelike vertex) across the contact circle.  The arc supplies the
+conjugation conj(e(sigma(z))) and the odd pull-back of L,
+L_minus = -conj(L(sigma(z))) conj(sigma'(z)); the row supplies the Moebius
+map applied to the conjugated g and the recovery f_minus = L_minus / h(g_minus).
+Only spacelike planes are supported across a circle.
 
 The reflection radius/circle is always the one FITTED from boundary samples
 of g and cross-checked against the closed form implied by the measured c;
@@ -33,7 +40,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,18 +64,18 @@ from .minkowski import CausalClass, LVector, Plane, lorentz_inner, plane_class
 from .weierstrass import (
     Domain,
     DomainKind,
-    PhiTriple,
     QuadratureConfig,
     WeierstrassData,
     _build_path,
     gauss_from_g,
     integrate_path,
-    phi,
     phi_exprs,
 )
 
 __all__ = [
+    "CASES",
     "BoundaryArc",
+    "Case",
     "CircleOrLine",
     "ContactData",
     "DegenerateContactWarning",
@@ -78,22 +85,14 @@ __all__ = [
     "HypothesisViolationError",
     "MatchReport",
     "OrthogonalContactError",
-    "REFLECTED_COORD",
     "SingularReconstructionError",
     "assemble",
     "boundary_points",
     "boundary_samples",
     "extend",
-    "extend_circular",
-    "extend_lightlike",
-    "extend_spacelike",
-    "extend_timelike",
     "fit_circle_or_line",
     "measure_contact",
-    "reflect_circular_g",
-    "reflect_lightlike_g",
-    "reflect_spacelike_g",
-    "reflect_timelike_g",
+    "reflect_g",
 ]
 
 
@@ -125,7 +124,11 @@ class DegenerateContactWarning(UserWarning):
 
 @dataclass(frozen=True)
 class BoundaryArc:
-    """The arc carrying the boundary curve: the real diameter or |z| = rho."""
+    """The arc carrying the boundary curve: the real diameter or |z| = rho.
+
+    The arc fixes the domain reflection sigma: z -> conj(z) on the segment,
+    z -> rho^2 / conj(z) on the circle, whose outer side is the original.
+    """
 
     kind: str  # "segment" | "circle"
     rho: float | None = None
@@ -135,6 +138,72 @@ class BoundaryArc:
             raise ValueError("boundary kind must be 'segment' or 'circle'")
         if self.kind == "circle" and (self.rho is None or self.rho <= 0):
             raise ValueError("circle boundary needs rho > 0")
+
+    def admits(self, case: "Case") -> bool:
+        """Whether the extension across this arc is backed for the case."""
+        return self.kind == "segment" or case.circular
+
+    def conj(self, e: Expr) -> Expr:
+        """Schwarz conjugation across the arc: z -> conj(e(sigma(z)))."""
+        if self.kind == "segment":
+            return sconj(e)
+        return substitute(sconj(e), Div(Const(self.rho * self.rho), Var()))
+
+    def pullback(self, L: Expr) -> Expr:
+        """Odd reflection of the form L dz: -conj(L(sigma(z))) conj(sigma'(z))."""
+        if self.kind == "segment":
+            return Neg(sconj(L))
+        return Mul(self.conj(L), Div(Const(self.rho * self.rho), Pow(Var(), 2)))
+
+    def reflect(self, z: complex) -> complex:
+        if self.kind == "segment":
+            return z.conjugate()
+        if z == 0:
+            return complex(math.inf)  # the inversion sends the center to infinity
+        return self.rho * self.rho / z.conjugate()
+
+    @property
+    def poles(self) -> tuple[complex, ...]:
+        """Where sigma itself is singular."""
+        return () if self.kind == "segment" else (0j,)
+
+    def on_original_side(self, z: complex) -> bool:
+        if self.kind == "segment":
+            return z.imag >= 0
+        return abs(z) >= self.rho
+
+    def approach(self, z: complex) -> float:
+        """Signed distance parameter of z from the arc, 0 on it."""
+        if self.kind == "segment":
+            return z.imag
+        return abs(z) - self.rho
+
+    def group(self, samples: Sequence[complex]) -> list[list[complex]]:
+        """Samples grouped by position along the arc, in arc order."""
+        groups: dict[float, list[complex]] = {}
+        for z in samples:
+            z = complex(z)
+            key = z.real if self.kind == "segment" else cmath.phase(z)
+            groups.setdefault(round(key, 9), []).append(z)
+        return [groups[k] for k in sorted(groups)]
+
+    def crossings(self, a: complex, b: complex) -> list[complex]:
+        """Interior points where the segment from a to b crosses the arc."""
+        d = b - a
+        if self.kind == "segment":
+            crosses = (a.imag > 0) != (b.imag > 0) and a.imag != b.imag
+            ts = [a.imag / (a.imag - b.imag)] if crosses else []
+        else:
+            aa = (d * d.conjugate()).real
+            bb = 2 * (a * d.conjugate()).real
+            cc = (a * a.conjugate()).real - self.rho * self.rho
+            disc = bb * bb - 4 * aa * cc
+            if aa == 0 or disc <= 0:
+                ts = []
+            else:
+                root = math.sqrt(disc)
+                ts = [(-bb - root) / (2 * aa), (-bb + root) / (2 * aa)]
+        return [a + t * d for t in ts if 1e-12 < t < 1 - 1e-12]
 
 
 @dataclass(frozen=True)
@@ -223,6 +292,121 @@ class ContactData:
 
 
 # ---------------------------------------------------------------------------
+# the case table
+
+@dataclass(frozen=True)
+class Case:
+    """Everything the extension takes from the causal class of the plane.
+
+    ``normal`` is the case-normal plane normal and ``unit_point`` a point
+    with <x, normal> = 1; ``coordinate`` reads the coordinate named
+    ``reflected`` that reflects oddly.  ``odd(f, g)`` is the functional L
+    of the phi triple that reflects oddly and ``recover(L, g)`` solves it
+    for f, dividing by zero where g takes a value in ``singular``.
+    ``moebius(w, p)`` reflects the conjugated g through its locus, with
+    ``p = parameter(contact)``; ``locus(c, sheet, mods, lam_zero_tol)`` is
+    the closed-form locus implied by c, with theta and lam.  ``circular``
+    says whether a circular arc is supported.
+    """
+
+    kind: CausalClass
+    normal: LVector
+    unit_point: LVector
+    reflected: str
+    coordinate: Callable[[LVector], float]
+    odd: Callable[[Expr, Expr], Expr]
+    recover: Callable[[Expr, Expr], Expr]
+    moebius: Callable[[Expr, float], Expr]
+    parameter: Callable[[ContactData], float]
+    singular: tuple[complex, ...]
+    locus: Callable[..., tuple[CircleOrLine, float | None, float | None]]
+    circular: bool
+
+    def normalize(self, plane: Plane) -> tuple[LVector, float]:
+        """The case-normal normal and the plane's offset along it.
+
+        Only rescalings are applied; a normal that is not along ``normal``
+        must be brought to normal form by the caller's own frame.
+        """
+        n, m = plane.n.as_tuple(), self.normal.as_tuple()
+        s = next(a for a, b in zip(n, m) if b)
+        tol = 1e-9 * max(abs(a) for a in n)
+        if any(abs(a - s * b) > tol for a, b in zip(n, m)):
+            axis = ",".join(f"{b:g}" for b in m)
+            raise GeometryMismatchError(
+                f"{self.kind.value} plane normal must be along ({axis}); apply your own frame first"
+            )
+        return self.normal, plane.d / s
+
+
+def _spacelike_locus(c, sheet, mods, lam_zero_tol):
+    if abs(c) < 1 - 1e-9:
+        raise HypothesisViolationError(
+            f"|<N,n>| = {abs(c):.6f} < 1 is impossible against a spacelike plane"
+        )
+    theta = math.acosh(max(abs(c), 1.0))
+    r_exp = math.tanh(theta / 2) if sheet > 0 else 1.0 / math.tanh(theta / 2)
+    return CircleOrLine("circle", center=0j, radius=r_exp), theta, None
+
+
+def _timelike_locus(c, sheet, mods, lam_zero_tol):
+    lam = 1.0 / c
+    return CircleOrLine("circle", center=-1j * lam, radius=math.sqrt(1 + lam * lam)), None, lam
+
+
+def _lightlike_locus(c, sheet, mods, lam_zero_tol):
+    lam = c - 1.0
+    if abs(lam) >= lam_zero_tol:
+        inv = 1.0 / lam
+        return CircleOrLine("circle", center=complex(-inv, 0), radius=abs(1 + inv)), None, lam
+    if min(abs(1 - m * m) for m in mods) < 0.05:
+        warnings.warn(
+            "lightlike tangential contact with |g| -> 1: induced metric "
+            "degenerates along the boundary",
+            DegenerateContactWarning,
+            stacklevel=3,
+        )
+    return CircleOrLine("line", point=1 + 0j, direction=1j), None, 0.0
+
+
+def _lightlike_moebius(w: Expr, lam: float) -> Expr:
+    if lam == 0:
+        return Sub(Const(2), w)
+    inv = 1.0 / lam
+    return Add(Const(complex(-inv)), Div(Const((1 + inv) ** 2), Add(w, Const(complex(inv)))))
+
+
+CASES: dict[CausalClass, Case] = {
+    CausalClass.SPACELIKE: Case(
+        CausalClass.SPACELIKE, LVector(0, 0, 1), LVector(0, 0, -1), "x3", lambda d: d.x3,
+        odd=lambda f, g: Mul(f, g),
+        recover=lambda L, g: Div(L, g),
+        moebius=lambda w, r: Div(Const(r * r), w),
+        parameter=lambda contact: contact.locus.radius,
+        singular=(), locus=_spacelike_locus, circular=True,
+    ),
+    CausalClass.TIMELIKE: Case(
+        CausalClass.TIMELIKE, LVector(0, 1, 0), LVector(0, 1, 0), "x2", lambda d: d.x2,
+        odd=lambda f, g: phi_exprs(f, g)[1],
+        recover=lambda L, g: Div(Mul(Const(2), L), Mul(Const(1j), Sub(Const(1), Pow(g, 2)))),
+        moebius=lambda w, lam: Add(
+            Const(-1j * lam), Div(Const(1 + lam * lam), Sub(w, Const(1j * lam)))
+        ),
+        parameter=lambda contact: contact.lam,
+        singular=(1 + 0j, -1 + 0j), locus=_timelike_locus, circular=False,
+    ),
+    CausalClass.LIGHTLIKE: Case(
+        CausalClass.LIGHTLIKE, LVector(1, 0, 1), LVector(1, 0, 0), "psi", lambda d: d.x1 - d.x3,
+        odd=lambda f, g: Mul(Const(0.5), Mul(f, Pow(Sub(Const(1), g), 2))),
+        recover=lambda L, g: Div(Mul(Const(2), L), Pow(Sub(Const(1), g), 2)),
+        moebius=_lightlike_moebius,
+        parameter=lambda contact: contact.lam,
+        singular=(1 + 0j,), locus=_lightlike_locus, circular=False,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # sampling and extrapolation
 
 _DEPTH_FRACTIONS = (0.016, 0.012, 0.009, 0.006, 0.004, 0.0025, 0.0015)
@@ -281,57 +465,6 @@ def _neville(ts: Sequence[float], vals: Sequence[complex], t0: float = 0.0) -> c
     return p[0]
 
 
-def _group_samples(samples: Sequence[complex], boundary: BoundaryArc):
-    groups: dict[float, list[complex]] = {}
-    for z in samples:
-        z = complex(z)
-        if boundary.kind == "segment":
-            key = round(z.real, 9)
-        else:
-            key = round(cmath.phase(z), 9)
-        groups.setdefault(key, []).append(z)
-    return [groups[k] for k in sorted(groups)]
-
-
-def _approach_parameter(z: complex, boundary: BoundaryArc) -> float:
-    if boundary.kind == "segment":
-        return z.imag
-    return abs(z) - boundary.rho
-
-
-def _canonical_normal(plane: Plane) -> tuple[LVector, float, CausalClass]:
-    """Scale the normal to its case-normal form (0,0,1)/(0,1,0)/(1,0,1).
-
-    Only translations and rescalings are applied; a normal that is not
-    axis-aligned must be brought to normal form by the caller's own frame.
-    """
-    n = plane.n
-    kind = plane_class(plane)
-    scale_ref = max(abs(n.x1), abs(n.x2), abs(n.x3))
-    tol = 1e-9 * scale_ref
-    if kind is CausalClass.SPACELIKE:
-        if abs(n.x1) > tol or abs(n.x2) > tol:
-            raise GeometryMismatchError(
-                "spacelike plane normal must be along (0,0,1); apply your own frame first"
-            )
-        s = n.x3
-        return LVector(0, 0, 1), plane.d / s, kind
-    if kind is CausalClass.TIMELIKE:
-        if abs(n.x1) > tol or abs(n.x3) > tol:
-            raise GeometryMismatchError(
-                "timelike plane normal must be along (0,1,0); apply your own frame first"
-            )
-        s = n.x2
-        return LVector(0, 1, 0), plane.d / s, kind
-    # lightlike: require n proportional to (1, 0, 1)
-    if abs(n.x2) > tol or abs(n.x1 - n.x3) > tol:
-        raise GeometryMismatchError(
-            "lightlike plane normal must be along (1,0,1); apply your own frame first"
-        )
-    s = n.x1
-    return LVector(1, 0, 1), plane.d / s, kind
-
-
 def _locus_mismatch(fitted: CircleOrLine, expected: CircleOrLine) -> float:
     if fitted.kind != expected.kind:
         return math.inf
@@ -362,10 +495,11 @@ def measure_contact(
         boundary = BoundaryArc("circle", domain.boundary_circle)
     else:
         boundary = BoundaryArc("segment")
-    unit_n, offset, kind = _canonical_normal(plane)
+    case = CASES[plane_class(plane)]
+    unit_n, offset = case.normalize(plane)
     if samples is None:
         samples = boundary_samples(domain)
-    groups = _group_samples(samples, boundary)
+    groups = boundary.group(samples)
     if len(groups) < 3:
         raise ValueError("need samples at 3 or more boundary positions")
 
@@ -373,7 +507,7 @@ def measure_contact(
     c_limits: list[float] = []
     g_limits: list[complex] = []
     for grp in groups:
-        ts = [_approach_parameter(z, boundary) for z in grp]
+        ts = [boundary.approach(z) for z in grp]
         gs = [gfun(z) for z in grp]
         cs = [lorentz_inner(gauss_from_g(gv), unit_n) for gv in gs]
         if len(grp) == 1:
@@ -404,37 +538,7 @@ def measure_contact(
         raise HypothesisViolationError("boundary Gauss values straddle |g| = 1")
 
     locus = fit_circle_or_line(g_limits)
-
-    theta: float | None = None
-    lam: float | None = None
-    if kind is CausalClass.SPACELIKE:
-        if abs(c) < 1 - 1e-9:
-            raise HypothesisViolationError(
-                f"|<N,n>| = {abs(c):.6f} < 1 is impossible against a spacelike plane"
-            )
-        theta = math.acosh(max(abs(c), 1.0))
-        r_exp = math.tanh(theta / 2) if sheet > 0 else 1.0 / math.tanh(theta / 2)
-        expected = CircleOrLine("circle", center=0j, radius=r_exp)
-    elif kind is CausalClass.TIMELIKE:
-        lam = 1.0 / c
-        expected = CircleOrLine("circle", center=-1j * lam, radius=math.sqrt(1 + lam * lam))
-    else:
-        lam = c - 1.0
-        if abs(lam) < lam_zero_tol:
-            lam = 0.0
-            expected = CircleOrLine("line", point=1 + 0j, direction=1j)
-            degeneracy = min(abs(1 - m * m) for m in mods)
-            if degeneracy < 0.05:
-                warnings.warn(
-                    "lightlike tangential contact with |g| -> 1: induced metric "
-                    "degenerates along the boundary",
-                    DegenerateContactWarning,
-                    stacklevel=2,
-                )
-        else:
-            inv = 1.0 / lam
-            expected = CircleOrLine("circle", center=complex(-inv, 0), radius=abs(1 + inv))
-
+    expected, theta, lam = case.locus(c, sheet, mods, lam_zero_tol)
     mismatch = _locus_mismatch(locus, expected)
     if mismatch > locus_tol * (1 + (locus.radius or 1.0)):
         raise GeometryMismatchError(
@@ -445,7 +549,7 @@ def measure_contact(
         plane=plane,
         unit_normal=unit_n,
         offset=offset,
-        plane_kind=kind,
+        plane_kind=case.kind,
         c=c,
         deviation=deviation,
         sheet=sheet,
@@ -457,43 +561,13 @@ def measure_contact(
     )
 
 
-# ---------------------------------------------------------------------------
-# reflection formulas for g
+def reflect_g(kind: CausalClass, g: Expr, p: float, arc: BoundaryArc) -> Expr:
+    """The Schwarz reflection of g through its boundary locus across the arc.
 
-def reflect_spacelike_g(g: Expr, radius: float) -> Expr:
-    """Inversion in the circle |w| = radius composed with domain conjugation."""
-    return Div(Const(radius * radius), sconj(g))
-
-
-def reflect_timelike_g(g: Expr, lam: float) -> Expr:
-    """Inversion in the circle centered -i*lam of radius sqrt(1 + lam^2)."""
-    return Add(
-        Const(-1j * lam),
-        Div(Const(1 + lam * lam), Sub(sconj(g), Const(1j * lam))),
-    )
-
-
-def reflect_lightlike_g(g: Expr, lam: float) -> Expr:
-    """Reflection in the line Re w = 1 (lam = 0) or inversion in the circle
-    centered -1/lam of radius |1 + 1/lam|."""
-    if lam == 0:
-        return Sub(Const(2), sconj(g))
-    inv = 1.0 / lam
-    return Add(
-        Const(complex(-inv)),
-        Div(Const((1 + inv) ** 2), Add(sconj(g), Const(complex(inv)))),
-    )
-
-
-def _circle_conj(e: Expr, rho: float) -> Expr:
-    """Schwarz conjugation across the domain circle |z| = rho:
-    z -> conj(e(rho^2 / conj(z)))."""
-    return substitute(sconj(e), Div(Const(rho * rho), Var()))
-
-
-def reflect_circular_g(g: Expr, radius: float, rho: float) -> Expr:
-    """Spacelike reflection with the domain inversion z -> rho^2 / conj(z)."""
-    return Div(Const(radius * radius), _circle_conj(g, rho))
+    ``p`` is the case parameter: the locus radius for a spacelike plane,
+    lam for a timelike or lightlike one.
+    """
+    return CASES[kind].moebius(arc.conj(g), p)
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +617,6 @@ def _match_report(data, f_minus, g_minus, tol, n=9) -> MatchReport:
     return MatchReport(gaps=gaps, tol=tol, points=tuple(pts))
 
 
-# the coordinate that reflects oddly across a plane of each causal class
-REFLECTED_COORD = {
-    CausalClass.SPACELIKE: "x3",
-    CausalClass.TIMELIKE: "x2",
-    CausalClass.LIGHTLIKE: "psi",
-}
-
-
 @dataclass(frozen=True)
 class ExtendedSurface:
     """Piecewise Weierstrass data: the original patch plus reflected formulas.
@@ -566,24 +632,25 @@ class ExtendedSurface:
     contact: ContactData
     g_minus: Expr
     f_minus: Expr
-    reflected: str
-    shift: LVector
     matching: MatchReport
 
+    @property
+    def case(self) -> Case:
+        return CASES[self.contact.plane_kind]
+
+    @property
+    def reflected(self) -> str:
+        return self.case.reflected
+
+    @property
+    def shift(self) -> LVector:
+        return self.contact.offset * self.case.unit_point
+
     def reflect(self, z: complex) -> complex:
-        z = complex(z)
-        if self.contact.boundary.kind == "segment":
-            return z.conjugate()
-        if z == 0:
-            return complex(math.inf)  # the inversion sends the center to infinity
-        rho = self.contact.boundary.rho
-        return rho * rho / z.conjugate()
+        return self.contact.boundary.reflect(complex(z))
 
     def on_original_side(self, z: complex) -> bool:
-        z = complex(z)
-        if self.contact.boundary.kind == "segment":
-            return z.imag >= 0
-        return abs(z) >= self.contact.boundary.rho
+        return self.contact.boundary.on_original_side(complex(z))
 
     @cached_property
     def minus(self) -> WeierstrassData:
@@ -593,8 +660,7 @@ class ExtendedSurface:
 
     def reflected_value(self, X: LVector) -> float:
         """The coordinate of X that reflects oddly, measured from the contact plane."""
-        d = X - self.shift
-        return d.x1 - d.x3 if self.reflected == "psi" else getattr(d, self.reflected)
+        return self.case.coordinate(X - self.shift)
 
     def side(self, z: complex) -> WeierstrassData:
         """The Weierstrass data that holds at z: the original or the reflected side."""
@@ -602,55 +668,23 @@ class ExtendedSurface:
 
     @cached_property
     def _punctures(self) -> tuple[complex, ...]:
-        pts = list(self.original.domain.punctures)
-        for p in self.original.domain.punctures:
-            q = self.reflect(p)
+        punctures = self.original.domain.punctures
+        pts = list(punctures)
+        for q in [self.reflect(p) for p in punctures] + list(self.contact.boundary.poles):
             if abs(q) < 1e12 and all(abs(q - r) > 1e-12 for r in pts):
                 pts.append(q)
-        if self.contact.boundary.kind == "circle" and all(abs(p) > 1e-12 for p in pts):
-            pts.append(0j)  # the inversion z -> rho^2/z is singular at 0
         return tuple(pts)
-
-    def phi_plus(self, z: complex) -> PhiTriple:
-        return phi(self.original, z)
-
-    def phi_minus(self, z: complex) -> PhiTriple:
-        return phi(self.minus, z)
-
-    def _crossings(self, a: complex, b: complex) -> list[complex]:
-        if self.contact.boundary.kind == "segment":
-            if (a.imag > 0) == (b.imag > 0) or a.imag == b.imag:
-                return []
-            t = a.imag / (a.imag - b.imag)
-            if 1e-12 < t < 1 - 1e-12:
-                return [a + t * (b - a)]
-            return []
-        rho = self.contact.boundary.rho
-        d = b - a
-        aa = (d * d.conjugate()).real
-        if aa == 0:
-            return []
-        bb = 2 * (a * d.conjugate()).real
-        cc = (a * a.conjugate()).real - rho * rho
-        disc = bb * bb - 4 * aa * cc
-        if disc <= 0:
-            return []
-        root = math.sqrt(disc)
-        out = []
-        for t in ((-bb - root) / (2 * aa), (-bb + root) / (2 * aa)):
-            if 1e-12 < t < 1 - 1e-12:
-                out.append(a + t * d)
-        return out
 
     def evaluate(self, z: complex, q: QuadratureConfig | None = None) -> LVector:
         """X(z) on the assembled domain, anchored at the original basepoint."""
         q = q or QuadratureConfig()
         z = complex(z)
         data = self.original
+        arc = self.contact.boundary
         points = _build_path(data.z0, z, self._punctures, q)
         knots = [points[0]]
         for a, b in zip(points, points[1:]):
-            knots += sorted(self._crossings(a, b), key=lambda w: abs(w - a))
+            knots += sorted(arc.crossings(a, b), key=lambda w: abs(w - a))
             knots.append(b)
         (t1, t2, t3), _ = integrate_path(
             lambda a, b: self.side(0.5 * (a + b)).field, knots, q
@@ -687,15 +721,6 @@ def _minus_grid(domain: Domain, reflect, n: int = 40) -> list[complex]:
     return pts
 
 
-def _case_shift(kind: CausalClass, offset: float) -> LVector:
-    # a point of the normalized plane: <p, n_hat> = offset
-    if kind is CausalClass.SPACELIKE:
-        return LVector(0, 0, -offset)
-    if kind is CausalClass.TIMELIKE:
-        return LVector(0, offset, 0)
-    return LVector(offset, 0, 0)
-
-
 def assemble(
     data: WeierstrassData,
     contact: ContactData,
@@ -704,95 +729,15 @@ def assemble(
     *,
     match_tol: float = 1e-7,
 ) -> ExtendedSurface:
-    """The extended surface for given reflected-side formulas.
-
-    The reflected coordinate and the frame shift follow from the plane's
-    causal class; the matching report measures the two sides on the arc.
-    """
+    """The extended surface for given reflected-side formulas; the matching
+    report measures the two sides on the arc."""
     return ExtendedSurface(
         original=data,
         contact=contact,
         g_minus=g_minus,
         f_minus=f_minus,
-        reflected=REFLECTED_COORD[contact.plane_kind],
-        shift=_case_shift(contact.plane_kind, contact.offset),
         matching=_match_report(data, f_minus, g_minus, match_tol),
     )
-
-
-def extend_spacelike(
-    data: WeierstrassData, contact: ContactData, *, match_tol: float = 1e-7
-) -> ExtendedSurface:
-    """Extension across a spacelike plane met along the real diameter."""
-    if contact.plane_kind is not CausalClass.SPACELIKE:
-        raise ValueError("contact is not with a spacelike plane")
-    if contact.boundary.kind != "segment":
-        raise ValueError("use extend_circular for a circular boundary arc")
-    if contact.locus.kind != "circle":
-        raise GeometryMismatchError("spacelike contact requires a circular Gauss locus")
-    g_minus = reflect_spacelike_g(data.g, contact.locus.radius)
-    phi3_minus = Neg(sconj(Mul(data.f, data.g)))
-    return assemble(data, contact, Div(phi3_minus, g_minus), g_minus, match_tol=match_tol)
-
-
-def extend_timelike(
-    data: WeierstrassData, contact: ContactData, *, match_tol: float = 1e-7
-) -> ExtendedSurface:
-    """Extension across a timelike plane; x2 reflects oddly."""
-    if contact.plane_kind is not CausalClass.TIMELIKE:
-        raise ValueError("contact is not with a timelike plane")
-    g_minus = reflect_timelike_g(data.g, contact.lam)
-    _, phi2, _ = phi_exprs(data.f, data.g)
-    phi2_minus = Neg(sconj(phi2))
-    # phi2 = i f (1 - g^2) / 2 inverts to f = 2 phi2 / (i (1 - g^2))
-    f_minus = Div(
-        Mul(Const(2), phi2_minus), Mul(Const(1j), Sub(Const(1), Pow(g_minus, 2)))
-    )
-    _check_reconstruction_singular(
-        g_minus, _minus_grid(data.domain, lambda z: z.conjugate()), (1 + 0j, -1 + 0j)
-    )
-    return assemble(data, contact, f_minus, g_minus, match_tol=match_tol)
-
-
-def extend_lightlike(
-    data: WeierstrassData, contact: ContactData, *, match_tol: float = 1e-7
-) -> ExtendedSurface:
-    """Extension across a lightlike plane; psi = x1 - x3 reflects oddly."""
-    if contact.plane_kind is not CausalClass.LIGHTLIKE:
-        raise ValueError("contact is not with a lightlike plane")
-    g_minus = reflect_lightlike_g(data.g, contact.lam)
-    # phi1 - phi3 = f (1 - g)^2 / 2
-    p13 = Mul(Const(0.5), Mul(data.f, Pow(Sub(Const(1), data.g), 2)))
-    p13_minus = Neg(sconj(p13))
-    f_minus = Div(Mul(Const(2), p13_minus), Pow(Sub(Const(1), g_minus), 2))
-    _check_reconstruction_singular(
-        g_minus, _minus_grid(data.domain, lambda z: z.conjugate()), (1 + 0j,)
-    )
-    return assemble(data, contact, f_minus, g_minus, match_tol=match_tol)
-
-
-def extend_circular(
-    data: WeierstrassData,
-    contact: ContactData,
-    *,
-    match_tol: float = 1e-7,
-) -> ExtendedSurface:
-    """Spacelike extension across a circle |z| = rho in an annular domain.
-
-    Same reflection as the segment case with the domain conjugation replaced
-    by the inversion z -> rho^2 / conj(z); the outer side counts as the
-    original and the formulas extend it inward.
-    """
-    if contact.plane_kind is not CausalClass.SPACELIKE:
-        raise ValueError("circular extension handles spacelike planes only")
-    if contact.boundary.kind != "circle":
-        raise ValueError("contact boundary is not a circle")
-    rho = contact.boundary.rho
-    g_minus = reflect_circular_g(data.g, contact.locus.radius, rho)
-    _, _, phi3 = phi_exprs(data.f, data.g)
-    # dx3 odd across the circle: phi3_minus(z) = -sconj(phi3)(rho^2/z) * d(rho^2/z)/dz
-    phi3_minus = Mul(_circle_conj(phi3, rho), Div(Const(rho * rho), Pow(Var(), 2)))
-    return assemble(data, contact, Div(phi3_minus, g_minus), g_minus, match_tol=match_tol)
 
 
 def extend(
@@ -802,12 +747,13 @@ def extend(
     *,
     match_tol: float = 1e-7,
 ) -> ExtendedSurface:
-    """Measure the contact and dispatch to the case-specific extension."""
+    """Measure the contact and build the reflected side from its case row and arc."""
     contact = measure_contact(data, plane, samples)
-    if contact.boundary.kind == "circle":
-        return extend_circular(data, contact, match_tol=match_tol)
-    if contact.plane_kind is CausalClass.SPACELIKE:
-        return extend_spacelike(data, contact, match_tol=match_tol)
-    if contact.plane_kind is CausalClass.TIMELIKE:
-        return extend_timelike(data, contact, match_tol=match_tol)
-    return extend_lightlike(data, contact, match_tol=match_tol)
+    case, arc = CASES[contact.plane_kind], contact.boundary
+    if not arc.admits(case):
+        raise ExtensionError(f"circular extension handles spacelike planes only, not {case.kind.value}")
+    g_minus = reflect_g(contact.plane_kind, data.g, case.parameter(contact), arc)
+    f_minus = case.recover(arc.pullback(case.odd(data.f, data.g)), g_minus)
+    if case.singular:
+        _check_reconstruction_singular(g_minus, _minus_grid(data.domain, arc.reflect), case.singular)
+    return assemble(data, contact, f_minus, g_minus, match_tol=match_tol)

@@ -33,7 +33,7 @@ from .weierstrass import (
     stereo_inverse,
     surface_path,
 )
-from .extension import ExtendedSurface
+from .extension import CASES, ExtendedSurface, boundary_samples
 
 __all__ = [
     "CheckRecord",
@@ -240,9 +240,7 @@ def check_orthogonality_obstruction(
     if measured is None:
         if data is None:
             raise ValueError("need either data or measured values")
-        from .extension import _canonical_normal, boundary_samples
-
-        unit_n, _, _ = _canonical_normal(plane)
+        unit_n, _ = CASES[kind].normalize(plane)
         if samples is None:
             samples = boundary_samples(data.domain)
         gfun = compile_fn(data.g)
@@ -506,8 +504,6 @@ def _diagnose_extended(ext: ExtendedSurface, grid: GridSpec, q: QuadratureConfig
     # The continuation is spacelike in a band around the arc; far from it the
     # metric may legitimately degenerate (|g| -> 1), so the minus-side sheet
     # and positivity checks sample reflections of a shallow approach band.
-    from .extension import boundary_samples
-
     band = boundary_samples(data.domain, depths=(0.1, 0.05, 0.02, 0.012, 0.004))
     minus_pts = [ext.reflect(z) for z in band]
     checks.extend(_data_checks(ext.minus, minus_pts, q, tag="minus_"))

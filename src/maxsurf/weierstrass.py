@@ -20,13 +20,14 @@ pure, so surfaces may be sampled point-parallel without coordination.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .expr import Expr, compile_fn, evaluate
+from .expr import Add, Const, Expr, Mul, Pow, Sub, compile_fn, evaluate
 from .minkowski import LVector
 
 __all__ = [
@@ -127,6 +128,8 @@ class Domain:
                 raise ValueError("boundary_circle must lie inside the domain")
 
     def _in_region(self, z: complex, tol: float = 0.0) -> bool:
+        if not cmath.isfinite(z):
+            return False
         r = abs(z)
         if r >= self.radius + tol:
             return False
@@ -228,8 +231,6 @@ def phi(data: WeierstrassData, z: complex) -> PhiTriple:
 
 def phi_exprs(f: Expr, g: Expr) -> tuple[Expr, Expr, Expr]:
     """Symbolic phi triple, for differentiation and reflection formulas."""
-    from .expr import Add, Const, Mul, Pow, Sub
-
     g2 = Pow(g, 2)
     return (
         Mul(Const(0.5), Mul(f, Add(Const(1), g2))),
@@ -340,7 +341,7 @@ def _integrate_segment(fn, a, b, tol, depth):
     """Adaptive bisection; returns (triple, error estimate, converged)."""
     (i1, i2, i3), err = _gk15(fn, a, b)
     mag = max(abs(i1), abs(i2), abs(i3))
-    if err <= tol or err <= 1e-15 * mag or depth <= 0:
+    if err <= tol or err <= 1e-15 * mag or depth <= 0 or math.isnan(err):
         return (i1, i2, i3), err, (err <= tol or err <= 1e-15 * mag)
     m = 0.5 * (a + b)
     left, el, okl = _integrate_segment(fn, a, m, 0.5 * tol, depth - 1)
@@ -369,6 +370,8 @@ def _detour_point(s: complex, t: complex, p: complex, clearance: float) -> compl
 
 def _build_path(z0: complex, z1: complex, punctures, cfg: QuadratureConfig) -> list[complex]:
     a, b = complex(z0), complex(z1)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise PathError(f"path endpoints {a} and {b} must be finite")
     for p in punctures:
         if abs(a - p) < 1e-12 or abs(b - p) < 1e-12:
             raise PathError(f"path endpoint coincides with puncture {p}")

@@ -18,14 +18,8 @@ from fixtures import (
 )
 from maxsurf.cli import CATENOID_CONFIG, main
 from maxsurf.expr import evaluate, parse
-from maxsurf.extension import (
-    extend,
-    reflect_circular_g,
-    reflect_lightlike_g,
-    reflect_spacelike_g,
-    reflect_timelike_g,
-)
-from maxsurf.minkowski import LVector, Plane
+from maxsurf.extension import BoundaryArc, extend, reflect_g
+from maxsurf.minkowski import CausalClass, LVector, Plane
 from maxsurf.verify import (
     catenoid_data,
     check_orthogonality_obstruction,
@@ -120,7 +114,7 @@ def test_criterion_3_spacelike_catenoid_slab():
 def test_criterion_4_timelike_self_symmetric():
     data, _ = timelike_fixture()
     lam = 1.0
-    g_minus = reflect_timelike_g(data.g, lam)
+    g_minus = reflect_g(CausalClass.TIMELIKE, data.g, lam, BoundaryArc("segment"))
     rng = np.random.default_rng(104)
     worst = 0.0
     pts = 0
@@ -144,7 +138,7 @@ def test_criterion_4_timelike_self_symmetric():
 def test_criterion_5_lightlike_self_symmetric_and_identity():
     data, _ = lightlike_fixture()
     lam = -2.0
-    g_minus = reflect_lightlike_g(data.g, lam)
+    g_minus = reflect_g(CausalClass.LIGHTLIKE, data.g, lam, BoundaryArc("segment"))
     rng = np.random.default_rng(105)
     worst = 0.0
     pts = 0
@@ -172,14 +166,23 @@ def test_criterion_5_lightlike_self_symmetric_and_identity():
 
 
 def test_criterion_6_involutions():
+    seg = BoundaryArc("segment")
     rng = np.random.default_rng(106)
     cases = {
-        "spacelike": (spacelike_fixture()[0].g, lambda g: reflect_spacelike_g(g, 0.5)),
-        "timelike": (timelike_fixture()[0].g, lambda g: reflect_timelike_g(g, 1.0)),
-        "lightlike": (lightlike_fixture()[0].g, lambda g: reflect_lightlike_g(g, -2.0)),
+        "spacelike": (
+            spacelike_fixture()[0].g, lambda g: reflect_g(CausalClass.SPACELIKE, g, 0.5, seg)
+        ),
+        "timelike": (
+            timelike_fixture()[0].g, lambda g: reflect_g(CausalClass.TIMELIKE, g, 1.0, seg)
+        ),
+        "lightlike": (
+            lightlike_fixture()[0].g, lambda g: reflect_g(CausalClass.LIGHTLIKE, g, -2.0, seg)
+        ),
         "circular": (
             catenoid_data().g,
-            lambda g: reflect_circular_g(g, math.exp(-0.7), math.exp(-0.7)),
+            lambda g: reflect_g(
+                CausalClass.SPACELIKE, g, math.exp(-0.7), BoundaryArc("circle", math.exp(-0.7))
+            ),
         ),
     }
     worst = 0.0
@@ -208,11 +211,11 @@ def test_criterion_7_harmonicity_of_extensions():
     orders = []
     for ext, plus_pts, minus_pts in surfaces:
         for z in plus_pts:
-            o, _ = harmonicity_order(lambda w: ext.phi_plus(w).as_tuple(), z, hs)
+            o, _ = harmonicity_order(ext.original.field, z, hs)
             if o is not None:
                 orders.append(o)
         for z in minus_pts:
-            o, _ = harmonicity_order(lambda w: ext.phi_minus(w).as_tuple(), z, hs)
+            o, _ = harmonicity_order(ext.minus.field, z, hs)
             if o is not None:
                 orders.append(o)
     ok = bool(orders) and all(o >= 1.8 for o in orders)

@@ -236,6 +236,21 @@ def test_extend_orthogonal_exits_1(tmp_path, capsys):
     assert "orthogonal" in capsys.readouterr().err
 
 
+def test_extend_circular_timelike_exits_1(tmp_path, capsys):
+    # on |z| = 0.5, g lies on the timelike locus of lam = 1, so the contact
+    # is measured; only spacelike planes are supported across a circle
+    p = tmp_path / "ring.cfg"
+    p.write_text(
+        "f = 1\ng = -i + sqrt(2)*i*exp(0.1*i*(z/0.5 + 0.5/z))\ndomain = annulus\n"
+        "radius = 1\ninner_radius = 0.2\nboundary_circle = 0.5\nz0 = 0.8\nplane = 0,1,0,0\n"
+    )
+    assert main(["extend", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("extension failed: circular extension handles spacelike planes only")
+
+
 def test_mesh_plane_2x2(plane_cfg, tmp_path, capsys):
     out = str(tmp_path / "plane.obj")
     assert main(["mesh", plane_cfg, "--grid", "2x2", "-o", out]) == 0

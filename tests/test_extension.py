@@ -11,7 +11,7 @@ from fixtures import (
     spacelike_fixture,
     timelike_fixture,
 )
-from maxsurf.expr import evaluate, parse
+from maxsurf.expr import evaluate, format_expr, parse
 from maxsurf.extension import (
     BoundaryArc,
     CircleOrLine,
@@ -24,20 +24,15 @@ from maxsurf.extension import (
     _locus_mismatch,
     boundary_samples,
     extend,
-    extend_lightlike,
-    extend_spacelike,
-    extend_timelike,
     fit_circle_or_line,
     measure_contact,
-    reflect_circular_g,
-    reflect_lightlike_g,
-    reflect_spacelike_g,
-    reflect_timelike_g,
+    reflect_g,
 )
 from maxsurf.minkowski import CausalClass, LVector, Plane
 from maxsurf.weierstrass import (
     Domain,
     DomainKind,
+    PathError,
     QuadratureConfig,
     ToleranceError,
     WeierstrassData,
@@ -194,17 +189,17 @@ def test_degenerate_lightlike_contact_warns():
 
 def test_spacelike_reflection_fixes_circle_and_involutes():
     g = parse("exp(i*z)/2")
-    gm = reflect_spacelike_g(g, 0.5)
+    gm = reflect_g(CausalClass.SPACELIKE, g, 0.5, BoundaryArc("segment"))
     for u in np.linspace(-0.6, 0.6, 7):
         assert abs(abs(evaluate(gm, u)) - 0.5) < 1e-12
-    g2 = reflect_spacelike_g(gm, 0.5)
+    g2 = reflect_g(CausalClass.SPACELIKE, gm, 0.5, BoundaryArc("segment"))
     for z in minus_points(20):
         assert abs(evaluate(g2, z) - evaluate(g, z)) < 1e-12
 
 
 def test_timelike_reflection_fixes_circle():
     g = parse("-i + sqrt(2)*i*exp(i*z)")
-    gm = reflect_timelike_g(g, 1.0)
+    gm = reflect_g(CausalClass.TIMELIKE, g, 1.0, BoundaryArc("segment"))
     for u in np.linspace(-0.5, 0.5, 7):
         w = evaluate(gm, u)
         assert abs(w.real**2 + (w.imag + 1) ** 2 - 2) < 1e-12
@@ -212,7 +207,7 @@ def test_timelike_reflection_fixes_circle():
 
 def test_lightlike_line_reflection_fixes_axis():
     g = parse("1 + i*(1 + z/4)")
-    gm = reflect_lightlike_g(g, 0.0)
+    gm = reflect_g(CausalClass.LIGHTLIKE, g, 0.0, BoundaryArc("segment"))
     for u in np.linspace(-0.5, 0.5, 7):
         assert abs(evaluate(gm, u).real - 1.0) < 1e-14
 
@@ -228,7 +223,7 @@ def check_self_symmetric(data, ext, tol=1e-7):
 
 def test_extend_spacelike_fixture():
     data, plane = spacelike_fixture()
-    ext = extend_spacelike(data, measure_contact(data, plane))
+    ext = extend(data, plane)
     assert ext.reflected == "x3"
     assert ext.matching.passed
     assert ext.matching.max_gap < 1e-10
@@ -242,7 +237,7 @@ def test_extend_spacelike_fixture():
 
 def test_extend_spacelike_restricts_to_original():
     data, plane = spacelike_fixture()
-    ext = extend_spacelike(data, measure_contact(data, plane))
+    ext = extend(data, plane)
     from maxsurf.weierstrass import evaluate_surface
 
     for z in (0.2 + 0.3j, -0.4 + 0.1j):
@@ -253,8 +248,7 @@ def test_extend_spacelike_restricts_to_original():
 
 def test_extend_timelike_fixture():
     data, plane = timelike_fixture()
-    contact = measure_contact(data, plane)
-    ext = extend_timelike(data, contact)
+    ext = extend(data, plane)
     assert ext.reflected == "x2"
     assert ext.matching.passed
     assert ext.matching.max_gap < 1e-10
@@ -268,7 +262,7 @@ def test_extend_timelike_fixture():
 
 def test_extend_lightlike_fixture():
     data, plane = lightlike_fixture()
-    ext = extend_lightlike(data, measure_contact(data, plane))
+    ext = extend(data, plane)
     assert ext.reflected == "psi"
     assert ext.matching.passed
     check_self_symmetric(data, ext, tol=1e-7)
@@ -282,7 +276,7 @@ def test_extend_lightlike_fixture():
 
 def test_extend_lightlike_tangent_fixture():
     data, plane = lightlike_tangent_fixture()
-    ext = extend_lightlike(data, measure_contact(data, plane))
+    ext = extend(data, plane)
     assert ext.matching.max_gap < 1e-8
     check_self_symmetric(data, ext, tol=1e-8)
 
@@ -302,6 +296,46 @@ def test_half_plane_identity_for_lightlike_reconstruction():
         lhs = 0.5 * fv * (1 - gv) ** 2
         rhs = p.phi1 - p.phi3
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
+
+
+# The reflected-side formulas are emitted into extended configs, so their
+# text is pinned exactly.
+EMITTED_FORMULAS = [
+    (
+        spacelike_fixture,
+        "-(-i*sconj(exp(-i*z))*(sconj(exp(i*z))/2))/(0.2500000000000018/(sconj(exp(i*z))/2))",
+        "0.2500000000000018/(sconj(exp(i*z))/2)",
+    ),
+    (
+        timelike_fixture,
+        "2*-(-0.5*i*(sconj(exp(-i*z))*(1-(i+sconj(sqrt(2))*-i*sconj(exp(i*z)))^2)))/(i*(1-(-1.0000000000002045*i+2.000000000000409/(i+sconj(sqrt(2))*-i*sconj(exp(i*z))-1.0000000000002045*i))^2))",
+        "-1.0000000000002045*i+2.000000000000409/(i+sconj(sqrt(2))*-i*sconj(exp(i*z))-1.0000000000002045*i)",
+    ),
+    (
+        lightlike_fixture,
+        "2*-(0.5*(sconj(exp(-i*z))*(1-(1+-i*sconj(exp(i*z)))/2)^2))/(1-(0.5000000000000044+0.24999999999999556/((1+-i*sconj(exp(i*z)))/2+-0.5000000000000044)))^2",
+        "0.5000000000000044+0.24999999999999556/((1+-i*sconj(exp(i*z)))/2+-0.5000000000000044)",
+    ),
+    (
+        lightlike_tangent_fixture,
+        "2*-(0.5*(-i*(1-(1+-i*(1+z/4)))^2))/(1-(2-(1+-i*(1+z/4))))^2",
+        "2-(1+-i*(1+z/4))",
+    ),
+    (
+        catenoid_extension_fixture,
+        "1/(0.2465969639416065/z)^2*(0.2465969639416065/z)*(0.2465969639416065/z^2)/(0.2465969639416066/(0.2465969639416065/z))",
+        "0.2465969639416066/(0.2465969639416065/z)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture, f_minus, g_minus", EMITTED_FORMULAS, ids=[c[0].__name__ for c in EMITTED_FORMULAS]
+)
+def test_emitted_formulas_are_stable(fixture, f_minus, g_minus):
+    ext = extend(*fixture())
+    assert format_expr(ext.f_minus) == f_minus
+    assert format_expr(ext.g_minus) == g_minus
 
 
 def test_extension_dispatch():
@@ -346,7 +380,9 @@ def test_extend_circular_involution():
     data, plane = catenoid_extension_fixture(b=-0.7)
     ext = extend(data, plane)
     rho = math.exp(-0.7)
-    g2 = reflect_circular_g(ext.g_minus, ext.contact.locus.radius, rho)
+    g2 = reflect_g(
+        CausalClass.SPACELIKE, ext.g_minus, ext.contact.locus.radius, BoundaryArc("circle", rho)
+    )
     rng = np.random.default_rng(5)
     for _ in range(30):
         z = cmath.rect(rng.uniform(0.55, 0.95), rng.uniform(-math.pi, math.pi))
@@ -375,6 +411,12 @@ def test_extend_circular_plane_containment():
     for t in np.linspace(-math.pi, math.pi, 7, endpoint=False):
         X = ext.evaluate(rho * cmath.exp(1j * t))
         assert abs(X.x3 - (-0.7)) < 1e-9
+
+
+def test_extended_evaluate_at_nan_raises_path_error():
+    ext = extend(*catenoid_extension_fixture(b=-0.7))
+    with pytest.raises(PathError):
+        ext.evaluate(complex(math.nan, 0.1))
 
 
 def test_extended_evaluate_raises_below_tolerance():

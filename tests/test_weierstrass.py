@@ -20,6 +20,7 @@ from maxsurf.weierstrass import (
     evaluate_surface,
     gauss_from_g,
     gauss_map,
+    integrate_path,
     loop_periods,
     phi,
     phi_exprs,
@@ -213,6 +214,31 @@ def test_path_endpoint_on_puncture_rejected():
     data = catenoid_data()
     with pytest.raises(PathError):
         evaluate_surface(data, 0j)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0.5, math.nan), complex(math.inf, 0)])
+def test_non_finite_points_are_outside_every_domain(z):
+    disk = catenoid_data().domain
+    assert not disk.contains(z)
+    assert not disk.contains(z, closed=True)
+    assert not Domain(DomainKind.HALF_DISK, radius=1.0).contains(z, closed=True)
+
+
+def test_evaluation_at_nan_raises_path_error():
+    with pytest.raises(PathError):
+        evaluate_surface(catenoid_data(), complex(math.nan, 0))
+
+
+def test_nan_field_stops_after_one_panel():
+    calls = []
+
+    def field(z):
+        calls.append(z)
+        return (math.nan, math.nan, math.nan)
+
+    with pytest.raises(ToleranceError):
+        integrate_path(lambda a, b: field, [0j, 1 + 0j], QuadratureConfig())
+    assert len(calls) == 15  # one GK15 panel, no bisection
 
 
 def test_tolerance_error_carries_estimate():

@@ -45,6 +45,7 @@ from .weierstrass import (
     conformal_factor,
     evaluate_surface,
     gauss_map,
+    surface_tree,
 )
 
 __all__ = ["ConfigError", "SurfaceConfig", "SurfaceMesh", "build_mesh", "main"]
@@ -304,6 +305,37 @@ def _mesh_parameters(domain: Domain, mesh_range):
     return False, (-s, s, -s, s)
 
 
+def _grid_forest(points: list[complex], valid: list[bool], nv: int, z0: complex):
+    """Breadth-first spanning forest of the valid vertices of a row-major grid.
+
+    Edges join 4-neighbours, visited along the row (j) before across it
+    (i).  Each component is rooted at its valid vertex nearest z0, the
+    lowest index on ties.  Returns the vertex indices in visiting order
+    and, for each, the position of its parent in that order (-1 for a root).
+    """
+    n = len(points)
+    seen = [False] * n
+    order: list[int] = []
+    parents: list[int] = []
+    for root in sorted((k for k in range(n) if valid[k]), key=lambda k: abs(points[k] - z0)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        parents.append(-1)
+        head = len(order) - 1
+        while head < len(order):
+            k = order[head]
+            j = k % nv
+            for m, ok in ((k - 1, j > 0), (k + 1, j < nv - 1), (k - nv, k >= nv), (k + nv, k + nv < n)):
+                if ok and valid[m] and not seen[m]:
+                    seen[m] = True
+                    order.append(m)
+                    parents.append(head)
+            head += 1
+    return order, parents
+
+
 def build_mesh(
     data: WeierstrassData,
     nu: int,
@@ -314,6 +346,13 @@ def build_mesh(
 ) -> SurfaceMesh:
     """Evaluate an nu x nv parameter grid and triangulate unmasked cells.
 
+    Vertices inside the domain closure are valid.  X is accumulated down a
+    breadth-first spanning forest of grid edges between valid vertices: a
+    root (the valid vertex of its component nearest z0) is integrated from
+    z0, every other vertex from its parent along the grid edge between
+    them, with tol / (forest depth + 1) per edge so each vertex still meets
+    tol.  See ``weierstrass.surface_tree``.
+
     Cells touching a vertex with conformal factor below mask_eps (the
     degenerate locus |g| = 1) or a vertex outside the domain closure are
     masked and carry no triangles.
@@ -322,32 +361,29 @@ def build_mesh(
         raise ValueError("grid must be at least 2x2")
     q = q or QuadratureConfig()
     polar, (a0, a1, b0, b1) = _mesh_parameters(data.domain, mesh_range)
-    vertices: list[LVector] = []
-    gauss: list[LVector | None] = []
-    conformal: list[float] = []
-    valid: list[bool] = []
+    points: list[complex] = []
     for i in range(nu):
         a = a0 + (a1 - a0) * i / (nu - 1)
         for j in range(nv):
             b = b0 + (b1 - b0) * j / (nv - 1)
-            z = complex(a * math.cos(b), a * math.sin(b)) if polar else complex(a, b)
-            inside = data.domain.contains(z, closed=True)
-            if not inside:
-                vertices.append(LVector(0, 0, 0))
-                gauss.append(None)
-                conformal.append(0.0)
-                valid.append(False)
-                continue
-            X = evaluate_surface(data, z, q)
-            lam = conformal_factor(data, z)
-            try:
-                N = gauss_map(data, z)
-            except DegenerateMetricError:
-                N = None
-            vertices.append(X)
-            gauss.append(N)
-            conformal.append(lam)
-            valid.append(True)
+            points.append(complex(a * math.cos(b), a * math.sin(b)) if polar else complex(a, b))
+    valid = [data.domain.contains(z, closed=True) for z in points]
+    order, parents = _grid_forest(points, valid, nv, data.z0)
+    vertices = [LVector(0, 0, 0)] * len(points)
+    for k, X in zip(order, surface_tree(data, [points[k] for k in order], parents, q)):
+        vertices[k] = X
+    gauss: list[LVector | None] = []
+    conformal: list[float] = []
+    for z, inside in zip(points, valid):
+        if not inside:
+            gauss.append(None)
+            conformal.append(0.0)
+            continue
+        conformal.append(conformal_factor(data, z))
+        try:
+            gauss.append(gauss_map(data, z))
+        except DegenerateMetricError:
+            gauss.append(None)
     triangles: list[tuple[int, int, int]] = []
     masked: list[tuple[int, int]] = []
     for i in range(nu - 1):
@@ -415,12 +451,28 @@ def _quadrature(tol: float | None, cfg: SurfaceConfig) -> QuadratureConfig:
         raise ConfigError("--tol", f"{exc}, got {tol}") from None
 
 
+GRID_MAX = 512
+"""The largest side of a --grid that check and mesh accept (512x512 is 262,144 points)."""
+
+
+def _parse_grid(text: str, minimum: int) -> tuple[int, int]:
+    """NxM with both sides between ``minimum`` and GRID_MAX, else ConfigError."""
+    try:
+        n1, n2 = text.lower().split("x")
+        n1, n2 = int(n1), int(n2)
+    except ValueError:
+        raise ConfigError("--grid", "expected NxM") from None
+    if not (minimum <= n1 <= GRID_MAX and minimum <= n2 <= GRID_MAX):
+        raise ConfigError("--grid", f"each side must be between {minimum} and {GRID_MAX}, got {text}")
+    return n1, n2
+
+
 def cmd_check(args) -> int:
-    cfg = SurfaceConfig.from_file(args.config)
     grid = GridSpec()
     if args.grid:
-        n1, n2 = _parse_grid(args.grid)
+        n1, n2 = _parse_grid(args.grid, 1)
         grid = GridSpec(n_radial=n1, n_angular=n2)
+    cfg = SurfaceConfig.from_file(args.config)
     q = _quadrature(args.tol, cfg)
     target = cfg.extended_surface() or cfg.data
     report = full_diagnostics(target, grid, q)
@@ -549,21 +601,11 @@ def cmd_extend(args) -> int:
     return 0 if ext.matching.passed else 1
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        n1, n2 = text.lower().split("x")
-        return int(n1), int(n2)
-    except ValueError:
-        raise ConfigError("--grid", "expected NxM") from None
-
-
 def cmd_mesh(args) -> int:
+    nu, nv = _parse_grid(args.grid, 2)
     cfg = SurfaceConfig.from_file(args.config)
     if cfg.minus_exprs is not None:
         raise ConfigError("config", "mesh supports plain surface configs only")
-    nu, nv = _parse_grid(args.grid)
-    if nu < 2 or nv < 2:
-        raise ConfigError("--grid", "grid must be at least 2x2")
     q = _quadrature(args.tol, cfg)
     mesh = build_mesh(cfg.data, nu, nv, cfg.mask_eps, q, cfg.mesh_range)
     sha = _config_sha(cfg)

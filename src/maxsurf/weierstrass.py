@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
@@ -51,6 +51,7 @@ __all__ = [
     "phi_exprs",
     "stereo_inverse",
     "surface_path",
+    "surface_tree",
 ]
 
 
@@ -308,6 +309,11 @@ _WG = (0.1294849661688697, 0.2797053914892767, 0.3818300505051189)
 _WG_CENTER = 0.4179591836734694
 
 
+def _worst(a: float, b: float, c: float) -> float:
+    """max(a, b, c), but NaN when any of them is; the builtin drops a NaN after the first."""
+    return max(a, b, c) if a == a and b == b and c == c else math.nan
+
+
 def _gk15(fn, a: complex, b: complex):
     """One Gauss-Kronrod panel of the complex line integral of a 3-tuple field."""
     c = 0.5 * (a + b)
@@ -333,14 +339,14 @@ def _gk15(fn, a: complex, b: complex):
             g2 += wg * (fa[1] + fb[1])
             g3 += wg * (fa[2] + fb[2])
     scale = abs(h)
-    err = scale * max(abs(k1 - g1), abs(k2 - g2), abs(k3 - g3))
+    err = scale * _worst(abs(k1 - g1), abs(k2 - g2), abs(k3 - g3))
     return (h * k1, h * k2, h * k3), err
 
 
 def _integrate_segment(fn, a, b, tol, depth):
     """Adaptive bisection; returns (triple, error estimate, converged)."""
     (i1, i2, i3), err = _gk15(fn, a, b)
-    mag = max(abs(i1), abs(i2), abs(i3))
+    mag = _worst(abs(i1), abs(i2), abs(i3))
     if err <= tol or err <= 1e-15 * mag or depth <= 0 or math.isnan(err):
         return (i1, i2, i3), err, (err <= tol or err <= 1e-15 * mag)
     m = 0.5 * (a + b)
@@ -439,6 +445,46 @@ def surface_path(data: WeierstrassData, z: complex, q: QuadratureConfig | None =
 def evaluate_surface(data: WeierstrassData, z: complex, q: QuadratureConfig | None = None) -> LVector:
     """X(z) = X0 + Re Integral of (phi1, phi2, phi3) from z0 to z."""
     return surface_path(data, z, q).value
+
+
+def surface_tree(
+    data: WeierstrassData,
+    points: Sequence[complex],
+    parents: Sequence[int],
+    q: QuadratureConfig | None = None,
+) -> list[LVector]:
+    """X at every point, accumulated down a spanning forest of short edges.
+
+    ``parents[k]`` is the index of the point that point k is integrated
+    from and must be smaller than k; -1 marks a root, integrated from z0.
+    Every edge (a root's path from z0 counts as one) gets the tolerance
+    tol / (depth + 1), with depth the most edges below any root, so each
+    summed value meets tol just as evaluate_surface does.  A forest closes
+    no loop, so the values agree with evaluate_surface for data without
+    real periods, the assumption evaluation already makes.
+    """
+    q = q or QuadratureConfig()
+    if len(points) != len(parents):
+        raise ValueError("points and parents must have the same length")
+    depth: list[int] = []
+    for k, p in enumerate(parents):
+        if p >= k:
+            raise ValueError(f"parent {p} of point {k} must come before it")
+        depth.append(0 if p < 0 else depth[p] + 1)
+    q_edge = replace(q, tol=q.tol / (max(depth, default=0) + 1))
+    field = data.field
+    sums: list[tuple[complex, complex, complex]] = []
+    values: list[LVector] = []
+    for z, p in zip(points, parents):
+        start = data.z0 if p < 0 else points[p]
+        path = _build_path(start, z, data.domain.punctures, q_edge)
+        (t1, t2, t3), _ = integrate_path(lambda a, b: field, path, q_edge)
+        if p >= 0:
+            s1, s2, s3 = sums[p]
+            t1, t2, t3 = s1 + t1, s2 + t2, s3 + t3
+        sums.append((t1, t2, t3))
+        values.append(LVector(data.X0.x1 + t1.real, data.X0.x2 + t2.real, data.X0.x3 + t3.real))
+    return values
 
 
 def loop_periods(

@@ -292,6 +292,35 @@ def test_mesh_bad_grid_exits_2(plane_cfg, tmp_path):
     assert main(["mesh", plane_cfg, "--grid", "1x5", "-o", str(tmp_path / "x.obj")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, grid",
+    [
+        ("check", "-3x4"),
+        ("check", "0x5"),
+        ("check", "513x2"),
+        ("check", "7by7"),
+        ("mesh", "1x5"),
+        ("mesh", "100000x100000"),
+        ("mesh", "2x513"),
+    ],
+)
+def test_grid_out_of_range_exits_2_before_any_work(command, grid, tmp_path, capsys):
+    out = tmp_path / "x.obj"
+    argv = [command, str(tmp_path / "no-such.cfg"), f"--grid={grid}"]
+    assert main(argv + (["-o", str(out)] if command == "mesh" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: field '--grid'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, grid", [("check", "1x1"), ("mesh", "2x2")])
+def test_smallest_grid_is_accepted(command, grid, plane_cfg, tmp_path):
+    extra = ["-o", str(tmp_path / "x.obj")] if command == "mesh" else []
+    assert main([command, plane_cfg, f"--grid={grid}"] + extra) == 0
+
+
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -1,0 +1,171 @@
+"""build_mesh: vertices accumulated along a spanning forest of grid edges.
+
+Every vertex must agree with a direct evaluate_surface call within 10*tol,
+and the masking must be exactly that of meshing vertex by vertex.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fixtures import spacelike_fixture
+from maxsurf import cli, weierstrass
+from maxsurf.cli import CATENOID_CONFIG, _grid_forest, _mesh_parameters, build_mesh, main
+from maxsurf.expr import parse
+from maxsurf.minkowski import LVector
+from maxsurf.verify import catenoid_data
+from maxsurf.weierstrass import (
+    Domain,
+    DomainKind,
+    QuadratureConfig,
+    ToleranceError,
+    WeierstrassData,
+    conformal_factor,
+    evaluate_surface,
+)
+
+
+def _grid(data, nu, nv, mesh_range=None):
+    polar, (a0, a1, b0, b1) = _mesh_parameters(data.domain, mesh_range)
+    pts = []
+    for i in range(nu):
+        a = a0 + (a1 - a0) * i / (nu - 1)
+        for j in range(nv):
+            b = b0 + (b1 - b0) * j / (nv - 1)
+            pts.append(complex(a * math.cos(b), a * math.sin(b)) if polar else complex(a, b))
+    return pts
+
+
+def _entire(kind, **domain):
+    """f = exp(z/2), g = z/2: entire, so X has no periods on any domain."""
+    dom = Domain(kind, **domain)
+    z0 = 0.6j if kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS) else 0.6
+    return WeierstrassData(parse("exp(z/2)"), parse("z/2"), dom, z0, LVector(0.1, -0.2, 0.3))
+
+
+CASES = {
+    "catenoid-17": (catenoid_data(), 17, 17, None),
+    "catenoid-33": (catenoid_data(), 33, 33, None),
+    "spacelike-half-disk": (spacelike_fixture()[0], 9, 13, None),
+    "annulus": (_entire(DomainKind.ANNULUS, radius=1.0, inner_radius=0.3), 9, 25, None),
+    "disk-window-outside": (
+        WeierstrassData(parse("1 + z"), parse("z/3"), Domain(DomainKind.DISK), 0.2, LVector(0, 0, 0)),
+        14,
+        11,
+        (-1.3, 0.9, -0.8, 1.2),
+    ),
+    # a strip below the inner circle: two components, one root each
+    "half-annulus-two-roots": (
+        _entire(DomainKind.HALF_ANNULUS, radius=1.0, inner_radius=0.3),
+        19,
+        5,
+        (-0.9, 0.9, 0.05, 0.25),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tree_mesh_matches_per_vertex_evaluation(name):
+    data, nu, nv, window = CASES[name]
+    q = QuadratureConfig(tol=1e-10)
+    mask_eps = 1e-8
+    mesh = build_mesh(data, nu, nv, mask_eps, q, window)
+    pts = _grid(data, nu, nv, window)
+    valid = [data.domain.contains(z, closed=True) for z in pts]
+    assert len(mesh.vertices) == len(pts)
+    for z, ok, X in zip(pts, valid, mesh.vertices):
+        if ok:
+            ref = evaluate_surface(data, z, q)
+            assert max(abs(a - b) for a, b in zip(X.as_tuple(), ref.as_tuple())) <= 10 * q.tol
+        else:
+            assert X == LVector(0, 0, 0)
+    lam = [conformal_factor(data, z) if ok else 0.0 for z, ok in zip(pts, valid)]
+    masked, triangles = [], []
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            k = i * nv + j
+            corners = (k, k + 1, k + nv, k + nv + 1)
+            if all(valid[c] and lam[c] >= mask_eps for c in corners):
+                triangles += [(k, k + 1, k + nv + 1), (k, k + nv + 1, k + nv)]
+            else:
+                masked.append((i, j))
+    assert mesh.masked_cells == masked
+    assert mesh.triangles == triangles
+    if window is not None:
+        assert not all(valid)
+
+
+def test_strip_below_the_inner_circle_is_a_forest():
+    data, nu, nv, window = CASES["half-annulus-two-roots"]
+    pts = _grid(data, nu, nv, window)
+    valid = [data.domain.contains(z, closed=True) for z in pts]
+    order, parents = _grid_forest(pts, valid, nv, data.z0)
+    assert sorted(order) == [k for k, ok in enumerate(valid) if ok]
+    assert parents.count(-1) == 2
+    root = []
+    for pos, p in enumerate(parents):
+        if p >= 0:
+            assert p < pos
+            assert abs(order[p] - order[pos]) in (1, nv)  # one grid edge
+        root.append(pos if p < 0 else root[p])
+    for r in set(root):
+        members = [order[pos] for pos, s in enumerate(root) if s == r]
+        assert order[r] == min(members, key=lambda k: abs(pts[k] - data.z0))
+
+
+def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch):
+    panels = []
+    gk15 = weierstrass._gk15
+
+    def counted(fn, a, b):
+        panels.append(a)
+        return gk15(fn, a, b)
+
+    monkeypatch.setattr(weierstrass, "_gk15", counted)
+    build_mesh(catenoid_data(), 33, 33)
+    assert 0 < len(panels) <= 2 * 33 * 33
+
+
+def test_tree_mesh_still_raises_tolerance_error():
+    with pytest.raises(ToleranceError):
+        build_mesh(catenoid_data(), 17, 17, q=QuadratureConfig(tol=1e-14, max_depth=1))
+
+
+def test_cli_mesh_tolerance_error_exits_1(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "catenoid.cfg"
+    cfg.write_text(CATENOID_CONFIG)
+    shallow = lambda tol: QuadratureConfig(tol=tol, max_depth=1)  # noqa: E731
+    monkeypatch.setattr(cli, "QuadratureConfig", shallow)
+    out = tmp_path / "cat.obj"
+    assert main(["mesh", str(cfg), "--grid", "17x17", "--tol", "1e-14", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: quadrature did not converge")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracle: f = 1, g = z on the unit disk from z0 = 0
+
+_POLY = WeierstrassData(parse("1"), parse("z"), Domain(DomainKind.DISK), 0j, LVector(0, 0, 0))
+
+
+def _poly_closed_form(z: complex) -> tuple[float, float, float]:
+    return ((z / 2 + z**3 / 6).real, (1j * (z / 2 - z**3 / 6)).real, (z * z / 2).real)
+
+
+_edge = st.floats(min_value=-1.3, max_value=1.3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(a=st.tuples(_edge, _edge), b=st.tuples(_edge, _edge), nu=st.integers(2, 9), nv=st.integers(2, 9))
+def test_polynomial_mesh_matches_closed_form(a, b, nu, nv):
+    window = (min(a), max(a), min(b), max(b))
+    q = QuadratureConfig(tol=1e-10)
+    mesh = build_mesh(_POLY, nu, nv, q=q, mesh_range=window)
+    for z, X in zip(_grid(_POLY, nu, nv, window), mesh.vertices):
+        if _POLY.domain.contains(z, closed=True):
+            assert max(abs(u - v) for u, v in zip(X.as_tuple(), _poly_closed_form(z))) <= 10 * q.tol
+        else:
+            assert X == LVector(0, 0, 0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fixtures import catenoid_oracle, plane_fixture, random_polynomial_data
+from maxsurf import weierstrass
 from maxsurf.expr import EvalError, parse
 from maxsurf.minkowski import LVector, lorentz_inner
 from maxsurf.verify import catenoid_data, eq_zero_residual
@@ -26,6 +27,7 @@ from maxsurf.weierstrass import (
     phi_exprs,
     stereo_inverse,
     surface_path,
+    surface_tree,
 )
 
 
@@ -239,6 +241,50 @@ def test_nan_field_stops_after_one_panel():
     with pytest.raises(ToleranceError):
         integrate_path(lambda a, b: field, [0j, 1 + 0j], QuadratureConfig())
     assert len(calls) == 15  # one GK15 panel, no bisection
+
+
+@pytest.mark.parametrize("slot", [1, 2], ids=["phi2", "phi3"])
+def test_nan_in_one_component_raises(slot):
+    # max() drops a NaN that is not its first argument; the error estimate must not
+    calls = []
+
+    def field(z):
+        calls.append(z)
+        out = [1.0, 1.0, 1.0]
+        out[slot] = math.nan
+        return tuple(out)
+
+    with pytest.raises(ToleranceError):
+        integrate_path(lambda a, b: field, [0j, 1 + 0j], QuadratureConfig())
+    assert len(calls) == 15
+
+
+def test_surface_tree_sums_edges_to_evaluate_surface():
+    data = catenoid_data()
+    points = [0.5 + 0.1j, 0.3 + 0.4j, -0.2 + 0.5j, 0.6 - 0.3j]
+    parents = [-1, 0, 1, 0]
+    got = surface_tree(data, points, parents)
+    for z, X in zip(points, got):
+        ref = evaluate_surface(data, z)
+        assert max(abs(a - b) for a, b in zip(X.as_tuple(), ref.as_tuple())) < 1e-9
+
+
+def test_surface_tree_splits_tol_over_the_deepest_branch(monkeypatch):
+    tols = []
+    integrate = weierstrass.integrate_path
+
+    def recording(field_for, points, q):
+        tols.append(q.tol)
+        return integrate(field_for, points, q)
+
+    monkeypatch.setattr(weierstrass, "integrate_path", recording)
+    surface_tree(catenoid_data(), [0.5, 0.6, 0.7, 0.5j], [-1, 0, 1, -1], QuadratureConfig(tol=3e-10))
+    assert tols == [1e-10] * 4  # depth 2: three edges on the longest branch
+
+
+def test_surface_tree_needs_parents_first():
+    with pytest.raises(ValueError):
+        surface_tree(catenoid_data(), [0.5, 0.6], [1, -1])
 
 
 def test_tolerance_error_carries_estimate():

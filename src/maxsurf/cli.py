@@ -23,8 +23,10 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
-from .expr import EvalError, ParseError, evaluate, format_expr, parse
+from .expr import EvalError, ParseError, compile_array, evaluate, format_expr, parse
 from .extension import (
     CASES,
     ExtendedSurface,
@@ -39,6 +41,7 @@ from .weierstrass import (
     DegenerateMetricError,
     Domain,
     DomainKind,
+    PhiTriple,
     QuadratureConfig,
     SurfaceError,
     WeierstrassData,
@@ -351,7 +354,11 @@ def build_mesh(
     root (the valid vertex of its component nearest z0) is integrated from
     z0, every other vertex from its parent along the grid edge between
     them, with tol / (forest depth + 1) per edge so each vertex still meets
-    tol.  See ``weierstrass.surface_tree``.
+    tol.  See ``weierstrass.surface_tree``, which integrates all edges
+    together on arrays.  The conformal factor and Gauss normal of all
+    valid vertices come from one array evaluation of the field and of g;
+    a vertex with a non-finite value there is redone by conformal_factor
+    and gauss_map.
 
     Cells touching a vertex with conformal factor below mask_eps (the
     degenerate locus |g| = 1) or a vertex outside the domain closure are
@@ -372,35 +379,50 @@ def build_mesh(
     vertices = [LVector(0, 0, 0)] * len(points)
     for k, X in zip(order, surface_tree(data, [points[k] for k in order], parents, q)):
         vertices[k] = X
-    gauss: list[LVector | None] = []
-    conformal: list[float] = []
-    for z, inside in zip(points, valid):
-        if not inside:
-            gauss.append(None)
-            conformal.append(0.0)
-            continue
-        conformal.append(conformal_factor(data, z))
-        try:
-            gauss.append(gauss_map(data, z))
-        except DegenerateMetricError:
-            gauss.append(None)
-    triangles: list[tuple[int, int, int]] = []
-    masked: list[tuple[int, int]] = []
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            k00 = i * nv + j
-            k01 = k00 + 1
-            k10 = k00 + nv
-            k11 = k10 + 1
-            corners = (k00, k01, k10, k11)
-            if not all(valid[k] for k in corners) or any(
-                conformal[k] < mask_eps for k in corners
-            ):
-                masked.append((i, j))
-                continue
-            triangles.append((k00, k01, k11))
-            triangles.append((k00, k11, k10))
+    inside = [k for k, ok in enumerate(valid) if ok]
+    gauss: list[LVector | None] = [None] * len(points)
+    conformal = [0.0] * len(points)
+    for k, lam, N in zip(inside, *_vertex_attributes(data, [points[k] for k in inside])):
+        conformal[k] = lam
+        gauss[k] = N
+    # a cell is masked when a corner is outside or degenerate (a NaN factor is not below mask_eps)
+    keep = (np.array(valid) & ~(np.array(conformal) < mask_eps)).reshape(nu, nv)
+    cells = keep[:-1, :-1] & keep[:-1, 1:] & keep[1:, :-1] & keep[1:, 1:]
+    k00 = np.flatnonzero(cells.ravel())
+    k00 = k00 + k00 // (nv - 1)  # cell (i, j) -> vertex i * nv + j
+    corners = np.stack((k00, k00 + 1, k00 + nv + 1, k00, k00 + nv + 1, k00 + nv), axis=1)
+    triangles = list(map(tuple, corners.reshape(-1, 3).tolist()))
+    masked = list(map(tuple, np.argwhere(~cells).tolist()))
     return SurfaceMesh(vertices, gauss, conformal, triangles, masked, (nu, nv))
+
+
+def _vertex_attributes(data: WeierstrassData, zs: list[complex]) -> tuple[list[float], list[LVector | None]]:
+    """Conformal factor and Gauss normal (None where |1 - |g|^2| < 1e-12) at
+    each point, from one field_array call and one array evaluation of g.
+    A point with a non-finite value is redone by conformal_factor and
+    gauss_map, which give its value or raise as they would alone."""
+    z = np.array(zs, dtype=complex)
+    with np.errstate(all="ignore"):
+        lam = PhiTriple(*data.field_array(z)).density()
+        w = compile_array(data.g)(z)
+        ww = w.real * w.real + w.imag * w.imag
+        den = 1.0 - ww  # gauss_from_g's arithmetic, elementwise
+        normal = np.stack((2 * w.real / den, 2 * w.imag / den, (1 + ww) / den), axis=1)
+    rerun = ~(np.isfinite(lam) & np.isfinite(normal).all(axis=1))
+    degenerate = np.abs(den) < 1e-12
+    conformal: list[float] = []
+    gauss: list[LVector | None] = []
+    for zk, lam_k, N, again, flat in zip(zs, lam.tolist(), normal.tolist(), rerun.tolist(), degenerate.tolist()):
+        if again:
+            conformal.append(conformal_factor(data, zk))
+            try:
+                gauss.append(gauss_map(data, zk))
+            except DegenerateMetricError:
+                gauss.append(None)
+            continue
+        conformal.append(lam_k)
+        gauss.append(None if flat else LVector(*N))
+    return conformal, gauss
 
 
 def write_obj(mesh: SurfaceMesh, path: str, config_sha: str, mask_eps: float) -> None:
@@ -409,29 +431,36 @@ def write_obj(mesh: SurfaceMesh, path: str, config_sha: str, mask_eps: float) ->
         f"# config sha256 {config_sha}",
         f"# grid {mesh.shape[0]}x{mesh.shape[1]} mask_eps {_f17(mask_eps)}",
     ]
-    for v in mesh.vertices:
-        lines.append(f"v {_f17(v.x1)} {_f17(v.x2)} {_f17(v.x3)}")
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
+    lines += ["v %.17g %.17g %.17g" % (v.x1, v.x2, v.x3) for v in mesh.vertices]
+    lines += ["f %d %d %d" % (a + 1, b + 1, c + 1) for a, b, c in mesh.triangles]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_float(x: float) -> str:
+    """A float as json.dumps writes it."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
 def write_sidecar(mesh: SurfaceMesh, path: str, config_sha: str) -> None:
-    payload = {
-        "format": "maxsurf-mesh-attributes/1",
-        "config_sha256": config_sha,
-        "note": "vertices are listed in OBJ order (1-based index = position + 1)",
-        "vertices": [
-            {
-                "conformal_factor": lam,
-                "gauss": list(N.as_tuple()) if N is not None else None,
-            }
-            for N, lam in zip(mesh.gauss, mesh.conformal)
-        ],
-    }
+    """Per-vertex attributes as JSON, written directly: the bytes are those of
+    json.dumps(payload, sort_keys=True, indent=2) + "\n" for the payload
+    {config_sha256, format, note, vertices: [{conformal_factor, gauss}]}."""
+    rows = []
+    for N, lam in zip(mesh.gauss, mesh.conformal):
+        # an LVector is finite, so repr is its JSON; a conformal factor may be NaN
+        gauss = "null" if N is None else "[\n        %r,\n        %r,\n        %r\n      ]" % N.as_tuple()
+        rows.append(f'    {{\n      "conformal_factor": {_json_float(lam)},\n      "gauss": {gauss}\n    }}')
+    vertices = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    note = "vertices are listed in OBJ order (1-based index = position + 1)"
+    text = (
+        f'{{\n  "config_sha256": {json.dumps(config_sha)},\n'
+        f'  "format": {json.dumps("maxsurf-mesh-attributes/1")},\n'
+        f'  "note": {json.dumps(note)},\n'
+        f'  "vertices": {vertices}\n}}\n'
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

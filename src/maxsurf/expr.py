@@ -1,7 +1,8 @@
 """Expression language for holomorphic functions of one complex variable.
 
-Parsing, evaluation, symbolic differentiation and canonical printing of a
-small closed language:
+Parsing, evaluation, compilation (to scalar closures or to numpy functions
+of arrays), symbolic differentiation and canonical printing of a small
+closed language:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -29,6 +30,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
+
 __all__ = [
     "Add",
     "Call",
@@ -43,6 +46,7 @@ __all__ = [
     "Sconj",
     "Sub",
     "Var",
+    "compile_array",
     "compile_fn",
     "differentiate",
     "evaluate",
@@ -142,6 +146,17 @@ _FUNCTIONS: dict[str, Callable[[complex], complex]] = {
     "cosh": cmath.cosh,
     "tanh": cmath.tanh,
     "sqrt": cmath.sqrt,
+}
+
+_NP_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "exp": np.exp,
+    "log": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "tanh": np.tanh,
+    "sqrt": np.sqrt,
 }
 
 
@@ -339,61 +354,136 @@ def _eval(e: Expr, z: complex) -> complex:
 def compile_fn(e: Expr) -> Callable[[complex], complex]:
     """Compile to a closure; same semantics and EvalError faults as evaluate,
     without the dispatch cost."""
-    if isinstance(e, Const):
-        v = e.value
-        return lambda z: v
-    if isinstance(e, Var):
-        return lambda z: z
-    if isinstance(e, Neg):
-        a = compile_fn(e.arg)
-        return lambda z: -a(z)
-    if isinstance(e, Add):
-        l, r = compile_fn(e.left), compile_fn(e.right)
-        return lambda z: l(z) + r(z)
-    if isinstance(e, Sub):
-        l, r = compile_fn(e.left), compile_fn(e.right)
-        return lambda z: l(z) - r(z)
-    if isinstance(e, Mul):
-        l, r = compile_fn(e.left), compile_fn(e.right)
-        return lambda z: l(z) * r(z)
-    if isinstance(e, Div):
-        l, r = compile_fn(e.left), compile_fn(e.right)
+    return _compile(e, _SCALAR)
 
-        def div(z):
-            try:
-                return l(z) / r(z)
-            except ZeroDivisionError:
-                raise EvalError("division by zero", e) from None
 
-        return div
+def compile_array(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile to a function of a complex array, evaluated elementwise with numpy.
+
+    Branches are those of compile_fn (principal, signed zeros as in cmath).
+    Instead of raising, every node whose value is not finite yields NaN,
+    which stays NaN up the tree: an element is finite only if every
+    intermediate was, so where compile_fn would raise EvalError the array
+    holds NaN.  The converse does not hold (scalar arithmetic may pass
+    through an infinity and come back finite); callers rerun non-finite
+    elements through compile_fn for its value or its fault.
+    """
+    fn = _compile(e, _ARRAY)
+
+    def run(z: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return fn(np.asarray(z, dtype=complex))
+
+    return run
+
+
+def _compile(e: Expr, target: dict) -> Callable:
+    """The one tree walk behind compile_fn and compile_array: ``target``
+    maps each node type to a builder of that node's closure from the
+    node and the closures of its children."""
+    build = target.get(type(e))
+    if build is None:
+        raise TypeError(f"not an Expr node: {e!r}")
+    if isinstance(e, (Const, Var)):
+        return build(e)
+    if isinstance(e, (Neg, Call, Sconj)):
+        return build(e, _compile(e.arg, target))
     if isinstance(e, Pow):
-        b, n = compile_fn(e.base), e.exponent
+        return build(e, _compile(e.base, target))
+    return build(e, _compile(e.left, target), _compile(e.right, target))
 
-        def power(z):
-            try:
-                return b(z) ** n
-            except ZeroDivisionError:
-                raise EvalError("zero base with negative exponent", e) from None
-            except OverflowError:
-                raise EvalError("overflow", e) from None
 
-        return power
-    if isinstance(e, Call):
-        fn, a = _FUNCTIONS[e.func], compile_fn(e.arg)
+def _scalar_const(e: Const):
+    v = e.value
+    return lambda z: v
 
-        def call(z):
-            arg = a(z)
-            try:
-                return fn(arg)
-            except (ValueError, OverflowError) as exc:
-                message = "log of zero" if e.func == "log" and arg == 0 else str(exc)
-                raise EvalError(message, e) from None
 
-        return call
-    if isinstance(e, Sconj):
-        a = compile_fn(e.arg)
-        return lambda z: a(z.conjugate()).conjugate()
-    raise TypeError(f"not an Expr node: {e!r}")
+def _scalar_div(e: Div, l, r):
+    def div(z):
+        try:
+            return l(z) / r(z)
+        except ZeroDivisionError:
+            raise EvalError("division by zero", e) from None
+
+    return div
+
+
+def _scalar_pow(e: Pow, b):
+    n = e.exponent
+
+    def power(z):
+        try:
+            return b(z) ** n
+        except ZeroDivisionError:
+            raise EvalError("zero base with negative exponent", e) from None
+        except OverflowError:
+            raise EvalError("overflow", e) from None
+
+    return power
+
+
+def _scalar_call(e: Call, a):
+    fn = _FUNCTIONS[e.func]
+
+    def call(z):
+        arg = a(z)
+        try:
+            return fn(arg)
+        except (ValueError, OverflowError) as exc:
+            message = "log of zero" if e.func == "log" and arg == 0 else str(exc)
+            raise EvalError(message, e) from None
+
+    return call
+
+
+_SCALAR: dict[type, Callable] = {
+    Const: _scalar_const,
+    Var: lambda e: lambda z: z,
+    Neg: lambda e, a: lambda z: -a(z),
+    Add: lambda e, l, r: lambda z: l(z) + r(z),
+    Sub: lambda e, l, r: lambda z: l(z) - r(z),
+    Mul: lambda e, l, r: lambda z: l(z) * r(z),
+    Div: _scalar_div,
+    Pow: _scalar_pow,
+    Call: _scalar_call,
+    Sconj: lambda e, a: lambda z: a(z.conjugate()).conjugate(),
+}
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x with every non-finite element replaced by NaN."""
+    return np.where(np.isfinite(x), x, np.nan)
+
+
+def _array_const(e: Const):
+    v = e.value
+    return lambda z: np.full(z.shape, v)
+
+
+def _array_pow(e: Pow, b):
+    n = e.exponent
+    if n == 0:  # numpy gives nan^0 = 1, but a NaN base must stay NaN
+        return lambda z: np.where(np.isfinite(b(z)), 1 + 0j, np.nan)
+    return lambda z: _finite(b(z) ** n)
+
+
+def _array_call(e: Call, a):
+    fn = _NP_FUNCTIONS[e.func]
+    return lambda z: _finite(fn(a(z)))
+
+
+_ARRAY: dict[type, Callable] = {
+    Const: _array_const,
+    Var: lambda e: lambda z: z,
+    Neg: lambda e, a: lambda z: -a(z),
+    Add: lambda e, l, r: lambda z: _finite(l(z) + r(z)),
+    Sub: lambda e, l, r: lambda z: _finite(l(z) - r(z)),
+    Mul: lambda e, l, r: lambda z: _finite(l(z) * r(z)),
+    Div: lambda e, l, r: lambda z: _finite(l(z) / r(z)),
+    Pow: _array_pow,
+    Call: _array_call,
+    Sconj: lambda e, a: lambda z: np.conj(a(np.conj(z))),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .weierstrass import (
     _gk15,
     gauss_from_g,
     integrate_path,
+    loop_periods,
     phi,
     stereo_inverse,
     surface_path,
@@ -454,9 +455,32 @@ def _path_independence_check(data: WeierstrassData, pts: Sequence[complex], q: Q
         )
         worst = max(worst, gap)
         used += 1
+    # two paths that do not enclose a puncture between them cannot see a
+    # period, so also integrate once around each puncture
+    for p in data.domain.punctures:
+        periods = loop_periods(data, _puncture_square(data.domain, p), q)
+        worst = max(worst, *(abs(w.real) for w in periods))
     return CheckRecord(
-        "path_independence", worst <= 10 * q.tol, worst, 10 * q.tol, {"points": used}
+        "path_independence",
+        worst <= 10 * q.tol,
+        worst,
+        10 * q.tol,
+        {"loops": len(data.domain.punctures), "points": used},
     )
+
+
+def _puncture_square(domain: Domain, p: complex) -> list[complex]:
+    """A square centred on the puncture p whose corners lie at 0.7 of the
+    distance from p to the domain's boundary and to its other punctures, so
+    the square stays inside the domain and winds once around p alone."""
+    r = abs(p)
+    room = [domain.radius - r] + [abs(p - o) for o in domain.punctures if o != p]
+    if domain.kind in (DomainKind.ANNULUS, DomainKind.HALF_ANNULUS):
+        room.append(r - domain.inner_radius)
+    if domain.kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS):
+        room.append(p.imag)
+    half = 0.5 * min(room)
+    return [p + half * c for c in (1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j)]
 
 
 def _pole_zero_check(data: WeierstrassData) -> CheckRecord:

@@ -27,7 +27,9 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .expr import Add, Const, Expr, Mul, Pow, Sub, compile_fn, evaluate
+import numpy as np
+
+from .expr import Add, Const, EvalError, Expr, Mul, Pow, Sub, compile_array, compile_fn, evaluate
 from .minkowski import LVector
 
 __all__ = [
@@ -221,6 +223,12 @@ class WeierstrassData:
         """The phi triple as a compiled function of z, built once per patch."""
         return _phi_fn(self.f, self.g)
 
+    @cached_property
+    def field_array(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``field`` on a complex array; NaN wherever the scalar field may fault
+        (see ``expr.compile_array``)."""
+        return _phi_fn(self.f, self.g, array=True)
+
 
 # ---------------------------------------------------------------------------
 # pointwise quantities
@@ -240,9 +248,10 @@ def phi_exprs(f: Expr, g: Expr) -> tuple[Expr, Expr, Expr]:
     )
 
 
-def _phi_fn(f: Expr, g: Expr) -> Callable[[complex], tuple[complex, complex, complex]]:
-    ff = compile_fn(f)
-    gg = compile_fn(g)
+def _phi_fn(f: Expr, g: Expr, array: bool = False) -> Callable:
+    compile = compile_array if array else compile_fn
+    ff = compile(f)
+    gg = compile(g)
 
     def fn(z: complex) -> tuple[complex, complex, complex]:
         fv = ff(z)
@@ -462,6 +471,14 @@ def surface_tree(
     summed value meets tol just as evaluate_surface does.  A forest closes
     no loop, so the values agree with evaluate_surface for data without
     real periods, the assumption evaluation already makes.
+
+    Each edge is a path from ``_build_path`` (puncture detours apply) whose
+    segments share the edge's tolerance as in integrate_path.  All segments
+    are integrated together by ``_integrate_segments``, the panel by panel
+    bisection of _integrate_segment run on arrays, so the panels are the
+    ones integrate_path would use.  Failures are those of integrating the
+    edges one by one in forest order: the first edge that cannot be built,
+    faults (EvalError) or misses its tolerance (ToleranceError) raises.
     """
     q = q or QuadratureConfig()
     if len(points) != len(parents):
@@ -472,19 +489,142 @@ def surface_tree(
             raise ValueError(f"parent {p} of point {k} must come before it")
         depth.append(0 if p < 0 else depth[p] + 1)
     q_edge = replace(q, tol=q.tol / (max(depth, default=0) + 1))
-    field = data.field
-    sums: list[tuple[complex, complex, complex]] = []
-    values: list[LVector] = []
-    for z, p in zip(points, parents):
+    seg_a: list[complex] = []
+    seg_b: list[complex] = []
+    seg_tol: list[float] = []
+    seg_edge: list[int] = []
+    path_error: PathError | None = None
+    for k, (z, p) in enumerate(zip(points, parents)):
         start = data.z0 if p < 0 else points[p]
-        path = _build_path(start, z, data.domain.punctures, q_edge)
-        (t1, t2, t3), _ = integrate_path(lambda a, b: field, path, q_edge)
-        if p >= 0:
-            s1, s2, s3 = sums[p]
-            t1, t2, t3 = s1 + t1, s2 + t2, s3 + t3
-        sums.append((t1, t2, t3))
-        values.append(LVector(data.X0.x1 + t1.real, data.X0.x2 + t2.real, data.X0.x3 + t3.real))
-    return values
+        try:
+            path = _build_path(start, z, data.domain.punctures, q_edge)
+        except PathError as exc:
+            path_error = exc  # raised unless an earlier edge fails
+            break
+        tol_each = q_edge.tol / max(len(path) - 1, 1)
+        for a, b in zip(path, path[1:]):
+            if a != b:
+                seg_a.append(a)
+                seg_b.append(b)
+                seg_tol.append(tol_each)
+                seg_edge.append(k)
+    edge = np.array(seg_edge, dtype=int)
+    seg_sum, seg_err, seg_ok, fault = _integrate_segments(
+        data, np.array(seg_a, dtype=complex), np.array(seg_b, dtype=complex), np.array(seg_tol), q.max_depth
+    )
+    sums = np.zeros((3, len(points)), dtype=complex)
+    err = np.zeros(len(points))
+    for c in range(3):
+        np.add.at(sums[c], edge, seg_sum[c])
+    np.add.at(err, edge, seg_err)
+    missed = edge[~seg_ok]  # a faulted segment is missed too, and fault lies on the first one
+    if len(missed):
+        k = int(missed[0])
+        if fault is not None and seg_edge[fault[0]] == k:
+            raise fault[2]
+        raise ToleranceError(f"quadrature did not converge on path to {complex(points[k])}", float(err[k]))
+    if path_error is not None:
+        raise path_error
+    levels = np.array(depth)
+    up = np.array(parents)
+    for d in range(1, int(levels.max(initial=0)) + 1):
+        at = np.flatnonzero(levels == d)
+        sums[:, at] += sums[:, up[at]]
+    X0 = data.X0
+    return [
+        LVector(X0.x1 + x1, X0.x2 + x2, X0.x3 + x3)
+        for x1, x2, x3 in zip(sums[0].real.tolist(), sums[1].real.tolist(), sums[2].real.tolist())
+    ]
+
+
+_CHUNK = 512
+"""Panels per array call in _gk15_panels: the node values of a chunk take
+512 x 15 x 3 complex numbers (about 180 kB), so memory stays flat on any mesh."""
+
+# the 15 Kronrod nodes of a panel on [-1, 1], centre first, then each -x, +x pair
+_NODES = np.array([0.0] + [s * x for x in _XGK for s in (-1.0, 1.0)])
+
+
+def _gk15_panels(data: WeierstrassData, a: np.ndarray, b: np.ndarray):
+    """_gk15 of data.field on many panels at once.
+
+    Returns (integrals of shape (3, m), error estimates, faults).  A panel
+    with a non-finite field value anywhere on its nodes is redone by the
+    scalar _gk15, which gives its value or raises; ``faults`` lists
+    (panel, EvalError) for the panels that raised, whose values are NaN.
+    """
+    m = len(a)
+    out = np.empty((3, m), dtype=complex)
+    err = np.empty(m)
+    faults: list[tuple[int, EvalError]] = []
+    for s in range(0, m, _CHUNK):
+        ca, cb = a[s : s + _CHUNK], b[s : s + _CHUNK]
+        c = 0.5 * (ca + cb)
+        h = 0.5 * (cb - ca)
+        values = np.array(data.field_array(c[:, None] + h[:, None] * _NODES))
+        k = _WGK_CENTER * values[..., 0]
+        g = _WG_CENTER * values[..., 0]
+        for j, w in enumerate(_WGK):
+            pair = values[..., 2 * j + 1] + values[..., 2 * j + 2]
+            k += w * pair
+            if j % 2 == 1:
+                g += _WG[j // 2] * pair
+        out[:, s : s + _CHUNK] = h * k
+        err[s : s + _CHUNK] = np.abs(h) * np.abs(k - g).max(axis=0)
+        for i in np.flatnonzero(~np.isfinite(values).all(axis=(0, 2))):
+            try:
+                tri, e = _gk15(data.field, complex(ca[i]), complex(cb[i]))
+            except EvalError as exc:
+                faults.append((s + i, exc))
+                tri, e = (math.nan,) * 3, math.nan
+            out[:, s + i] = tri
+            err[s + i] = e
+    return out, err, faults
+
+
+def _integrate_segments(data: WeierstrassData, a: np.ndarray, b: np.ndarray, tol: np.ndarray, max_depth: int):
+    """_integrate_segment on every segment [a[i], b[i]] at once, level by level.
+
+    Each level evaluates all pending panels in one _gk15_panels call.  A
+    panel stops, as in _integrate_segment, when its estimate meets its
+    tolerance or 1e-15 of its largest component, at depth 0 or on NaN;
+    the others are halved with half the tolerance.  Returns the
+    integrals (3, n), error estimates, converged flags and the first
+    fault in the order _integrate_segment meets them (segment, then
+    position along it) as (segment, position, EvalError), or None.
+    """
+    n = len(a)
+    sums = np.zeros((3, n), dtype=complex)
+    err = np.zeros(n)
+    ok = np.ones(n, dtype=bool)
+    fault = None
+    seg = np.arange(n)
+    pos = np.zeros(n)  # where each panel starts, as a fraction of its segment
+    width = 1.0
+    depth = max_depth
+    with np.errstate(all="ignore"):
+        while len(a):
+            out, e, faults = _gk15_panels(data, a, b)
+            for i, exc in faults:
+                key = (int(seg[i]), float(pos[i]), exc)
+                if fault is None or key[:2] < fault[:2]:
+                    fault = key
+            mag = np.abs(out).max(axis=0)
+            good = (e <= tol) | (e <= 1e-15 * mag)
+            done = good | np.isnan(e) | (depth <= 0)
+            for c in range(3):
+                np.add.at(sums[c], seg[done], out[c, done])
+            np.add.at(err, seg[done], e[done])
+            ok[seg[done & ~good]] = False
+            go = ~done
+            mid = 0.5 * (a[go] + b[go])
+            width *= 0.5
+            a, b = np.concatenate((a[go], mid)), np.concatenate((mid, b[go]))
+            tol = np.tile(0.5 * tol[go], 2)
+            seg = np.tile(seg[go], 2)
+            pos = np.concatenate((pos[go], pos[go] + width))
+            depth -= 1
+    return sums, err, ok, fault
 
 
 def loop_periods(

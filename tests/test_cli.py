@@ -432,3 +432,13 @@ def test_extend_bad_plane_flag_exits_2(timelike_cfg, capsys, plane):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "'--plane'" in err
+
+
+def test_check_fails_on_a_real_period(tmp_path, capsys):
+    p = tmp_path / "period.cfg"
+    p.write_text("f = i/z\ng = 0\ndomain = punctured-disk\nradius = 1\npunctures = 0\nz0 = 0.5\n")
+    assert main(["check", str(p)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["path_independence"]

@@ -4,15 +4,25 @@ Every vertex must agree with a direct evaluate_surface call within 10*tol,
 and the masking must be exactly that of meshing vertex by vertex.
 """
 
+import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixtures import spacelike_fixture
 from maxsurf import cli, weierstrass
-from maxsurf.cli import CATENOID_CONFIG, _grid_forest, _mesh_parameters, build_mesh, main
-from maxsurf.expr import parse
+from maxsurf.cli import (
+    CATENOID_CONFIG,
+    SurfaceMesh,
+    _grid_forest,
+    _mesh_parameters,
+    build_mesh,
+    main,
+    write_sidecar,
+)
+from maxsurf.expr import EvalError, parse
 from maxsurf.minkowski import LVector
 from maxsurf.verify import catenoid_data
 from maxsurf.weierstrass import (
@@ -115,16 +125,23 @@ def test_strip_below_the_inner_circle_is_a_forest():
 
 
 def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch):
+    # panels of the batched kernel, plus scalar reruns of panels with a non-finite node
     panels = []
-    gk15 = weierstrass._gk15
+    batch, gk15 = weierstrass._gk15_panels, weierstrass._gk15
+
+    def counted_batch(data, a, b):
+        panels.extend(a)
+        return batch(data, a, b)
 
     def counted(fn, a, b):
         panels.append(a)
         return gk15(fn, a, b)
 
+    monkeypatch.setattr(weierstrass, "_gk15_panels", counted_batch)
     monkeypatch.setattr(weierstrass, "_gk15", counted)
     build_mesh(catenoid_data(), 33, 33)
     assert 0 < len(panels) <= 2 * 33 * 33
+    assert len(panels) == 1154  # 1,088 grid edges, 33 of them halved once
 
 
 def test_tree_mesh_still_raises_tolerance_error():
@@ -169,3 +186,95 @@ def test_polynomial_mesh_matches_closed_form(a, b, nu, nv):
             assert max(abs(u - v) for u, v in zip(X.as_tuple(), _poly_closed_form(z))) <= 10 * q.tol
         else:
             assert X == LVector(0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# faults in the batched kernel, and the sidecar writer
+
+_WINDOW = (-0.5, 0.5, -0.5, 0.5)  # a 9x9 grid on it has dyadic vertices and edge midpoints
+
+
+def _pole_on_first_edge():
+    """Data whose f has a pole exactly at the centre node of the forest's first edge."""
+    probe = WeierstrassData(parse("1"), parse("z/3"), Domain(DomainKind.DISK), 0j, LVector(0, 0, 0))
+    pts = _grid(probe, 9, 9, _WINDOW)
+    order, _ = _grid_forest(pts, [True] * len(pts), 9, probe.z0)
+    c = 0.5 * (pts[order[0]] + pts[order[1]])
+    assert c == complex(0, -0.0625)
+    return WeierstrassData(parse("1/(z+0.0625*i)"), parse("z/3"), Domain(DomainKind.DISK), 0j, LVector(0, 0, 0))
+
+
+def test_node_on_a_pole_falls_back_to_the_scalar_panel(monkeypatch):
+    reruns = []
+    gk15 = weierstrass._gk15
+
+    def counted(fn, a, b):
+        reruns.append((a, b))
+        return gk15(fn, a, b)
+
+    monkeypatch.setattr(weierstrass, "_gk15", counted)
+    with pytest.raises(EvalError) as exc:
+        build_mesh(_pole_on_first_edge(), 9, 9, mesh_range=_WINDOW)
+    assert str(exc.value) == "division by zero in '1/(z+0.0625*i)'"
+    assert reruns == [(0j, complex(0, -0.125))]
+
+
+def test_cli_mesh_pole_on_a_node_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "pole.cfg"
+    cfg.write_text("f = 1/(z+0.0625*i)\ng = z/3\ndomain = disk\nz0 = 0\nmesh_range = -0.5,0.5,-0.5,0.5\n")
+    out = tmp_path / "pole.obj"
+    assert main(["mesh", str(cfg), "--grid", "9x9", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: division by zero in '1/(z+0.0625*i)'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["catenoid-17", "disk-window-outside", "pole"])
+def test_build_mesh_emits_no_runtime_warning(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if name == "pole":  # division by zero at a node, then the scalar rerun
+            with pytest.raises(EvalError):
+                build_mesh(_pole_on_first_edge(), 9, 9, mesh_range=_WINDOW)
+            return
+        data, nu, nv, window = CASES[name]
+        build_mesh(data, nu, nv, mesh_range=window)
+
+
+def _json_sidecar(mesh, sha):
+    payload = {
+        "format": "maxsurf-mesh-attributes/1",
+        "config_sha256": sha,
+        "note": "vertices are listed in OBJ order (1-based index = position + 1)",
+        "vertices": [
+            {"conformal_factor": lam, "gauss": list(N.as_tuple()) if N is not None else None}
+            for N, lam in zip(mesh.gauss, mesh.conformal)
+        ],
+    }
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _sidecar_mesh(name):
+    if name == "invalid-vertices":
+        data, nu, nv, window = CASES["disk-window-outside"]
+        return build_mesh(data, nu, nv, mesh_range=window)
+    if name == "degenerate-gauss":
+        return build_mesh(catenoid_data(), 17, 17)
+    if name == "2x2":
+        return build_mesh(_POLY, 2, 2)
+    # a NaN factor, which json writes as NaN
+    gauss = [None, LVector(1, 2, 3), None, None]
+    return SurfaceMesh([LVector(0, 0, 0)] * 4, gauss, [math.nan, 0.5, 0.0, -0.0], [], [(0, 0)], (2, 2))
+
+
+@pytest.mark.parametrize("name", ["invalid-vertices", "degenerate-gauss", "2x2", "nan"])
+def test_sidecar_is_byte_identical_to_json_dumps(name, tmp_path):
+    mesh = _sidecar_mesh(name)
+    if name == "invalid-vertices":
+        assert 0.0 in mesh.conformal and None in mesh.gauss
+    if name == "degenerate-gauss":  # |g| = 1 on the outer ring of the punctured disk
+        assert any(N is None and lam != 0.0 for N, lam in zip(mesh.gauss, mesh.conformal))
+    sha = "0123abcd" * 8
+    path = tmp_path / "m.obj.attrs.json"
+    write_sidecar(mesh, str(path), sha)
+    assert path.read_bytes() == _json_sidecar(mesh, sha)

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 
 from fixtures import (
     catenoid_extension_fixture,
@@ -19,6 +20,7 @@ from maxsurf.verify import (
     check_orthogonality_obstruction,
     eq_zero_residual,
     estimate_order,
+    _puncture_square,
     full_diagnostics,
     harmonicity_order,
 )
@@ -177,3 +179,40 @@ def test_cross_product_residual_decays_quadratically():
     r1 = check_cross_product_normal(data, 0.4 + 0.2j, h=2e-3).max_residual
     r2 = check_cross_product_normal(data, 0.4 + 0.2j, h=1e-3).max_residual
     assert 2.5 < r1 / r2 < 6.0
+
+
+def test_path_independence_loops_around_the_catenoid_puncture():
+    rec = full_diagnostics(catenoid_data())["path_independence"]
+    assert rec.passed  # its period (0, 0, 2 pi i) is imaginary
+    assert rec.details == {"loops": 1, "points": 2}
+
+
+def test_path_independence_sees_a_real_period():
+    # phi1 = i/(2z) has the real period -pi around 0; two nearby paths that
+    # do not enclose the puncture between them cannot see it
+    data = WeierstrassData(parse("i/z"), parse("0"), Domain(DomainKind.PUNCTURED_DISK), 0.5, LVector(0, 0, 0))
+    rec = full_diagnostics(data)["path_independence"]
+    assert not rec.passed
+    assert abs(rec.max_residual - math.pi) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        Domain(DomainKind.PUNCTURED_DISK, radius=2.0, punctures=(0.5, -0.7 + 0.1j)),
+        Domain(DomainKind.HALF_DISK, punctures=(0.3 + 0.2j,)),
+        Domain(DomainKind.ANNULUS, inner_radius=0.4, punctures=(0.6j,)),
+        Domain(DomainKind.HALF_ANNULUS, inner_radius=0.4, punctures=(-0.5 + 0.1j, -0.6 + 0.3j)),
+        Domain(DomainKind.PUNCTURED_DISK, punctures=(0.4 + 0.4j,)),  # the boundary is nearest along a diagonal
+    ],
+    ids=["two-punctures", "half-disk", "annulus", "half-annulus", "diagonal"],
+)
+def test_puncture_square_stays_inside_and_winds_once(domain):
+    for p in domain.punctures:
+        square = _puncture_square(domain, p)
+        edges = [a + t * (b - a) for a, b in zip(square, square[1:] + square[:1]) for t in np.linspace(0, 1, 21)]
+        assert all(domain.contains(w) for w in edges)
+        inside = [o for o in domain.punctures if all(
+            ((b - a) * (o - a).conjugate()).imag < 0 for a, b in zip(square, square[1:] + square[:1])
+        )]
+        assert inside == [p]

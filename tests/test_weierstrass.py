@@ -271,13 +271,13 @@ def test_surface_tree_sums_edges_to_evaluate_surface():
 
 def test_surface_tree_splits_tol_over_the_deepest_branch(monkeypatch):
     tols = []
-    integrate = weierstrass.integrate_path
+    integrate = weierstrass._integrate_segments
 
-    def recording(field_for, points, q):
-        tols.append(q.tol)
-        return integrate(field_for, points, q)
+    def recording(data, a, b, tol, max_depth):
+        tols.extend(tol)
+        return integrate(data, a, b, tol, max_depth)
 
-    monkeypatch.setattr(weierstrass, "integrate_path", recording)
+    monkeypatch.setattr(weierstrass, "_integrate_segments", recording)
     surface_tree(catenoid_data(), [0.5, 0.6, 0.7, 0.5j], [-1, 0, 1, -1], QuadratureConfig(tol=3e-10))
     assert tols == [1e-10] * 4  # depth 2: three edges on the longest branch
 
@@ -421,3 +421,57 @@ def test_evaluation_fault_at_puncture():
     data = catenoid_data()
     with pytest.raises(EvalError):
         phi(data, 0j)
+
+
+@pytest.mark.parametrize("max_depth", [26, 3])
+def test_batched_segments_use_the_panels_of_the_scalar_integrator(monkeypatch, max_depth):
+    # segments close to the catenoid's puncture need several levels of bisection
+    data = catenoid_data()
+    segments = [(0.9 + 0j, 0.06 + 0.01j), (0.5j, 0.2 - 0.5j), (0.3 + 0j, 0.31 + 0j), (0.07 + 0.07j, -0.07 + 0.07j)]
+    tols = [1e-12, 1e-10, 1e-13, 1e-11]
+    calls = []
+    gk15 = weierstrass._gk15
+
+    def counted(fn, a, b):
+        calls.append((a, b))
+        return gk15(fn, a, b)
+
+    monkeypatch.setattr(weierstrass, "_gk15", counted)
+    scalar = []
+    for (a, b), tol in zip(segments, tols):
+        before = len(calls)
+        scalar.append(weierstrass._integrate_segment(data.field, a, b, tol, max_depth) + (len(calls) - before,))
+    assert sum(s[3] for s in scalar) > 4 * len(segments)  # bisection happened
+
+    sizes = []
+    batch = weierstrass._gk15_panels
+
+    def counted_batch(data, a, b):
+        sizes.append(len(a))
+        return batch(data, a, b)
+
+    monkeypatch.setattr(weierstrass, "_gk15_panels", counted_batch)
+    calls.clear()
+    a, b = (np.array(ends, dtype=complex) for ends in zip(*segments))
+    sums, err, ok, fault = weierstrass._integrate_segments(data, a, b, np.array(tols), max_depth)
+    assert calls == [] and fault is None
+    assert sum(sizes) == sum(s[3] for s in scalar)
+    assert ok.tolist() == [s[2] for s in scalar]
+    assert (not all(ok)) == (max_depth == 3)
+    for k, (triple, e, _, _) in enumerate(scalar):
+        size = max(1.0, *map(abs, triple))  # estimates are differences of sums this large
+        assert abs(err[k] - e) <= 1e-13 * size
+        for c in range(3):
+            assert abs(sums[c, k] - triple[c]) <= 1e-13 * size
+
+
+def test_surface_tree_raises_the_fault_the_scalar_path_meets_first():
+    # [0, 1] is halved once; the centre nodes of its halves sit on the two poles
+    data = WeierstrassData(
+        parse("1/(z-0.75)+1/(z-0.25)"), parse("z/3"), Domain(DomainKind.DISK, radius=2.0), 0j, LVector(0, 0, 0)
+    )
+    with pytest.raises(EvalError) as scalar:
+        evaluate_surface(data, 1.0)
+    with pytest.raises(EvalError) as batched:
+        surface_tree(data, [1 + 0j], [-1])
+    assert str(batched.value) == str(scalar.value) == "division by zero in '1/(z-0.25)'"

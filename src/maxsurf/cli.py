@@ -21,23 +21,17 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .expr import EvalError, ParseError, compile_array, evaluate, format_expr, parse
-from .extension import (
-    CASES,
-    ExtendedSurface,
-    ExtensionError,
-    assemble,
-    extend,
-    measure_contact,
-)
+from .extension import CASES, ExtendedSurface, ExtensionError, extend, measure_contact
 from .minkowski import LVector, Plane, plane_class
 from .verify import full_diagnostics, GridSpec
 from .weierstrass import (
+    GAUSS_EPS,
     DegenerateMetricError,
     Domain,
     DomainKind,
@@ -210,9 +204,13 @@ class SurfaceConfig:
         z0 = _get_complex(raw["z0"], "z0")
         X0 = LVector(*_numbers(raw["X0"], "X0", "x1,x2,x3")) if "X0" in raw else LVector(0, 0, 0)
         try:
-            data = WeierstrassData(f, g, domain, z0, X0, g_poles)
+            data = WeierstrassData(f, g, domain, z0, X0)
         except ValueError as exc:
             raise ConfigError("z0", str(exc)) from None
+        try:
+            data = replace(data, g_poles=g_poles)
+        except ValueError as exc:
+            raise ConfigError("g_poles", str(exc)) from None
         plane = _plane(raw["plane"], "plane") if "plane" in raw else None
         minus = None
         if "f_minus" in raw or "g_minus" in raw:
@@ -257,7 +255,7 @@ class SurfaceConfig:
                 "reflected",
                 f"a {case.kind.value} plane reflects '{case.reflected}', not '{reflected}'",
             )
-        return assemble(self.data, measure_contact(self.data, self.plane), fm, gm)
+        return ExtendedSurface(self.data, measure_contact(self.data, self.plane), gm, fm)
 
 
 def _f17(x: float) -> str:
@@ -286,11 +284,20 @@ tol = 1e-10
 
 @dataclass
 class SurfaceMesh:
-    vertices: list[LVector]
-    gauss: list[LVector | None]
-    conformal: list[float]
-    triangles: list[tuple[int, int, int]]  # 0-based
-    masked_cells: list[tuple[int, int]]
+    """A triangulated grid as arrays, one row per vertex, triangle or cell.
+
+    ``vertices`` (n, 3) holds X, zero outside the domain closure;
+    ``conformal`` (n,) the conformal factor, 0.0 outside; ``gauss`` (n, 3)
+    the Gauss normal, a NaN row outside or where it degenerates;
+    ``triangles`` (m, 3) 0-based vertex indices; ``masked_cells`` (k, 2)
+    the (i, j) of each cell without triangles.
+    """
+
+    vertices: np.ndarray
+    gauss: np.ndarray
+    conformal: np.ndarray
+    triangles: np.ndarray
+    masked_cells: np.ndarray
     shape: tuple[int, int]
 
 
@@ -358,7 +365,7 @@ def build_mesh(
     together on arrays.  The conformal factor and Gauss normal of all
     valid vertices come from one array evaluation of the field and of g;
     a vertex with a non-finite value there is redone by conformal_factor
-    and gauss_map.
+    and gauss_map.  The mesh holds arrays (see ``SurfaceMesh``).
 
     Cells touching a vertex with conformal factor below mask_eps (the
     degenerate locus |g| = 1) or a vertex outside the domain closure are
@@ -376,53 +383,44 @@ def build_mesh(
             points.append(complex(a * math.cos(b), a * math.sin(b)) if polar else complex(a, b))
     valid = [data.domain.contains(z, closed=True) for z in points]
     order, parents = _grid_forest(points, valid, nv, data.z0)
-    vertices = [LVector(0, 0, 0)] * len(points)
-    for k, X in zip(order, surface_tree(data, [points[k] for k in order], parents, q)):
-        vertices[k] = X
-    inside = [k for k, ok in enumerate(valid) if ok]
-    gauss: list[LVector | None] = [None] * len(points)
-    conformal = [0.0] * len(points)
-    for k, lam, N in zip(inside, *_vertex_attributes(data, [points[k] for k in inside])):
-        conformal[k] = lam
-        gauss[k] = N
+    z = np.array(points, dtype=complex)
+    vertices = np.zeros((len(z), 3))
+    vertices[order] = surface_tree(data, z[order], parents, q)
+    inside = np.array(valid, dtype=bool)
+    conformal = np.zeros(len(z))
+    gauss = np.full((len(z), 3), np.nan)
+    conformal[inside], gauss[inside] = _vertex_attributes(data, z[inside])
     # a cell is masked when a corner is outside or degenerate (a NaN factor is not below mask_eps)
-    keep = (np.array(valid) & ~(np.array(conformal) < mask_eps)).reshape(nu, nv)
+    keep = (inside & ~(conformal < mask_eps)).reshape(nu, nv)
     cells = keep[:-1, :-1] & keep[:-1, 1:] & keep[1:, :-1] & keep[1:, 1:]
     k00 = np.flatnonzero(cells.ravel())
     k00 = k00 + k00 // (nv - 1)  # cell (i, j) -> vertex i * nv + j
     corners = np.stack((k00, k00 + 1, k00 + nv + 1, k00, k00 + nv + 1, k00 + nv), axis=1)
-    triangles = list(map(tuple, corners.reshape(-1, 3).tolist()))
-    masked = list(map(tuple, np.argwhere(~cells).tolist()))
-    return SurfaceMesh(vertices, gauss, conformal, triangles, masked, (nu, nv))
+    return SurfaceMesh(vertices, gauss, conformal, corners.reshape(-1, 3), np.argwhere(~cells), (nu, nv))
 
 
-def _vertex_attributes(data: WeierstrassData, zs: list[complex]) -> tuple[list[float], list[LVector | None]]:
-    """Conformal factor and Gauss normal (None where |1 - |g|^2| < 1e-12) at
-    each point, from one field_array call and one array evaluation of g.
-    A point with a non-finite value is redone by conformal_factor and
-    gauss_map, which give its value or raise as they would alone."""
-    z = np.array(zs, dtype=complex)
+def _vertex_attributes(data: WeierstrassData, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conformal factor (n,) and Gauss normal (n, 3), a NaN row where
+    |1 - |g|^2| < GAUSS_EPS, at each point, from one field_array call and
+    one array evaluation of g.  A point with a non-finite value is redone
+    by conformal_factor and gauss_map, which give its value or raise as
+    they would alone."""
     with np.errstate(all="ignore"):
         lam = PhiTriple(*data.field_array(z)).density()
         w = compile_array(data.g)(z)
         ww = w.real * w.real + w.imag * w.imag
         den = 1.0 - ww  # gauss_from_g's arithmetic, elementwise
         normal = np.stack((2 * w.real / den, 2 * w.imag / den, (1 + ww) / den), axis=1)
-    rerun = ~(np.isfinite(lam) & np.isfinite(normal).all(axis=1))
-    degenerate = np.abs(den) < 1e-12
-    conformal: list[float] = []
-    gauss: list[LVector | None] = []
-    for zk, lam_k, N, again, flat in zip(zs, lam.tolist(), normal.tolist(), rerun.tolist(), degenerate.tolist()):
-        if again:
-            conformal.append(conformal_factor(data, zk))
-            try:
-                gauss.append(gauss_map(data, zk))
-            except DegenerateMetricError:
-                gauss.append(None)
-            continue
-        conformal.append(lam_k)
-        gauss.append(None if flat else LVector(*N))
-    return conformal, gauss
+    rerun = np.flatnonzero(~(np.isfinite(lam) & np.isfinite(normal).all(axis=1)))
+    normal[np.abs(den) < GAUSS_EPS] = np.nan
+    for k in rerun.tolist():
+        zk = complex(z[k])
+        lam[k] = conformal_factor(data, zk)
+        try:
+            normal[k] = gauss_map(data, zk).as_tuple()
+        except DegenerateMetricError:
+            normal[k] = np.nan
+    return lam, normal
 
 
 def write_obj(mesh: SurfaceMesh, path: str, config_sha: str, mask_eps: float) -> None:
@@ -431,8 +429,8 @@ def write_obj(mesh: SurfaceMesh, path: str, config_sha: str, mask_eps: float) ->
         f"# config sha256 {config_sha}",
         f"# grid {mesh.shape[0]}x{mesh.shape[1]} mask_eps {_f17(mask_eps)}",
     ]
-    lines += ["v %.17g %.17g %.17g" % (v.x1, v.x2, v.x3) for v in mesh.vertices]
-    lines += ["f %d %d %d" % (a + 1, b + 1, c + 1) for a, b, c in mesh.triangles]
+    lines += ["v %.17g %.17g %.17g" % tuple(v) for v in mesh.vertices.tolist()]
+    lines += ["f %d %d %d" % tuple(t) for t in (mesh.triangles + 1).tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -447,9 +445,9 @@ def write_sidecar(mesh: SurfaceMesh, path: str, config_sha: str) -> None:
     json.dumps(payload, sort_keys=True, indent=2) + "\n" for the payload
     {config_sha256, format, note, vertices: [{conformal_factor, gauss}]}."""
     rows = []
-    for N, lam in zip(mesh.gauss, mesh.conformal):
-        # an LVector is finite, so repr is its JSON; a conformal factor may be NaN
-        gauss = "null" if N is None else "[\n        %r,\n        %r,\n        %r\n      ]" % N.as_tuple()
+    for N, lam in zip(mesh.gauss.tolist(), mesh.conformal.tolist()):
+        # a normal is finite (a NaN row marks none), so repr is its JSON; a conformal factor may be NaN
+        gauss = "null" if math.isnan(N[0]) else "[\n        %r,\n        %r,\n        %r\n      ]" % tuple(N)
         rows.append(f'    {{\n      "conformal_factor": {_json_float(lam)},\n      "gauss": {gauss}\n    }}')
     vertices = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     note = "vertices are listed in OBJ order (1-based index = position + 1)"

@@ -86,7 +86,6 @@ __all__ = [
     "MatchReport",
     "OrthogonalContactError",
     "SingularReconstructionError",
-    "assemble",
     "boundary_points",
     "boundary_samples",
     "extend",
@@ -94,6 +93,21 @@ __all__ = [
     "measure_contact",
     "reflect_g",
 ]
+
+
+# Thresholds of the contact measurement and the matching report.
+ANGLE_TOL = 1e-6
+"""The most <N, n> may vary along the boundary for the angle to count as constant."""
+C_TOL = 1e-6
+"""|c| below this is orthogonal contact."""
+LOCUS_TOL = 1e-6
+"""The relative gap allowed between the fitted and the closed-form Gauss locus."""
+LAM_ZERO_TOL = 1e-6
+"""A lightlike lam below this in size is 0: the locus is the line Re w = 1."""
+CURVATURE_TOL = 1e-6
+"""A fitted circle of smaller curvature is taken for a line."""
+MATCH_TOL = 1e-7
+"""The largest normalized gap between the two sides on the arc that matches."""
 
 
 class ExtensionError(Exception):
@@ -228,9 +242,9 @@ class CircleOrLine:
         return f"line(point={self.point}, direction={self.direction})"
 
 
-def fit_circle_or_line(points: Sequence[complex], curvature_tol: float = 1e-6) -> CircleOrLine:
+def fit_circle_or_line(points: Sequence[complex]) -> CircleOrLine:
     """Least-squares circle through the points; degrades to a line when the
-    points are collinear or the fitted curvature drops below curvature_tol."""
+    points are collinear or the fitted curvature drops below CURVATURE_TOL."""
     pts = [complex(p) for p in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit a locus")
@@ -260,7 +274,7 @@ def fit_circle_or_line(points: Sequence[complex], curvature_tol: float = 1e-6) -
     if r2 <= 0:
         return line_fit()
     radius = math.sqrt(r2)
-    if radius > 1.0 / curvature_tol:
+    if radius > 1.0 / CURVATURE_TOL:
         return line_fit()
     resid = max(abs(abs(p - center) - radius) for p in pts)
     return CircleOrLine("circle", center=center, radius=radius, residual=resid)
@@ -304,7 +318,7 @@ class Case:
     of the phi triple that reflects oddly and ``recover(L, g)`` solves it
     for f, dividing by zero where g takes a value in ``singular``.
     ``moebius(w, p)`` reflects the conjugated g through its locus, with
-    ``p = parameter(contact)``; ``locus(c, sheet, mods, lam_zero_tol)`` is
+    ``p = parameter(contact)``; ``locus(c, sheet, mods)`` is
     the closed-form locus implied by c, with theta and lam.  ``circular``
     says whether a circular arc is supported.
     """
@@ -339,7 +353,7 @@ class Case:
         return self.normal, plane.d / s
 
 
-def _spacelike_locus(c, sheet, mods, lam_zero_tol):
+def _spacelike_locus(c, sheet, mods):
     if abs(c) < 1 - 1e-9:
         raise HypothesisViolationError(
             f"|<N,n>| = {abs(c):.6f} < 1 is impossible against a spacelike plane"
@@ -349,14 +363,14 @@ def _spacelike_locus(c, sheet, mods, lam_zero_tol):
     return CircleOrLine("circle", center=0j, radius=r_exp), theta, None
 
 
-def _timelike_locus(c, sheet, mods, lam_zero_tol):
+def _timelike_locus(c, sheet, mods):
     lam = 1.0 / c
     return CircleOrLine("circle", center=-1j * lam, radius=math.sqrt(1 + lam * lam)), None, lam
 
 
-def _lightlike_locus(c, sheet, mods, lam_zero_tol):
+def _lightlike_locus(c, sheet, mods):
     lam = c - 1.0
-    if abs(lam) >= lam_zero_tol:
+    if abs(lam) >= LAM_ZERO_TOL:
         inv = 1.0 / lam
         return CircleOrLine("circle", center=complex(-inv, 0), radius=abs(1 + inv)), None, lam
     if min(abs(1 - m * m) for m in mods) < 0.05:
@@ -478,17 +492,13 @@ def measure_contact(
     data: WeierstrassData,
     plane: Plane,
     samples: Sequence[complex] | None = None,
-    *,
-    angle_tol: float = 1e-6,
-    c_tol: float = 1e-6,
-    locus_tol: float = 1e-6,
-    lam_zero_tol: float = 1e-6,
 ) -> ContactData:
     """Extrapolate <N, n> and g to the boundary and classify the contact.
 
-    Raises HypothesisViolationError when the angle is not constant,
-    OrthogonalContactError when |c| < c_tol, and GeometryMismatchError when
-    the fitted Gauss locus disagrees with the one implied by c.
+    Raises HypothesisViolationError when the angle varies by more than
+    ANGLE_TOL, OrthogonalContactError when |c| < C_TOL, and
+    GeometryMismatchError when the fitted Gauss locus disagrees with the
+    one implied by c by more than LOCUS_TOL.
     """
     domain = data.domain
     if domain.boundary_circle is not None:
@@ -519,12 +529,12 @@ def measure_contact(
 
     c = float(np.mean(c_limits))
     deviation = max(abs(ci - c) for ci in c_limits)
-    if deviation > angle_tol:
+    if deviation > ANGLE_TOL:
         raise HypothesisViolationError(
             f"constant-angle hypothesis violated: <N,n> varies by {deviation:.3e} "
             f"about {c:.6f}"
         )
-    if abs(c) < c_tol:
+    if abs(c) < C_TOL:
         raise OrthogonalContactError(
             "orthogonal contact (c = 0): excluded here; such boundaries extend by "
             "symmetric reflection across the plane, which this engine does not provide"
@@ -538,9 +548,9 @@ def measure_contact(
         raise HypothesisViolationError("boundary Gauss values straddle |g| = 1")
 
     locus = fit_circle_or_line(g_limits)
-    expected, theta, lam = case.locus(c, sheet, mods, lam_zero_tol)
+    expected, theta, lam = case.locus(c, sheet, mods)
     mismatch = _locus_mismatch(locus, expected)
-    if mismatch > locus_tol * (1 + (locus.radius or 1.0)):
+    if mismatch > LOCUS_TOL * (1 + (locus.radius or 1.0)):
         raise GeometryMismatchError(
             f"fitted boundary locus {locus.describe()} disagrees with "
             f"{expected.describe()} implied by c = {c:.9f} (gap {mismatch:.3e})"
@@ -622,8 +632,9 @@ class ExtendedSurface:
     """Piecewise Weierstrass data: the original patch plus reflected formulas.
 
     The two sides agree to first order on the boundary arc (see
-    ``matching``); evaluation integrates the side-appropriate triple along a
-    path split at the arc, so the assembled X is continuous across it.
+    ``matching``, measured on first use, so evaluation alone never builds
+    it); evaluation integrates the side-appropriate triple along a path
+    split at the arc, so the assembled X is continuous across it.
     ``shift`` is the translation taking the contact plane to its case-normal
     position; the reflected coordinate is odd in the shifted frame.
     """
@@ -632,7 +643,11 @@ class ExtendedSurface:
     contact: ContactData
     g_minus: Expr
     f_minus: Expr
-    matching: MatchReport
+
+    @cached_property
+    def matching(self) -> MatchReport:
+        """The gaps between the two sides' formulas on the arc, against MATCH_TOL."""
+        return _match_report(self.original, self.f_minus, self.g_minus, MATCH_TOL)
 
     @property
     def case(self) -> Case:
@@ -721,31 +736,10 @@ def _minus_grid(domain: Domain, reflect, n: int = 40) -> list[complex]:
     return pts
 
 
-def assemble(
-    data: WeierstrassData,
-    contact: ContactData,
-    f_minus: Expr,
-    g_minus: Expr,
-    *,
-    match_tol: float = 1e-7,
-) -> ExtendedSurface:
-    """The extended surface for given reflected-side formulas; the matching
-    report measures the two sides on the arc."""
-    return ExtendedSurface(
-        original=data,
-        contact=contact,
-        g_minus=g_minus,
-        f_minus=f_minus,
-        matching=_match_report(data, f_minus, g_minus, match_tol),
-    )
-
-
 def extend(
     data: WeierstrassData,
     plane: Plane,
     samples: Sequence[complex] | None = None,
-    *,
-    match_tol: float = 1e-7,
 ) -> ExtendedSurface:
     """Measure the contact and build the reflected side from its case row and arc."""
     contact = measure_contact(data, plane, samples)
@@ -756,4 +750,4 @@ def extend(
     f_minus = case.recover(arc.pullback(case.odd(data.f, data.g)), g_minus)
     if case.singular:
         _check_reconstruction_singular(g_minus, _minus_grid(data.domain, arc.reflect), case.singular)
-    return assemble(data, contact, f_minus, g_minus, match_tol=match_tol)
+    return ExtendedSurface(data, contact, g_minus, f_minus)

@@ -262,19 +262,23 @@ def _phi_fn(f: Expr, g: Expr, array: bool = False) -> Callable:
     return fn
 
 
-def gauss_from_g(w: complex, eps: float = 1e-12) -> LVector:
+GAUSS_EPS = 1e-12
+"""The Gauss normal is degenerate where |1 - |g|^2| < GAUSS_EPS (|g| = 1, the conelike locus)."""
+
+
+def gauss_from_g(w: complex) -> LVector:
     """Unit timelike normal on the hyperboloid <N,N> = -1, from a Gauss value."""
     w = complex(w)
     ww = w.real * w.real + w.imag * w.imag
     den = 1.0 - ww
-    if abs(den) < eps:
-        raise DegenerateMetricError(f"|g| = 1 within {eps} at g = {w}")
+    if abs(den) < GAUSS_EPS:
+        raise DegenerateMetricError(f"|g| = 1 within {GAUSS_EPS} at g = {w}")
     return LVector(2 * w.real / den, 2 * w.imag / den, (1 + ww) / den)
 
 
-def gauss_map(data: WeierstrassData, z: complex, eps: float = 1e-12) -> LVector:
+def gauss_map(data: WeierstrassData, z: complex) -> LVector:
     """N = (2 Re g, 2 Im g, 1 + |g|^2) / (1 - |g|^2); lands on one hyperboloid sheet."""
-    return gauss_from_g(evaluate(data.g, z), eps)
+    return gauss_from_g(evaluate(data.g, z))
 
 
 def stereo_inverse(N: LVector, tol: float = 1e-9) -> complex:
@@ -461,8 +465,9 @@ def surface_tree(
     points: Sequence[complex],
     parents: Sequence[int],
     q: QuadratureConfig | None = None,
-) -> list[LVector]:
-    """X at every point, accumulated down a spanning forest of short edges.
+) -> np.ndarray:
+    """X at every point as an (n, 3) array, accumulated down a spanning
+    forest of short edges.
 
     ``parents[k]`` is the index of the point that point k is integrated
     from and must be smaller than k; -1 marks a root, integrated from z0.
@@ -530,11 +535,7 @@ def surface_tree(
     for d in range(1, int(levels.max(initial=0)) + 1):
         at = np.flatnonzero(levels == d)
         sums[:, at] += sums[:, up[at]]
-    X0 = data.X0
-    return [
-        LVector(X0.x1 + x1, X0.x2 + x2, X0.x3 + x3)
-        for x1, x2, x3 in zip(sums[0].real.tolist(), sums[1].real.tolist(), sums[2].real.tolist())
-    ]
+    return np.array(data.X0.as_tuple()) + sums.real.T
 
 
 _CHUNK = 512

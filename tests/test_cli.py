@@ -1,9 +1,14 @@
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
+from maxsurf import extension
 from maxsurf.cli import CATENOID_CONFIG, SurfaceConfig, main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 PLANE_CONFIG = """\
 f = 1
@@ -442,3 +447,84 @@ def test_check_fails_on_a_real_period(tmp_path, capsys):
     assert report["passed"] is False
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert failed == ["path_independence"]
+
+
+@pytest.mark.parametrize(
+    "lines, err",
+    [
+        ("g_poles = 0:0\nz0 = 0.5\n", "config error: field 'g_poles': pole order must be >= 1\n"),
+        ("g_poles = 0.3:1\nz0 = 0.5\n", "config error: field 'g_poles': declared pole (0.3+0j) is not a domain puncture\n"),
+        ("g_poles = 0:1\nz0 = 2\n", "config error: field 'z0': basepoint (2+0j) outside the domain closure\n"),
+    ],
+)
+def test_config_error_names_the_field_at_fault(tmp_path, capsys, lines, err):
+    p = tmp_path / "poles.cfg"
+    p.write_text("f = 1\ng = 1/z\ndomain = punctured-disk\nradius = 1\n" + lines)
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == err
+
+
+# ---------------------------------------------------------------------------
+# an extended config builds its matching report only where it is read
+
+
+def _bench_configs():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import BASE_CONFIGS, EXTENDABLE
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return {name: BASE_CONFIGS[name] for name in EXTENDABLE}
+
+
+_EXTENDABLE = _bench_configs()
+# one point on each side of the arc: |z| = rho = e^-0.7 for the catenoid, v = 0 otherwise
+_SIDES = {"catenoid-b07": ("0.6,0.3", "0.3,0.2")}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTENDABLE))
+def test_only_check_and_extend_build_the_matching_report(name, tmp_path, capsys, monkeypatch):
+    base = tmp_path / f"{name}.cfg"
+    base.write_text(_EXTENDABLE[name])
+    ext_path = str(tmp_path / f"{name}.ext.cfg")
+    built = []
+    report = extension._match_report
+
+    def counted(*args):
+        built.append(args)
+        return report(*args)
+
+    def refused(*args):
+        raise AssertionError("eval built the matching report")
+
+    monkeypatch.setattr(extension, "_match_report", counted)
+    assert main(["extend", str(base), "-o", ext_path]) == 0
+    assert len(built) == 1
+    assert main(["check", ext_path]) == 0
+    assert len(built) == 2
+    capsys.readouterr()
+    for at in _SIDES.get(name, ("0.2,0.3", "0.2,-0.3")):
+        monkeypatch.setattr(extension, "_match_report", counted)
+        assert main(["eval", ext_path, f"--at={at}"]) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(extension, "_match_report", refused)
+        assert main(["eval", ext_path, f"--at={at}"]) == 0
+        assert capsys.readouterr() == expected
+    assert len(built) == 2
+
+
+def test_matching_fault_fails_check_but_not_eval(tmp_path, capsys):
+    # f_minus = 1/z faults at the arc point 0 that the matching report samples
+    base = tmp_path / "spacelike.cfg"
+    base.write_text(_EXTENDABLE["spacelike"])
+    text = _extend_to(str(base), str(tmp_path / "spacelike.ext.cfg"), capsys)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("".join("f_minus = 1/z\n" if line.startswith("f_minus") else line for line in text.splitlines(True)))
+    assert main(["check", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: division by zero in '1/z'\n")
+    # on the original side the reflected formulas take no part
+    assert main(["eval", str(tmp_path / "spacelike.ext.cfg"), "--at=0.2,0.3"]) == 0
+    expected = capsys.readouterr()
+    assert main(["eval", str(bad), "--at=0.2,0.3"]) == 0
+    assert capsys.readouterr() == expected

@@ -4,15 +4,17 @@ Every vertex must agree with a direct evaluate_surface call within 10*tol,
 and the masking must be exactly that of meshing vertex by vertex.
 """
 
+import hashlib
 import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixtures import spacelike_fixture
-from maxsurf import cli, weierstrass
+from maxsurf import __version__, cli, weierstrass
 from maxsurf.cli import (
     CATENOID_CONFIG,
     SurfaceMesh,
@@ -84,12 +86,12 @@ def test_tree_mesh_matches_per_vertex_evaluation(name):
     pts = _grid(data, nu, nv, window)
     valid = [data.domain.contains(z, closed=True) for z in pts]
     assert len(mesh.vertices) == len(pts)
-    for z, ok, X in zip(pts, valid, mesh.vertices):
+    for z, ok, X in zip(pts, valid, mesh.vertices.tolist()):
         if ok:
             ref = evaluate_surface(data, z, q)
-            assert max(abs(a - b) for a, b in zip(X.as_tuple(), ref.as_tuple())) <= 10 * q.tol
+            assert max(abs(a - b) for a, b in zip(X, ref.as_tuple())) <= 10 * q.tol
         else:
-            assert X == LVector(0, 0, 0)
+            assert X == [0.0, 0.0, 0.0]
     lam = [conformal_factor(data, z) if ok else 0.0 for z, ok in zip(pts, valid)]
     masked, triangles = [], []
     for i in range(nu - 1):
@@ -100,8 +102,8 @@ def test_tree_mesh_matches_per_vertex_evaluation(name):
                 triangles += [(k, k + 1, k + nv + 1), (k, k + nv + 1, k + nv)]
             else:
                 masked.append((i, j))
-    assert mesh.masked_cells == masked
-    assert mesh.triangles == triangles
+    assert list(map(tuple, mesh.masked_cells.tolist())) == masked
+    assert list(map(tuple, mesh.triangles.tolist())) == triangles
     if window is not None:
         assert not all(valid)
 
@@ -181,11 +183,11 @@ def test_polynomial_mesh_matches_closed_form(a, b, nu, nv):
     window = (min(a), max(a), min(b), max(b))
     q = QuadratureConfig(tol=1e-10)
     mesh = build_mesh(_POLY, nu, nv, q=q, mesh_range=window)
-    for z, X in zip(_grid(_POLY, nu, nv, window), mesh.vertices):
+    for z, X in zip(_grid(_POLY, nu, nv, window), mesh.vertices.tolist()):
         if _POLY.domain.contains(z, closed=True):
-            assert max(abs(u - v) for u, v in zip(X.as_tuple(), _poly_closed_form(z))) <= 10 * q.tol
+            assert max(abs(u - v) for u, v in zip(X, _poly_closed_form(z))) <= 10 * q.tol
         else:
-            assert X == LVector(0, 0, 0)
+            assert X == [0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +249,8 @@ def _json_sidecar(mesh, sha):
         "config_sha256": sha,
         "note": "vertices are listed in OBJ order (1-based index = position + 1)",
         "vertices": [
-            {"conformal_factor": lam, "gauss": list(N.as_tuple()) if N is not None else None}
-            for N, lam in zip(mesh.gauss, mesh.conformal)
+            {"conformal_factor": lam, "gauss": N if not math.isnan(N[0]) else None}
+            for N, lam in zip(mesh.gauss.tolist(), mesh.conformal.tolist())
         ],
     }
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
@@ -263,18 +265,39 @@ def _sidecar_mesh(name):
     if name == "2x2":
         return build_mesh(_POLY, 2, 2)
     # a NaN factor, which json writes as NaN
-    gauss = [None, LVector(1, 2, 3), None, None]
-    return SurfaceMesh([LVector(0, 0, 0)] * 4, gauss, [math.nan, 0.5, 0.0, -0.0], [], [(0, 0)], (2, 2))
+    gauss = np.array([[math.nan] * 3, [1.0, 2.0, 3.0], [math.nan] * 3, [math.nan] * 3])
+    conformal = np.array([math.nan, 0.5, 0.0, -0.0])
+    return SurfaceMesh(np.zeros((4, 3)), gauss, conformal, np.empty((0, 3), int), np.array([[0, 0]]), (2, 2))
 
 
 @pytest.mark.parametrize("name", ["invalid-vertices", "degenerate-gauss", "2x2", "nan"])
 def test_sidecar_is_byte_identical_to_json_dumps(name, tmp_path):
     mesh = _sidecar_mesh(name)
     if name == "invalid-vertices":
-        assert 0.0 in mesh.conformal and None in mesh.gauss
+        assert 0.0 in mesh.conformal.tolist() and np.isnan(mesh.gauss).all(axis=1).any()
     if name == "degenerate-gauss":  # |g| = 1 on the outer ring of the punctured disk
-        assert any(N is None and lam != 0.0 for N, lam in zip(mesh.gauss, mesh.conformal))
+        assert any(math.isnan(N[0]) and lam != 0.0 for N, lam in zip(mesh.gauss.tolist(), mesh.conformal.tolist()))
     sha = "0123abcd" * 8
     path = tmp_path / "m.obj.attrs.json"
     write_sidecar(mesh, str(path), sha)
     assert path.read_bytes() == _json_sidecar(mesh, sha)
+
+
+def test_window_without_a_valid_vertex_masks_every_cell(tmp_path, capsys):
+    text = "f = 1\ng = z\ndomain = disk\nz0 = 0\nmesh_range = 1.1,1.3,-0.2,0.2\n"
+    cfg = tmp_path / "outside.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "outside.obj"
+    assert main(["mesh", str(cfg), "--grid", "3x2", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}: 6 vertices, 0 triangles, 2 masked cells\n"
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    header = f"# maxsurf {__version__}\n# config sha256 {sha}\n# grid 3x2 mask_eps 1e-08\n"
+    assert out.read_text() == header + "v 0 0 0\n" * 6
+    payload = {
+        "config_sha256": sha,
+        "format": "maxsurf-mesh-attributes/1",
+        "note": "vertices are listed in OBJ order (1-based index = position + 1)",
+        "vertices": [{"conformal_factor": 0.0, "gauss": None}] * 6,
+    }
+    sidecar = tmp_path / "outside.obj.attrs.json"
+    assert sidecar.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"

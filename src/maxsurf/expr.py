@@ -10,12 +10,11 @@ closed language:
     power  := atom ['^' ['-'] digits]
     atom   := number | 'i' | 'z' | name '(' expr ')' | '(' expr ')'
 
-Functions: exp, log, sin, cos, sinh, cosh, tanh, sqrt, and sconj, where
-``sconj(e)`` denotes the Schwarz conjugate z -> conj(e(conj(z))).  sconj is
-involutive and distributes over arithmetic nodes; the ``sconj`` constructor
-applies both rules eagerly, so stored trees only carry sconj wrappers around
-function applications.  log and sqrt use principal branches.  Exponents are
-integer literals; write exp(w*log(z)) for anything else.
+Functions: exp, log, sin, cos, sinh, cosh, tanh, sqrt.  log and sqrt use
+principal branches.  Exponents are integer literals; write exp(w*log(z)) for
+anything else.  The input syntax also accepts ``sconj(e)``, the Schwarz
+conjugate z -> conj(e(conj(z))); the parser applies the ``sconj``
+constructor, so no tree carries it (see ``sconj``).
 
 Canonical printing is deterministic and structurally round-trips: parsing
 the printed form rebuilds an identical tree, so re-evaluation is bit-exact.
@@ -43,7 +42,6 @@ __all__ = [
     "Neg",
     "ParseError",
     "Pow",
-    "Sconj",
     "Sub",
     "Var",
     "compile_array",
@@ -130,12 +128,7 @@ class Call:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Sconj:
-    arg: "Expr"
-
-
-Expr = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call, Sconj]
+Expr = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
 
 _FUNCTIONS: dict[str, Callable[[complex], complex]] = {
     "exp": cmath.exp,
@@ -163,28 +156,27 @@ _NP_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 def sconj(e: Expr) -> Expr:
     """Schwarz conjugate of an expression: z -> conj(e(conj(z))).
 
-    Applies the involution sconj(sconj(e)) = e and distributes over
-    arithmetic nodes, so the wrapper survives only on function calls.
+    Every function of the language has real coefficients, so on its
+    principal branch f(conj w) = conj(f(w)), bit for bit in cmath and numpy;
+    arithmetic commutes with conj as well.  The conjugate is therefore the
+    same tree with every constant conjugated, and sconj is an involution.
     """
-    if isinstance(e, Sconj):
-        return e.arg
-    if isinstance(e, Const):
-        return Const(e.value.conjugate())
-    if isinstance(e, Var):
-        return e
+    return _map_leaves(e, lambda leaf: Const(leaf.value.conjugate()) if isinstance(leaf, Const) else leaf)
+
+
+def _map_leaves(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
+    """The tree e with every Const and Var node x replaced by leaf(x)."""
+    if isinstance(e, (Const, Var)):
+        return leaf(e)
     if isinstance(e, Neg):
-        return Neg(sconj(e.arg))
-    if isinstance(e, Add):
-        return Add(sconj(e.left), sconj(e.right))
-    if isinstance(e, Sub):
-        return Sub(sconj(e.left), sconj(e.right))
-    if isinstance(e, Mul):
-        return Mul(sconj(e.left), sconj(e.right))
-    if isinstance(e, Div):
-        return Div(sconj(e.left), sconj(e.right))
+        return Neg(_map_leaves(e.arg, leaf))
+    if isinstance(e, Call):
+        return Call(e.func, _map_leaves(e.arg, leaf))
     if isinstance(e, Pow):
-        return Pow(sconj(e.base), e.exponent)
-    return Sconj(e)
+        return Pow(_map_leaves(e.base, leaf), e.exponent)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return type(e)(_map_leaves(e.left, leaf), _map_leaves(e.right, leaf))
+    raise TypeError(f"not an Expr node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +300,7 @@ def parse(text: str) -> Expr:
 # evaluation
 
 def evaluate(e: Expr, z: complex) -> complex:
-    """Evaluate at a point with principal branches; sconj(e)(z) = conj(e(conj z))."""
+    """Evaluate at a point with principal branches."""
     return _eval(e, complex(z))
 
 
@@ -346,8 +338,6 @@ def _eval(e: Expr, z: complex) -> complex:
             return _FUNCTIONS[e.func](arg)
         except (ValueError, OverflowError) as exc:
             raise EvalError(str(exc), e) from None
-    if isinstance(e, Sconj):
-        return _eval(e.arg, z.conjugate()).conjugate()
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -386,7 +376,7 @@ def _compile(e: Expr, target: dict) -> Callable:
         raise TypeError(f"not an Expr node: {e!r}")
     if isinstance(e, (Const, Var)):
         return build(e)
-    if isinstance(e, (Neg, Call, Sconj)):
+    if isinstance(e, (Neg, Call)):
         return build(e, _compile(e.arg, target))
     if isinstance(e, Pow):
         return build(e, _compile(e.base, target))
@@ -446,7 +436,6 @@ _SCALAR: dict[type, Callable] = {
     Div: _scalar_div,
     Pow: _scalar_pow,
     Call: _scalar_call,
-    Sconj: lambda e, a: lambda z: a(z.conjugate()).conjugate(),
 }
 
 
@@ -482,7 +471,6 @@ _ARRAY: dict[type, Callable] = {
     Div: lambda e, l, r: lambda z: _finite(l(z) / r(z)),
     Pow: _array_pow,
     Call: _array_call,
-    Sconj: lambda e, a: lambda z: np.conj(a(np.conj(z))),
 }
 
 
@@ -544,7 +532,7 @@ def _pow(b: Expr, n: int) -> Expr:
 
 
 def differentiate(e: Expr) -> Expr:
-    """Symbolic derivative; d/dz sconj(e) = sconj(differentiate(e))."""
+    """Symbolic derivative."""
     if isinstance(e, Const):
         return Const(0)
     if isinstance(e, Var):
@@ -589,8 +577,6 @@ def differentiate(e: Expr) -> Expr:
         else:
             raise ValueError(f"unknown function {e.func!r}")
         return _mul(outer, differentiate(a))
-    if isinstance(e, Sconj):
-        return sconj(differentiate(e.arg))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -599,28 +585,7 @@ def differentiate(e: Expr) -> Expr:
 
 def substitute(e: Expr, w: Expr) -> Expr:
     """Replace the variable z by the expression w (composition e o w)."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return w
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, w))
-    if isinstance(e, Add):
-        return Add(substitute(e.left, w), substitute(e.right, w))
-    if isinstance(e, Sub):
-        return Sub(substitute(e.left, w), substitute(e.right, w))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.left, w), substitute(e.right, w))
-    if isinstance(e, Div):
-        return Div(substitute(e.left, w), substitute(e.right, w))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, w), e.exponent)
-    if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, w))
-    if isinstance(e, Sconj):
-        # conj(e(conj(w(z)))) = sconj(e o sconj(w))(z)
-        return sconj(substitute(e.arg, sconj(w)))
-    raise TypeError(f"not an Expr node: {e!r}")
+    return _map_leaves(e, lambda leaf: w if isinstance(leaf, Var) else leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +652,6 @@ def _fmt(e: Expr) -> tuple[str, int]:
         return f"{bs}^{e.exponent}", _P_POW
     if isinstance(e, Call):
         return f"{e.func}({_fmt(e.arg)[0]})", _P_ATOM
-    if isinstance(e, Sconj):
-        return f"sconj({_fmt(e.arg)[0]})", _P_ATOM
     raise TypeError(f"not an Expr node: {e!r}")
 
 

@@ -28,9 +28,12 @@ L_minus = -conj(L(sigma(z))) conj(sigma'(z)); the row supplies the Moebius
 map applied to the conjugated g and the recovery f_minus = L_minus / h(g_minus).
 Only spacelike planes are supported across a circle.
 
-The reflection radius/circle is always the one FITTED from boundary samples
-of g and cross-checked against the closed form implied by the measured c;
-a disagreement aborts rather than trusting either side silently.
+The locus g is reflected through comes from two sources.  For a spacelike
+plane it is the circle about the closed-form centre 0 with the radius FITTED
+to the boundary limits of g.  For a timelike or lightlike plane it is the
+closed-form circle or line given by lam, from the measured c.  The fit only
+cross-checks the closed form: a gap above LOCUS_TOL aborts rather than
+trusting either side silently.
 """
 
 from __future__ import annotations
@@ -108,6 +111,17 @@ CURVATURE_TOL = 1e-6
 """A fitted circle of smaller curvature is taken for a line."""
 MATCH_TOL = 1e-7
 """The largest normalized gap between the two sides on the arc that matches."""
+SINGULAR_TOL = 1e-8
+"""How close g_minus may come to a value where the recovery of f divides by zero."""
+
+# Where the contact, the matching and the reconstruction are sampled.
+ARC_POSITIONS = 9
+"""Positions along the boundary arc."""
+ARC_SPAN = 0.7
+"""The share of a segment arc they cover (of each half, on a half annulus);
+a circle arc is covered whole."""
+MINUS_POINTS = 40
+"""Reflected-side points checked for a singular reconstruction."""
 
 
 class ExtensionError(Exception):
@@ -191,15 +205,6 @@ class BoundaryArc:
         if self.kind == "segment":
             return z.imag
         return abs(z) - self.rho
-
-    def group(self, samples: Sequence[complex]) -> list[list[complex]]:
-        """Samples grouped by position along the arc, in arc order."""
-        groups: dict[float, list[complex]] = {}
-        for z in samples:
-            z = complex(z)
-            key = z.real if self.kind == "segment" else cmath.phase(z)
-            groups.setdefault(round(key, 9), []).append(z)
-        return [groups[k] for k in sorted(groups)]
 
     def crossings(self, a: complex, b: complex) -> list[complex]:
         """Interior points where the segment from a to b crosses the arc."""
@@ -426,8 +431,9 @@ CASES: dict[CausalClass, Case] = {
 _DEPTH_FRACTIONS = (0.016, 0.012, 0.009, 0.006, 0.004, 0.0025, 0.0015)
 
 
-def boundary_points(domain: Domain, n: int = 9, span: float = 0.7) -> list[complex]:
-    """Points on the boundary arc itself (v = 0, or |z| = rho)."""
+def boundary_points(domain: Domain) -> list[complex]:
+    """ARC_POSITIONS points on the boundary arc itself (v = 0, or |z| = rho)."""
+    n, span = ARC_POSITIONS, ARC_SPAN
     if domain.boundary_circle is not None:
         rho = domain.boundary_circle
         return [rho * cmath.exp(1j * t) for t in np.linspace(-math.pi, math.pi, n, endpoint=False)]
@@ -435,26 +441,22 @@ def boundary_points(domain: Domain, n: int = 9, span: float = 0.7) -> list[compl
         lo, hi = domain.inner_radius, domain.radius
         mid, half = 0.5 * (lo + hi), 0.5 * span * (hi - lo)
         us = np.concatenate(
-            [np.linspace(-mid - half, -mid + half, max(n // 2, 2)),
-             np.linspace(mid - half, mid + half, max(n - n // 2, 2))]
+            [np.linspace(-mid - half, -mid + half, n // 2),
+             np.linspace(mid - half, mid + half, n - n // 2)]
         )
         return [complex(u, 0.0) for u in us]
     return [complex(u, 0.0) for u in np.linspace(-span * domain.radius, span * domain.radius, n)]
 
 
-def boundary_samples(
-    domain: Domain,
-    n_arc: int = 9,
-    depths: Sequence[float] = _DEPTH_FRACTIONS,
-    span: float = 0.7,
-) -> list[complex]:
+def boundary_samples(domain: Domain, depths: Sequence[float] = _DEPTH_FRACTIONS) -> list[complex]:
     """Interior points approaching the boundary arc, grouped by arc position.
 
-    For each of ``n_arc`` positions along the arc the sample set contains a
-    tail of points at the given depth fractions of the domain scale, suited
-    to polynomial extrapolation of boundary limits.
+    For each of the ``boundary_points``, in arc order, the sample set
+    contains a tail of points at the given depth fractions of the domain
+    scale, in the order given, suited to polynomial extrapolation of
+    boundary limits.
     """
-    base = boundary_points(domain, n_arc, span)
+    base = boundary_points(domain)
     out: list[complex] = []
     if domain.boundary_circle is not None:
         rho = domain.boundary_circle
@@ -470,12 +472,13 @@ def boundary_samples(
     return out
 
 
-def _neville(ts: Sequence[float], vals: Sequence[complex], t0: float = 0.0) -> complex:
+def _neville(ts: Sequence[float], vals: Sequence[complex]) -> complex:
+    """The interpolating polynomial through (ts, vals), evaluated at t = 0."""
     n = len(ts)
     p = list(vals)
     for k in range(1, n):
         for j in range(n - k):
-            p[j] = ((t0 - ts[j + k]) * p[j] - (t0 - ts[j]) * p[j + 1]) / (ts[j] - ts[j + k])
+            p[j] = (ts[j] * p[j + 1] - ts[j + k] * p[j]) / (ts[j] - ts[j + k])
     return p[0]
 
 
@@ -488,11 +491,7 @@ def _locus_mismatch(fitted: CircleOrLine, expected: CircleOrLine) -> float:
     return max(align, expected.distance(fitted.point))
 
 
-def measure_contact(
-    data: WeierstrassData,
-    plane: Plane,
-    samples: Sequence[complex] | None = None,
-) -> ContactData:
+def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     """Extrapolate <N, n> and g to the boundary and classify the contact.
 
     Raises HypothesisViolationError when the angle varies by more than
@@ -507,11 +506,8 @@ def measure_contact(
         boundary = BoundaryArc("segment")
     case = CASES[plane_class(plane)]
     unit_n, offset = case.normalize(plane)
-    if samples is None:
-        samples = boundary_samples(domain)
-    groups = boundary.group(samples)
-    if len(groups) < 3:
-        raise ValueError("need samples at 3 or more boundary positions")
+    samples, tail = boundary_samples(domain), len(_DEPTH_FRACTIONS)
+    groups = [samples[k : k + tail] for k in range(0, len(samples), tail)]
 
     gfun = compile_fn(data.g)
     c_limits: list[float] = []
@@ -520,12 +516,8 @@ def measure_contact(
         ts = [boundary.approach(z) for z in grp]
         gs = [gfun(z) for z in grp]
         cs = [lorentz_inner(gauss_from_g(gv), unit_n) for gv in gs]
-        if len(grp) == 1:
-            g_limits.append(gs[0])
-            c_limits.append(cs[0])
-        else:
-            g_limits.append(_neville(ts, gs))
-            c_limits.append(_neville(ts, [complex(c) for c in cs]).real)
+        g_limits.append(_neville(ts, gs))
+        c_limits.append(_neville(ts, [complex(c) for c in cs]).real)
 
     c = float(np.mean(c_limits))
     deviation = max(abs(ci - c) for ci in c_limits)
@@ -604,8 +596,8 @@ class MatchReport:
         return self.max_gap <= self.tol
 
 
-def _match_report(data, f_minus, g_minus, tol, n=9) -> MatchReport:
-    pts = boundary_points(data.domain, n)
+def _match_report(data, f_minus, g_minus) -> MatchReport:
+    pts = boundary_points(data.domain)
     plus = {"f": data.f, "g": data.g}
     minus = {"f": f_minus, "g": g_minus}
     for name, ep, em in zip(("phi1", "phi2", "phi3"), phi_exprs(data.f, data.g), phi_exprs(f_minus, g_minus)):
@@ -624,7 +616,7 @@ def _match_report(data, f_minus, g_minus, tol, n=9) -> MatchReport:
             b = fm(z)
             worst = max(worst, abs(a - b) / (1 + abs(a)))
         gaps[name] = worst
-    return MatchReport(gaps=gaps, tol=tol, points=tuple(pts))
+    return MatchReport(gaps=gaps, tol=MATCH_TOL, points=tuple(pts))
 
 
 @dataclass(frozen=True)
@@ -647,7 +639,7 @@ class ExtendedSurface:
     @cached_property
     def matching(self) -> MatchReport:
         """The gaps between the two sides' formulas on the arc, against MATCH_TOL."""
-        return _match_report(self.original, self.f_minus, self.g_minus, MATCH_TOL)
+        return _match_report(self.original, self.f_minus, self.g_minus)
 
     @property
     def case(self) -> Case:
@@ -707,7 +699,7 @@ class ExtendedSurface:
         return LVector(data.X0.x1 + t1.real, data.X0.x2 + t2.real, data.X0.x3 + t3.real)
 
 
-def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offsets: Sequence[complex], tol: float = 1e-8):
+def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offsets: Sequence[complex]):
     """Reject when g_minus hits any of the given values on the sample grid."""
     fn = compile_fn(g_minus)
     for z in pts:
@@ -716,17 +708,17 @@ def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offset
         except EvalError:
             continue
         for w in offsets:
-            if abs(gv - w) < tol:
+            if abs(gv - w) < SINGULAR_TOL:
                 raise SingularReconstructionError(
                     f"extended g takes the singular value {w} near z = {z}"
                 )
 
 
-def _minus_grid(domain: Domain, reflect, n: int = 40) -> list[complex]:
+def _minus_grid(domain: Domain, reflect) -> list[complex]:
     pts = []
     rng = np.random.default_rng(2)
     tries = 0
-    while len(pts) < n and tries < 50 * n:
+    while len(pts) < MINUS_POINTS and tries < 50 * MINUS_POINTS:
         tries += 1
         re = rng.uniform(-domain.radius, domain.radius)
         im = rng.uniform(0, domain.radius)
@@ -736,13 +728,9 @@ def _minus_grid(domain: Domain, reflect, n: int = 40) -> list[complex]:
     return pts
 
 
-def extend(
-    data: WeierstrassData,
-    plane: Plane,
-    samples: Sequence[complex] | None = None,
-) -> ExtendedSurface:
+def extend(data: WeierstrassData, plane: Plane) -> ExtendedSurface:
     """Measure the contact and build the reflected side from its case row and arc."""
-    contact = measure_contact(data, plane, samples)
+    contact = measure_contact(data, plane)
     case, arc = CASES[contact.plane_kind], contact.boundary
     if not arc.admits(case):
         raise ExtensionError(f"circular extension handles spacelike planes only, not {case.kind.value}")

@@ -93,31 +93,43 @@ class DiagnosticsReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+# The diagnostic grid beyond its lattice size, and the checks' own thresholds.
+GRID_MARGIN = 0.1
+"""The share of the radius (and of the half-plane angle) the lattice keeps off the boundary."""
+GRID_RANDOM = 60
+"""Seeded random points added to the lattice."""
+GRID_SEED = 7
+"""The seed of those points."""
+HARMONIC_FLOOR = 1e-9
+"""Discrete Laplacian residuals at or below this are harmonic to rounding."""
+ORDER_RADII = (1e-2, 3e-3, 1e-3)
+"""The circle radii over which estimate_order fits its log-log slope."""
+OBSTRUCTION_TOL = 1e-6
+"""The tolerance an orthogonality obstruction record reports."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Deterministic sample grid: polar lattice plus seeded random points."""
+    """Deterministic sample grid: polar lattice plus GRID_RANDOM seeded random points."""
 
     n_radial: int = 7
     n_angular: int = 12
-    n_random: int = 60
-    seed: int = 7
-    margin: float = 0.1
 
 
 def _grid_points(domain: Domain, grid: GridSpec) -> list[complex]:
-    lo = domain.inner_radius if domain.inner_radius > 0 else grid.margin * domain.radius
-    lo = lo + grid.margin * (domain.radius - lo)
-    hi = domain.radius * (1 - grid.margin)
+    lo = domain.inner_radius if domain.inner_radius > 0 else GRID_MARGIN * domain.radius
+    lo = lo + GRID_MARGIN * (domain.radius - lo)
+    hi = domain.radius * (1 - GRID_MARGIN)
     radii = np.linspace(lo, hi, grid.n_radial)
     if domain.kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS):
-        angles = np.linspace(grid.margin * math.pi, math.pi * (1 - grid.margin), grid.n_angular)
+        angles = np.linspace(GRID_MARGIN * math.pi, math.pi * (1 - GRID_MARGIN), grid.n_angular)
     else:
         angles = np.linspace(-math.pi, math.pi, grid.n_angular, endpoint=False)
     pts = [complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in angles]
-    rng = np.random.default_rng(grid.seed)
+    rng = np.random.default_rng(GRID_SEED)
     tries = 0
     added = 0
-    while added < grid.n_random and tries < 100 * max(grid.n_random, 1):
+    while added < GRID_RANDOM and tries < 100 * GRID_RANDOM:
         tries += 1
         z = complex(rng.uniform(-domain.radius, domain.radius), rng.uniform(-domain.radius, domain.radius))
         if domain.contains(z) and all(abs(z - p) > 0.05 * domain.radius for p in domain.punctures):
@@ -155,7 +167,6 @@ def harmonicity_order(
     phi_fn: Callable,
     z: complex,
     hs: Sequence[float] = (1e-3, 5e-4, 2.5e-4),
-    floor: float = 1e-9,
 ) -> tuple[float | None, tuple[float, ...]]:
     """Fitted decay order of the discrete Laplacian under h refinement.
 
@@ -163,18 +174,18 @@ def harmonicity_order(
     noise floor (already harmonic to rounding), which counts as a pass.
     """
     res = [max(laplacian_residuals(phi_fn, z, h)) for h in hs]
-    if max(res) <= floor:
+    if max(res) <= HARMONIC_FLOOR:
         return None, tuple(res)
     slope = np.polyfit(np.log(hs), np.log(np.maximum(res, 1e-300)), 1)[0]
     return float(slope), tuple(res)
 
 
-def estimate_order(e, p: complex, radii: Sequence[float] = (1e-2, 3e-3, 1e-3)) -> float:
+def estimate_order(e, p: complex) -> float:
     """Estimated order of growth of an expression at p: the log-log slope of
     |e| along shrinking circles (negative for poles, positive for zeros)."""
     fn = compile_fn(e)
     logs = []
-    for r in radii:
+    for r in ORDER_RADII:
         vals = []
         for k in range(8):
             w = p + r * cmath.exp(2j * math.pi * (k + 0.5) / 8)
@@ -187,7 +198,7 @@ def estimate_order(e, p: complex, radii: Sequence[float] = (1e-2, 3e-3, 1e-3)) -
         if not vals:
             return math.nan
         logs.append(sum(vals) / len(vals))
-    slope = np.polyfit(np.log(radii), logs, 1)[0]
+    slope = np.polyfit(np.log(ORDER_RADII), logs, 1)[0]
     return float(slope)
 
 
@@ -224,10 +235,8 @@ def catenoid_data(boundary_circle: float | None = None) -> WeierstrassData:
 def check_orthogonality_obstruction(
     plane: Plane,
     data: WeierstrassData | None = None,
-    samples: Sequence[complex] | None = None,
     *,
     measured: Sequence[float] | None = None,
-    tol: float = 1e-6,
 ) -> CheckRecord:
     """Flag contacts that are impossible or degenerate when <N, n> -> 0.
 
@@ -242,10 +251,8 @@ def check_orthogonality_obstruction(
         if data is None:
             raise ValueError("need either data or measured values")
         unit_n, _ = CASES[kind].normalize(plane)
-        if samples is None:
-            samples = boundary_samples(data.domain)
         gfun = compile_fn(data.g)
-        ordered = sorted((complex(z) for z in samples), key=lambda z: -abs(z.imag))
+        ordered = sorted(boundary_samples(data.domain), key=lambda z: -abs(z.imag))
         gs = [gfun(z) for z in ordered]
         measured = []
         for gv in gs:
@@ -258,25 +265,25 @@ def check_orthogonality_obstruction(
     limit = finite[-1] if finite else math.inf
     details: dict = {"limit": limit, "plane_kind": kind.value}
     if kind is CausalClass.SPACELIKE:
-        if abs(limit) < max(tol, 1e-3):
+        if abs(limit) < max(OBSTRUCTION_TOL, 1e-3):
             return CheckRecord(
                 "orthogonality_obstruction",
                 False,
                 abs(limit),
-                tol,
+                OBSTRUCTION_TOL,
                 {**details, "message": "impossible contact: <N,n> -> 0 against a spacelike plane would force 1+|g|^2 = 0"},
             )
-        return CheckRecord("orthogonality_obstruction", True, abs(limit), tol, details)
+        return CheckRecord("orthogonality_obstruction", True, abs(limit), OBSTRUCTION_TOL, details)
     if kind is CausalClass.TIMELIKE:
-        if abs(limit) < max(tol, 1e-3):
+        if abs(limit) < max(OBSTRUCTION_TOL, 1e-3):
             return CheckRecord(
                 "orthogonality_obstruction",
                 False,
                 abs(limit),
-                tol,
+                OBSTRUCTION_TOL,
                 {**details, "message": "orthogonal contact: symmetric-reflection case, out of scope"},
             )
-        return CheckRecord("orthogonality_obstruction", True, abs(limit), tol, details)
+        return CheckRecord("orthogonality_obstruction", True, abs(limit), OBSTRUCTION_TOL, details)
     # lightlike: degenerate when g -> -1 on the boundary (|g| -> 1 there)
     if g_limit is not None and abs(g_limit + 1) < 0.05:
         return CheckRecord(
@@ -293,13 +300,12 @@ def check_cross_product_normal(
     data: WeierstrassData,
     z: complex,
     h: float = 1e-4,
-    q: QuadratureConfig | None = None,
-    tol: float | None = None,
 ) -> CheckRecord:
     """Compare the finite-difference X_u ^ X_v with the closed-form direction
-    |f|^2 (1-|g|^2) (2 Re g, 2 Im g, 1+|g|^2), fitting the overall scalar."""
-    q = q or QuadratureConfig()
-    tol = tol if tol is not None else 100 * h * h
+    |f|^2 (1-|g|^2) (2 Re g, 2 Im g, 1+|g|^2), fitting the overall scalar;
+    the residual passes at 100 h^2."""
+    q = QuadratureConfig()
+    tol = 100 * h * h
     field = data.field
     z = complex(z)
 

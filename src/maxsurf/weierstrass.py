@@ -173,20 +173,16 @@ class QuadratureConfig:
     """Controls for path integration.
 
     ``clearance`` is the closest approach allowed to a puncture before the
-    straight path is replaced by a two-segment detour; ``path_policy`` may
-    be "detour" (default) or "straight" (raise instead of detouring).
+    straight path is replaced by a two-segment detour.
     """
 
     tol: float = 1e-10
     max_depth: int = 26
     clearance: float = 0.05
-    path_policy: str = "detour"
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError("tolerance must be positive and finite")
-        if self.path_policy not in ("detour", "straight"):
-            raise ValueError("path_policy must be 'detour' or 'straight'")
 
 
 @dataclass(frozen=True)
@@ -264,6 +260,8 @@ def _phi_fn(f: Expr, g: Expr, array: bool = False) -> Callable:
 
 GAUSS_EPS = 1e-12
 """The Gauss normal is degenerate where |1 - |g|^2| < GAUSS_EPS (|g| = 1, the conelike locus)."""
+STEREO_TOL = 1e-9
+"""The most <N, N> may differ from -1 for stereo_inverse to accept N."""
 
 
 def gauss_from_g(w: complex) -> LVector:
@@ -281,10 +279,10 @@ def gauss_map(data: WeierstrassData, z: complex) -> LVector:
     return gauss_from_g(evaluate(data.g, z))
 
 
-def stereo_inverse(N: LVector, tol: float = 1e-9) -> complex:
+def stereo_inverse(N: LVector) -> complex:
     """Stereographic projection from (0,0,-1); inverts gauss_from_g on the upper sheet."""
     q = N.x1 * N.x1 + N.x2 * N.x2 - N.x3 * N.x3
-    if abs(q + 1) > tol:
+    if abs(q + 1) > STEREO_TOL:
         raise ValueError(f"not on the unit hyperboloid: <N,N> = {q}")
     if N.x3 < 0:
         raise ValueError("lower hyperboloid sheet is outside the projection chart")
@@ -400,11 +398,6 @@ def _build_path(z0: complex, z1: complex, punctures, cfg: QuadratureConfig) -> l
         for s, t in zip(points, points[1:]):
             w = _detour_point(s, t, p, cfg.clearance)
             if w is not None:
-                if cfg.path_policy == "straight":
-                    raise PathError(
-                        f"straight path from {a} to {b} passes within "
-                        f"{cfg.clearance} of puncture {p}"
-                    )
                 rebuilt.append(w)
             rebuilt.append(t)
         points = rebuilt

@@ -106,3 +106,30 @@ def random_polynomial_data(rng):
     g = poly(cvals(3, 0.2))  # |g| <= 0.6 < 1 on |z| <= 1
     dom = Domain(DomainKind.DISK, radius=1.0)
     return WeierstrassData(f, g, dom, 0j, LVector(0, 0, 0))
+
+
+# The reflected formulas (f_minus, g_minus) that extended configs carried
+# while the expression tree kept Schwarz conjugates of function calls as
+# sconj(...) wrappers.  Such configs still load: the parser folds sconj.
+SCONJ_FORMULAS = {
+    "spacelike_fixture": (
+        "-(-i*sconj(exp(-i*z))*(sconj(exp(i*z))/2))/(0.2500000000000018/(sconj(exp(i*z))/2))",
+        "0.2500000000000018/(sconj(exp(i*z))/2)",
+    ),
+    "timelike_fixture": (
+        "2*-(-0.5*i*(sconj(exp(-i*z))*(1-(i+sconj(sqrt(2))*-i*sconj(exp(i*z)))^2)))/(i*(1-(-1.0000000000002045*i+2.000000000000409/(i+sconj(sqrt(2))*-i*sconj(exp(i*z))-1.0000000000002045*i))^2))",
+        "-1.0000000000002045*i+2.000000000000409/(i+sconj(sqrt(2))*-i*sconj(exp(i*z))-1.0000000000002045*i)",
+    ),
+    "lightlike_fixture": (
+        "2*-(0.5*(sconj(exp(-i*z))*(1-(1+-i*sconj(exp(i*z)))/2)^2))/(1-(0.5000000000000044+0.24999999999999556/((1+-i*sconj(exp(i*z)))/2+-0.5000000000000044)))^2",
+        "0.5000000000000044+0.24999999999999556/((1+-i*sconj(exp(i*z)))/2+-0.5000000000000044)",
+    ),
+    "lightlike_tangent_fixture": (
+        "2*-(0.5*(-i*(1-(1+-i*(1+z/4)))^2))/(1-(2-(1+-i*(1+z/4))))^2",
+        "2-(1+-i*(1+z/4))",
+    ),
+    "catenoid_extension_fixture": (
+        "1/(0.2465969639416065/z)^2*(0.2465969639416065/z)*(0.2465969639416065/z^2)/(0.2465969639416066/(0.2465969639416065/z))",
+        "0.2465969639416066/(0.2465969639416065/z)",
+    ),
+}

@@ -1,0 +1,29 @@
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "capture_outputs.py"
+
+EXTENDABLE = ("catenoid-b07", "spacelike", "timelike", "lightlike")
+SURFACES = ("catenoid",) + tuple(name + ".ext" for name in EXTENDABLE)
+
+
+def test_capture_outputs_writes_one_file_per_command(tmp_path):
+    subprocess.run([sys.executable, str(TOOL), str(tmp_path)], check=True, capture_output=True, timeout=300)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    logs = [name for name in names if name.endswith(".txt")]
+    # numbered in run order: extend first, since check and eval read what it writes
+    assert [name[4:-4] for name in logs] == (
+        [f"extend-{name}" for name in EXTENDABLE]
+        + [f"check-{name}" for name in SURFACES]
+        + [f"eval-{name}-{k:02d}" for name in SURFACES for k in range(20)]
+        + ["mesh-65", "mesh-33"]
+    )
+    assert sorted(set(names) - set(logs)) == sorted(
+        [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE]
+        + [f"{name}.cfg" for name in SURFACES[1:]]
+        + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
+    )
+    for name in logs:
+        if "-extend-" in name or "-check-" in name:
+            assert "\nexit 0\n" in (tmp_path / name).read_text(), name

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fixtures import SCONJ_FORMULAS
 from maxsurf import extension
 from maxsurf.cli import CATENOID_CONFIG, SurfaceConfig, main
 
@@ -163,7 +164,7 @@ def test_extend_timelike_roundtrip(timelike_cfg, tmp_path, capsys):
     assert report["matching"]["passed"] is True
     assert max(report["matching"]["gaps"].values()) < 1e-7
     text = open(out_path).read()
-    assert "sconj(" in text
+    assert "sconj(" not in text  # the parser folds Schwarz conjugates into the constants
     assert "g_minus" in text
     # the emitted config reloads into an assembled surface
     cfg = SurfaceConfig.from_file(out_path)
@@ -175,6 +176,44 @@ def test_extend_timelike_roundtrip(timelike_cfg, tmp_path, capsys):
     oracle = evaluate_surface(cfg.data, z)  # fixture formulas are global
     got = ext.evaluate(z)
     assert max(abs(a - b) for a, b in zip(oracle.as_tuple(), got.as_tuple())) < 1e-7
+
+
+def test_config_with_sconj_formulas_reads_the_same(timelike_cfg, tmp_path, capsys):
+    new = tmp_path / "new.extended"
+    assert main(["extend", timelike_cfg, "-o", str(new)]) == 0
+    capsys.readouterr()
+    f_old, g_old = SCONJ_FORMULAS["timelike_fixture"]
+    lines = [
+        f"f_minus = {f_old}" if line.startswith("f_minus = ")
+        else f"g_minus = {g_old}" if line.startswith("g_minus = ")
+        else line
+        for line in new.read_text().splitlines()
+    ]
+    old = tmp_path / "old.extended"
+    old.write_text("\n".join(lines) + "\n")
+    assert "sconj(" in old.read_text() and "sconj(" not in new.read_text()
+
+    def outputs(path):
+        runs = [(main(["check", str(path)]), capsys.readouterr())]
+        for at in ("0.2,0.3", "-0.35,0.15", "0.05,0.55", "0.2,-0.3", "-0.35,-0.15", "0.05,-0.55"):
+            runs.append((main(["eval", str(path), "--at", at]), capsys.readouterr()))
+        return runs
+
+    runs = outputs(old)
+    assert [rc for rc, _ in runs] == [0] * 7
+    assert runs == outputs(new)
+
+
+def test_extend_on_a_tiny_domain_fails_in_one_line(tmp_path, capsys):
+    # arc positions closer than 1e-9 must not merge into one tail of samples
+    p = tmp_path / "tiny.cfg"
+    p.write_text(
+        "f = i*exp(-i*z)\ng = exp(i*z)/2\ndomain = upper-half-disk\nradius = 1e-11\n"
+        "z0 = 0.5e-11*i\nX0 = 0,0,0\ntol = 1e-10\nplane = 0,0,1,-0.25\n"
+    )
+    assert main(["extend", str(p), "-o", str(tmp_path / "tiny.extended")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("extension failed: ") and err.count("\n") == 1
 
 
 def test_extend_catenoid_slice_check(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Property tests for the expression language on generated trees and points.
 
 The generator builds canonical trees, as parse and the constructors do: a
-Schwarz conjugate wraps only a function call (``sconj`` applies the rest),
-a negation never wraps a constant (the parser folds those), and constants
-are real or i, the constants the printer writes as one literal.
+negation never wraps a constant (the parser folds those), and constants are
+real or i, the constants the printer writes as one literal.  One branch
+applies ``sconj`` to a function call; that conjugates the constants below
+it, so -i occurs as well, which the printer also writes as one literal.
 """
 
 import cmath
@@ -79,13 +80,12 @@ def _scale(e, z):
     """The largest value any subexpression takes near z, the size of its round-off."""
     size = 1.0
     for t in _subtrees(e):
-        for w in (z, z.conjugate()):  # a subtree under sconj is evaluated at conj(z)
-            try:
-                v = abs(evaluate(t, w))
-            except EvalError:
-                continue
-            if v == v and v != float("inf"):
-                size = max(size, v)
+        try:
+            v = abs(evaluate(t, z))
+        except EvalError:
+            continue
+        if v == v and v != float("inf"):
+            size = max(size, v)
     return size
 
 

@@ -205,13 +205,6 @@ def test_detour_waypoints_reported():
     assert result.error < 1e-9
 
 
-def test_straight_policy_raises_near_puncture():
-    data = catenoid_data()
-    q = QuadratureConfig(path_policy="straight")
-    with pytest.raises(PathError):
-        surface_path(data, cmath.exp(complex(-0.5, 3.1)), q)
-
-
 def test_path_endpoint_on_puncture_rejected():
     data = catenoid_data()
     with pytest.raises(PathError):

@@ -1,0 +1,89 @@
+"""Capture the CLI's outputs on the benchmark's inputs, one file per command.
+
+    python3 tools/capture_outputs.py OUTDIR
+
+Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
+``maxsurf.cli.main`` in this checkout on them:
+
+  - ``extend`` on the four configs that carry a plane, writing ``NAME.ext.cfg``;
+  - ``check`` on the five surfaces (the catenoid and the four extensions);
+  - ``eval`` at 20 seeded points per surface, 10 on each side of the arc;
+  - ``mesh`` of the catenoid at 65x65 and 33x33.
+
+Each command leaves ``NNN-COMMAND-TARGET.txt`` with its exit code, stdout and
+stderr; the configs, OBJ files and sidecars stay next to them.  Commands run
+inside OUTDIR with relative paths, so the files depend only on the code.
+To compare two commits, run each checkout's copy of this script into its own
+directory and compare the two with ``diff -r``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from maxsurf.cli import main  # noqa: E402
+from workloads import BASE_CONFIGS, EXTENDABLE, RHO, SURFACES, sample_point  # noqa: E402
+
+EVAL_POINTS = 10  # per side of the arc
+MESH_SIZES = (65, 33)
+
+
+def _original_side(surface: str, z: complex) -> bool:
+    return abs(z) >= RHO if surface.startswith("catenoid") else z.imag >= 0
+
+
+def eval_points(surface: str) -> list[complex]:
+    """Seeded points of the surface's domain, EVAL_POINTS on each side of its arc."""
+    rng = np.random.default_rng(SURFACES.index(surface))
+    if surface == "catenoid":  # no arc
+        return [sample_point(surface, rng) for _ in range(2 * EVAL_POINTS)]
+    sides: dict[bool, list[complex]] = {True: [], False: []}
+    while min(map(len, sides.values())) < EVAL_POINTS:
+        z = sample_point(surface, rng)
+        side = sides[_original_side(surface, z)]
+        if len(side) < EVAL_POINTS:
+            side.append(z)
+    return sides[True] + sides[False]
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(file stem, argv) of every command, in run order."""
+    cmds = [(f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]) for name in EXTENDABLE]
+    cmds += [(f"check-{name}", ["check", f"{name}.cfg"]) for name in SURFACES]
+    for name in SURFACES:
+        for k, z in enumerate(eval_points(name)):
+            cmds.append((f"eval-{name}-{k:02d}", ["eval", f"{name}.cfg", f"--at={z.real!r},{z.imag!r}"]))
+    for n in MESH_SIZES:
+        cmds.append((f"mesh-{n}", ["mesh", "catenoid.cfg", "--grid", f"{n}x{n}", "-o", f"catenoid-{n}.obj"]))
+    return cmds
+
+
+def run(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return f"$ maxsurf {' '.join(argv)}\nexit {rc}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def capture(outdir: Path) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(outdir)
+    for name, text in BASE_CONFIGS.items():
+        Path(f"{name}.cfg").write_text(text)
+    for k, (stem, argv) in enumerate(commands()):
+        Path(f"{k:03d}-{stem}.txt").write_text(run(argv))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    capture(Path(sys.argv[1]).resolve())

@@ -362,10 +362,13 @@ def build_mesh(
     z0, every other vertex from its parent along the grid edge between
     them, with tol / (forest depth + 1) per edge so each vertex still meets
     tol.  See ``weierstrass.surface_tree``, which integrates all edges
-    together on arrays.  The conformal factor and Gauss normal of all
-    valid vertices come from one array evaluation of the field and of g;
-    a vertex with a non-finite value there is redone by conformal_factor
-    and gauss_map.  The mesh holds arrays (see ``SurfaceMesh``).
+    together on arrays and, when that batch fails anywhere, again edge by
+    edge through integrate_path, so a failing mesh raises what evaluating
+    its edges one by one raises first.  The conformal factor and Gauss
+    normal of all valid vertices come from one array evaluation of the
+    field and of g; a vertex with a non-finite value there is redone by
+    conformal_factor and gauss_map.  The mesh holds arrays (see
+    ``SurfaceMesh``).
 
     Cells touching a vertex with conformal factor below mask_eps (the
     degenerate locus |g| = 1) or a vertex outside the domain closure are

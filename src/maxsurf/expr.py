@@ -16,8 +16,10 @@ anything else.  The input syntax also accepts ``sconj(e)``, the Schwarz
 conjugate z -> conj(e(conj(z))); the parser applies the ``sconj``
 constructor, so no tree carries it (see ``sconj``).
 
-Canonical printing is deterministic and structurally round-trips: parsing
-the printed form rebuilds an identical tree, so re-evaluation is bit-exact.
+Canonical printing is deterministic.  Parsing the printed form rebuilds an
+identical tree when every constant is real or +-i; any other constant prints
+as arithmetic on i (``Const(-0.5j)`` as ``-0.5*i``), which parses to a
+different tree that evaluates to the same values.
 Expression trees are immutable and all operations here are pure, so they
 are safe to share across threads.
 """
@@ -656,5 +658,6 @@ def _fmt(e: Expr) -> tuple[str, int]:
 
 
 def format_expr(e: Expr) -> str:
-    """Canonical printing; parse(format_expr(e)) rebuilds an identical tree."""
+    """Canonical printing.  parse(format_expr(e)) rebuilds e when its constants
+    are real or +-i, and otherwise a tree with the same values."""
     return _fmt(e)[0]

@@ -104,8 +104,8 @@ HARMONIC_FLOOR = 1e-9
 """Discrete Laplacian residuals at or below this are harmonic to rounding."""
 ORDER_RADII = (1e-2, 3e-3, 1e-3)
 """The circle radii over which estimate_order fits its log-log slope."""
-OBSTRUCTION_TOL = 1e-6
-"""The tolerance an orthogonality obstruction record reports."""
+OBSTRUCTION_TOL = 1e-3
+"""|<N, n>| below this at the boundary flags a spacelike or timelike contact as obstructed."""
 
 
 @dataclass(frozen=True)
@@ -264,26 +264,15 @@ def check_orthogonality_obstruction(
     finite = [m for m in measured if math.isfinite(m)]
     limit = finite[-1] if finite else math.inf
     details: dict = {"limit": limit, "plane_kind": kind.value}
-    if kind is CausalClass.SPACELIKE:
-        if abs(limit) < max(OBSTRUCTION_TOL, 1e-3):
-            return CheckRecord(
-                "orthogonality_obstruction",
-                False,
-                abs(limit),
-                OBSTRUCTION_TOL,
-                {**details, "message": "impossible contact: <N,n> -> 0 against a spacelike plane would force 1+|g|^2 = 0"},
+    if kind is not CausalClass.LIGHTLIKE:
+        passed = abs(limit) >= OBSTRUCTION_TOL
+        if not passed:
+            details["message"] = (
+                "impossible contact: <N,n> -> 0 against a spacelike plane would force 1+|g|^2 = 0"
+                if kind is CausalClass.SPACELIKE
+                else "orthogonal contact: symmetric-reflection case, out of scope"
             )
-        return CheckRecord("orthogonality_obstruction", True, abs(limit), OBSTRUCTION_TOL, details)
-    if kind is CausalClass.TIMELIKE:
-        if abs(limit) < max(OBSTRUCTION_TOL, 1e-3):
-            return CheckRecord(
-                "orthogonality_obstruction",
-                False,
-                abs(limit),
-                OBSTRUCTION_TOL,
-                {**details, "message": "orthogonal contact: symmetric-reflection case, out of scope"},
-            )
-        return CheckRecord("orthogonality_obstruction", True, abs(limit), OBSTRUCTION_TOL, details)
+        return CheckRecord("orthogonality_obstruction", passed, abs(limit), OBSTRUCTION_TOL, details)
     # lightlike: degenerate when g -> -1 on the boundary (|g| -> 1 there)
     if g_limit is not None and abs(g_limit + 1) < 0.05:
         return CheckRecord(

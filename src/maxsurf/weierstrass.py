@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import Add, Const, EvalError, Expr, Mul, Pow, Sub, compile_array, compile_fn, evaluate
+from .expr import Add, Const, Expr, Mul, Pow, Sub, compile_array, compile_fn, evaluate
 from .minkowski import LVector
 
 __all__ = [
@@ -159,9 +159,6 @@ class PhiTriple:
     phi1: complex
     phi2: complex
     phi3: complex
-
-    def as_tuple(self) -> tuple[complex, complex, complex]:
-        return (self.phi1, self.phi2, self.phi3)
 
     def density(self) -> float:
         """|phi1|^2 + |phi2|^2 - |phi3|^2, the induced metric density."""
@@ -474,9 +471,11 @@ def surface_tree(
     segments share the edge's tolerance as in integrate_path.  All segments
     are integrated together by ``_integrate_segments``, the panel by panel
     bisection of _integrate_segment run on arrays, so the panels are the
-    ones integrate_path would use.  Failures are those of integrating the
-    edges one by one in forest order: the first edge that cannot be built,
-    faults (EvalError) or misses its tolerance (ToleranceError) raises.
+    ones integrate_path would use.  That pass only computes.  When an edge
+    cannot be built or a segment does not converge (a non-finite node
+    included), ``_replay_edges`` integrates the forest again edge by edge
+    in forest order, which gives the values or raises what evaluate_surface
+    raises on the first failing edge.
     """
     q = q or QuadratureConfig()
     if len(points) != len(parents):
@@ -487,18 +486,16 @@ def surface_tree(
             raise ValueError(f"parent {p} of point {k} must come before it")
         depth.append(0 if p < 0 else depth[p] + 1)
     q_edge = replace(q, tol=q.tol / (max(depth, default=0) + 1))
+    starts = [data.z0 if p < 0 else points[p] for p in parents]
+    try:
+        paths = [_build_path(s, z, data.domain.punctures, q_edge) for s, z in zip(starts, points)]
+    except PathError:
+        paths = None  # the replay raises it, or what an earlier edge raises
     seg_a: list[complex] = []
     seg_b: list[complex] = []
     seg_tol: list[float] = []
     seg_edge: list[int] = []
-    path_error: PathError | None = None
-    for k, (z, p) in enumerate(zip(points, parents)):
-        start = data.z0 if p < 0 else points[p]
-        try:
-            path = _build_path(start, z, data.domain.punctures, q_edge)
-        except PathError as exc:
-            path_error = exc  # raised unless an earlier edge fails
-            break
+    for k, path in enumerate(paths or []):
         tol_each = q_edge.tol / max(len(path) - 1, 1)
         for a, b in zip(path, path[1:]):
             if a != b:
@@ -506,29 +503,32 @@ def surface_tree(
                 seg_b.append(b)
                 seg_tol.append(tol_each)
                 seg_edge.append(k)
-    edge = np.array(seg_edge, dtype=int)
-    seg_sum, seg_err, seg_ok, fault = _integrate_segments(
-        data, np.array(seg_a, dtype=complex), np.array(seg_b, dtype=complex), np.array(seg_tol), q.max_depth
-    )
-    sums = np.zeros((3, len(points)), dtype=complex)
-    err = np.zeros(len(points))
-    for c in range(3):
-        np.add.at(sums[c], edge, seg_sum[c])
-    np.add.at(err, edge, seg_err)
-    missed = edge[~seg_ok]  # a faulted segment is missed too, and fault lies on the first one
-    if len(missed):
-        k = int(missed[0])
-        if fault is not None and seg_edge[fault[0]] == k:
-            raise fault[2]
-        raise ToleranceError(f"quadrature did not converge on path to {complex(points[k])}", float(err[k]))
-    if path_error is not None:
-        raise path_error
+    a, b = np.array(seg_a, dtype=complex), np.array(seg_b, dtype=complex)
+    seg_sum, seg_ok = _integrate_segments(data.field_array, a, b, np.array(seg_tol), q.max_depth)
+    if paths is not None and seg_ok.all():
+        sums = np.zeros((3, len(points)), dtype=complex)
+        np.add.at(sums, (slice(None), seg_edge), seg_sum)
+    else:
+        sums = _replay_edges(data, starts, points, q_edge)
     levels = np.array(depth)
     up = np.array(parents)
     for d in range(1, int(levels.max(initial=0)) + 1):
         at = np.flatnonzero(levels == d)
         sums[:, at] += sums[:, up[at]]
     return np.array(data.X0.as_tuple()) + sums.real.T
+
+
+def _replay_edges(
+    data: WeierstrassData, starts: Sequence[complex], points: Sequence[complex], q_edge: QuadratureConfig
+) -> np.ndarray:
+    """The edge integrals (3, n) of surface_tree from integrate_path, edge by
+    edge in forest order: the values, or the failure of the first failing edge."""
+    field = data.field
+    sums = np.empty((3, len(points)), dtype=complex)
+    for k, (s, z) in enumerate(zip(starts, points)):
+        path = _build_path(s, z, data.domain.punctures, q_edge)
+        sums[:, k] = integrate_path(lambda a, b: field, path, q_edge)[0]
+    return sums
 
 
 _CHUNK = 512
@@ -539,23 +539,20 @@ _CHUNK = 512
 _NODES = np.array([0.0] + [s * x for x in _XGK for s in (-1.0, 1.0)])
 
 
-def _gk15_panels(data: WeierstrassData, a: np.ndarray, b: np.ndarray):
-    """_gk15 of data.field on many panels at once.
+def _gk15_panels(field_array: Callable, a: np.ndarray, b: np.ndarray):
+    """_gk15 of an array field on many panels at once.
 
-    Returns (integrals of shape (3, m), error estimates, faults).  A panel
-    with a non-finite field value anywhere on its nodes is redone by the
-    scalar _gk15, which gives its value or raises; ``faults`` lists
-    (panel, EvalError) for the panels that raised, whose values are NaN.
+    Returns (integrals of shape (3, m), error estimates).  The estimate is
+    NaN for a panel with a non-finite field value on any of its nodes.
     """
     m = len(a)
     out = np.empty((3, m), dtype=complex)
     err = np.empty(m)
-    faults: list[tuple[int, EvalError]] = []
     for s in range(0, m, _CHUNK):
         ca, cb = a[s : s + _CHUNK], b[s : s + _CHUNK]
         c = 0.5 * (ca + cb)
         h = 0.5 * (cb - ca)
-        values = np.array(data.field_array(c[:, None] + h[:, None] * _NODES))
+        values = np.array(field_array(c[:, None] + h[:, None] * _NODES))
         k = _WGK_CENTER * values[..., 0]
         g = _WG_CENTER * values[..., 0]
         for j, w in enumerate(_WGK):
@@ -564,61 +561,41 @@ def _gk15_panels(data: WeierstrassData, a: np.ndarray, b: np.ndarray):
             if j % 2 == 1:
                 g += _WG[j // 2] * pair
         out[:, s : s + _CHUNK] = h * k
-        err[s : s + _CHUNK] = np.abs(h) * np.abs(k - g).max(axis=0)
-        for i in np.flatnonzero(~np.isfinite(values).all(axis=(0, 2))):
-            try:
-                tri, e = _gk15(data.field, complex(ca[i]), complex(cb[i]))
-            except EvalError as exc:
-                faults.append((s + i, exc))
-                tri, e = (math.nan,) * 3, math.nan
-            out[:, s + i] = tri
-            err[s + i] = e
-    return out, err, faults
+        finite = np.isfinite(values).all(axis=(0, 2))
+        err[s : s + _CHUNK] = np.where(finite, np.abs(h) * np.abs(k - g).max(axis=0), np.nan)
+    return out, err
 
 
-def _integrate_segments(data: WeierstrassData, a: np.ndarray, b: np.ndarray, tol: np.ndarray, max_depth: int):
+def _integrate_segments(field_array: Callable, a: np.ndarray, b: np.ndarray, tol: np.ndarray, max_depth: int):
     """_integrate_segment on every segment [a[i], b[i]] at once, level by level.
 
     Each level evaluates all pending panels in one _gk15_panels call.  A
     panel stops, as in _integrate_segment, when its estimate meets its
     tolerance or 1e-15 of its largest component, at depth 0 or on NaN;
     the others are halved with half the tolerance.  Returns the
-    integrals (3, n), error estimates, converged flags and the first
-    fault in the order _integrate_segment meets them (segment, then
-    position along it) as (segment, position, EvalError), or None.
+    integrals (3, n) and the converged flags.
     """
     n = len(a)
     sums = np.zeros((3, n), dtype=complex)
-    err = np.zeros(n)
     ok = np.ones(n, dtype=bool)
-    fault = None
     seg = np.arange(n)
-    pos = np.zeros(n)  # where each panel starts, as a fraction of its segment
-    width = 1.0
     depth = max_depth
     with np.errstate(all="ignore"):
         while len(a):
-            out, e, faults = _gk15_panels(data, a, b)
-            for i, exc in faults:
-                key = (int(seg[i]), float(pos[i]), exc)
-                if fault is None or key[:2] < fault[:2]:
-                    fault = key
+            out, e = _gk15_panels(field_array, a, b)
             mag = np.abs(out).max(axis=0)
             good = (e <= tol) | (e <= 1e-15 * mag)
             done = good | np.isnan(e) | (depth <= 0)
             for c in range(3):
                 np.add.at(sums[c], seg[done], out[c, done])
-            np.add.at(err, seg[done], e[done])
             ok[seg[done & ~good]] = False
             go = ~done
             mid = 0.5 * (a[go] + b[go])
-            width *= 0.5
             a, b = np.concatenate((a[go], mid)), np.concatenate((mid, b[go]))
             tol = np.tile(0.5 * tol[go], 2)
             seg = np.tile(seg[go], 2)
-            pos = np.concatenate((pos[go], pos[go] + width))
             depth -= 1
-    return sums, err, ok, fault
+    return sums, ok
 
 
 def loop_periods(

@@ -18,12 +18,23 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"check-{name}" for name in SURFACES]
         + [f"eval-{name}-{k:02d}" for name in SURFACES for k in range(20)]
         + ["mesh-65", "mesh-33"]
+        + ["mesh-pole-9", "mesh-pole-17", "mesh-overflow-17", "eval-poly-degenerate"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
-        [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE]
+        [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + ("pole", "overflow", "poly")]
         + [f"{name}.cfg" for name in SURFACES[1:]]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
     )
     for name in logs:
         if "-extend-" in name or "-check-" in name:
             assert "\nexit 0\n" in (tmp_path / name).read_text(), name
+    failing = {
+        "mesh-pole-9": (2, "error: division by zero in '1/(z+0.0625*i)'\n"),
+        "mesh-pole-17": (1, "error: quadrature did not converge on path to -0.0625j"),
+        "mesh-overflow-17": (1, "(achieved error estimate nan)\n"),
+        "eval-poly-degenerate": (0, "N = degenerate (|g| = 1)\n"),
+    }
+    for name in logs[-4:]:
+        code, line = failing[name[4:-4]]
+        text = (tmp_path / name).read_text()
+        assert f"\nexit {code}\n" in text and line in text, name

@@ -567,3 +567,54 @@ def test_matching_fault_fails_check_but_not_eval(tmp_path, capsys):
     expected = capsys.readouterr()
     assert main(["eval", str(bad), "--at=0.2,0.3"]) == 0
     assert capsys.readouterr() == expected
+
+
+# ---------------------------------------------------------------------------
+# exit paths pinned line for line
+
+
+def test_eval_on_the_degenerate_locus_prints_no_normal(tmp_path, capsys):
+    p = tmp_path / "poly.cfg"
+    p.write_text("f = 1\ng = z\ndomain = disk\nradius = 2\nz0 = 0\n")
+    assert main(["eval", str(p), "--at=1,0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    X = [float(t) for t in lines[0][5:-1].split(",")]
+    assert max(abs(a - b) for a, b in zip(X, (2 / 3, 0, 0.5))) < 1e-12  # Re(z/2 + z^3/6, ., z^2/2) at z = 1
+    assert lines[1:] == ["N = degenerate (|g| = 1)", "conformal_factor = 0"]
+
+
+def _spacelike_extended(tmp_path, capsys, plane):
+    """The emitted spacelike config without its reflected line, with plane replaced (or dropped if None)."""
+    base = tmp_path / "spacelike.cfg"
+    base.write_text(_EXTENDABLE["spacelike"])
+    text = _extend_to(str(base), str(tmp_path / "spacelike.ext.cfg"), capsys)
+    kept = [line for line in text.splitlines(True) if not line.startswith(("reflected", "plane"))]
+    p = tmp_path / "edited.cfg"
+    p.write_text("".join(kept) + ("" if plane is None else f"plane = {plane}\n"))
+    return str(p)
+
+
+@pytest.mark.parametrize("command", [["check"], ["eval", "--at=0.2,0.3"]])
+def test_extended_config_off_the_contact_plane_exits_1(tmp_path, capsys, command):
+    cfg = _spacelike_extended(tmp_path, capsys, "0,1,0,0.1")
+    assert main([command[0], cfg, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: constant-angle hypothesis violated: <N,n> varies by 7.855e-01 about -0.000000\n"
+
+
+@pytest.mark.parametrize("command", [["check"], ["eval", "--at=0.2,0.3"]])
+def test_extended_config_without_plane_exits_2(tmp_path, capsys, command):
+    cfg = _spacelike_extended(tmp_path, capsys, None)
+    assert main([command[0], cfg, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: field 'plane': extended config needs the plane\n"
+
+
+def test_extend_into_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("spacelike.cfg").write_text(_EXTENDABLE["spacelike"])
+    assert main(["extend", "spacelike.cfg", "-o", "missing/out.cfg"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write missing/out.cfg: [Errno 2] No such file or directory: 'missing/out.cfg'\n"

@@ -12,7 +12,7 @@ from fixtures import (
     spacelike_fixture,
     timelike_fixture,
 )
-from maxsurf.expr import evaluate, format_expr, parse
+from maxsurf.expr import compile_array, compile_fn, evaluate, format_expr, parse
 from maxsurf.extension import (
     BoundaryArc,
     CircleOrLine,
@@ -346,6 +346,37 @@ def test_sconj_formulas_parse_to_the_emitted_trees(fixture):
     f_old, g_old = SCONJ_FORMULAS[fixture.__name__]
     assert parse(f_old) == parse(format_expr(ext.f_minus))
     assert parse(g_old) == parse(format_expr(ext.g_minus))
+
+
+_LATTICE = np.array([complex(x, y) for x in np.linspace(-1.2, 1.2, 25) for y in np.linspace(-1.2, 1.2, 25)])
+
+
+def _scalar_values(fn):
+    out = []
+    for z in _LATTICE.tolist():
+        try:
+            w = fn(z)
+        except Exception as exc:
+            out.append(type(exc))
+        else:
+            out.append((repr(w.real), repr(w.imag)))
+    return out
+
+
+def _array_values(fn):
+    w = np.broadcast_to(fn(_LATTICE), _LATTICE.shape)
+    return [(repr(v.real), repr(v.imag)) for v in w.tolist()]
+
+
+@pytest.mark.parametrize("fixture", [c[0] for c in EMITTED_FORMULAS], ids=lambda fx: fx.__name__)
+def test_emitted_formulas_evaluate_like_the_trees_extend_built(fixture):
+    # extend reports matching on its own trees and check reads the printed ones;
+    # a complex constant such as -0.5j prints as -0.5*i and parses to a product
+    ext = extend(*fixture())
+    for built in (ext.f_minus, ext.g_minus):
+        read = parse(format_expr(built))
+        assert _scalar_values(compile_fn(read)) == _scalar_values(compile_fn(built))
+        assert _array_values(compile_array(read)) == _array_values(compile_array(built))
 
 
 def test_extension_dispatch():

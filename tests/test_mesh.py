@@ -146,6 +146,21 @@ def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch):
     assert len(panels) == 1154  # 1,088 grid edges, 33 of them halved once
 
 
+@pytest.mark.parametrize("n", [65, 33])
+def test_catenoid_meshes_are_never_replayed(monkeypatch, n):
+    # a failed batch is replayed edge by edge through integrate_path
+    calls = []
+    scalar = weierstrass.integrate_path
+
+    def counted(field_for, points, q):
+        calls.append(points)
+        return scalar(field_for, points, q)
+
+    monkeypatch.setattr(weierstrass, "integrate_path", counted)
+    build_mesh(catenoid_data(), n, n)
+    assert calls == []
+
+
 def test_tree_mesh_still_raises_tolerance_error():
     with pytest.raises(ToleranceError):
         build_mesh(catenoid_data(), 17, 17, q=QuadratureConfig(tol=1e-14, max_depth=1))

@@ -151,6 +151,16 @@ def test_obstruction_timelike_orthogonal_out_of_scope():
     assert "out of scope" in rec.details["message"]
 
 
+@pytest.mark.parametrize("normal", [LVector(0, 0, 1), LVector(0, 1, 0)], ids=["spacelike", "timelike"])
+def test_obstruction_decides_at_the_tolerance_it_reports(normal):
+    plane = Plane(normal, 0.0)
+    below = check_orthogonality_obstruction(plane, measured=[0.5, 5e-4])
+    above = check_orthogonality_obstruction(plane, measured=[0.5, 2e-3])
+    assert not below.passed and above.passed
+    assert below.tolerance == above.tolerance == 1e-3
+    assert (below.max_residual, above.max_residual) == (5e-4, 2e-3)
+
+
 def test_obstruction_lightlike_degenerate():
     dom = Domain(DomainKind.HALF_DISK, radius=0.7)
     data = WeierstrassData(parse("1"), parse("-1 + 0.01*i*z"), dom, 0.5j, LVector(0, 0, 0))

@@ -8,7 +8,11 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``extend`` on the four configs that carry a plane, writing ``NAME.ext.cfg``;
   - ``check`` on the five surfaces (the catenoid and the four extensions);
   - ``eval`` at 20 seeded points per surface, 10 on each side of the arc;
-  - ``mesh`` of the catenoid at 65x65 and 33x33.
+  - ``mesh`` of the catenoid at 65x65 and 33x33;
+  - commands that fail or degenerate, so that their error lines are compared
+    too: ``mesh`` with a pole of f on a quadrature node (9x9, exit 2) and
+    near one (17x17, exit 1), ``mesh`` of an f that overflows (exit 1), and
+    ``eval`` on |g| = 1 (no normal).
 
 Each command leaves ``NNN-COMMAND-TARGET.txt`` with its exit code, stdout and
 stderr; the configs, OBJ files and sidecars stay next to them.  Commands run
@@ -35,6 +39,11 @@ from workloads import BASE_CONFIGS, EXTENDABLE, RHO, SURFACES, sample_point  # n
 
 EVAL_POINTS = 10  # per side of the arc
 MESH_SIZES = (65, 33)
+FAULT_CONFIGS = {
+    "pole": "f = 1/(z+0.0625*i)\ng = z/3\ndomain = disk\nz0 = 0\nmesh_range = -0.5,0.5,-0.5,0.5\n",
+    "overflow": "f = 1/(z*1e300*1e300)\ng = z/3\ndomain = disk\nz0 = 0\n",
+    "poly": "f = 1\ng = z\ndomain = disk\nradius = 2\nz0 = 0\n",
+}
 
 
 def _original_side(surface: str, z: complex) -> bool:
@@ -64,6 +73,9 @@ def commands() -> list[tuple[str, list[str]]]:
             cmds.append((f"eval-{name}-{k:02d}", ["eval", f"{name}.cfg", f"--at={z.real!r},{z.imag!r}"]))
     for n in MESH_SIZES:
         cmds.append((f"mesh-{n}", ["mesh", "catenoid.cfg", "--grid", f"{n}x{n}", "-o", f"catenoid-{n}.obj"]))
+    for name, n in (("pole", 9), ("pole", 17), ("overflow", 17)):
+        cmds.append((f"mesh-{name}-{n}", ["mesh", f"{name}.cfg", "--grid", f"{n}x{n}", "-o", f"{name}-{n}.obj"]))
+    cmds.append(("eval-poly-degenerate", ["eval", "poly.cfg", "--at=1,0"]))
     return cmds
 
 
@@ -77,7 +89,7 @@ def run(argv: list[str]) -> str:
 def capture(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
-    for name, text in BASE_CONFIGS.items():
+    for name, text in {**BASE_CONFIGS, **FAULT_CONFIGS}.items():
         Path(f"{name}.cfg").write_text(text)
     for k, (stem, argv) in enumerate(commands()):
         Path(f"{k:03d}-{stem}.txt").write_text(run(argv))

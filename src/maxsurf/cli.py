@@ -31,7 +31,6 @@ from .extension import CASES, ExtendedSurface, ExtensionError, extend, measure_c
 from .minkowski import LVector, Plane, plane_class
 from .verify import full_diagnostics, GridSpec
 from .weierstrass import (
-    GAUSS_EPS,
     DegenerateMetricError,
     Domain,
     DomainKind,
@@ -39,6 +38,7 @@ from .weierstrass import (
     QuadratureConfig,
     SurfaceError,
     WeierstrassData,
+    _gauss_arrays,
     conformal_factor,
     evaluate_surface,
     gauss_map,
@@ -410,12 +410,9 @@ def _vertex_attributes(data: WeierstrassData, z: np.ndarray) -> tuple[np.ndarray
     they would alone."""
     with np.errstate(all="ignore"):
         lam = PhiTriple(*data.field_array(z)).density()
-        w = compile_array(data.g)(z)
-        ww = w.real * w.real + w.imag * w.imag
-        den = 1.0 - ww  # gauss_from_g's arithmetic, elementwise
-        normal = np.stack((2 * w.real / den, 2 * w.imag / den, (1 + ww) / den), axis=1)
+    normal, degenerate = _gauss_arrays(compile_array(data.g)(z))
     rerun = np.flatnonzero(~(np.isfinite(lam) & np.isfinite(normal).all(axis=1)))
-    normal[np.abs(den) < GAUSS_EPS] = np.nan
+    normal[degenerate] = np.nan
     for k in rerun.tolist():
         zk = complex(z[k])
         lam[k] = conformal_factor(data, zk)
@@ -619,8 +616,7 @@ def cmd_extend(args) -> int:
     except ExtensionError as exc:
         sys.stderr.write(f"extension failed: {exc}\n")
         return 1
-    report = _extend_report(ext)
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    report = json.dumps(_extend_report(ext), sort_keys=True, indent=2) + "\n"
     out = args.output or (args.config + ".extended")
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -628,6 +624,7 @@ def cmd_extend(args) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: cannot write {out}: {exc}\n")
         return 2
+    sys.stdout.write(report)  # only once the extension is written
     return 0 if ext.matching.passed else 1
 
 

@@ -443,7 +443,7 @@ _SCALAR: dict[type, Callable] = {
 
 def _finite(x: np.ndarray) -> np.ndarray:
     """x with every non-finite element replaced by NaN."""
-    return np.where(np.isfinite(x), x, np.nan)
+    return x if np.isfinite(x).all() else np.where(np.isfinite(x), x, np.nan)
 
 
 def _array_const(e: Const):

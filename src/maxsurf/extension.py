@@ -72,6 +72,7 @@ from .weierstrass import (
     _build_path,
     gauss_from_g,
     integrate_path,
+    integrate_paths,
     phi_exprs,
 )
 
@@ -656,9 +657,6 @@ class ExtendedSurface:
     def reflect(self, z: complex) -> complex:
         return self.contact.boundary.reflect(complex(z))
 
-    def on_original_side(self, z: complex) -> bool:
-        return self.contact.boundary.on_original_side(complex(z))
-
     @cached_property
     def minus(self) -> WeierstrassData:
         """The reflected-side formulas as a patch on the original domain's chart."""
@@ -671,7 +669,7 @@ class ExtendedSurface:
 
     def side(self, z: complex) -> WeierstrassData:
         """The Weierstrass data that holds at z: the original or the reflected side."""
-        return self.original if self.on_original_side(z) else self.minus
+        return self.original if self.contact.boundary.on_original_side(complex(z)) else self.minus
 
     @cached_property
     def _punctures(self) -> tuple[complex, ...]:
@@ -682,21 +680,31 @@ class ExtendedSurface:
                 pts.append(q)
         return tuple(pts)
 
-    def evaluate(self, z: complex, q: QuadratureConfig | None = None) -> LVector:
-        """X(z) on the assembled domain, anchored at the original basepoint."""
-        q = q or QuadratureConfig()
-        z = complex(z)
-        data = self.original
+    def _path(self, z: complex, q: QuadratureConfig) -> tuple[list[complex], Callable]:
+        """The polyline of X(z), around the punctures and with a knot wherever
+        it crosses the arc, and the side whose data holds on each segment."""
+        points = _build_path(self.original.z0, complex(z), self._punctures, q)
         arc = self.contact.boundary
-        points = _build_path(data.z0, z, self._punctures, q)
         knots = [points[0]]
         for a, b in zip(points, points[1:]):
             knots += sorted(arc.crossings(a, b), key=lambda w: abs(w - a))
             knots.append(b)
-        (t1, t2, t3), _ = integrate_path(
-            lambda a, b: self.side(0.5 * (a + b)).field, knots, q
-        )
-        return LVector(data.X0.x1 + t1.real, data.X0.x2 + t2.real, data.X0.x3 + t3.real)
+        return knots, lambda a, b: self.side(0.5 * (a + b))
+
+    def evaluate(self, z: complex, q: QuadratureConfig | None = None) -> LVector:
+        """X(z) on the assembled domain, anchored at the original basepoint."""
+        q = q or QuadratureConfig()
+        knots, side_for = self._path(z, q)
+        (t1, t2, t3), _ = integrate_path(lambda a, b: side_for(a, b).field, knots, q)
+        return self.original.X0 + LVector(t1.real, t2.real, t3.real)
+
+    def evaluate_many(self, zs: Sequence[complex], q: QuadratureConfig | None = None) -> np.ndarray:
+        """``evaluate`` at every point of zs as an (n, 3) array, from one batch
+        (see ``weierstrass.integrate_paths``); a failing point raises what
+        evaluate raises there."""
+        q = q or QuadratureConfig()
+        sums = integrate_paths((self._path(z, q) for z in zs), q)
+        return np.array(self.original.X0.as_tuple()) + sums.real.T
 
 
 def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offsets: Sequence[complex]):

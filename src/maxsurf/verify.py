@@ -5,6 +5,14 @@ whole report serializes to JSON with a stable layout, so identical inputs
 give byte-identical reports.  The built-in reference surface is the
 Lorentzian catenoid patch f = 1/z^2, g = z on the punctured unit disk, whose
 closed form is (sinh u cos v, sinh u sin v, u) under z = e^(u+iv).
+
+The suite declares its points first (per side, where phi and g are checked
+and the harmonicity panels; the paths of path independence and of the
+containment and symmetry points), evaluates them in batches on arrays, and
+makes the records from the results in a fixed order.  The scalar phi,
+gauss_from_g, laplacian_residuals and integrate_path decide every
+non-finite value and failure, so reports and errors are those of checking
+point by point, with floats moved only at round-off.
 """
 
 from __future__ import annotations
@@ -13,28 +21,33 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import EvalError, compile_fn, evaluate, parse
+from .expr import EvalError, compile_array, compile_fn, evaluate, parse
 from .minkowski import CausalClass, LVector, Plane, lorentz_cross, lorentz_inner, plane_class
 from .weierstrass import (
+    STEREO_TOL,
     DegenerateMetricError,
     Domain,
     DomainKind,
     PhiTriple,
     QuadratureConfig,
+    SurfaceError,
     WeierstrassData,
+    _build_path,
+    _gauss_arrays,
     _gk15,
+    _gk15_panels,
+    _loop_path,
     gauss_from_g,
     integrate_path,
-    loop_periods,
-    phi,
+    integrate_paths,
     stereo_inverse,
-    surface_path,
 )
-from .extension import CASES, ExtendedSurface, boundary_samples
+from .extension import CASES, ExtendedSurface, boundary_points, boundary_samples
 
 __all__ = [
     "CheckRecord",
@@ -61,13 +74,7 @@ class CheckRecord:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "details": self.details,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -102,6 +109,8 @@ GRID_SEED = 7
 """The seed of those points."""
 HARMONIC_FLOOR = 1e-9
 """Discrete Laplacian residuals at or below this are harmonic to rounding."""
+HARMONIC_STEPS = (1e-3, 5e-4, 2.5e-4)
+"""The steps h of the discrete Laplacian whose decay harmonicity_order fits."""
 ORDER_RADII = (1e-2, 3e-3, 1e-3)
 """The circle radii over which estimate_order fits its log-log slope."""
 OBSTRUCTION_TOL = 1e-3
@@ -120,22 +129,30 @@ def _grid_points(domain: Domain, grid: GridSpec) -> list[complex]:
     lo = domain.inner_radius if domain.inner_radius > 0 else GRID_MARGIN * domain.radius
     lo = lo + GRID_MARGIN * (domain.radius - lo)
     hi = domain.radius * (1 - GRID_MARGIN)
-    radii = np.linspace(lo, hi, grid.n_radial)
+    radii = np.linspace(lo, hi, grid.n_radial)[:, None]
     if domain.kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS):
         angles = np.linspace(GRID_MARGIN * math.pi, math.pi * (1 - GRID_MARGIN), grid.n_angular)
     else:
         angles = np.linspace(-math.pi, math.pi, grid.n_angular, endpoint=False)
-    pts = [complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in angles]
-    rng = np.random.default_rng(GRID_SEED)
-    tries = 0
-    added = 0
-    while added < GRID_RANDOM and tries < 100 * GRID_RANDOM:
-        tries += 1
-        z = complex(rng.uniform(-domain.radius, domain.radius), rng.uniform(-domain.radius, domain.radius))
-        if domain.contains(z) and all(abs(z - p) > 0.05 * domain.radius for p in domain.punctures):
-            pts.append(z)
-            added += 1
-    return [z for z in pts if domain.contains(z) and all(abs(z - p) > 0.04 * domain.radius for p in domain.punctures)]
+    lattice = radii * [math.cos(t) for t in angles] + 1j * (radii * [math.sin(t) for t in angles])
+    # the draws of GRID_RANDOM random points, one (re, im) pair per try, all tries at once
+    R = domain.radius
+    tries = np.random.default_rng(GRID_SEED).uniform(-R, R, size=(100 * GRID_RANDOM, 2)).view(complex)[:, 0]
+    pts = np.concatenate((lattice.ravel(), tries[_admitted(domain, tries, 0.05 * R)][:GRID_RANDOM]))
+    return pts[_admitted(domain, pts, 0.04 * R)].tolist()
+
+
+def _admitted(domain: Domain, z: np.ndarray, spacing: float) -> np.ndarray:
+    """Domain.contains elementwise on finite points, also keeping ``spacing`` from every puncture."""
+    r = np.abs(z)
+    ok = r < domain.radius
+    if domain.kind in (DomainKind.ANNULUS, DomainKind.HALF_ANNULUS):
+        ok &= r > domain.inner_radius
+    if domain.kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS):
+        ok &= z.imag > 0
+    for p in domain.punctures:
+        ok &= np.abs(z - p) > max(spacing, 1e-12 * max(domain.radius, 1.0))
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +181,23 @@ def laplacian_residuals(phi_fn: Callable, z: complex, h: float) -> tuple[float, 
 
 
 def harmonicity_order(
-    phi_fn: Callable,
-    z: complex,
-    hs: Sequence[float] = (1e-3, 5e-4, 2.5e-4),
+    phi_fn: Callable, z: complex, hs: Sequence[float] = HARMONIC_STEPS
 ) -> tuple[float | None, tuple[float, ...]]:
     """Fitted decay order of the discrete Laplacian under h refinement.
 
     Returns (order, residuals); order is None when the residuals sit at the
     noise floor (already harmonic to rounding), which counts as a pass.
     """
-    res = [max(laplacian_residuals(phi_fn, z, h)) for h in hs]
+    return _fit_order(hs, [max(laplacian_residuals(phi_fn, z, h)) for h in hs])
+
+
+def _fit_order(hs: Sequence[float], res: list[float]) -> tuple[float | None, tuple[float, ...]]:
     if max(res) <= HARMONIC_FLOOR:
         return None, tuple(res)
-    slope = np.polyfit(np.log(hs), np.log(np.maximum(res, 1e-300)), 1)[0]
-    return float(slope), tuple(res)
+    # the least-squares slope of log res against log h
+    x, y = [math.log(h) for h in hs], [math.log(max(r, 1e-300)) for r in res]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    return sum((a - mx) * (b - my) for a, b in zip(x, y)) / sum((a - mx) ** 2 for a in x), tuple(res)
 
 
 def estimate_order(e, p: complex) -> float:
@@ -317,151 +337,145 @@ def check_cross_product_normal(
     )
     norm = math.sqrt(cross.x1 ** 2 + cross.x2 ** 2 + cross.x3 ** 2)
     resid = gap / norm if norm > 0 else gap
-    return CheckRecord(
-        "cross_product_normal",
-        resid <= tol,
-        resid,
-        tol,
-        {"scale": s, "h": h, "z": [z.real, z.imag]},
-    )
+    return _bound("cross_product_normal", resid, tol, {"scale": s, "h": h, "z": [z.real, z.imag]})
 
 
 # ---------------------------------------------------------------------------
 # the full suite
 
-def _phi_values(data: WeierstrassData, pts: Sequence[complex]) -> list[PhiTriple]:
-    out = []
-    for z in pts:
+def _stencil_centres(pts: Sequence[complex]) -> Sequence[complex]:
+    """The three points of a point set whose harmonicity is fitted."""
+    return pts[:: max(len(pts) // 3, 1)][:3]
+
+
+def _sample(data: WeierstrassData, pts: Sequence[complex]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The array pass of one side: phi (3, n) and g (n) at pts, and from one _gk15_panels call
+    laplacian_residuals (centre, step, coordinate) at the stencil centres; NaN where not finite."""
+    z = np.array(pts, dtype=complex)
+    hs = np.array(HARMONIC_STEPS)
+    centres = np.array(_stencil_centres(pts), dtype=complex)
+    a = np.repeat(centres, 4 * len(hs))
+    steps = np.outer(hs, (1, -1, 1j, -1j)).ravel()  # laplacian_residuals' four panels per h, in its order
+    panels, estimates = _gk15_panels(data.field_array, a, a + np.tile(steps, len(centres)))
+    v = panels.reshape(3, len(centres), len(hs), 4)
+    with np.errstate(all="ignore"):
+        laplacian = np.abs((v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3]).real) / (hs * hs)
+    laplacian[:, ~np.isfinite(estimates).reshape(len(centres), len(hs), 4).all(axis=2)] = np.nan
+    return np.array(data.field_array(z)), compile_array(data.g)(z), laplacian.transpose(1, 2, 0)
+
+
+def _data_checks(data: WeierstrassData, pts: Sequence[complex], sample, tag: str = "") -> list[CheckRecord]:
+    """The identities of the data at pts from the side's array pass; where a
+    value is not finite, or stereo_inverse would refuse N, the scalar code
+    decides, in point order."""
+    phi, g, laplacian = sample
+    keep = np.ones(len(pts), dtype=bool)
+    for k in np.flatnonzero(~np.isfinite(phi).all(axis=0)):
         try:
-            out.append(phi(data, z))
+            phi[:, k] = data.field(complex(pts[k]))
         except EvalError:
-            continue
-    return out
-
-
-def _data_checks(data: WeierstrassData, pts: Sequence[complex], q: QuadratureConfig, tag: str = "") -> list[CheckRecord]:
-    checks: list[CheckRecord] = []
-    phis = _phi_values(data, pts)
-    res21 = max((eq_zero_residual(p) for p in phis), default=0.0)
-    checks.append(CheckRecord(tag + "quadratic_identity", res21 <= 1e-12, res21, 1e-12, {"points": len(phis)}))
-
-    factors = [p.density() for p in phis]
+            keep[k] = False
+    p = PhiTriple(*phi[:, keep])
+    with np.errstate(all="ignore"):
+        num = np.abs(p.phi1 * p.phi1 + p.phi2 * p.phi2 - p.phi3 * p.phi3)
+        den = np.abs(p.phi1) ** 2 + np.abs(p.phi2) ** 2 + np.abs(p.phi3) ** 2
+        res = np.where(den == 0, 0.0, num / den).tolist()
+        factors = p.density().tolist()
     live = [f for f in factors if f > 1e-18]
-    min_factor = min(live) if live else 0.0
-    checks.append(
-        CheckRecord(
-            tag + "metric_positivity",
-            bool(live) and min(factors) > 0,
-            -min(factors) if factors else 0.0,
-            0.0,
-            {"min_factor": min_factor, "degenerate_points": len(factors) - len(live)},
-        )
-    )
+    details = {"min_factor": min(live) if live else 0.0, "degenerate_points": len(factors) - len(live)}
+    worst = -min(factors) if factors else 0.0
+    checks = [
+        _bound(tag + "quadratic_identity", max(res, default=0.0), 1e-12, {"points": len(res)}),
+        CheckRecord(tag + "metric_positivity", bool(live) and min(factors) > 0, worst, 0.0, details),
+    ]
 
-    gfun = compile_fn(data.g)
-    sheet_vals = []
-    hyp_res = 0.0
-    stereo_res = 0.0
-    stereo_pts = 0
-    for z in pts:
+    N, degenerate = _gauss_arrays(g)
+    (x1, x2, x3), defined = N.T, ~degenerate
+    with np.errstate(all="ignore"):
+        refused = (x3 > 0) & ~(np.abs(x1 * x1 + x2 * x2 - x3 * x3 + 1) <= STEREO_TOL)
+    for k in np.flatnonzero(defined & (~np.isfinite(N).all(axis=1) | refused)):
         try:
-            gv = gfun(complex(z))
-            N = gauss_from_g(gv)
+            g[k] = compile_fn(data.g)(complex(pts[k]))
+            Nk = gauss_from_g(g[k])
         except (DegenerateMetricError, EvalError):
+            defined[k] = False
             continue
-        hyp_res = max(hyp_res, abs(lorentz_inner(N, N) + 1))
-        sheet_vals.append(1 if N.x3 > 0 else -1)
-        if N.x3 > 0:
-            stereo_res = max(stereo_res, abs(stereo_inverse(N) - gv))
-            stereo_pts += 1
-    one_sheet = len(set(sheet_vals)) <= 1
-    checks.append(
-        CheckRecord(
-            tag + "gauss_hyperboloid",
-            hyp_res <= 1e-10 and one_sheet,
-            hyp_res,
-            1e-10,
-            {"sheet": sheet_vals[0] if sheet_vals else 0, "one_sheet": one_sheet},
-        )
-    )
-    checks.append(
-        CheckRecord(
-            tag + "stereo_roundtrip",
-            stereo_res <= 1e-10,
-            stereo_res,
-            1e-10,
-            {"points": stereo_pts, "skipped_lower_sheet": stereo_pts == 0},
-        )
-    )
+        if Nk.x3 > 0:
+            stereo_inverse(Nk)
+    (x1, x2, x3), g = _gauss_arrays(g)[0][defined].T, g[defined]
+    upper = x3 > 0
+    with np.errstate(all="ignore"):
+        hyp_res = max([0.0] + np.abs(x1 * x1 + x2 * x2 - x3 * x3 + 1).tolist())
+        stereo = np.hypot(x1 / (1 + x3) - g.real, x2 / (1 + x3) - g.imag)[upper].tolist()
+    sheets = np.where(upper, 1, -1).tolist()
+    one_sheet = len(set(sheets)) <= 1
+    details = {"sheet": sheets[0] if sheets else 0, "one_sheet": one_sheet}
+    checks.append(CheckRecord(tag + "gauss_hyperboloid", hyp_res <= 1e-10 and one_sheet, hyp_res, 1e-10, details))
+    details = {"points": len(stereo), "skipped_lower_sheet": not stereo}
+    checks.append(_bound(tag + "stereo_roundtrip", max([0.0] + stereo), 1e-10, details))
 
-    hs = (1e-3, 5e-4, 2.5e-4)
-    orders = []
-    residuals = []
-    constants = []
-    for z in pts[:: max(len(pts) // 3, 1)][:3]:
-        order, res = harmonicity_order(data.field, z, hs)
+    hs = HARMONIC_STEPS
+    orders, residuals = [], []
+    for lap, z in zip(laplacian, _stencil_centres(pts)):
+        each = [r.tolist() if np.isfinite(r).all() else laplacian_residuals(data.field, z, h) for r, h in zip(lap, hs)]
+        order, res = _fit_order(hs, [max(r) for r in each])
         orders.append(order)
         residuals.append(max(res))
-        constants.append(max(res) / hs[0] ** 2)  # |Lap X| <= C h^2
     fitted = [o for o in orders if o is not None]
-    harm_ok = all(o >= 1.8 for o in fitted) if fitted else True
-    checks.append(
-        CheckRecord(
-            tag + "harmonicity",
-            harm_ok,
-            max(residuals) if residuals else 0.0,
-            1.8,
-            {
-                "fitted_orders": fitted,
-                "noise_floor_points": orders.count(None),
-                "constant": max(constants) if constants else 0.0,
-            },
-        )
-    )
+    worst = max(residuals) if residuals else 0.0
+    details = {"fitted_orders": fitted, "noise_floor_points": orders.count(None), "constant": worst / hs[0] ** 2}
+    checks.append(CheckRecord(tag + "harmonicity", all(o >= 1.8 for o in fitted), worst, 1.8, details))
     return checks
 
 
-def _path_independence_check(data: WeierstrassData, pts: Sequence[complex], q: QuadratureConfig) -> CheckRecord:
-    worst = 0.0
-    used = 0
-    for z in pts[:: max(len(pts) // 2, 1)][:2]:
-        z = complex(z)
+def _bound(name: str, residual: float, tolerance: float, details: dict) -> CheckRecord:
+    """The record of a check that passes when its residual is at most its tolerance."""
+    return CheckRecord(name, residual <= tolerance, residual, tolerance, details)
+
+
+def _path_independence_check(data: WeierstrassData, pts: list, q: QuadratureConfig, ext, zs: list) -> tuple:
+    """A straight path against one bent beside it, to two grid points, and a
+    loop around each puncture, in one batch with the paths of ``ext`` to
+    ``zs``, whose integrals it returns too.  After a failure it integrates
+    its own paths again and returns None, so a later check raises in turn."""
+    punctures = data.domain.punctures
+    legs = []
+    for z in map(complex, pts[:: max(len(pts) // 2, 1)][:2]):
         if abs(z - data.z0) < 1e-9:
             continue
-        direct = surface_path(data, z, q)
-        mid = 0.5 * (data.z0 + z)
-        offset = 0.15j * (z - data.z0)
-        alt = None
-        for w in (mid + offset, mid - offset):
-            if data.domain.contains(w) and all(
-                abs(w - p) > q.clearance for p in data.domain.punctures
-            ):
-                alt = w
-                break
-        if alt is None:
-            continue
-        leg1 = surface_path(data, alt, q)
-        shifted = WeierstrassData(data.f, data.g, data.domain, alt, leg1.value, data.g_poles)
-        leg2 = surface_path(shifted, z, q)
-        gap = max(
-            abs(direct.value.x1 - leg2.value.x1),
-            abs(direct.value.x2 - leg2.value.x2),
-            abs(direct.value.x3 - leg2.value.x3),
-        )
-        worst = max(worst, gap)
-        used += 1
-    # two paths that do not enclose a puncture between them cannot see a
-    # period, so also integrate once around each puncture
-    for p in data.domain.punctures:
-        periods = loop_periods(data, _puncture_square(data.domain, p), q)
-        worst = max(worst, *(abs(w.real) for w in periods))
-    return CheckRecord(
-        "path_independence",
-        worst <= 10 * q.tol,
-        worst,
-        10 * q.tol,
-        {"loops": len(data.domain.punctures), "points": used},
-    )
+        mid, offset = 0.5 * (data.z0 + z), 0.15j * (z - data.z0)
+        bends = [w for w in (mid + offset, mid - offset) if data.domain.contains(w)]
+        legs.append((z, [w for w in bends if all(abs(w - p) > q.clearance for p in punctures)][:1]))
+
+    def paths():
+        side = lambda a, b: data  # noqa: E731
+        for z, bend in legs:
+            yield _build_path(data.z0, z, punctures, q), side
+            for alt in bend:
+                yield _build_path(data.z0, alt, punctures, q), side
+                yield _build_path(alt, z, punctures, q), side
+        # two paths that do not enclose a puncture between them cannot see a
+        # period, so also integrate once around each puncture
+        for p in punctures:
+            yield _loop_path(data, _puncture_square(data.domain, p), q), side
+
+    try:
+        sums = integrate_paths(chain(paths(), (ext._path(z, q) for z in zs)), q)
+    except (SurfaceError, EvalError):
+        sums, zs = integrate_paths(paths(), q), None
+    sums = sums.real.T
+    rows = iter(sums.tolist())
+    worst, used = 0.0, 0
+    for z, bend in legs:
+        direct = data.X0 + LVector(*next(rows))
+        if bend:
+            leg2 = data.X0 + LVector(*next(rows)) + LVector(*next(rows))
+            worst = max(worst, abs(direct.x1 - leg2.x1), abs(direct.x2 - leg2.x2), abs(direct.x3 - leg2.x3))
+            used += 1
+    for _ in punctures:
+        worst = max(worst, *map(abs, next(rows)))
+    record = _bound("path_independence", worst, 10 * q.tol, {"loops": len(punctures), "points": used})
+    return record, None if zs is None else np.array(data.X0.as_tuple()) + sums[len(sums) - len(zs) :]
 
 
 def _puncture_square(domain: Domain, p: complex) -> list[complex]:
@@ -503,93 +517,50 @@ def full_diagnostics(
     """Run every applicable check; failures are report entries, not raises."""
     grid = grid or GridSpec()
     q = q or QuadratureConfig()
-    if isinstance(obj, ExtendedSurface):
-        return _diagnose_extended(obj, grid, q)
-    pts = _grid_points(obj.domain, grid)
-    checks = _data_checks(obj, pts, q)
-    checks.append(_path_independence_check(obj, pts, q))
-    checks.append(_pole_zero_check(obj))
+    ext = obj if isinstance(obj, ExtendedSurface) else None
+    data = obj if ext is None else ext.original
+    sides, arc, pairs = _point_sets(data, ext, grid)
+    samples = [_sample(side, pts) for side, pts in sides]
+    pts = sides[0][1]
+    checks = _data_checks(data, pts, samples[0])
+    zs = arc + [w for z in pairs for w in (z, ext.reflect(z))]
+    record, X = _path_independence_check(data, pts, q, ext, zs)
+    checks += [record, _pole_zero_check(data)]
+    if ext is not None:
+        checks.extend(_data_checks(*sides[1], samples[1], tag="minus_"))
+        checks.extend(_extension_checks(ext, zs, len(arc), X, q))
     return DiagnosticsReport(checks)
 
 
-def _diagnose_extended(ext: ExtendedSurface, grid: GridSpec, q: QuadratureConfig) -> DiagnosticsReport:
-    data = ext.original
+def _point_sets(data: WeierstrassData, ext: ExtendedSurface | None, grid: GridSpec) -> tuple[list, list, list]:
+    """(side, points) of each data check: the grid (on the original side of
+    an arc) and the reflections of an approach band, where the continuation
+    is spacelike; the containment points; the points symmetry reflects."""
     pts = _grid_points(data.domain, grid)
-    pts = [z for z in pts if ext.on_original_side(z)]
-    checks = _data_checks(data, pts, q)
-    checks.append(_path_independence_check(data, pts, q))
-    checks.append(_pole_zero_check(data))
-
-    # The continuation is spacelike in a band around the arc; far from it the
-    # metric may legitimately degenerate (|g| -> 1), so the minus-side sheet
-    # and positivity checks sample reflections of a shallow approach band.
+    if ext is None:
+        return [(data, pts)], [], []
     band = boundary_samples(data.domain, depths=(0.1, 0.05, 0.02, 0.012, 0.004))
-    minus_pts = [ext.reflect(z) for z in band]
-    checks.extend(_data_checks(ext.minus, minus_pts, q, tag="minus_"))
+    pts = np.array(pts)[ext.contact.boundary.on_original_side(np.array(pts))].tolist()
+    sides = [(data, pts), (ext.minus, [ext.reflect(w) for w in band])]
+    return sides, boundary_points(data.domain)[:5], list(_stencil_centres(pts))  # grid points lie in the domain
 
-    contact = ext.contact
-    checks.append(
-        CheckRecord(
-            "angle_constancy",
-            contact.deviation <= 1e-6,
-            contact.deviation,
-            1e-6,
-            {"c": contact.c, "sheet": contact.sheet},
-        )
-    )
 
+def _extension_checks(ext: ExtendedSurface, zs: list, n_arc: int, X, q: QuadratureConfig) -> list[CheckRecord]:
+    contact, matching = ext.contact, ext.matching
+    checks = [_bound("angle_constancy", contact.deviation, 1e-6, {"c": contact.c, "sheet": contact.sheet})]
     gm = compile_fn(ext.g_minus)
-    locus_res = 0.0
-    for u in ext.matching.points:
-        locus_res = max(locus_res, contact.locus.distance(gm(complex(u))))
-    radius = contact.locus.radius or 1.0
-    checks.append(
-        CheckRecord(
-            "boundary_locus",
-            locus_res <= 1e-8 * (1 + radius),
-            locus_res,
-            1e-8 * (1 + radius),
-            {"locus": contact.locus.describe(), "mismatch_vs_closed_form": contact.locus_mismatch},
-        )
-    )
+    locus_res = max([0.0] + [contact.locus.distance(gm(complex(u))) for u in matching.points])
+    details = {"locus": contact.locus.describe(), "mismatch_vs_closed_form": contact.locus_mismatch}
+    checks.append(_bound("boundary_locus", locus_res, 1e-8 * (1 + (contact.locus.radius or 1.0)), details))
+    details = {"gaps": dict(sorted(matching.gaps.items()))}
+    checks.append(CheckRecord("c1_matching", matching.passed, matching.max_gap, matching.tol, details))
 
-    checks.append(
-        CheckRecord(
-            "c1_matching",
-            ext.matching.passed,
-            ext.matching.max_gap,
-            ext.matching.tol,
-            {"gaps": dict(sorted(ext.matching.gaps.items()))},
-        )
-    )
-
-    n_hat, d = contact.unit_normal, contact.offset
-    contain = 0.0
-    for u in ext.matching.points[:5]:
-        X = ext.evaluate(u, q)
-        contain = max(contain, abs(lorentz_inner(X, n_hat) - d))
-    checks.append(
-        CheckRecord("plane_containment", contain <= 10 * q.tol, contain, 10 * q.tol, {})
-    )
-
-    sym = 0.0
-    sym_pts = 0
-    for z in pts[:: max(len(pts) // 3, 1)][:3]:
-        z = complex(z)
-        if not data.domain.contains(z):
-            continue
-        a = ext.reflected_value(ext.evaluate(z, q))
-        b = ext.reflected_value(ext.evaluate(ext.reflect(z), q))
-        sym = max(sym, abs(a + b))
-        sym_pts += 1
-    sym_tol = max(1e-7, 20 * q.tol)
-    checks.append(
-        CheckRecord(
-            "reflection_symmetry",
-            sym <= sym_tol,
-            sym,
-            sym_tol,
-            {"coordinate": ext.reflected, "points": sym_pts},
-        )
-    )
-    return DiagnosticsReport(checks)
+    # plane containment at the arc points zs[:n_arc], then reflection symmetry of the pairs after them
+    X = [LVector(*row) for row in (ext.evaluate_many(zs, q) if X is None else X).tolist()]  # None: a failed batch
+    contain = max([0.0] + [abs(lorentz_inner(x, contact.unit_normal) - contact.offset) for x in X[:n_arc]])
+    checks.append(_bound("plane_containment", contain, 10 * q.tol, {}))
+    reflected = zip(X[n_arc::2], X[n_arc + 1 :: 2])
+    sym = max([0.0] + [abs(ext.reflected_value(a) + ext.reflected_value(b)) for a, b in reflected])
+    details = {"coordinate": ext.reflected, "points": (len(zs) - n_arc) // 2}
+    checks.append(_bound("reflection_symmetry", sym, max(1e-7, 20 * q.tol), details))
+    return checks

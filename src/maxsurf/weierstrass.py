@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "gauss_from_g",
     "gauss_map",
     "integrate_path",
+    "integrate_paths",
     "loop_periods",
     "phi",
     "phi_exprs",
@@ -271,6 +272,14 @@ def gauss_from_g(w: complex) -> LVector:
     return LVector(2 * w.real / den, 2 * w.imag / den, (1 + ww) / den)
 
 
+def _gauss_arrays(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gauss_from_g's arithmetic elementwise: N (n, 3), and where it degenerates."""
+    with np.errstate(all="ignore"):
+        ww = w.real * w.real + w.imag * w.imag
+        den = 1.0 - ww
+        return np.stack((2 * w.real / den, 2 * w.imag / den, (1 + ww) / den), axis=1), np.abs(den) < GAUSS_EPS
+
+
 def gauss_map(data: WeierstrassData, z: complex) -> LVector:
     """N = (2 Re g, 2 Im g, 1 + |g|^2) / (1 - |g|^2); lands on one hyperboloid sheet."""
     return gauss_from_g(evaluate(data.g, z))
@@ -467,15 +476,10 @@ def surface_tree(
     no loop, so the values agree with evaluate_surface for data without
     real periods, the assumption evaluation already makes.
 
-    Each edge is a path from ``_build_path`` (puncture detours apply) whose
-    segments share the edge's tolerance as in integrate_path.  All segments
-    are integrated together by ``_integrate_segments``, the panel by panel
-    bisection of _integrate_segment run on arrays, so the panels are the
-    ones integrate_path would use.  That pass only computes.  When an edge
-    cannot be built or a segment does not converge (a non-finite node
-    included), ``_replay_edges`` integrates the forest again edge by edge
-    in forest order, which gives the values or raises what evaluate_surface
-    raises on the first failing edge.
+    Each edge is a path from ``_build_path`` (puncture detours apply), and
+    ``integrate_paths`` integrates them all at once: the panels are those of
+    integrate_path, and a failing forest raises what evaluate_surface raises
+    on the first failing edge.
     """
     q = q or QuadratureConfig()
     if len(points) != len(parents):
@@ -487,29 +491,9 @@ def surface_tree(
         depth.append(0 if p < 0 else depth[p] + 1)
     q_edge = replace(q, tol=q.tol / (max(depth, default=0) + 1))
     starts = [data.z0 if p < 0 else points[p] for p in parents]
-    try:
-        paths = [_build_path(s, z, data.domain.punctures, q_edge) for s, z in zip(starts, points)]
-    except PathError:
-        paths = None  # the replay raises it, or what an earlier edge raises
-    seg_a: list[complex] = []
-    seg_b: list[complex] = []
-    seg_tol: list[float] = []
-    seg_edge: list[int] = []
-    for k, path in enumerate(paths or []):
-        tol_each = q_edge.tol / max(len(path) - 1, 1)
-        for a, b in zip(path, path[1:]):
-            if a != b:
-                seg_a.append(a)
-                seg_b.append(b)
-                seg_tol.append(tol_each)
-                seg_edge.append(k)
-    a, b = np.array(seg_a, dtype=complex), np.array(seg_b, dtype=complex)
-    seg_sum, seg_ok = _integrate_segments(data.field_array, a, b, np.array(seg_tol), q.max_depth)
-    if paths is not None and seg_ok.all():
-        sums = np.zeros((3, len(points)), dtype=complex)
-        np.add.at(sums, (slice(None), seg_edge), seg_sum)
-    else:
-        sums = _replay_edges(data, starts, points, q_edge)
+    side = lambda a, b: data  # noqa: E731
+    edges = ((_build_path(s, z, data.domain.punctures, q_edge), side) for s, z in zip(starts, points))
+    sums = integrate_paths(edges, q_edge)
     levels = np.array(depth)
     up = np.array(parents)
     for d in range(1, int(levels.max(initial=0)) + 1):
@@ -518,16 +502,48 @@ def surface_tree(
     return np.array(data.X0.as_tuple()) + sums.real.T
 
 
-def _replay_edges(
-    data: WeierstrassData, starts: Sequence[complex], points: Sequence[complex], q_edge: QuadratureConfig
-) -> np.ndarray:
-    """The edge integrals (3, n) of surface_tree from integrate_path, edge by
-    edge in forest order: the values, or the failure of the first failing edge."""
-    field = data.field
-    sums = np.empty((3, len(points)), dtype=complex)
-    for k, (s, z) in enumerate(zip(starts, points)):
-        path = _build_path(s, z, data.domain.punctures, q_edge)
-        sums[:, k] = integrate_path(lambda a, b: field, path, q_edge)[0]
+def integrate_paths(paths: Iterable[tuple[Sequence[complex], Callable]], q: QuadratureConfig) -> np.ndarray:
+    """integrate_path on many polylines at once: the integrals, (3, n).
+
+    ``paths`` yields (points, side_for); ``side_for(a, b)`` is the patch whose
+    field holds from a to b.  The segments of each side (one object) go to one
+    _integrate_segments call, which only computes; each path with a segment
+    that did not converge is integrated again by integrate_path, in order,
+    for its value or its error, and a PathError raised while building the
+    paths is raised after the paths built before it."""
+    built: list = []
+    try:
+        built.extend(paths)
+        unbuilt = None
+    except PathError as exc:
+        unbuilt = exc
+    sides: dict[int, tuple[WeierstrassData, list, list, list, list]] = {}
+    last = None
+    for k, (points, side_for) in enumerate(built):
+        tol_each = q.tol / max(len(points) - 1, 1)
+        for a, b in zip(points, points[1:]):
+            if a != b:
+                side = side_for(a, b)
+                if side is not last:  # neighbouring segments mostly share their side
+                    last = side
+                    _, seg_a, seg_b, seg_tol, owner = sides.setdefault(id(side), (side, [], [], [], []))
+                seg_a.append(a)
+                seg_b.append(b)
+                seg_tol.append(tol_each)
+                owner.append(k)
+    sums = np.zeros((3, len(built)), dtype=complex)
+    failed = np.zeros(len(built), dtype=bool)
+    for side, seg_a, seg_b, seg_tol, owner in sides.values():
+        a, b, owner = np.array(seg_a, dtype=complex), np.array(seg_b, dtype=complex), np.array(owner)
+        seg_sum, ok = _integrate_segments(side.field_array, a, b, np.array(seg_tol), q.max_depth)
+        for c in range(3):
+            np.add.at(sums[c], owner, seg_sum[c])
+        failed[owner[~ok]] = True
+    for k in np.flatnonzero(failed):
+        points, side_for = built[k]
+        sums[:, k] = integrate_path(lambda a, b: side_for(a, b).field, points, q)[0]
+    if unbuilt is not None:
+        raise unbuilt
     return sums
 
 
@@ -611,6 +627,12 @@ def loop_periods(
     has periods (0, 0, 2 pi i): purely imaginary, so X stays well defined.
     """
     q = q or QuadratureConfig()
+    field = data.field
+    return integrate_path(lambda a, b: field, _loop_path(data, loop, q), q)[0]
+
+
+def _loop_path(data: WeierstrassData, loop: Sequence[complex], q: QuadratureConfig) -> list[complex]:
+    """The closed polyline through the loop's waypoints, detouring around the punctures."""
     pts = [complex(w) for w in loop]
     if len(pts) < 3:
         raise ValueError("a loop needs at least 3 waypoints")
@@ -619,6 +641,4 @@ def loop_periods(
     path = [pts[0]]
     for a, b in zip(pts, pts[1:]):
         path += _build_path(a, b, data.domain.punctures, q)[1:]
-    field = data.field
-    periods, _ = integrate_path(lambda a, b: field, path, q)
-    return periods
+    return path

@@ -19,13 +19,14 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"eval-{name}-{k:02d}" for name in SURFACES for k in range(20)]
         + ["mesh-65", "mesh-33"]
         + ["mesh-pole-9", "mesh-pole-17", "mesh-overflow-17", "eval-poly-degenerate"]
+        + ["check-pole", "check-overflow", "check-poly"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + ("pole", "overflow", "poly")]
         + [f"{name}.cfg" for name in SURFACES[1:]]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
     )
-    for name in logs:
+    for name in logs[:-3]:
         if "-extend-" in name or "-check-" in name:
             assert "\nexit 0\n" in (tmp_path / name).read_text(), name
     failing = {
@@ -33,8 +34,12 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "mesh-pole-17": (1, "error: quadrature did not converge on path to -0.0625j"),
         "mesh-overflow-17": (1, "(achieved error estimate nan)\n"),
         "eval-poly-degenerate": (0, "N = degenerate (|g| = 1)\n"),
+        "check-pole": (0, '\n  "passed": true\n}\n'),
+        "check-overflow": (1, "error: quadrature did not converge on path to (-0.19-2.3268289183799712e-17j)"
+                           " (achieved error estimate nan)\n"),
+        "check-poly": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
     }
-    for name in logs[-4:]:
+    for name in logs[-7:]:
         code, line = failing[name[4:-4]]
         text = (tmp_path / name).read_text()
         assert f"\nexit {code}\n" in text and line in text, name

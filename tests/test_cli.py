@@ -616,5 +616,6 @@ def test_extend_into_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("spacelike.cfg").write_text(_EXTENDABLE["spacelike"])
     assert main(["extend", "spacelike.cfg", "-o", "missing/out.cfg"]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err == "error: cannot write missing/out.cfg: [Errno 2] No such file or directory: 'missing/out.cfg'\n"
+    assert out == ""  # no report of an extension that was not written

@@ -127,7 +127,7 @@ def test_strip_below_the_inner_circle_is_a_forest():
 
 
 def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch):
-    # panels of the batched kernel, plus scalar reruns of panels with a non-finite node
+    # panels of the batched kernel; a scalar panel here can only come from an edge replayed by integrate_path
     panels = []
     batch, gk15 = weierstrass._gk15_panels, weierstrass._gk15
 
@@ -148,7 +148,7 @@ def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch):
 
 @pytest.mark.parametrize("n", [65, 33])
 def test_catenoid_meshes_are_never_replayed(monkeypatch, n):
-    # a failed batch is replayed edge by edge through integrate_path
+    # an edge that fails in the batch is replayed through integrate_path
     calls = []
     scalar = weierstrass.integrate_path
 

@@ -485,23 +485,38 @@ def test_surface_tree_gives_the_scalar_values_where_only_the_array_field_is_nan(
 
 
 def test_failed_batch_is_replayed_once_edge_by_edge(monkeypatch):
-    replays, paths = [], []
-    replay, scalar = weierstrass._replay_edges, weierstrass.integrate_path
-
-    def counted_replay(*args):
-        replays.append(args)
-        return replay(*args)
+    paths, scalar = [], weierstrass.integrate_path
 
     def counted_path(field_for, points, q):
         paths.append(points)
         return scalar(field_for, points, q)
 
-    monkeypatch.setattr(weierstrass, "_replay_edges", counted_replay)
     monkeypatch.setattr(weierstrass, "integrate_path", counted_path)
     points, parents = _REAL_TREE
     surface_tree(_OVERFLOW, points, parents)
-    assert len(replays) == 1
     assert [(p[0], p[-1]) for p in paths] == [(0.1 + 0j, 0.5 + 0j), (0.5, 0.3), (0.5, 0.7), (0.3, 0.2)]
+
+
+def test_only_the_failed_edges_are_replayed(monkeypatch):
+    # z*1e154*1e154 overflows only beyond |z| = 1.797, so only edges reaching past it fail in the batch
+    data = WeierstrassData(
+        parse("1/(z*1e154*1e154)"), parse("z/3"), Domain(DomainKind.DISK, radius=2.0), 0.1, LVector(1, 2, 3)
+    )
+    points, parents = [0.5 + 0j, 1.0 + 0j, 1.9 + 0j, 0.3 + 0j, 1.95 + 0j], [-1, 0, 1, 0, 2]
+    assert np.isnan(data.field_array(np.array([1.9 + 0j]))).all()
+    assert np.isfinite(data.field_array(np.array([1.0 + 0j]))).all()
+    paths, scalar = [], weierstrass.integrate_path
+
+    def counted_path(field_for, points, q):
+        paths.append(points)
+        return scalar(field_for, points, q)
+
+    monkeypatch.setattr(weierstrass, "integrate_path", counted_path)
+    got = surface_tree(data, points, parents)
+    assert [(p[0], p[-1]) for p in paths] == [(1.0, 1.9), (1.9, 1.95)]
+    monkeypatch.setattr(weierstrass, "integrate_path", scalar)
+    for z, X in zip(points, got.tolist()):
+        assert max(abs(a - b) for a, b in zip(X, evaluate_surface(data, z).as_tuple())) < 1e-12
 
 
 def test_surface_tree_raises_the_first_failure_in_forest_order():

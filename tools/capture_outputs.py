@@ -11,8 +11,10 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``mesh`` of the catenoid at 65x65 and 33x33;
   - commands that fail or degenerate, so that their error lines are compared
     too: ``mesh`` with a pole of f on a quadrature node (9x9, exit 2) and
-    near one (17x17, exit 1), ``mesh`` of an f that overflows (exit 1), and
-    ``eval`` on |g| = 1 (no normal).
+    near one (17x17, exit 1), ``mesh`` of an f that overflows (exit 1),
+    ``eval`` on |g| = 1 (no normal), and ``check`` of those three configs
+    (the pole passes, the overflow fails on a NaN error estimate, and
+    |g| = 1 inside the disk fails gauss_hyperboloid).
 
 Each command leaves ``NNN-COMMAND-TARGET.txt`` with its exit code, stdout and
 stderr; the configs, OBJ files and sidecars stay next to them.  Commands run
@@ -76,6 +78,7 @@ def commands() -> list[tuple[str, list[str]]]:
     for name, n in (("pole", 9), ("pole", 17), ("overflow", 17)):
         cmds.append((f"mesh-{name}-{n}", ["mesh", f"{name}.cfg", "--grid", f"{n}x{n}", "-o", f"{name}-{n}.obj"]))
     cmds.append(("eval-poly-degenerate", ["eval", "poly.cfg", "--at=1,0"]))
+    cmds += [(f"check-{name}", ["check", f"{name}.cfg"]) for name in FAULT_CONFIGS]
     return cmds
 
 

@@ -315,7 +315,7 @@ def _mesh_parameters(domain: Domain, mesh_range):
     return False, (-s, s, -s, s)
 
 
-def _grid_forest(points: list[complex], valid: list[bool], nv: int, z0: complex):
+def _grid_forest(points: np.ndarray, valid: np.ndarray, nv: int, z0: complex):
     """Breadth-first spanning forest of the valid vertices of a row-major grid.
 
     Edges join 4-neighbours, visited along the row (j) before across it
@@ -323,11 +323,13 @@ def _grid_forest(points: list[complex], valid: list[bool], nv: int, z0: complex)
     lowest index on ties.  Returns the vertex indices in visiting order
     and, for each, the position of its parent in that order (-1 for a root).
     """
-    n = len(points)
+    inside = np.flatnonzero(valid)
+    near = np.hypot(points.real[inside] - z0.real, points.imag[inside] - z0.imag)  # abs(points - z0), rounded alike
+    n, valid = len(points), valid.tolist()
     seen = [False] * n
     order: list[int] = []
     parents: list[int] = []
-    for root in sorted((k for k in range(n) if valid[k]), key=lambda k: abs(points[k] - z0)):
+    for root in inside[np.argsort(near, kind="stable")].tolist():
         if seen[root]:
             continue
         seen[root] = True
@@ -356,19 +358,19 @@ def build_mesh(
 ) -> SurfaceMesh:
     """Evaluate an nu x nv parameter grid and triangulate unmasked cells.
 
-    Vertices inside the domain closure are valid.  X is accumulated down a
-    breadth-first spanning forest of grid edges between valid vertices: a
-    root (the valid vertex of its component nearest z0) is integrated from
-    z0, every other vertex from its parent along the grid edge between
-    them, with tol / (forest depth + 1) per edge so each vertex still meets
-    tol.  See ``weierstrass.surface_tree``, which integrates all edges
-    together on arrays and, when that batch fails anywhere, again edge by
-    edge through integrate_path, so a failing mesh raises what evaluating
-    its edges one by one raises first.  The conformal factor and Gauss
-    normal of all valid vertices come from one array evaluation of the
-    field and of g; a vertex with a non-finite value there is redone by
-    conformal_factor and gauss_map.  The mesh holds arrays (see
-    ``SurfaceMesh``).
+    The grid is an outer product of rows and columns; its vertices inside
+    the domain closure (``Domain.contains_many``) are valid.  X is summed
+    down a breadth-first spanning forest of grid edges between valid
+    vertices: a root (the valid vertex of its component nearest z0) is
+    integrated from z0, every other vertex from its parent along the grid
+    edge between them, with tol / (forest depth + 1) per edge so each
+    vertex still meets tol (``weierstrass.surface_tree``: all edges in one
+    array batch and, where it fails, the failed edges one by one through
+    integrate_path, so a failing mesh raises what its first failing edge
+    raises).  The conformal factor and Gauss normal of all valid vertices
+    come from one array evaluation of the field and of g; a vertex with a
+    non-finite value there is redone by conformal_factor and gauss_map.
+    The mesh holds arrays (see ``SurfaceMesh``).
 
     Cells touching a vertex with conformal factor below mask_eps (the
     degenerate locus |g| = 1) or a vertex outside the domain closure are
@@ -378,18 +380,17 @@ def build_mesh(
         raise ValueError("grid must be at least 2x2")
     q = q or QuadratureConfig()
     polar, (a0, a1, b0, b1) = _mesh_parameters(data.domain, mesh_range)
-    points: list[complex] = []
-    for i in range(nu):
-        a = a0 + (a1 - a0) * i / (nu - 1)
-        for j in range(nv):
-            b = b0 + (b1 - b0) * j / (nv - 1)
-            points.append(complex(a * math.cos(b), a * math.sin(b)) if polar else complex(a, b))
-    valid = [data.domain.contains(z, closed=True) for z in points]
-    order, parents = _grid_forest(points, valid, nv, data.z0)
-    z = np.array(points, dtype=complex)
+    a = a0 + (a1 - a0) * np.arange(nu)[:, None] / (nu - 1)
+    b = b0 + (b1 - b0) * np.arange(nv) / (nv - 1)
+    if polar:  # the radii times each column's cosine and sine
+        a, b = a * [math.cos(t) for t in b.tolist()], a * [math.sin(t) for t in b.tolist()]
+    z = np.empty((nu, nv), dtype=complex)
+    z.real, z.imag = a, b
+    z = z.ravel()
+    inside = data.domain.contains_many(z, closed=True)
+    order, parents = _grid_forest(z, inside, nv, data.z0)
     vertices = np.zeros((len(z), 3))
     vertices[order] = surface_tree(data, z[order], parents, q)
-    inside = np.array(valid, dtype=bool)
     conformal = np.zeros(len(z))
     gauss = np.full((len(z), 3), np.nan)
     conformal[inside], gauss[inside] = _vertex_attributes(data, z[inside])
@@ -424,15 +425,12 @@ def _vertex_attributes(data: WeierstrassData, z: np.ndarray) -> tuple[np.ndarray
 
 
 def write_obj(mesh: SurfaceMesh, path: str, config_sha: str, mask_eps: float) -> None:
-    lines = [
-        f"# maxsurf {__version__}",
-        f"# config sha256 {config_sha}",
-        f"# grid {mesh.shape[0]}x{mesh.shape[1]} mask_eps {_f17(mask_eps)}",
-    ]
-    lines += ["v %.17g %.17g %.17g" % tuple(v) for v in mesh.vertices.tolist()]
-    lines += ["f %d %d %d" % tuple(t) for t in (mesh.triangles + 1).tolist()]
+    header = f"# maxsurf {__version__}\n# config sha256 {config_sha}\n"
+    header += f"# grid {mesh.shape[0]}x{mesh.shape[1]} mask_eps {_f17(mask_eps)}\n"
+    vertices = "v %.17g %.17g %.17g\n" * len(mesh.vertices) % tuple(mesh.vertices.ravel().tolist())
+    faces = "f %d %d %d\n" * len(mesh.triangles) % tuple((mesh.triangles + 1).ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + vertices + faces)
 
 
 def _json_float(x: float) -> str:

@@ -723,17 +723,9 @@ def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offset
 
 
 def _minus_grid(domain: Domain, reflect) -> list[complex]:
-    pts = []
-    rng = np.random.default_rng(2)
-    tries = 0
-    while len(pts) < MINUS_POINTS and tries < 50 * MINUS_POINTS:
-        tries += 1
-        re = rng.uniform(-domain.radius, domain.radius)
-        im = rng.uniform(0, domain.radius)
-        z = complex(re, im)
-        if domain.contains(z) and z.imag > 1e-3 * domain.radius:
-            pts.append(reflect(z))
-    return pts
+    R = domain.radius
+    z = np.random.default_rng(2).uniform((-R, 0), R, size=(50 * MINUS_POINTS, 2)).view(complex)[:, 0]
+    return [reflect(w) for w in z[domain.contains_many(z) & (z.imag > 1e-3 * R)][:MINUS_POINTS].tolist()]
 
 
 def extend(data: WeierstrassData, plane: Plane) -> ExtendedSurface:

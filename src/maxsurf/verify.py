@@ -138,21 +138,8 @@ def _grid_points(domain: Domain, grid: GridSpec) -> list[complex]:
     # the draws of GRID_RANDOM random points, one (re, im) pair per try, all tries at once
     R = domain.radius
     tries = np.random.default_rng(GRID_SEED).uniform(-R, R, size=(100 * GRID_RANDOM, 2)).view(complex)[:, 0]
-    pts = np.concatenate((lattice.ravel(), tries[_admitted(domain, tries, 0.05 * R)][:GRID_RANDOM]))
-    return pts[_admitted(domain, pts, 0.04 * R)].tolist()
-
-
-def _admitted(domain: Domain, z: np.ndarray, spacing: float) -> np.ndarray:
-    """Domain.contains elementwise on finite points, also keeping ``spacing`` from every puncture."""
-    r = np.abs(z)
-    ok = r < domain.radius
-    if domain.kind in (DomainKind.ANNULUS, DomainKind.HALF_ANNULUS):
-        ok &= r > domain.inner_radius
-    if domain.kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS):
-        ok &= z.imag > 0
-    for p in domain.punctures:
-        ok &= np.abs(z - p) > max(spacing, 1e-12 * max(domain.radius, 1.0))
-    return ok
+    pts = np.concatenate((lattice.ravel(), tries[domain.contains_many(tries, spacing=0.05 * R)][:GRID_RANDOM]))
+    return pts[domain.contains_many(pts, spacing=0.04 * R)].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ __all__ = [
     "gauss_map",
     "integrate_path",
     "integrate_paths",
+    "integrate_segments",
     "loop_periods",
     "phi",
     "phi_exprs",
@@ -121,7 +122,7 @@ class Domain:
             punctures = (0j,) + punctures
         object.__setattr__(self, "punctures", punctures)
         for p in punctures:
-            if not self._in_region(p):
+            if not self._in_region(abs(p), p.imag):
                 raise ValueError(f"puncture {p} outside the domain")
         if self.boundary_circle is not None:
             bc = float(self.boundary_circle)
@@ -131,28 +132,39 @@ class Domain:
             if not self.inner_radius < bc < self.radius:
                 raise ValueError("boundary_circle must lie inside the domain")
 
-    def _in_region(self, z: complex, tol: float = 0.0) -> bool:
-        if not cmath.isfinite(z):
-            return False
-        r = abs(z)
-        if r >= self.radius + tol:
-            return False
-        if self.kind in _RING_KINDS and r <= self.inner_radius - tol:
-            return False
-        if self.kind in _HALF_KINDS and z.imag <= -tol:
-            return False
-        return True
+    def _in_region(self, r, imag, tol: float = 0.0):
+        """The radius, ring and half-plane rules on |z| and Im z, floats or arrays; NaN or inf fails the first."""
+        ok = r < self.radius + tol
+        if self.kind in _RING_KINDS:
+            ok = ok & (r > self.inner_radius - tol)
+        if self.kind in _HALF_KINDS:
+            ok = ok & (imag > -tol)
+        return ok
 
     def contains(self, z: complex, closed: bool = False) -> bool:
         """Strict interior membership; ``closed`` admits the closure within 1e-12."""
-        z = complex(z)
-        tol = 1e-12 * max(self.radius, 1.0) if closed else 0.0
-        if not self._in_region(z, tol):
-            return False
+        z, eps = complex(z), 1e-12 * max(self.radius, 1.0)
+        return self._in_region(abs(z), z.imag, eps if closed else 0.0) and all(abs(z - p) > eps for p in self.punctures)
+
+    def contains_many(self, z: np.ndarray, closed: bool = False, spacing: float = 0.0) -> np.ndarray:
+        """``contains`` elementwise on a complex array, also keeping more than ``spacing`` from every puncture."""
+        eps = 1e-12 * max(self.radius, 1.0)
+        tol, gap = (eps if closed else 0.0), max(spacing, eps)
+        ok = self._in_region(_abs(z, self.radius + tol, self.inner_radius - tol), z.imag, tol)
         for p in self.punctures:
-            if abs(z - p) <= 1e-12 * max(self.radius, 1.0):
-                return False
-        return True
+            ok &= _abs(z - p, gap) > gap
+        return ok
+
+
+def _abs(z: np.ndarray, *edges: float) -> np.ndarray:
+    """|z| as the scalar abs rounds it (np.hypot) wherever a comparison with an edge may hang on it;
+    elsewhere np.abs, ten times faster, a few ulps off at most and alike on inf and NaN, decides alike."""
+    r = np.abs(z)
+    near = np.zeros(r.shape, dtype=bool)
+    for e in edges:
+        near |= np.abs(r - e) <= 1e-9 * abs(e)
+    r[near] = np.hypot(z.real[near], z.imag[near])
+    return r
 
 
 @dataclass(frozen=True)
@@ -459,6 +471,22 @@ def evaluate_surface(data: WeierstrassData, z: complex, q: QuadratureConfig | No
     return surface_path(data, z, q).value
 
 
+def _needs_path(s: np.ndarray, t: np.ndarray, punctures, clearance: float) -> np.ndarray:
+    """Where _build_path(s, t) raises (an endpoint not finite or within 1e-12 of a puncture) or detours:
+    its and _detour_point's arithmetic elementwise, on the real and imaginary parts, so the flags are exact."""
+    flag = ~(np.isfinite(s) & np.isfinite(t))
+    with np.errstate(all="ignore"):
+        dr, di = t.real - s.real, t.imag - s.imag
+        l2 = dr * dr + di * di
+        for p in punctures:
+            er, ei = p.real - s.real, p.imag - s.imag
+            tt = (er * dr + ei * di) / l2
+            dist = np.hypot(s.real + tt * dr - p.real, s.imag + tt * di - p.imag)
+            flag |= (np.hypot(er, ei) < 1e-12) | (np.hypot(t.real - p.real, t.imag - p.imag) < 1e-12)
+            flag |= (l2 != 0) & ~((tt <= 0) | (tt >= 1) | (dist >= clearance))  # NaN detours, as there
+    return flag
+
+
 def surface_tree(
     data: WeierstrassData,
     points: Sequence[complex],
@@ -476,74 +504,94 @@ def surface_tree(
     no loop, so the values agree with evaluate_surface for data without
     real periods, the assumption evaluation already makes.
 
-    Each edge is a path from ``_build_path`` (puncture detours apply), and
-    ``integrate_paths`` integrates them all at once: the panels are those of
-    integrate_path, and a failing forest raises what evaluate_surface raises
-    on the first failing edge.
+    Each edge is one segment, or where ``_needs_path`` flags it, the path of
+    ``_build_path`` (puncture detours apply).  ``integrate_segments`` takes
+    them all at once: the panels are those of integrate_path, and a failing
+    forest raises what evaluate_surface raises on the first failing edge.
     """
     q = q or QuadratureConfig()
-    if len(points) != len(parents):
+    z, up = np.asarray(points, dtype=complex), np.asarray(parents, dtype=np.intp)
+    if len(z) != len(up):
         raise ValueError("points and parents must have the same length")
-    depth: list[int] = []
-    for k, p in enumerate(parents):
-        if p >= k:
-            raise ValueError(f"parent {p} of point {k} must come before it")
-        depth.append(0 if p < 0 else depth[p] + 1)
-    q_edge = replace(q, tol=q.tol / (max(depth, default=0) + 1))
-    starts = [data.z0 if p < 0 else points[p] for p in parents]
-    side = lambda a, b: data  # noqa: E731
-    edges = ((_build_path(s, z, data.domain.punctures, q_edge), side) for s, z in zip(starts, points))
-    sums = integrate_paths(edges, q_edge)
-    levels = np.array(depth)
-    up = np.array(parents)
-    for d in range(1, int(levels.max(initial=0)) + 1):
-        at = np.flatnonzero(levels == d)
-        sums[:, at] += sums[:, up[at]]
-    return np.array(data.X0.as_tuple()) + sums.real.T
+    bad = np.flatnonzero((up < -1) | (up >= np.arange(len(up))))
+    if len(bad):
+        raise ValueError(f"parent {up[bad[0]]} of point {bad[0]} must be -1 (a root) or come before it")
+    depth, above = (up >= 0).astype(np.intp), up.copy()
+    while (live := above >= 0).any():  # pointer jumping: depth counts the edges up to ``above``
+        depth[live] += depth[above[live]]
+        above[live] = above[above[live]]
+    deepest = int(depth.max(initial=0))
+    q_edge = replace(q, tol=q.tol / (deepest + 1))
+    starts = np.where(up < 0, data.z0, z[up])
+    paths, unbuilt = {}, None
+    for k in np.flatnonzero(_needs_path(starts, z, data.domain.punctures, q.clearance)).tolist():
+        try:
+            paths[k] = _build_path(starts[k], z[k], data.domain.punctures, q_edge)
+        except PathError as exc:  # raised once the edges before it are integrated
+            unbuilt, z = exc, z[:k]
+            break
+    counts = np.ones(len(z), dtype=np.intp)
+    counts[list(paths)] = [len(path) - 1 for path in paths.values()]
+    owner = np.repeat(np.arange(len(z)), counts)
+    a, b = starts[owner], z[owner]
+    for k, path in paths.items():  # a detour's segments replace its edge's one
+        at = owner.searchsorted(k)
+        a[at : at + counts[k]], b[at : at + counts[k]] = path[:-1], path[1:]
+    moves = a != b
+    segments = (a[moves], b[moves], q_edge.tol / counts[owner[moves]], owner[moves])
+    polyline = lambda k: (paths.get(k) or [complex(starts[k]), complex(z[k])], lambda x, y: data)  # noqa: E731
+    sums = integrate_segments([data], np.zeros(moves.sum(), dtype=np.intp), *segments, len(z), polyline, q_edge)
+    if unbuilt is not None:
+        raise unbuilt
+    X = sums.real.T.copy()
+    levels = np.argsort(depth, kind="stable")
+    for at in np.split(levels, depth[levels].searchsorted(np.arange(1, deepest + 1)))[1:]:  # level by level
+        X[at] += X[up[at]]
+    return np.array(data.X0.as_tuple()) + X
 
 
 def integrate_paths(paths: Iterable[tuple[Sequence[complex], Callable]], q: QuadratureConfig) -> np.ndarray:
     """integrate_path on many polylines at once: the integrals, (3, n).
 
-    ``paths`` yields (points, side_for); ``side_for(a, b)`` is the patch whose
-    field holds from a to b.  The segments of each side (one object) go to one
-    _integrate_segments call, which only computes; each path with a segment
-    that did not converge is integrated again by integrate_path, in order,
-    for its value or its error, and a PathError raised while building the
-    paths is raised after the paths built before it."""
-    built: list = []
+    ``paths`` yields (points, side_for); ``side_for(a, b)`` is the patch whose field holds from a to b.
+    The polylines are flattened into the segments of ``integrate_segments``, each with its path's share of
+    the tolerance; a PathError raised while building them is raised after the paths built before it."""
+    built, unbuilt = [], None
     try:
         built.extend(paths)
-        unbuilt = None
     except PathError as exc:
         unbuilt = exc
-    sides: dict[int, tuple[WeierstrassData, list, list, list, list]] = {}
-    last = None
+    index, sides, rows = {}, [], []
     for k, (points, side_for) in enumerate(built):
-        tol_each = q.tol / max(len(points) - 1, 1)
-        for a, b in zip(points, points[1:]):
-            if a != b:
-                side = side_for(a, b)
-                if side is not last:  # neighbouring segments mostly share their side
-                    last = side
-                    _, seg_a, seg_b, seg_tol, owner = sides.setdefault(id(side), (side, [], [], [], []))
-                seg_a.append(a)
-                seg_b.append(b)
-                seg_tol.append(tol_each)
-                owner.append(k)
-    sums = np.zeros((3, len(built)), dtype=complex)
-    failed = np.zeros(len(built), dtype=bool)
-    for side, seg_a, seg_b, seg_tol, owner in sides.values():
-        a, b, owner = np.array(seg_a, dtype=complex), np.array(seg_b, dtype=complex), np.array(owner)
-        seg_sum, ok = _integrate_segments(side.field_array, a, b, np.array(seg_tol), q.max_depth)
-        for c in range(3):
-            np.add.at(sums[c], owner, seg_sum[c])
-        failed[owner[~ok]] = True
-    for k in np.flatnonzero(failed):
-        points, side_for = built[k]
-        sums[:, k] = integrate_path(lambda a, b: side_for(a, b).field, points, q)[0]
+        for x, y in zip(points, points[1:]):
+            if x != y:
+                patch = side_for(x, y)
+                if index.setdefault(id(patch), len(sides)) == len(sides):
+                    sides.append(patch)
+                rows.append((index[id(patch)], x, y, q.tol / max(len(points) - 1, 1), k))
+    columns = zip(*rows) if rows else [()] * 5
+    segments = [np.array(c, dtype=t) for c, t in zip(columns, (np.intp, complex, complex, float, np.intp))]
+    sums = integrate_segments(sides, *segments, len(built), built.__getitem__, q)
     if unbuilt is not None:
         raise unbuilt
+    return sums
+
+
+def integrate_segments(sides, side, a, b, tol, owner, n: int, polyline: Callable, q: QuadratureConfig) -> np.ndarray:
+    """The integrals (3, n) of n paths given as segments: from a[i] to b[i] on sides[side[i]], with tolerance
+    tol[i], after the earlier segments of path owner[i].  Each side's segments go to one _integrate_segments
+    call, which only computes; each path with a segment that did not converge is integrated again by
+    integrate_path along ``polyline(k)`` = (points, side_for), in path order, for its value or its error."""
+    sums, failed = np.zeros((3, n), dtype=complex), np.zeros(n, dtype=bool)
+    for i, patch in enumerate(sides):
+        on = side == i
+        seg_sum, ok = _integrate_segments(patch.field_array, a[on], b[on], tol[on], q.max_depth)
+        for c in range(3):
+            np.add.at(sums[c], owner[on], seg_sum[c])
+        failed[owner[on][~ok]] = True
+    for k in np.flatnonzero(failed).tolist():
+        points, side_for = polyline(k)
+        sums[:, k] = integrate_path(lambda x, y: side_for(x, y).field, points, q)[0]
     return sums
 
 

@@ -6,6 +6,7 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "capture_outputs.py"
 
 EXTENDABLE = ("catenoid-b07", "spacelike", "timelike", "lightlike")
 SURFACES = ("catenoid",) + tuple(name + ".ext" for name in EXTENDABLE)
+DOMAIN_MESHES = ("half-disk", "annulus", "strip", "window", "detour")
 
 
 def test_capture_outputs_writes_one_file_per_command(tmp_path):
@@ -18,16 +19,18 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"check-{name}" for name in SURFACES]
         + [f"eval-{name}-{k:02d}" for name in SURFACES for k in range(20)]
         + ["mesh-65", "mesh-33"]
+        + [f"mesh-{name}" for name in DOMAIN_MESHES]
         + ["mesh-pole-9", "mesh-pole-17", "mesh-overflow-17", "eval-poly-degenerate"]
         + ["check-pole", "check-overflow", "check-poly"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
-        [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + ("pole", "overflow", "poly")]
+        [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
         + [f"{name}.cfg" for name in SURFACES[1:]]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
+        + [f"{name}.obj{ext}" for name in DOMAIN_MESHES for ext in ("", ".attrs.json")]
     )
     for name in logs[:-3]:
-        if "-extend-" in name or "-check-" in name:
+        if "-extend-" in name or "-check-" in name or name[4:-4] in [f"mesh-{m}" for m in DOMAIN_MESHES]:
             assert "\nexit 0\n" in (tmp_path / name).read_text(), name
     failing = {
         "mesh-pole-9": (2, "error: division by zero in '1/(z+0.0625*i)'\n"),

@@ -49,10 +49,11 @@ def _grid(data, nu, nv, mesh_range=None):
     return pts
 
 
-def _entire(kind, **domain):
+def _entire(kind, z0=None, **domain):
     """f = exp(z/2), g = z/2: entire, so X has no periods on any domain."""
     dom = Domain(kind, **domain)
-    z0 = 0.6j if kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS) else 0.6
+    if z0 is None:
+        z0 = 0.6j if kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS) else 0.6
     return WeierstrassData(parse("exp(z/2)"), parse("z/2"), dom, z0, LVector(0.1, -0.2, 0.3))
 
 
@@ -73,6 +74,13 @@ CASES = {
         19,
         5,
         (-0.9, 0.9, 0.05, 0.25),
+    ),
+    # z0 is 0.036 from the extra puncture, so the root's path from it detours, as do forest edges
+    "punctured-disk-detours": (
+        _entire(DomainKind.PUNCTURED_DISK, z0=0.33 + 0.2j, radius=1.0, punctures=(0.31 + 0.17j,)),
+        13,
+        21,
+        None,
     ),
 }
 
@@ -112,7 +120,7 @@ def test_strip_below_the_inner_circle_is_a_forest():
     data, nu, nv, window = CASES["half-annulus-two-roots"]
     pts = _grid(data, nu, nv, window)
     valid = [data.domain.contains(z, closed=True) for z in pts]
-    order, parents = _grid_forest(pts, valid, nv, data.z0)
+    order, parents = _grid_forest(np.array(pts), np.array(valid), nv, data.z0)
     assert sorted(order) == [k for k, ok in enumerate(valid) if ok]
     assert parents.count(-1) == 2
     root = []
@@ -124,6 +132,22 @@ def test_strip_below_the_inner_circle_is_a_forest():
     for r in set(root):
         members = [order[pos] for pos, s in enumerate(root) if s == r]
         assert order[r] == min(members, key=lambda k: abs(pts[k] - data.z0))
+
+
+def test_detour_mesh_detours_a_root_path_and_forest_edges(monkeypatch):
+    data, nu, nv, window = CASES["punctured-disk-detours"]
+    built, build_path = [], weierstrass._build_path
+
+    def recording(a, b, punctures, q):
+        built.append(build_path(a, b, punctures, q))
+        return built[-1]
+
+    monkeypatch.setattr(weierstrass, "_build_path", recording)
+    build_mesh(data, nu, nv, mesh_range=window)
+    detours = [path for path in built if len(path) > 2]
+    assert len(detours) > 0
+    assert any(path[0] == data.z0 for path in detours)
+    assert any(path[0] != data.z0 for path in detours)
 
 
 def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch):
@@ -215,7 +239,7 @@ def _pole_on_first_edge():
     """Data whose f has a pole exactly at the centre node of the forest's first edge."""
     probe = WeierstrassData(parse("1"), parse("z/3"), Domain(DomainKind.DISK), 0j, LVector(0, 0, 0))
     pts = _grid(probe, 9, 9, _WINDOW)
-    order, _ = _grid_forest(pts, [True] * len(pts), 9, probe.z0)
+    order, _ = _grid_forest(np.array(pts), np.ones(len(pts), dtype=bool), 9, probe.z0)
     c = 0.5 * (pts[order[0]] + pts[order[1]])
     assert c == complex(0, -0.0625)
     return WeierstrassData(parse("1/(z+0.0625*i)"), parse("z/3"), Domain(DomainKind.DISK), 0j, LVector(0, 0, 0))

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from maxsurf.expr import parse
 from maxsurf.extension import extend
 from maxsurf.minkowski import LVector, Plane
 from maxsurf.verify import (
+    GridSpec,
+    _grid_points,
     catenoid_data,
     catenoid_reference,
     check_cross_product_normal,
@@ -226,3 +229,42 @@ def test_puncture_square_stays_inside_and_winds_once(domain):
             ((b - a) * (o - a).conjugate()).imag < 0 for a, b in zip(square, square[1:] + square[:1])
         )]
         assert inside == [p]
+
+
+# sha256 of the complex128 bytes of _grid_points, recorded before it shared Domain.contains_many
+_GRID_POINTS_SHA = {
+    "disk": (Domain(DomainKind.DISK), "8d4869e1f7b3a42b", "9b6abf21e0fa8bfe"),
+    "disk-punctured": (
+        Domain(DomainKind.DISK, radius=2.0, punctures=(0.3 + 0.2j,)),
+        "bce9b0e229f181ae",
+        "e9b28e1e18302601",
+    ),
+    "half-disk": (
+        Domain(DomainKind.HALF_DISK, radius=1.5, punctures=(0.2 + 0.5j,)),
+        "acf9e651ebc4100a",
+        "5be9fab3e7ae0749",
+    ),
+    "annulus": (
+        Domain(DomainKind.ANNULUS, radius=1.0, inner_radius=0.3, punctures=(0.46 + 0.01j,)),
+        "9c33e2dc5586720b",
+        "da8150662128b984",
+    ),
+    "half-annulus": (
+        Domain(DomainKind.HALF_ANNULUS, radius=2.0, inner_radius=0.5, punctures=(-1 + 0.6j,)),
+        "f9b21bedea1fe188",
+        "f85abfbc24e3f694",
+    ),
+    "punctured-disk": (
+        Domain(DomainKind.PUNCTURED_DISK, punctures=(0.2 + 0.01j,)),
+        "c8f86c46f7256bc6",
+        "9b6abf21e0fa8bfe",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_POINTS_SHA))
+def test_grid_points_are_pinned_bit_for_bit(name):
+    domain, default, small = _GRID_POINTS_SHA[name]
+    for grid, sha in ((GridSpec(), default), (GridSpec(3, 5), small)):
+        pts = np.array(_grid_points(domain, grid), dtype=complex)
+        assert hashlib.sha256(pts.tobytes()).hexdigest()[:16] == sha

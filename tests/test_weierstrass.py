@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixtures import catenoid_oracle, plane_fixture, random_polynomial_data
 from maxsurf import weierstrass
@@ -68,6 +69,53 @@ def test_domain_membership_half_annulus():
     assert not d.contains(0.1j)
     assert d.contains(0.5, closed=True)
     assert not d.contains(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Domain.contains_many against the scalar rules
+
+_PROPERTY_DOMAINS = [
+    Domain(DomainKind.DISK, radius=1.0),
+    Domain(DomainKind.DISK, radius=2.5, punctures=(0.3 + 0.2j,)),
+    Domain(DomainKind.HALF_DISK, radius=0.5, punctures=(0.1 + 0.2j,)),
+    Domain(DomainKind.ANNULUS, radius=1.0, inner_radius=0.3, punctures=(-0.5 + 0.1j,)),
+    Domain(DomainKind.HALF_ANNULUS, radius=2.0, inner_radius=0.5, punctures=(-1 + 0.6j,)),
+    Domain(DomainKind.PUNCTURED_DISK, radius=1.0, punctures=(0.31 + 0.17j,)),
+]
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+
+
+@st.composite
+def _domain_points(draw, domain):
+    """A point on, within 1e-12 of, or away from an edge of the domain or a puncture, or with a non-finite part."""
+    R = domain.radius
+    turn = cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))  # |turn| = 1 to an ulp, so abs rounds either way
+    anchors = [R, -R, 1j * R, -1j * R, R * turn, domain.inner_radius, -1j * domain.inner_radius]
+    anchors += [domain.inner_radius * turn, 0.7 * R, -0.4 * R] + list(domain.punctures)
+    base = draw(st.sampled_from(anchors)) if draw(st.booleans()) else complex(
+        draw(st.floats(-1.5 * R, 1.5 * R)), draw(st.floats(-1.5 * R, 1.5 * R))
+    )
+    step = draw(st.sampled_from([0.0, 1e-13, 1e-12, 1e-12 * max(R, 1.0), 2e-12 * max(R, 1.0), 0.05, 1e-9]))
+    z = base + step * turn
+    if draw(st.integers(0, 5)) == 0:  # a non-finite or signed-zero part
+        part = draw(st.sampled_from(_SPECIAL))
+        z = complex(part, z.imag) if draw(st.booleans()) else complex(z.real, part)
+    return z
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), which=st.integers(0, len(_PROPERTY_DOMAINS) - 1), spacing=st.sampled_from([0.0, 1e-12, 0.05]))
+def test_contains_many_is_contains_elementwise(data, which, spacing):
+    domain = _PROPERTY_DOMAINS[which]
+    zs = data.draw(st.lists(_domain_points(domain), min_size=1, max_size=30))
+    # and on each circle of the rules at fixed angles, where the two roundings of |z| often part
+    gap = max(spacing, 1e-12 * max(domain.radius, 1.0))
+    circles = [(0, domain.radius), (0, domain.inner_radius)] + [(p, gap) for p in domain.punctures]
+    zs += [c + r * cmath.exp(1j * t) for c, r in circles for t in np.linspace(-3, 3, 16).tolist()]
+    for closed in (False, True):
+        got = domain.contains_many(np.array(zs, dtype=complex), closed=closed, spacing=spacing).tolist()
+        clear = [all(abs(z - p) > spacing for p in domain.punctures) for z in zs]
+        assert got == [domain.contains(z, closed=closed) and c for z, c in zip(zs, clear)]
 
 
 def test_domain_validation():
@@ -278,6 +326,59 @@ def test_surface_tree_splits_tol_over_the_deepest_branch(monkeypatch):
 def test_surface_tree_needs_parents_first():
     with pytest.raises(ValueError):
         surface_tree(catenoid_data(), [0.5, 0.6], [1, -1])
+
+
+def test_surface_tree_rejects_parents_below_minus_one():
+    with pytest.raises(ValueError, match=r"parent -5 of point 1 must be -1 \(a root\) or come before it"):
+        surface_tree(catenoid_data(), [0.5, 0.6], [-1, -5])
+    with pytest.raises(ValueError, match="parent 2 of point 1 must"):  # the first bad parent
+        surface_tree(catenoid_data(), [0.5, 0.6, 0.7], [-1, 2, -3])
+
+
+# ---------------------------------------------------------------------------
+# the array detour test against _build_path
+
+_CLEARANCES = [0.05, 0.125, 1e-3]
+
+
+@st.composite
+def _edge_end(draw, punctures, clearance):
+    """An edge end: near or on a puncture, on the real axis, anywhere, or not finite."""
+    pick = draw(st.integers(0, 4))
+    if pick == 0:
+        p = draw(st.sampled_from(punctures))
+        return p + draw(st.sampled_from([0.0, 5e-13, 1e-12, 2e-12, clearance, 2 * clearance])) * cmath.exp(
+            1j * draw(st.floats(-math.pi, math.pi))
+        )
+    if pick == 1:
+        return complex(draw(st.floats(-1, 1)))
+    if pick == 2:
+        return complex(draw(st.sampled_from(_SPECIAL)), draw(st.floats(-1, 1)))
+    return complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), clearance=st.sampled_from(_CLEARANCES), x=st.floats(-0.9, 0.9))
+def test_needs_path_flags_exactly_the_edges_build_path_changes(data, clearance, x):
+    # a puncture at height exactly ``clearance`` over the real axis has its foot on a real edge at
+    # exactly that distance (no detour), one a step lower is closer (a detour)
+    punctures = [complex(x, clearance), complex(x, math.nextafter(clearance, 0)), 0.25 - 0.5j, 0j]
+    punctures = data.draw(st.lists(st.sampled_from(punctures), max_size=3, unique=True))
+    end = _edge_end(punctures or [0j], clearance)
+    edges = data.draw(st.lists(st.tuples(end, end), min_size=1, max_size=12))
+    edges += [(s, s) for s, _ in edges[:2]]  # zero-length edges
+    for p in punctures:  # tangent to the clearance circle at a generic angle: the foot is that far to an ulp
+        w = cmath.exp(1j * data.draw(st.floats(-math.pi, math.pi)))
+        edges.append((p + clearance * w + 0.3j * w, p + clearance * w - 0.3j * w))
+    q = QuadratureConfig(clearance=clearance)
+    expected = []
+    for s, t in edges:
+        try:
+            expected.append(len(weierstrass._build_path(s, t, punctures, q)) > 2)
+        except PathError:
+            expected.append(True)
+    s, t = (np.array(ends, dtype=complex) for ends in zip(*edges))
+    assert weierstrass._needs_path(s, t, punctures, clearance).tolist() == expected
 
 
 def test_tolerance_error_carries_estimate():

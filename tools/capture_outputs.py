@@ -9,6 +9,11 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``check`` on the five surfaces (the catenoid and the four extensions);
   - ``eval`` at 20 seeded points per surface, 10 on each side of the arc;
   - ``mesh`` of the catenoid at 65x65 and 33x33;
+  - ``mesh`` of the other domain shapes at small grids (a half disk, an
+    annulus, a strip of a half annulus below its inner circle, a disk seen
+    through a larger window) and of a punctured disk whose edges and root
+    path detour around a puncture, so every domain kind and the detour
+    branch of the mesh front end are compared too;
   - commands that fail or degenerate, so that their error lines are compared
     too: ``mesh`` with a pole of f on a quadrature node (9x9, exit 2) and
     near one (17x17, exit 1), ``mesh`` of an f that overflows (exit 1),
@@ -41,6 +46,17 @@ from workloads import BASE_CONFIGS, EXTENDABLE, RHO, SURFACES, sample_point  # n
 
 EVAL_POINTS = 10  # per side of the arc
 MESH_SIZES = (65, 33)
+_ENTIRE = "f = exp(z/2)\ng = z/2\nX0 = 0.1,-0.2,0.3\nradius = 1\n"
+DOMAIN_MESHES = {  # name: (config, grid)
+    "half-disk": ("f = i*exp(-i*z)\ng = exp(i*z)/2\ndomain = upper-half-disk\nradius = 0.9\nz0 = 0.5*i\n", "9x13"),
+    "annulus": (_ENTIRE + "domain = annulus\ninner_radius = 0.3\nz0 = 0.6\n", "9x25"),
+    "strip": (
+        _ENTIRE + "domain = half-annulus\ninner_radius = 0.3\nz0 = 0.6*i\nmesh_range = -0.9,0.9,0.05,0.25\n",
+        "19x5",
+    ),
+    "window": ("f = 1 + z\ng = z/3\ndomain = disk\nz0 = 0.2\nmesh_range = -1.3,0.9,-0.8,1.2\n", "14x11"),
+    "detour": (_ENTIRE + "domain = punctured-disk\npunctures = 0.31+0.17*i\nz0 = 0.33+0.2*i\n", "13x21"),
+}
 FAULT_CONFIGS = {
     "pole": "f = 1/(z+0.0625*i)\ng = z/3\ndomain = disk\nz0 = 0\nmesh_range = -0.5,0.5,-0.5,0.5\n",
     "overflow": "f = 1/(z*1e300*1e300)\ng = z/3\ndomain = disk\nz0 = 0\n",
@@ -75,6 +91,8 @@ def commands() -> list[tuple[str, list[str]]]:
             cmds.append((f"eval-{name}-{k:02d}", ["eval", f"{name}.cfg", f"--at={z.real!r},{z.imag!r}"]))
     for n in MESH_SIZES:
         cmds.append((f"mesh-{n}", ["mesh", "catenoid.cfg", "--grid", f"{n}x{n}", "-o", f"catenoid-{n}.obj"]))
+    for name, (_, grid) in DOMAIN_MESHES.items():
+        cmds.append((f"mesh-{name}", ["mesh", f"{name}.cfg", "--grid", grid, "-o", f"{name}.obj"]))
     for name, n in (("pole", 9), ("pole", 17), ("overflow", 17)):
         cmds.append((f"mesh-{name}-{n}", ["mesh", f"{name}.cfg", "--grid", f"{n}x{n}", "-o", f"{name}-{n}.obj"]))
     cmds.append(("eval-poly-degenerate", ["eval", "poly.cfg", "--at=1,0"]))
@@ -92,7 +110,8 @@ def run(argv: list[str]) -> str:
 def capture(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
-    for name, text in {**BASE_CONFIGS, **FAULT_CONFIGS}.items():
+    meshes = {name: text for name, (text, _) in DOMAIN_MESHES.items()}
+    for name, text in {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS}.items():
         Path(f"{name}.cfg").write_text(text)
     for k, (stem, argv) in enumerate(commands()):
         Path(f"{k:03d}-{stem}.txt").write_text(run(argv))

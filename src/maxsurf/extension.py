@@ -43,6 +43,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +59,7 @@ from .expr import (
     Pow,
     Sub,
     Var,
+    compile_array,
     compile_fn,
     differentiate,
     sconj,
@@ -65,11 +67,14 @@ from .expr import (
 )
 from .minkowski import CausalClass, LVector, Plane, lorentz_inner, plane_class
 from .weierstrass import (
+    GAUSS_EPS,
     Domain,
     DomainKind,
     QuadratureConfig,
     WeierstrassData,
     _build_path,
+    _gauss_arrays,
+    _phi_values,
     gauss_from_g,
     integrate_path,
     integrate_paths,
@@ -196,16 +201,15 @@ class BoundaryArc:
         """Where sigma itself is singular."""
         return () if self.kind == "segment" else (0j,)
 
-    def on_original_side(self, z: complex) -> bool:
-        if self.kind == "segment":
-            return z.imag >= 0
-        return abs(z) >= self.rho
+    def on_original_side(self, z: complex | np.ndarray) -> bool | np.ndarray:
+        return self.approach(z) >= 0
 
-    def approach(self, z: complex) -> float:
-        """Signed distance parameter of z from the arc, 0 on it."""
+    def approach(self, z: complex | np.ndarray) -> float | np.ndarray:
+        """Signed distance parameter of z (a number or an array) from the arc, 0 on it;
+        |z| is np.hypot, which rounds as abs does, so an array holds each number's value."""
         if self.kind == "segment":
             return z.imag
-        return abs(z) - self.rho
+        return np.hypot(z.real, z.imag) - self.rho
 
     def crossings(self, a: complex, b: complex) -> list[complex]:
         """Interior points where the segment from a to b crosses the arc."""
@@ -457,29 +461,22 @@ def boundary_samples(domain: Domain, depths: Sequence[float] = _DEPTH_FRACTIONS)
     scale, in the order given, suited to polynomial extrapolation of
     boundary limits.
     """
-    base = boundary_points(domain)
-    out: list[complex] = []
-    if domain.boundary_circle is not None:
-        rho = domain.boundary_circle
-        for zb in base:
-            unit = zb / abs(zb)
-            for d in depths:
-                out.append((rho * (1 + d)) * unit)
+    base, d = np.array(boundary_points(domain))[:, None], np.asarray(depths, dtype=float)
+    out = np.empty((len(base), len(d)), dtype=complex)
+    if domain.boundary_circle is not None:  # (rho (1 + d)) * (zb / |zb|), by parts as complex arithmetic rounds it
+        r, s = np.hypot(base.real, base.imag), domain.boundary_circle * (1 + d)
+        out.real, out.imag = s * (base.real / r), s * (base.imag / r)
     else:
-        scale = domain.radius
-        for zb in base:
-            for d in depths:
-                out.append(complex(zb.real, d * scale))
-    return out
+        out.real, out.imag = base.real, d * domain.radius
+    return out.ravel().tolist()
 
 
-def _neville(ts: Sequence[float], vals: Sequence[complex]) -> complex:
-    """The interpolating polynomial through (ts, vals), evaluated at t = 0."""
-    n = len(ts)
-    p = list(vals)
+def _neville(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The interpolating polynomials through (ts, vals) along their first axis, evaluated at t = 0;
+    each tableau column is one array step, with the arithmetic of the scalar recurrence."""
+    p, n = vals, len(ts)
     for k in range(1, n):
-        for j in range(n - k):
-            p[j] = (ts[j] * p[j + 1] - ts[j + k] * p[j]) / (ts[j] - ts[j + k])
+        p = (ts[: n - k] * p[1:] - ts[k:] * p[:-1]) / (ts[: n - k] - ts[k:])
     return p[0]
 
 
@@ -500,44 +497,36 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     GeometryMismatchError when the fitted Gauss locus disagrees with the
     one implied by c by more than LOCUS_TOL.
     """
-    domain = data.domain
-    if domain.boundary_circle is not None:
-        boundary = BoundaryArc("circle", domain.boundary_circle)
-    else:
-        boundary = BoundaryArc("segment")
+    domain, rho = data.domain, data.domain.boundary_circle
+    boundary = BoundaryArc("segment") if rho is None else BoundaryArc("circle", rho)
     case = CASES[plane_class(plane)]
     unit_n, offset = case.normalize(plane)
-    samples, tail = boundary_samples(domain), len(_DEPTH_FRACTIONS)
-    groups = [samples[k : k + tail] for k in range(0, len(samples), tail)]
-
-    gfun = compile_fn(data.g)
-    c_limits: list[float] = []
-    g_limits: list[complex] = []
-    for grp in groups:
-        ts = [boundary.approach(z) for z in grp]
-        gs = [gfun(z) for z in grp]
-        cs = [lorentz_inner(gauss_from_g(gv), unit_n) for gv in gs]
-        g_limits.append(_neville(ts, gs))
-        c_limits.append(_neville(ts, [complex(c) for c in cs]).real)
+    z = np.array(boundary_samples(domain)).reshape(ARC_POSITIONS, len(_DEPTH_FRACTIONS))  # (position, depth)
+    gs = compile_array(data.g)(z)
+    N = _gauss_arrays(gs.ravel())[0].reshape(*gs.shape, 3)
+    with np.errstate(all="ignore"):
+        cs = N[..., 0] * unit_n.x1 + N[..., 1] * unit_n.x2 - N[..., 2] * unit_n.x3  # lorentz_inner's arithmetic
+        near = np.abs(1 - np.abs(gs) ** 2) < 2 * GAUSS_EPS  # where gauss_from_g may refuse g
+    for k in np.flatnonzero((near | ~np.isfinite(cs)).any(axis=1)).tolist():  # the scalar code decides, in order
+        gs[k] = list(map(compile_fn(data.g), z[k].tolist()))
+        cs[k] = [lorentz_inner(gauss_from_g(gv), unit_n) for gv in gs[k].tolist()]
+    # real and imaginary parts apart: for finite values the arithmetic of a complex tableau over real ts
+    with np.errstate(all="ignore"):
+        limits = _neville(np.tile(boundary.approach(z).T, 3), np.hstack((gs.real.T, gs.imag.T, cs.T))).reshape(3, -1)
+    g_limits, c_limits = (limits[0] + 1j * limits[1]).tolist(), limits[2].tolist()
 
     c = float(np.mean(c_limits))
     deviation = max(abs(ci - c) for ci in c_limits)
     if deviation > ANGLE_TOL:
-        raise HypothesisViolationError(
-            f"constant-angle hypothesis violated: <N,n> varies by {deviation:.3e} "
-            f"about {c:.6f}"
-        )
+        raise HypothesisViolationError(f"constant-angle hypothesis violated: <N,n> varies by {deviation:.3e} about {c:.6f}")
     if abs(c) < C_TOL:
         raise OrthogonalContactError(
             "orthogonal contact (c = 0): excluded here; such boundaries extend by "
             "symmetric reflection across the plane, which this engine does not provide"
         )
     mods = [abs(gv) for gv in g_limits]
-    if all(m < 1 for m in mods):
-        sheet = 1
-    elif all(m > 1 for m in mods):
-        sheet = -1
-    else:
+    sheet = 1 if all(m < 1 for m in mods) else -1 if all(m > 1 for m in mods) else 0
+    if not sheet:
         raise HypothesisViolationError("boundary Gauss values straddle |g| = 1")
 
     locus = fit_circle_or_line(g_limits)
@@ -597,27 +586,36 @@ class MatchReport:
         return self.max_gap <= self.tol
 
 
+_MATCHED = ("f", "g", "phi1", "phi2", "phi3")
+
+
+def _match_values(f, g, df, dg) -> np.ndarray:
+    """f, g, the phi triple and the derivatives of all five, in _MATCHED order,
+    from the values of f, g, f' and g' by the product rule."""
+    with np.errstate(all="ignore"):
+        fdg, (p1, p2, p3) = f * dg, _phi_values(df, g)  # the f' terms of d(phi)
+        return np.array([f, g, *_phi_values(f, g), df, dg, p1 + fdg * g, p2 - 1j * fdg * g, p3 + fdg])
+
+
 def _match_report(data, f_minus, g_minus) -> MatchReport:
+    """The gaps from f, g, f' and g' of each side at the arc points, in one array pass.  Where a value
+    is not finite, scalar closures redo the point; the first fault raises, in the order f, g, phi (its
+    g^2), f', g' of the report's formulas, then point by point, the original side first."""
     pts = boundary_points(data.domain)
-    plus = {"f": data.f, "g": data.g}
-    minus = {"f": f_minus, "g": g_minus}
-    for name, ep, em in zip(("phi1", "phi2", "phi3"), phi_exprs(data.f, data.g), phi_exprs(f_minus, g_minus)):
-        plus[name] = ep
-        minus[name] = em
-    gaps: dict[str, float] = {}
-    for name in list(plus):
-        plus["d" + name] = differentiate(plus[name])
-        minus["d" + name] = differentiate(minus[name])
-    for name in plus:
-        fp = compile_fn(plus[name])
-        fm = compile_fn(minus[name])
-        worst = 0.0
-        for z in pts:
-            a = fp(z)
-            b = fm(z)
-            worst = max(worst, abs(a - b) / (1 + abs(a)))
-        gaps[name] = worst
-    return MatchReport(gaps=gaps, tol=MATCH_TOL, points=tuple(pts))
+    trees = [(f, g, differentiate(f), differentiate(g)) for f, g in ((data.f, data.g), (f_minus, g_minus))]
+    z = np.array(pts)
+    fgd = np.array([[compile_array(e)(z) for e in side] for side in trees])  # (side, f g f' g', point)
+    redo = np.flatnonzero(~np.isfinite(_match_values(*fgd.swapaxes(0, 1))).all(axis=(0, 1))).tolist()
+    closures = [[compile_fn(e) for e in (*side, Pow(side[1], 2))] for side in trees] if redo else None
+    for j, k, s in product((0, 1, 4, 2, 3), redo, (0, 1)):
+        value = closures[s][j](pts[k])
+        if j < 4:  # 4 is phi's g^2, evaluated for its overflow
+            fgd[s, j, k] = value
+    plus, minus = _match_values(*fgd.swapaxes(0, 1)).swapaxes(0, 1)
+    with np.errstate(all="ignore"):
+        gap = np.fmax.reduce(np.abs(plus - minus) / (1 + np.abs(plus)), axis=1, initial=0.0)  # NaN drops out
+    names = _MATCHED + tuple("d" + name for name in _MATCHED)
+    return MatchReport(gaps=dict(zip(names, gap.tolist())), tol=MATCH_TOL, points=tuple(pts))
 
 
 @dataclass(frozen=True)
@@ -708,18 +706,19 @@ class ExtendedSurface:
 
 
 def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offsets: Sequence[complex]):
-    """Reject when g_minus hits any of the given values on the sample grid."""
-    fn = compile_fn(g_minus)
-    for z in pts:
+    """Reject when g_minus hits any of the given values on the sample grid, skipping points where it
+    faults; one array pass finds the points near a value or not finite, and the scalar code decides there."""
+    with np.errstate(invalid="ignore"):
+        gs = compile_array(g_minus)(np.array(pts, dtype=complex))
+        near = ~np.isfinite(gs) | (np.abs(gs[:, None] - np.array(offsets)) < 2 * SINGULAR_TOL).any(axis=1)
+    for z in [pts[k] for k in np.flatnonzero(near)]:
         try:
-            gv = fn(complex(z))
+            gv = compile_fn(g_minus)(complex(z))
         except EvalError:
             continue
         for w in offsets:
             if abs(gv - w) < SINGULAR_TOL:
-                raise SingularReconstructionError(
-                    f"extended g takes the singular value {w} near z = {z}"
-                )
+                raise SingularReconstructionError(f"extended g takes the singular value {w} near z = {z}")
 
 
 def _minus_grid(domain: Domain, reflect) -> list[complex]:

@@ -254,18 +254,17 @@ def phi_exprs(f: Expr, g: Expr) -> tuple[Expr, Expr, Expr]:
     )
 
 
+def _phi_values(fv, gv):
+    """The phi triple from values of f and g, numbers or arrays."""
+    g2 = gv * gv
+    return (0.5 * fv * (1 + g2), 0.5j * fv * (1 - g2), fv * gv)
+
+
 def _phi_fn(f: Expr, g: Expr, array: bool = False) -> Callable:
     compile = compile_array if array else compile_fn
     ff = compile(f)
     gg = compile(g)
-
-    def fn(z: complex) -> tuple[complex, complex, complex]:
-        fv = ff(z)
-        gv = gg(z)
-        g2 = gv * gv
-        return (0.5 * fv * (1 + g2), 0.5j * fv * (1 - g2), fv * gv)
-
-    return fn
+    return lambda z: _phi_values(ff(z), gg(z))
 
 
 GAUSS_EPS = 1e-12

@@ -7,6 +7,7 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "capture_outputs.py"
 EXTENDABLE = ("catenoid-b07", "spacelike", "timelike", "lightlike")
 SURFACES = ("catenoid",) + tuple(name + ".ext" for name in EXTENDABLE)
 DOMAIN_MESHES = ("half-disk", "annulus", "strip", "window", "detour")
+EXTENSION_FAULTS = ("orthogonal", "varying", "singular", "matching-fault")
 
 
 def test_capture_outputs_writes_one_file_per_command(tmp_path):
@@ -22,14 +23,16 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"mesh-{name}" for name in DOMAIN_MESHES]
         + ["mesh-pole-9", "mesh-pole-17", "mesh-overflow-17", "eval-poly-degenerate"]
         + ["check-pole", "check-overflow", "check-poly"]
+        + ["extend-orthogonal", "extend-varying", "extend-singular", "check-matching-fault", "extend-matching-fault"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
+        + [f"{name}.cfg" for name in EXTENSION_FAULTS] + ["matching-fault.ext.cfg"]
         + [f"{name}.cfg" for name in SURFACES[1:]]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES for ext in ("", ".attrs.json")]
     )
-    for name in logs[:-3]:
+    for name in logs[:-8]:
         if "-extend-" in name or "-check-" in name or name[4:-4] in [f"mesh-{m}" for m in DOMAIN_MESHES]:
             assert "\nexit 0\n" in (tmp_path / name).read_text(), name
     failing = {
@@ -41,8 +44,15 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-overflow": (1, "error: quadrature did not converge on path to (-0.19-2.3268289183799712e-17j)"
                            " (achieved error estimate nan)\n"),
         "check-poly": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
+        "extend-orthogonal": (1, "extension failed: orthogonal contact (c = 0): excluded here;"),
+        "extend-varying": (1, "extension failed: constant-angle hypothesis violated: <N,n> varies by 2.228e-01 about "
+                           "-1.220594\n"),
+        "extend-singular": (1, "extension failed: extended g takes the singular value (1+0j) near "
+                            "z = (0.2888725384110351-0.40654239767553646j)\n"),
+        "check-matching-fault": (2, "--- stdout\n--- stderr\nerror: division by zero in '1/z'\n"),
+        "extend-matching-fault": (0, '"passed": true'),
     }
-    for name in logs[-7:]:
+    for name in logs[-12:]:
         code, line = failing[name[4:-4]]
         text = (tmp_path / name).read_text()
         assert f"\nexit {code}\n" in text and line in text, name

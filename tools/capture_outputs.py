@@ -19,7 +19,14 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     near one (17x17, exit 1), ``mesh`` of an f that overflows (exit 1),
     ``eval`` on |g| = 1 (no normal), and ``check`` of those three configs
     (the pole passes, the overflow fails on a NaN error estimate, and
-    |g| = 1 inside the disk fails gauss_hyperboloid).
+    |g| = 1 inside the disk fails gauss_hyperboloid);
+  - extensions that the contact or the reconstruction refuses (exit 1):
+    ``extend`` of an orthogonal contact, of a contact angle that varies
+    along the arc, and of a g whose reflection takes the singular value 1
+    at a point of the reflected side's sample grid; and ``check`` and
+    ``extend`` of the extended spacelike config with ``f_minus = 1/z``,
+    which faults at an arc point of the matching report (check exits 2;
+    extend rebuilds the reflected side and exits 0).
 
 Each command leaves ``NNN-COMMAND-TARGET.txt`` with its exit code, stdout and
 stderr; the configs, OBJ files and sidecars stay next to them.  Commands run
@@ -62,6 +69,17 @@ FAULT_CONFIGS = {
     "overflow": "f = 1/(z*1e300*1e300)\ng = z/3\ndomain = disk\nz0 = 0\n",
     "poly": "f = 1\ng = z\ndomain = disk\nradius = 2\nz0 = 0\n",
 }
+# a point of the reflected side's sample grid on the unit half disk, and its conjugate
+_ROOT, _ROOT_CONJ = "0.2888725384110351-0.40654239767553646*i", "0.2888725384110351+0.40654239767553646*i"
+EXTENSION_FAULTS = {
+    "orthogonal": "f = 1\ng = 0.3*cos(z)\ndomain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\nplane = 0,1,0,0\n",
+    "varying": "f = 1\ng = 0.3+0.2*z\ndomain = upper-half-disk\nradius = 0.9\nz0 = 0.5*i\nplane = 0,0,1,0\n",
+    # Re g = 1 on the axis (lightlike, lam = 0), and the reflected g is 1 at _ROOT
+    "singular": f"f = i\ng = 1 + 3*i*((z-({_ROOT}))*(z-({_ROOT_CONJ})))\ndomain = upper-half-disk\nradius = 1\n"
+    "z0 = 0.5*i\nplane = 1,0,1,0\n",
+    "matching-fault": BASE_CONFIGS["spacelike"] + "f_minus = 1/z\ng_minus = 0.2500000000000018/(exp(-i*z)/2)\n"
+    "reflected = x3\n",
+}
 
 
 def _original_side(surface: str, z: complex) -> bool:
@@ -97,6 +115,10 @@ def commands() -> list[tuple[str, list[str]]]:
         cmds.append((f"mesh-{name}-{n}", ["mesh", f"{name}.cfg", "--grid", f"{n}x{n}", "-o", f"{name}-{n}.obj"]))
     cmds.append(("eval-poly-degenerate", ["eval", "poly.cfg", "--at=1,0"]))
     cmds += [(f"check-{name}", ["check", f"{name}.cfg"]) for name in FAULT_CONFIGS]
+    for name in EXTENSION_FAULTS:
+        if name == "matching-fault":
+            cmds.append((f"check-{name}", ["check", f"{name}.cfg"]))
+        cmds.append((f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]))
     return cmds
 
 
@@ -111,7 +133,7 @@ def capture(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
     meshes = {name: text for name, (text, _) in DOMAIN_MESHES.items()}
-    for name, text in {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS}.items():
+    for name, text in {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS}.items():
         Path(f"{name}.cfg").write_text(text)
     for k, (stem, argv) in enumerate(commands()):
         Path(f"{k:03d}-{stem}.txt").write_text(run(argv))

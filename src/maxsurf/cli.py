@@ -17,6 +17,7 @@ deterministic byte for byte for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -652,7 +653,9 @@ def cmd_catenoid(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="maxsurf",
         description="Maximal surfaces in Lorentz-Minkowski 3-space from Weierstrass data.",
@@ -686,7 +689,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p_cat = sub.add_parser("catenoid", help="print the built-in reference config")
     p_cat.set_defaults(fn=cmd_catenoid)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse would read a negative u in "--at -0.1,0.2" as an option
     for i, tok in enumerate(argv[:-1]):
@@ -694,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
             argv[i : i + 2] = [f"--at={argv[i + 1]}"]
             break
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and 2
     try:

@@ -42,7 +42,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -579,11 +579,13 @@ class MatchReport:
 
     @property
     def max_gap(self) -> float:
-        return max(self.gaps.values())
+        """The largest gap, NaN when any gap is NaN."""
+        return float(np.max(list(self.gaps.values())))
 
     @property
     def passed(self) -> bool:
-        return self.max_gap <= self.tol
+        """Every gap within tol; a NaN gap fails."""
+        return all(gap <= self.tol for gap in self.gaps.values())
 
 
 _MATCHED = ("f", "g", "phi1", "phi2", "phi3")
@@ -613,7 +615,7 @@ def _match_report(data, f_minus, g_minus) -> MatchReport:
             fgd[s, j, k] = value
     plus, minus = _match_values(*fgd.swapaxes(0, 1)).swapaxes(0, 1)
     with np.errstate(all="ignore"):
-        gap = np.fmax.reduce(np.abs(plus - minus) / (1 + np.abs(plus)), axis=1, initial=0.0)  # NaN drops out
+        gap = np.max(np.abs(plus - minus) / (1 + np.abs(plus)), axis=1)  # NaN at any point makes the gap NaN
     names = _MATCHED + tuple("d" + name for name in _MATCHED)
     return MatchReport(gaps=dict(zip(names, gap.tolist())), tol=MATCH_TOL, points=tuple(pts))
 
@@ -721,10 +723,13 @@ def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offset
                 raise SingularReconstructionError(f"extended g takes the singular value {w} near z = {z}")
 
 
-def _minus_grid(domain: Domain, reflect) -> list[complex]:
+@lru_cache(maxsize=64)
+def _minus_grid(domain: Domain, arc: BoundaryArc) -> tuple[complex, ...]:
+    """The reflected side's sample grid: the arc's images of seeded points of the domain's upper half;
+    it depends only on the domain and the arc, so each pair draws it once per process."""
     R = domain.radius
     z = np.random.default_rng(2).uniform((-R, 0), R, size=(50 * MINUS_POINTS, 2)).view(complex)[:, 0]
-    return [reflect(w) for w in z[domain.contains_many(z) & (z.imag > 1e-3 * R)][:MINUS_POINTS].tolist()]
+    return tuple(arc.reflect(w) for w in z[domain.contains_many(z) & (z.imag > 1e-3 * R)][:MINUS_POINTS].tolist())
 
 
 def extend(data: WeierstrassData, plane: Plane) -> ExtendedSurface:
@@ -736,5 +741,5 @@ def extend(data: WeierstrassData, plane: Plane) -> ExtendedSurface:
     g_minus = reflect_g(contact.plane_kind, data.g, case.parameter(contact), arc)
     f_minus = case.recover(arc.pullback(case.odd(data.f, data.g)), g_minus)
     if case.singular:
-        _check_reconstruction_singular(g_minus, _minus_grid(data.domain, arc.reflect), case.singular)
+        _check_reconstruction_singular(g_minus, _minus_grid(data.domain, arc), case.singular)
     return ExtendedSurface(data, contact, g_minus, f_minus)

@@ -8,6 +8,12 @@ EXTENDABLE = ("catenoid-b07", "spacelike", "timelike", "lightlike")
 SURFACES = ("catenoid",) + tuple(name + ".ext" for name in EXTENDABLE)
 DOMAIN_MESHES = ("half-disk", "annulus", "strip", "window", "detour")
 EXTENSION_FAULTS = ("orthogonal", "varying", "singular", "matching-fault")
+USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
+    "usage-unknown-command": "maxsurf: error: argument command: invalid choice: 'frobnicate' (choose from 'check',",
+    "usage-eval-without-at": "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"
+    "maxsurf eval: error: the following arguments are required: --at\n",
+    "usage-mesh-without-output": "maxsurf mesh: error: the following arguments are required: -o/--output\n",
+}
 
 
 def test_capture_outputs_writes_one_file_per_command(tmp_path):
@@ -19,6 +25,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         [f"extend-{name}" for name in EXTENDABLE]
         + [f"check-{name}" for name in SURFACES]
         + [f"eval-{name}-{k:02d}" for name in SURFACES for k in range(20)]
+        + list(USAGE_FAULTS) + ["eval-catenoid-negative-u"]
         + ["mesh-65", "mesh-33"]
         + [f"mesh-{name}" for name in DOMAIN_MESHES]
         + ["mesh-pole-9", "mesh-pole-17", "mesh-overflow-17", "eval-poly-degenerate"]
@@ -35,6 +42,12 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
     for name in logs[:-8]:
         if "-extend-" in name or "-check-" in name or name[4:-4] in [f"mesh-{m}" for m in DOMAIN_MESHES]:
             assert "\nexit 0\n" in (tmp_path / name).read_text(), name
+    for name in logs:
+        if name[4:-4] in USAGE_FAULTS:
+            text = (tmp_path / name).read_text()
+            assert "\nexit 2\n--- stdout\n--- stderr\n" in text and USAGE_FAULTS[name[4:-4]] in text, name
+    negative_u = next(name for name in logs if name.endswith("-eval-catenoid-negative-u.txt"))
+    assert (tmp_path / negative_u).read_text().startswith("$ maxsurf eval catenoid.cfg --at -0.3,0.2\nexit 0\n")
     failing = {
         "mesh-pole-9": (2, "error: division by zero in '1/(z+0.0625*i)'\n"),
         "mesh-pole-17": (1, "error: quadrature did not converge on path to -0.0625j"),

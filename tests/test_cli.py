@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from fixtures import SCONJ_FORMULAS
-from maxsurf import extension
+from maxsurf import cli, extension
 from maxsurf.cli import CATENOID_CONFIG, SurfaceConfig, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -567,6 +568,75 @@ def test_matching_fault_fails_check_but_not_eval(tmp_path, capsys):
     expected = capsys.readouterr()
     assert main(["eval", str(bad), "--at=0.2,0.3"]) == 0
     assert capsys.readouterr() == expected
+
+
+_NAN = "((1e308+1e308)-(1e308+1e308))"  # NaN in scalar arithmetic as well, without a fault
+
+
+def test_a_nan_matching_gap_fails_extend_and_check(tmp_path, capsys):
+    # a NaN in f carries into the reflected f, so every f gap is NaN
+    base = tmp_path / "spacelike.cfg"
+    base.write_text(_EXTENDABLE["spacelike"].replace("f = i*exp(-i*z)\n", f"f = i*exp(-i*z) + {_NAN}\n"))
+    assert main(["extend", str(base), "-o", str(tmp_path / "nan.ext.cfg")]) == 1
+    matching = json.loads(capsys.readouterr().out)["matching"]
+    assert matching["passed"] is False and math.isnan(matching["gaps"]["f"])
+    # a reflected f that is NaN on the arc and 0 below it: only the matching sees it
+    base.write_text(_EXTENDABLE["spacelike"])
+    text = _extend_to(str(base), str(tmp_path / "spacelike.ext.cfg"), capsys)
+    odd = tmp_path / "odd.cfg"
+    odd.write_text(text.replace("\ng_minus", " + exp((1e308+1e308)*(-i*z))\ng_minus"))
+    assert main(["check", str(odd)]) == 1
+    failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["c1_matching"]
+    assert math.isnan(failed[0]["max_residual"]) and math.isnan(failed[0]["details"]["gaps"]["f"])
+
+
+# ---------------------------------------------------------------------------
+# main builds its parser on the first call and reuses it
+
+
+def test_the_reused_parser_carries_no_state_between_calls(catenoid_cfg, tmp_path, capsys, monkeypatch):
+    mesh = str(tmp_path / "mesh.obj")
+    sequence = [
+        ["eval", catenoid_cfg],  # no --at: usage line
+        ["frobnicate"],
+        ["check", catenoid_cfg, "--grid", "3x3"],
+        ["check", catenoid_cfg],  # the default grid again
+        ["mesh", catenoid_cfg, "-o", mesh],  # the default 17x17
+        ["eval", catenoid_cfg, "--at", "-0.1,0.2"],
+        ["--help"],
+    ]
+
+    def run(argv):
+        rc = main(argv)
+        return (rc, *capsys.readouterr())
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    run(["catenoid"])
+    before = len(built)
+    reused = [run(argv) for argv in sequence]
+    assert len(built) == before  # no call after the first builds a parser
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert len(built) > before  # the count sees a build
+    for argv, got, expected in zip(sequence, reused, fresh):
+        assert got == expected, argv
+    (eval_rc, _, eval_err), (unknown_rc, *_), grid3, default, (_, mesh_out, _), negative, (help_rc, help_out, _) = reused
+    assert (eval_rc, unknown_rc, help_rc) == (2, 2, 0)
+    assert "maxsurf eval: error: the following arguments are required: --at\n" in eval_err
+    assert default[0] == 0 and default[1] != grid3[1]  # the 3x3 grid did not stay
+    assert mesh_out.startswith(f"wrote {mesh}: 289 vertices")
+    assert negative == run(["eval", catenoid_cfg, "--at=-0.1,0.2"]) and negative[0] == 0
+    assert help_out.startswith("usage: maxsurf ")
 
 
 # ---------------------------------------------------------------------------

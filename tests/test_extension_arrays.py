@@ -23,6 +23,8 @@ from maxsurf.extension import (
     CASES,
     LOCUS_TOL,
     MATCH_TOL,
+    MINUS_POINTS,
+    MatchReport,
     ANGLE_TOL,
     C_TOL,
     SINGULAR_TOL,
@@ -115,7 +117,8 @@ def scalar_match_report(data, f_minus, g_minus):
         worst = 0.0
         for z in pts:
             a, b = fp(z), fm(z)
-            worst = max(worst, abs(a - b) / (1 + abs(a)))
+            gap = abs(a - b) / (1 + abs(a))
+            worst = math.nan if math.isnan(gap) else max(worst, gap)  # a NaN gap at any point stays
         gaps[name] = worst
     return gaps, tuple(pts)
 
@@ -251,7 +254,7 @@ def test_matching_matches_the_per_formula_reference(family):
     for name, gap, rule in zip(gaps, gaps.values(), product_rule_gaps(data, ext.f_minus, ext.g_minus)):
         assert abs(rule - gap) <= 1e-15, name
         assert abs(report.gaps[name] - gap) <= _ARRAY_ROUND_OFF, name
-    assert report.passed == (max(gaps.values()) <= MATCH_TOL)
+    assert report.passed == all(gap <= MATCH_TOL for gap in gaps.values())
 
 
 @pytest.mark.parametrize("fixture", [spacelike_fixture, timelike_fixture, lightlike_fixture, lightlike_tangent_fixture,
@@ -342,7 +345,7 @@ def test_contact_judges_an_array_nan_by_its_scalar_value():
 
 def test_singular_check_skips_faults_and_reports_the_first_hit():
     data, plane = catenoid_extension_fixture()
-    pts = _minus_grid(data.domain, lambda w: w.conjugate())
+    pts = _minus_grid(data.domain, BoundaryArc("segment"))
     p, q = pts[3], pts[11]
     g = Add(Div(Sub(Var(), Const(q)), Sub(Var(), Const(p))), Const(1))  # faults at p, equals 1 at q
     expected = outcome(scalar_singular, g, pts, (1 + 0j,))
@@ -350,6 +353,28 @@ def test_singular_check_skips_faults_and_reports_the_first_hit():
     assert outcome(_check_reconstruction_singular, g, pts, (1 + 0j,)) == expected
     # without the hit, the fault alone is skipped, not reported
     assert _check_reconstruction_singular(Div(Const(1), Sub(Var(), Const(p))), pts, (1 + 0j, -1 + 0j)) is None
+
+
+def uncached_minus_grid(domain, reflect):
+    """_minus_grid as it ran before it was cached: drawn afresh on every call, reflected by a function."""
+    R = domain.radius
+    z = np.random.default_rng(2).uniform((-R, 0), R, size=(50 * MINUS_POINTS, 2)).view(complex)[:, 0]
+    return [reflect(w) for w in z[domain.contains_many(z) & (z.imag > 1e-3 * R)][:MINUS_POINTS].tolist()]
+
+
+def _bits(points):
+    return [(w.real.hex(), w.imag.hex()) for w in points]
+
+
+@pytest.mark.parametrize("make, p", [(spacelike_family, 0.5), (timelike_family, 1.0), (lightlike_family, -2.0),
+                                     (catenoid_family, -0.7), (catenoid_family, -1.5)])
+def test_the_cached_minus_grid_holds_the_uncached_points_bit_for_bit(make, p):
+    data, plane = make(p, 0.25)
+    arc = measure_contact(data, plane).boundary
+    grid = _minus_grid(data.domain, arc)
+    assert len(grid) == MINUS_POINTS
+    assert _bits(grid) == _bits(uncached_minus_grid(data.domain, arc.reflect))
+    assert _minus_grid(Domain(**vars(data.domain)), BoundaryArc(arc.kind, arc.rho)) is grid  # drawn once
 
 
 def test_singular_check_judges_an_array_nan_by_its_scalar_value():
@@ -402,17 +427,35 @@ _INF = Add(Const(1e308), Const(1e308))
 
 
 @pytest.mark.parametrize(
-    "extra",
-    [Div(Const(1), _INF), Sub(_INF, _INF)],  # 1/inf: + 0 in scalar arithmetic; inf - inf: NaN there too
+    "extra, nan_gaps",
+    [
+        (Div(Const(1), _INF), []),  # 1/inf: + 0 in scalar arithmetic
+        # inf - inf: NaN there too; the constant's derivative is 0, so g, f' and g' keep their gaps
+        (Sub(_INF, _INF), ["dphi1", "dphi2", "dphi3", "f", "phi1", "phi2", "phi3"]),
+    ],
     ids=["zero", "nan"],
 )
-def test_matching_judges_an_array_nan_by_its_scalar_value(extra):
-    # a NaN the scalar closures return raises nothing and drops out of the gap
+def test_matching_judges_an_array_nan_by_its_scalar_value(extra, nan_gaps):
+    # a NaN the scalar closures return raises nothing, but makes its gaps NaN, and a NaN gap fails
     data, f_minus, g_minus = _spacelike_sides()
     odd = Add(f_minus, extra)
     gaps, _ = scalar_match_report(data, odd, g_minus)
     report = _match_report(data, odd, g_minus)
-    assert max(abs(report.gaps[name] - gap) for name, gap in gaps.items()) <= 1e-15  # every point was redone
+    for name, gap in gaps.items():  # every point was redone
+        got = report.gaps[name]
+        assert (math.isnan(got) and math.isnan(gap)) or abs(got - gap) <= 1e-15, name
+    assert sorted(name for name, gap in report.gaps.items() if math.isnan(gap)) == nan_gaps
+    assert math.isnan(report.max_gap) == (not report.passed) == bool(nan_gaps)
+
+
+def test_a_nan_gap_fails_the_report_wherever_it_falls():
+    # Python's max drops a NaN that does not come first; the report keeps it in any place
+    data, f_minus, g_minus = _spacelike_sides()
+    report = _match_report(data, f_minus, g_minus)
+    assert report.passed
+    for name in report.gaps:
+        odd = MatchReport({**report.gaps, name: math.nan}, report.tol, report.points)
+        assert math.isnan(odd.max_gap) and not odd.passed, name
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,10 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``extend`` on the four configs that carry a plane, writing ``NAME.ext.cfg``;
   - ``check`` on the five surfaces (the catenoid and the four extensions);
   - ``eval`` at 20 seeded points per surface, 10 on each side of the arc;
+  - argparse's fault lines (exit 2): an unknown command, ``eval`` without
+    ``--at`` and ``mesh`` without ``-o``; then ``eval --at`` with a negative
+    u in the space form.  They run before the meshes, so that every later
+    command runs on a parser that has already failed;
   - ``mesh`` of the catenoid at 65x65 and 33x33;
   - ``mesh`` of the other domain shapes at small grids (a half disk, an
     annulus, a strip of a half annulus below its inner circle, a disk seen
@@ -107,6 +111,12 @@ def commands() -> list[tuple[str, list[str]]]:
     for name in SURFACES:
         for k, z in enumerate(eval_points(name)):
             cmds.append((f"eval-{name}-{k:02d}", ["eval", f"{name}.cfg", f"--at={z.real!r},{z.imag!r}"]))
+    cmds += [
+        ("usage-unknown-command", ["frobnicate", "catenoid.cfg"]),
+        ("usage-eval-without-at", ["eval", "catenoid.cfg"]),
+        ("usage-mesh-without-output", ["mesh", "catenoid.cfg"]),
+        ("eval-catenoid-negative-u", ["eval", "catenoid.cfg", "--at", "-0.3,0.2"]),
+    ]
     for n in MESH_SIZES:
         cmds.append((f"mesh-{n}", ["mesh", "catenoid.cfg", "--grid", f"{n}x{n}", "-o", f"catenoid-{n}.obj"]))
     for name, (_, grid) in DOMAIN_MESHES.items():

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .expr import EvalError, ParseError, compile_array, evaluate, format_expr, parse
+from .expr import Const, EvalError, ParseError, compile_array, evaluate, format_expr, parse, substitute
 from .extension import CASES, ExtendedSurface, ExtensionError, extend, measure_contact
 from .minkowski import LVector, Plane, plane_class
 from .verify import full_diagnostics, GridSpec
@@ -108,7 +108,10 @@ def _get_expr(raw: dict, key: str, required: bool = True):
 
 def _get_complex(raw_value: str, key: str) -> complex:
     try:
-        return evaluate(parse(raw_value), 0j)
+        e = parse(raw_value)
+        if substitute(e, Const(0)) != e:  # a constant is a tree without z
+            raise ConfigError(key, f"not a complex constant: {raw_value!r} depends on z")
+        return evaluate(e, 0j)
     except (ParseError, EvalError) as exc:
         raise ConfigError(key, f"not a complex constant: {exc}") from None
 

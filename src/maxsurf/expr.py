@@ -154,6 +154,18 @@ _NP_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sqrt": np.sqrt,
 }
 
+# the derivative of each function, as a tree in its argument a (the chain rule's outer factor)
+_DERIVATIVES: dict[str, Callable[[Expr], Expr]] = {
+    "exp": lambda a: Call("exp", a),
+    "log": lambda a: Div(Const(1), a),
+    "sin": lambda a: Call("cos", a),
+    "cos": lambda a: _neg(Call("sin", a)),
+    "sinh": lambda a: Call("cosh", a),
+    "cosh": lambda a: Call("sinh", a),
+    "tanh": lambda a: _sub(Const(1), Pow(Call("tanh", a), 2)),
+    "sqrt": lambda a: Div(Const(0.5), Call("sqrt", a)),
+}
+
 
 def sconj(e: Expr) -> Expr:
     """Schwarz conjugate of an expression: z -> conj(e(conj(z))).
@@ -302,50 +314,16 @@ def parse(text: str) -> Expr:
 # evaluation
 
 def evaluate(e: Expr, z: complex) -> complex:
-    """Evaluate at a point with principal branches."""
-    return _eval(e, complex(z))
-
-
-def _eval(e: Expr, z: complex) -> complex:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return z
-    if isinstance(e, Neg):
-        return -_eval(e.arg, z)
-    if isinstance(e, Add):
-        return _eval(e.left, z) + _eval(e.right, z)
-    if isinstance(e, Sub):
-        return _eval(e.left, z) - _eval(e.right, z)
-    if isinstance(e, Mul):
-        return _eval(e.left, z) * _eval(e.right, z)
-    if isinstance(e, Div):
-        den = _eval(e.right, z)
-        if den == 0:
-            raise EvalError("division by zero", e)
-        return _eval(e.left, z) / den
-    if isinstance(e, Pow):
-        base = _eval(e.base, z)
-        try:
-            return base ** e.exponent
-        except ZeroDivisionError:
-            raise EvalError("zero base with negative exponent", e) from None
-        except OverflowError:
-            raise EvalError("overflow", e) from None
-    if isinstance(e, Call):
-        arg = _eval(e.arg, z)
-        if e.func == "log" and arg == 0:
-            raise EvalError("log of zero", e)
-        try:
-            return _FUNCTIONS[e.func](arg)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(str(exc), e) from None
-    raise TypeError(f"not an Expr node: {e!r}")
+    """Evaluate at a point with principal branches: the compile_fn closure of e
+    at z, raising its EvalError faults."""
+    return compile_fn(e)(complex(z))
 
 
 def compile_fn(e: Expr) -> Callable[[complex], complex]:
-    """Compile to a closure; same semantics and EvalError faults as evaluate,
-    without the dispatch cost."""
+    """Compile to a closure of z that raises EvalError, naming the faulting node,
+    on division by zero, a zero base with a negative exponent, the log of zero
+    and overflow.  Operands are evaluated left to right, so where both faulted
+    the left one's fault is raised."""
     return _compile(e, _SCALAR)
 
 
@@ -558,27 +536,7 @@ def differentiate(e: Expr) -> Expr:
         inner = _mul(Const(e.exponent), _pow(e.base, e.exponent - 1))
         return _mul(inner, differentiate(e.base))
     if isinstance(e, Call):
-        a = e.arg
-        outer: Expr
-        if e.func == "exp":
-            outer = Call("exp", a)
-        elif e.func == "log":
-            outer = Div(Const(1), a)
-        elif e.func == "sin":
-            outer = Call("cos", a)
-        elif e.func == "cos":
-            outer = _neg(Call("sin", a))
-        elif e.func == "sinh":
-            outer = Call("cosh", a)
-        elif e.func == "cosh":
-            outer = Call("sinh", a)
-        elif e.func == "tanh":
-            outer = _sub(Const(1), Pow(Call("tanh", a), 2))
-        elif e.func == "sqrt":
-            outer = Div(Const(0.5), Call("sqrt", a))
-        else:
-            raise ValueError(f"unknown function {e.func!r}")
-        return _mul(outer, differentiate(a))
+        return _mul(_DERIVATIVES[e.func](e.arg), differentiate(e.arg))
     raise TypeError(f"not an Expr node: {e!r}")
 
 

@@ -322,10 +322,9 @@ class ContactData:
 class Case:
     """Everything the extension takes from the causal class of the plane.
 
-    ``normal`` is the case-normal plane normal and ``unit_point`` a point
-    with <x, normal> = 1; ``coordinate`` reads the coordinate named
-    ``reflected`` that reflects oddly.  ``odd(f, g)`` is the functional L
-    of the phi triple that reflects oddly and ``recover(L, g)`` solves it
+    ``normal`` is the case-normal plane normal and ``reflected`` names the
+    coordinate that reflects oddly, <X, normal> up to sign.  ``odd(f, g)`` is the
+    functional L of the phi triple that reflects oddly and ``recover(L, g)`` solves it
     for f, dividing by zero where g takes a value in ``singular``.
     ``moebius(w, p)`` reflects the conjugated g through its locus, with
     ``p = parameter(contact)``; ``locus(c, sheet, mods)`` is
@@ -335,9 +334,7 @@ class Case:
 
     kind: CausalClass
     normal: LVector
-    unit_point: LVector
     reflected: str
-    coordinate: Callable[[LVector], float]
     odd: Callable[[Expr, Expr], Expr]
     recover: Callable[[Expr, Expr], Expr]
     moebius: Callable[[Expr, float], Expr]
@@ -402,7 +399,7 @@ def _lightlike_moebius(w: Expr, lam: float) -> Expr:
 
 CASES: dict[CausalClass, Case] = {
     CausalClass.SPACELIKE: Case(
-        CausalClass.SPACELIKE, LVector(0, 0, 1), LVector(0, 0, -1), "x3", lambda d: d.x3,
+        CausalClass.SPACELIKE, LVector(0, 0, 1), "x3",
         odd=lambda f, g: Mul(f, g),
         recover=lambda L, g: Div(L, g),
         moebius=lambda w, r: Div(Const(r * r), w),
@@ -410,7 +407,7 @@ CASES: dict[CausalClass, Case] = {
         singular=(), locus=_spacelike_locus, circular=True,
     ),
     CausalClass.TIMELIKE: Case(
-        CausalClass.TIMELIKE, LVector(0, 1, 0), LVector(0, 1, 0), "x2", lambda d: d.x2,
+        CausalClass.TIMELIKE, LVector(0, 1, 0), "x2",
         odd=lambda f, g: phi_exprs(f, g)[1],
         recover=lambda L, g: Div(Mul(Const(2), L), Mul(Const(1j), Sub(Const(1), Pow(g, 2)))),
         moebius=lambda w, lam: Add(
@@ -420,7 +417,7 @@ CASES: dict[CausalClass, Case] = {
         singular=(1 + 0j, -1 + 0j), locus=_timelike_locus, circular=False,
     ),
     CausalClass.LIGHTLIKE: Case(
-        CausalClass.LIGHTLIKE, LVector(1, 0, 1), LVector(1, 0, 0), "psi", lambda d: d.x1 - d.x3,
+        CausalClass.LIGHTLIKE, LVector(1, 0, 1), "psi",
         odd=lambda f, g: Mul(Const(0.5), Mul(f, Pow(Sub(Const(1), g), 2))),
         recover=lambda L, g: Div(Mul(Const(2), L), Pow(Sub(Const(1), g), 2)),
         moebius=_lightlike_moebius,
@@ -628,8 +625,6 @@ class ExtendedSurface:
     ``matching``, measured on first use, so evaluation alone never builds
     it); evaluation integrates the side-appropriate triple along a path
     split at the arc, so the assembled X is continuous across it.
-    ``shift`` is the translation taking the contact plane to its case-normal
-    position; the reflected coordinate is odd in the shifted frame.
     """
 
     original: WeierstrassData
@@ -650,10 +645,6 @@ class ExtendedSurface:
     def reflected(self) -> str:
         return self.case.reflected
 
-    @property
-    def shift(self) -> LVector:
-        return self.contact.offset * self.case.unit_point
-
     def reflect(self, z: complex) -> complex:
         return self.contact.boundary.reflect(complex(z))
 
@@ -664,8 +655,9 @@ class ExtendedSurface:
         return WeierstrassData(self.f_minus, self.g_minus, data.domain, data.z0, data.X0)
 
     def reflected_value(self, X: LVector) -> float:
-        """The coordinate of X that reflects oddly, measured from the contact plane."""
-        return self.case.coordinate(X - self.shift)
+        """The coordinate of X that reflects oddly, measured from the contact plane:
+        the signed residual <X, n> - offset of the plane's equation."""
+        return lorentz_inner(X, self.contact.unit_normal) - self.contact.offset
 
     def side(self, z: complex) -> WeierstrassData:
         """The Weierstrass data that holds at z: the original or the reflected side."""

@@ -343,9 +343,9 @@ def _sample(data: WeierstrassData, pts: Sequence[complex]) -> tuple[np.ndarray, 
     centres = np.array(_stencil_centres(pts), dtype=complex)
     a = np.repeat(centres, 4 * len(hs))
     steps = np.outer(hs, (1, -1, 1j, -1j)).ravel()  # laplacian_residuals' four panels per h, in its order
-    panels, estimates = _gk15_panels(data.field_array, a, a + np.tile(steps, len(centres)))
-    v = panels.reshape(3, len(centres), len(hs), 4)
     with np.errstate(all="ignore"):
+        panels, estimates = _gk15_panels(data.field_array, a, a + np.tile(steps, len(centres)))
+        v = panels.reshape(3, len(centres), len(hs), 4)
         laplacian = np.abs((v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3]).real) / (hs * hs)
     laplacian[:, ~np.isfinite(estimates).reshape(len(centres), len(hs), 4).all(axis=2)] = np.nan
     return np.array(data.field_array(z)), compile_array(data.g)(z), laplacian.transpose(1, 2, 0)
@@ -544,7 +544,7 @@ def _extension_checks(ext: ExtendedSurface, zs: list, n_arc: int, X, q: Quadratu
 
     # plane containment at the arc points zs[:n_arc], then reflection symmetry of the pairs after them
     X = [LVector(*row) for row in (ext.evaluate_many(zs, q) if X is None else X).tolist()]  # None: a failed batch
-    contain = max([0.0] + [abs(lorentz_inner(x, contact.unit_normal) - contact.offset) for x in X[:n_arc]])
+    contain = max([0.0] + [abs(ext.reflected_value(x)) for x in X[:n_arc]])  # the plane equation residual
     checks.append(_bound("plane_containment", contain, 10 * q.tol, {}))
     reflected = zip(X[n_arc::2], X[n_arc + 1 :: 2])
     sym = max([0.0] + [abs(ext.reflected_value(a) + ext.reflected_value(b)) for a, b in reflected])

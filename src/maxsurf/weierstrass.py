@@ -112,6 +112,8 @@ class Domain:
         object.__setattr__(self, "inner_radius", float(self.inner_radius))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
+        if not math.isfinite(2 * self.radius):
+            raise ValueError(f"radius {self.radius} is too large: its diameter overflows")
         if self.kind in _RING_KINDS:
             if not 0 < self.inner_radius < self.radius:
                 raise ValueError("annulus needs 0 < inner_radius < radius")
@@ -262,9 +264,10 @@ def _phi_values(fv, gv):
 
 def _phi_fn(f: Expr, g: Expr, array: bool = False) -> Callable:
     compile = compile_array if array else compile_fn
-    ff = compile(f)
-    gg = compile(g)
-    return lambda z: _phi_values(ff(z), gg(z))
+    ff, gg = compile(f), compile(g)
+    field = lambda z: _phi_values(ff(z), gg(z))  # noqa: E731
+    # on arrays an overflow is a value that is not finite, as in compile_array, and warns of nothing
+    return np.errstate(all="ignore")(field) if array else field
 
 
 GAUSS_EPS = 1e-12
@@ -280,6 +283,8 @@ def gauss_from_g(w: complex) -> LVector:
     den = 1.0 - ww
     if abs(den) < GAUSS_EPS:
         raise DegenerateMetricError(f"|g| = 1 within {GAUSS_EPS} at g = {w}")
+    if not math.isfinite(ww):
+        raise SurfaceError(f"|g|^2 = {ww} is not finite at g = {w}")
     return LVector(2 * w.real / den, 2 * w.imag / den, (1 + ww) / den)
 
 
@@ -505,8 +510,9 @@ def surface_tree(
 
     Each edge is one segment, or where ``_needs_path`` flags it, the path of
     ``_build_path`` (puncture detours apply).  ``integrate_segments`` takes
-    them all at once: the panels are those of integrate_path, and a failing
-    forest raises what evaluate_surface raises on the first failing edge.
+    them all at once with integrate_path's stop test; its estimates round
+    otherwise, so a panel at the edge of its tolerance may split otherwise.
+    A failing forest raises what evaluate_surface raises on the first failing edge.
     """
     q = q or QuadratureConfig()
     z, up = np.asarray(points, dtype=complex), np.asarray(parents, dtype=np.intp)

@@ -8,6 +8,7 @@ EXTENDABLE = ("catenoid-b07", "spacelike", "timelike", "lightlike")
 SURFACES = ("catenoid",) + tuple(name + ".ext" for name in EXTENDABLE)
 DOMAIN_MESHES = ("half-disk", "annulus", "strip", "window", "detour")
 EXTENSION_FAULTS = ("orthogonal", "varying", "singular", "matching-fault")
+INPUT_FAULTS = ("z0-log", "z0-depends-on-z", "g-overflow", "radius-overflow")
 USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
     "usage-unknown-command": "maxsurf: error: argument command: invalid choice: 'frobnicate' (choose from 'check',",
     "usage-eval-without-at": "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"
@@ -31,15 +32,16 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["mesh-pole-9", "mesh-pole-17", "mesh-overflow-17", "eval-poly-degenerate"]
         + ["check-pole", "check-overflow", "check-poly"]
         + ["extend-orthogonal", "extend-varying", "extend-singular", "check-matching-fault", "extend-matching-fault"]
+        + [f"check-{name}" for name in INPUT_FAULTS] + ["extend-radius-overflow"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
-        + [f"{name}.cfg" for name in EXTENSION_FAULTS] + ["matching-fault.ext.cfg"]
+        + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS] + ["matching-fault.ext.cfg"]
         + [f"{name}.cfg" for name in SURFACES[1:]]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES for ext in ("", ".attrs.json")]
     )
-    for name in logs[:-8]:
+    for name in logs[:-13]:
         if "-extend-" in name or "-check-" in name or name[4:-4] in [f"mesh-{m}" for m in DOMAIN_MESHES]:
             assert "\nexit 0\n" in (tmp_path / name).read_text(), name
     for name in logs:
@@ -64,8 +66,15 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
                             "z = (0.2888725384110351-0.40654239767553646j)\n"),
         "check-matching-fault": (2, "--- stdout\n--- stderr\nerror: division by zero in '1/z'\n"),
         "extend-matching-fault": (0, '"passed": true'),
+        "check-z0-log": (2, "--- stderr\nconfig error: field 'z0': not a complex constant: log of zero in 'log(0)'\n"),
+        "check-z0-depends-on-z": (2, "--- stderr\nconfig error: field 'z0': not a complex constant: '0.3+z' depends on z\n"),
+        "check-g-overflow": (1, "--- stdout\n--- stderr\nerror: |g|^2 = inf is not finite at g = "
+                             "(-1.9e+199-2.326828918379971e+183j)\n"),
+        "check-radius-overflow": (2, "--- stderr\nconfig error: field 'domain': radius 1e+308 is too large: its diameter"
+                                  " overflows\n"),
+        "extend-radius-overflow": (2, "--- stdout\n--- stderr\nconfig error: field 'domain': radius 1e+308 is too large:"),
     }
-    for name in logs[-12:]:
+    for name in logs[-17:]:
         code, line = failing[name[4:-4]]
         text = (tmp_path / name).read_text()
         assert f"\nexit {code}\n" in text and line in text, name

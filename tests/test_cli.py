@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -495,6 +496,12 @@ def test_check_fails_on_a_real_period(tmp_path, capsys):
         ("g_poles = 0:0\nz0 = 0.5\n", "config error: field 'g_poles': pole order must be >= 1\n"),
         ("g_poles = 0.3:1\nz0 = 0.5\n", "config error: field 'g_poles': declared pole (0.3+0j) is not a domain puncture\n"),
         ("g_poles = 0:1\nz0 = 2\n", "config error: field 'z0': basepoint (2+0j) outside the domain closure\n"),
+        ("z0 = 0.3+z\n", "config error: field 'z0': not a complex constant: '0.3+z' depends on z\n"),
+        ("z0 = z-z\n", "config error: field 'z0': not a complex constant: 'z-z' depends on z\n"),
+        ("punctures = 0, z/4\nz0 = 0.5\n", "config error: field 'punctures': not a complex constant: 'z/4' depends on z\n"),
+        ("g_poles = z:1\nz0 = 0.5\n", "config error: field 'g_poles': not a complex constant: 'z' depends on z\n"),
+        # both operands fault: the left one's fault, as in every compiled evaluation
+        ("z0 = log(0)/0\n", "config error: field 'z0': not a complex constant: log of zero in 'log(0)'\n"),
     ],
 )
 def test_config_error_names_the_field_at_fault(tmp_path, capsys, lines, err):
@@ -502,6 +509,37 @@ def test_config_error_names_the_field_at_fault(tmp_path, capsys, lines, err):
     p.write_text("f = 1\ng = 1/z\ndomain = punctured-disk\nradius = 1\n" + lines)
     assert main(["check", str(p)]) == 2
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("command", [["check"], ["extend", "-o", "out.cfg"], ["eval", "--at", "0.1,0.5"]])
+def test_a_radius_whose_diameter_overflows_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "huge.cfg"
+    p.write_text(_with_line(TIMELIKE_CONFIG, "radius", "1e308"))
+    assert main([command[0], str(p), *command[1:]]) == 2
+    err = "config error: field 'domain': radius 1e+308 is too large: its diameter overflows\n"
+    assert capsys.readouterr() == ("", err)
+
+
+_OVERFLOWING = {  # g squares past the largest float at a sample point
+    "g": "f = 1\ng = 1e200*z\ndomain = disk\nz0 = 0\n",
+    "radius": "f = 1\ng = z\ndomain = disk\nradius = 1e160\nz0 = 0\n",
+    "half-disk": "f = 1\ng = z\ndomain = upper-half-disk\nradius = 1e200\nz0 = 0.5*i\nplane = 0,0,1,0\n",
+}
+
+
+@pytest.mark.parametrize("name, command", [("g", ["check"]), ("radius", ["check"]), ("half-disk", ["check"]),
+                                           ("half-disk", ["extend", "-o", "out.cfg"])])
+def test_a_g_whose_square_overflows_fails_in_one_line(tmp_path, capsys, monkeypatch, name, command):
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "overflow.cfg"
+    p.write_text(_OVERFLOWING[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning raises here instead of printing
+        assert main([command[0], str(p), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: |g|^2 = inf is not finite at g = (")
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maxsurf.expr import (
+    _DERIVATIVES,
     _FUNCTIONS,
     _NP_FUNCTIONS,
     Add,
@@ -12,8 +13,10 @@ from maxsurf.expr import (
     Div,
     EvalError,
     Mul,
+    Neg,
     ParseError,
     Pow,
+    Sub,
     Var,
     compile_fn,
     differentiate,
@@ -44,6 +47,41 @@ CORPUS = [
 ]
 
 SAMPLE_POINTS = [0.3 + 0.4j, -0.2 + 0.7j, 0.9 - 0.1j, -0.5 - 0.5j, 0.01 + 0.99j]
+
+
+def interpret(e, z: complex) -> complex:
+    """A tree-walking reference evaluator, independent of compile_fn's closures:
+    operands left to right, faults as EvalError naming the node."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return z
+    if isinstance(e, Neg):
+        return -interpret(e.arg, z)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        left, right = interpret(e.left, z), interpret(e.right, z)
+        if isinstance(e, Div):
+            if right == 0:
+                raise EvalError("division by zero", e)
+            return left / right
+        return left + right if isinstance(e, Add) else left - right if isinstance(e, Sub) else left * right
+    if isinstance(e, Pow):
+        base = interpret(e.base, z)
+        try:
+            return base**e.exponent
+        except ZeroDivisionError:
+            raise EvalError("zero base with negative exponent", e) from None
+        except OverflowError:
+            raise EvalError("overflow", e) from None
+    if isinstance(e, Call):
+        arg = interpret(e.arg, z)
+        if e.func == "log" and arg == 0:
+            raise EvalError("log of zero", e)
+        try:
+            return _FUNCTIONS[e.func](arg)
+        except (ValueError, OverflowError) as exc:
+            raise EvalError(str(exc), e) from None
+    raise TypeError(f"not an Expr node: {e!r}")
 
 
 def test_parse_division_power_shape():
@@ -97,19 +135,23 @@ def test_eval_precedence():
     assert evaluate(parse("z^-1"), 4) == 0.25
 
 
+FAULTS = [("1/z", 0, "division by zero in '1/z'"), ("log(z)", 0, "log of zero in 'log(z)'"),
+          ("z^-2", 0, "zero base with negative exponent in 'z^-2'"), ("exp(z)", 1e6, "math range error in 'exp(z)'"),
+          ("log(z)/z", 0, "log of zero in 'log(z)'"), ("1/z+log(z)", 0, "division by zero in '1/z'")]
+
+
 @pytest.mark.parametrize(
     "run", [evaluate, lambda e, z: compile_fn(e)(z)], ids=["evaluate", "compile_fn"]
 )
 def test_eval_faults_carry_the_offending_node(run):
-    with pytest.raises(EvalError) as exc:
-        run(parse("1/z"), 0)
-    assert "1/z" in str(exc.value)
-    with pytest.raises(EvalError):
-        run(parse("log(z)"), 0)
-    with pytest.raises(EvalError):
-        run(parse("z^-2"), 0)
-    with pytest.raises(EvalError):
-        run(parse("exp(z)"), 1e6)
+    # the message of the reference walk, which names the node; where two
+    # operands fault, the left one's fault is raised
+    for text, z, message in FAULTS:
+        with pytest.raises(EvalError) as want:
+            interpret(parse(text), z)
+        with pytest.raises(EvalError) as got:
+            run(parse(text), z)
+        assert str(got.value) == str(want.value) == message, text
 
 
 def test_derivative_power_rule():
@@ -259,10 +301,11 @@ def test_compiled_matches_interpreter(text):
     fn = compile_fn(e)
     for z in SAMPLE_POINTS:
         try:
-            a = evaluate(e, z)
+            a = interpret(e, z)
         except EvalError:
             continue
         assert fn(z) == a
+        assert evaluate(e, z) == a
 
 
 def test_exprs_are_immutable_and_hashable():
@@ -295,7 +338,25 @@ def _outcome(fn, w):
 
 
 def test_function_tables_list_the_same_names():
-    assert _FUNCTIONS.keys() == _NP_FUNCTIONS.keys()
+    assert _FUNCTIONS.keys() == _NP_FUNCTIONS.keys() == _DERIVATIVES.keys()
+
+
+_A = Mul(Const(2), Var())
+_OUTER = {  # the chain rule's outer factor of each function at _A, as trees
+    "exp": Call("exp", _A),
+    "log": Div(Const(1), _A),
+    "sin": Call("cos", _A),
+    "cos": Neg(Call("sin", _A)),
+    "sinh": Call("cosh", _A),
+    "cosh": Call("sinh", _A),
+    "tanh": Sub(Const(1), Pow(Call("tanh", _A), 2)),
+    "sqrt": Div(Const(0.5), Call("sqrt", _A)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FUNCTIONS))
+def test_derivative_of_each_function_is_its_outer_factor_times_the_inner(name):
+    assert differentiate(Call(name, _A)) == Mul(_OUTER[name], Const(2))
 
 
 @pytest.mark.parametrize("name", sorted(_FUNCTIONS))

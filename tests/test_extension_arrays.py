@@ -44,6 +44,7 @@ from maxsurf.extension import (
     extend,
     fit_circle_or_line,
     measure_contact,
+    reflect_g,
 )
 from maxsurf.minkowski import LVector, Plane, lorentz_inner, plane_class
 from maxsurf.weierstrass import DegenerateMetricError, Domain, DomainKind, WeierstrassData, gauss_from_g, phi_exprs
@@ -272,6 +273,30 @@ def test_the_families_extend_in_every_case():
                     (lightlike_family, -2.0), (lightlike_family, 1.0), (catenoid_family, -0.7)):
         ext = extend(*make(p, 0.25))
         assert ext.matching.passed, (make.__name__, p)
+
+
+@_PROPERTY
+@given(family=families)
+def test_the_reflected_side_reflects_back_to_the_data(family):
+    # the construction is an involution: reflecting (f_minus, g_minus) across the same
+    # arc and locus gives back (f, g) at points of the original side
+    make, p, d = family
+    data, plane = make(p, d)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ext = extend(data, plane)
+    except ExtensionError:
+        return
+    case, arc = ext.case, ext.contact.boundary
+    g2 = reflect_g(case.kind, ext.g_minus, case.parameter(ext.contact), arc)
+    f2 = case.recover(arc.pullback(case.odd(ext.f_minus, ext.g_minus)), g2)
+    points = boundary_samples(data.domain, depths=(0.6, 0.3, 0.1, 0.02))
+    assert all(arc.on_original_side(z) for z in points)
+    for e, back in ((data.f, f2), (data.g, g2)):
+        for z in points:
+            want = compile_fn(e)(z)
+            assert abs(compile_fn(back)(z) - want) <= 1e-13 * (1 + abs(want)), (make.__name__, p, d, z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from maxsurf.weierstrass import (
     DomainKind,
     PathError,
     QuadratureConfig,
+    SurfaceError,
     ToleranceError,
     WeierstrassData,
     conformal_factor,
@@ -127,6 +129,10 @@ def test_domain_validation():
         Domain(DomainKind.DISK, radius=1.0, boundary_circle=1.5)
     with pytest.raises(ValueError):
         Domain(DomainKind.HALF_DISK, radius=1.0, boundary_circle=0.5)
+    Domain(DomainKind.DISK, radius=8e307)  # 2 * 8e307 is finite
+    for radius in (1e308, math.inf):
+        with pytest.raises(ValueError, match="diameter overflows"):
+            Domain(DomainKind.DISK, radius=radius)
 
 
 def test_basepoint_must_lie_in_closure():
@@ -464,6 +470,20 @@ def test_gauss_values_on_hyperboloid_both_sheets():
 def test_gauss_degenerate_rejected():
     with pytest.raises(DegenerateMetricError):
         gauss_from_g(cmath.exp(0.3j))
+
+
+@pytest.mark.parametrize("w", [1e200, 1e155j, complex(1e200, math.nan), complex(math.inf, 0)])
+def test_gauss_of_a_g_whose_square_overflows_raises(w):
+    with pytest.raises(SurfaceError, match=r"\|g\|\^2 = (inf|nan) is not finite"):
+        gauss_from_g(w)
+
+
+def test_the_array_field_overflows_without_warnings():
+    data = WeierstrassData(parse("1"), parse("1e200*z"), Domain(DomainKind.DISK), 0j, LVector(0, 0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = np.array(data.field_array(np.array([0.5, 1e-201])))
+    assert not np.isfinite(values[:, 0]).all() and np.isfinite(values[:, 1]).all()
 
 
 def test_stereo_inverse_examples():

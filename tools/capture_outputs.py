@@ -30,7 +30,15 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     at a point of the reflected side's sample grid; and ``check`` and
     ``extend`` of the extended spacelike config with ``f_minus = 1/z``,
     which faults at an arc point of the matching report (check exits 2;
-    extend rebuilds the reflected side and exits 0).
+    extend rebuilds the reflected side and exits 0);
+  - configs that must end in one line: ``check`` with a basepoint whose
+    operands both fault (``z0 = log(0)/0``) and with one that depends on z
+    (exit 2), ``check`` of a g whose square overflows (exit 1), and ``check``
+    and ``extend`` of a half disk whose diameter overflows (exit 2).
+
+An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
+type and message as the last line of stderr, so that a checkout that ends
+such a command in a traceback can still be captured and compared.
 
 Each command leaves ``NNN-COMMAND-TARGET.txt`` with its exit code, stdout and
 stderr; the configs, OBJ files and sidecars stay next to them.  Commands run
@@ -84,6 +92,12 @@ EXTENSION_FAULTS = {
     "matching-fault": BASE_CONFIGS["spacelike"] + "f_minus = 1/z\ng_minus = 0.2500000000000018/(exp(-i*z)/2)\n"
     "reflected = x3\n",
 }
+INPUT_FAULTS = {  # name: (config, commands)
+    "z0-log": ("f = 1\ng = z/2\ndomain = disk\nz0 = log(0)/0\n", ("check",)),
+    "z0-depends-on-z": ("f = 1\ng = z/2\ndomain = disk\nz0 = 0.3+z\n", ("check",)),
+    "g-overflow": ("f = 1\ng = 1e200*z\ndomain = disk\nz0 = 0\n", ("check",)),
+    "radius-overflow": (BASE_CONFIGS["spacelike"].replace("radius = 0.9", "radius = 1e308"), ("check", "extend")),
+}
 
 
 def _original_side(surface: str, z: complex) -> bool:
@@ -129,13 +143,21 @@ def commands() -> list[tuple[str, list[str]]]:
         if name == "matching-fault":
             cmds.append((f"check-{name}", ["check", f"{name}.cfg"]))
         cmds.append((f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]))
+    for name, (_, runs) in INPUT_FAULTS.items():
+        for command in runs:
+            output = ["-o", f"{name}.ext.cfg"] if command == "extend" else []
+            cmds.append((f"{command}-{name}", [command, f"{name}.cfg", *output]))
     return cmds
 
 
 def run(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except Exception as exc:  # noqa: BLE001 - recorded, so that one traceback does not end the capture
+            rc = "uncaught"
+            err.write(f"{type(exc).__name__}: {exc}\n")
     return f"$ maxsurf {' '.join(argv)}\nexit {rc}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
@@ -143,7 +165,8 @@ def capture(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
     meshes = {name: text for name, (text, _) in DOMAIN_MESHES.items()}
-    for name, text in {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS}.items():
+    inputs = {name: text for name, (text, _) in INPUT_FAULTS.items()}
+    for name, text in {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs}.items():
         Path(f"{name}.cfg").write_text(text)
     for k, (stem, argv) in enumerate(commands()):
         Path(f"{k:03d}-{stem}.txt").write_text(run(argv))

@@ -278,7 +278,7 @@ class _Parser:
             e = self.expr()
             self._expect(")")
             return e
-        if ch.isdigit():
+        if ch.isdecimal():  # as \d: '²' is a digit to str.isdigit, but not decimal
             m = _NUMBER.match(self.text, self.pos)
             self.pos = m.end()
             return Const(complex(float(m.group())))
@@ -327,45 +327,50 @@ def compile_fn(e: Expr) -> Callable[[complex], complex]:
     return _compile(e, _SCALAR)
 
 
-def compile_array(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile to a function of a complex array, evaluated elementwise with numpy.
+def compile_array(*trees: Expr) -> Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]]:
+    """Compile trees to one function of a complex array, evaluated elementwise with numpy, that returns
+    the tree's array, or one array per tree; a subtree they share by identity is computed once.
 
-    Branches are those of compile_fn (principal, signed zeros as in cmath).
-    Instead of raising, every node whose value is not finite yields NaN,
-    which stays NaN up the tree: an element is finite only if every
-    intermediate was, so where compile_fn would raise EvalError the array
-    holds NaN.  The converse does not hold (scalar arithmetic may pass
-    through an infinity and come back finite); callers rerun non-finite
-    elements through compile_fn for its value or its fault.
+    Branches are those of compile_fn (principal, signed zeros as in cmath).  Instead of raising, an
+    operation whose result is not finite yields NaN, which stays NaN up the tree; z, constants and
+    their negations are used as given (exp(z) at z = -inf is 0).  Where compile_fn would raise
+    EvalError the array holds NaN.  The converse does not hold (scalar arithmetic may pass through an
+    infinity and come back finite); callers rerun non-finite elements through compile_fn.
     """
-    fn = _compile(e, _ARRAY)
+    program, memo = _ArrayProgram(), {}
+    target = program.target()
+    roots = [program.array(program.guard(_compile(e, target, memo))) for e in trees]
 
-    def run(z: np.ndarray) -> np.ndarray:
+    def run(z: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
+        v = [np.asarray(z, dtype=complex)]
         with np.errstate(all="ignore"):
-            return fn(np.asarray(z, dtype=complex))
+            for step in program.steps:
+                v.append(step(v))
+        return v[roots[0]] if len(roots) == 1 else tuple(v[r] for r in roots)
 
     return run
 
 
-def _compile(e: Expr, target: dict) -> Callable:
-    """The one tree walk behind compile_fn and compile_array: ``target``
-    maps each node type to a builder of that node's closure from the
-    node and the closures of its children."""
-    build = target.get(type(e))
+def _compile(e: Expr, target: dict, memo: dict | None = None) -> Callable:
+    """The one tree walk behind compile_fn and compile_array: ``target`` maps each node type to a
+    builder of that node's closure (an array step's register) from the node and what its children
+    built.  With a ``memo`` dict, a node met again by identity is built once."""
+    if memo is not None and id(e) in memo:
+        return memo[id(e)]
+    build = target.get(t := type(e))
     if build is None:
         raise TypeError(f"not an Expr node: {e!r}")
-    if isinstance(e, (Const, Var)):
-        return build(e)
-    if isinstance(e, (Neg, Call)):
-        return build(e, _compile(e.arg, target))
-    if isinstance(e, Pow):
-        return build(e, _compile(e.base, target))
-    return build(e, _compile(e.left, target), _compile(e.right, target))
-
-
-def _scalar_const(e: Const):
-    v = e.value
-    return lambda z: v
+    if t is Const or t is Var:
+        out = build(e)
+    elif t is Neg or t is Call:
+        out = build(e, _compile(e.arg, target, memo))
+    elif t is Pow:
+        out = build(e, _compile(e.base, target, memo))
+    else:
+        out = build(e, _compile(e.left, target, memo), _compile(e.right, target, memo))
+    if memo is not None:
+        memo[id(e)] = out
+    return out
 
 
 def _scalar_div(e: Div, l, r):
@@ -407,7 +412,7 @@ def _scalar_call(e: Call, a):
 
 
 _SCALAR: dict[type, Callable] = {
-    Const: _scalar_const,
+    Const: lambda e: lambda z, v=e.value: v,
     Var: lambda e: lambda z: z,
     Neg: lambda e, a: lambda z: -a(z),
     Add: lambda e, l, r: lambda z: l(z) + r(z),
@@ -424,34 +429,69 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return x if np.isfinite(x).all() else np.where(np.isfinite(x), x, np.nan)
 
 
-def _array_const(e: Const):
-    v = e.value
-    return lambda z: np.full(z.shape, v)
+class _ArrayProgram:
+    """The array target of _compile: a straight-line program over registers v, where v[0] is z and
+    each step appends one value.  A builder returns its node's register, or a Const node, which a
+    binary step takes as a Python complex scalar and any other step fills to z's shape.  +, -, *,
+    negation, positive powers and numerators keep a non-finite value non-finite, while a function, a
+    denominator or a negative power may make it finite (exp(-inf) = 0, 1/inf = 0), so only a computed
+    value that feeds one of those, or is a result, is guarded: made NaN where it is not finite."""
 
+    OPERATORS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
-def _array_pow(e: Pow, b):
-    n = e.exponent
-    if n == 0:  # numpy gives nan^0 = 1, but a NaN base must stay NaN
-        return lambda z: np.where(np.isfinite(b(z)), 1 + 0j, np.nan)
-    return lambda z: _finite(b(z) ** n)
+    def __init__(self):
+        self.steps: list[Callable] = []
+        self._guarded = {0: 0}  # register -> the register of its guarded value; z and its negations are their own
 
+    def target(self) -> dict:
+        """The builders for _compile, made per use: kept on self, they would make a reference cycle."""
+        return {Const: lambda e: e, Var: lambda e: 0, Neg: self._neg, Pow: self._pow, Call: self._call,
+                **dict.fromkeys(self.OPERATORS, self._binary)}
 
-def _array_call(e: Call, a):
-    fn = _NP_FUNCTIONS[e.func]
-    return lambda z: _finite(fn(a(z)))
+    def _emit(self, step: Callable) -> int:
+        self.steps.append(step)
+        return len(self.steps)
 
+    def array(self, r) -> int:
+        """r's register; a Const is filled to the shape of z."""
+        return self._emit(lambda v, c=r.value: np.full(v[0].shape, c)) if type(r) is Const else r
 
-_ARRAY: dict[type, Callable] = {
-    Const: _array_const,
-    Var: lambda e: lambda z: z,
-    Neg: lambda e, a: lambda z: -a(z),
-    Add: lambda e, l, r: lambda z: _finite(l(z) + r(z)),
-    Sub: lambda e, l, r: lambda z: _finite(l(z) - r(z)),
-    Mul: lambda e, l, r: lambda z: _finite(l(z) * r(z)),
-    Div: lambda e, l, r: lambda z: _finite(l(z) / r(z)),
-    Pow: _array_pow,
-    Call: _array_call,
-}
+    def guard(self, r):
+        """r, or for a computed value the register of its guarded value, once per register."""
+        if type(r) is Const:
+            return r
+        if r not in self._guarded:
+            self._guarded[r] = self._emit(lambda v: _finite(v[r]))
+        return self._guarded[r]
+
+    def _neg(self, e: Neg, a):
+        if type(a) is Const:  # negation is exact, so it folds
+            return Const(-a.value)
+        r = self._emit(lambda v: -v[a])
+        if self._guarded.get(a) == a:
+            self._guarded[r] = r
+        return r
+
+    def _call(self, e: Call, a) -> int:
+        fn, i = _NP_FUNCTIONS[e.func], self.array(self.guard(a))
+        return self._emit(lambda v: fn(v[i]))
+
+    def _pow(self, e: Pow, b) -> int:
+        n, i = e.exponent, self.array(self.guard(b) if e.exponent < 0 else b)
+        if n == 0:  # numpy gives nan^0 = 1, but a non-finite base must give NaN
+            return self._emit(lambda v: np.where(np.isfinite(v[i]), 1 + 0j, np.nan))
+        return self._emit(lambda v: v[i] ** n)
+
+    def _binary(self, e, left, right) -> int:
+        op = self.OPERATORS[type(e)]
+        right = self.guard(right) if op is np.divide else right
+        if type(left) is Const and type(right) is Const:
+            left = self.array(left)
+        if type(left) is Const:
+            return self._emit(lambda v, c=left.value: op(c, v[right]))
+        if type(right) is Const:
+            return self._emit(lambda v, c=right.value: op(v[left], c))
+        return self._emit(lambda v: op(v[left], v[right]))
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +592,7 @@ def substitute(e: Expr, w: Expr) -> Expr:
 # printing
 
 _P_ADD, _P_MUL, _P_NEG, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
+_OPERATOR_SYNTAX = {Add: ("+", _P_ADD), Sub: ("-", _P_ADD), Mul: ("*", _P_MUL), Div: ("/", _P_MUL)}
 
 
 def _fmt_real(x: float) -> str:
@@ -587,24 +628,15 @@ def _fmt(e: Expr) -> tuple[str, int]:
         if p < _P_NEG:
             s = f"({s})"
         return f"-{s}", _P_NEG
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        op, prec = _OPERATOR_SYNTAX[type(e)]
         ls, lp = _fmt(e.left)
         rs, rp = _fmt(e.right)
-        if lp < _P_ADD:
+        if lp < prec:
             ls = f"({ls})"
-        if rp <= _P_ADD:
+        if rp <= prec:
             rs = f"({rs})"
-        return f"{ls}{op}{rs}", _P_ADD
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        ls, lp = _fmt(e.left)
-        rs, rp = _fmt(e.right)
-        if lp < _P_MUL:
-            ls = f"({ls})"
-        if rp <= _P_MUL:
-            rs = f"({rs})"
-        return f"{ls}{op}{rs}", _P_MUL
+        return f"{ls}{op}{rs}", prec
     if isinstance(e, Pow):
         bs, bp = _fmt(e.base)
         if bp < _P_ATOM:

@@ -603,7 +603,7 @@ def _match_report(data, f_minus, g_minus) -> MatchReport:
     pts = boundary_points(data.domain)
     trees = [(f, g, differentiate(f), differentiate(g)) for f, g in ((data.f, data.g), (f_minus, g_minus))]
     z = np.array(pts)
-    fgd = np.array([[compile_array(e)(z) for e in side] for side in trees])  # (side, f g f' g', point)
+    fgd = np.array([compile_array(*side)(z) for side in trees])  # (side, f g f' g', point)
     redo = np.flatnonzero(~np.isfinite(_match_values(*fgd.swapaxes(0, 1))).all(axis=(0, 1))).tolist()
     closures = [[compile_fn(e) for e in (*side, Pow(side[1], 2))] for side in trees] if redo else None
     for j, k, s in product((0, 1, 4, 2, 3), redo, (0, 1)):

@@ -135,10 +135,15 @@ def _grid_points(domain: Domain, grid: GridSpec) -> list[complex]:
     else:
         angles = np.linspace(-math.pi, math.pi, grid.n_angular, endpoint=False)
     lattice = radii * [math.cos(t) for t in angles] + 1j * (radii * [math.sin(t) for t in angles])
-    # the draws of GRID_RANDOM random points, one (re, im) pair per try, all tries at once
-    R = domain.radius
-    tries = np.random.default_rng(GRID_SEED).uniform(-R, R, size=(100 * GRID_RANDOM, 2)).view(complex)[:, 0]
-    pts = np.concatenate((lattice.ravel(), tries[domain.contains_many(tries, spacing=0.05 * R)][:GRID_RANDOM]))
+    # GRID_RANDOM random points, one (re, im) pair per try, drawn in chunks until as many are kept
+    # or 100 * GRID_RANDOM are drawn; the generator fills sequentially, so a chunk continues the draws
+    rng, R, kept = np.random.default_rng(GRID_SEED), domain.radius, []
+    for _ in range(25):  # chunks of 4 * GRID_RANDOM tries
+        tries = rng.uniform(-R, R, size=(4 * GRID_RANDOM, 2)).view(complex)[:, 0]
+        kept.append(tries[domain.contains_many(tries, spacing=0.05 * R)])
+        if sum(map(len, kept)) >= GRID_RANDOM:
+            break
+    pts = np.concatenate((lattice.ravel(), *kept))[: lattice.size + GRID_RANDOM]
     return pts[domain.contains_many(pts, spacing=0.04 * R)].tolist()
 
 

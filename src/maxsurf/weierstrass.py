@@ -177,7 +177,15 @@ class PhiTriple:
 
     def density(self) -> float:
         """|phi1|^2 + |phi2|^2 - |phi3|^2, the induced metric density."""
-        return abs(self.phi1) ** 2 + abs(self.phi2) ** 2 - abs(self.phi3) ** 2
+        return _square(abs(self.phi1)) + _square(abs(self.phi2)) - _square(abs(self.phi3))
+
+
+def _square(x: float) -> float:
+    """x ** 2, and inf where a float's square overflows, as numpy squares arrays."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

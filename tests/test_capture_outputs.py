@@ -8,7 +8,7 @@ EXTENDABLE = ("catenoid-b07", "spacelike", "timelike", "lightlike")
 SURFACES = ("catenoid",) + tuple(name + ".ext" for name in EXTENDABLE)
 DOMAIN_MESHES = ("half-disk", "annulus", "strip", "window", "detour")
 EXTENSION_FAULTS = ("orthogonal", "varying", "singular", "matching-fault")
-INPUT_FAULTS = ("z0-log", "z0-depends-on-z", "g-overflow", "radius-overflow")
+INPUT_FAULTS = ("z0-log", "z0-depends-on-z", "g-overflow", "radius-overflow", "non-decimal-digit", "density-overflow")
 USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
     "usage-unknown-command": "maxsurf: error: argument command: invalid choice: 'frobnicate' (choose from 'check',",
     "usage-eval-without-at": "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"
@@ -32,16 +32,17 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["mesh-pole-9", "mesh-pole-17", "mesh-overflow-17", "eval-poly-degenerate"]
         + ["check-pole", "check-overflow", "check-poly"]
         + ["extend-orthogonal", "extend-varying", "extend-singular", "check-matching-fault", "extend-matching-fault"]
-        + [f"check-{name}" for name in INPUT_FAULTS] + ["extend-radius-overflow"]
+        + [f"check-{name}" for name in INPUT_FAULTS[:4]] + ["extend-radius-overflow", "check-non-decimal-digit"]
+        + ["eval-density-overflow", "mesh-density-overflow"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
         + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS] + ["matching-fault.ext.cfg"]
         + [f"{name}.cfg" for name in SURFACES[1:]]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
-        + [f"{name}.obj{ext}" for name in DOMAIN_MESHES for ext in ("", ".attrs.json")]
+        + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) for ext in ("", ".attrs.json")]
     )
-    for name in logs[:-13]:
+    for name in logs[:-16]:
         if "-extend-" in name or "-check-" in name or name[4:-4] in [f"mesh-{m}" for m in DOMAIN_MESHES]:
             assert "\nexit 0\n" in (tmp_path / name).read_text(), name
     for name in logs:
@@ -73,8 +74,11 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-radius-overflow": (2, "--- stderr\nconfig error: field 'domain': radius 1e+308 is too large: its diameter"
                                   " overflows\n"),
         "extend-radius-overflow": (2, "--- stdout\n--- stderr\nconfig error: field 'domain': radius 1e+308 is too large:"),
+        "check-non-decimal-digit": (2, "--- stdout\n--- stderr\nconfig error: field 'f': at offset 0: expected operand\n"),
+        "eval-density-overflow": (0, "\nconformal_factor = inf\n--- stderr\n"),
+        "mesh-density-overflow": (0, "wrote density-overflow.obj: 25 vertices, 32 triangles, 0 masked cells\n--- stderr\n"),
     }
-    for name in logs[-17:]:
+    for name in logs[-20:]:
         code, line = failing[name[4:-4]]
         text = (tmp_path / name).read_text()
         assert f"\nexit {code}\n" in text and line in text, name

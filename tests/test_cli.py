@@ -511,6 +511,39 @@ def test_config_error_names_the_field_at_fault(tmp_path, capsys, lines, err):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("f, offset", [("²", 0), ("①", 0), ("²/z", 0), ("z+²", 2)])
+def test_a_digit_that_is_not_decimal_is_a_config_error(tmp_path, capsys, f, offset):
+    p = tmp_path / "digit.cfg"
+    p.write_text(f"f = {f}\ng = z/2\ndomain = disk\nz0 = 0.5\n")
+    assert main(["eval", str(p), "--at", "0.1,0.2"]) == 2
+    assert capsys.readouterr() == ("", f"config error: field 'f': at offset {offset}: expected operand\n")
+
+
+def test_a_decimal_digit_of_another_script_reads_as_its_value(tmp_path, capsys):
+    outputs = []
+    for three in ("3", "٣"):
+        p = tmp_path / "digit.cfg"
+        p.write_text(f"f = {three}*z\ng = z/2\ndomain = disk\nz0 = 0.5\n")
+        assert main(["eval", str(p), "--at", "0.1,0.2"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+_HUGE_DISK = "f = 1\ng = z\ndomain = disk\nradius = 1e100\nz0 = 0\n"  # |phi|^2 overflows far out
+
+
+def test_a_conformal_factor_that_overflows_is_inf(tmp_path, capsys):
+    p = tmp_path / "huge.cfg"
+    p.write_text(_HUGE_DISK)
+    assert main(["eval", str(p), "--at", "1e99,0"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\nconformal_factor = inf\n")
+    assert main(["mesh", str(p), "--grid", "5x5", "-o", str(tmp_path / "huge.obj")]) == 0
+    attrs = json.loads((tmp_path / "huge.obj.attrs.json").read_text())
+    factors = [v["conformal_factor"] for v in attrs["vertices"]]
+    assert math.inf in factors and all(lam == math.inf or math.isfinite(lam) for lam in factors)
+
+
 @pytest.mark.parametrize("command", [["check"], ["extend", "-o", "out.cfg"], ["eval", "--at", "0.1,0.5"]])
 def test_a_radius_whose_diameter_overflows_exits_2(tmp_path, capsys, monkeypatch, command):
     monkeypatch.chdir(tmp_path)

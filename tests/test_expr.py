@@ -102,13 +102,18 @@ def test_parse_error_position_unbalanced():
 
 @pytest.mark.parametrize(
     "text,offset",
-    [("", 0), ("1+", 2), ("z^z", 2), ("2i", 1), ("foo(z)", 0), ("z @ 1", 2)],
+    [("", 0), ("1+", 2), ("z^z", 2), ("2i", 1), ("foo(z)", 0), ("z @ 1", 2), ("²", 0), ("①/z", 0), ("z*²", 2)],
 )
 def test_parse_error_offsets_within_input(text, offset):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.offset == offset
     assert 0 <= exc.value.offset <= len(text)
+
+
+def test_decimal_digits_of_any_script_are_numbers():
+    assert parse("٣") == Const(3)
+    assert parse("1٣.5*z") == Mul(Const(13.5), Var())
 
 
 def test_parse_rejects_absolute_value_syntax():

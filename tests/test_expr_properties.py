@@ -5,6 +5,10 @@ negation never wraps a constant (the parser folds those), and constants are
 real or i, the constants the printer writes as one literal.  One branch
 applies ``sconj`` to a function call; that conjugates the constants below
 it, so -i occurs as well, which the printer also writes as one literal.
+
+The array kernel is held to the per-node-guarded evaluator it replaced,
+kept here as ``guarded_array``, on trees with infinite and zero constants
+and at points that are zero, infinite, NaN or near the ends of the range.
 """
 
 import cmath
@@ -13,7 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixtures import catenoid_extension_fixture, lightlike_fixture, spacelike_fixture, timelike_fixture
+from maxsurf import extension
 from maxsurf.expr import (
+    _NP_FUNCTIONS,
     Add,
     Call,
     Const,
@@ -41,7 +48,7 @@ def _neg(e):
     return Const(-e.value) if isinstance(e, Const) else Neg(e)
 
 
-def _tree(children):
+def _tree(children, exponents=st.integers(-3, 3)):
     pair = st.tuples(children, children)
     return st.one_of(
         children.map(_neg),
@@ -49,7 +56,7 @@ def _tree(children):
         pair.map(lambda t: Sub(*t)),
         pair.map(lambda t: Mul(*t)),
         pair.map(lambda t: Div(*t)),
-        st.tuples(children, st.integers(-3, 3)).map(lambda t: Pow(*t)),
+        st.tuples(children, exponents).map(lambda t: Pow(*t)),
         st.tuples(st.sampled_from(FUNCTIONS), children).map(lambda t: Call(*t)),
         st.tuples(st.sampled_from(FUNCTIONS), children).map(lambda t: sconj(Call(*t))),
     )
@@ -150,6 +157,104 @@ def test_array_constant_fills_the_shape():
     got = compile_array(parse("2+i"))(np.zeros((2, 3), dtype=complex))
     assert got.shape == (2, 3)
     assert (got == 2 + 1j).all()
+
+
+# ---------------------------------------------------------------------------
+# the array kernel against the per-node-guarded evaluator it replaced
+
+_ARITHMETIC = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
+
+
+def _nan_unless_finite(x):
+    return np.where(np.isfinite(x), x, np.nan)
+
+
+@np.errstate(all="ignore")
+def guarded_array(e, z):
+    """The array evaluator as it was: every computed node except a negation replaces its non-finite
+    elements by NaN, each constant is a full array, and z and constants are used as given."""
+    if isinstance(e, Const):
+        return np.full(z.shape, e.value)
+    if isinstance(e, Var):
+        return z
+    if isinstance(e, Neg):
+        return -guarded_array(e.arg, z)
+    if isinstance(e, Pow):
+        base = guarded_array(e.base, z)
+        if e.exponent == 0:
+            return np.where(np.isfinite(base), 1 + 0j, np.nan)
+        return _nan_unless_finite(base**e.exponent)
+    if isinstance(e, Call):
+        return _nan_unless_finite(_NP_FUNCTIONS[e.func](guarded_array(e.arg, z)))
+    return _nan_unless_finite(_ARITHMETIC[type(e)](guarded_array(e.left, z), guarded_array(e.right, z)))
+
+
+def _assert_as_guarded(got, want, label):
+    finite = np.isfinite(want)
+    assert (np.isfinite(got) == finite).all() and (np.isnan(got) == np.isnan(want)).all(), (label, got, want)
+    assert got[finite].tobytes() == want[finite].tobytes(), (label, got, want)  # bit for bit, signed zeros too
+
+
+_INF = float("1e999")
+# every kind of constant: infinite (as 1e999 parses), zero of both signs, tiny, huge and plain
+_kernel_leaf = st.one_of(
+    st.just(Var()), st.sampled_from([0.5, -1.5, 1j, 0.0, -0.0, _INF, -_INF, 1e-300, 1e300]).map(Const)
+)
+_kernel_exponents = st.sampled_from([-150, -2, -1, 0, 1, 2, 3, 150])
+kernel_exprs = st.recursive(_kernel_leaf, lambda c: _tree(c, _kernel_exponents), max_leaves=6)
+_kernel_points = st.lists(
+    st.one_of(
+        st.sampled_from([0j, complex(-0.0, -0.0), complex(_INF, 0), complex(-_INF, 0), complex(0, _INF),
+                         complex(_INF, -_INF), complex(float("nan"), 0), complex(0, float("nan")), 1e300 + 0j,
+                         -1e300j, 1e-300 + 0j, complex(-1e-300, 1e300), 1 + 0j]),
+        points,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(e=kernel_exprs, zs=_kernel_points)
+def test_array_kernel_matches_the_per_node_guarded_evaluator(e, zs):
+    z = np.array(zs)
+    trees = [e, Div(Const(1), e), Call("exp", e), Call("exp", Neg(e))]  # Neg(e) is not canonical for a Const e
+    for tree in trees:
+        _assert_as_guarded(compile_array(tree)(z), guarded_array(tree, z), tree)
+    # one pass over trees that share subtrees by identity, as f and f' do
+    trees = [e, differentiate(e), Mul(e, differentiate(e))]
+    for tree, got in zip(trees, compile_array(*trees)(z)):
+        _assert_as_guarded(got, guarded_array(tree, z), tree)
+
+
+@pytest.mark.parametrize(
+    "tree,z,want",
+    [
+        (parse("exp(z)"), -_INF, 0j),  # z is used as given, not made NaN first
+        (parse("z/1e999"), 1 + 0j, 0j),  # so is a constant denominator
+        (parse("exp(-z)"), _INF, 0j),  # and the negation of either
+        (Call("exp", Neg(Const(_INF))), 0j, 0j),
+        (parse("1/(z*1e999)"), 1 + 0j, None),  # a computed denominator that is not finite is NaN
+        (parse("(z+1e999)^-1"), 1 + 0j, None),  # so is the base of a negative power
+    ],
+    ids=["exp-of-z-at-minus-inf", "z-over-a-constant-inf", "exp-of-minus-z", "exp-of-minus-a-constant-inf",
+         "one-over-a-computed-inf", "a-computed-inf-to-the-minus-one"],
+)
+def test_array_leaves_are_used_as_given(tree, z, want):
+    zs = np.array([z], dtype=complex)
+    got = compile_array(tree)(zs)
+    assert cmath.isnan(got[0]) if want is None else got[0] == want
+    _assert_as_guarded(got, guarded_array(tree, zs), tree)
+
+
+@pytest.mark.parametrize("fixture", [catenoid_extension_fixture, spacelike_fixture, timelike_fixture,
+                                     lightlike_fixture], ids=lambda fx: fx.__name__)
+def test_matching_gaps_are_those_of_the_per_tree_guarded_evaluator(fixture, monkeypatch):
+    data, plane = fixture()
+    ext = extension.extend(data, plane)
+    gaps = extension._match_report(data, ext.f_minus, ext.g_minus).gaps
+    monkeypatch.setattr(extension, "compile_array", lambda *trees: lambda z: [guarded_array(t, z) for t in trees])
+    assert extension._match_report(data, ext.f_minus, ext.g_minus).gaps == gaps
 
 
 # ---------------------------------------------------------------------------

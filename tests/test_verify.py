@@ -15,6 +15,9 @@ from maxsurf.expr import parse
 from maxsurf.extension import extend
 from maxsurf.minkowski import LVector, Plane
 from maxsurf.verify import (
+    GRID_MARGIN,
+    GRID_RANDOM,
+    GRID_SEED,
     GridSpec,
     _grid_points,
     catenoid_data,
@@ -268,3 +271,34 @@ def test_grid_points_are_pinned_bit_for_bit(name):
     for grid, sha in ((GridSpec(), default), (GridSpec(3, 5), small)):
         pts = np.array(_grid_points(domain, grid), dtype=complex)
         assert hashlib.sha256(pts.tobytes()).hexdigest()[:16] == sha
+
+
+def all_tries_grid_points(domain, grid):
+    """_grid_points as it drew every try at once: 100 * GRID_RANDOM tries, the first GRID_RANDOM kept."""
+    lo = domain.inner_radius if domain.inner_radius > 0 else GRID_MARGIN * domain.radius
+    lo = lo + GRID_MARGIN * (domain.radius - lo)
+    hi = domain.radius * (1 - GRID_MARGIN)
+    radii = np.linspace(lo, hi, grid.n_radial)[:, None]
+    if domain.kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS):
+        angles = np.linspace(GRID_MARGIN * math.pi, math.pi * (1 - GRID_MARGIN), grid.n_angular)
+    else:
+        angles = np.linspace(-math.pi, math.pi, grid.n_angular, endpoint=False)
+    lattice = radii * [math.cos(t) for t in angles] + 1j * (radii * [math.sin(t) for t in angles])
+    R = domain.radius
+    tries = np.random.default_rng(GRID_SEED).uniform(-R, R, size=(100 * GRID_RANDOM, 2)).view(complex)[:, 0]
+    pts = np.concatenate((lattice.ravel(), tries[domain.contains_many(tries, spacing=0.05 * R)][:GRID_RANDOM]))
+    return pts[domain.contains_many(pts, spacing=0.04 * R)].tolist()
+
+
+_SPARSE_DOMAINS = {  # domains that keep few tries: several chunks, or all 6,000 tries without GRID_RANDOM kept
+    "thin-half-annulus": Domain(DomainKind.HALF_ANNULUS, radius=1.0, inner_radius=0.9),
+    "thin-annulus": Domain(DomainKind.ANNULUS, radius=1.0, inner_radius=0.995),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_POINTS_SHA) + sorted(_SPARSE_DOMAINS))
+def test_grid_points_drawn_in_chunks_are_those_of_all_tries_at_once(name):
+    domain = _GRID_POINTS_SHA[name][0] if name in _GRID_POINTS_SHA else _SPARSE_DOMAINS[name]
+    for grid in (GridSpec(), GridSpec(3, 5)):
+        got = np.array(_grid_points(domain, grid), dtype=complex)
+        assert got.tobytes() == np.array(all_tries_grid_points(domain, grid), dtype=complex).tobytes()

@@ -16,6 +16,7 @@ from maxsurf.weierstrass import (
     Domain,
     DomainKind,
     PathError,
+    PhiTriple,
     QuadratureConfig,
     SurfaceError,
     ToleranceError,
@@ -523,6 +524,14 @@ def test_conformal_factor_closed_form():
         gv = evaluate(data.g, z)
         closed = 0.5 * abs(fv) ** 2 * (1 - abs(gv) ** 2) ** 2
         assert abs(conformal_factor(data, z) - closed) < 1e-12 * (1 + closed)
+
+
+@pytest.mark.parametrize("phis", [(1e200, 0, 0), (0, 1e200j, 1), (1, 1, 1e200), (1e200, 0, 1e200), (1.2e154, 1.2e154, 0)])
+def test_density_overflows_to_inf_as_on_arrays(phis):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = PhiTriple(*(np.array([complex(p)]) for p in phis)).density()[0]
+    got = PhiTriple(*map(complex, phis)).density()
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 def test_conformal_factor_vanishes_at_cone_circle():

@@ -33,8 +33,12 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     extend rebuilds the reflected side and exits 0);
   - configs that must end in one line: ``check`` with a basepoint whose
     operands both fault (``z0 = log(0)/0``) and with one that depends on z
-    (exit 2), ``check`` of a g whose square overflows (exit 1), and ``check``
-    and ``extend`` of a half disk whose diameter overflows (exit 2).
+    (exit 2), ``check`` of a g whose square overflows (exit 1), ``check``
+    and ``extend`` of a half disk whose diameter overflows (exit 2), and
+    ``check`` of an f that starts with a digit that is not decimal
+    (``f = ²/z``, exit 2);
+  - ``eval`` and ``mesh`` (5x5) far out on a disk of radius 1e100, where the
+    conformal factor overflows to inf.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -92,11 +96,19 @@ EXTENSION_FAULTS = {
     "matching-fault": BASE_CONFIGS["spacelike"] + "f_minus = 1/z\ng_minus = 0.2500000000000018/(exp(-i*z)/2)\n"
     "reflected = x3\n",
 }
-INPUT_FAULTS = {  # name: (config, commands)
-    "z0-log": ("f = 1\ng = z/2\ndomain = disk\nz0 = log(0)/0\n", ("check",)),
-    "z0-depends-on-z": ("f = 1\ng = z/2\ndomain = disk\nz0 = 0.3+z\n", ("check",)),
-    "g-overflow": ("f = 1\ng = 1e200*z\ndomain = disk\nz0 = 0\n", ("check",)),
-    "radius-overflow": (BASE_CONFIGS["spacelike"].replace("radius = 0.9", "radius = 1e308"), ("check", "extend")),
+INPUT_FAULTS = {  # name: (config, commands, each with its arguments after the config)
+    "z0-log": ("f = 1\ng = z/2\ndomain = disk\nz0 = log(0)/0\n", [["check"]]),
+    "z0-depends-on-z": ("f = 1\ng = z/2\ndomain = disk\nz0 = 0.3+z\n", [["check"]]),
+    "g-overflow": ("f = 1\ng = 1e200*z\ndomain = disk\nz0 = 0\n", [["check"]]),
+    "radius-overflow": (
+        BASE_CONFIGS["spacelike"].replace("radius = 0.9", "radius = 1e308"),
+        [["check"], ["extend", "-o", "radius-overflow.ext.cfg"]],
+    ),
+    "non-decimal-digit": ("f = ²/z\ng = z/2\ndomain = disk\nz0 = 0.5\n", [["check"]]),
+    "density-overflow": (
+        "f = 1\ng = z\ndomain = disk\nradius = 1e100\nz0 = 0\n",
+        [["eval", "--at", "1e99,0"], ["mesh", "--grid", "5x5", "-o", "density-overflow.obj"]],
+    ),
 }
 
 
@@ -144,9 +156,8 @@ def commands() -> list[tuple[str, list[str]]]:
             cmds.append((f"check-{name}", ["check", f"{name}.cfg"]))
         cmds.append((f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]))
     for name, (_, runs) in INPUT_FAULTS.items():
-        for command in runs:
-            output = ["-o", f"{name}.ext.cfg"] if command == "extend" else []
-            cmds.append((f"{command}-{name}", [command, f"{name}.cfg", *output]))
+        for command, *args in runs:
+            cmds.append((f"{command}-{name}", [command, f"{name}.cfg", *args]))
     return cmds
 
 
@@ -167,7 +178,7 @@ def capture(outdir: Path) -> None:
     meshes = {name: text for name, (text, _) in DOMAIN_MESHES.items()}
     inputs = {name: text for name, (text, _) in INPUT_FAULTS.items()}
     for name, text in {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs}.items():
-        Path(f"{name}.cfg").write_text(text)
+        Path(f"{name}.cfg").write_text(text, encoding="utf-8")
     for k, (stem, argv) in enumerate(commands()):
         Path(f"{k:03d}-{stem}.txt").write_text(run(argv))
 

@@ -326,30 +326,32 @@ def _grid_forest(points: np.ndarray, valid: np.ndarray, nv: int, z0: complex):
     (i).  Each component is rooted at its valid vertex nearest z0, the
     lowest index on ties.  Returns the vertex indices in visiting order
     and, for each, the position of its parent in that order (-1 for a root).
-    """
+    On the grid padded with invalid vertices, one flag tests a neighbour."""
     inside = np.flatnonzero(valid)
     near = np.hypot(points.real[inside] - z0.real, points.imag[inside] - z0.imag)  # abs(points - z0), rounded alike
-    n, valid = len(points), valid.tolist()
-    seen = [False] * n
+    w = nv + 2  # a padded row
+    padded = np.zeros((len(points) // nv + 2, w), dtype=bool)
+    padded[1:-1, 1:-1] = valid.reshape(-1, nv)
+    open_ = padded.ravel().tolist()
     order: list[int] = []
     parents: list[int] = []
-    for root in inside[np.argsort(near, kind="stable")].tolist():
-        if seen[root]:
+    for root in (inside + inside // nv * 2 + w + 1)[np.argsort(near, kind="stable")].tolist():
+        if not open_[root]:
             continue
-        seen[root] = True
+        open_[root] = False
         order.append(root)
         parents.append(-1)
         head = len(order) - 1
         while head < len(order):
             k = order[head]
-            j = k % nv
-            for m, ok in ((k - 1, j > 0), (k + 1, j < nv - 1), (k - nv, k >= nv), (k + nv, k + nv < n)):
-                if ok and valid[m] and not seen[m]:
-                    seen[m] = True
+            for m in (k - 1, k + 1, k - w, k + w):
+                if open_[m]:
+                    open_[m] = False
                     order.append(m)
                     parents.append(head)
             head += 1
-    return order, parents
+    padded_order = np.array(order, dtype=np.intp)
+    return padded_order - padded_order // w * 2 - nv - 1, parents
 
 
 def build_mesh(
@@ -429,38 +431,44 @@ def _vertex_attributes(data: WeierstrassData, z: np.ndarray) -> tuple[np.ndarray
 
 
 def write_obj(mesh: SurfaceMesh, path: str, config_sha: str, mask_eps: float) -> None:
-    header = f"# maxsurf {__version__}\n# config sha256 {config_sha}\n"
-    header += f"# grid {mesh.shape[0]}x{mesh.shape[1]} mask_eps {_f17(mask_eps)}\n"
-    vertices = "v %.17g %.17g %.17g\n" * len(mesh.vertices) % tuple(mesh.vertices.ravel().tolist())
-    faces = "f %d %d %d\n" * len(mesh.triangles) % tuple((mesh.triangles + 1).ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + vertices + faces)
+        fh.write(f"# maxsurf {__version__}\n# config sha256 {config_sha}\n")
+        fh.write(f"# grid {mesh.shape[0]}x{mesh.shape[1]} mask_eps {_f17(mask_eps)}\n")
+        fh.write("v %.17g %.17g %.17g\n" * len(mesh.vertices) % tuple(mesh.vertices.ravel().tolist()))
+        fh.write("f %d %d %d\n" * len(mesh.triangles) % tuple((mesh.triangles + 1).ravel().tolist()))
 
 
-def _json_float(x: float) -> str:
-    """A float as json.dumps writes it."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+_SIDECAR_BLOCK = 1024  # vertex rows formatted and written at a time
+_ROW = ',\n    {\n      "conformal_factor": %s,\n      "gauss": '
+_ROWS = (_ROW + "null\n    }", _ROW + "[\n        %s,\n        %s,\n        %s\n      ]\n    }")  # without, with a normal
 
 
 def write_sidecar(mesh: SurfaceMesh, path: str, config_sha: str) -> None:
     """Per-vertex attributes as JSON, written directly: the bytes are those of
     json.dumps(payload, sort_keys=True, indent=2) + "\n" for the payload
-    {config_sha256, format, note, vertices: [{conformal_factor, gauss}]}."""
-    rows = []
-    for N, lam in zip(mesh.gauss.tolist(), mesh.conformal.tolist()):
-        # a normal is finite (a NaN row marks none), so repr is its JSON; a conformal factor may be NaN
-        gauss = "null" if math.isnan(N[0]) else "[\n        %r,\n        %r,\n        %r\n      ]" % tuple(N)
-        rows.append(f'    {{\n      "conformal_factor": {_json_float(lam)},\n      "gauss": {gauss}\n    }}')
-    vertices = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    {config_sha256, format, note, vertices: [{conformal_factor, gauss}]}.
+    A block of rows is one ``%`` over their values, the conformal factor and
+    then the normal if any (a NaN row marks none): a finite float's repr is
+    its JSON, and json's NaN, Infinity or -Infinity go in as text."""
+    table = np.column_stack((mesh.conformal, mesh.gauss))
+    normal = ~np.isnan(table[:, 1])
+    keep = np.column_stack((np.ones_like(normal), normal, normal, normal))
     note = "vertices are listed in OBJ order (1-based index = position + 1)"
-    text = (
-        f'{{\n  "config_sha256": {json.dumps(config_sha)},\n'
-        f'  "format": {json.dumps("maxsurf-mesh-attributes/1")},\n'
-        f'  "note": {json.dumps(note)},\n'
-        f'  "vertices": {vertices}\n}}\n'
-    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(
+            f'{{\n  "config_sha256": {json.dumps(config_sha)},\n'
+            f'  "format": {json.dumps("maxsurf-mesh-attributes/1")},\n'
+            f'  "note": {json.dumps(note)},\n  "vertices": ['
+        )
+        for start in range(0, len(table), _SIDECAR_BLOCK):
+            block = slice(start, start + _SIDECAR_BLOCK)
+            flat = table[block][keep[block]]
+            values = flat.tolist()
+            for k in np.flatnonzero(~np.isfinite(flat)).tolist():
+                values[k] = json.dumps(values[k])
+            rows = "".join(map(_ROWS.__getitem__, normal[block].tolist()))
+            fh.write((rows[1:] if start == 0 else rows) % tuple(values))  # no comma before the first row
+        fh.write("\n  ]\n}\n" if len(table) else "]\n}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ are safe to share across threads.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -280,8 +281,11 @@ class _Parser:
             return e
         if ch.isdecimal():  # as \d: '²' is a digit to str.isdigit, but not decimal
             m = _NUMBER.match(self.text, self.pos)
+            x = float(m.group())
+            if not math.isfinite(x):  # 1e999 reads as inf
+                raise ParseError(self.pos, "finite number")
             self.pos = m.end()
-            return Const(complex(float(m.group())))
+            return Const(complex(x))
         m = _NAME.match(self.text, self.pos)
         if m is None:
             raise ParseError(self.pos, "operand")
@@ -596,7 +600,7 @@ _OPERATOR_SYNTAX = {Add: ("+", _P_ADD), Sub: ("-", _P_ADD), Mul: ("*", _P_MUL), 
 
 
 def _fmt_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
+    if abs(x) < 1e16 and x == int(x):  # int() of a non-finite x raises
         return str(int(x))
     return repr(x)
 

@@ -6,9 +6,10 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "capture_outputs.py"
 
 EXTENDABLE = ("catenoid-b07", "spacelike", "timelike", "lightlike")
 SURFACES = ("catenoid",) + tuple(name + ".ext" for name in EXTENDABLE)
-DOMAIN_MESHES = ("half-disk", "annulus", "strip", "window", "detour")
+DOMAIN_MESHES = ("half-disk", "annulus", "strip", "window", "detour", "split")
 EXTENSION_FAULTS = ("orthogonal", "varying", "singular", "matching-fault")
-INPUT_FAULTS = ("z0-log", "z0-depends-on-z", "g-overflow", "radius-overflow", "non-decimal-digit", "density-overflow")
+INPUT_FAULTS = ("z0-log", "z0-depends-on-z", "g-overflow", "radius-overflow", "non-decimal-digit", "density-overflow",
+                "infinite-literal", "infinite-constant")
 USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
     "usage-unknown-command": "maxsurf: error: argument command: invalid choice: 'frobnicate' (choose from 'check',",
     "usage-eval-without-at": "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"
@@ -33,7 +34,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["check-pole", "check-overflow", "check-poly"]
         + ["extend-orthogonal", "extend-varying", "extend-singular", "check-matching-fault", "extend-matching-fault"]
         + [f"check-{name}" for name in INPUT_FAULTS[:4]] + ["extend-radius-overflow", "check-non-decimal-digit"]
-        + ["eval-density-overflow", "mesh-density-overflow"]
+        + ["eval-density-overflow", "mesh-density-overflow", "extend-infinite-literal", "eval-infinite-constant"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
@@ -42,7 +43,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) for ext in ("", ".attrs.json")]
     )
-    for name in logs[:-16]:
+    for name in logs[:-18]:
         if "-extend-" in name or "-check-" in name or name[4:-4] in [f"mesh-{m}" for m in DOMAIN_MESHES]:
             assert "\nexit 0\n" in (tmp_path / name).read_text(), name
     for name in logs:
@@ -77,8 +78,10 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-non-decimal-digit": (2, "--- stdout\n--- stderr\nconfig error: field 'f': at offset 0: expected operand\n"),
         "eval-density-overflow": (0, "\nconformal_factor = inf\n--- stderr\n"),
         "mesh-density-overflow": (0, "wrote density-overflow.obj: 25 vertices, 32 triangles, 0 masked cells\n--- stderr\n"),
+        "extend-infinite-literal": (2, "--- stdout\n--- stderr\nconfig error: field 'f': at offset 0: expected finite number\n"),
+        "eval-infinite-constant": (2, "--- stdout\n--- stderr\nconfig error: field 'f': at offset 0: expected finite number\n"),
     }
-    for name in logs[-20:]:
+    for name in logs[-22:]:
         code, line = failing[name[4:-4]]
         text = (tmp_path / name).read_text()
         assert f"\nexit {code}\n" in text and line in text, name

@@ -575,6 +575,20 @@ def test_a_g_whose_square_overflows_fails_in_one_line(tmp_path, capsys, monkeypa
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["extend", "-o", "out.cfg"], ["eval", "--at", "0.3,0.2"]])
+def test_an_infinite_literal_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    configs = {  # 1e999 reads as inf, which the parser refuses
+        "extend": _with_line(_EXTENDABLE["spacelike"], "f", "1e999*i*exp(-i*z)"),
+        "eval": "f = 1e999\ng = z/2\ndomain = disk\nz0 = 0\n",
+    }
+    p = tmp_path / "literal.cfg"
+    p.write_text(configs[command[0]])
+    assert main([command[0], str(p), *command[1:]]) == 2
+    assert capsys.readouterr() == ("", "config error: field 'f': at offset 0: expected finite number\n")
+    assert not (tmp_path / "out.cfg").exists()
+
+
 # ---------------------------------------------------------------------------
 # an extended config builds its matching report only where it is read
 

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ def test_parse_error_offsets_within_input(text, offset):
         parse(text)
     assert exc.value.offset == offset
     assert 0 <= exc.value.offset <= len(text)
+
+
+@pytest.mark.parametrize("text,offset", [("1e999", 0), ("z+2e400", 2), ("-1e999*z", 1), ("exp(9" + "9" * 400 + ")", 4)])
+def test_a_literal_that_is_not_finite_is_refused_at_its_offset(text, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.offset, exc.value.expected) == (offset, "finite number")
+
+
+def test_format_of_a_non_finite_constant_does_not_raise():
+    assert [format_expr(Const(v)) for v in (math.inf, -math.inf, complex(0, math.inf))] == ["inf", "-inf", "inf*i"]
 
 
 def test_decimal_digits_of_any_script_are_numbers():

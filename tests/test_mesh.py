@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,52 @@ def test_strip_below_the_inner_circle_is_a_forest():
     for r in set(root):
         members = [order[pos] for pos, s in enumerate(root) if s == r]
         assert order[r] == min(members, key=lambda k: abs(pts[k] - data.z0))
+
+
+def _reference_forest(points, valid, nv, z0):
+    """The forest as found with bound tests on the unpadded grid, the oracle of _grid_forest."""
+    inside = np.flatnonzero(valid)
+    near = np.hypot(points.real[inside] - z0.real, points.imag[inside] - z0.imag)
+    n, valid = len(points), valid.tolist()
+    seen = [False] * n
+    order, parents = [], []
+    for root in inside[np.argsort(near, kind="stable")].tolist():
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        parents.append(-1)
+        head = len(order) - 1
+        while head < len(order):
+            k = order[head]
+            j = k % nv
+            for m, ok in ((k - 1, j > 0), (k + 1, j < nv - 1), (k - nv, k >= nv), (k + nv, k + nv < n)):
+                if ok and valid[m] and not seen[m]:
+                    seen[m] = True
+                    order.append(m)
+                    parents.append(head)
+            head += 1
+    return order, parents
+
+
+@st.composite
+def _forest_inputs(draw):
+    """A grid of integer points, a mask with empty rows, and z0 on a point, halfway between two or outside."""
+    nu, nv = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    valid = np.array(draw(st.lists(st.booleans(), min_size=nu * nv, max_size=nu * nv))).reshape(nu, nv)
+    valid[draw(st.lists(st.integers(0, nu - 1), max_size=3)), :] = False
+    i, j = draw(st.integers(0, nu - 1)), draw(st.integers(0, nv - 1))
+    z0 = draw(st.sampled_from([complex(i, j), complex(i + 0.5, j), complex(i, j + 0.5), complex(-3.0, nv + 2.5)]))
+    points = (np.arange(nu)[:, None] + 1j * np.arange(nv)).ravel()
+    return points, valid.ravel(), nv, z0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_forest_inputs())
+def test_padded_forest_visits_and_parents_as_the_bound_tested_one(inputs):
+    order, parents = _grid_forest(*inputs)
+    want_order, want_parents = _reference_forest(*inputs)
+    assert order.tolist() == want_order and parents == want_parents
 
 
 def test_detour_mesh_detours_a_root_path_and_forest_edges(monkeypatch):
@@ -303,19 +350,33 @@ def _sidecar_mesh(name):
         return build_mesh(catenoid_data(), 17, 17)
     if name == "2x2":
         return build_mesh(_POLY, 2, 2)
-    # a NaN factor, which json writes as NaN
+    if name == "infinity":  # far out on a disk of radius 1e100 the conformal factor overflows
+        return build_mesh(replace(_POLY, domain=Domain(DomainKind.DISK, radius=1e100)), 5, 5)
+    if name == "null-ends":  # the window's corners are outside the unit disk
+        return build_mesh(_POLY, 7, 6, mesh_range=(-1.2, 1.2, -1.2, 1.2))
+    if name == "blocks":
+        return build_mesh(catenoid_data(), 65, 65)
+    # non-finite factors, which json writes as NaN, -Infinity and Infinity
     gauss = np.array([[math.nan] * 3, [1.0, 2.0, 3.0], [math.nan] * 3, [math.nan] * 3])
-    conformal = np.array([math.nan, 0.5, 0.0, -0.0])
+    conformal = np.array([math.nan, 0.5, 0.0, -0.0] if name == "nan" else [-math.inf, math.inf, -0.0, 1e-300])
     return SurfaceMesh(np.zeros((4, 3)), gauss, conformal, np.empty((0, 3), int), np.array([[0, 0]]), (2, 2))
 
 
-@pytest.mark.parametrize("name", ["invalid-vertices", "degenerate-gauss", "2x2", "nan"])
+@pytest.mark.parametrize("name", ["invalid-vertices", "degenerate-gauss", "2x2", "nan", "infinity", "minus-infinity",
+                                  "null-ends", "blocks"])
 def test_sidecar_is_byte_identical_to_json_dumps(name, tmp_path):
     mesh = _sidecar_mesh(name)
+    factors, nulls = mesh.conformal.tolist(), np.isnan(mesh.gauss).all(axis=1)
     if name == "invalid-vertices":
-        assert 0.0 in mesh.conformal.tolist() and np.isnan(mesh.gauss).all(axis=1).any()
+        assert 0.0 in factors and nulls.any()
     if name == "degenerate-gauss":  # |g| = 1 on the outer ring of the punctured disk
-        assert any(math.isnan(N[0]) and lam != 0.0 for N, lam in zip(mesh.gauss.tolist(), mesh.conformal.tolist()))
+        assert any(null and lam != 0.0 for null, lam in zip(nulls, factors))
+    if name in ("infinity", "minus-infinity"):
+        assert (math.inf if name == "infinity" else -math.inf) in factors
+    if name == "null-ends":
+        assert nulls[0] and nulls[-1] and not nulls.all()
+    if name == "blocks":
+        assert len(factors) > 4 * cli._SIDECAR_BLOCK and len(factors) % cli._SIDECAR_BLOCK
     sha = "0123abcd" * 8
     path = tmp_path / "m.obj.attrs.json"
     write_sidecar(mesh, str(path), sha)

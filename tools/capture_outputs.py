@@ -15,9 +15,11 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``mesh`` of the catenoid at 65x65 and 33x33;
   - ``mesh`` of the other domain shapes at small grids (a half disk, an
     annulus, a strip of a half annulus below its inner circle, a disk seen
-    through a larger window) and of a punctured disk whose edges and root
-    path detour around a puncture, so every domain kind and the detour
-    branch of the mesh front end are compared too;
+    through a larger window), of a punctured disk whose edges and root
+    path detour around a puncture, and of a punctured disk through its
+    puncture (negative radii), so every domain kind, the detour branch of
+    the mesh front end and forests of two components (the strip's and this
+    one) are compared too;
   - commands that fail or degenerate, so that their error lines are compared
     too: ``mesh`` with a pole of f on a quadrature node (9x9, exit 2) and
     near one (17x17, exit 1), ``mesh`` of an f that overflows (exit 1),
@@ -38,7 +40,9 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     ``check`` of an f that starts with a digit that is not decimal
     (``f = ²/z``, exit 2);
   - ``eval`` and ``mesh`` (5x5) far out on a disk of radius 1e100, where the
-    conformal factor overflows to inf.
+    conformal factor overflows to inf;
+  - a literal that reads as inf (``1e999``) in f, which the parser refuses
+    (exit 2): ``extend`` of the spacelike config and ``eval`` on a disk.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -79,6 +83,8 @@ DOMAIN_MESHES = {  # name: (config, grid)
     ),
     "window": ("f = 1 + z\ng = z/3\ndomain = disk\nz0 = 0.2\nmesh_range = -1.3,0.9,-0.8,1.2\n", "14x11"),
     "detour": (_ENTIRE + "domain = punctured-disk\npunctures = 0.31+0.17*i\nz0 = 0.33+0.2*i\n", "13x21"),
+    # radii from -0.9 to 0.9: the middle row is the puncture, which splits the valid vertices in two
+    "split": (_ENTIRE + "domain = punctured-disk\npunctures = 0\nz0 = 0.6\nmesh_range = -0.9,0.9,-0.3,0.3\n", "19x5"),
 }
 FAULT_CONFIGS = {
     "pole": "f = 1/(z+0.0625*i)\ng = z/3\ndomain = disk\nz0 = 0\nmesh_range = -0.5,0.5,-0.5,0.5\n",
@@ -109,6 +115,11 @@ INPUT_FAULTS = {  # name: (config, commands, each with its arguments after the c
         "f = 1\ng = z\ndomain = disk\nradius = 1e100\nz0 = 0\n",
         [["eval", "--at", "1e99,0"], ["mesh", "--grid", "5x5", "-o", "density-overflow.obj"]],
     ),
+    "infinite-literal": (
+        BASE_CONFIGS["spacelike"].replace("f = i*exp(-i*z)", "f = 1e999*i*exp(-i*z)"),
+        [["extend", "-o", "infinite-literal.ext.cfg"]],
+    ),
+    "infinite-constant": ("f = 1e999\ng = z/2\ndomain = disk\nz0 = 0\n", [["eval", "--at", "0.3,0.2"]]),
 }
 
 

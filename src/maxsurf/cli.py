@@ -627,10 +627,10 @@ def cmd_extend(args) -> int:
         sys.stderr.write(f"extension failed: {exc}\n")
         return 1
     report = json.dumps(_extend_report(ext), sort_keys=True, indent=2) + "\n"
-    out = args.output or (args.config + ".extended")
-    try:
+    text, out = _extended_config_text(cfg, ext), args.output or (args.config + ".extended")
+    try:  # opened only once the text is built, so a fault while building it leaves an earlier file as it was
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(_extended_config_text(cfg, ext))
+            fh.write(text)
     except OSError as exc:
         sys.stderr.write(f"error: cannot write {out}: {exc}\n")
         return 2

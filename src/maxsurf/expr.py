@@ -1,8 +1,9 @@
 """Expression language for holomorphic functions of one complex variable.
 
 Parsing, evaluation, compilation (to scalar closures or to numpy functions
-of arrays), symbolic differentiation and canonical printing of a small
-closed language:
+of arrays), symbolic differentiation, a small normal form (``_NormalForm``,
+in which ``extension.extend`` writes the reflected formulas) and canonical
+printing of a small closed language:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -501,7 +502,7 @@ class _ArrayProgram:
 # ---------------------------------------------------------------------------
 # differentiation
 
-def _is_const(e: Expr, v: complex) -> bool:
+def _isConst(e: Expr, v: complex) -> bool:
     return isinstance(e, Const) and e.value == v
 
 
@@ -514,35 +515,35 @@ def _neg(a: Expr) -> Expr:
 
 
 def _add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0):
+    if _isConst(a, 0):
         return b
-    if _is_const(b, 0):
+    if _isConst(b, 0):
         return a
     return Add(a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0):
+    if _isConst(b, 0):
         return a
-    if _is_const(a, 0):
+    if _isConst(a, 0):
         return _neg(b)
     return Sub(a, b)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0) or _is_const(b, 0):
+    if _isConst(a, 0) or _isConst(b, 0):
         return Const(0)
-    if _is_const(a, 1):
+    if _isConst(a, 1):
         return b
-    if _is_const(b, 1):
+    if _isConst(b, 1):
         return a
     return Mul(a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0):
+    if _isConst(a, 0):
         return Const(0)
-    if _is_const(b, 1):
+    if _isConst(b, 1):
         return a
     return Div(a, b)
 
@@ -557,31 +558,286 @@ def _pow(b: Expr, n: int) -> Expr:
 
 def differentiate(e: Expr) -> Expr:
     """Symbolic derivative."""
-    if isinstance(e, Const):
-        return Const(0)
-    if isinstance(e, Var):
-        return Const(1)
-    if isinstance(e, Neg):
-        return _neg(differentiate(e.arg))
-    if isinstance(e, Add):
-        return _add(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Sub):
-        return _sub(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Mul):
+    return _derivative(e, {})
+
+
+def _derivative(e: Expr, memo: dict) -> Expr:
+    """The derivative of e; a subtree met again by identity, here or in an earlier call with the same
+    ``memo``, is differentiated once, so its derivative is shared by identity too."""
+    out = memo.get(id(e))
+    if out is not None:
+        return out
+    t = type(e)
+    if t is Const:
+        out = Const(0)
+    elif t is Var:
+        out = Const(1)
+    elif t is Neg:
+        out = _neg(_derivative(e.arg, memo))
+    elif t is Add:
+        out = _add(_derivative(e.left, memo), _derivative(e.right, memo))
+    elif t is Sub:
+        out = _sub(_derivative(e.left, memo), _derivative(e.right, memo))
+    elif t is Mul:
         a, b = e.left, e.right
-        return _add(_mul(differentiate(a), b), _mul(a, differentiate(b)))
-    if isinstance(e, Div):
+        out = _add(_mul(_derivative(a, memo), b), _mul(a, _derivative(b, memo)))
+    elif t is Div:
         a, b = e.left, e.right
-        num = _sub(_mul(differentiate(a), b), _mul(a, differentiate(b)))
-        return _div(num, Pow(b, 2))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return Const(0)
-        inner = _mul(Const(e.exponent), _pow(e.base, e.exponent - 1))
-        return _mul(inner, differentiate(e.base))
-    if isinstance(e, Call):
-        return _mul(_DERIVATIVES[e.func](e.arg), differentiate(e.arg))
-    raise TypeError(f"not an Expr node: {e!r}")
+        out = _div(_sub(_mul(_derivative(a, memo), b), _mul(a, _derivative(b, memo))), Pow(b, 2))
+    elif t is Pow:
+        n = e.exponent
+        out = Const(0) if n == 0 else _mul(_mul(Const(n), _pow(e.base, n - 1)), _derivative(e.base, memo))
+    elif t is Call:
+        out = _mul(_DERIVATIVES[e.func](e.arg), _derivative(e.arg, memo))
+    else:
+        raise TypeError(f"not an Expr node: {e!r}")
+    memo[id(e)] = out
+    return out
+
+
+# ---------------------------------------------------------------------------
+# normal form
+
+def _readable(v: complex) -> complex:
+    """v with the signs of zero that parsing its printed form gives: -x reads as -(x+0j), b*i as
+    b*(0+1j), whose real part is +0, and -i as -(0+1j)."""
+    re_, im_ = v.real + 0.0, v.imag + 0.0  # -0.0 + 0.0 is 0.0
+    if im_ == 0:
+        return complex(re_, -0.0 if re_ < 0 else 0.0)
+    if re_ == 0:
+        return complex(-0.0 if im_ == -1 else 0.0, im_)
+    return complex(re_, im_)
+
+
+def _reads_back(v: complex) -> bool:
+    """Whether the printed constant v parses to v bit for bit, signs of zero included."""
+    w = _readable(v)
+    return math.copysign(1, v.real) == math.copysign(1, w.real) and math.copysign(1, v.imag) == math.copysign(1, w.imag)
+
+
+def _negative(k: complex | None) -> bool:
+    """Whether the constant k prints with a leading minus."""
+    return k is not None and (k.real < 0 if k.imag == 0 else k.real == 0 and k.imag < 0)
+
+
+def _divisor(k: complex) -> Const | None:
+    """The divisor 1/k for a real 0 < k < 1 where it prints shorter than k and divides back to it
+    (x/2 for 0.5*x); else None."""
+    if k.imag != 0 or not 0 < k.real < 1:
+        return None
+    c = 1 / k.real
+    return Const(c) if 1 / c == k.real and len(_fmt_real(c)) < len(_fmt_real(k.real)) else None
+
+
+def _product_tree(k: complex | None, factors: list[tuple[Expr, int, int]]) -> tuple[int, Callable[[], Expr]]:
+    """The node count of k * prod(f^n), from (f, node count of f, n) and k, None for no constant, and
+    a function that builds it: the constant first, or as a divisor where it prints shorter, a negation
+    on the first factor for k = -1, and the factors of negative exponent as one denominator; without
+    anything above the line and with k = +-1, negative powers (z^-2 has fewer nodes than 1/z^2)."""
+    if k is not None and (k == 0 or not factors):
+        return 1, lambda: Const(k)
+    above = [(f, size, n) for f, size, n in factors if n > 0]
+    below = [(f, size, -n) for f, size, n in factors if n < 0]
+    divisor = _divisor(-k if _negative(k) else k) if k is not None and above and not below else None
+    negate = _negative(k) and (k == -1 or divisor is not None)
+    if negate:
+        k = -k
+    if divisor is not None:
+        below = [(divisor, 1, 1)]
+    elif k is not None and k != 1:
+        above.insert(0, (Const(k), 1, 1))
+    elif not above:  # negative powers
+        above, below = factors, []
+    size = sum(size + (n != 1) for _, size, n in above) + sum(size + (n != 1) for _, size, n in below)
+    size += len(above) + len(below) - 1 + negate
+
+    def build() -> Expr:
+        parts = [_pow(f, n) for f, _, n in above]
+        if negate:
+            parts[0] = Neg(parts[0])
+        tree = _joined(Mul, parts)
+        return Div(tree, _joined(Mul, [_pow(f, n) for f, _, n in below])) if below else tree
+
+    return size, build
+
+
+def _joined(node: type, parts: list[Expr]) -> Expr:
+    out = parts[0]
+    for part in parts[1:]:
+        out = node(out, part)
+    return out
+
+
+class _NormalForm:
+    """The normal form of trees, reduced with one identity memo: a subtree met again by identity is
+    reduced once, so trees that share it share its normal form.
+
+    Constants fold, and so does a function of a constant where its value prints no longer than the
+    call (sqrt(4) is 2; sqrt(2) keeps its 7 characters).  Negations, products, quotients and integer
+    powers are collected into one k * prod(f^n), where a factor f is z or a structurally equal opaque
+    subtree (a call, a sum, or a constant that is not finite).  A factor whose exponents cancel goes,
+    and with it any singularity it had: z/z is 1, at z = 0 too.  A fold that is not finite, that
+    underflows to 0, or that divides by zero leaves its node as an opaque factor.  Every constant
+    written reads back from its printed form bit for bit, signs of zero included; a fold of constants
+    alone that would not (-1.5+0.5 is -1+0j, while -1 reads as -(1+0j)) stays unfolded.  Sums are not
+    distributed over and their terms are not collected; a right operand whose constant prints with a
+    minus flips the sum's sign instead (a+-2*z is a-2*z).  No floating-point gcd is taken and no
+    function identity applied.  A chain of products is written as its collected product where that
+    has fewer nodes than the chain with its leaves reduced, and stays that chain otherwise, so a
+    normal form never has more nodes than its input.  Values move at round-off: folded constants and
+    collected products round in another order, and where a part of a value is exactly zero its sign
+    may differ.
+    """
+
+    def __init__(self):
+        self._memo: dict[int, tuple] = {}  # id(node) -> (node, its reduction), holding node so that its id stays its own
+        self._keys: dict[int, tuple] = {}  # id(tree) -> (tree, key), likewise
+        self._shapes: dict[tuple, int] = {}  # (kind, constant or function or exponent, children's keys) -> key
+        self._factors: dict[int, tuple[Expr, int]] = {}  # key -> the first factor tree of that key, its node count
+
+    def __call__(self, e: Expr) -> Expr:
+        return self._tree(self._reduce(e))
+
+    def _key(self, e: Expr) -> int:
+        """A number per structure, with the bits of its constants (Const's own equality takes 0.0 for
+        -0.0, but log(-1.5+0j) and log(-1.5-0j) are apart by 2*pi*i): trees get the same number
+        where their kinds, constants, functions, exponents and children's numbers are the same."""
+        hit = self._keys.get(id(e))
+        if hit is None:
+            t = type(e)
+            if t is Const:
+                v = e.value
+                shape = (t, v, math.copysign(1, v.real), math.copysign(1, v.imag))
+            elif t is Var:
+                shape = (t,)
+            elif t is Neg or t is Call:
+                shape = (t, getattr(e, "func", None), self._key(e.arg))
+            elif t is Pow:
+                shape = (t, e.exponent, self._key(e.base))
+            else:
+                shape = (t, self._key(e.left), self._key(e.right))
+            hit = self._keys[id(e)] = (e, self._shapes.setdefault(shape, len(self._shapes)))
+        return hit[1]
+
+    def _factor(self, tree: Expr, size: int) -> list:
+        """An opaque factor: tree as the product of itself, under its key."""
+        key = self._key(tree)
+        tree, size = self._factors.setdefault(key, (tree, size))
+        return [tree, size, None, {key: 1}, True]
+
+    def _tree(self, r: list) -> Expr:
+        """The tree of a reduction.  A product is written out only where its tree is used, at the top
+        of a chain of products: the collected product where it has fewer nodes than the chain with its
+        leaves reduced, else that chain."""
+        if r[0] is None:
+            k, factors = r[2], r[3]
+            if factors or r[4] or _reads_back(k):  # else the exact value of constants alone does not read back
+                size, build = self._product_of(k, factors)
+                if size < r[1]:
+                    r[0], r[1] = build(), size
+                    return r[0]
+            r[0] = self._chain(r[5])
+        return r[0]
+
+    def _product_of(self, k: complex | None, factors: dict) -> tuple[int, Callable[[], Expr]]:
+        trees = self._factors
+        return _product_tree(k, [(*trees[key], n) for key, n in factors.items()])
+
+    def _chain(self, e: Expr) -> Expr:
+        """The chain of products at e with its leaves reduced; a negated constant folds, as parse folds -c."""
+        t, r = type(e), self._memo[id(e)][1]
+        if not (t is Neg or t is Pow or t is Mul or t is Div) or r[0] is not None:
+            return self._tree(r)
+        if t is Neg:
+            x = self._chain(e.arg)
+            return Const(-x.value) if type(x) is Const else e if x is e.arg else Neg(x)
+        if t is Pow:
+            x = self._chain(e.base)
+            return e if x is e.base else Pow(x, e.exponent)
+        left, right = self._chain(e.left), self._chain(e.right)
+        return e if left is e.left and right is e.right else t(left, right)
+
+    def _reduce(self, e: Expr) -> list:
+        """[tree, node count, k, factors, had factors]: the normal form of e, None for a product until
+        its tree is used, and its node count (for that product the count of the chain with its leaves
+        reduced), and the product k * prod(f^n) it is, the factors by key, where k is None for a
+        product without a constant (so that a constant kept as given is not multiplied by 1)."""
+        hit = self._memo.get(id(e))
+        if hit is not None:
+            return hit[1]
+        t = type(e)
+        if t is Const:
+            out = [e, 1, e.value, {}, False] if cmath.isfinite(e.value) else self._factor(e, 1)
+        elif t is Var:
+            out = self._factor(e, 1)
+        elif t is Call:
+            out = self._call(e, self._reduce(e.arg))
+        elif t is Add or t is Sub:
+            out = self._sum(t, self._reduce(e.left), self._reduce(e.right))
+        else:
+            out = self._product(e)
+        self._memo[id(e)] = (e, out)
+        return out
+
+    def _call(self, e: Call, arg: list) -> list:
+        tree = self._tree(arg)
+        if type(tree) is Const:
+            try:
+                v = _FUNCTIONS[e.func](tree.value)
+            except (ValueError, OverflowError):
+                v = math.inf
+            short = cmath.isfinite(v) and len(_fmt_const(v)[0]) <= len(e.func) + 2 + len(_fmt_const(tree.value)[0])
+            if short and _reads_back(v):
+                return [Const(v), 1, v, {}, False]
+        return self._factor(e if tree is e.arg else Call(e.func, tree), arg[1] + 1)
+
+    def _sum(self, t: type, left: list, right: list) -> list:
+        tl, tr = self._tree(left), self._tree(right)
+        sl, sr, k, factors = left[1], *right[1:4]
+        if type(tl) is Const and type(tr) is Const:
+            v = tl.value + k if t is Add else tl.value - k
+            if cmath.isfinite(v) and _reads_back(v):
+                return [Const(v), 1, v, {}, False]
+        elif _negative(k) and (factors or type(tr) is Const):  # a+-2*z is a-2*z, a--2*z is a+2*z
+            size, build = self._product_of(_readable(-k), factors)
+            if size <= sr:
+                t, tr, sr = (Sub if t is Add else Add), build(), size
+        return self._factor(t(tl, tr), sl + sr + 1)
+
+    def _product(self, e: Expr) -> list:
+        t = type(e)
+        if t is Neg:
+            _, size, a, factors, had = self._reduce(e.arg)[:5]
+            size, ks, k = (1 if type(_) is Const else size + 1), (a,), -(1 + 0j if a is None else a)
+        elif t is Pow:
+            _, size, b, f, had = self._reduce(e.base)[:5]
+            n, size, ks = e.exponent, size + 1, (b,)
+            factors = {x: m * n for x, m in f.items()} if n else {}
+            try:
+                k = None if b is None else b ** n
+            except (ZeroDivisionError, OverflowError):
+                k = math.inf
+        else:
+            (_, ls, a, lf, lh), (_, rs, b, rf, rh) = self._reduce(e.left)[:5], self._reduce(e.right)[:5]
+            size, ks, had = ls + rs + 1, (a, b), lh or rh
+            if not rf:
+                factors = lf
+            else:
+                factors, s = dict(lf), (1 if t is Mul else -1)
+                for x, n in rf.items():
+                    factors[x] = factors.get(x, 0) + s * n
+                if t is Div or lf:
+                    factors = {x: n for x, n in factors.items() if n}
+            try:
+                k = a if b is None else (b if a is None else a * b) if t is Mul else (1 + 0j if a is None else a) / b
+            except ZeroDivisionError:
+                k = math.inf
+        if k is not None and (not cmath.isfinite(k) or k == 0 and 0 not in ks):  # the node stays, as a factor
+            self._memo[id(e)] = (e, [None])  # undecided, so that _chain walks on below e
+            return self._factor(self._chain(e), size)
+        if not factors and had:  # the factors cancel: z/z is 1
+            k = 1 + 0j if k is None else k
+        return [None, size, k if k is None or not factors and not had else _readable(k), factors, had, e]
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +871,7 @@ def _fmt_const(v: complex) -> tuple[str, int]:
             return "i", _P_ATOM
         if im_ == -1:
             return "-i", _P_NEG
-        s = _fmt_real(im_) + "*i"
-        return s, (_P_NEG if s.startswith("-") else _P_MUL)
+        return _fmt_real(im_) + "*i", _P_MUL  # a product, also with a sign: x/(-0.5*i) is not x/-0.5*i
     ims = "i" if abs(im_) == 1 else _fmt_real(abs(im_)) + "*i"
     sign = "+" if im_ > 0 else "-"
     return f"({_fmt_real(re_)}{sign}{ims})", _P_ATOM

@@ -59,9 +59,10 @@ from .expr import (
     Pow,
     Sub,
     Var,
+    _derivative,
+    _NormalForm,
     compile_array,
     compile_fn,
-    differentiate,
     sconj,
     substitute,
 )
@@ -600,8 +601,8 @@ def _match_report(data, f_minus, g_minus) -> MatchReport:
     """The gaps from f, g, f' and g' of each side at the arc points, in one array pass.  Where a value
     is not finite, scalar closures redo the point; the first fault raises, in the order f, g, phi (its
     g^2), f', g' of the report's formulas, then point by point, the original side first."""
-    pts = boundary_points(data.domain)
-    trees = [(f, g, differentiate(f), differentiate(g)) for f, g in ((data.f, data.g), (f_minus, g_minus))]
+    pts, memo = boundary_points(data.domain), {}  # one derivative memo: f_minus holds g_minus, so f_minus' holds g_minus'
+    trees = [(f, g, _derivative(f, memo), _derivative(g, memo)) for f, g in ((data.f, data.g), (f_minus, g_minus))]
     z = np.array(pts)
     fgd = np.array([compile_array(*side)(z) for side in trees])  # (side, f g f' g', point)
     redo = np.flatnonzero(~np.isfinite(_match_values(*fgd.swapaxes(0, 1))).all(axis=(0, 1))).tolist()
@@ -725,13 +726,16 @@ def _minus_grid(domain: Domain, arc: BoundaryArc) -> tuple[complex, ...]:
 
 
 def extend(data: WeierstrassData, plane: Plane) -> ExtendedSurface:
-    """Measure the contact and build the reflected side from its case row and arc."""
+    """Measure the contact and build the reflected side from its case row and arc, its formulas in
+    the normal form of ``expr._NormalForm``."""
     contact = measure_contact(data, plane)
     case, arc = CASES[contact.plane_kind], contact.boundary
     if not arc.admits(case):
         raise ExtensionError(f"circular extension handles spacelike planes only, not {case.kind.value}")
     g_minus = reflect_g(contact.plane_kind, data.g, case.parameter(contact), arc)
     f_minus = case.recover(arc.pullback(case.odd(data.f, data.g)), g_minus)
+    normal = _NormalForm()  # one memo, so f_minus keeps sharing g_minus
+    g_minus, f_minus = normal(g_minus), normal(f_minus)
     if case.singular:
         _check_reconstruction_singular(g_minus, _minus_grid(data.domain, arc), case.singular)
     return ExtendedSurface(data, contact, g_minus, f_minus)

@@ -176,16 +176,10 @@ class PhiTriple:
     phi3: complex
 
     def density(self) -> float:
-        """|phi1|^2 + |phi2|^2 - |phi3|^2, the induced metric density."""
-        return _square(abs(self.phi1)) + _square(abs(self.phi2)) - _square(abs(self.phi3))
-
-
-def _square(x: float) -> float:
-    """x ** 2, and inf where a float's square overflows, as numpy squares arrays."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
+        """|phi1|^2 + |phi2|^2 - |phi3|^2, the induced metric density; of numbers or of arrays, each
+        square a product x * x, which rounds alike in both and overflows to inf."""
+        a, b, c = abs(self.phi1), abs(self.phi2), abs(self.phi3)
+        return a * a + b * b - c * c
 
 
 @dataclass(frozen=True)

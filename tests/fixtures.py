@@ -133,3 +133,31 @@ SCONJ_FORMULAS = {
         "0.2465969639416066/(0.2465969639416065/z)",
     ),
 }
+
+
+# The reflected formulas (f_minus, g_minus) that extended configs carried
+# before extend wrote them in normal form: the trees the case formulas
+# build, printed unreduced.  Each parses to the tree its SCONJ_FORMULAS
+# entry parses to, and such configs still load and pass check.
+UNREDUCED_FORMULAS = {
+    "spacelike_fixture": (
+        "-(-i*exp(i*z)*(exp(-i*z)/2))/(0.2500000000000018/(exp(-i*z)/2))",
+        "0.2500000000000018/(exp(-i*z)/2)",
+    ),
+    "timelike_fixture": (
+        "2*-(-0.5*i*(exp(i*z)*(1-(i+sqrt(2)*-i*exp(-i*z))^2)))/(i*(1-(-1.0000000000002045*i+2.000000000000409/(i+sqrt(2)*-i*exp(-i*z)-1.0000000000002045*i))^2))",
+        "-1.0000000000002045*i+2.000000000000409/(i+sqrt(2)*-i*exp(-i*z)-1.0000000000002045*i)",
+    ),
+    "lightlike_fixture": (
+        "2*-(0.5*(exp(i*z)*(1-(1+-i*exp(-i*z))/2)^2))/(1-(0.5000000000000044+0.24999999999999556/((1+-i*exp(-i*z))/2+-0.5000000000000044)))^2",
+        "0.5000000000000044+0.24999999999999556/((1+-i*exp(-i*z))/2+-0.5000000000000044)",
+    ),
+    "lightlike_tangent_fixture": (
+        "2*-(0.5*(-i*(1-(1+-i*(1+z/4)))^2))/(1-(2-(1+-i*(1+z/4))))^2",
+        "2-(1+-i*(1+z/4))",
+    ),
+    "catenoid_extension_fixture": (
+        "1/(0.2465969639416065/z)^2*(0.2465969639416065/z)*(0.2465969639416065/z^2)/(0.2465969639416066/(0.2465969639416065/z))",
+        "0.2465969639416066/(0.2465969639416065/z)",
+    ),
+}

@@ -35,15 +35,16 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["extend-orthogonal", "extend-varying", "extend-singular", "check-matching-fault", "extend-matching-fault"]
         + [f"check-{name}" for name in INPUT_FAULTS[:4]] + ["extend-radius-overflow", "check-non-decimal-digit"]
         + ["eval-density-overflow", "mesh-density-overflow", "extend-infinite-literal", "eval-infinite-constant"]
+        + ["extend-catenoid-b07-reflected"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
         + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS] + ["matching-fault.ext.cfg"]
-        + [f"{name}.cfg" for name in SURFACES[1:]]
+        + [f"{name}.cfg" for name in SURFACES[1:]] + ["catenoid-b07-reflected.cfg", "catenoid-b07-reflected.ext.cfg"]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) for ext in ("", ".attrs.json")]
     )
-    for name in logs[:-18]:
+    for name in logs[:-19] + logs[-1:]:
         if "-extend-" in name or "-check-" in name or name[4:-4] in [f"mesh-{m}" for m in DOMAIN_MESHES]:
             assert "\nexit 0\n" in (tmp_path / name).read_text(), name
     for name in logs:
@@ -81,7 +82,12 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "extend-infinite-literal": (2, "--- stdout\n--- stderr\nconfig error: field 'f': at offset 0: expected finite number\n"),
         "eval-infinite-constant": (2, "--- stdout\n--- stderr\nconfig error: field 'f': at offset 0: expected finite number\n"),
     }
-    for name in logs[-22:]:
+    for name in logs[-23:-1]:
         code, line = failing[name[4:-4]]
         text = (tmp_path / name).read_text()
         assert f"\nexit {code}\n" in text and line in text, name
+    # the reflected side of the extended catenoid reflects back to the catenoid's data, at round-off
+    back = dict(line.split(" = ", 1) for line in (tmp_path / "catenoid-b07-reflected.ext.cfg").read_text().splitlines()
+                if " = " in line)
+    assert back["f_minus"].endswith("/z^2") and back["g_minus"].endswith("*z"), back
+    assert abs(float(back["f_minus"][:-4]) - 1) < 1e-13 and abs(float(back["g_minus"][:-2]) - 1) < 1e-13

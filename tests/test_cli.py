@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import SCONJ_FORMULAS
+from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS
 from maxsurf import cli, extension
 from maxsurf.cli import CATENOID_CONFIG, SurfaceConfig, main
 
@@ -180,30 +180,46 @@ def test_extend_timelike_roundtrip(timelike_cfg, tmp_path, capsys):
     assert max(abs(a - b) for a, b in zip(oracle.as_tuple(), got.as_tuple())) < 1e-7
 
 
+def _with_minus_formulas(path, formulas, out):
+    """The extended config at path with its f_minus and g_minus lines replaced by formulas, written to out."""
+    f_minus, g_minus = formulas
+    lines = [
+        f"f_minus = {f_minus}" if line.startswith("f_minus = ")
+        else f"g_minus = {g_minus}" if line.startswith("g_minus = ")
+        else line
+        for line in path.read_text().splitlines()
+    ]
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+_EVAL_POINTS = ("0.2,0.3", "-0.35,0.15", "0.05,0.55", "0.2,-0.3", "-0.35,-0.15", "0.05,-0.55")
+
+
+def _check_and_evals(path, capsys):
+    runs = [(main(["check", str(path)]), capsys.readouterr())]
+    for at in _EVAL_POINTS:
+        runs.append((main(["eval", str(path), "--at", at]), capsys.readouterr()))
+    return runs
+
+
 def test_config_with_sconj_formulas_reads_the_same(timelike_cfg, tmp_path, capsys):
+    # as the config written before the normal form, with the formulas that sconj(...) folds to
     new = tmp_path / "new.extended"
     assert main(["extend", timelike_cfg, "-o", str(new)]) == 0
     capsys.readouterr()
-    f_old, g_old = SCONJ_FORMULAS["timelike_fixture"]
-    lines = [
-        f"f_minus = {f_old}" if line.startswith("f_minus = ")
-        else f"g_minus = {g_old}" if line.startswith("g_minus = ")
-        else line
-        for line in new.read_text().splitlines()
-    ]
-    old = tmp_path / "old.extended"
-    old.write_text("\n".join(lines) + "\n")
-    assert "sconj(" in old.read_text() and "sconj(" not in new.read_text()
+    old = _with_minus_formulas(new, SCONJ_FORMULAS["timelike_fixture"], tmp_path / "old.extended")
+    unreduced = _with_minus_formulas(new, UNREDUCED_FORMULAS["timelike_fixture"], tmp_path / "unreduced.extended")
+    assert "sconj(" in old.read_text() and "sconj(" not in unreduced.read_text()
 
-    def outputs(path):
-        runs = [(main(["check", str(path)]), capsys.readouterr())]
-        for at in ("0.2,0.3", "-0.35,0.15", "0.05,0.55", "0.2,-0.3", "-0.35,-0.15", "0.05,-0.55"):
-            runs.append((main(["eval", str(path), "--at", at]), capsys.readouterr()))
-        return runs
-
-    runs = outputs(old)
+    runs = _check_and_evals(old, capsys)
     assert [rc for rc, _ in runs] == [0] * 7
-    assert runs == outputs(new)
+    assert runs == _check_and_evals(unreduced, capsys)
+
+
+def _eval_values(out: str) -> list[float]:
+    """X, N and the conformal factor that eval prints."""
+    return [float(t) for line in out.splitlines() for t in line.split(" = ")[1].strip("()").split(",")]
 
 
 def test_extend_on_a_tiny_domain_fails_in_one_line(tmp_path, capsys):
@@ -605,6 +621,30 @@ def _bench_configs():
 _EXTENDABLE = _bench_configs()
 # one point on each side of the arc: |z| = rho = e^-0.7 for the catenoid, v = 0 otherwise
 _SIDES = {"catenoid-b07": ("0.6,0.3", "0.3,0.2")}
+_FIXTURE_OF = {"catenoid-b07": "catenoid_extension_fixture", "spacelike": "spacelike_fixture",
+               "timelike": "timelike_fixture", "lightlike": "lightlike_fixture"}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTENDABLE))
+def test_a_config_with_unreduced_formulas_still_passes(name, tmp_path, capsys):
+    # an extended config written before extend emitted the normal form still passes check, and its
+    # evals agree with those of the config extend writes now within 1e-12, on both sides of the arc
+    base = tmp_path / f"{name}.cfg"
+    base.write_text(_EXTENDABLE[name])
+    new = tmp_path / f"{name}.ext.cfg"
+    assert main(["extend", str(base), "-o", str(new)]) == 0
+    old = _with_minus_formulas(new, UNREDUCED_FORMULAS[_FIXTURE_OF[name]], tmp_path / f"{name}.old.cfg")
+    assert old.read_text() != new.read_text()
+    capsys.readouterr()
+    assert main(["check", str(old)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    for at in _SIDES.get(name, ("0.2,0.3", "0.2,-0.3", "-0.35,-0.15")):
+        runs = []
+        for path in (old, new):
+            assert main(["eval", str(path), "--at", at]) == 0
+            runs.append(_eval_values(capsys.readouterr().out))
+        assert len(runs[0]) == len(runs[1]) == 7
+        assert max(abs(a - b) for a, b in zip(*runs)) <= 1e-12, (at, runs)
 
 
 @pytest.mark.parametrize("name", sorted(_EXTENDABLE))
@@ -774,3 +814,21 @@ def test_extend_into_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert err == "error: cannot write missing/out.cfg: [Errno 2] No such file or directory: 'missing/out.cfg'\n"
     assert out == ""  # no report of an extension that was not written
+
+
+def test_a_fault_while_formatting_leaves_the_earlier_extension(tmp_path, capsys, monkeypatch):
+    # extend builds the config text before it opens (and so truncates) the output
+    monkeypatch.chdir(tmp_path)
+    Path("spacelike.cfg").write_text(_EXTENDABLE["spacelike"])
+    assert main(["extend", "spacelike.cfg", "-o", "out.cfg"]) == 0
+    earlier = Path("out.cfg").read_bytes()
+    capsys.readouterr()
+
+    def fault(cfg, ext):
+        raise OverflowError("formatting fault")
+
+    monkeypatch.setattr(cli, "_extended_config_text", fault)
+    with pytest.raises(OverflowError, match="formatting fault"):
+        main(["extend", "spacelike.cfg", "-o", "out.cfg"])
+    assert Path("out.cfg").read_bytes() == earlier
+    assert capsys.readouterr().out == ""

@@ -254,6 +254,15 @@ def test_format_real_constant_is_plain():
     assert format_expr(Const(-2j)) == "-2*i"
 
 
+def test_a_negative_imaginary_constant_prints_as_a_product():
+    # -0.5*i is a product: as a divisor it needs parentheses, or z/-0.5*i reads as (z/-0.5)*i
+    for node in (Div, Mul, Sub, Add):
+        e = node(Var(), Const(-0.5j))
+        assert evaluate(parse(format_expr(e)), 1 + 1j) == evaluate(e, 1 + 1j), format_expr(e)
+    assert format_expr(Div(Var(), Const(-0.5j))) == "z/(-0.5*i)"
+    assert format_expr(Mul(Const(-0.5j), Var())) == "-0.5*i*z"
+
+
 @pytest.mark.parametrize("text", CORPUS)
 def test_schwarz_conjugate_identity_exact(text):
     e = parse(text)

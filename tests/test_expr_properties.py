@@ -23,6 +23,7 @@ from maxsurf import extension
 from maxsurf.expr import (
     _NP_FUNCTIONS,
     Add,
+    _NormalForm,
     Call,
     Const,
     Div,
@@ -321,3 +322,39 @@ def test_substitute_agrees_with_composition(e, w, z):
         return
     got = evaluate(substitute(e, w), z)
     assert abs(got - want) <= 1e-12 * max(_scale(e, inner), _scale(w, z)), (format_expr(e), format_expr(w), z)
+
+
+# ---------------------------------------------------------------------------
+# the normal form extend writes the reflected formulas in
+
+
+def _nodes(e):
+    return sum(1 for _ in _subtrees(e))
+
+
+# products of repeated factors, so that exponents add up and cancel: z/z, exp(z)^2/exp(z)
+_factors = st.sampled_from([Var(), Call("exp", Var()), Add(Var(), Const(2.0))])
+_normal_exprs = st.recursive(st.one_of(_leaf, _factors), _tree, max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(e=st.one_of(exprs, _normal_exprs), zs=st.lists(st.one_of(special, lattice, points), min_size=1, max_size=4))
+def test_normal_form_agrees_with_its_input_and_is_a_fixed_point(e, zs):
+    # A factor whose exponents cancel goes, with its singularity: z/z is 1 at z = 0, where the input
+    # divides by zero.  So only the input's faults bound the normal form's: where the input evaluates,
+    # the normal form does too, within 1e-13 of the input's largest subexpression value.
+    n = _NormalForm()(e)
+    assert _NormalForm()(n) == n, (format_expr(e), format_expr(n))
+    # on a tree as a config reads it, the printed normal form evaluates as the normal form does
+    read = _NormalForm()(parse(format_expr(e)))
+    printed = parse(format_expr(read))
+    assert _nodes(n) <= _nodes(e), (format_expr(e), format_expr(n))
+    for z in zs:
+        try:
+            want = evaluate(e, z)
+        except EvalError:
+            continue
+        got = evaluate(n, z)  # an EvalError here is a fault the input does not have
+        if cmath.isfinite(want) and z.real and z.imag:  # off the axes, no part of a value is a signed zero
+            assert abs(got - want) <= 1e-13 * _scale(e, z), (format_expr(e), format_expr(n), z, got, want)
+            assert abs(evaluate(printed, z) - evaluate(read, z)) <= 1e-13 * _scale(e, z), (format_expr(read), z)

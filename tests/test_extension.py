@@ -6,13 +6,14 @@ import pytest
 
 from fixtures import (
     SCONJ_FORMULAS,
+    UNREDUCED_FORMULAS,
     catenoid_extension_fixture,
     lightlike_fixture,
     lightlike_tangent_fixture,
     spacelike_fixture,
     timelike_fixture,
 )
-from maxsurf.expr import compile_array, compile_fn, evaluate, format_expr, parse
+from maxsurf.expr import Const, Div, EvalError, Mul, Pow, Var, compile_array, compile_fn, evaluate, format_expr, parse
 from maxsurf.extension import (
     BoundaryArc,
     CircleOrLine,
@@ -300,32 +301,32 @@ def test_half_plane_identity_for_lightlike_reconstruction():
 
 
 # The reflected-side formulas are emitted into extended configs, so their
-# text is pinned exactly.
+# text is pinned exactly.  extend writes them in normal form.
 EMITTED_FORMULAS = [
     (
         spacelike_fixture,
-        "-(-i*exp(i*z)*(exp(-i*z)/2))/(0.2500000000000018/(exp(-i*z)/2))",
-        "0.2500000000000018/(exp(-i*z)/2)",
+        "0.9999999999999929*i*exp(i*z)*exp(-i*z)^2",
+        "0.5000000000000036/exp(-i*z)",
     ),
     (
         timelike_fixture,
-        "2*-(-0.5*i*(exp(i*z)*(1-(i+sqrt(2)*-i*exp(-i*z))^2)))/(i*(1-(-1.0000000000002045*i+2.000000000000409/(i+sqrt(2)*-i*exp(-i*z)-1.0000000000002045*i))^2))",
-        "-1.0000000000002045*i+2.000000000000409/(i+sqrt(2)*-i*exp(-i*z)-1.0000000000002045*i)",
+        "exp(i*z)*(1-(i-i*sqrt(2)*exp(-i*z))^2)/(1-(-1.0000000000002045*i+2.000000000000409/(i-i*sqrt(2)*exp(-i*z)-1.0000000000002045*i))^2)",
+        "-1.0000000000002045*i+2.000000000000409/(i-i*sqrt(2)*exp(-i*z)-1.0000000000002045*i)",
     ),
     (
         lightlike_fixture,
-        "2*-(0.5*(exp(i*z)*(1-(1+-i*exp(-i*z))/2)^2))/(1-(0.5000000000000044+0.24999999999999556/((1+-i*exp(-i*z))/2+-0.5000000000000044)))^2",
-        "0.5000000000000044+0.24999999999999556/((1+-i*exp(-i*z))/2+-0.5000000000000044)",
+        "-exp(i*z)*(1-(1-i*exp(-i*z))/2)^2/(1-(0.5000000000000044+0.24999999999999556/((1-i*exp(-i*z))/2-0.5000000000000044)))^2",
+        "0.5000000000000044+0.24999999999999556/((1-i*exp(-i*z))/2-0.5000000000000044)",
     ),
     (
         lightlike_tangent_fixture,
-        "2*-(0.5*(-i*(1-(1+-i*(1+z/4)))^2))/(1-(2-(1+-i*(1+z/4))))^2",
-        "2-(1+-i*(1+z/4))",
+        "i*(1-(1-i*(1+z/4)))^2/(1-(2-(1-i*(1+z/4))))^2",
+        "2-(1-i*(1+z/4))",
     ),
     (
         catenoid_extension_fixture,
-        "1/(0.2465969639416065/z)^2*(0.2465969639416065/z)*(0.2465969639416065/z^2)/(0.2465969639416066/(0.2465969639416065/z))",
-        "0.2465969639416066/(0.2465969639416065/z)",
+        "0.9999999999999996/z^2",
+        "1.0000000000000004*z",
     ),
 ]
 
@@ -339,13 +340,67 @@ def test_emitted_formulas_are_stable(fixture, f_minus, g_minus):
     assert format_expr(ext.g_minus) == g_minus
 
 
+def _nodes(e):
+    return 1 + sum(_nodes(getattr(e, name)) for name in ("arg", "left", "right", "base") if hasattr(e, name))
+
+
+@pytest.mark.parametrize("fixture", [c[0] for c in EMITTED_FORMULAS], ids=lambda fx: fx.__name__)
+def test_emitted_formulas_are_no_longer_than_the_unreduced_ones(fixture):
+    ext = extend(*fixture())
+    for old, new in zip(UNREDUCED_FORMULAS[fixture.__name__], (ext.f_minus, ext.g_minus)):
+        text = format_expr(new)
+        assert len(text) <= len(old)
+        assert _nodes(parse(text)) <= _nodes(parse(old)) and _nodes(new) <= _nodes(parse(old))
+
+
+@pytest.mark.parametrize("fixture", [c[0] for c in EMITTED_FORMULAS], ids=lambda fx: fx.__name__)
+def test_emitted_formulas_agree_with_the_unreduced_ones(fixture):
+    # the normal form moves values at round-off only: within 1e-13 of the largest subexpression value
+    from test_expr_properties import _scale
+
+    ext = extend(*fixture())
+    for old, new in zip(UNREDUCED_FORMULAS[fixture.__name__], (ext.f_minus, ext.g_minus)):
+        old = parse(old)
+        for z in _LATTICE.tolist():
+            try:
+                want = evaluate(old, z)
+            except EvalError:
+                continue
+            assert abs(evaluate(new, z) - want) <= 1e-13 * _scale(old, z), (fixture.__name__, z)
+
+
+def test_the_catenoid_reflects_to_constant_monomials():
+    ext = extend(*catenoid_extension_fixture())
+    assert isinstance(ext.f_minus, Div) and ext.f_minus.right == Pow(Var(), 2) and isinstance(ext.f_minus.left, Const)
+    assert isinstance(ext.g_minus, Mul) and ext.g_minus.right == Var() and isinstance(ext.g_minus.left, Const)
+
+
+def test_the_reflected_f_shares_the_reflected_g():
+    # the timelike recovery divides by 1 - g_minus^2; the normal form keeps that g_minus the same object
+    ext = extend(*timelike_fixture())
+    assert ext.f_minus.right.right.base is ext.g_minus
+
+
+def test_the_catenoid_text_reflects_back_to_its_data():
+    # the text half of the involution: the emitted reflected side, extended back across the same
+    # plane, is one constant times z^-2 and one constant times z again, each within 1e-13 of 1
+    data, plane = catenoid_extension_fixture()
+    ext = extend(data, plane)
+    back_data = WeierstrassData(parse(format_expr(ext.f_minus)), parse(format_expr(ext.g_minus)),
+                                data.domain, data.z0, data.X0)
+    back = extend(back_data, plane)
+    f, g = format_expr(back.f_minus), format_expr(back.g_minus)
+    assert f.endswith("/z^2") and g.endswith("*z"), (f, g)
+    assert abs(parse(f.removesuffix("/z^2")).value - 1) < 1e-13
+    assert abs(parse(g.removesuffix("*z")).value - 1) < 1e-13
+
+
 @pytest.mark.parametrize("fixture", [c[0] for c in EMITTED_FORMULAS], ids=lambda fx: fx.__name__)
 def test_sconj_formulas_parse_to_the_emitted_trees(fixture):
-    # the trees a config reads: the emitted text, parsed
-    ext = extend(*fixture())
-    f_old, g_old = SCONJ_FORMULAS[fixture.__name__]
-    assert parse(f_old) == parse(format_expr(ext.f_minus))
-    assert parse(g_old) == parse(format_expr(ext.g_minus))
+    # the trees that configs written before the normal form carry: configs written while trees
+    # kept sconj(...) read as those
+    for sconj_text, unreduced in zip(SCONJ_FORMULAS[fixture.__name__], UNREDUCED_FORMULAS[fixture.__name__]):
+        assert parse(sconj_text) == parse(unreduced)
 
 
 _LATTICE = np.array([complex(x, y) for x in np.linspace(-1.2, 1.2, 25) for y in np.linspace(-1.2, 1.2, 25)])

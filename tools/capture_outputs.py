@@ -42,7 +42,11 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``eval`` and ``mesh`` (5x5) far out on a disk of radius 1e100, where the
     conformal factor overflows to inf;
   - a literal that reads as inf (``1e999``) in f, which the parser refuses
-    (exit 2): ``extend`` of the spacelike config and ``eval`` on a disk.
+    (exit 2): ``extend`` of the spacelike config and ``eval`` on a disk;
+  - ``extend`` of the extended catenoid's reflected side back across the same
+    plane: ``catenoid-b07-reflected.cfg`` is the emitted
+    ``catenoid-b07.ext.cfg`` with its ``f_minus`` and ``g_minus`` as f and g,
+    so the formulas it writes are the catenoid's again, at round-off.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -169,7 +173,23 @@ def commands() -> list[tuple[str, list[str]]]:
     for name, (_, runs) in INPUT_FAULTS.items():
         for command, *args in runs:
             cmds.append((f"{command}-{name}", [command, f"{name}.cfg", *args]))
+    cmds.append(("extend-catenoid-b07-reflected",
+                 ["extend", "catenoid-b07-reflected.cfg", "-o", "catenoid-b07-reflected.ext.cfg"]))
     return cmds
+
+
+def reflected_side(text: str) -> str:
+    """An emitted extended config as the plain config of its reflected side: f_minus and g_minus
+    become f and g."""
+    lines = dict(line.split(" = ", 1) for line in text.splitlines() if " = " in line)
+    out = []
+    for line in text.splitlines():
+        key = line.split(" = ", 1)[0]
+        if key in ("f", "g"):
+            out.append(f"{key} = {lines[key + '_minus']}")
+        elif key not in ("f_minus", "g_minus", "reflected"):
+            out.append(line)
+    return "\n".join(out) + "\n"
 
 
 def run(argv: list[str]) -> str:
@@ -191,6 +211,8 @@ def capture(outdir: Path) -> None:
     for name, text in {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs}.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")
     for k, (stem, argv) in enumerate(commands()):
+        if argv[1] == "catenoid-b07-reflected.cfg":  # made from what an earlier command wrote
+            Path(argv[1]).write_text(reflected_side(Path("catenoid-b07.ext.cfg").read_text()), encoding="utf-8")
         Path(f"{k:03d}-{stem}.txt").write_text(run(argv))
 
 

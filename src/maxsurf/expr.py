@@ -673,7 +673,9 @@ class _NormalForm:
     reduced once, so trees that share it share its normal form.
 
     Constants fold, and so does a function of a constant where its value prints no longer than the
-    call (sqrt(4) is 2; sqrt(2) keeps its 7 characters).  Negations, products, quotients and integer
+    call (sqrt(4) is 2; sqrt(2) keeps its 7 characters), or where the constant would not read back
+    from its printed form (log(-1+0j) is 3.141592653589793*i, as -1 reads as -(1+0j), on the other
+    side of log's branch cut).  Negations, products, quotients and integer
     powers are collected into one k * prod(f^n), where a factor f is z or a structurally equal opaque
     subtree (a call, a sum, or a constant that is not finite).  A factor whose exponents cancel goes,
     and with it any singularity it had: z/z is 1, at z = 0 too.  A fold that is not finite, that
@@ -786,8 +788,8 @@ class _NormalForm:
                 v = _FUNCTIONS[e.func](tree.value)
             except (ValueError, OverflowError):
                 v = math.inf
-            short = cmath.isfinite(v) and len(_fmt_const(v)[0]) <= len(e.func) + 2 + len(_fmt_const(tree.value)[0])
-            if short and _reads_back(v):
+            short = len(_fmt_const(v)[0]) <= len(e.func) + 2 + len(_fmt_const(tree.value)[0])
+            if cmath.isfinite(v) and _reads_back(v) and (short or not _reads_back(tree.value)):
                 return [Const(v), 1, v, {}, False]
         return self._factor(e if tree is e.arg else Call(e.func, tree), arg[1] + 1)
 

@@ -367,6 +367,8 @@ def _spacelike_locus(c, sheet, mods):
             f"|<N,n>| = {abs(c):.6f} < 1 is impossible against a spacelike plane"
         )
     theta = math.acosh(max(abs(c), 1.0))
+    if theta == 0 and sheet < 0:
+        raise GeometryMismatchError(f"|<N,n>| = {abs(c):.6f} on the lower sheet puts the Gauss locus at |g| = infinity")
     r_exp = math.tanh(theta / 2) if sheet > 0 else 1.0 / math.tanh(theta / 2)
     return CircleOrLine("circle", center=0j, radius=r_exp), theta, None
 
@@ -487,19 +489,13 @@ def _locus_mismatch(fitted: CircleOrLine, expected: CircleOrLine) -> float:
     return max(align, expected.distance(fitted.point))
 
 
-def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
-    """Extrapolate <N, n> and g to the boundary and classify the contact.
-
-    Raises HypothesisViolationError when the angle varies by more than
-    ANGLE_TOL, OrthogonalContactError when |c| < C_TOL, and
-    GeometryMismatchError when the fitted Gauss locus disagrees with the
-    one implied by c by more than LOCUS_TOL.
-    """
-    domain, rho = data.domain, data.domain.boundary_circle
+def _boundary_limits(data: WeierstrassData, unit_n: LVector) -> tuple[BoundaryArc, float, list[float], list[complex]]:
+    """The boundary arc, c, and the limits of <N, unit_n> and of g at each of its positions, extrapolated
+    from ``boundary_samples`` by Neville's tableau; c is the mean of the <N, unit_n> limits.  Raises what
+    compile_fn and gauss_from_g raise at a sample."""
+    rho = data.domain.boundary_circle
     boundary = BoundaryArc("segment") if rho is None else BoundaryArc("circle", rho)
-    case = CASES[plane_class(plane)]
-    unit_n, offset = case.normalize(plane)
-    z = np.array(boundary_samples(domain)).reshape(ARC_POSITIONS, len(_DEPTH_FRACTIONS))  # (position, depth)
+    z = np.array(boundary_samples(data.domain)).reshape(ARC_POSITIONS, len(_DEPTH_FRACTIONS))  # (position, depth)
     gs = compile_array(data.g)(z)
     N = _gauss_arrays(gs.ravel())[0].reshape(*gs.shape, 3)
     with np.errstate(all="ignore"):
@@ -511,9 +507,21 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     # real and imaginary parts apart: for finite values the arithmetic of a complex tableau over real ts
     with np.errstate(all="ignore"):
         limits = _neville(np.tile(boundary.approach(z).T, 3), np.hstack((gs.real.T, gs.imag.T, cs.T))).reshape(3, -1)
-    g_limits, c_limits = (limits[0] + 1j * limits[1]).tolist(), limits[2].tolist()
+    c_limits = limits[2].tolist()
+    return boundary, float(np.mean(c_limits)), c_limits, (limits[0] + 1j * limits[1]).tolist()
 
-    c = float(np.mean(c_limits))
+
+def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
+    """Extrapolate <N, n> and g to the boundary and classify the contact.
+
+    Raises HypothesisViolationError when the angle varies by more than
+    ANGLE_TOL, OrthogonalContactError when |c| < C_TOL, and
+    GeometryMismatchError when the fitted Gauss locus disagrees with the
+    one implied by c by more than LOCUS_TOL.
+    """
+    case = CASES[plane_class(plane)]
+    unit_n, offset = case.normalize(plane)
+    boundary, c, c_limits, g_limits = _boundary_limits(data, unit_n)
     deviation = max(abs(ci - c) for ci in c_limits)
     if deviation > ANGLE_TOL:
         raise HypothesisViolationError(f"constant-angle hypothesis violated: <N,n> varies by {deviation:.3e} about {c:.6f}")

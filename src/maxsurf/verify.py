@@ -27,9 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import EvalError, compile_array, compile_fn, evaluate, parse
-from .minkowski import CausalClass, LVector, Plane, lorentz_cross, lorentz_inner, plane_class
+from .minkowski import CausalClass, LVector, Plane, lorentz_cross, plane_class
 from .weierstrass import (
-    STEREO_TOL,
     DegenerateMetricError,
     Domain,
     DomainKind,
@@ -45,9 +44,8 @@ from .weierstrass import (
     gauss_from_g,
     integrate_path,
     integrate_paths,
-    stereo_inverse,
 )
-from .extension import CASES, ExtendedSurface, boundary_points, boundary_samples
+from .extension import CASES, ExtendedSurface, _boundary_limits, boundary_points, boundary_samples
 
 __all__ = [
     "CheckRecord",
@@ -253,28 +251,22 @@ def check_orthogonality_obstruction(
     """Flag contacts that are impossible or degenerate when <N, n> -> 0.
 
     ``measured`` may inject a precomputed sequence of <N(z), n> values
-    approaching the boundary; otherwise they are computed from the data.
-    A genuine Gauss map always has |<N, n>| >= 1 against a spacelike plane,
-    so a vanishing limit means the data cannot be a spacelike surface at all.
+    approaching the boundary, whose last finite value is the limit;
+    otherwise the limit is the contact's c from the data's boundary
+    limits, as measure_contact extrapolates them.  A genuine Gauss map
+    always has |<N, n>| >= 1 against a spacelike plane, so a vanishing
+    limit means the data cannot be a spacelike surface at all.
     """
     kind = plane_class(plane)
     g_limit = None
-    if measured is None:
-        if data is None:
-            raise ValueError("need either data or measured values")
-        unit_n, _ = CASES[kind].normalize(plane)
-        gfun = compile_fn(data.g)
-        ordered = sorted(boundary_samples(data.domain), key=lambda z: -abs(z.imag))
-        gs = [gfun(z) for z in ordered]
-        measured = []
-        for gv in gs:
-            try:
-                measured.append(lorentz_inner(gauss_from_g(gv), unit_n))
-            except DegenerateMetricError:
-                measured.append(math.inf)
-        g_limit = gs[-1]
-    finite = [m for m in measured if math.isfinite(m)]
-    limit = finite[-1] if finite else math.inf
+    if measured is not None:
+        finite = [m for m in measured if math.isfinite(m)]
+        limit = finite[-1] if finite else math.inf
+    elif data is None:
+        raise ValueError("need either data or measured values")
+    else:
+        _, limit, _, g_limits = _boundary_limits(data, CASES[kind].normalize(plane)[0])
+        g_limit = min(g_limits, key=lambda g: abs(g + 1))
     details: dict = {"limit": limit, "plane_kind": kind.value}
     if kind is not CausalClass.LIGHTLIKE:
         passed = abs(limit) >= OBSTRUCTION_TOL
@@ -285,7 +277,7 @@ def check_orthogonality_obstruction(
                 else "orthogonal contact: symmetric-reflection case, out of scope"
             )
         return CheckRecord("orthogonality_obstruction", passed, abs(limit), OBSTRUCTION_TOL, details)
-    # lightlike: degenerate when g -> -1 on the boundary (|g| -> 1 there)
+    # lightlike: degenerate when g -> -1 somewhere on the boundary (|g| -> 1 there)
     if g_limit is not None and abs(g_limit + 1) < 0.05:
         return CheckRecord(
             "orthogonality_obstruction",
@@ -358,8 +350,7 @@ def _sample(data: WeierstrassData, pts: Sequence[complex]) -> tuple[np.ndarray, 
 
 def _data_checks(data: WeierstrassData, pts: Sequence[complex], sample, tag: str = "") -> list[CheckRecord]:
     """The identities of the data at pts from the side's array pass; where a
-    value is not finite, or stereo_inverse would refuse N, the scalar code
-    decides, in point order."""
+    value is not finite the scalar code decides, in point order."""
     phi, g, laplacian = sample
     keep = np.ones(len(pts), dtype=bool)
     for k in np.flatnonzero(~np.isfinite(phi).all(axis=0)):
@@ -382,18 +373,13 @@ def _data_checks(data: WeierstrassData, pts: Sequence[complex], sample, tag: str
     ]
 
     N, degenerate = _gauss_arrays(g)
-    (x1, x2, x3), defined = N.T, ~degenerate
-    with np.errstate(all="ignore"):
-        refused = (x3 > 0) & ~(np.abs(x1 * x1 + x2 * x2 - x3 * x3 + 1) <= STEREO_TOL)
-    for k in np.flatnonzero(defined & (~np.isfinite(N).all(axis=1) | refused)):
+    defined = ~degenerate
+    for k in np.flatnonzero(defined & ~np.isfinite(N).all(axis=1)):
         try:
             g[k] = compile_fn(data.g)(complex(pts[k]))
-            Nk = gauss_from_g(g[k])
+            gauss_from_g(g[k])
         except (DegenerateMetricError, EvalError):
             defined[k] = False
-            continue
-        if Nk.x3 > 0:
-            stereo_inverse(Nk)
     (x1, x2, x3), g = _gauss_arrays(g)[0][defined].T, g[defined]
     upper = x3 > 0
     with np.errstate(all="ignore"):

@@ -149,24 +149,15 @@ class Domain:
         return self._in_region(abs(z), z.imag, eps if closed else 0.0) and all(abs(z - p) > eps for p in self.punctures)
 
     def contains_many(self, z: np.ndarray, closed: bool = False, spacing: float = 0.0) -> np.ndarray:
-        """``contains`` elementwise on a complex array, also keeping more than ``spacing`` from every puncture."""
+        """``contains`` elementwise on a complex array, also keeping more than ``spacing`` from every puncture;
+        |z| is np.hypot, which rounds as the scalar abs does, so each point is decided as ``contains`` decides it."""
         eps = 1e-12 * max(self.radius, 1.0)
         tol, gap = (eps if closed else 0.0), max(spacing, eps)
-        ok = self._in_region(_abs(z, self.radius + tol, self.inner_radius - tol), z.imag, tol)
+        ok = self._in_region(np.hypot(z.real, z.imag), z.imag, tol)
         for p in self.punctures:
-            ok &= _abs(z - p, gap) > gap
+            w = z - p
+            ok &= np.hypot(w.real, w.imag) > gap
         return ok
-
-
-def _abs(z: np.ndarray, *edges: float) -> np.ndarray:
-    """|z| as the scalar abs rounds it (np.hypot) wherever a comparison with an edge may hang on it;
-    elsewhere np.abs, ten times faster, a few ulps off at most and alike on inf and NaN, decides alike."""
-    r = np.abs(z)
-    near = np.zeros(r.shape, dtype=bool)
-    for e in edges:
-        near |= np.abs(r - e) <= 1e-9 * abs(e)
-    r[near] = np.hypot(z.real[near], z.imag[near])
-    return r
 
 
 @dataclass(frozen=True)
@@ -378,12 +369,20 @@ def _gk15(fn, a: complex, b: complex):
     return (h * k1, h * k2, h * k3), err
 
 
+def _stop(err, tol, mag, depth):
+    """(done, converged) of GK15 panels, on floats or arrays alike: a panel converges when its estimate
+    is finite and meets its tolerance or 1e-15 of its largest component; it is done when it converges,
+    at depth 0, or when its estimate is NaN or inf, which bisecting does not mend."""
+    good = ((err <= tol) | (err <= 1e-15 * mag)) & (err < math.inf)
+    return good | (depth <= 0) | (err != err) | (err == math.inf), good
+
+
 def _integrate_segment(fn, a, b, tol, depth):
     """Adaptive bisection; returns (triple, error estimate, converged)."""
     (i1, i2, i3), err = _gk15(fn, a, b)
-    mag = _worst(abs(i1), abs(i2), abs(i3))
-    if err <= tol or err <= 1e-15 * mag or depth <= 0 or math.isnan(err):
-        return (i1, i2, i3), err, (err <= tol or err <= 1e-15 * mag)
+    done, good = _stop(err, tol, _worst(abs(i1), abs(i2), abs(i3)), depth)
+    if done:
+        return (i1, i2, i3), err, good
     m = 0.5 * (a + b)
     left, el, okl = _integrate_segment(fn, a, m, 0.5 * tol, depth - 1)
     right, er, okr = _integrate_segment(fn, m, b, 0.5 * tol, depth - 1)
@@ -641,8 +640,7 @@ def _integrate_segments(field_array: Callable, a: np.ndarray, b: np.ndarray, tol
     """_integrate_segment on every segment [a[i], b[i]] at once, level by level.
 
     Each level evaluates all pending panels in one _gk15_panels call.  A
-    panel stops, as in _integrate_segment, when its estimate meets its
-    tolerance or 1e-15 of its largest component, at depth 0 or on NaN;
+    panel stops where _stop says it is done, as in _integrate_segment;
     the others are halved with half the tolerance.  Returns the
     integrals (3, n) and the converged flags.
     """
@@ -654,9 +652,7 @@ def _integrate_segments(field_array: Callable, a: np.ndarray, b: np.ndarray, tol
     with np.errstate(all="ignore"):
         while len(a):
             out, e = _gk15_panels(field_array, a, b)
-            mag = np.abs(out).max(axis=0)
-            good = (e <= tol) | (e <= 1e-15 * mag)
-            done = good | np.isnan(e) | (depth <= 0)
+            done, good = _stop(e, tol, np.abs(out).max(axis=0), depth)
             for c in range(3):
                 np.add.at(sums[c], seg[done], out[c, done])
             ok[seg[done & ~good]] = False

@@ -8,6 +8,8 @@ closed-form oracle (the original data itself).
 
 import cmath
 import math
+import sys
+from pathlib import Path
 
 from maxsurf.expr import parse
 from maxsurf.minkowski import LVector, Plane
@@ -161,3 +163,14 @@ UNREDUCED_FORMULAS = {
         "0.2465969639416066/(0.2465969639416065/z)",
     ),
 }
+
+
+def bench_configs() -> dict[str, str]:
+    """The benchmark's base configs that carry a plane (``perfbench/workloads.py``), by name."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        from workloads import BASE_CONFIGS, EXTENDABLE
+    finally:
+        sys.path.remove(perfbench)
+    return {name: BASE_CONFIGS[name] for name in EXTENDABLE}

@@ -10,6 +10,7 @@ DOMAIN_MESHES = ("half-disk", "annulus", "strip", "window", "detour", "split")
 EXTENSION_FAULTS = ("orthogonal", "varying", "singular", "matching-fault")
 INPUT_FAULTS = ("z0-log", "z0-depends-on-z", "g-overflow", "radius-overflow", "non-decimal-digit", "density-overflow",
                 "infinite-literal", "infinite-constant")
+ONE_LINE_FAULTS = ("estimate-overflow", "off-hyperboloid", "lower-sheet-tangent", "branch-cut")
 USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
     "usage-unknown-command": "maxsurf: error: argument command: invalid choice: 'frobnicate' (choose from 'check',",
     "usage-eval-without-at": "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"
@@ -36,15 +37,18 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"check-{name}" for name in INPUT_FAULTS[:4]] + ["extend-radius-overflow", "check-non-decimal-digit"]
         + ["eval-density-overflow", "mesh-density-overflow", "extend-infinite-literal", "eval-infinite-constant"]
         + ["extend-catenoid-b07-reflected"]
+        + ["check-estimate-overflow", "mesh-estimate-overflow", "check-off-hyperboloid", "extend-lower-sheet-tangent"]
+        + ["extend-branch-cut", "check-branch-cut.ext"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
-        + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS] + ["matching-fault.ext.cfg"]
+        + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS + ONE_LINE_FAULTS]
+        + ["matching-fault.ext.cfg", "branch-cut.ext.cfg"]
         + [f"{name}.cfg" for name in SURFACES[1:]] + ["catenoid-b07-reflected.cfg", "catenoid-b07-reflected.ext.cfg"]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) for ext in ("", ".attrs.json")]
     )
-    for name in logs[:-19] + logs[-1:]:
+    for name in logs[:-25] + logs[-7:-6]:
         if "-extend-" in name or "-check-" in name or name[4:-4] in [f"mesh-{m}" for m in DOMAIN_MESHES]:
             assert "\nexit 0\n" in (tmp_path / name).read_text(), name
     for name in logs:
@@ -81,8 +85,18 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "mesh-density-overflow": (0, "wrote density-overflow.obj: 25 vertices, 32 triangles, 0 masked cells\n--- stderr\n"),
         "extend-infinite-literal": (2, "--- stdout\n--- stderr\nconfig error: field 'f': at offset 0: expected finite number\n"),
         "eval-infinite-constant": (2, "--- stdout\n--- stderr\nconfig error: field 'f': at offset 0: expected finite number\n"),
+        "check-estimate-overflow": (1, "--- stdout\n--- stderr\nerror: quadrature did not converge on path to "
+                                    "(1.8070073809607918e+149+5.871322893124e+148j) (achieved error estimate inf)\n"),
+        "mesh-estimate-overflow": (1, "--- stdout\n--- stderr\nerror: quadrature did not converge on path to 5e+148j"
+                                   " (achieved error estimate inf)\n"),
+        "check-off-hyperboloid": (1, "--- stdout\n--- stderr\nerror: quadrature did not converge on path to "
+                                  "(-19-2.326828918379971e-15j) (achieved error estimate 3.158e+34)\n"),
+        "extend-lower-sheet-tangent": (1, "--- stdout\n--- stderr\nextension failed: |<N,n>| = 1.000000 on the lower "
+                                       "sheet puts the Gauss locus at |g| = infinity\n"),
+        "extend-branch-cut": (0, '"passed": true'),
+        "check-branch-cut.ext": (0, '\n  "passed": true\n}\n--- stderr\n'),
     }
-    for name in logs[-23:-1]:
+    for name in logs[-29:-7] + logs[-6:]:
         code, line = failing[name[4:-4]]
         text = (tmp_path / name).read_text()
         assert f"\nexit {code}\n" in text and line in text, name

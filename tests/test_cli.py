@@ -1,17 +1,14 @@
 import argparse
 import json
 import math
-import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS
+from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS, bench_configs
 from maxsurf import cli, extension
 from maxsurf.cli import CATENOID_CONFIG, SurfaceConfig, main
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 PLANE_CONFIG = """\
 f = 1
@@ -609,16 +606,7 @@ def test_an_infinite_literal_is_a_config_error(tmp_path, capsys, monkeypatch, co
 # an extended config builds its matching report only where it is read
 
 
-def _bench_configs():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        from workloads import BASE_CONFIGS, EXTENDABLE
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return {name: BASE_CONFIGS[name] for name in EXTENDABLE}
-
-
-_EXTENDABLE = _bench_configs()
+_EXTENDABLE = bench_configs()
 # one point on each side of the arc: |z| = rho = e^-0.7 for the catenoid, v = 0 otherwise
 _SIDES = {"catenoid-b07": ("0.6,0.3", "0.3,0.2")}
 _FIXTURE_OF = {"catenoid-b07": "catenoid_extension_fixture", "spacelike": "spacelike_fixture",
@@ -832,3 +820,62 @@ def test_a_fault_while_formatting_leaves_the_earlier_extension(tmp_path, capsys,
         main(["extend", "spacelike.cfg", "-o", "out.cfg"])
     assert Path("out.cfg").read_bytes() == earlier
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# configs that ended in a traceback or wrote non-finite vertices, and one whose extension failed check
+
+_FAULTS = {
+    # the GK15 estimate overflows to inf toward the far edge, where 1e-15 of the integral is inf too
+    "overflow": "f = (log(1e200+z))^-1\ng = z\ndomain = upper-half-disk\nradius = 1e150\nz0 = 0.9\n",
+    # N leaves the hyperboloid by more than stereo_inverse accepts at points of the check grid
+    "off-hyperboloid": "f = z\ng = (tanh(z))^-3\ndomain = disk\nradius = 100\nz0 = 0.1\n",
+    # |g| is huge on the arc, so c = 1 on the lower sheet and theta = 0
+    "lower-sheet-tangent": "f = sin(z^-400)\ng = z + cosh(z^0)\ndomain = annulus\nradius = 1e150\n"
+    "inner_radius = 0.5\nz0 = 1\nplane = 0,0,1,0.3\n",
+}
+
+
+@pytest.mark.parametrize("command", [["check"], ["mesh", "--grid", "5x5", "-o", "overflow.obj"]])
+def test_an_overflowed_quadrature_estimate_fails_in_one_line(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    Path("overflow.cfg").write_text(_FAULTS["overflow"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning raises here instead of printing
+        assert main([command[0], "overflow.cfg", *command[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: quadrature did not converge on path to ")
+    assert err.endswith(" (achieved error estimate inf)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["overflow.cfg"]  # no OBJ, no sidecar
+
+
+def test_a_normal_off_the_hyperboloid_fails_check_without_a_traceback(tmp_path, capsys):
+    p = tmp_path / "off.cfg"
+    p.write_text(_FAULTS["off-hyperboloid"])
+    assert main(["check", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_lower_sheet_tangent_contact_fails_extend_in_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("tangent.cfg").write_text(_FAULTS["lower-sheet-tangent"])
+    assert main(["extend", "tangent.cfg", "-o", "out.cfg"]) == 1
+    err = "extension failed: |<N,n>| = 1.000000 on the lower sheet puts the Gauss locus at |g| = infinity\n"
+    assert capsys.readouterr() == ("", err)
+    assert not Path("out.cfg").exists()
+
+
+def test_a_constant_on_a_branch_cut_reflects_to_a_config_that_passes_check(tmp_path, capsys, monkeypatch):
+    # log(-1) reads as log(-1-0j) = -pi*i; its reflection log(-1+0j) = pi*i folds to a constant
+    # that reads back, where the text log(-1) would read back on the other side of the cut
+    monkeypatch.chdir(tmp_path)
+    g = "exp(i*z)/2*log(-1)*i/3.141592653589793"
+    Path("cut.cfg").write_text(_with_line(_EXTENDABLE["spacelike"], "g", g))
+    assert main(["extend", "cut.cfg", "-o", "cut.ext.cfg"]) == 0
+    lines = dict(line.split(" = ", 1) for line in Path("cut.ext.cfg").read_text().splitlines() if " = " in line)
+    assert "log" not in lines["f_minus"] + lines["g_minus"], lines
+    capsys.readouterr()
+    assert main(["check", "cut.ext.cfg"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True

@@ -358,3 +358,12 @@ def test_normal_form_agrees_with_its_input_and_is_a_fixed_point(e, zs):
         if cmath.isfinite(want) and z.real and z.imag:  # off the axes, no part of a value is a signed zero
             assert abs(got - want) <= 1e-13 * _scale(e, z), (format_expr(e), format_expr(n), z, got, want)
             assert abs(evaluate(printed, z) - evaluate(read, z)) <= 1e-13 * _scale(e, z), (format_expr(read), z)
+
+
+def test_a_function_of_a_constant_that_would_not_read_back_folds():
+    # parse reads log(-1) as log(-1-0j) = -pi*i, and sconj turns it into log(-1+0j) = pi*i, whose
+    # constant prints as -1 and so reads back on the other side of log's cut; pi*i reads back
+    e = sconj(parse("log(-1)"))
+    n = _NormalForm()(e)
+    assert n == Const(evaluate(e, 0j)) and evaluate(parse(format_expr(n)), 0j) == evaluate(e, 0j) == math.pi * 1j
+    assert format_expr(_NormalForm()(parse("log(-1)"))) == "log(-1)"  # reads back, and prints shorter than -pi*i

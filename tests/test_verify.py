@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from fixtures import (
+    bench_configs,
     catenoid_extension_fixture,
     plane_fixture,
     spacelike_fixture,
     timelike_fixture,
 )
+from maxsurf.cli import SurfaceConfig
 from maxsurf.expr import parse
-from maxsurf.extension import extend
+from maxsurf.extension import extend, measure_contact
 from maxsurf.minkowski import LVector, Plane
 from maxsurf.verify import (
     GRID_MARGIN,
@@ -165,6 +167,13 @@ def test_obstruction_decides_at_the_tolerance_it_reports(normal):
     assert not below.passed and above.passed
     assert below.tolerance == above.tolerance == 1e-3
     assert (below.max_residual, above.max_residual) == (5e-4, 2e-3)
+
+
+@pytest.mark.parametrize("name", sorted(bench_configs()))
+def test_the_obstruction_limit_is_the_contact_angle(name):
+    cfg = SurfaceConfig.from_text(bench_configs()[name])
+    rec = check_orthogonality_obstruction(cfg.plane, cfg.data)
+    assert rec.passed and rec.details["limit"] == measure_contact(cfg.data, cfg.plane).c
 
 
 def test_obstruction_lightlike_degenerate():

@@ -672,3 +672,40 @@ def test_surface_tree_raises_the_first_failure_in_forest_order():
     with pytest.raises(ToleranceError) as batched:
         surface_tree(data, [0.06 + 0.01j, 0j], [-1, 0], QuadratureConfig(tol=1e-14, max_depth=1))
     assert str(batched.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("err", [math.inf, math.nan], ids=["inf", "nan"])
+def test_a_non_finite_estimate_never_converges_and_stops_bisecting(err):
+    # on floats and on arrays alike, whatever the tolerance, the largest component and the depth left
+    for mag in (1.0, math.inf, math.nan):
+        for depth in (0, 5):
+            assert weierstrass._stop(err, 1e-10, mag, depth) == (True, False)
+            done, good = weierstrass._stop(np.array([err, 1e-12, 1.0]), np.full(3, 1e-10), np.array([mag, 1, 1]), depth)
+            assert done.tolist() == [True, True, depth == 0] and good.tolist() == [False, True, False]
+
+
+def test_an_overflowed_estimate_raises_after_one_panel(monkeypatch):
+    # an integral of inf made its estimate inf <= 1e-15 * inf pass for converged
+    calls = []
+
+    def overflowed(fn, a, b):
+        calls.append((a, b))
+        return (complex(math.inf), 0j, 0j), math.inf
+
+    monkeypatch.setattr(weierstrass, "_gk15", overflowed)
+    with pytest.raises(ToleranceError, match=r"achieved error estimate inf\)$"):
+        integrate_path(lambda a, b: None, [0j, 1 + 0j], QuadratureConfig())
+    assert len(calls) == 1
+
+
+def test_an_overflowed_batch_estimate_fails_its_segment_after_one_level(monkeypatch):
+    sizes = []
+
+    def overflowed(field_array, a, b):
+        sizes.append(len(a))
+        return np.full((3, len(a)), complex(math.inf)), np.where(a.real > 0, math.inf, 0.0)
+
+    monkeypatch.setattr(weierstrass, "_gk15_panels", overflowed)
+    a, b = np.array([0j, 1 + 0j]), np.array([-1 + 0j, 2 + 0j])
+    _, ok = weierstrass._integrate_segments(None, a, b, np.full(2, 1e-10), 26)
+    assert ok.tolist() == [True, False] and sizes == [2]

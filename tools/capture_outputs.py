@@ -46,7 +46,14 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``extend`` of the extended catenoid's reflected side back across the same
     plane: ``catenoid-b07-reflected.cfg`` is the emitted
     ``catenoid-b07.ext.cfg`` with its ``f_minus`` and ``g_minus`` as f and g,
-    so the formulas it writes are the catenoid's again, at round-off.
+    so the formulas it writes are the catenoid's again, at round-off;
+  - configs that must end in one line (exit 1) where they once ended in a
+    traceback or wrote non-finite vertices: ``check`` and ``mesh`` (5x5) of an
+    f whose quadrature estimate overflows to inf, ``check`` of a g whose normal
+    leaves the hyperboloid, and ``extend`` of a contact with |c| = 1 on the
+    lower sheet; then ``extend`` of the spacelike config with g's constant
+    on log's branch cut (``log(-1)``) and ``check`` of the config it writes,
+    which passes.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -125,6 +132,22 @@ INPUT_FAULTS = {  # name: (config, commands, each with its arguments after the c
     ),
     "infinite-constant": ("f = 1e999\ng = z/2\ndomain = disk\nz0 = 0\n", [["eval", "--at", "0.3,0.2"]]),
 }
+ONE_LINE_FAULTS = {  # name: (config, commands), run last
+    "estimate-overflow": (
+        "f = (log(1e200+z))^-1\ng = z\ndomain = upper-half-disk\nradius = 1e150\nz0 = 0.9\n",
+        [["check"], ["mesh", "--grid", "5x5", "-o", "estimate-overflow.obj"]],
+    ),
+    "off-hyperboloid": ("f = z\ng = (tanh(z))^-3\ndomain = disk\nradius = 100\nz0 = 0.1\n", [["check"]]),
+    "lower-sheet-tangent": (
+        "f = sin(z^-400)\ng = z + cosh(z^0)\ndomain = annulus\nradius = 1e150\ninner_radius = 0.5\nz0 = 1\n"
+        "plane = 0,0,1,0.3\n",
+        [["extend", "-o", "lower-sheet-tangent.ext.cfg"]],
+    ),
+    "branch-cut": (
+        BASE_CONFIGS["spacelike"].replace("g = exp(i*z)/2", "g = exp(i*z)/2*log(-1)*i/3.141592653589793"),
+        [["extend", "-o", "branch-cut.ext.cfg"]],
+    ),
+}
 
 
 def _original_side(surface: str, z: complex) -> bool:
@@ -170,12 +193,16 @@ def commands() -> list[tuple[str, list[str]]]:
         if name == "matching-fault":
             cmds.append((f"check-{name}", ["check", f"{name}.cfg"]))
         cmds.append((f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]))
-    for name, (_, runs) in INPUT_FAULTS.items():
-        for command, *args in runs:
-            cmds.append((f"{command}-{name}", [command, f"{name}.cfg", *args]))
+    cmds += _fault_runs(INPUT_FAULTS)
     cmds.append(("extend-catenoid-b07-reflected",
                  ["extend", "catenoid-b07-reflected.cfg", "-o", "catenoid-b07-reflected.ext.cfg"]))
+    cmds += _fault_runs(ONE_LINE_FAULTS) + [("check-branch-cut.ext", ["check", "branch-cut.ext.cfg"])]
     return cmds
+
+
+def _fault_runs(faults: dict) -> list[tuple[str, list[str]]]:
+    return [(f"{command}-{name}", [command, f"{name}.cfg", *args])
+            for name, (_, runs) in faults.items() for command, *args in runs]
 
 
 def reflected_side(text: str) -> str:
@@ -207,7 +234,7 @@ def capture(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
     meshes = {name: text for name, (text, _) in DOMAIN_MESHES.items()}
-    inputs = {name: text for name, (text, _) in INPUT_FAULTS.items()}
+    inputs = {name: text for name, (text, _) in {**INPUT_FAULTS, **ONE_LINE_FAULTS}.items()}
     for name, text in {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs}.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")
     for k, (stem, argv) in enumerate(commands()):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .expr import Const, EvalError, ParseError, compile_array, evaluate, format_expr, parse, substitute
+from .expr import Const, EvalError, ParseError, evaluate, format_expr, parse, substitute
 from .extension import CASES, ExtendedSurface, ExtensionError, extend, measure_contact
 from .minkowski import LVector, Plane, plane_class
 from .verify import full_diagnostics, GridSpec
@@ -40,6 +40,7 @@ from .weierstrass import (
     SurfaceError,
     WeierstrassData,
     _gauss_arrays,
+    _phi_values,
     conformal_factor,
     evaluate_surface,
     gauss_map,
@@ -95,11 +96,9 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _get_expr(raw: dict, key: str, required: bool = True):
+def _get_expr(raw: dict, key: str):
     if key not in raw:
-        if required:
-            raise ConfigError(key, "missing")
-        return None
+        raise ConfigError(key, "missing")
     try:
         return parse(raw[key])
     except ParseError as exc:
@@ -157,10 +156,6 @@ class SurfaceConfig:
     mesh_range: tuple[float, float, float, float] | None = None
     minus_exprs: tuple | None = None  # (f_minus, g_minus, reflected or "") for extended configs
     source_bytes: bytes = b""
-
-    @property
-    def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(tol=self.tol)
 
     @classmethod
     def from_text(cls, text: str) -> "SurfaceConfig":
@@ -411,13 +406,13 @@ def build_mesh(
 
 def _vertex_attributes(data: WeierstrassData, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conformal factor (n,) and Gauss normal (n, 3), a NaN row where
-    |1 - |g|^2| < GAUSS_EPS, at each point, from one field_array call and
-    one array evaluation of g.  A point with a non-finite value is redone
-    by conformal_factor and gauss_map, which give its value or raise as
-    they would alone."""
+    |1 - |g|^2| < GAUSS_EPS, at each point, from one fg_array call.  A
+    point with a non-finite value is redone by conformal_factor and
+    gauss_map, which give its value or raise as they would alone."""
+    f, g = data.fg_array(z)
     with np.errstate(all="ignore"):
-        lam = PhiTriple(*data.field_array(z)).density()
-    normal, degenerate = _gauss_arrays(compile_array(data.g)(z))
+        lam = PhiTriple(*_phi_values(f, g)).density()
+    normal, degenerate = _gauss_arrays(g)
     rerun = np.flatnonzero(~(np.isfinite(lam) & np.isfinite(normal).all(axis=1)))
     normal[degenerate] = np.nan
     for k in rerun.tolist():
@@ -479,11 +474,10 @@ def _config_sha(cfg: SurfaceConfig) -> str:
 
 
 def _quadrature(tol: float | None, cfg: SurfaceConfig) -> QuadratureConfig:
-    """The config's quadrature settings, with the --tol flag taking precedence."""
-    if tol is None:
-        return cfg.quadrature
+    """The config's quadrature settings, with the --tol flag taking precedence; the config's tol
+    is already positive and finite."""
     try:
-        return QuadratureConfig(tol=tol)
+        return QuadratureConfig(tol=cfg.tol if tol is None else tol)
     except ValueError as exc:
         raise ConfigError("--tol", f"{exc}, got {tol}") from None
 
@@ -722,10 +716,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, EvalError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ExtensionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except SurfaceError as exc:
+    except (ExtensionError, SurfaceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -78,7 +78,6 @@ from .weierstrass import (
     _phi_values,
     gauss_from_g,
     integrate_path,
-    integrate_paths,
     phi_exprs,
 )
 
@@ -698,14 +697,6 @@ class ExtendedSurface:
         knots, side_for = self._path(z, q)
         (t1, t2, t3), _ = integrate_path(lambda a, b: side_for(a, b).field, knots, q)
         return self.original.X0 + LVector(t1.real, t2.real, t3.real)
-
-    def evaluate_many(self, zs: Sequence[complex], q: QuadratureConfig | None = None) -> np.ndarray:
-        """``evaluate`` at every point of zs as an (n, 3) array, from one batch
-        (see ``weierstrass.integrate_paths``); a failing point raises what
-        evaluate raises there."""
-        q = q or QuadratureConfig()
-        sums = integrate_paths((self._path(z, q) for z in zs), q)
-        return np.array(self.original.X0.as_tuple()) + sums.real.T
 
 
 def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offsets: Sequence[complex]):

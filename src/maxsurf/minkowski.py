@@ -94,22 +94,16 @@ def lnorm(x: LVector) -> float:
 
 def causal_class(x: LVector) -> CausalClass:
     """Sign of <x, x>; the zero vector counts as spacelike."""
-    if x.x1 == 0 and x.x2 == 0 and x.x3 == 0:
-        return CausalClass.SPACELIKE
-    q = lorentz_inner(x, x)
-    if q > 0:
-        return CausalClass.SPACELIKE
-    if q < 0:
-        return CausalClass.TIMELIKE
-    return CausalClass.LIGHTLIKE
+    return causal_class_tol(x, 0.0)
 
 
 def causal_class_tol(x: LVector, eps: float) -> CausalClass:
-    """Tolerant variant for computed vectors that are never exactly lightlike."""
+    """Tolerant variant for computed vectors that are never exactly lightlike; a NaN <x, x>
+    (inf - inf, where both squares overflow) counts as lightlike."""
     if abs(x.x1) <= eps and abs(x.x2) <= eps and abs(x.x3) <= eps:
         return CausalClass.SPACELIKE
     q = lorentz_inner(x, x)
-    if abs(q) <= eps:
+    if not abs(q) > eps:
         return CausalClass.LIGHTLIKE
     return CausalClass.SPACELIKE if q > 0 else CausalClass.TIMELIKE
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import EvalError, compile_array, compile_fn, evaluate, parse
+from .expr import EvalError, compile_fn, evaluate, parse
 from .minkowski import CausalClass, LVector, Plane, lorentz_cross, plane_class
 from .weierstrass import (
     DegenerateMetricError,
@@ -41,6 +41,7 @@ from .weierstrass import (
     _gk15,
     _gk15_panels,
     _loop_path,
+    _phi_values,
     gauss_from_g,
     integrate_path,
     integrate_paths,
@@ -333,8 +334,8 @@ def _stencil_centres(pts: Sequence[complex]) -> Sequence[complex]:
 
 
 def _sample(data: WeierstrassData, pts: Sequence[complex]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The array pass of one side: phi (3, n) and g (n) at pts, and from one _gk15_panels call
-    laplacian_residuals (centre, step, coordinate) at the stencil centres; NaN where not finite."""
+    """The array pass of one side: phi (3, n) and g (n) at pts from one fg_array call, and from one
+    _gk15_panels call laplacian_residuals (centre, step, coordinate) at the stencil centres; NaN where not finite."""
     z = np.array(pts, dtype=complex)
     hs = np.array(HARMONIC_STEPS)
     centres = np.array(_stencil_centres(pts), dtype=complex)
@@ -344,8 +345,10 @@ def _sample(data: WeierstrassData, pts: Sequence[complex]) -> tuple[np.ndarray, 
         panels, estimates = _gk15_panels(data.field_array, a, a + np.tile(steps, len(centres)))
         v = panels.reshape(3, len(centres), len(hs), 4)
         laplacian = np.abs((v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3]).real) / (hs * hs)
+        f, g = data.fg_array(z)
+        phi = np.array(_phi_values(f, g))
     laplacian[:, ~np.isfinite(estimates).reshape(len(centres), len(hs), 4).all(axis=2)] = np.nan
-    return np.array(data.field_array(z)), compile_array(data.g)(z), laplacian.transpose(1, 2, 0)
+    return phi, g, laplacian.transpose(1, 2, 0)
 
 
 def _data_checks(data: WeierstrassData, pts: Sequence[complex], sample, tag: str = "") -> list[CheckRecord]:
@@ -414,8 +417,9 @@ def _bound(name: str, residual: float, tolerance: float, details: dict) -> Check
 def _path_independence_check(data: WeierstrassData, pts: list, q: QuadratureConfig, ext, zs: list) -> tuple:
     """A straight path against one bent beside it, to two grid points, and a
     loop around each puncture, in one batch with the paths of ``ext`` to
-    ``zs``, whose integrals it returns too.  After a failure it integrates
-    its own paths again and returns None, so a later check raises in turn."""
+    ``zs``, whose values X it returns too.  After a failure it integrates
+    its own paths alone, and when they pass it returns the batch's exception
+    as X, for the check that reads X to raise in its turn."""
     punctures = data.domain.punctures
     legs = []
     for z in map(complex, pts[:: max(len(pts) // 2, 1)][:2]):
@@ -438,9 +442,9 @@ def _path_independence_check(data: WeierstrassData, pts: list, q: QuadratureConf
             yield _loop_path(data, _puncture_square(data.domain, p), q), side
 
     try:
-        sums = integrate_paths(chain(paths(), (ext._path(z, q) for z in zs)), q)
-    except (SurfaceError, EvalError):
-        sums, zs = integrate_paths(paths(), q), None
+        sums, failed = integrate_paths(chain(paths(), (ext._path(z, q) for z in zs)), q), None
+    except (SurfaceError, EvalError) as exc:
+        sums, failed = integrate_paths(paths(), q), exc
     sums = sums.real.T
     rows = iter(sums.tolist())
     worst, used = 0.0, 0
@@ -453,7 +457,7 @@ def _path_independence_check(data: WeierstrassData, pts: list, q: QuadratureConf
     for _ in punctures:
         worst = max(worst, *map(abs, next(rows)))
     record = _bound("path_independence", worst, 10 * q.tol, {"loops": len(punctures), "points": used})
-    return record, None if zs is None else np.array(data.X0.as_tuple()) + sums[len(sums) - len(zs) :]
+    return record, failed or np.array(data.X0.as_tuple()) + sums[len(sums) - len(zs) :]
 
 
 def _puncture_square(domain: Domain, p: complex) -> list[complex]:
@@ -534,7 +538,9 @@ def _extension_checks(ext: ExtendedSurface, zs: list, n_arc: int, X, q: Quadratu
     checks.append(CheckRecord("c1_matching", matching.passed, matching.max_gap, matching.tol, details))
 
     # plane containment at the arc points zs[:n_arc], then reflection symmetry of the pairs after them
-    X = [LVector(*row) for row in (ext.evaluate_many(zs, q) if X is None else X).tolist()]  # None: a failed batch
+    if isinstance(X, Exception):  # the batch failed on a path of ext
+        raise X
+    X = [LVector(*row) for row in X.tolist()]
     contain = max([0.0] + [abs(ext.reflected_value(x)) for x in X[:n_arc]])  # the plane equation residual
     checks.append(_bound("plane_containment", contain, 10 * q.tol, {}))
     reflected = zip(X[n_arc::2], X[n_arc + 1 :: 2])

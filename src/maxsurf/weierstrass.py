@@ -168,9 +168,18 @@ class PhiTriple:
 
     def density(self) -> float:
         """|phi1|^2 + |phi2|^2 - |phi3|^2, the induced metric density; of numbers or of arrays, each
-        square a product x * x, which rounds alike in both and overflows to inf."""
+        square a product x * x, which rounds alike in both.  Where finite magnitudes square past the largest
+        float, it is m * (m * ((a/m)^2 + (b/m)^2 - (c/m)^2)), m the largest of them: inf where that overflows,
+        never the NaN of inf - inf."""
         a, b, c = abs(self.phi1), abs(self.phi2), abs(self.phi3)
-        return a * a + b * b - c * c
+        d = a * a + b * b - c * c
+        lost = d - d != 0  # where d is not finite; a number pays no numpy call to learn it
+        if lost if isinstance(d, float) else lost.any():
+            m = np.maximum(np.maximum(a, b), c)
+            with np.errstate(all="ignore"):
+                u, v, w = a / m, b / m, c / m
+                d = np.where(lost & (m < math.inf), m * (m * (u * u + v * v - w * w)), d)[()]
+        return d
 
 
 @dataclass(frozen=True)
@@ -222,13 +231,21 @@ class WeierstrassData:
     @cached_property
     def field(self) -> Callable[[complex], tuple[complex, complex, complex]]:
         """The phi triple as a compiled function of z, built once per patch."""
-        return _phi_fn(self.f, self.g)
+        ff, gg = compile_fn(self.f), compile_fn(self.g)
+        return lambda z: _phi_values(ff(z), gg(z))
+
+    @cached_property
+    def fg_array(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """f and g on a complex array, as one ``expr.compile_array`` program built once per patch."""
+        return compile_array(self.f, self.g)
 
     @cached_property
     def field_array(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``field`` on a complex array; NaN wherever the scalar field may fault
+        """``field`` on a complex array, from ``fg_array``; NaN wherever the scalar field may fault
         (see ``expr.compile_array``)."""
-        return _phi_fn(self.f, self.g, array=True)
+        fg = self.fg_array
+        # on arrays an overflow is a value that is not finite, as in compile_array, and warns of nothing
+        return np.errstate(all="ignore")(lambda z: _phi_values(*fg(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +270,6 @@ def _phi_values(fv, gv):
     """The phi triple from values of f and g, numbers or arrays."""
     g2 = gv * gv
     return (0.5 * fv * (1 + g2), 0.5j * fv * (1 - g2), fv * gv)
-
-
-def _phi_fn(f: Expr, g: Expr, array: bool = False) -> Callable:
-    compile = compile_array if array else compile_fn
-    ff, gg = compile(f), compile(g)
-    field = lambda z: _phi_values(ff(z), gg(z))  # noqa: E731
-    # on arrays an overflow is a value that is not finite, as in compile_array, and warns of nothing
-    return np.errstate(all="ignore")(field) if array else field
 
 
 GAUSS_EPS = 1e-12

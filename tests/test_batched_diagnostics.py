@@ -59,9 +59,8 @@ def _surface(path: Path):
 
 
 def _point_wise(monkeypatch):
-    nan = lambda e: lambda z: np.full(np.shape(z), complex("nan+nanj"))  # noqa: E731
-    monkeypatch.setattr(weierstrass, "compile_array", nan)
-    monkeypatch.setattr(verify, "compile_array", nan)
+    nan = lambda z: np.full(np.shape(z), complex("nan+nanj"))  # noqa: E731
+    monkeypatch.setattr(weierstrass, "compile_array", lambda *trees: lambda z: tuple(nan(z) for _ in trees))
 
 
 def _assert_same_report(batched, point_wise):
@@ -199,3 +198,29 @@ def test_a_failing_evaluation_raises_in_the_turn_of_its_check(monkeypatch):
     monkeypatch.setattr(type(ext), "matching", property(lambda self: 1 / 0))
     with pytest.raises(ZeroDivisionError):
         full_diagnostics(ext)
+
+
+@pytest.mark.parametrize("fault", ["path", "field"])
+def test_a_failing_batch_builds_each_extension_path_once(monkeypatch, fault):
+    # the batch's exception is kept and raised in containment's turn, after c1_matching reads the
+    # matching; no path is built or integrated a second time to raise it again
+    ext = extend(*timelike_fixture())
+    data, path, matching = ext.original, type(ext)._path, type(ext).matching
+    faulting = WeierstrassData(parse("1/(z-z)"), data.g, data.domain, data.z0, data.X0)
+    built, read = [], []
+
+    def faulting_below_the_arc(self, z, q):
+        built.append(z)
+        if z.imag < 0 and fault == "path":
+            raise PathError("no path to the reflected side")
+        knots, side_for = path(self, z, q)
+        return knots, lambda a, b: faulting if (a + b).imag < 0 else side_for(a, b)
+
+    monkeypatch.setattr(type(ext), "_path", faulting_below_the_arc)
+    monkeypatch.setattr(type(ext), "matching", property(lambda self: read.append(self) or matching.func(self)))
+    with pytest.raises((PathError, EvalError)) as raised:
+        full_diagnostics(ext)
+    assert read == [ext] and len(built) == len(set(built)) == (7 if fault == "path" else 11)
+    with pytest.raises(type(raised.value)) as alone:
+        ext.evaluate(next(z for z in built if z.imag < 0))
+    assert str(alone.value) == str(raised.value)

@@ -11,6 +11,7 @@ EXTENSION_FAULTS = ("orthogonal", "varying", "singular", "matching-fault")
 INPUT_FAULTS = ("z0-log", "z0-depends-on-z", "g-overflow", "radius-overflow", "non-decimal-digit", "density-overflow",
                 "infinite-literal", "infinite-constant")
 ONE_LINE_FAULTS = ("estimate-overflow", "off-hyperboloid", "lower-sheet-tangent", "branch-cut")
+SQUARE_OVERFLOWS = ("squares-overflow",)
 USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
     "usage-unknown-command": "maxsurf: error: argument command: invalid choice: 'frobnicate' (choose from 'check',",
     "usage-eval-without-at": "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"
@@ -39,18 +40,17 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["extend-catenoid-b07-reflected"]
         + ["check-estimate-overflow", "mesh-estimate-overflow", "check-off-hyperboloid", "extend-lower-sheet-tangent"]
         + ["extend-branch-cut", "check-branch-cut.ext"]
+        + ["eval-squares-overflow", "mesh-squares-overflow"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
-        + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS + ONE_LINE_FAULTS]
+        + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS + ONE_LINE_FAULTS + SQUARE_OVERFLOWS]
         + ["matching-fault.ext.cfg", "branch-cut.ext.cfg"]
         + [f"{name}.cfg" for name in SURFACES[1:]] + ["catenoid-b07-reflected.cfg", "catenoid-b07-reflected.ext.cfg"]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
-        + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) for ext in ("", ".attrs.json")]
+        + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) + SQUARE_OVERFLOWS
+           for ext in ("", ".attrs.json")]
     )
-    for name in logs[:-25] + logs[-7:-6]:
-        if "-extend-" in name or "-check-" in name or name[4:-4] in [f"mesh-{m}" for m in DOMAIN_MESHES]:
-            assert "\nexit 0\n" in (tmp_path / name).read_text(), name
     for name in logs:
         if name[4:-4] in USAGE_FAULTS:
             text = (tmp_path / name).read_text()
@@ -95,11 +95,20 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
                                        "sheet puts the Gauss locus at |g| = infinity\n"),
         "extend-branch-cut": (0, '"passed": true'),
         "check-branch-cut.ext": (0, '\n  "passed": true\n}\n--- stderr\n'),
+        "eval-squares-overflow": (0, "\nconformal_factor = inf\n--- stderr\n"),
+        "mesh-squares-overflow": (0, "wrote squares-overflow.obj: 25 vertices, 32 triangles, 0 masked cells\n"
+                                  "--- stderr\n"),
     }
-    for name in logs[-29:-7] + logs[-6:]:
-        code, line = failing[name[4:-4]]
-        text = (tmp_path / name).read_text()
-        assert f"\nexit {code}\n" in text and line in text, name
+    # each log by its command's name: a listed one against its entry, every other extend, check and
+    # domain mesh with exit 0
+    domain_meshes = [f"mesh-{m}" for m in DOMAIN_MESHES]
+    for name in logs:
+        stem, text = name[4:-4], (tmp_path / name).read_text()
+        if stem in failing:
+            code, line = failing[stem]
+            assert f"\nexit {code}\n" in text and line in text, name
+        elif stem.startswith(("extend-", "check-")) or stem in domain_meshes:
+            assert "\nexit 0\n" in text, name
     # the reflected side of the extended catenoid reflects back to the catenoid's data, at round-off
     back = dict(line.split(" = ", 1) for line in (tmp_path / "catenoid-b07-reflected.ext.cfg").read_text().splitlines()
                 if " = " in line)

@@ -542,6 +542,38 @@ def test_a_decimal_digit_of_another_script_reads_as_its_value(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+_POLE = "(z-(-0.2+0.6*i))"  # a pole of g at the puncture, where f has a double zero; |g| = 1/2 on the axis
+_HALF_ANNULUS = f"""\
+f = i*exp(-i*z)*{_POLE}^2
+g = exp(i*z)/2*(z-(-0.2-0.6*i))/{_POLE}
+domain = half-annulus
+radius = 0.9
+inner_radius = 0.2
+punctures = -0.2+0.6*i
+g_poles = -0.2+0.6*i:1
+z0 = 0.3+0.5*i
+X0 = 0.1,-0.2,0.3
+tol = 1e-9
+plane = 0,0,1,-0.25
+"""
+
+
+def test_an_emitted_config_reloads_the_domain_and_basepoint_it_was_extended_on(tmp_path, capsys):
+    # the emitted text writes inner_radius, g_poles and a basepoint with both parts
+    src, out = tmp_path / "ring.cfg", tmp_path / "ring.ext.cfg"
+    src.write_text(_HALF_ANNULUS)
+    assert main(["extend", str(src), "-o", str(out)]) == 0
+    capsys.readouterr()
+    cfg, emitted = SurfaceConfig.from_file(str(src)), SurfaceConfig.from_file(str(out))
+    assert "z0 = 0.29999999999999999+0.5*i" in out.read_text().splitlines()
+    for key in ("domain", "z0", "g_poles", "X0"):
+        assert getattr(emitted.data, key) == getattr(cfg.data, key), key
+    assert (emitted.tol, emitted.plane) == (cfg.tol, cfg.plane)
+    ext, reloaded, q = extension.extend(cfg.data, cfg.plane), emitted.extended_surface(), cli._quadrature(None, cfg)
+    for z in (0.5 + 0.3j, -0.6 + 0.1j, 0.4 - 0.5j, -0.3 - 0.6j):
+        assert reloaded.evaluate(z, q) == ext.evaluate(z, q), z
+
+
 _HUGE_DISK = "f = 1\ng = z\ndomain = disk\nradius = 1e100\nz0 = 0\n"  # |phi|^2 overflows far out
 
 
@@ -555,6 +587,18 @@ def test_a_conformal_factor_that_overflows_is_inf(tmp_path, capsys):
     attrs = json.loads((tmp_path / "huge.obj.attrs.json").read_text())
     factors = [v["conformal_factor"] for v in attrs["vertices"]]
     assert math.inf in factors and all(lam == math.inf or math.isfinite(lam) for lam in factors)
+
+
+def test_a_conformal_factor_whose_squares_overflow_is_inf_not_nan(tmp_path, capsys):
+    # every |phi_k|^2 overflows, so their sum was inf - inf = NaN; |f|^2 (1 - |g|^2)^2 / 2 overflows too
+    p = tmp_path / "squares.cfg"
+    p.write_text("f = ((1e-30)^-3)^2\ng = sin(0.5)\ndomain = upper-half-disk\nradius = 10\nz0 = 5*i\n")
+    assert main(["eval", str(p), "--at", "2,1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\nconformal_factor = inf\n")
+    assert main(["mesh", str(p), "--grid", "5x5", "-o", str(tmp_path / "squares.obj")]) == 0
+    attrs = json.loads((tmp_path / "squares.obj.attrs.json").read_text())
+    assert [v["conformal_factor"] for v in attrs["vertices"]] == [math.inf] * 25
 
 
 @pytest.mark.parametrize("command", [["check"], ["extend", "-o", "out.cfg"], ["eval", "--at", "0.1,0.5"]])

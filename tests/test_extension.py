@@ -544,6 +544,21 @@ def test_extend_across_half_annulus_diameter():
     assert abs(evaluate(ext.g_minus, z) - evaluate(data.g, z)) < 1e-12
 
 
+def test_a_puncture_of_the_original_side_is_avoided_at_its_reflection():
+    # the data is regular at the declared puncture 0.1+0.5i, so the detour around its reflection
+    # 0.1-0.5i changes only the path: the values agree with the extension without the puncture
+    data, plane = spacelike_fixture()
+    punctured = WeierstrassData(data.f, data.g, Domain(DomainKind.HALF_DISK, radius=0.9, punctures=(0.1 + 0.5j,)),
+                                data.z0, data.X0)
+    ext, plain, q = extend(punctured, plane), extend(data, plane), QuadratureConfig()
+    assert ext._punctures == (0.1 + 0.5j, 0.1 - 0.5j)
+    for z, waypoint in ((0.11 - 0.6j, 0.15 - 0.495j), (0.09 - 0.62j, 0.05 - 0.504j)):
+        knots, _ = ext._path(z, q)
+        assert abs(knots[-2] - waypoint) < 1e-3 and abs(knots[-2] - (0.1 - 0.5j)) == pytest.approx(q.clearance)
+        got, want = ext.evaluate(z, q), plain.evaluate(z, q)
+        assert max(abs(a - b) for a, b in zip(got.as_tuple(), want.as_tuple())) <= 10 * q.tol
+
+
 # ---------------------------------------------------------------------------
 # boundary sampling helper
 

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from maxsurf.minkowski import (
     CausalClass,
@@ -69,6 +70,27 @@ def test_causal_class_scale_invariant():
         cls = causal_class(v)
         for s in (-8, -0.5, -0.25, 0.25, 2, 4, 16):
             assert causal_class(s * v) is cls
+
+
+_COMPONENT = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 3.0, 4.0, 5.0]))
+
+
+@given(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT))
+@example((3.0, 4.0, 5.0))
+@example((-0.0, 0.0, -0.0))
+@example((1e200, 0.0, 1e200))
+@example((1e200, 1e200, 1e200))
+def test_causal_class_is_the_tolerant_rule_at_zero(xs):
+    v = LVector(*xs)
+    assert causal_class(v) is causal_class_tol(v, 0.0)
+
+
+def test_an_inner_product_that_overflows_to_nan_is_lightlike():
+    # 1e400 - 1e400 is inf - inf: the sign of <x, x> is unknown, and the vector stays on the cone
+    v = LVector(1e200, 0, 1e200)
+    assert math.isnan(lorentz_inner(v, v))
+    assert causal_class(v) is CausalClass.LIGHTLIKE
+    assert causal_class_tol(v, 1e-12) is CausalClass.LIGHTLIKE
 
 
 def test_causal_class_tol_near_lightcone():

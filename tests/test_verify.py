@@ -32,7 +32,7 @@ from maxsurf.verify import (
     full_diagnostics,
     harmonicity_order,
 )
-from maxsurf.weierstrass import Domain, DomainKind, PhiTriple, WeierstrassData, _phi_fn
+from maxsurf.weierstrass import Domain, DomainKind, PhiTriple, WeierstrassData
 
 
 def test_catenoid_reference_values():
@@ -105,7 +105,7 @@ def test_full_diagnostics_extended_catenoid():
 
 def test_harmonicity_order_catenoid():
     data = catenoid_data()
-    order, res = harmonicity_order(_phi_fn(data.f, data.g), 0.45 + 0.2j)
+    order, res = harmonicity_order(data.field, 0.45 + 0.2j)
     assert order is not None and order >= 1.8
     assert res[0] > res[-1]
 

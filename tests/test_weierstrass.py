@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import catenoid_oracle, plane_fixture, random_polynomial_data
 from maxsurf import weierstrass
-from maxsurf.expr import EvalError, parse
+from maxsurf.expr import Call, Const, Div, EvalError, Mul, Var, compile_array, parse
 from maxsurf.minkowski import LVector, lorentz_inner
 from maxsurf.verify import catenoid_data, eq_zero_residual
 from maxsurf.weierstrass import (
@@ -21,6 +21,7 @@ from maxsurf.weierstrass import (
     SurfaceError,
     ToleranceError,
     WeierstrassData,
+    _phi_values,
     conformal_factor,
     evaluate_surface,
     gauss_from_g,
@@ -487,6 +488,30 @@ def test_the_array_field_overflows_without_warnings():
     assert not np.isfinite(values[:, 0]).all() and np.isfinite(values[:, 1]).all()
 
 
+def _fg_cases():
+    e = Call("exp", Var())  # f and g share this node by identity, and f is a subtree of g
+    f = Mul(e, e)
+    return [
+        catenoid_data(),
+        plane_fixture(),
+        random_polynomial_data(np.random.default_rng(5)),
+        WeierstrassData(f, Div(Const(1), Mul(f, Const(0.5))), Domain(DomainKind.DISK), 0j, LVector(0, 0, 0)),
+        WeierstrassData(parse("1"), parse("1e200*z"), Domain(DomainKind.DISK), 0j, LVector(0, 0, 0)),
+    ]
+
+
+@pytest.mark.parametrize("data", _fg_cases())
+def test_fg_array_is_the_two_programs_of_f_and_g_bit_for_bit(data):
+    # 0 is the catenoid's pole, 400 and -400i make exp overflow, and NaN is NaN in every program
+    z = np.array([0, 0.3 + 0.2j, -0.7j, 400, -400j, 1e200, complex("nan")])
+    f, g = data.fg_array(z)
+    want_f, want_g = compile_array(data.f)(z), compile_array(data.g)(z)
+    assert f.tobytes() == want_f.tobytes() and g.tobytes() == want_g.tobytes()
+    with np.errstate(all="ignore"):
+        want = np.array(_phi_values(want_f, want_g))
+    assert np.array(data.field_array(z)).tobytes() == want.tobytes()
+
+
 def test_stereo_inverse_examples():
     assert stereo_inverse(LVector(0, 0, 1)) == 0
     assert abs(stereo_inverse(LVector(4 / 3, 0, 5 / 3)) - 0.5) < 1e-15
@@ -532,6 +557,19 @@ def test_density_overflows_to_inf_as_on_arrays(phis):
         want = PhiTriple(*(np.array([complex(p)]) for p in phis)).density()[0]
     got = PhiTriple(*map(complex, phis)).density()
     assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("f", [1e180, 2e154])
+@pytest.mark.parametrize("array", [False, True])
+def test_a_density_whose_squares_overflow_is_its_closed_form(f, array):
+    # the squares overflow, so a * a + b * b - c * c is inf - inf = NaN (f = 1e180) or inf (f = 2e154),
+    # while |f|^2 (1 - |g|^2)^2 / 2 overflows for the first and is 1.186e308 for the second
+    g = math.sin(0.5)
+    x = f * (1 - g * g)
+    want = 0.5 * x * x
+    with np.errstate(all="ignore"):
+        got = PhiTriple(*_phi_values(np.array([f]) if array else f, g)).density()
+    assert np.ndim(got) == array and math.isclose(float(np.ravel(got)[0]), want, rel_tol=1e-15)
 
 
 def test_scalar_density_squares_as_the_array_pass_bit_for_bit():

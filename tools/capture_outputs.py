@@ -53,7 +53,10 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     leaves the hyperboloid, and ``extend`` of a contact with |c| = 1 on the
     lower sheet; then ``extend`` of the spacelike config with g's constant
     on log's branch cut (``log(-1)``) and ``check`` of the config it writes,
-    which passes.
+    which passes;
+  - ``eval`` and ``mesh`` (5x5) of an f of size 1e180, where every |phi_k|^2
+    overflows and their sum, once inf - inf = NaN, reads inf as the closed
+    form |f|^2 (1 - |g|^2)^2 / 2 does.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -149,6 +152,13 @@ ONE_LINE_FAULTS = {  # name: (config, commands), run last
     ),
 }
 
+SQUARE_OVERFLOWS = {  # name: (config, commands), run after the rest
+    "squares-overflow": (
+        "f = ((1e-30)^-3)^2\ng = sin(0.5)\ndomain = upper-half-disk\nradius = 10\nz0 = 5*i\n",
+        [["eval", "--at", "2,1"], ["mesh", "--grid", "5x5", "-o", "squares-overflow.obj"]],
+    ),
+}
+
 
 def _original_side(surface: str, z: complex) -> bool:
     return abs(z) >= RHO if surface.startswith("catenoid") else z.imag >= 0
@@ -197,6 +207,7 @@ def commands() -> list[tuple[str, list[str]]]:
     cmds.append(("extend-catenoid-b07-reflected",
                  ["extend", "catenoid-b07-reflected.cfg", "-o", "catenoid-b07-reflected.ext.cfg"]))
     cmds += _fault_runs(ONE_LINE_FAULTS) + [("check-branch-cut.ext", ["check", "branch-cut.ext.cfg"])]
+    cmds += _fault_runs(SQUARE_OVERFLOWS)
     return cmds
 
 
@@ -234,7 +245,7 @@ def capture(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
     meshes = {name: text for name, (text, _) in DOMAIN_MESHES.items()}
-    inputs = {name: text for name, (text, _) in {**INPUT_FAULTS, **ONE_LINE_FAULTS}.items()}
+    inputs = {name: text for name, (text, _) in {**INPUT_FAULTS, **ONE_LINE_FAULTS, **SQUARE_OVERFLOWS}.items()}
     for name, text in {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs}.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")
     for k, (stem, argv) in enumerate(commands()):

@@ -149,13 +149,22 @@ def _grid_points(domain: Domain, grid: GridSpec) -> list[complex]:
 # ---------------------------------------------------------------------------
 # elementary residuals
 
-def eq_zero_residual(p: PhiTriple) -> float:
-    """Relative residual of phi1^2 + phi2^2 - phi3^2 = 0."""
-    num = abs(p.phi1 * p.phi1 + p.phi2 * p.phi2 - p.phi3 * p.phi3)
-    den = abs(p.phi1) ** 2 + abs(p.phi2) ** 2 + abs(p.phi3) ** 2
-    if den == 0:
-        return 0.0
-    return num / den
+def eq_zero_residual(p: PhiTriple):
+    """Relative residual |phi1^2 + phi2^2 - phi3^2| / (|phi1|^2 + |phi2|^2 + |phi3|^2), of numbers or of
+    arrays; 0 where the triple is 0.  The ratio is scale-free: where a finite triple's squares overflow
+    it is that of phi / m, m the largest |phi_k|, the rule of PhiTriple.density."""
+
+    def terms(u, v, w):
+        a, b, c = abs(u), abs(v), abs(w)
+        return abs(u * u + v * v - w * w), a * a + b * b + c * c
+
+    with np.errstate(all="ignore"):
+        num, den = terms(p.phi1, p.phi2, p.phi3)
+        m = np.maximum(np.maximum(abs(p.phi1), abs(p.phi2)), abs(p.phi3))
+        lost = ~(np.isfinite(num) & np.isfinite(den)) & (m < math.inf)
+        if np.any(lost):
+            num, den = np.where(lost, terms(p.phi1 / m, p.phi2 / m, p.phi3 / m), (num, den))
+        return np.where(den == 0, 0.0, num / den)[()]
 
 
 def laplacian_residuals(phi_fn: Callable, z: complex, h: float) -> tuple[float, float, float]:
@@ -342,7 +351,7 @@ def _sample(data: WeierstrassData, pts: Sequence[complex]) -> tuple[np.ndarray, 
     a = np.repeat(centres, 4 * len(hs))
     steps = np.outer(hs, (1, -1, 1j, -1j)).ravel()  # laplacian_residuals' four panels per h, in its order
     with np.errstate(all="ignore"):
-        panels, estimates = _gk15_panels(data.field_array, a, a + np.tile(steps, len(centres)))
+        panels, estimates = _gk15_panels(data.fg_array, a, a + np.tile(steps, len(centres)))
         v = panels.reshape(3, len(centres), len(hs), 4)
         laplacian = np.abs((v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3]).real) / (hs * hs)
         f, g = data.fg_array(z)
@@ -362,10 +371,8 @@ def _data_checks(data: WeierstrassData, pts: Sequence[complex], sample, tag: str
         except EvalError:
             keep[k] = False
     p = PhiTriple(*phi[:, keep])
+    res = eq_zero_residual(p).tolist()
     with np.errstate(all="ignore"):
-        num = np.abs(p.phi1 * p.phi1 + p.phi2 * p.phi2 - p.phi3 * p.phi3)
-        den = np.abs(p.phi1) ** 2 + np.abs(p.phi2) ** 2 + np.abs(p.phi3) ** 2
-        res = np.where(den == 0, 0.0, num / den).tolist()
         factors = p.density().tolist()
     live = [f for f in factors if f > 1e-18]
     details = {"min_factor": min(live) if live else 0.0, "degenerate_points": len(factors) - len(live)}

@@ -239,14 +239,6 @@ class WeierstrassData:
         """f and g on a complex array, as one ``expr.compile_array`` program built once per patch."""
         return compile_array(self.f, self.g)
 
-    @cached_property
-    def field_array(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``field`` on a complex array, from ``fg_array``; NaN wherever the scalar field may fault
-        (see ``expr.compile_array``)."""
-        fg = self.fg_array
-        # on arrays an overflow is a value that is not finite, as in compile_array, and warns of nothing
-        return np.errstate(all="ignore")(lambda z: _phi_values(*fg(z)))
-
 
 # ---------------------------------------------------------------------------
 # pointwise quantities
@@ -594,16 +586,18 @@ def integrate_paths(paths: Iterable[tuple[Sequence[complex], Callable]], q: Quad
 
 def integrate_segments(sides, side, a, b, tol, owner, n: int, polyline: Callable, q: QuadratureConfig) -> np.ndarray:
     """The integrals (3, n) of n paths given as segments: from a[i] to b[i] on sides[side[i]], with tolerance
-    tol[i], after the earlier segments of path owner[i].  Each side's segments go to one _integrate_segments
-    call, which only computes; each path with a segment that did not converge is integrated again by
+    tol[i], after the earlier segments of path owner[i].  One _integrate_segments call takes every side's
+    segments on one array program of f and g: the patch's ``fg_array`` for one side, else one
+    ``compile_array`` of each side's f and g in turn.  It only computes; a path's segment sums are added
+    side by side, in side order, and each path with a segment that did not converge is integrated again by
     integrate_path along ``polyline(k)`` = (points, side_for), in path order, for its value or its error."""
+    fg = sides[0].fg_array if len(sides) == 1 else compile_array(*(t for patch in sides for t in (patch.f, patch.g)))
+    seg_sum, ok = _integrate_segments(fg, side, a, b, tol, q.max_depth)
     sums, failed = np.zeros((3, n), dtype=complex), np.zeros(n, dtype=bool)
-    for i, patch in enumerate(sides):
-        on = side == i
-        seg_sum, ok = _integrate_segments(patch.field_array, a[on], b[on], tol[on], q.max_depth)
-        for c in range(3):
-            np.add.at(sums[c], owner[on], seg_sum[c])
-        failed[owner[on][~ok]] = True
+    by_side = np.argsort(side, kind="stable")
+    for c in range(3):
+        np.add.at(sums[c], owner[by_side], seg_sum[c, by_side])
+    failed[owner[~ok]] = True
     for k in np.flatnonzero(failed).tolist():
         points, side_for = polyline(k)
         sums[:, k] = integrate_path(lambda x, y: side_for(x, y).field, points, q)[0]
@@ -611,18 +605,25 @@ def integrate_segments(sides, side, a, b, tol, owner, n: int, polyline: Callable
 
 
 _CHUNK = 512
-"""Panels per array call in _gk15_panels: the node values of a chunk take
-512 x 15 x 3 complex numbers (about 180 kB), so memory stays flat on any mesh."""
+"""Panels per array call in _gk15_panels.  A chunk's phi takes 3 x 15 x 512 complex numbers (369 kB),
+its unweighted sums about half as much, and the array program makes f and g of each side, and each of
+its steps, a (15, 512) array (123 kB each), so memory stays flat on any mesh."""
 
-# the 15 Kronrod nodes of a panel on [-1, 1], centre first, then each -x, +x pair
-_NODES = np.array([0.0] + [s * x for x in _XGK for s in (-1.0, 1.0)])
+# The 15 Kronrod nodes of a panel on [-1, 1]: the centre, the seven -x, then the seven +x, so each
+# pair's two values lie in two contiguous blocks.  Nodes and weights are complex (x + 0j, as numpy
+# would cast them), so that no product casts through a buffer.
+_NODES = np.array([0.0] + [-x for x in _XGK] + list(_XGK), dtype=complex)[:, None]
+_KRONROD = np.array((_WGK_CENTER,) + _WGK, dtype=complex)[:, None, None]  # of the centre and the seven pairs
+_GAUSS = np.array((_WG_CENTER,) + _WG, dtype=complex)[:, None, None]  # of the centre and pairs 1, 3 and 5
 
 
-def _gk15_panels(field_array: Callable, a: np.ndarray, b: np.ndarray):
-    """_gk15 of an array field on many panels at once.
+def _gk15_panels(fg: Callable, a: np.ndarray, b: np.ndarray, side: np.ndarray | None = None):
+    """_gk15 on many panels at once, of the phi field of array values of f and g.
 
-    Returns (integrals of shape (3, m), error estimates).  The estimate is
-    NaN for a panel with a non-finite field value on any of its nodes.
+    ``fg(z)`` gives f and g of each side in turn, (f0, g0, f1, g1, ...); panel i takes side[i]'s, and
+    with one side ``side`` may be None.  The nodes lie node-major on a (15, m) grid, and each phi
+    component on one such grid of a (3, 15, m) array.  Returns (integrals of shape (3, m), error
+    estimates).  The estimate is NaN for a panel with a non-finite phi value on any of its nodes.
     """
     m = len(a)
     out = np.empty((3, m), dtype=complex)
@@ -631,24 +632,39 @@ def _gk15_panels(field_array: Callable, a: np.ndarray, b: np.ndarray):
         ca, cb = a[s : s + _CHUNK], b[s : s + _CHUNK]
         c = 0.5 * (ca + cb)
         h = 0.5 * (cb - ca)
-        values = np.array(field_array(c[:, None] + h[:, None] * _NODES))
-        k = _WGK_CENTER * values[..., 0]
-        g = _WG_CENTER * values[..., 0]
-        for j, w in enumerate(_WGK):
-            pair = values[..., 2 * j + 1] + values[..., 2 * j + 2]
-            k += w * pair
-            if j % 2 == 1:
-                g += _WG[j // 2] * pair
+        values = fg(c + _NODES * h)
+        f, g = values[0], values[1]
+        for i in range(2, len(values), 2):  # the other sides' values where they hold
+            on = side[s : s + _CHUNK] == i // 2
+            f, g = np.where(on, values[i], f), np.where(on, values[i + 1], g)
+        # _phi_values' products, in its operand order, each in place in its component's contiguous grid:
+        # numpy buffers a strided operand, and its complex product of strided operands rounds otherwise
+        phi = np.empty((3,) + f.shape, dtype=complex)
+        p1, p2, p3 = phi
+        np.multiply(g, g, out=p3)
+        np.add(1, p3, out=p1)
+        np.subtract(1, p3, out=p2)
+        np.multiply(np.multiply(0.5, f, out=p3), p1, out=p1)
+        np.multiply(np.multiply(0.5j, f, out=p3), p2, out=p2)
+        np.multiply(f, g, out=p3)
+        del values, f, g  # freed before the sums are made, which keeps a chunk's peak at phi and its sums
+        sums = np.empty((8, 3, len(c)), dtype=complex)  # the centre value and the seven pair sums
+        sums[0] = phi[:, 0]
+        np.add(phi[:, 1:8], phi[:, 8:], out=sums[1:].transpose(1, 0, 2))
+        gauss = np.take(sums, (0, 2, 4, 6), axis=0)
+        # weighted, then added in order along the leading axis, as _gk15 adds
+        k = np.add.reduce(np.multiply(_KRONROD, sums, out=sums))
+        gauss = np.add.reduce(np.multiply(_GAUSS, gauss, out=gauss))
         out[:, s : s + _CHUNK] = h * k
-        finite = np.isfinite(values).all(axis=(0, 2))
-        err[s : s + _CHUNK] = np.where(finite, np.abs(h) * np.abs(k - g).max(axis=0), np.nan)
+        finite = np.isfinite(phi).all(axis=(0, 1))
+        err[s : s + _CHUNK] = np.where(finite, np.abs(h) * np.abs(k - gauss).max(axis=0), np.nan)
     return out, err
 
 
-def _integrate_segments(field_array: Callable, a: np.ndarray, b: np.ndarray, tol: np.ndarray, max_depth: int):
-    """_integrate_segment on every segment [a[i], b[i]] at once, level by level.
+def _integrate_segments(fg: Callable, side: np.ndarray, a: np.ndarray, b: np.ndarray, tol: np.ndarray, max_depth: int):
+    """_integrate_segment on every segment [a[i], b[i]] of side side[i] at once, level by level.
 
-    Each level evaluates all pending panels in one _gk15_panels call.  A
+    Each level evaluates all pending panels of all sides in one _gk15_panels call on ``fg``.  A
     panel stops where _stop says it is done, as in _integrate_segment;
     the others are halved with half the tolerance.  Returns the
     integrals (3, n) and the converged flags.
@@ -660,7 +676,7 @@ def _integrate_segments(field_array: Callable, a: np.ndarray, b: np.ndarray, tol
     depth = max_depth
     with np.errstate(all="ignore"):
         while len(a):
-            out, e = _gk15_panels(field_array, a, b)
+            out, e = _gk15_panels(fg, a, b, side[seg])
             done, good = _stop(e, tol, np.abs(out).max(axis=0), depth)
             for c in range(3):
                 np.add.at(sums[c], seg[done], out[c, done])

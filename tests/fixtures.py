@@ -11,10 +11,18 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from maxsurf.expr import parse
 from maxsurf.minkowski import LVector, Plane
 from maxsurf.verify import catenoid_data
-from maxsurf.weierstrass import Domain, DomainKind, WeierstrassData
+from maxsurf.weierstrass import Domain, DomainKind, WeierstrassData, _phi_values
+
+
+def phi_array(data, z):
+    """The phi triple (3, n) on a complex array, from the patch's fg_array; NaN where compile_array's f or g is."""
+    with np.errstate(all="ignore"):
+        return np.array(_phi_values(*data.fg_array(np.asarray(z, dtype=complex))))
 
 
 def plane_fixture():

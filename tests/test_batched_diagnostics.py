@@ -18,6 +18,7 @@ from fixtures import (
     catenoid_extension_fixture,
     lightlike_fixture,
     lightlike_tangent_fixture,
+    phi_array,
     plane_fixture,
     random_polynomial_data,
     spacelike_fixture,
@@ -123,9 +124,9 @@ def test_check_integrates_the_point_wise_panels_in_batches(bench, monkeypatch, c
     panels, scalar = [], []
     batch = weierstrass._gk15_panels
 
-    def counted_batch(field_array, a, b):
+    def counted_batch(fg, a, b, side=None):
         panels.append(len(a))
-        return batch(field_array, a, b)
+        return batch(fg, a, b, side)
 
     def counted(module, attr):
         original = getattr(module, attr)
@@ -146,6 +147,22 @@ def test_check_integrates_the_point_wise_panels_in_batches(bench, monkeypatch, c
     assert scalar == []
 
 
+
+def test_a_two_sided_check_runs_one_kernel_call_per_level(bench, monkeypatch, capsys):
+    # the extended catenoid's path batch bisects 7 levels over both sides at once (a loop per side made 14),
+    # and each side's harmonicity panels take one call
+    calls = {weierstrass: 0, verify: 0}
+    batch = weierstrass._gk15_panels
+
+    for module in calls:
+        def counted_batch(fg, a, b, side=None, module=module):
+            calls[module] += 1
+            return batch(fg, a, b, side)
+
+        monkeypatch.setattr(module, "_gk15_panels", counted_batch)
+    assert main(["check", str(bench / "catenoid-b07.ext.cfg")]) == 0
+    assert calls == {weierstrass: 7, verify: 2}
+
 def test_points_where_only_the_array_field_is_nan_get_the_scalar_values(monkeypatch):
     # z*1e154*1e154 overflows where |Re z| or |Im z| passes 1.797: NaN on arrays,
     # while scalar arithmetic divides by the infinity and gives f = 0 inside this disk
@@ -155,7 +172,7 @@ def test_points_where_only_the_array_field_is_nan_get_the_scalar_values(monkeypa
 
     data = build()
     pts = verify._grid_points(data.domain, GridSpec())
-    nan = np.isnan(data.field_array(np.array(pts))).any(axis=0)
+    nan = np.isnan(phi_array(data, pts)).any(axis=0)
     assert 0 < nan.sum() < len(pts)
     assert all(np.isfinite(data.field(z)).all() for z in np.array(pts)[nan].tolist())
     batched = full_diagnostics(data)

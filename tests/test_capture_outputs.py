@@ -40,7 +40,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["extend-catenoid-b07-reflected"]
         + ["check-estimate-overflow", "mesh-estimate-overflow", "check-off-hyperboloid", "extend-lower-sheet-tangent"]
         + ["extend-branch-cut", "check-branch-cut.ext"]
-        + ["eval-squares-overflow", "mesh-squares-overflow"]
+        + ["eval-squares-overflow", "mesh-squares-overflow", "check-squares-overflow"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
@@ -98,6 +98,8 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "eval-squares-overflow": (0, "\nconformal_factor = inf\n--- stderr\n"),
         "mesh-squares-overflow": (0, "wrote squares-overflow.obj: 25 vertices, 32 triangles, 0 masked cells\n"
                                   "--- stderr\n"),
+        "check-squares-overflow": (1, '"max_residual": 5.551115123125783e-17,\n      "name": "quadratic_identity",\n'
+                                   '      "passed": true,'),
     }
     # each log by its command's name: a listed one against its entry, every other extend, check and
     # domain mesh with exit 0

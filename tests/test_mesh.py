@@ -202,9 +202,9 @@ def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch):
     panels = []
     batch, gk15 = weierstrass._gk15_panels, weierstrass._gk15
 
-    def counted_batch(data, a, b):
+    def counted_batch(fg, a, b, side=None):
         panels.extend(a)
-        return batch(data, a, b)
+        return batch(fg, a, b, side)
 
     def counted(fn, a, b):
         panels.append(a)

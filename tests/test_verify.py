@@ -32,7 +32,7 @@ from maxsurf.verify import (
     full_diagnostics,
     harmonicity_order,
 )
-from maxsurf.weierstrass import Domain, DomainKind, PhiTriple, WeierstrassData
+from maxsurf.weierstrass import Domain, DomainKind, PhiTriple, WeierstrassData, phi
 
 
 def test_catenoid_reference_values():
@@ -65,6 +65,18 @@ def test_quadratic_residual_flags_corrupted_triple():
     corrupted = PhiTriple(1.0, 0.5j, 1.0)  # sign error in one component
     assert eq_zero_residual(corrupted) > 1e-2
 
+
+
+def test_the_quadratic_identity_of_data_whose_squares_overflow_is_scale_free():
+    # every |phi_k|^2 of f = 1e180 overflows; the ratio is taken of phi / max |phi_k|, as the density is
+    dom = Domain(DomainKind.HALF_DISK, radius=10.0)
+    data = WeierstrassData(parse("((1e-30)^-3)^2"), parse("sin(0.5)"), dom, 5j, LVector(0, 0, 0))
+    assert eq_zero_residual(phi(data, 2 + 1j)) <= 1e-15
+    record = full_diagnostics(data)["quadratic_identity"]
+    assert record.passed and record.max_residual <= 1e-15 and record.details == {"points": 144}
+    # on arrays: the overflowing triple is scaled; the others, 0 and a corrupted one, keep the plain ratio
+    p = PhiTriple(np.array([1e200, 0, 1.0]), np.array([0, 0, 0.5j]), np.array([1e200, 0, 1.0]))
+    assert eq_zero_residual(p).tolist() == [0.0, 0.0, eq_zero_residual(PhiTriple(1.0, 0.5j, 1.0))]
 
 def test_full_diagnostics_plane_surface():
     rep = full_diagnostics(plane_fixture())

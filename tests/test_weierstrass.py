@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import catenoid_oracle, plane_fixture, random_polynomial_data
+from fixtures import catenoid_oracle, phi_array, plane_fixture, random_polynomial_data
 from maxsurf import weierstrass
 from maxsurf.expr import Call, Const, Div, EvalError, Mul, Var, compile_array, parse
 from maxsurf.minkowski import LVector, lorentz_inner
@@ -322,9 +322,9 @@ def test_surface_tree_splits_tol_over_the_deepest_branch(monkeypatch):
     tols = []
     integrate = weierstrass._integrate_segments
 
-    def recording(data, a, b, tol, max_depth):
+    def recording(fg, side, a, b, tol, max_depth):
         tols.extend(tol)
-        return integrate(data, a, b, tol, max_depth)
+        return integrate(fg, side, a, b, tol, max_depth)
 
     monkeypatch.setattr(weierstrass, "_integrate_segments", recording)
     surface_tree(catenoid_data(), [0.5, 0.6, 0.7, 0.5j], [-1, 0, 1, -1], QuadratureConfig(tol=3e-10))
@@ -481,11 +481,13 @@ def test_gauss_of_a_g_whose_square_overflows_raises(w):
 
 
 def test_the_array_field_overflows_without_warnings():
+    # g^2 overflows on [0, 0.5]: the batch's phi is not finite there, so that segment fails, and nothing warns
     data = WeierstrassData(parse("1"), parse("1e200*z"), Domain(DomainKind.DISK), 0j, LVector(0, 0, 0))
+    a, b = np.zeros(2, dtype=complex), np.array([0.5, 1e-201], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = np.array(data.field_array(np.array([0.5, 1e-201])))
-    assert not np.isfinite(values[:, 0]).all() and np.isfinite(values[:, 1]).all()
+        _, ok = weierstrass._integrate_segments(data.fg_array, np.zeros(2, dtype=np.intp), a, b, np.full(2, 1e-10), 26)
+    assert ok.tolist() == [False, True]
 
 
 def _fg_cases():
@@ -507,9 +509,10 @@ def test_fg_array_is_the_two_programs_of_f_and_g_bit_for_bit(data):
     f, g = data.fg_array(z)
     want_f, want_g = compile_array(data.f)(z), compile_array(data.g)(z)
     assert f.tobytes() == want_f.tobytes() and g.tobytes() == want_g.tobytes()
-    with np.errstate(all="ignore"):
-        want = np.array(_phi_values(want_f, want_g))
-    assert np.array(data.field_array(z)).tobytes() == want.tobytes()
+    # one program over two sides, as a two-sided batch compiles it, gives each side's values bit for bit
+    other = catenoid_data()
+    both = compile_array(data.f, data.g, other.f, other.g)(z)
+    assert [v.tobytes() for v in both] == [v.tobytes() for v in (f, g, *other.fg_array(z))]
 
 
 def test_stereo_inverse_examples():
@@ -617,14 +620,15 @@ def test_batched_segments_use_the_panels_of_the_scalar_integrator(monkeypatch, m
     sizes = []
     batch = weierstrass._gk15_panels
 
-    def counted_batch(field_array, a, b):
+    def counted_batch(fg, a, b, side=None):
         sizes.append(len(a))
-        return batch(field_array, a, b)
+        return batch(fg, a, b, side)
 
     monkeypatch.setattr(weierstrass, "_gk15_panels", counted_batch)
     calls.clear()
     a, b = (np.array(ends, dtype=complex) for ends in zip(*segments))
-    sums, ok = weierstrass._integrate_segments(data.field_array, a, b, np.array(tols), max_depth)
+    side = np.zeros(4, dtype=np.intp)
+    sums, ok = weierstrass._integrate_segments(data.fg_array, side, a, b, np.array(tols), max_depth)
     assert calls == []
     assert sum(sizes) == sum(s[3] for s in scalar)
     assert ok.tolist() == [s[2] for s in scalar]
@@ -656,7 +660,7 @@ _REAL_TREE = ([0.5 + 0j, 0.3 + 0j, 0.7 + 0j, 0.2 + 0j], [-1, 0, 0, 1])
 
 def test_surface_tree_gives_the_scalar_values_where_only_the_array_field_is_nan():
     points, parents = _REAL_TREE
-    assert np.isnan(_OVERFLOW.field_array(np.array(points))).all()
+    assert np.isnan(phi_array(_OVERFLOW, points)).all()
     assert all(map(cmath.isfinite, _OVERFLOW.field(0.5 + 0j)))
     got = surface_tree(_OVERFLOW, points, parents)
     assert got.tolist() == [list(evaluate_surface(_OVERFLOW, z).as_tuple()) for z in points] == [[1, 2, 3]] * 4
@@ -681,8 +685,8 @@ def test_only_the_failed_edges_are_replayed(monkeypatch):
         parse("1/(z*1e154*1e154)"), parse("z/3"), Domain(DomainKind.DISK, radius=2.0), 0.1, LVector(1, 2, 3)
     )
     points, parents = [0.5 + 0j, 1.0 + 0j, 1.9 + 0j, 0.3 + 0j, 1.95 + 0j], [-1, 0, 1, 0, 2]
-    assert np.isnan(data.field_array(np.array([1.9 + 0j]))).all()
-    assert np.isfinite(data.field_array(np.array([1.0 + 0j]))).all()
+    assert np.isnan(phi_array(data, [1.9 + 0j])).all()
+    assert np.isfinite(phi_array(data, [1.0 + 0j])).all()
     paths, scalar = [], weierstrass.integrate_path
 
     def counted_path(field_for, points, q):
@@ -739,11 +743,154 @@ def test_an_overflowed_estimate_raises_after_one_panel(monkeypatch):
 def test_an_overflowed_batch_estimate_fails_its_segment_after_one_level(monkeypatch):
     sizes = []
 
-    def overflowed(field_array, a, b):
+    def overflowed(fg, a, b, side):
         sizes.append(len(a))
         return np.full((3, len(a)), complex(math.inf)), np.where(a.real > 0, math.inf, 0.0)
 
     monkeypatch.setattr(weierstrass, "_gk15_panels", overflowed)
     a, b = np.array([0j, 1 + 0j]), np.array([-1 + 0j, 2 + 0j])
-    _, ok = weierstrass._integrate_segments(None, a, b, np.full(2, 1e-10), 26)
+    _, ok = weierstrass._integrate_segments(None, np.zeros(2, dtype=np.intp), a, b, np.full(2, 1e-10), 26)
     assert ok.tolist() == [True, False] and sizes == [2]
+
+
+# The level loop as it ran before one loop took every side: a loop per side, on the (n, 15) kernel.
+_REFERENCE_NODES = np.array([0.0] + [s * x for x in weierstrass._XGK for s in (-1.0, 1.0)])
+
+
+def _reference_gk15_panels(field_array, a, b):
+    m = len(a)
+    out = np.empty((3, m), dtype=complex)
+    err = np.empty(m)
+    for s in range(0, m, weierstrass._CHUNK):
+        ca, cb = a[s : s + weierstrass._CHUNK], b[s : s + weierstrass._CHUNK]
+        c = 0.5 * (ca + cb)
+        h = 0.5 * (cb - ca)
+        values = np.array(field_array(c[:, None] + h[:, None] * _REFERENCE_NODES))
+        k = weierstrass._WGK_CENTER * values[..., 0]
+        g = weierstrass._WG_CENTER * values[..., 0]
+        for j, w in enumerate(weierstrass._WGK):
+            pair = values[..., 2 * j + 1] + values[..., 2 * j + 2]
+            k += w * pair
+            if j % 2 == 1:
+                g += weierstrass._WG[j // 2] * pair
+        out[:, s : s + weierstrass._CHUNK] = h * k
+        finite = np.isfinite(values).all(axis=(0, 2))
+        err[s : s + weierstrass._CHUNK] = np.where(finite, np.abs(h) * np.abs(k - g).max(axis=0), np.nan)
+    return out, err
+
+
+def _reference_level_loop(field_array, a, b, tol, max_depth, levels, side):
+    n = len(a)
+    sums = np.zeros((3, n), dtype=complex)
+    ok = np.ones(n, dtype=bool)
+    seg = np.arange(n)
+    depth = max_depth
+    with np.errstate(all="ignore"):
+        while len(a):
+            levels.setdefault(max_depth - depth, []).extend((side, x, y) for x, y in zip(a.tolist(), b.tolist()))
+            out, e = _reference_gk15_panels(field_array, a, b)
+            done, good = weierstrass._stop(e, tol, np.abs(out).max(axis=0), depth)
+            for c in range(3):
+                np.add.at(sums[c], seg[done], out[c, done])
+            ok[seg[done & ~good]] = False
+            go = ~done
+            mid = 0.5 * (a[go] + b[go])
+            a, b = np.concatenate((a[go], mid)), np.concatenate((mid, b[go]))
+            tol = np.tile(0.5 * tol[go], 2)
+            seg = np.tile(seg[go], 2)
+            depth -= 1
+    return sums, ok
+
+
+def _reference_integrate_segments(sides, side, a, b, tol, owner, n, polyline, q, levels):
+    """integrate_segments with a level loop per side: (path sums, segment sums, converged flags)."""
+    sums, failed = np.zeros((3, n), dtype=complex), np.zeros(n, dtype=bool)
+    seg_sums, oks = np.zeros((3, len(a)), dtype=complex), np.ones(len(a), dtype=bool)
+    for i, patch in enumerate(sides):
+        on = side == i
+        field = lambda z, patch=patch: phi_array(patch, z)  # noqa: E731
+        seg_sum, ok = _reference_level_loop(field, a[on], b[on], tol[on], q.max_depth, levels, i)
+        for c in range(3):
+            np.add.at(sums[c], owner[on], seg_sum[c])
+        failed[owner[on][~ok]] = True
+        seg_sums[:, on], oks[on] = seg_sum, ok
+    for k in np.flatnonzero(failed).tolist():
+        points, side_for = polyline(k)
+        sums[:, k] = integrate_path(lambda x, y: side_for(x, y).field, points, q)[0]
+    return sums, seg_sums, oks
+
+
+def _poly(f, g, radius=1.0):
+    return WeierstrassData(parse(f), parse(g), Domain(DomainKind.DISK, radius=radius), 0j, LVector(0, 0, 0))
+
+
+def _side_sets():
+    from fixtures import catenoid_extension_fixture
+    from maxsurf.extension import extend
+
+    catenoid = catenoid_data()
+    growth = _poly("1e295*exp(z*1e-11)", "0.1", radius=1e13)  # phi finite on [0, 2e12], its estimate inf
+    return {
+        "catenoid": [catenoid],
+        "catenoid-b07": [catenoid, extend(*catenoid_extension_fixture()).minus],
+        "polynomials": [_poly("1+z-0.3*z^3", "z/3"), _poly("(2-i)*z^2+0.5", "0.2*i*z+0.1")],
+        "overflow": [_poly("1+z-0.3*z^3", "z/3"), growth],
+    }
+
+
+# segments with a node where the field is not finite: the catenoid's pole at the centre node, and z^2 overflowing
+_FAULTS = {"catenoid": (-0.1, 0.1), "catenoid-b07": (-0.1j, 0.1j), "polynomials": (1e200, 2e200), "overflow": (0, 2e12)}
+_SIDE_SETS = _side_sets()
+
+
+@st.composite
+def _level_batches(draw):
+    """Sides, segments on them in a mixed order, with drawn tolerances, owners and depth, and a kernel chunk
+    of 512 or 3 panels; some segments fail."""
+    name = draw(st.sampled_from(sorted(_SIDE_SETS)))
+    sides = _SIDE_SETS[name]
+    count = draw(st.integers(1, 10))
+    paths = draw(st.integers(1, max(count // 3, 1)))  # paths of several segments, whose sums keep their order
+    point = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
+    rows = []
+    for _ in range(count):
+        side = draw(st.integers(0, len(sides) - 1))
+        a, b = _FAULTS[name] if draw(st.integers(0, 9)) == 0 else (draw(point), draw(point))
+        if name == "overflow" and (a, b) == _FAULTS[name]:
+            side = 1  # the growth patch
+        tol = 10.0 ** draw(st.floats(-13, -6))
+        rows.append((side, a, b, tol, draw(st.integers(0, paths - 1))))
+    columns = [np.array(c, dtype=t) for c, t in zip(zip(*rows), (np.intp, complex, complex, float, np.intp))]
+    q = QuadratureConfig(max_depth=draw(st.sampled_from([3, 8, 26])))
+    return sides, columns, paths, q, draw(st.sampled_from([512, 3]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_level_batches())
+def test_one_level_loop_over_all_sides_is_the_loop_per_side_bit_for_bit(batch):
+    sides, (side, a, b, tol, owner), n, q, chunk = batch
+    polyline = lambda k: ([0.5 + 0j, 0.6 + 0j], lambda x, y: sides[0])  # noqa: E731  a replay that converges
+    levels, loops, want_levels = [], [], {}
+    kernel, loop = weierstrass._gk15_panels, weierstrass._integrate_segments
+
+    def recorded_kernel(fg, pa, pb, pside):
+        levels.append(list(zip(pside.tolist(), pa.tolist(), pb.tolist())))
+        return kernel(fg, pa, pb, pside)
+
+    def recorded_loop(*args):
+        loops.append(loop(*args))
+        return loops[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weierstrass, "_CHUNK", chunk)
+        want = _reference_integrate_segments(sides, side, a, b, tol, owner, n, polyline, q, want_levels)
+        patch.setattr(weierstrass, "_gk15_panels", recorded_kernel)
+        patch.setattr(weierstrass, "_integrate_segments", recorded_loop)
+        sums = weierstrass.integrate_segments(sides, side, a, b, tol, owner, n, polyline, q)
+    (seg_sums, ok), = loops
+    assert sums.tobytes() == want[0].tobytes()
+    assert seg_sums.tobytes() == want[1].tobytes()
+    assert ok.tolist() == want[2].tolist()
+    key = lambda p: (p[0], p[1].real, p[1].imag, p[2].real, p[2].imag)  # noqa: E731
+    want_levels = [sorted(want_levels[d], key=key) for d in sorted(want_levels)]
+    assert [sorted(level, key=key) for level in levels] == want_levels

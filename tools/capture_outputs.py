@@ -56,7 +56,9 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     which passes;
   - ``eval`` and ``mesh`` (5x5) of an f of size 1e180, where every |phi_k|^2
     overflows and their sum, once inf - inf = NaN, reads inf as the closed
-    form |f|^2 (1 - |g|^2)^2 / 2 does.
+    form |f|^2 (1 - |g|^2)^2 / 2 does; then ``check`` of it (exit 1), whose
+    quadratic identity passes, being scale-free, while path independence
+    fails on its absolute tolerance.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -155,7 +157,7 @@ ONE_LINE_FAULTS = {  # name: (config, commands), run last
 SQUARE_OVERFLOWS = {  # name: (config, commands), run after the rest
     "squares-overflow": (
         "f = ((1e-30)^-3)^2\ng = sin(0.5)\ndomain = upper-half-disk\nradius = 10\nz0 = 5*i\n",
-        [["eval", "--at", "2,1"], ["mesh", "--grid", "5x5", "-o", "squares-overflow.obj"]],
+        [["eval", "--at", "2,1"], ["mesh", "--grid", "5x5", "-o", "squares-overflow.obj"], ["check"]],
     ),
 }
 

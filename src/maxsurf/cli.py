@@ -22,13 +22,14 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .expr import Const, EvalError, ParseError, evaluate, format_expr, parse, substitute
-from .extension import CASES, ExtendedSurface, ExtensionError, extend, measure_contact
+from .extension import CASES, DegenerateContactWarning, ExtendedSurface, ExtensionError, extend, measure_contact
 from .minkowski import LVector, Plane, plane_class
 from .verify import full_diagnostics, GridSpec
 from .weierstrass import (
@@ -708,17 +709,27 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0) and 2
-    try:
-        return args.fn(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except (ParseError, EvalError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ExtensionError, SurfaceError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+        try:
+            return args.fn(args)
+        except ConfigError as exc:
+            sys.stderr.write(f"config error: {exc}\n")
+            return 2
+        except (ParseError, EvalError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        except (ExtensionError, SurfaceError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
+
+
+def _show_warning(show, message, category, *args, **kwargs):
+    """A DegenerateContactWarning as one stderr line, ``warning: <message>``; any other warning by ``show``."""
+    if issubclass(category, DegenerateContactWarning):
+        sys.stderr.write(f"warning: {message}\n")
+    else:
+        show(message, category, *args, **kwargs)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -334,7 +335,7 @@ def compile_fn(e: Expr) -> Callable[[complex], complex]:
 
 def compile_array(*trees: Expr) -> Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]]:
     """Compile trees to one function of a complex array, evaluated elementwise with numpy, that returns
-    the tree's array, or one array per tree; a subtree they share by identity is computed once.
+    the tree's array, or one array per tree; each distinct operation of theirs is computed once.
 
     Branches are those of compile_fn (principal, signed zeros as in cmath).  Instead of raising, an
     operation whose result is not finite yields NaN, which stays NaN up the tree; z, constants and
@@ -345,12 +346,15 @@ def compile_array(*trees: Expr) -> Callable[[np.ndarray], np.ndarray | tuple[np.
     program, memo = _ArrayProgram(), {}
     target = program.target()
     roots = [program.array(program.guard(_compile(e, target, memo))) for e in trees]
+    plan = program.plan(roots)
 
     def run(z: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
         v = [np.asarray(z, dtype=complex)]
         with np.errstate(all="ignore"):
-            for step in program.steps:
+            for step, dead in plan:
                 v.append(step(v))
+                for r in dead:
+                    v[r] = None
         return v[roots[0]] if len(roots) == 1 else tuple(v[r] for r in roots)
 
     return run
@@ -359,15 +363,16 @@ def compile_array(*trees: Expr) -> Callable[[np.ndarray], np.ndarray | tuple[np.
 def _compile(e: Expr, target: dict, memo: dict | None = None) -> Callable:
     """The one tree walk behind compile_fn and compile_array: ``target`` maps each node type to a
     builder of that node's closure (an array step's register) from the node and what its children
-    built.  With a ``memo`` dict, a node met again by identity is built once."""
-    if memo is not None and id(e) in memo:
-        return memo[id(e)]
-    build = target.get(t := type(e))
+    built.  With a ``memo`` dict, a node met again by identity is built once; a leaf is built each time."""
+    t = type(e)
+    if t is Const or t is Var:
+        return target[t](e)
+    if memo is not None and (out := memo.get(id(e))) is not None:  # no builder returns None
+        return out
+    build = target.get(t)
     if build is None:
         raise TypeError(f"not an Expr node: {e!r}")
-    if t is Const or t is Var:
-        out = build(e)
-    elif t is Neg or t is Call:
+    if t is Neg or t is Call:
         out = build(e, _compile(e.arg, target, memo))
     elif t is Pow:
         out = build(e, _compile(e.base, target, memo))
@@ -434,58 +439,88 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return x if np.isfinite(x).all() else np.where(np.isfinite(x), x, np.nan)
 
 
+_PAIR = struct.Struct("<2d")
+
+
+def _bits(c: complex) -> bytes:
+    """The bits of a constant, which tell 0.0 from -0.0: log(-1+0j) and log(-1-0j) lie apart by 2*pi*i."""
+    return _PAIR.pack(c.real, c.imag)
+
+
 class _ArrayProgram:
     """The array target of _compile: a straight-line program over registers v, where v[0] is z and
     each step appends one value.  A builder returns its node's register, or a Const node, which a
     binary step takes as a Python complex scalar and any other step fills to z's shape.  +, -, *,
     negation, positive powers and numerators keep a non-finite value non-finite, while a function, a
     denominator or a negative power may make it finite (exp(-inf) = 0, 1/inf = 0), so only a computed
-    value that feeds one of those, or is a result, is guarded: made NaN where it is not finite."""
+    value that feeds one of those, or is a result, is guarded: made NaN where it is not finite.
+
+    Steps are value-numbered: an operation on the operands of an earlier step (registers, or constants
+    with the same bits) is that step's register, so a subtree written twice is computed once."""
 
     OPERATORS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
     def __init__(self):
         self.steps: list[Callable] = []
-        self._guarded = {0: 0}  # register -> the register of its guarded value; z and its negations are their own
+        self._last: dict[int, int] = {}  # register -> the index of the last step that reads it
+        self._numbers: dict[tuple, int] = {}  # (operation, operand registers or constant bits) -> register
+        self._clean = {0}  # the registers that are their own guarded value: z and its negations
 
     def target(self) -> dict:
         """The builders for _compile, made per use: kept on self, they would make a reference cycle."""
         return {Const: lambda e: e, Var: lambda e: 0, Neg: self._neg, Pow: self._pow, Call: self._call,
                 **dict.fromkeys(self.OPERATORS, self._binary)}
 
-    def _emit(self, step: Callable) -> int:
-        self.steps.append(step)
-        return len(self.steps)
+    def plan(self, roots: list[int]) -> list[tuple[Callable, tuple[int, ...]]]:
+        """(step, registers to drop after it) per step: a register other than a root is dropped after
+        the step that reads it last, so a run holds only the values still to be read."""
+        dead = [()] * len(self.steps)
+        for r, k in self._last.items():
+            if r not in roots:
+                dead[k] += (r,)
+        return list(zip(self.steps, dead))
+
+    def _emit(self, step: Callable, op, a, b=None) -> int:
+        """The register of op on the operands a and b (registers, or Consts): an earlier step's where its
+        operation and operands are the same, else a new step, ``step``."""
+        key = (op, _bits(a.value) if type(a) is Const else a, _bits(b.value) if type(b) is Const else b)
+        r = self._numbers.get(key)
+        if r is None:
+            if type(a) is int:
+                self._last[a] = len(self.steps)
+            if type(b) is int:
+                self._last[b] = len(self.steps)
+            self.steps.append(step)
+            r = self._numbers[key] = len(self.steps)
+        return r
 
     def array(self, r) -> int:
         """r's register; a Const is filled to the shape of z."""
-        return self._emit(lambda v, c=r.value: np.full(v[0].shape, c)) if type(r) is Const else r
+        return self._emit(lambda v, c=r.value: np.full(v[0].shape, c), np.full, 0, r) if type(r) is Const else r
 
     def guard(self, r):
-        """r, or for a computed value the register of its guarded value, once per register."""
-        if type(r) is Const:
+        """r, or for a computed value the register of its guarded value."""
+        if type(r) is Const or r in self._clean:
             return r
-        if r not in self._guarded:
-            self._guarded[r] = self._emit(lambda v: _finite(v[r]))
-        return self._guarded[r]
+        return self._emit(lambda v: _finite(v[r]), _finite, r)
 
     def _neg(self, e: Neg, a):
         if type(a) is Const:  # negation is exact, so it folds
             return Const(-a.value)
-        r = self._emit(lambda v: -v[a])
-        if self._guarded.get(a) == a:
-            self._guarded[r] = r
+        r = self._emit(lambda v: -v[a], np.negative, a)
+        if a in self._clean:
+            self._clean.add(r)
         return r
 
     def _call(self, e: Call, a) -> int:
         fn, i = _NP_FUNCTIONS[e.func], self.array(self.guard(a))
-        return self._emit(lambda v: fn(v[i]))
+        return self._emit(lambda v: fn(v[i]), fn, i)
 
     def _pow(self, e: Pow, b) -> int:
         n, i = e.exponent, self.array(self.guard(b) if e.exponent < 0 else b)
         if n == 0:  # numpy gives nan^0 = 1, but a non-finite base must give NaN
-            return self._emit(lambda v: np.where(np.isfinite(v[i]), 1 + 0j, np.nan))
-        return self._emit(lambda v: v[i] ** n)
+            return self._emit(lambda v: np.where(np.isfinite(v[i]), 1 + 0j, np.nan), (np.power, n), i)
+        return self._emit(lambda v: v[i] ** n, (np.power, n), i)
 
     def _binary(self, e, left, right) -> int:
         op = self.OPERATORS[type(e)]
@@ -493,10 +528,10 @@ class _ArrayProgram:
         if type(left) is Const and type(right) is Const:
             left = self.array(left)
         if type(left) is Const:
-            return self._emit(lambda v, c=left.value: op(c, v[right]))
+            return self._emit(lambda v, c=left.value: op(c, v[right]), op, left, right)
         if type(right) is Const:
-            return self._emit(lambda v, c=right.value: op(v[left], c))
-        return self._emit(lambda v: op(v[left], v[right]))
+            return self._emit(lambda v, c=right.value: op(v[left], c), op, left, right)
+        return self._emit(lambda v: op(v[left], v[right]), op, left, right)
 
 
 # ---------------------------------------------------------------------------

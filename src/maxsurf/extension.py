@@ -501,7 +501,7 @@ def _boundary_limits(data: WeierstrassData, unit_n: LVector) -> tuple[BoundaryAr
         cs = N[..., 0] * unit_n.x1 + N[..., 1] * unit_n.x2 - N[..., 2] * unit_n.x3  # lorentz_inner's arithmetic
         near = np.abs(1 - np.abs(gs) ** 2) < 2 * GAUSS_EPS  # where gauss_from_g may refuse g
     for k in np.flatnonzero((near | ~np.isfinite(cs)).any(axis=1)).tolist():  # the scalar code decides, in order
-        gs[k] = list(map(compile_fn(data.g), z[k].tolist()))
+        gs[k] = list(map(data._g_fn, z[k].tolist()))
         cs[k] = [lorentz_inner(gauss_from_g(gv), unit_n) for gv in gs[k].tolist()]
     # real and imaginary parts apart: for finite values the arithmetic of a complex tableau over real ts
     with np.errstate(all="ignore"):

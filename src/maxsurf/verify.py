@@ -342,22 +342,27 @@ def _stencil_centres(pts: Sequence[complex]) -> Sequence[complex]:
     return pts[:: max(len(pts) // 3, 1)][:3]
 
 
-def _sample(data: WeierstrassData, pts: Sequence[complex]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The array pass of one side: phi (3, n) and g (n) at pts from one fg_array call, and from one
-    _gk15_panels call laplacian_residuals (centre, step, coordinate) at the stencil centres; NaN where not finite."""
-    z = np.array(pts, dtype=complex)
+def _sample(sides: Sequence[tuple[WeierstrassData, Sequence[complex]]]) -> list[tuple[np.ndarray, ...]]:
+    """The array pass of the suite's (side, points): per side, phi (3, n) and g (n) at its points from one
+    fg_array call, and laplacian_residuals (centre, step, coordinate) at its stencil centres, the panels of
+    every side from one _gk15_panels call; NaN where not finite."""
     hs = np.array(HARMONIC_STEPS)
-    centres = np.array(_stencil_centres(pts), dtype=complex)
-    a = np.repeat(centres, 4 * len(hs))
     steps = np.outer(hs, (1, -1, 1j, -1j)).ravel()  # laplacian_residuals' four panels per h, in its order
+    centres = [_stencil_centres(pts) for _, pts in sides]
+    a = np.repeat(np.array([z for each in centres for z in each], dtype=complex), len(steps))
+    side = np.repeat(np.arange(len(sides)), [len(steps) * len(each) for each in centres])
     with np.errstate(all="ignore"):
-        panels, estimates = _gk15_panels(data.fg_array, a, a + np.tile(steps, len(centres)))
-        v = panels.reshape(3, len(centres), len(hs), 4)
+        fgs = [patch.fg_array for patch, _ in sides]
+        panels, estimates = _gk15_panels(fgs, a, a + np.tile(steps, len(a) // len(steps)), side)
+        v = panels.reshape(3, -1, len(hs), 4)
         laplacian = np.abs((v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3]).real) / (hs * hs)
-        f, g = data.fg_array(z)
-        phi = np.array(_phi_values(f, g))
-    laplacian[:, ~np.isfinite(estimates).reshape(len(centres), len(hs), 4).all(axis=2)] = np.nan
-    return phi, g, laplacian.transpose(1, 2, 0)
+        laplacian[:, ~np.isfinite(estimates).reshape(-1, len(hs), 4).all(axis=2)] = np.nan
+        laplacian, out, at = laplacian.transpose(1, 2, 0), [], 0
+        for (patch, pts), each in zip(sides, centres):
+            f, g = patch.fg_array(np.array(pts, dtype=complex))
+            out.append((np.array(_phi_values(f, g)), g, laplacian[at : at + len(each)]))
+            at += len(each)
+    return out
 
 
 def _data_checks(data: WeierstrassData, pts: Sequence[complex], sample, tag: str = "") -> list[CheckRecord]:
@@ -386,7 +391,7 @@ def _data_checks(data: WeierstrassData, pts: Sequence[complex], sample, tag: str
     defined = ~degenerate
     for k in np.flatnonzero(defined & ~np.isfinite(N).all(axis=1)):
         try:
-            g[k] = compile_fn(data.g)(complex(pts[k]))
+            g[k] = data._g_fn(complex(pts[k]))
             gauss_from_g(g[k])
         except (DegenerateMetricError, EvalError):
             defined[k] = False
@@ -509,7 +514,7 @@ def full_diagnostics(
     ext = obj if isinstance(obj, ExtendedSurface) else None
     data = obj if ext is None else ext.original
     sides, arc, pairs = _point_sets(data, ext, grid)
-    samples = [_sample(side, pts) for side, pts in sides]
+    samples = _sample(sides)
     pts = sides[0][1]
     checks = _data_checks(data, pts, samples[0])
     zs = arc + [w for z in pairs for w in (z, ext.reflect(z))]
@@ -537,7 +542,7 @@ def _point_sets(data: WeierstrassData, ext: ExtendedSurface | None, grid: GridSp
 def _extension_checks(ext: ExtendedSurface, zs: list, n_arc: int, X, q: QuadratureConfig) -> list[CheckRecord]:
     contact, matching = ext.contact, ext.matching
     checks = [_bound("angle_constancy", contact.deviation, 1e-6, {"c": contact.c, "sheet": contact.sheet})]
-    gm = compile_fn(ext.g_minus)
+    gm = ext.minus._g_fn
     locus_res = max([0.0] + [contact.locus.distance(gm(complex(u))) for u in matching.points])
     details = {"locus": contact.locus.describe(), "mismatch_vs_closed_form": contact.locus_mismatch}
     checks.append(_bound("boundary_locus", locus_res, 1e-8 * (1 + (contact.locus.radius or 1.0)), details))

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .expr import Add, Const, Expr, Mul, Pow, Sub, compile_array, compile_fn, evaluate
+from .expr import Add, Const, Expr, Mul, Pow, Sub, compile_array, compile_fn
 from .minkowski import LVector
 
 __all__ = [
@@ -231,8 +231,13 @@ class WeierstrassData:
     @cached_property
     def field(self) -> Callable[[complex], tuple[complex, complex, complex]]:
         """The phi triple as a compiled function of z, built once per patch."""
-        ff, gg = compile_fn(self.f), compile_fn(self.g)
+        ff, gg = compile_fn(self.f), self._g_fn
         return lambda z: _phi_values(ff(z), gg(z))
+
+    @cached_property
+    def _g_fn(self) -> Callable[[complex], complex]:
+        """g as the compile_fn closure of ``field``, built once per patch."""
+        return compile_fn(self.g)
 
     @cached_property
     def fg_array(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -292,7 +297,7 @@ def _gauss_arrays(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_map(data: WeierstrassData, z: complex) -> LVector:
     """N = (2 Re g, 2 Im g, 1 + |g|^2) / (1 - |g|^2); lands on one hyperboloid sheet."""
-    return gauss_from_g(evaluate(data.g, z))
+    return gauss_from_g(data._g_fn(complex(z)))
 
 
 def stereo_inverse(N: LVector) -> complex:
@@ -587,12 +592,11 @@ def integrate_paths(paths: Iterable[tuple[Sequence[complex], Callable]], q: Quad
 def integrate_segments(sides, side, a, b, tol, owner, n: int, polyline: Callable, q: QuadratureConfig) -> np.ndarray:
     """The integrals (3, n) of n paths given as segments: from a[i] to b[i] on sides[side[i]], with tolerance
     tol[i], after the earlier segments of path owner[i].  One _integrate_segments call takes every side's
-    segments on one array program of f and g: the patch's ``fg_array`` for one side, else one
-    ``compile_array`` of each side's f and g in turn.  It only computes; a path's segment sums are added
-    side by side, in side order, and each path with a segment that did not converge is integrated again by
-    integrate_path along ``polyline(k)`` = (points, side_for), in path order, for its value or its error."""
-    fg = sides[0].fg_array if len(sides) == 1 else compile_array(*(t for patch in sides for t in (patch.f, patch.g)))
-    seg_sum, ok = _integrate_segments(fg, side, a, b, tol, q.max_depth)
+    segments, each side's on its patch's cached ``fg_array``, so no batch compiles a program.  It only
+    computes; a path's segment sums are added side by side, in side order, and each path with a segment
+    that did not converge is integrated again by integrate_path along ``polyline(k)`` = (points,
+    side_for), in path order, for its value or its error."""
+    seg_sum, ok = _integrate_segments([patch.fg_array for patch in sides], side, a, b, tol, q.max_depth)
     sums, failed = np.zeros((3, n), dtype=complex), np.zeros(n, dtype=bool)
     by_side = np.argsort(side, kind="stable")
     for c in range(3):
@@ -606,8 +610,11 @@ def integrate_segments(sides, side, a, b, tol, owner, n: int, polyline: Callable
 
 _CHUNK = 512
 """Panels per array call in _gk15_panels.  A chunk's phi takes 3 x 15 x 512 complex numbers (369 kB),
-its unweighted sums about half as much, and the array program makes f and g of each side, and each of
-its steps, a (15, 512) array (123 kB each), so memory stays flat on any mesh."""
+its unweighted sums about half as much, and each side's array program makes f and g, and each step, a
+(15, 512) array (123 kB each), holding only the steps it still reads, so memory stays flat on any mesh.
+On the two sides of the timelike extension, as check reads it back, both sides' f and g on a (15, 512)
+grid peak at 0.86 MB for their 0.49 MB, and a chunk of 256 panels of each side at 0.96 MB (tracemalloc),
+where one program of both sides that kept every step to the end of its run took 6.41 and 6.57 MB."""
 
 # The 15 Kronrod nodes of a panel on [-1, 1]: the centre, the seven -x, then the seven +x, so each
 # pair's two values lie in two contiguous blocks.  Nodes and weights are complex (x + 0j, as numpy
@@ -617,12 +624,13 @@ _KRONROD = np.array((_WGK_CENTER,) + _WGK, dtype=complex)[:, None, None]  # of t
 _GAUSS = np.array((_WG_CENTER,) + _WG, dtype=complex)[:, None, None]  # of the centre and pairs 1, 3 and 5
 
 
-def _gk15_panels(fg: Callable, a: np.ndarray, b: np.ndarray, side: np.ndarray | None = None):
+def _gk15_panels(fgs: Sequence[Callable], a: np.ndarray, b: np.ndarray, side: np.ndarray | None = None):
     """_gk15 on many panels at once, of the phi field of array values of f and g.
 
-    ``fg(z)`` gives f and g of each side in turn, (f0, g0, f1, g1, ...); panel i takes side[i]'s, and
-    with one side ``side`` may be None.  The nodes lie node-major on a (15, m) grid, and each phi
-    component on one such grid of a (3, 15, m) array.  Returns (integrals of shape (3, m), error
+    ``fgs[k](z)`` gives f and g of side k, as its patch's ``fg_array`` does.  Panel i is of side side[i],
+    where ``side`` is sorted, so that each side's program runs once per chunk, on the nodes of its own
+    panels alone; with one side ``side`` may be None.  The nodes lie node-major on a (15, m) grid, and
+    each phi component on one such grid of a (3, 15, m) array.  Returns (integrals of shape (3, m), error
     estimates).  The estimate is NaN for a panel with a non-finite phi value on any of its nodes.
     """
     m = len(a)
@@ -632,11 +640,15 @@ def _gk15_panels(fg: Callable, a: np.ndarray, b: np.ndarray, side: np.ndarray | 
         ca, cb = a[s : s + _CHUNK], b[s : s + _CHUNK]
         c = 0.5 * (ca + cb)
         h = 0.5 * (cb - ca)
-        values = fg(c + _NODES * h)
-        f, g = values[0], values[1]
-        for i in range(2, len(values), 2):  # the other sides' values where they hold
-            on = side[s : s + _CHUNK] == i // 2
-            f, g = np.where(on, values[i], f), np.where(on, values[i + 1], g)
+        if len(fgs) == 1:
+            f, g = fgs[0](c + _NODES * h)
+        else:  # each side's program on its own run of panels, whose nodes it computes as the grid has them
+            f, g = np.empty((15, len(c)), dtype=complex), np.empty((15, len(c)), dtype=complex)
+            ends = np.searchsorted(side[s : s + _CHUNK], np.arange(len(fgs) + 1)).tolist()
+            for k, fg in enumerate(fgs):
+                lo, hi = ends[k], ends[k + 1]
+                if lo < hi:
+                    f[:, lo:hi], g[:, lo:hi] = fg(c[lo:hi] + _NODES * h[lo:hi])
         # _phi_values' products, in its operand order, each in place in its component's contiguous grid:
         # numpy buffers a strided operand, and its complex product of strided operands rounds otherwise
         phi = np.empty((3,) + f.shape, dtype=complex)
@@ -647,7 +659,7 @@ def _gk15_panels(fg: Callable, a: np.ndarray, b: np.ndarray, side: np.ndarray | 
         np.multiply(np.multiply(0.5, f, out=p3), p1, out=p1)
         np.multiply(np.multiply(0.5j, f, out=p3), p2, out=p2)
         np.multiply(f, g, out=p3)
-        del values, f, g  # freed before the sums are made, which keeps a chunk's peak at phi and its sums
+        del f, g  # freed before the sums are made, which keeps a chunk's peak at phi and its sums
         sums = np.empty((8, 3, len(c)), dtype=complex)  # the centre value and the seven pair sums
         sums[0] = phi[:, 0]
         np.add(phi[:, 1:8], phi[:, 8:], out=sums[1:].transpose(1, 0, 2))
@@ -661,13 +673,14 @@ def _gk15_panels(fg: Callable, a: np.ndarray, b: np.ndarray, side: np.ndarray | 
     return out, err
 
 
-def _integrate_segments(fg: Callable, side: np.ndarray, a: np.ndarray, b: np.ndarray, tol: np.ndarray, max_depth: int):
+def _integrate_segments(fgs: Sequence[Callable], side: np.ndarray, a: np.ndarray, b: np.ndarray, tol: np.ndarray,
+                        max_depth: int):
     """_integrate_segment on every segment [a[i], b[i]] of side side[i] at once, level by level.
 
-    Each level evaluates all pending panels of all sides in one _gk15_panels call on ``fg``.  A
-    panel stops where _stop says it is done, as in _integrate_segment;
-    the others are halved with half the tolerance.  Returns the
-    integrals (3, n) and the converged flags.
+    Each level evaluates all pending panels of all sides in one _gk15_panels call on ``fgs``, sorted by
+    side stably, so each segment's panels keep their order and their sums add as they did.  A panel
+    stops where _stop says it is done, as in _integrate_segment; the others are halved with half the
+    tolerance.  Returns the integrals (3, n) and the converged flags.
     """
     n = len(a)
     sums = np.zeros((3, n), dtype=complex)
@@ -676,7 +689,11 @@ def _integrate_segments(fg: Callable, side: np.ndarray, a: np.ndarray, b: np.nda
     depth = max_depth
     with np.errstate(all="ignore"):
         while len(a):
-            out, e = _gk15_panels(fg, a, b, side[seg])
+            at = side[seg]
+            if len(fgs) > 1:
+                order = np.argsort(at, kind="stable")
+                a, b, tol, seg, at = a[order], b[order], tol[order], seg[order], at[order]
+            out, e = _gk15_panels(fgs, a, b, at)
             done, good = _stop(e, tol, np.abs(out).max(axis=0), depth)
             for c in range(3):
                 np.add.at(sums[c], seg[done], out[c, done])

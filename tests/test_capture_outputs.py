@@ -18,6 +18,8 @@ USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
     "maxsurf eval: error: the following arguments are required: --at\n",
     "usage-mesh-without-output": "maxsurf mesh: error: the following arguments are required: -o/--output\n",
 }
+TANGENTIAL_WARNING = ("warning: lightlike tangential contact with |g| -> 1: induced metric degenerates along the "
+                      "boundary\n")
 
 
 def test_capture_outputs_writes_one_file_per_command(tmp_path):
@@ -41,11 +43,12 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["check-estimate-overflow", "mesh-estimate-overflow", "check-off-hyperboloid", "extend-lower-sheet-tangent"]
         + ["extend-branch-cut", "check-branch-cut.ext"]
         + ["eval-squares-overflow", "mesh-squares-overflow", "check-squares-overflow"]
+        + ["extend-tangential-lightlike", "check-tangential-lightlike.ext", "eval-tangential-lightlike.ext"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
         + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS + ONE_LINE_FAULTS + SQUARE_OVERFLOWS]
-        + ["matching-fault.ext.cfg", "branch-cut.ext.cfg"]
+        + ["matching-fault.ext.cfg", "branch-cut.ext.cfg", "tangential-lightlike.cfg", "tangential-lightlike.ext.cfg"]
         + [f"{name}.cfg" for name in SURFACES[1:]] + ["catenoid-b07-reflected.cfg", "catenoid-b07-reflected.ext.cfg"]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) + SQUARE_OVERFLOWS
@@ -100,7 +103,11 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
                                   "--- stderr\n"),
         "check-squares-overflow": (1, '"max_residual": 5.551115123125783e-17,\n      "name": "quadratic_identity",\n'
                                    '      "passed": true,'),
+        "check-tangential-lightlike.ext": (1, f"\n--- stderr\n{TANGENTIAL_WARNING}"),
     }
+    for stem in ("extend-tangential-lightlike", "eval-tangential-lightlike.ext"):  # exit 0, with the one warning line
+        text = (tmp_path / next(name for name in logs if name.endswith(f"-{stem}.txt"))).read_text()
+        assert "\nexit 0\n" in text and text.endswith(f"\n--- stderr\n{TANGENTIAL_WARNING}"), stem
     # each log by its command's name: a listed one against its entry, every other extend, check and
     # domain mesh with exit 0
     domain_meshes = [f"mesh-{m}" for m in DOMAIN_MESHES]

@@ -923,3 +923,20 @@ def test_a_constant_on_a_branch_cut_reflects_to_a_config_that_passes_check(tmp_p
     capsys.readouterr()
     assert main(["check", "cut.ext.cfg"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_a_tangential_lightlike_contact_warns_in_one_line(tmp_path, capsys, monkeypatch):
+    # g -> 1 + 0.18i on the real axis: a tangential lightlike contact whose |g| -> 1; extend, and check
+    # and eval of the config it writes, each print the warning as one stderr line, exit codes unchanged
+    monkeypatch.chdir(tmp_path)
+    Path("tangent.cfg").write_text(
+        "f = i\ng = 1 + i*(0.18 + 0.05*z)\ndomain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\nplane = 1,0,1,0\n"
+    )
+    line = "warning: lightlike tangential contact with |g| -> 1: induced metric degenerates along the boundary\n"
+    shown = warnings.showwarning
+    runs = [(["extend", "tangent.cfg", "-o", "tangent.ext.cfg"], 0), (["check", "tangent.ext.cfg"], 1),
+            (["eval", "tangent.ext.cfg", "--at", "0.1,0.2"], 0)]
+    for argv, code in runs:
+        assert main(argv) == code
+        assert capsys.readouterr().err == line, argv
+        assert warnings.showwarning is shown  # main restores it for library callers

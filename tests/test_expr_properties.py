@@ -13,13 +13,14 @@ and at points that are zero, infinite, NaN or near the ends of the range.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixtures import catenoid_extension_fixture, lightlike_fixture, spacelike_fixture, timelike_fixture
-from maxsurf import extension
+from maxsurf import expr, extension
 from maxsurf.expr import (
     _NP_FUNCTIONS,
     Add,
@@ -39,6 +40,7 @@ from maxsurf.expr import (
     evaluate,
     format_expr,
     parse,
+    _map_leaves,
     sconj,
     substitute,
 )
@@ -228,6 +230,71 @@ def test_array_kernel_matches_the_per_node_guarded_evaluator(e, zs):
     trees = [e, differentiate(e), Mul(e, differentiate(e))]
     for tree, got in zip(trees, compile_array(*trees)(z)):
         _assert_as_guarded(got, guarded_array(tree, z), tree)
+
+
+def _copy(e):
+    """A tree structurally equal to e that shares no node with it."""
+    return _map_leaves(e, lambda leaf: Const(leaf.value) if isinstance(leaf, Const) else Var())
+
+
+def _flip_zeros(e):
+    """e with every zero part of a constant of the other sign: equal as a dataclass, apart in its bits."""
+    flip = lambda x: -x if x == 0 else x  # noqa: E731
+    return _map_leaves(e, lambda leaf: Const(complex(flip(leaf.value.real), flip(leaf.value.imag)))
+                       if isinstance(leaf, Const) else Var())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(e=kernel_exprs, zs=_kernel_points)
+def test_value_numbering_keeps_each_tree_bit_for_bit(e, zs):
+    # subtrees equal in structure but built apart are computed once; constants that differ only in the
+    # sign of a zero are not, so log's two sides of its cut stay apart
+    z = np.array(zs)
+    trees = [e, _copy(e), _flip_zeros(e), Call("log", _copy(e)), Call("log", _flip_zeros(e)), Add(e, _copy(e)),
+             Mul(_flip_zeros(e), Call("exp", _copy(e))), Div(Const(1), Sub(_copy(e), Const(-0.0)))]
+    for tree, got in zip(trees, compile_array(*trees)(z)):
+        alone = compile_array(tree)(z)
+        assert got.tobytes() == alone.tobytes(), (tree, got, alone)
+        _assert_as_guarded(got, guarded_array(tree, z), tree)
+
+
+def test_log_of_constants_on_both_sides_of_its_cut_stays_apart():
+    upper, lower = Call("log", Const(complex(-1, 0.0))), Call("log", Const(complex(-1, -0.0)))
+    got = compile_array(Add(Var(), upper), Add(Var(), lower))(np.zeros(1, dtype=complex))
+    assert (got[0][0], got[1][0]) == (math.pi * 1j, -math.pi * 1j)
+
+
+def test_a_subexpression_written_twice_is_computed_once_per_run(monkeypatch):
+    calls = []
+    exp = _NP_FUNCTIONS["exp"]
+    monkeypatch.setitem(expr._NP_FUNCTIONS, "exp", lambda x: calls.append(x) or exp(x))
+    run = compile_array(parse("exp(i*z)*(1-exp(i*z))"))
+    z = np.array([0.1 + 0.2j, -0.3j, 2.5 + 0j])
+    for runs in (1, 2):
+        got = run(z)
+        assert len(calls) == runs
+    with np.errstate(all="ignore"):
+        assert got.tobytes() == (exp(1j * z) * (1 - exp(1j * z))).tobytes()
+
+
+def test_a_run_holds_only_the_registers_it_still_reads():
+    # both sides' f and g of the timelike extension, its reflected formulas as check reads them back from
+    # the emitted file, on one GK15 chunk of 512 panels; with every register alive to the end of the run the
+    # peak was 6.41 MB, for 0.49 MB of outputs, and dropping each register after its last read holds 0.86 MB
+    data, plane = timelike_fixture()
+    ext = extension.extend(data, plane)
+    run = compile_array(data.f, data.g, *(parse(format_expr(t)) for t in (ext.f_minus, ext.g_minus)))
+    rng = np.random.default_rng(0)
+    z = rng.uniform(-0.5, 0.5, (15, 512)) + 1j * rng.uniform(0.01, 0.5, (15, 512))
+    run(z)
+    tracemalloc.start()
+    try:
+        out = run(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(v.nbytes for v in out) == 4 * z.nbytes
+    assert peak < 1.6e6, peak
 
 
 @pytest.mark.parametrize(

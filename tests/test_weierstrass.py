@@ -486,7 +486,8 @@ def test_the_array_field_overflows_without_warnings():
     a, b = np.zeros(2, dtype=complex), np.array([0.5, 1e-201], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, ok = weierstrass._integrate_segments(data.fg_array, np.zeros(2, dtype=np.intp), a, b, np.full(2, 1e-10), 26)
+        side = np.zeros(2, dtype=np.intp)
+        _, ok = weierstrass._integrate_segments([data.fg_array], side, a, b, np.full(2, 1e-10), 26)
     assert ok.tolist() == [False, True]
 
 
@@ -509,7 +510,7 @@ def test_fg_array_is_the_two_programs_of_f_and_g_bit_for_bit(data):
     f, g = data.fg_array(z)
     want_f, want_g = compile_array(data.f)(z), compile_array(data.g)(z)
     assert f.tobytes() == want_f.tobytes() and g.tobytes() == want_g.tobytes()
-    # one program over two sides, as a two-sided batch compiles it, gives each side's values bit for bit
+    # one program over two sides gives each side's values bit for bit
     other = catenoid_data()
     both = compile_array(data.f, data.g, other.f, other.g)(z)
     assert [v.tobytes() for v in both] == [v.tobytes() for v in (f, g, *other.fg_array(z))]
@@ -628,7 +629,7 @@ def test_batched_segments_use_the_panels_of_the_scalar_integrator(monkeypatch, m
     calls.clear()
     a, b = (np.array(ends, dtype=complex) for ends in zip(*segments))
     side = np.zeros(4, dtype=np.intp)
-    sums, ok = weierstrass._integrate_segments(data.fg_array, side, a, b, np.array(tols), max_depth)
+    sums, ok = weierstrass._integrate_segments([data.fg_array], side, a, b, np.array(tols), max_depth)
     assert calls == []
     assert sum(sizes) == sum(s[3] for s in scalar)
     assert ok.tolist() == [s[2] for s in scalar]
@@ -749,7 +750,7 @@ def test_an_overflowed_batch_estimate_fails_its_segment_after_one_level(monkeypa
 
     monkeypatch.setattr(weierstrass, "_gk15_panels", overflowed)
     a, b = np.array([0j, 1 + 0j]), np.array([-1 + 0j, 2 + 0j])
-    _, ok = weierstrass._integrate_segments(None, np.zeros(2, dtype=np.intp), a, b, np.full(2, 1e-10), 26)
+    _, ok = weierstrass._integrate_segments([None], np.zeros(2, dtype=np.intp), a, b, np.full(2, 1e-10), 26)
     assert ok.tolist() == [True, False] and sizes == [2]
 
 

@@ -58,7 +58,11 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     overflows and their sum, once inf - inf = NaN, reads inf as the closed
     form |f|^2 (1 - |g|^2)^2 / 2 does; then ``check`` of it (exit 1), whose
     quadratic identity passes, being scale-free, while path independence
-    fails on its absolute tolerance.
+    fails on its absolute tolerance;
+  - ``extend`` of a lightlike contact that is tangential with |g| -> 1
+    (exit 0), then ``check`` (exit 1) and ``eval`` (exit 0) of the config it
+    writes: each warns that the metric degenerates along the boundary, in
+    one stderr line.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -161,6 +165,10 @@ SQUARE_OVERFLOWS = {  # name: (config, commands), run after the rest
     ),
 }
 
+TANGENTIAL_CONTACT = (  # g -> 1 + 0.18i on the real axis: lightlike and tangential, with |g| -> 1
+    "f = i\ng = 1 + i*(0.18 + 0.05*z)\ndomain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\nplane = 1,0,1,0\n"
+)
+
 
 def _original_side(surface: str, z: complex) -> bool:
     return abs(z) >= RHO if surface.startswith("catenoid") else z.imag >= 0
@@ -210,6 +218,11 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["extend", "catenoid-b07-reflected.cfg", "-o", "catenoid-b07-reflected.ext.cfg"]))
     cmds += _fault_runs(ONE_LINE_FAULTS) + [("check-branch-cut.ext", ["check", "branch-cut.ext.cfg"])]
     cmds += _fault_runs(SQUARE_OVERFLOWS)
+    cmds += [
+        ("extend-tangential-lightlike", ["extend", "tangential-lightlike.cfg", "-o", "tangential-lightlike.ext.cfg"]),
+        ("check-tangential-lightlike.ext", ["check", "tangential-lightlike.ext.cfg"]),
+        ("eval-tangential-lightlike.ext", ["eval", "tangential-lightlike.ext.cfg", "--at", "0.1,0.2"]),
+    ]
     return cmds
 
 
@@ -248,7 +261,8 @@ def capture(outdir: Path) -> None:
     os.chdir(outdir)
     meshes = {name: text for name, (text, _) in DOMAIN_MESHES.items()}
     inputs = {name: text for name, (text, _) in {**INPUT_FAULTS, **ONE_LINE_FAULTS, **SQUARE_OVERFLOWS}.items()}
-    for name, text in {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs}.items():
+    configs = {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs}
+    for name, text in {**configs, "tangential-lightlike": TANGENTIAL_CONTACT}.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")
     for k, (stem, argv) in enumerate(commands()):
         if argv[1] == "catenoid-b07-reflected.cfg":  # made from what an earlier command wrote

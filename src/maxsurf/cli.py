@@ -21,6 +21,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -355,7 +356,7 @@ def build_mesh(
     nu: int,
     nv: int,
     mask_eps: float = 1e-8,
-    q: QuadratureConfig | None = None,
+    q: QuadratureConfig = QuadratureConfig(),
     mesh_range=None,
 ) -> SurfaceMesh:
     """Evaluate an nu x nv parameter grid and triangulate unmasked cells.
@@ -380,7 +381,6 @@ def build_mesh(
     """
     if nu < 2 or nv < 2:
         raise ValueError("grid must be at least 2x2")
-    q = q or QuadratureConfig()
     polar, (a0, a1, b0, b1) = _mesh_parameters(data.domain, mesh_range)
     a = a0 + (a1 - a0) * np.arange(nu)[:, None] / (nu - 1)
     b = b0 + (b1 - b0) * np.arange(nv) / (nv - 1)
@@ -712,7 +712,13 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
         try:
-            return args.fn(args)
+            rc = args.fn(args)
+            sys.stdout.flush()  # so that buffered output fails here, not in the interpreter's last flush
+            return rc
+        except BrokenPipeError as exc:
+            sys.stdout = open(os.devnull, "w")  # so the interpreter's last flush fails on nothing
+            sys.stderr.write(f"error: cannot write stdout: {exc}\n")
+            return 2
         except ConfigError as exc:
             sys.stderr.write(f"config error: {exc}\n")
             return 2

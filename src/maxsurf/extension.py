@@ -680,10 +680,10 @@ class ExtendedSurface:
                 pts.append(q)
         return tuple(pts)
 
-    def _path(self, z: complex, q: QuadratureConfig) -> tuple[list[complex], Callable]:
+    def _path(self, z: complex) -> tuple[list[complex], Callable]:
         """The polyline of X(z), around the punctures and with a knot wherever
         it crosses the arc, and the side whose data holds on each segment."""
-        points = _build_path(self.original.z0, complex(z), self._punctures, q)
+        points = _build_path(self.original.z0, complex(z), self._punctures)
         arc = self.contact.boundary
         knots = [points[0]]
         for a, b in zip(points, points[1:]):
@@ -691,11 +691,9 @@ class ExtendedSurface:
             knots.append(b)
         return knots, lambda a, b: self.side(0.5 * (a + b))
 
-    def evaluate(self, z: complex, q: QuadratureConfig | None = None) -> LVector:
+    def evaluate(self, z: complex, q: QuadratureConfig = QuadratureConfig()) -> LVector:
         """X(z) on the assembled domain, anchored at the original basepoint."""
-        q = q or QuadratureConfig()
-        knots, side_for = self._path(z, q)
-        (t1, t2, t3), _ = integrate_path(lambda a, b: side_for(a, b).field, knots, q)
+        (t1, t2, t3), _ = integrate_path(*self._path(z), q)
         return self.original.X0 + LVector(t1.real, t2.real, t3.real)
 
 
@@ -705,9 +703,10 @@ def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offset
     with np.errstate(invalid="ignore"):
         gs = compile_array(g_minus)(np.array(pts, dtype=complex))
         near = ~np.isfinite(gs) | (np.abs(gs[:, None] - np.array(offsets)) < 2 * SINGULAR_TOL).any(axis=1)
+    g = compile_fn(g_minus) if near.any() else None
     for z in [pts[k] for k in np.flatnonzero(near)]:
         try:
-            gv = compile_fn(g_minus)(complex(z))
+            gv = g(complex(z))
         except EvalError:
             continue
         for w in offsets:

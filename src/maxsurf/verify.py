@@ -29,6 +29,7 @@ import numpy as np
 from .expr import EvalError, compile_fn, evaluate, parse
 from .minkowski import CausalClass, LVector, Plane, lorentz_cross, plane_class
 from .weierstrass import (
+    CLEARANCE,
     DegenerateMetricError,
     Domain,
     DomainKind,
@@ -46,7 +47,7 @@ from .weierstrass import (
     integrate_path,
     integrate_paths,
 )
-from .extension import CASES, ExtendedSurface, _boundary_limits, boundary_points, boundary_samples
+from .extension import ANGLE_TOL, CASES, ExtendedSurface, _boundary_limits, boundary_points, boundary_samples
 
 __all__ = [
     "CheckRecord",
@@ -307,13 +308,11 @@ def check_cross_product_normal(
     """Compare the finite-difference X_u ^ X_v with the closed-form direction
     |f|^2 (1-|g|^2) (2 Re g, 2 Im g, 1+|g|^2), fitting the overall scalar;
     the residual passes at 100 h^2."""
-    q = QuadratureConfig()
     tol = 100 * h * h
-    field = data.field
     z = complex(z)
 
     def diff(delta: complex) -> LVector:
-        (i1, i2, i3), _ = integrate_path(lambda a, b: field, (z - delta, z + delta), q)
+        (i1, i2, i3), _ = integrate_path((z - delta, z + delta), lambda a, b: data, QuadratureConfig())
         return LVector(i1.real / (2 * abs(delta)), i2.real / (2 * abs(delta)), i3.real / (2 * abs(delta)))
 
     Xu = diff(h + 0j)
@@ -439,22 +438,22 @@ def _path_independence_check(data: WeierstrassData, pts: list, q: QuadratureConf
             continue
         mid, offset = 0.5 * (data.z0 + z), 0.15j * (z - data.z0)
         bends = [w for w in (mid + offset, mid - offset) if data.domain.contains(w)]
-        legs.append((z, [w for w in bends if all(abs(w - p) > q.clearance for p in punctures)][:1]))
+        legs.append((z, [w for w in bends if all(abs(w - p) > CLEARANCE for p in punctures)][:1]))
 
     def paths():
         side = lambda a, b: data  # noqa: E731
         for z, bend in legs:
-            yield _build_path(data.z0, z, punctures, q), side
+            yield _build_path(data.z0, z, punctures), side
             for alt in bend:
-                yield _build_path(data.z0, alt, punctures, q), side
-                yield _build_path(alt, z, punctures, q), side
+                yield _build_path(data.z0, alt, punctures), side
+                yield _build_path(alt, z, punctures), side
         # two paths that do not enclose a puncture between them cannot see a
         # period, so also integrate once around each puncture
         for p in punctures:
-            yield _loop_path(data, _puncture_square(data.domain, p), q), side
+            yield _loop_path(data, _puncture_square(data.domain, p)), side
 
     try:
-        sums, failed = integrate_paths(chain(paths(), (ext._path(z, q) for z in zs)), q), None
+        sums, failed = integrate_paths(chain(paths(), (ext._path(z) for z in zs)), q), None
     except (SurfaceError, EvalError) as exc:
         sums, failed = integrate_paths(paths(), q), exc
     sums = sums.real.T
@@ -503,14 +502,9 @@ def _pole_zero_check(data: WeierstrassData) -> CheckRecord:
     return CheckRecord("pole_zero_orders", ok, worst, 0.25, {"poles": detail})
 
 
-def full_diagnostics(
-    obj: WeierstrassData | ExtendedSurface,
-    grid: GridSpec | None = None,
-    q: QuadratureConfig | None = None,
-) -> DiagnosticsReport:
+def full_diagnostics(obj: WeierstrassData | ExtendedSurface, grid: GridSpec = GridSpec(),
+                     q: QuadratureConfig = QuadratureConfig()) -> DiagnosticsReport:
     """Run every applicable check; failures are report entries, not raises."""
-    grid = grid or GridSpec()
-    q = q or QuadratureConfig()
     ext = obj if isinstance(obj, ExtendedSurface) else None
     data = obj if ext is None else ext.original
     sides, arc, pairs = _point_sets(data, ext, grid)
@@ -541,7 +535,7 @@ def _point_sets(data: WeierstrassData, ext: ExtendedSurface | None, grid: GridSp
 
 def _extension_checks(ext: ExtendedSurface, zs: list, n_arc: int, X, q: QuadratureConfig) -> list[CheckRecord]:
     contact, matching = ext.contact, ext.matching
-    checks = [_bound("angle_constancy", contact.deviation, 1e-6, {"c": contact.c, "sheet": contact.sheet})]
+    checks = [_bound("angle_constancy", contact.deviation, ANGLE_TOL, {"c": contact.c, "sheet": contact.sheet})]
     gm = ext.minus._g_fn
     locus_res = max([0.0] + [contact.locus.distance(gm(complex(u))) for u in matching.points])
     details = {"locus": contact.locus.describe(), "mismatch_vs_closed_form": contact.locus_mismatch}

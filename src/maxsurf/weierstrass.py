@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -184,15 +184,10 @@ class PhiTriple:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Controls for path integration.
-
-    ``clearance`` is the closest approach allowed to a puncture before the
-    straight path is replaced by a two-segment detour.
-    """
+    """The one setting of path integration: ``tol``, positive and finite, the error estimate a path
+    integral must meet.  The bisection depth and the puncture clearance are MAX_DEPTH and CLEARANCE."""
 
     tol: float = 1e-10
-    max_depth: int = 26
-    clearance: float = 0.05
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -339,6 +334,10 @@ _WGK = (
 _WGK_CENTER = 0.2094821410847278
 _WG = (0.1294849661688697, 0.2797053914892767, 0.3818300505051189)
 _WG_CENTER = 0.4179591836734694
+MAX_DEPTH = 26
+"""The most times a path segment's GK15 panels are halved before the segment counts as not converged."""
+CLEARANCE = 0.05
+"""The closest a straight path may pass a puncture before _build_path replaces it by a two-segment detour."""
 
 
 def _worst(a: float, b: float, c: float) -> float:
@@ -396,7 +395,7 @@ def _integrate_segment(fn, a, b, tol, depth):
     return total, el + er, okl and okr
 
 
-def _detour_point(s: complex, t: complex, p: complex, clearance: float) -> complex | None:
+def _detour_point(s: complex, t: complex, p: complex) -> complex | None:
     d = t - s
     l2 = (d * d.conjugate()).real
     if l2 == 0:
@@ -406,15 +405,17 @@ def _detour_point(s: complex, t: complex, p: complex, clearance: float) -> compl
         return None
     q = s + tt * d
     dist = abs(q - p)
-    if dist >= clearance:
+    if dist >= CLEARANCE:
         return None
     if dist < 1e-15:
         n = 1j * d / abs(d)
-        return p + n * clearance
-    return p + (q - p) * (clearance / dist)
+        return p + n * CLEARANCE
+    return p + (q - p) * (CLEARANCE / dist)
 
 
-def _build_path(z0: complex, z1: complex, punctures, cfg: QuadratureConfig) -> list[complex]:
+def _build_path(z0: complex, z1: complex, punctures) -> list[complex]:
+    """The polyline from z0 to z1: the straight segment, with one detour point CLEARANCE from each
+    puncture it passes closer than that; PathError when an endpoint is not finite or on a puncture."""
     a, b = complex(z0), complex(z1)
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise PathError(f"path endpoints {a} and {b} must be finite")
@@ -425,7 +426,7 @@ def _build_path(z0: complex, z1: complex, punctures, cfg: QuadratureConfig) -> l
     for p in punctures:
         rebuilt = [points[0]]
         for s, t in zip(points, points[1:]):
-            w = _detour_point(s, t, p, cfg.clearance)
+            w = _detour_point(s, t, p)
             if w is not None:
                 rebuilt.append(w)
             rebuilt.append(t)
@@ -441,13 +442,15 @@ class SurfaceValue:
 
 
 def integrate_path(
-    field_for: Callable, points: Sequence[complex], q: QuadratureConfig
+    points: Sequence[complex], side_for: Callable, q: QuadratureConfig
 ) -> tuple[tuple[complex, complex, complex], float]:
     """Integral of a phi field along a polyline: (triple, error estimate).
 
-    ``field_for(a, b)`` returns the field to integrate on the segment from a
-    to b.  The tolerance is split evenly over the segments; when any segment
-    misses its share, ToleranceError reports the estimate for the path.
+    ``(points, side_for)`` is the polyline form of every path integral:
+    ``side_for(a, b)`` is the patch whose ``field`` holds from a to b.  The
+    tolerance is split evenly over the segments; when any segment misses its
+    share within MAX_DEPTH halvings, ToleranceError reports the estimate for
+    the path.
     """
     tol_each = q.tol / max(len(points) - 1, 1)
     tot1 = tot2 = tot3 = 0j
@@ -456,7 +459,7 @@ def integrate_path(
     for a, b in zip(points, points[1:]):
         if a == b:
             continue
-        (i1, i2, i3), e, good = _integrate_segment(field_for(a, b), a, b, tol_each, q.max_depth)
+        (i1, i2, i3), e, good = _integrate_segment(side_for(a, b).field, a, b, tol_each, MAX_DEPTH)
         tot1 += i1
         tot2 += i2
         tot3 += i3
@@ -467,22 +470,20 @@ def integrate_path(
     return (tot1, tot2, tot3), err
 
 
-def surface_path(data: WeierstrassData, z: complex, q: QuadratureConfig | None = None) -> SurfaceValue:
+def surface_path(data: WeierstrassData, z: complex, q: QuadratureConfig = QuadratureConfig()) -> SurfaceValue:
     """Evaluate X(z) and report the integration path and achieved error estimate."""
-    q = q or QuadratureConfig()
-    field = data.field
-    points = _build_path(data.z0, complex(z), data.domain.punctures, q)
-    (t1, t2, t3), err = integrate_path(lambda a, b: field, points, q)
+    points = _build_path(data.z0, complex(z), data.domain.punctures)
+    (t1, t2, t3), err = integrate_path(points, lambda a, b: data, q)
     X = LVector(data.X0.x1 + t1.real, data.X0.x2 + t2.real, data.X0.x3 + t3.real)
     return SurfaceValue(X, tuple(points), err)
 
 
-def evaluate_surface(data: WeierstrassData, z: complex, q: QuadratureConfig | None = None) -> LVector:
+def evaluate_surface(data: WeierstrassData, z: complex, q: QuadratureConfig = QuadratureConfig()) -> LVector:
     """X(z) = X0 + Re Integral of (phi1, phi2, phi3) from z0 to z."""
     return surface_path(data, z, q).value
 
 
-def _needs_path(s: np.ndarray, t: np.ndarray, punctures, clearance: float) -> np.ndarray:
+def _needs_path(s: np.ndarray, t: np.ndarray, punctures) -> np.ndarray:
     """Where _build_path(s, t) raises (an endpoint not finite or within 1e-12 of a puncture) or detours:
     its and _detour_point's arithmetic elementwise, on the real and imaginary parts, so the flags are exact."""
     flag = ~(np.isfinite(s) & np.isfinite(t))
@@ -494,16 +495,12 @@ def _needs_path(s: np.ndarray, t: np.ndarray, punctures, clearance: float) -> np
             tt = (er * dr + ei * di) / l2
             dist = np.hypot(s.real + tt * dr - p.real, s.imag + tt * di - p.imag)
             flag |= (np.hypot(er, ei) < 1e-12) | (np.hypot(t.real - p.real, t.imag - p.imag) < 1e-12)
-            flag |= (l2 != 0) & ~((tt <= 0) | (tt >= 1) | (dist >= clearance))  # NaN detours, as there
+            flag |= (l2 != 0) & ~((tt <= 0) | (tt >= 1) | (dist >= CLEARANCE))  # NaN detours, as there
     return flag
 
 
-def surface_tree(
-    data: WeierstrassData,
-    points: Sequence[complex],
-    parents: Sequence[int],
-    q: QuadratureConfig | None = None,
-) -> np.ndarray:
+def surface_tree(data: WeierstrassData, points: Sequence[complex], parents: Sequence[int],
+                 q: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
     """X at every point as an (n, 3) array, accumulated down a spanning
     forest of short edges.
 
@@ -521,7 +518,6 @@ def surface_tree(
     otherwise, so a panel at the edge of its tolerance may split otherwise.
     A failing forest raises what evaluate_surface raises on the first failing edge.
     """
-    q = q or QuadratureConfig()
     z, up = np.asarray(points, dtype=complex), np.asarray(parents, dtype=np.intp)
     if len(z) != len(up):
         raise ValueError("points and parents must have the same length")
@@ -533,12 +529,12 @@ def surface_tree(
         depth[live] += depth[above[live]]
         above[live] = above[above[live]]
     deepest = int(depth.max(initial=0))
-    q_edge = replace(q, tol=q.tol / (deepest + 1))
+    q_edge = QuadratureConfig(q.tol / (deepest + 1))
     starts = np.where(up < 0, data.z0, z[up])
     paths, unbuilt = {}, None
-    for k in np.flatnonzero(_needs_path(starts, z, data.domain.punctures, q.clearance)).tolist():
+    for k in np.flatnonzero(_needs_path(starts, z, data.domain.punctures)).tolist():
         try:
-            paths[k] = _build_path(starts[k], z[k], data.domain.punctures, q_edge)
+            paths[k] = _build_path(starts[k], z[k], data.domain.punctures)
         except PathError as exc:  # raised once the edges before it are integrated
             unbuilt, z = exc, z[:k]
             break
@@ -596,15 +592,14 @@ def integrate_segments(sides, side, a, b, tol, owner, n: int, polyline: Callable
     computes; a path's segment sums are added side by side, in side order, and each path with a segment
     that did not converge is integrated again by integrate_path along ``polyline(k)`` = (points,
     side_for), in path order, for its value or its error."""
-    seg_sum, ok = _integrate_segments([patch.fg_array for patch in sides], side, a, b, tol, q.max_depth)
+    seg_sum, ok = _integrate_segments([patch.fg_array for patch in sides], side, a, b, tol, MAX_DEPTH)
     sums, failed = np.zeros((3, n), dtype=complex), np.zeros(n, dtype=bool)
     by_side = np.argsort(side, kind="stable")
     for c in range(3):
         np.add.at(sums[c], owner[by_side], seg_sum[c, by_side])
     failed[owner[~ok]] = True
     for k in np.flatnonzero(failed).tolist():
-        points, side_for = polyline(k)
-        sums[:, k] = integrate_path(lambda x, y: side_for(x, y).field, points, q)[0]
+        sums[:, k] = integrate_path(*polyline(k), q)[0]
     return sums
 
 
@@ -707,11 +702,8 @@ def _integrate_segments(fgs: Sequence[Callable], side: np.ndarray, a: np.ndarray
     return sums, ok
 
 
-def loop_periods(
-    data: WeierstrassData,
-    loop: "list[complex] | tuple[complex, ...]",
-    q: QuadratureConfig | None = None,
-) -> tuple[complex, complex, complex]:
+def loop_periods(data: WeierstrassData, loop: Sequence[complex],
+                 q: QuadratureConfig = QuadratureConfig()) -> tuple[complex, complex, complex]:
     """Periods of the phi triple around a closed polyline.
 
     The surface is single valued only when the real parts vanish for every
@@ -719,12 +711,10 @@ def loop_periods(
     automatically).  The catenoid's loop around the puncture, for instance,
     has periods (0, 0, 2 pi i): purely imaginary, so X stays well defined.
     """
-    q = q or QuadratureConfig()
-    field = data.field
-    return integrate_path(lambda a, b: field, _loop_path(data, loop, q), q)[0]
+    return integrate_path(_loop_path(data, loop), lambda a, b: data, q)[0]
 
 
-def _loop_path(data: WeierstrassData, loop: Sequence[complex], q: QuadratureConfig) -> list[complex]:
+def _loop_path(data: WeierstrassData, loop: Sequence[complex]) -> list[complex]:
     """The closed polyline through the loop's waypoints, detouring around the punctures."""
     pts = [complex(w) for w in loop]
     if len(pts) < 3:
@@ -733,5 +723,5 @@ def _loop_path(data: WeierstrassData, loop: Sequence[complex], q: QuadratureConf
         pts.append(pts[0])
     path = [pts[0]]
     for a, b in zip(pts, pts[1:]):
-        path += _build_path(a, b, data.domain.punctures, q)[1:]
+        path += _build_path(a, b, data.domain.punctures)[1:]
     return path

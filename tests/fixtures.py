@@ -7,12 +7,15 @@ closed-form oracle (the original data itself).
 """
 
 import cmath
+import contextlib
 import math
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 
+from maxsurf import weierstrass
 from maxsurf.expr import parse
 from maxsurf.minkowski import LVector, Plane
 from maxsurf.verify import catenoid_data
@@ -23,6 +26,15 @@ def phi_array(data, z):
     """The phi triple (3, n) on a complex array, from the patch's fg_array; NaN where compile_array's f or g is."""
     with np.errstate(all="ignore"):
         return np.array(_phi_values(*data.fg_array(np.asarray(z, dtype=complex))))
+
+
+@contextlib.contextmanager
+def quadrature_constants(max_depth=weierstrass.MAX_DEPTH, clearance=weierstrass.CLEARANCE):
+    """weierstrass.MAX_DEPTH and CLEARANCE set for a with block, which the quadrature reads at each call.
+    A context manager rather than a fixture, since hypothesis rejects function-scoped fixtures: a property
+    test enters it inside each example."""
+    with patch.object(weierstrass, "MAX_DEPTH", max_depth), patch.object(weierstrass, "CLEARANCE", clearance):
+        yield
 
 
 def plane_fixture():

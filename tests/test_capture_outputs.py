@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -123,3 +124,29 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
                 if " = " in line)
     assert back["f_minus"].endswith("/z^2") and back["g_minus"].endswith("*z"), back
     assert abs(float(back["f_minus"][:-4]) - 1) < 1e-13 and abs(float(back["g_minus"][:-2]) - 1) < 1e-13
+
+
+def _tool():
+    """The tool as a module, with sys.path as it was before its import put src/ and perfbench/ on it."""
+    spec = importlib.util.spec_from_file_location("capture_outputs", TOOL)
+    module, path = importlib.util.module_from_spec(spec), list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
+def test_compare_lists_the_files_that_differ_were_added_and_went_missing(tmp_path):
+    base, change = tmp_path / "base", tmp_path / "change"
+    trees = {
+        base: {"same.txt": "x", "differs.txt": "exit 0\n", "gone.cfg": "", "m/deep.obj": "v 0 0 0\n"},
+        change: {"same.txt": "x", "differs.txt": "exit 1\n", "new.txt": "", "m/deep.obj": "v 0 0 0\n"},
+    }
+    for root, files in trees.items():
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+    compare = _tool().compare
+    assert compare(base, change) == (["differs.txt"], ["new.txt"], ["gone.cfg"], 2)
+    assert compare(base, base) == ([], [], [], 4)

@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -940,3 +943,47 @@ def test_a_tangential_lightlike_contact_warns_in_one_line(tmp_path, capsys, monk
         assert main(argv) == code
         assert capsys.readouterr().err == line, argv
         assert warnings.showwarning is shown  # main restores it for library callers
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: its write, or with ``at = "flush"`` its flush, raises as a closed pipe does."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def write(self, text):
+        if self.at == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        if self.at == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("at", ["write", "flush"])
+def test_a_closed_stdout_ends_in_one_line(tmp_path, capsys, monkeypatch, at):
+    cfg = tmp_path / "catenoid.cfg"
+    cfg.write_text(CATENOID_CONFIG)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout(at))
+    assert main(["eval", str(cfg), "--at", "0.5,0.3"]) == 2
+    assert sys.stdout.name == os.devnull  # so the interpreter's last flush has nothing to fail on
+    sys.stdout.close()
+    assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+def test_a_pipe_closed_before_eval_writes_ends_in_one_line(tmp_path):
+    cfg = tmp_path / "catenoid.cfg"
+    cfg.write_text(CATENOID_CONFIG)
+    read, write = os.pipe()
+    os.close(read)  # closed before the child starts, so its first write to stdout fails
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys; from maxsurf.cli import main; sys.exit(main())",
+             "eval", str(cfg), "--at=0.5,0.3"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+    finally:
+        os.close(write)
+    assert child.returncode == 2
+    assert child.stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"

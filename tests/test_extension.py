@@ -10,9 +10,11 @@ from fixtures import (
     catenoid_extension_fixture,
     lightlike_fixture,
     lightlike_tangent_fixture,
+    quadrature_constants,
     spacelike_fixture,
     timelike_fixture,
 )
+from maxsurf import extension
 from maxsurf.expr import Const, Div, EvalError, Mul, Pow, Var, compile_array, compile_fn, evaluate, format_expr, parse
 from maxsurf.extension import (
     BoundaryArc,
@@ -32,6 +34,7 @@ from maxsurf.extension import (
 )
 from maxsurf.minkowski import CausalClass, LVector, Plane
 from maxsurf.weierstrass import (
+    CLEARANCE,
     Domain,
     DomainKind,
     PathError,
@@ -449,6 +452,15 @@ def test_singular_reconstruction_guard():
         _check_reconstruction_singular(parse("1"), [0.1 + 0.1j], (1 + 0j,))
 
 
+def test_singular_reconstruction_check_compiles_g_minus_once(monkeypatch):
+    # 1/(z-z) is NaN in the array pass at every point, so every point is flagged, and faults at each in scalar code
+    compiled = []
+    monkeypatch.setattr(extension, "compile_fn", lambda e: compiled.append(e) or compile_fn(e))
+    g_minus = parse("1/(z-z)")
+    assert _check_reconstruction_singular(g_minus, minus_points(), (1 + 0j, -1 + 0j)) is None
+    assert compiled == [g_minus]
+
+
 # ---------------------------------------------------------------------------
 # circular (conelike) extension
 
@@ -519,8 +531,8 @@ def test_extended_evaluate_raises_below_tolerance():
     # the path crosses the arc; both sides must honour the quadrature flag
     data, plane = catenoid_extension_fixture(b=-0.7)
     ext = extend(data, plane)
-    with pytest.raises(ToleranceError) as exc:
-        ext.evaluate(0.06 + 0.01j, QuadratureConfig(tol=1e-14, max_depth=1))
+    with pytest.raises(ToleranceError) as exc, quadrature_constants(max_depth=1):
+        ext.evaluate(0.06 + 0.01j, QuadratureConfig(tol=1e-14))
     assert exc.value.achieved > 1e-14
 
 
@@ -553,8 +565,8 @@ def test_a_puncture_of_the_original_side_is_avoided_at_its_reflection():
     ext, plain, q = extend(punctured, plane), extend(data, plane), QuadratureConfig()
     assert ext._punctures == (0.1 + 0.5j, 0.1 - 0.5j)
     for z, waypoint in ((0.11 - 0.6j, 0.15 - 0.495j), (0.09 - 0.62j, 0.05 - 0.504j)):
-        knots, _ = ext._path(z, q)
-        assert abs(knots[-2] - waypoint) < 1e-3 and abs(knots[-2] - (0.1 - 0.5j)) == pytest.approx(q.clearance)
+        knots, _ = ext._path(z)
+        assert abs(knots[-2] - waypoint) < 1e-3 and abs(knots[-2] - (0.1 - 0.5j)) == pytest.approx(CLEARANCE)
         got, want = ext.evaluate(z, q), plain.evaluate(z, q)
         assert max(abs(a - b) for a, b in zip(got.as_tuple(), want.as_tuple())) <= 10 * q.tol
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import spacelike_fixture
+from fixtures import quadrature_constants, spacelike_fixture
 from maxsurf import __version__, cli, weierstrass
 from maxsurf.cli import (
     CATENOID_CONFIG,
@@ -185,8 +185,8 @@ def test_detour_mesh_detours_a_root_path_and_forest_edges(monkeypatch):
     data, nu, nv, window = CASES["punctured-disk-detours"]
     built, build_path = [], weierstrass._build_path
 
-    def recording(a, b, punctures, q):
-        built.append(build_path(a, b, punctures, q))
+    def recording(a, b, punctures):
+        built.append(build_path(a, b, punctures))
         return built[-1]
 
     monkeypatch.setattr(weierstrass, "_build_path", recording)
@@ -223,9 +223,9 @@ def test_catenoid_meshes_are_never_replayed(monkeypatch, n):
     calls = []
     scalar = weierstrass.integrate_path
 
-    def counted(field_for, points, q):
+    def counted(points, side_for, q):
         calls.append(points)
-        return scalar(field_for, points, q)
+        return scalar(points, side_for, q)
 
     monkeypatch.setattr(weierstrass, "integrate_path", counted)
     build_mesh(catenoid_data(), n, n)
@@ -233,17 +233,16 @@ def test_catenoid_meshes_are_never_replayed(monkeypatch, n):
 
 
 def test_tree_mesh_still_raises_tolerance_error():
-    with pytest.raises(ToleranceError):
-        build_mesh(catenoid_data(), 17, 17, q=QuadratureConfig(tol=1e-14, max_depth=1))
+    with pytest.raises(ToleranceError), quadrature_constants(max_depth=1):
+        build_mesh(catenoid_data(), 17, 17, q=QuadratureConfig(tol=1e-14))
 
 
-def test_cli_mesh_tolerance_error_exits_1(tmp_path, monkeypatch, capsys):
+def test_cli_mesh_tolerance_error_exits_1(tmp_path, capsys):
     cfg = tmp_path / "catenoid.cfg"
     cfg.write_text(CATENOID_CONFIG)
-    shallow = lambda tol: QuadratureConfig(tol=tol, max_depth=1)  # noqa: E731
-    monkeypatch.setattr(cli, "QuadratureConfig", shallow)
     out = tmp_path / "cat.obj"
-    assert main(["mesh", str(cfg), "--grid", "17x17", "--tol", "1e-14", "-o", str(out)]) == 1
+    with quadrature_constants(max_depth=1):
+        assert main(["mesh", str(cfg), "--grid", "17x17", "--tol", "1e-14", "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: quadrature did not converge")

@@ -1,12 +1,13 @@
 import cmath
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import catenoid_oracle, phi_array, plane_fixture, random_polynomial_data
+from fixtures import catenoid_oracle, phi_array, plane_fixture, quadrature_constants, random_polynomial_data
 from maxsurf import weierstrass
 from maxsurf.expr import Call, Const, Div, EvalError, Mul, Var, compile_array, parse
 from maxsurf.minkowski import LVector, lorentz_inner
@@ -241,8 +242,7 @@ def test_quadrature_exact_on_entire_functions():
 def test_path_detours_around_multiple_punctures():
     from maxsurf.weierstrass import _build_path
 
-    q = QuadratureConfig()
-    pts = _build_path(-0.8, 0.8, (-0.4 + 0j, 0.4 + 0j), q)
+    pts = _build_path(-0.8, 0.8, (-0.4 + 0j, 0.4 + 0j))
     assert len(pts) == 4  # one detour per puncture
     for p in (-0.4, 0.4):
         for a, b in zip(pts, pts[1:]):
@@ -250,7 +250,7 @@ def test_path_detours_around_multiple_punctures():
             # so the guarantee is a constant factor of the clearance
             d = b - a
             t = max(0.0, min(1.0, ((p - a) * d.conjugate()).real / abs(d) ** 2))
-            assert abs(a + t * d - p) >= 0.9 * q.clearance
+            assert abs(a + t * d - p) >= 0.9 * weierstrass.CLEARANCE
 
 
 def test_detour_waypoints_reported():
@@ -288,7 +288,7 @@ def test_nan_field_stops_after_one_panel():
         return (math.nan, math.nan, math.nan)
 
     with pytest.raises(ToleranceError):
-        integrate_path(lambda a, b: field, [0j, 1 + 0j], QuadratureConfig())
+        integrate_path([0j, 1 + 0j], lambda a, b: SimpleNamespace(field=field), QuadratureConfig())
     assert len(calls) == 15  # one GK15 panel, no bisection
 
 
@@ -304,7 +304,7 @@ def test_nan_in_one_component_raises(slot):
         return tuple(out)
 
     with pytest.raises(ToleranceError):
-        integrate_path(lambda a, b: field, [0j, 1 + 0j], QuadratureConfig())
+        integrate_path([0j, 1 + 0j], lambda a, b: SimpleNamespace(field=field), QuadratureConfig())
     assert len(calls) == 15
 
 
@@ -378,22 +378,21 @@ def test_needs_path_flags_exactly_the_edges_build_path_changes(data, clearance, 
     for p in punctures:  # tangent to the clearance circle at a generic angle: the foot is that far to an ulp
         w = cmath.exp(1j * data.draw(st.floats(-math.pi, math.pi)))
         edges.append((p + clearance * w + 0.3j * w, p + clearance * w - 0.3j * w))
-    q = QuadratureConfig(clearance=clearance)
     expected = []
-    for s, t in edges:
-        try:
-            expected.append(len(weierstrass._build_path(s, t, punctures, q)) > 2)
-        except PathError:
-            expected.append(True)
-    s, t = (np.array(ends, dtype=complex) for ends in zip(*edges))
-    assert weierstrass._needs_path(s, t, punctures, clearance).tolist() == expected
+    with quadrature_constants(clearance=clearance):
+        for s, t in edges:
+            try:
+                expected.append(len(weierstrass._build_path(s, t, punctures)) > 2)
+            except PathError:
+                expected.append(True)
+        s, t = (np.array(ends, dtype=complex) for ends in zip(*edges))
+        assert weierstrass._needs_path(s, t, punctures).tolist() == expected
 
 
 def test_tolerance_error_carries_estimate():
     data = catenoid_data()
-    q = QuadratureConfig(tol=1e-13, max_depth=2, clearance=1e-6)
-    with pytest.raises(ToleranceError) as exc:
-        evaluate_surface(data, cmath.exp(complex(-0.5, 3.1)), q)
+    with pytest.raises(ToleranceError) as exc, quadrature_constants(max_depth=2, clearance=1e-6):
+        evaluate_surface(data, cmath.exp(complex(-0.5, 3.1)), QuadratureConfig(tol=1e-13))
     assert exc.value.achieved > 0
 
 
@@ -423,8 +422,8 @@ def test_loop_periods_raise_below_tolerance():
     # tolerance must not come back looking like (0, 0, 2 pi i)
     data = catenoid_data()
     square = [0.3 + 0.3j, -0.3 + 0.3j, -0.3 - 0.3j, 0.3 - 0.3j]
-    with pytest.raises(ToleranceError) as exc:
-        loop_periods(data, square, QuadratureConfig(tol=1e-14, max_depth=1))
+    with pytest.raises(ToleranceError) as exc, quadrature_constants(max_depth=1):
+        loop_periods(data, square, QuadratureConfig(tol=1e-14))
     assert exc.value.achieved > 1e-14
 
 
@@ -670,9 +669,9 @@ def test_surface_tree_gives_the_scalar_values_where_only_the_array_field_is_nan(
 def test_failed_batch_is_replayed_once_edge_by_edge(monkeypatch):
     paths, scalar = [], weierstrass.integrate_path
 
-    def counted_path(field_for, points, q):
+    def counted_path(points, side_for, q):
         paths.append(points)
-        return scalar(field_for, points, q)
+        return scalar(points, side_for, q)
 
     monkeypatch.setattr(weierstrass, "integrate_path", counted_path)
     points, parents = _REAL_TREE
@@ -690,9 +689,9 @@ def test_only_the_failed_edges_are_replayed(monkeypatch):
     assert np.isfinite(phi_array(data, [1.0 + 0j])).all()
     paths, scalar = [], weierstrass.integrate_path
 
-    def counted_path(field_for, points, q):
+    def counted_path(points, side_for, q):
         paths.append(points)
-        return scalar(field_for, points, q)
+        return scalar(points, side_for, q)
 
     monkeypatch.setattr(weierstrass, "integrate_path", counted_path)
     got = surface_tree(data, points, parents)
@@ -710,10 +709,11 @@ def test_surface_tree_raises_the_first_failure_in_forest_order():
         surface_tree(data, [0.5 + 0j, 0j], [-1, 0])
     assert str(batched.value) == str(scalar.value)
     # the root edge misses its share tol / 2 before the second edge is reached
-    with pytest.raises(ToleranceError) as scalar:
-        evaluate_surface(data, 0.06 + 0.01j, QuadratureConfig(tol=5e-15, max_depth=1))
-    with pytest.raises(ToleranceError) as batched:
-        surface_tree(data, [0.06 + 0.01j, 0j], [-1, 0], QuadratureConfig(tol=1e-14, max_depth=1))
+    with quadrature_constants(max_depth=1):
+        with pytest.raises(ToleranceError) as scalar:
+            evaluate_surface(data, 0.06 + 0.01j, QuadratureConfig(tol=5e-15))
+        with pytest.raises(ToleranceError) as batched:
+            surface_tree(data, [0.06 + 0.01j, 0j], [-1, 0], QuadratureConfig(tol=1e-14))
     assert str(batched.value) == str(scalar.value)
 
 
@@ -737,7 +737,7 @@ def test_an_overflowed_estimate_raises_after_one_panel(monkeypatch):
 
     monkeypatch.setattr(weierstrass, "_gk15", overflowed)
     with pytest.raises(ToleranceError, match=r"achieved error estimate inf\)$"):
-        integrate_path(lambda a, b: None, [0j, 1 + 0j], QuadratureConfig())
+        integrate_path([0j, 1 + 0j], lambda a, b: SimpleNamespace(field=None), QuadratureConfig())
     assert len(calls) == 1
 
 
@@ -810,14 +810,13 @@ def _reference_integrate_segments(sides, side, a, b, tol, owner, n, polyline, q,
     for i, patch in enumerate(sides):
         on = side == i
         field = lambda z, patch=patch: phi_array(patch, z)  # noqa: E731
-        seg_sum, ok = _reference_level_loop(field, a[on], b[on], tol[on], q.max_depth, levels, i)
+        seg_sum, ok = _reference_level_loop(field, a[on], b[on], tol[on], weierstrass.MAX_DEPTH, levels, i)
         for c in range(3):
             np.add.at(sums[c], owner[on], seg_sum[c])
         failed[owner[on][~ok]] = True
         seg_sums[:, on], oks[on] = seg_sum, ok
     for k in np.flatnonzero(failed).tolist():
-        points, side_for = polyline(k)
-        sums[:, k] = integrate_path(lambda x, y: side_for(x, y).field, points, q)[0]
+        sums[:, k] = integrate_path(*polyline(k), q)[0]
     return sums, seg_sums, oks
 
 
@@ -846,7 +845,7 @@ _SIDE_SETS = _side_sets()
 
 @st.composite
 def _level_batches(draw):
-    """Sides, segments on them in a mixed order, with drawn tolerances, owners and depth, and a kernel chunk
+    """Sides, segments on them in a mixed order, with drawn tolerances, owners and MAX_DEPTH, and a kernel chunk
     of 512 or 3 panels; some segments fail."""
     name = draw(st.sampled_from(sorted(_SIDE_SETS)))
     sides = _SIDE_SETS[name]
@@ -862,14 +861,14 @@ def _level_batches(draw):
         tol = 10.0 ** draw(st.floats(-13, -6))
         rows.append((side, a, b, tol, draw(st.integers(0, paths - 1))))
     columns = [np.array(c, dtype=t) for c, t in zip(zip(*rows), (np.intp, complex, complex, float, np.intp))]
-    q = QuadratureConfig(max_depth=draw(st.sampled_from([3, 8, 26])))
-    return sides, columns, paths, q, draw(st.sampled_from([512, 3]))
+    return sides, columns, paths, draw(st.sampled_from([3, 8, 26])), draw(st.sampled_from([512, 3]))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_level_batches())
 def test_one_level_loop_over_all_sides_is_the_loop_per_side_bit_for_bit(batch):
-    sides, (side, a, b, tol, owner), n, q, chunk = batch
+    sides, (side, a, b, tol, owner), n, max_depth, chunk = batch
+    q = QuadratureConfig()
     polyline = lambda k: ([0.5 + 0j, 0.6 + 0j], lambda x, y: sides[0])  # noqa: E731  a replay that converges
     levels, loops, want_levels = [], [], {}
     kernel, loop = weierstrass._gk15_panels, weierstrass._integrate_segments
@@ -882,7 +881,7 @@ def test_one_level_loop_over_all_sides_is_the_loop_per_side_bit_for_bit(batch):
         loops.append(loop(*args))
         return loops[-1]
 
-    with pytest.MonkeyPatch.context() as patch:
+    with quadrature_constants(max_depth=max_depth), pytest.MonkeyPatch.context() as patch:
         patch.setattr(weierstrass, "_CHUNK", chunk)
         want = _reference_integrate_segments(sides, side, a, b, tol, owner, n, polyline, q, want_levels)
         patch.setattr(weierstrass, "_gk15_panels", recorded_kernel)

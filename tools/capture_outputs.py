@@ -1,6 +1,7 @@
 """Capture the CLI's outputs on the benchmark's inputs, one file per command.
 
     python3 tools/capture_outputs.py OUTDIR
+    python3 tools/capture_outputs.py --against REV OUTDIR
 
 Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
 ``maxsurf.cli.main`` in this checkout on them:
@@ -71,8 +72,13 @@ such a command in a traceback can still be captured and compared.
 Each command leaves ``NNN-COMMAND-TARGET.txt`` with its exit code, stdout and
 stderr; the configs, OBJ files and sidecars stay next to them.  Commands run
 inside OUTDIR with relative paths, so the files depend only on the code.
-To compare two commits, run each checkout's copy of this script into its own
-directory and compare the two with ``diff -r``.
+
+``--against REV`` compares this checkout with the git revision REV: it checks
+REV out in a temporary ``git worktree`` (removed afterwards), runs REV's copy
+of this script into ``OUTDIR/base`` and this checkout's into
+``OUTDIR/change``, and prints each file that differs, was added or went
+missing, then a count of the identical ones.  It exits 1 when a file that
+both captures wrote differs, else 0.
 """
 
 from __future__ import annotations
@@ -80,7 +86,9 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -270,7 +278,42 @@ def capture(outdir: Path) -> None:
         Path(f"{k:03d}-{stem}.txt").write_text(run(argv))
 
 
+def compare(base: Path, change: Path) -> tuple[list[str], list[str], list[str], int]:
+    """How the capture in ``change`` differs from the one in ``base``: the relative paths of the files
+    whose bytes differ, of those only ``change`` has (added) and of those only ``base`` has (missing),
+    each sorted, and the number of identical files."""
+    files = [{p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()} for root in (base, change)]
+    both = files[0] & files[1]
+    differ = sorted(name for name in both if (base / name).read_bytes() != (change / name).read_bytes())
+    return differ, sorted(files[1] - files[0]), sorted(files[0] - files[1]), len(both) - len(differ)
+
+
+def against(rev: str, outdir: Path) -> int:
+    """Capture REV into outdir/base and this checkout into outdir/change, print how they differ, and
+    return 1 when a file both wrote differs."""
+    base, change = outdir / "base", outdir / "change"
+    for d in (base, change):
+        if d.exists() and any(d.iterdir()):
+            sys.exit(f"{d} is not empty")
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "rev"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(tree), rev], check=True)
+        try:
+            subprocess.run([sys.executable, str(tree / "tools" / "capture_outputs.py"), str(base)], check=True)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], check=True)
+    capture(change)
+    differ, added, missing, same = compare(base, change)
+    for label, names in (("differs", differ), ("added", added), ("missing", missing)):
+        for name in names:
+            print(f"{label}: {name}")
+    print(f"{same} identical, {len(differ)} differ, {len(added)} added, {len(missing)} missing")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 4 and sys.argv[1] == "--against":
+        sys.exit(against(sys.argv[2], Path(sys.argv[3]).resolve()))
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
         sys.exit(__doc__)
     capture(Path(sys.argv[1]).resolve())

@@ -508,7 +508,7 @@ def cmd_check(args) -> int:
     q = _quadrature(args.tol, cfg)
     target = cfg.extended_surface() or cfg.data
     report = full_diagnostics(target, grid, q)
-    sys.stdout.write(report.to_json() + "\n")
+    _stdout(report.to_json() + "\n")
     return 0 if report.passed else 1
 
 
@@ -531,14 +531,14 @@ def cmd_eval(args) -> int:
             return 1
         X = evaluate_surface(cfg.data, z, q)
         side = cfg.data
-    sys.stdout.write(f"X = ({_f17(X.x1)}, {_f17(X.x2)}, {_f17(X.x3)})\n")
+    _stdout(f"X = ({_f17(X.x1)}, {_f17(X.x2)}, {_f17(X.x3)})\n")
     lam = conformal_factor(side, z)
     try:
         N = gauss_map(side, z)
-        sys.stdout.write(f"N = ({_f17(N.x1)}, {_f17(N.x2)}, {_f17(N.x3)})\n")
+        _stdout(f"N = ({_f17(N.x1)}, {_f17(N.x2)}, {_f17(N.x3)})\n")
     except DegenerateMetricError:
-        sys.stdout.write("N = degenerate (|g| = 1)\n")
-    sys.stdout.write(f"conformal_factor = {_f17(lam)}\n")
+        _stdout("N = degenerate (|g| = 1)\n")
+    _stdout(f"conformal_factor = {_f17(lam)}\n")
     return 0
 
 
@@ -629,7 +629,7 @@ def cmd_extend(args) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: cannot write {out}: {exc}\n")
         return 2
-    sys.stdout.write(report)  # only once the extension is written
+    _stdout(report)  # only once the extension is written
     return 0 if ext.matching.passed else 1
 
 
@@ -647,7 +647,7 @@ def cmd_mesh(args) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: cannot write {args.output}: {exc}\n")
         return 2
-    sys.stdout.write(
+    _stdout(
         f"wrote {args.output}: {len(mesh.vertices)} vertices, "
         f"{len(mesh.triangles)} triangles, {len(mesh.masked_cells)} masked cells\n"
     )
@@ -655,7 +655,7 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_catenoid(args) -> int:
-    sys.stdout.write(CATENOID_CONFIG)
+    _stdout(CATENOID_CONFIG)
     return 0
 
 
@@ -712,10 +712,8 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
         try:
-            rc = args.fn(args)
-            sys.stdout.flush()  # so that buffered output fails here, not in the interpreter's last flush
-            return rc
-        except BrokenPipeError as exc:
+            return args.fn(args)
+        except _StdoutError as exc:
             sys.stdout = open(os.devnull, "w")  # so the interpreter's last flush fails on nothing
             sys.stderr.write(f"error: cannot write stdout: {exc}\n")
             return 2
@@ -728,6 +726,20 @@ def main(argv: list[str] | None = None) -> int:
         except (ExtensionError, SurfaceError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 1
+
+
+class _StdoutError(Exception):
+    """A write or flush of stdout failed (a closed pipe, a full disk); carries the OSError's text."""
+
+
+def _stdout(text: str) -> None:
+    """Write text to stdout and flush it, so that a fault shows here, not in the interpreter's last flush;
+    an OSError of the stream is raised as a _StdoutError."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _StdoutError(exc) from None
 
 
 def _show_warning(show, message, category, *args, **kwargs):

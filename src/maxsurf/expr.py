@@ -32,7 +32,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -135,39 +135,36 @@ class Call:
 
 Expr = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
 
-_FUNCTIONS: dict[str, Callable[[complex], complex]] = {
-    "exp": cmath.exp,
-    "log": cmath.log,
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "sinh": cmath.sinh,
-    "cosh": cmath.cosh,
-    "tanh": cmath.tanh,
-    "sqrt": cmath.sqrt,
+_P_ADD, _P_MUL, _P_NEG, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
+# each binary operator's symbol and precedence, as it parses and prints
+_OPERATOR_SYNTAX = {Add: ("+", _P_ADD), Sub: ("-", _P_ADD), Mul: ("*", _P_MUL), Div: ("/", _P_MUL)}
+
+
+class _Function(NamedTuple):
+    scalar: Callable[[complex], complex]
+    array: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[Expr], Expr]  # as a tree in its argument a (the chain rule's outer factor)
+
+
+_FUNCTIONS: dict[str, _Function] = {
+    "exp": _Function(cmath.exp, np.exp, lambda a: Call("exp", a)),
+    "log": _Function(cmath.log, np.log, lambda a: Div(Const(1), a)),
+    "sin": _Function(cmath.sin, np.sin, lambda a: Call("cos", a)),
+    "cos": _Function(cmath.cos, np.cos, lambda a: _neg(Call("sin", a))),
+    "sinh": _Function(cmath.sinh, np.sinh, lambda a: Call("cosh", a)),
+    "cosh": _Function(cmath.cosh, np.cosh, lambda a: Call("sinh", a)),
+    "tanh": _Function(cmath.tanh, np.tanh, lambda a: _sub(Const(1), Pow(Call("tanh", a), 2))),
+    "sqrt": _Function(cmath.sqrt, np.sqrt, lambda a: Div(Const(0.5), Call("sqrt", a))),
 }
 
-_NP_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "sqrt": np.sqrt,
+# the target of _compile that rebuilds each node from its rebuilt children; sconj and substitute add the leaves
+_REBUILD: dict[type, Callable] = {
+    Neg: lambda e, a: Neg(a),
+    Call: lambda e, a: Call(e.func, a),
+    Pow: lambda e, b: Pow(b, e.exponent),
+    **dict.fromkeys(_OPERATOR_SYNTAX, lambda e, left, right: type(e)(left, right)),
 }
-
-# the derivative of each function, as a tree in its argument a (the chain rule's outer factor)
-_DERIVATIVES: dict[str, Callable[[Expr], Expr]] = {
-    "exp": lambda a: Call("exp", a),
-    "log": lambda a: Div(Const(1), a),
-    "sin": lambda a: Call("cos", a),
-    "cos": lambda a: _neg(Call("sin", a)),
-    "sinh": lambda a: Call("cosh", a),
-    "cosh": lambda a: Call("sinh", a),
-    "tanh": lambda a: _sub(Const(1), Pow(Call("tanh", a), 2)),
-    "sqrt": lambda a: Div(Const(0.5), Call("sqrt", a)),
-}
+_SCONJ = {**_REBUILD, Const: lambda e: Const(e.value.conjugate()), Var: lambda e: e}
 
 
 def sconj(e: Expr) -> Expr:
@@ -178,22 +175,12 @@ def sconj(e: Expr) -> Expr:
     arithmetic commutes with conj as well.  The conjugate is therefore the
     same tree with every constant conjugated, and sconj is an involution.
     """
-    return _map_leaves(e, lambda leaf: Const(leaf.value.conjugate()) if isinstance(leaf, Const) else leaf)
+    return _compile(e, _SCONJ)
 
 
-def _map_leaves(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
-    """The tree e with every Const and Var node x replaced by leaf(x)."""
-    if isinstance(e, (Const, Var)):
-        return leaf(e)
-    if isinstance(e, Neg):
-        return Neg(_map_leaves(e.arg, leaf))
-    if isinstance(e, Call):
-        return Call(e.func, _map_leaves(e.arg, leaf))
-    if isinstance(e, Pow):
-        return Pow(_map_leaves(e.base, leaf), e.exponent)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return type(e)(_map_leaves(e.left, leaf), _map_leaves(e.right, leaf))
-    raise TypeError(f"not an Expr node: {e!r}")
+def substitute(e: Expr, w: Expr) -> Expr:
+    """Replace the variable z by the expression w (composition e o w)."""
+    return _compile(e, {**_REBUILD, Const: lambda c: c, Var: lambda v: w})
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +189,8 @@ def _map_leaves(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
 _NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _EXPONENT = re.compile(r"-?\d+")
+# the node of each binary operator's symbol, for sums and for products
+_SUMS, _PRODUCTS = ({symbol: node for node, (symbol, q) in _OPERATOR_SYNTAX.items() if q == p} for p in (_P_ADD, _P_MUL))
 
 
 class _Parser:
@@ -226,29 +215,17 @@ class _Parser:
 
     def expr(self) -> Expr:
         e = self.term()
-        while True:
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                e = Add(e, self.term())
-            elif ch == "-":
-                self.pos += 1
-                e = Sub(e, self.term())
-            else:
-                return e
+        while (node := _SUMS.get(self._peek())) is not None:
+            self.pos += 1
+            e = node(e, self.term())
+        return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while True:
-            ch = self._peek()
-            if ch == "*":
-                self.pos += 1
-                e = Mul(e, self.factor())
-            elif ch == "/":
-                self.pos += 1
-                e = Div(e, self.factor())
-            else:
-                return e
+        while (node := _PRODUCTS.get(self._peek())) is not None:
+            self.pos += 1
+            e = node(e, self.factor())
+        return e
 
     def factor(self) -> Expr:
         if self._peek() == "-":
@@ -361,9 +338,12 @@ def compile_array(*trees: Expr) -> Callable[[np.ndarray], np.ndarray | tuple[np.
 
 
 def _compile(e: Expr, target: dict, memo: dict | None = None) -> Callable:
-    """The one tree walk behind compile_fn and compile_array: ``target`` maps each node type to a
-    builder of that node's closure (an array step's register) from the node and what its children
-    built.  With a ``memo`` dict, a node met again by identity is built once; a leaf is built each time."""
+    """The one tree walk of every pass over a tree: ``target`` maps each node type to a builder of what
+    the pass makes of that node from the node and what its children built.  The targets are compile_fn's
+    closures (_SCALAR), compile_array's registers (_ArrayProgram.target), differentiation's derivatives
+    (_DERIVATIVE), format_expr's (text, precedence) pairs (_FORMAT), and the rebuilt trees of sconj and
+    substitute (_REBUILD with their leaves).  With a ``memo`` dict, a node met again by identity is built
+    once; a leaf is built each time."""
     t = type(e)
     if t is Const or t is Var:
         return target[t](e)
@@ -408,7 +388,7 @@ def _scalar_pow(e: Pow, b):
 
 
 def _scalar_call(e: Call, a):
-    fn = _FUNCTIONS[e.func]
+    fn = _FUNCTIONS[e.func].scalar
 
     def call(z):
         arg = a(z)
@@ -513,7 +493,7 @@ class _ArrayProgram:
         return r
 
     def _call(self, e: Call, a) -> int:
-        fn, i = _NP_FUNCTIONS[e.func], self.array(self.guard(a))
+        fn, i = _FUNCTIONS[e.func].array, self.array(self.guard(a))
         return self._emit(lambda v: fn(v[i]), fn, i)
 
     def _pow(self, e: Pow, b) -> int:
@@ -599,35 +579,21 @@ def differentiate(e: Expr) -> Expr:
 def _derivative(e: Expr, memo: dict) -> Expr:
     """The derivative of e; a subtree met again by identity, here or in an earlier call with the same
     ``memo``, is differentiated once, so its derivative is shared by identity too."""
-    out = memo.get(id(e))
-    if out is not None:
-        return out
-    t = type(e)
-    if t is Const:
-        out = Const(0)
-    elif t is Var:
-        out = Const(1)
-    elif t is Neg:
-        out = _neg(_derivative(e.arg, memo))
-    elif t is Add:
-        out = _add(_derivative(e.left, memo), _derivative(e.right, memo))
-    elif t is Sub:
-        out = _sub(_derivative(e.left, memo), _derivative(e.right, memo))
-    elif t is Mul:
-        a, b = e.left, e.right
-        out = _add(_mul(_derivative(a, memo), b), _mul(a, _derivative(b, memo)))
-    elif t is Div:
-        a, b = e.left, e.right
-        out = _div(_sub(_mul(_derivative(a, memo), b), _mul(a, _derivative(b, memo))), Pow(b, 2))
-    elif t is Pow:
-        n = e.exponent
-        out = Const(0) if n == 0 else _mul(_mul(Const(n), _pow(e.base, n - 1)), _derivative(e.base, memo))
-    elif t is Call:
-        out = _mul(_DERIVATIVES[e.func](e.arg), _derivative(e.arg, memo))
-    else:
-        raise TypeError(f"not an Expr node: {e!r}")
-    memo[id(e)] = out
-    return out
+    return _compile(e, _DERIVATIVE, memo)
+
+
+# each builder has the node e and its operands' derivatives
+_DERIVATIVE: dict[type, Callable] = {
+    Const: lambda e: Const(0),
+    Var: lambda e: Const(1),
+    Neg: lambda e, da: _neg(da),
+    Add: lambda e, da, db: _add(da, db),
+    Sub: lambda e, da, db: _sub(da, db),
+    Mul: lambda e, da, db: _add(_mul(da, e.right), _mul(e.left, db)),
+    Div: lambda e, da, db: _div(_sub(_mul(da, e.right), _mul(e.left, db)), Pow(e.right, 2)),
+    Pow: lambda e, db: _mul(_mul(Const(e.exponent), _pow(e.base, e.exponent - 1)), db),  # Const(0) for x^0
+    Call: lambda e, da: _mul(_FUNCTIONS[e.func].derivative(e.arg), da),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +786,7 @@ class _NormalForm:
         tree = self._tree(arg)
         if type(tree) is Const:
             try:
-                v = _FUNCTIONS[e.func](tree.value)
+                v = _FUNCTIONS[e.func].scalar(tree.value)
             except (ValueError, OverflowError):
                 v = math.inf
             short = len(_fmt_const(v)[0]) <= len(e.func) + 2 + len(_fmt_const(tree.value)[0])
@@ -878,19 +844,7 @@ class _NormalForm:
 
 
 # ---------------------------------------------------------------------------
-# substitution
-
-def substitute(e: Expr, w: Expr) -> Expr:
-    """Replace the variable z by the expression w (composition e o w)."""
-    return _map_leaves(e, lambda leaf: w if isinstance(leaf, Var) else leaf)
-
-
-# ---------------------------------------------------------------------------
 # printing
-
-_P_ADD, _P_MUL, _P_NEG, _P_POW, _P_ATOM = 1, 2, 3, 4, 5
-_OPERATOR_SYNTAX = {Add: ("+", _P_ADD), Sub: ("-", _P_ADD), Mul: ("*", _P_MUL), Div: ("/", _P_MUL)}
-
 
 def _fmt_real(x: float) -> str:
     if abs(x) < 1e16 and x == int(x):  # int() of a non-finite x raises
@@ -914,36 +868,28 @@ def _fmt_const(v: complex) -> tuple[str, int]:
     return f"({_fmt_real(re_)}{sign}{ims})", _P_ATOM
 
 
-def _fmt(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Var):
-        return "z", _P_ATOM
-    if isinstance(e, Neg):
-        s, p = _fmt(e.arg)
-        if p < _P_NEG:
-            s = f"({s})"
-        return f"-{s}", _P_NEG
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        op, prec = _OPERATOR_SYNTAX[type(e)]
-        ls, lp = _fmt(e.left)
-        rs, rp = _fmt(e.right)
-        if lp < prec:
-            ls = f"({ls})"
-        if rp <= prec:
-            rs = f"({rs})"
-        return f"{ls}{op}{rs}", prec
-    if isinstance(e, Pow):
-        bs, bp = _fmt(e.base)
-        if bp < _P_ATOM:
-            bs = f"({bs})"
-        return f"{bs}^{e.exponent}", _P_POW
-    if isinstance(e, Call):
-        return f"{e.func}({_fmt(e.arg)[0]})", _P_ATOM
-    raise TypeError(f"not an Expr node: {e!r}")
+def _wrap(printed: tuple[str, int], least: int) -> str:
+    """The text of a (text, precedence) pair, in parentheses where its precedence is below least."""
+    return printed[0] if printed[1] >= least else f"({printed[0]})"
+
+
+def _fmt_binary(e: Expr, left: tuple[str, int], right: tuple[str, int]) -> tuple[str, int]:
+    op, prec = _OPERATOR_SYNTAX[type(e)]
+    return f"{_wrap(left, prec)}{op}{_wrap(right, prec + 1)}", prec
+
+
+# each builder returns its node's (text, precedence) from its operands'
+_FORMAT: dict[type, Callable] = {
+    Const: lambda e: _fmt_const(e.value),
+    Var: lambda e: ("z", _P_ATOM),
+    Neg: lambda e, a: (f"-{_wrap(a, _P_NEG)}", _P_NEG),
+    Pow: lambda e, b: (f"{_wrap(b, _P_ATOM)}^{e.exponent}", _P_POW),
+    Call: lambda e, a: (f"{e.func}({a[0]})", _P_ATOM),
+    **dict.fromkeys(_OPERATOR_SYNTAX, _fmt_binary),
+}
 
 
 def format_expr(e: Expr) -> str:
     """Canonical printing.  parse(format_expr(e)) rebuilds e when its constants
     are real or +-i, and otherwise a tree with the same values."""
-    return _fmt(e)[0]
+    return _compile(e, _FORMAT)[0]

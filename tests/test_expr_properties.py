@@ -22,7 +22,12 @@ from hypothesis import given, settings, strategies as st
 from fixtures import catenoid_extension_fixture, lightlike_fixture, spacelike_fixture, timelike_fixture
 from maxsurf import expr, extension
 from maxsurf.expr import (
-    _NP_FUNCTIONS,
+    _FUNCTIONS,
+    _OPERATOR_SYNTAX,
+    _P_ATOM,
+    _P_NEG,
+    _P_POW,
+    _REBUILD,
     Add,
     _NormalForm,
     Call,
@@ -40,7 +45,6 @@ from maxsurf.expr import (
     evaluate,
     format_expr,
     parse,
-    _map_leaves,
     sconj,
     substitute,
 )
@@ -189,7 +193,7 @@ def guarded_array(e, z):
             return np.where(np.isfinite(base), 1 + 0j, np.nan)
         return _nan_unless_finite(base**e.exponent)
     if isinstance(e, Call):
-        return _nan_unless_finite(_NP_FUNCTIONS[e.func](guarded_array(e.arg, z)))
+        return _nan_unless_finite(_FUNCTIONS[e.func].array(guarded_array(e.arg, z)))
     return _nan_unless_finite(_ARITHMETIC[type(e)](guarded_array(e.left, z), guarded_array(e.right, z)))
 
 
@@ -234,14 +238,14 @@ def test_array_kernel_matches_the_per_node_guarded_evaluator(e, zs):
 
 def _copy(e):
     """A tree structurally equal to e that shares no node with it."""
-    return _map_leaves(e, lambda leaf: Const(leaf.value) if isinstance(leaf, Const) else Var())
+    return expr._compile(e, {**_REBUILD, Const: lambda c: Const(c.value), Var: lambda v: Var()})
 
 
 def _flip_zeros(e):
     """e with every zero part of a constant of the other sign: equal as a dataclass, apart in its bits."""
     flip = lambda x: -x if x == 0 else x  # noqa: E731
-    return _map_leaves(e, lambda leaf: Const(complex(flip(leaf.value.real), flip(leaf.value.imag)))
-                       if isinstance(leaf, Const) else Var())
+    flipped = lambda c: Const(complex(flip(c.value.real), flip(c.value.imag)))  # noqa: E731
+    return expr._compile(e, {**_REBUILD, Const: flipped, Var: lambda v: Var()})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -266,8 +270,9 @@ def test_log_of_constants_on_both_sides_of_its_cut_stays_apart():
 
 def test_a_subexpression_written_twice_is_computed_once_per_run(monkeypatch):
     calls = []
-    exp = _NP_FUNCTIONS["exp"]
-    monkeypatch.setitem(expr._NP_FUNCTIONS, "exp", lambda x: calls.append(x) or exp(x))
+    row = _FUNCTIONS["exp"]
+    exp = row.array
+    monkeypatch.setitem(expr._FUNCTIONS, "exp", row._replace(array=lambda x: calls.append(x) or exp(x)))
     run = compile_array(parse("exp(i*z)*(1-exp(i*z))"))
     z = np.array([0.1 + 0.2j, -0.3j, 2.5 + 0j])
     for runs in (1, 2):
@@ -325,6 +330,128 @@ def test_matching_gaps_are_those_of_the_per_tree_guarded_evaluator(fixture, monk
     gaps = extension._match_report(data, ext.f_minus, ext.g_minus).gaps
     monkeypatch.setattr(extension, "compile_array", lambda *trees: lambda z: [guarded_array(t, z) for t in trees])
     assert extension._match_report(data, ext.f_minus, ext.g_minus).gaps == gaps
+
+
+# ---------------------------------------------------------------------------
+# the passes of the one tree walk against the recursions they replaced, kept here as references
+
+
+def _map_leaves(e, leaf):
+    """The tree e with every Const and Var node x replaced by leaf(x)."""
+    if isinstance(e, (Const, Var)):
+        return leaf(e)
+    if isinstance(e, Neg):
+        return Neg(_map_leaves(e.arg, leaf))
+    if isinstance(e, Call):
+        return Call(e.func, _map_leaves(e.arg, leaf))
+    if isinstance(e, Pow):
+        return Pow(_map_leaves(e.base, leaf), e.exponent)
+    return type(e)(_map_leaves(e.left, leaf), _map_leaves(e.right, leaf))
+
+
+def _fmt(e):
+    """(text, precedence) of e, printed by recursion."""
+    if isinstance(e, Const):
+        return expr._fmt_const(e.value)
+    if isinstance(e, Var):
+        return "z", _P_ATOM
+    if isinstance(e, Neg):
+        s, p = _fmt(e.arg)
+        return f"-({s})" if p < _P_NEG else f"-{s}", _P_NEG
+    if isinstance(e, Pow):
+        bs, bp = _fmt(e.base)
+        return f"({bs})^{e.exponent}" if bp < _P_ATOM else f"{bs}^{e.exponent}", _P_POW
+    if isinstance(e, Call):
+        return f"{e.func}({_fmt(e.arg)[0]})", _P_ATOM
+    op, prec = _OPERATOR_SYNTAX[type(e)]
+    (ls, lp), (rs, rp) = _fmt(e.left), _fmt(e.right)
+    return f"{f'({ls})' if lp < prec else ls}{op}{f'({rs})' if rp <= prec else rs}", prec
+
+
+_OUTER_FACTORS = {  # each function's derivative as a tree in its argument a
+    "exp": lambda a: Call("exp", a),
+    "log": lambda a: Div(Const(1), a),
+    "sin": lambda a: Call("cos", a),
+    "cos": lambda a: expr._neg(Call("sin", a)),
+    "sinh": lambda a: Call("cosh", a),
+    "cosh": lambda a: Call("sinh", a),
+    "tanh": lambda a: expr._sub(Const(1), Pow(Call("tanh", a), 2)),
+    "sqrt": lambda a: Div(Const(0.5), Call("sqrt", a)),
+}
+
+
+def _derivative(e, memo):
+    """The derivative of e by recursion, with an identity memo of every node, leaves too."""
+    out = memo.get(id(e))
+    if out is not None:
+        return out
+    add, sub, mul, div = expr._add, expr._sub, expr._mul, expr._div
+    if isinstance(e, Const):
+        out = Const(0)
+    elif isinstance(e, Var):
+        out = Const(1)
+    elif isinstance(e, Neg):
+        out = expr._neg(_derivative(e.arg, memo))
+    elif isinstance(e, (Add, Sub)):
+        out = (add if isinstance(e, Add) else sub)(_derivative(e.left, memo), _derivative(e.right, memo))
+    elif isinstance(e, Mul):
+        a, b = e.left, e.right
+        out = add(mul(_derivative(a, memo), b), mul(a, _derivative(b, memo)))
+    elif isinstance(e, Div):
+        a, b = e.left, e.right
+        out = div(sub(mul(_derivative(a, memo), b), mul(a, _derivative(b, memo))), Pow(b, 2))
+    elif isinstance(e, Pow):
+        n = e.exponent
+        out = Const(0) if n == 0 else mul(mul(Const(n), expr._pow(e.base, n - 1)), _derivative(e.base, memo))
+    else:
+        out = mul(_OUTER_FACTORS[e.func](e.arg), _derivative(e.arg, memo))
+    memo[id(e)] = out
+    return out
+
+
+def _at_leaves(e, out):
+    """The nodes of out, a tree built from e, where e has its z leaves."""
+    if isinstance(e, Var):
+        yield out
+    for name in ("arg", "left", "right", "base"):
+        if hasattr(e, name):
+            yield from _at_leaves(getattr(e, name), getattr(out, name))
+
+
+@_PAIRS
+@given(e=st.one_of(exprs, kernel_exprs), w=exprs)
+def test_each_pass_of_the_walk_equals_its_recursive_reference(e, w):
+    conj = lambda leaf: Const(leaf.value.conjugate()) if isinstance(leaf, Const) else leaf  # noqa: E731
+    assert format_expr(e) == _fmt(e)[0]
+    passes = [(differentiate(e), _derivative(e, {})), (sconj(e), _map_leaves(e, conj)),
+              (substitute(e, w), _map_leaves(e, lambda leaf: w if isinstance(leaf, Var) else leaf))]
+    for got, want in passes:
+        assert got == want, (format_expr(e), format_expr(w))
+        assert format_expr(got) == _fmt(want)[0]
+    assert all(node is w for node in _at_leaves(e, substitute(e, w)))
+
+
+@pytest.mark.parametrize("fixture", [timelike_fixture, lightlike_fixture], ids=lambda fx: fx.__name__)
+def test_the_derivative_of_f_minus_holds_that_of_g_minus(fixture):
+    # _match_report differentiates f_minus, then g_minus, with one memo; across a timelike or lightlike
+    # plane f_minus holds g_minus by identity, so f_minus' holds g_minus'
+    data, plane = fixture()
+    ext = extension.extend(data, plane)
+    assert any(t is ext.g_minus for t in _subtrees(ext.f_minus))
+    memo = {}
+    df = expr._derivative(ext.f_minus, memo)
+    dg = expr._derivative(ext.g_minus, memo)
+    assert any(t is dg for t in _subtrees(df))
+    assert df == _derivative(ext.f_minus, {}) and dg == _derivative(ext.g_minus, {})
+
+
+@pytest.mark.parametrize("run", [format_expr, differentiate, sconj, lambda e: substitute(e, Var())],
+                         ids=["format_expr", "differentiate", "sconj", "substitute"])
+def test_a_node_of_no_expr_type_is_refused(run):
+    with pytest.raises(TypeError, match="^not an Expr node: "):
+        run(Add(Var(), object()))
+    with pytest.raises(TypeError, match="^not an Expr node: "):
+        run(object())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Commands (exit codes: 0 pass, 1 hypothesis or check failure, 2 input error):
     maxsurf mesh CONFIG --grid NxM -o OUT.obj   triangulated export
     maxsurf catenoid                print the built-in reference config
 
-Config files are flat key = value text; see the README for the schema.
+Config files are flat key = value text, their keys declared once in ``_KEYS``;
+see the README for the schema.
 Expression values use the library's expression syntax, complex constants may
 be written with that syntax too (e.g. ``z0 = 1+2*i``).  All outputs are
 deterministic byte for byte for identical inputs.
@@ -41,6 +42,7 @@ from .weierstrass import (
     QuadratureConfig,
     SurfaceError,
     WeierstrassData,
+    _HALF_KINDS,
     _gauss_arrays,
     _phi_values,
     conformal_factor,
@@ -58,27 +60,6 @@ class ConfigError(Exception):
         self.fieldname = fieldname
 
 
-_KNOWN_KEYS = {
-    "f",
-    "g",
-    "f_minus",
-    "g_minus",
-    "reflected",
-    "domain",
-    "radius",
-    "inner_radius",
-    "boundary_circle",
-    "punctures",
-    "g_poles",
-    "z0",
-    "X0",
-    "tol",
-    "plane",
-    "mask_eps",
-    "mesh_range",
-}
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -88,9 +69,8 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if key not in _KNOWN_KEYS:
+        key, value = key.strip(), value.strip()
+        if key not in _KEYS:
             raise ConfigError(key, "unknown key")
         if key in out:
             raise ConfigError(key, "duplicate key")
@@ -98,20 +78,18 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _get_expr(raw: dict, key: str):
-    if key not in raw:
-        raise ConfigError(key, "missing")
+def _expr(text: str, key: str):
     try:
-        return parse(raw[key])
+        return parse(text)
     except ParseError as exc:
         raise ConfigError(key, str(exc)) from None
 
 
-def _get_complex(raw_value: str, key: str) -> complex:
+def _complex(text: str, key: str) -> complex:
     try:
-        e = parse(raw_value)
+        e = parse(text)
         if substitute(e, Const(0)) != e:  # a constant is a tree without z
-            raise ConfigError(key, f"not a complex constant: {raw_value!r} depends on z")
+            raise ConfigError(key, f"not a complex constant: {text!r} depends on z")
         return evaluate(e, 0j)
     except (ParseError, EvalError) as exc:
         raise ConfigError(key, f"not a complex constant: {exc}") from None
@@ -125,10 +103,6 @@ def _finite(text: str, key: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(key, f"must be finite, got {x}")
     return x
-
-
-def _get_float(raw: dict, key: str, default: float | None = None) -> float | None:
-    return _finite(raw[key], key) if key in raw else default
 
 
 def _numbers(text: str, key: str, layout: str) -> tuple[float, ...]:
@@ -147,6 +121,80 @@ def _plane(text: str, key: str) -> Plane:
         raise ConfigError(key, str(exc)) from None
 
 
+def _domain_kind(text: str, key: str) -> DomainKind:
+    try:
+        return DomainKind(text)
+    except ValueError:
+        raise ConfigError(key, f"must be one of: {', '.join(k.value for k in DomainKind)}") from None
+
+
+def _pole(text: str, key: str) -> tuple[complex, int]:
+    if ":" not in text:
+        raise ConfigError(key, "entries must be 'location:order'")
+    loc, order = text.rsplit(":", 1)
+    try:
+        return _complex(loc.strip(), key), int(order)
+    except ValueError:
+        raise ConfigError(key, "order must be an integer") from None
+
+
+def _positive(text: str, key: str) -> float:
+    x = _finite(text, key)
+    if x <= 0:
+        raise ConfigError(key, "must be positive")
+    return x
+
+
+def _listed(read):
+    """A reader of comma-separated entries, each read by ``read``; an empty text is none."""
+    return lambda text, key: tuple(read(part.strip(), key) for part in text.split(",")) if text else ()
+
+
+_REQUIRED = object()
+# The config keys in order, three runs of key -> (reader of its text, value when absent or _REQUIRED).
+# A config reads them in this order, so it reports its first fault in it: the domain is built after
+# the surface keys, the basepoint checked after X0.  ``extend`` writes its keys in this order too.
+_SURFACE_KEYS = {
+    "f": (_expr, _REQUIRED),
+    "g": (_expr, _REQUIRED),
+    "domain": (_domain_kind, _REQUIRED),
+    "radius": (_finite, 1.0),
+    "inner_radius": (_finite, 0.0),
+    "boundary_circle": (_finite, None),
+    "punctures": (_listed(_complex), ()),
+    "g_poles": (_listed(_pole), ()),
+}
+_BASEPOINT_KEYS = {
+    "z0": (_complex, _REQUIRED),
+    "X0": (lambda text, key: LVector(*_numbers(text, key, "x1,x2,x3")), LVector(0, 0, 0)),
+}
+_MINUS_KEYS = ("f_minus", "g_minus")  # both or neither
+_OTHER_KEYS = {
+    "tol": (_positive, 1e-10),
+    "plane": (_plane, None),
+    "f_minus": (_expr, None),
+    "g_minus": (_expr, None),
+    "reflected": (lambda text, key: text, ""),
+    "mesh_range": (lambda text, key: _numbers(text, key, "a0,a1,b0,b1"), None),
+    "mask_eps": (_finite, 1e-8),
+}
+_KEYS = {**_SURFACE_KEYS, **_BASEPOINT_KEYS, **_OTHER_KEYS}
+
+
+def _read(raw: dict[str, str], keys: dict, required=()) -> list:
+    """The value of each of ``keys`` in order: its reader's on its text, else its value when absent;
+    a key that is _REQUIRED or in ``required`` and absent is a ConfigError."""
+    values = []
+    for key, (read, absent) in keys.items():
+        if key in raw:
+            values.append(read(raw[key], key))
+        elif absent is _REQUIRED or key in required:
+            raise ConfigError(key, "missing")
+        else:
+            values.append(absent)
+    return values
+
+
 @dataclass
 class SurfaceConfig:
     """Parsed configuration; builds the surface and optional plane/extension."""
@@ -162,48 +210,12 @@ class SurfaceConfig:
     @classmethod
     def from_text(cls, text: str) -> "SurfaceConfig":
         raw = parse_config_text(text)
-        f = _get_expr(raw, "f")
-        g = _get_expr(raw, "g")
-        if "domain" not in raw:
-            raise ConfigError("domain", "missing")
+        f, g, kind, radius, inner_radius, boundary_circle, punctures, g_poles = _read(raw, _SURFACE_KEYS)
         try:
-            kind = DomainKind(raw["domain"])
-        except ValueError:
-            names = ", ".join(k.value for k in DomainKind)
-            raise ConfigError("domain", f"must be one of: {names}") from None
-        punctures = ()
-        if "punctures" in raw and raw["punctures"]:
-            punctures = tuple(
-                _get_complex(part.strip(), "punctures")
-                for part in raw["punctures"].split(",")
-            )
-        g_poles = ()
-        if "g_poles" in raw and raw["g_poles"]:
-            entries = []
-            for part in raw["g_poles"].split(","):
-                if ":" not in part:
-                    raise ConfigError("g_poles", "entries must be 'location:order'")
-                loc, order = part.rsplit(":", 1)
-                try:
-                    entries.append((_get_complex(loc.strip(), "g_poles"), int(order)))
-                except ValueError:
-                    raise ConfigError("g_poles", "order must be an integer") from None
-            g_poles = tuple(entries)
-        bc = _get_float(raw, "boundary_circle")
-        try:
-            domain = Domain(
-                kind,
-                radius=_get_float(raw, "radius", 1.0),
-                inner_radius=_get_float(raw, "inner_radius", 0.0),
-                punctures=punctures,
-                boundary_circle=bc,
-            )
+            domain = Domain(kind, radius, inner_radius, punctures, boundary_circle)
         except ValueError as exc:
             raise ConfigError("domain", str(exc)) from None
-        if "z0" not in raw:
-            raise ConfigError("z0", "missing")
-        z0 = _get_complex(raw["z0"], "z0")
-        X0 = LVector(*_numbers(raw["X0"], "X0", "x1,x2,x3")) if "X0" in raw else LVector(0, 0, 0)
+        z0, X0 = _read(raw, _BASEPOINT_KEYS)
         try:
             data = WeierstrassData(f, g, domain, z0, X0)
         except ValueError as exc:
@@ -212,27 +224,10 @@ class SurfaceConfig:
             data = replace(data, g_poles=g_poles)
         except ValueError as exc:
             raise ConfigError("g_poles", str(exc)) from None
-        plane = _plane(raw["plane"], "plane") if "plane" in raw else None
-        minus = None
-        if "f_minus" in raw or "g_minus" in raw:
-            fm = _get_expr(raw, "f_minus")
-            gm = _get_expr(raw, "g_minus")
-            minus = (fm, gm, raw.get("reflected", ""))
-        mesh_range = None
-        if "mesh_range" in raw:
-            mesh_range = _numbers(raw["mesh_range"], "mesh_range", "a0,a1,b0,b1")
-        tol = _get_float(raw, "tol", 1e-10)
-        if tol <= 0:
-            raise ConfigError("tol", "must be positive")
-        return cls(
-            data=data,
-            tol=tol,
-            plane=plane,
-            mask_eps=_get_float(raw, "mask_eps", 1e-8),
-            mesh_range=mesh_range,
-            minus_exprs=minus,
-            source_bytes=text.encode(),
-        )
+        paired = _MINUS_KEYS if not raw.keys().isdisjoint(_MINUS_KEYS) else ()
+        tol, plane, fm, gm, reflected, mesh_range, mask_eps = _read(raw, _OTHER_KEYS, paired)
+        minus = None if fm is None else (fm, gm, reflected)
+        return cls(data, tol, plane, mask_eps, mesh_range, minus, text.encode())
 
     @classmethod
     def from_file(cls, path: str) -> "SurfaceConfig":
@@ -517,20 +512,13 @@ def cmd_eval(args) -> int:
     u, v = _numbers(args.at, "--at", "u,v")
     z = complex(u, v)
     q = _quadrature(args.tol, cfg)
-    ext = cfg.extended_surface()
-    if ext is not None:
-        inside = cfg.data.domain.contains(z) or cfg.data.domain.contains(ext.reflect(z))
-        if not inside:
-            sys.stderr.write(f"error: point {z} outside the assembled domain\n")
-            return 1
-        X = ext.evaluate(z, q)
-        side = ext.side(z)
-    else:
-        if not cfg.data.domain.contains(z):
-            sys.stderr.write(f"error: point {z} outside the domain\n")
-            return 1
-        X = evaluate_surface(cfg.data, z, q)
-        side = cfg.data
+    ext, dom, r = cfg.extended_surface(), cfg.data.domain, abs(u)
+    # inside a half kind's diameter, the arc it is extended across, a point is on the original side
+    on_arc = v == 0 and dom.kind in _HALF_KINDS and r < dom.radius and (r > dom.inner_radius or not dom.inner_radius)
+    if not (dom.contains(z) or ext is not None and (dom.contains(ext.reflect(z)) or on_arc)):
+        sys.stderr.write(f"error: point {z} outside the {'domain' if ext is None else 'assembled domain'}\n")
+        return 1
+    X, side = (evaluate_surface(cfg.data, z, q), cfg.data) if ext is None else (ext.evaluate(z, q), ext.side(z))
     _stdout(f"X = ({_f17(X.x1)}, {_f17(X.x2)}, {_f17(X.x3)})\n")
     lam = conformal_factor(side, z)
     try:
@@ -543,38 +531,29 @@ def cmd_eval(args) -> int:
 
 
 def _extended_config_text(cfg: SurfaceConfig, ext: ExtendedSurface) -> str:
-    data = ext.original
+    """The extended config: in table order, each key this map gives a text (so no mesh key, and none of
+    inner_radius, boundary_circle, punctures or g_poles that the domain lacks)."""
+    data, p = ext.original, ext.contact.plane
     dom = data.domain
-    lines = [
-        "# extended surface emitted by maxsurf extend",
-        f"f = {format_expr(data.f)}",
-        f"g = {format_expr(data.g)}",
-        f"domain = {dom.kind.value}",
-        f"radius = {_f17(dom.radius)}",
-    ]
-    if dom.inner_radius:
-        lines.append(f"inner_radius = {_f17(dom.inner_radius)}")
-    if dom.boundary_circle is not None:
-        lines.append(f"boundary_circle = {_f17(dom.boundary_circle)}")
-    if dom.punctures:
-        lines.append(
-            "punctures = " + ", ".join(_fmt_complex(p) for p in dom.punctures)
-        )
-    if data.g_poles:
-        lines.append(
-            "g_poles = " + ", ".join(f"{_fmt_complex(p)}:{m}" for p, m in data.g_poles)
-        )
-    lines.append(f"z0 = {_fmt_complex(data.z0)}")
-    lines.append(f"X0 = {_f17(data.X0.x1)},{_f17(data.X0.x2)},{_f17(data.X0.x3)}")
-    lines.append(f"tol = {_f17(cfg.tol)}")
-    p = ext.contact.plane
-    lines.append(
-        f"plane = {_f17(p.n.x1)},{_f17(p.n.x2)},{_f17(p.n.x3)},{_f17(p.d)}"
-    )
-    lines.append(f"f_minus = {format_expr(ext.f_minus)}")
-    lines.append(f"g_minus = {format_expr(ext.g_minus)}")
-    lines.append(f"reflected = {ext.reflected}")
-    return "\n".join(lines) + "\n"
+    text = {
+        "f": format_expr(data.f),
+        "g": format_expr(data.g),
+        "domain": dom.kind.value,
+        "radius": _f17(dom.radius),
+        "inner_radius": _f17(dom.inner_radius) if dom.inner_radius else "",
+        "boundary_circle": "" if dom.boundary_circle is None else _f17(dom.boundary_circle),
+        "punctures": ", ".join(_fmt_complex(z) for z in dom.punctures),
+        "g_poles": ", ".join(f"{_fmt_complex(z)}:{m}" for z, m in data.g_poles),
+        "z0": _fmt_complex(data.z0),
+        "X0": f"{_f17(data.X0.x1)},{_f17(data.X0.x2)},{_f17(data.X0.x3)}",
+        "tol": _f17(cfg.tol),
+        "plane": f"{_f17(p.n.x1)},{_f17(p.n.x2)},{_f17(p.n.x3)},{_f17(p.d)}",
+        "f_minus": format_expr(ext.f_minus),
+        "g_minus": format_expr(ext.g_minus),
+        "reflected": ext.reflected,
+    }
+    lines = [f"{key} = {text[key]}" for key in _KEYS if text.get(key)]
+    return "# extended surface emitted by maxsurf extend\n" + "\n".join(lines) + "\n"
 
 
 def _fmt_complex(z: complex) -> str:

@@ -185,12 +185,23 @@ UNREDUCED_FORMULAS = {
 }
 
 
-def bench_configs() -> dict[str, str]:
-    """The benchmark's base configs that carry a plane (``perfbench/workloads.py``), by name."""
+def _workloads():
+    """``perfbench/workloads.py``, imported read-only."""
     perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
     sys.path.insert(0, perfbench)
     try:
-        from workloads import BASE_CONFIGS, EXTENDABLE
+        import workloads
     finally:
         sys.path.remove(perfbench)
-    return {name: BASE_CONFIGS[name] for name in EXTENDABLE}
+    return workloads
+
+
+def bench_configs() -> dict[str, str]:
+    """The benchmark's base configs that carry a plane (``perfbench/workloads.py``), by name."""
+    w = _workloads()
+    return {name: w.BASE_CONFIGS[name] for name in w.EXTENDABLE}
+
+
+def bench_oracles() -> dict:
+    """The closed forms of the benchmark's surfaces (``perfbench/workloads.py``), by surface name."""
+    return _workloads().ORACLES

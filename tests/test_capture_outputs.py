@@ -45,6 +45,8 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["extend-branch-cut", "check-branch-cut.ext"]
         + ["eval-squares-overflow", "mesh-squares-overflow", "check-squares-overflow"]
         + ["extend-tangential-lightlike", "check-tangential-lightlike.ext", "eval-tangential-lightlike.ext"]
+        + [f"eval-{name}.ext-arc-u{u}" for name in EXTENDABLE[1:] for u in ("0.1", "-0.3")]
+        + ["eval-timelike.ext-arc-end"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS, bench_configs
+from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS, bench_configs, bench_oracles
 from maxsurf import cli, extension
 from maxsurf.cli import CATENOID_CONFIG, SurfaceConfig, main
+from maxsurf.minkowski import LVector, lorentz_inner
 
 PLANE_CONFIG = """\
 f = 1
@@ -479,6 +480,42 @@ def test_eval_extended_catenoid_center_is_outside(tmp_path, capsys):
     assert captured.err == "error: point 0j outside the assembled domain\n"
 
 
+@pytest.mark.parametrize("u", [0.1, -0.3])
+@pytest.mark.parametrize("name", ["spacelike", "timelike", "lightlike"])
+def test_eval_on_the_arc_of_an_extended_config(tmp_path, capsys, name, u):
+    src, out = tmp_path / f"{name}.cfg", str(tmp_path / f"{name}.ext.cfg")
+    src.write_text(bench_configs()[name])
+    _extend_to(str(src), out, capsys)
+    assert main(["eval", out, f"--at={u},0"]) == 0
+    X = [float(t) for t in capsys.readouterr().out.splitlines()[0][5:-1].split(",")]
+    cfg = SurfaceConfig.from_file(out)
+    assert abs(lorentz_inner(LVector(*X), cfg.plane.n) - cfg.plane.d) <= 10 * cfg.tol
+    assert max(abs(a - b) for a, b in zip(X, bench_oracles()[f"{name}.ext"].X(complex(u)))) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, at, point",
+    [("timelike", "0.7,0", "(0.7+0j)"), ("timelike", "-0.7,0", "(-0.7+0j)"), ("half-annulus", "0.1,0", "(0.1+0j)")],
+    ids=["arc-end", "other-arc-end", "hole"],
+)
+def test_eval_refuses_the_ends_of_the_arc_and_the_hole(tmp_path, capsys, name, at, point):
+    src, out = tmp_path / f"{name}.cfg", str(tmp_path / f"{name}.ext.cfg")
+    src.write_text(_HALF_ANNULUS if name == "half-annulus" else bench_configs()[name])
+    _extend_to(str(src), out, capsys)
+    assert main(["eval", out, "--at", at]) == 1
+    assert capsys.readouterr() == ("", f"error: point {point} outside the assembled domain\n")
+
+
+def test_eval_on_the_arc_of_an_extended_half_annulus(tmp_path, capsys):
+    src, out = tmp_path / "ring.cfg", str(tmp_path / "ring.ext.cfg")
+    src.write_text(_HALF_ANNULUS)
+    _extend_to(str(src), out, capsys)
+    assert main(["eval", out, "--at=0.5,0"]) == 0
+    X = [float(t) for t in capsys.readouterr().out.splitlines()[0][5:-1].split(",")]
+    ext = SurfaceConfig.from_file(out).extended_surface()
+    assert X == list(ext.evaluate(0.5).as_tuple())
+
+
 def test_eval_overflow_is_an_input_error(tmp_path, capsys):
     p = tmp_path / "overflow.cfg"
     p.write_text("f = exp(1000*z)\ng = 0\ndomain = disk\nradius = 1\nz0 = 0\ntol = 1e-10\n")
@@ -527,6 +564,32 @@ def test_config_error_names_the_field_at_fault(tmp_path, capsys, lines, err):
     p.write_text("f = 1\ng = 1/z\ndomain = punctured-disk\nradius = 1\n" + lines)
     assert main(["check", str(p)]) == 2
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        # the domain is checked before the basepoint is read, and before tol
+        ("domain = disk\nradius = -1\n", "field 'domain': radius must be positive"),
+        ("domain = disk\nradius = -1\nz0 = 0\ntol = 0\n", "field 'domain': radius must be positive"),
+        # the missing one of f_minus and g_minus is named at its own place, before g_minus is read
+        ("domain = upper-half-disk\nz0 = 0.5*i\nplane = 0,0,1,0\ng_minus = (\n", "field 'f_minus': missing"),
+        # X0 is read before the basepoint is checked against the domain
+        ("domain = disk\nz0 = 2\nX0 = 0,0\n", "field 'X0': expected x1,x2,x3"),
+    ],
+    ids=["domain-before-z0", "domain-before-tol", "f_minus-before-g_minus", "X0-before-basepoint"],
+)
+def test_a_config_with_several_faults_reports_the_first_in_key_order(tmp_path, capsys, text, err):
+    p = tmp_path / "faults.cfg"
+    p.write_text("f = 1\ng = z/2\n" + text)
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {err}\n")
+
+
+def test_the_readme_config_block_lists_the_key_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config format", 1)[1].split("```\n", 2)[1]
+    assert [line.split(" = ", 1)[0] for line in block.splitlines()] == list(cli._KEYS)
 
 
 @pytest.mark.parametrize("f, offset", [("²", 0), ("①", 0), ("²/z", 0), ("z+²", 2)])

@@ -1,10 +1,12 @@
-"""The traced benchmark wraps maxsurf functions by module attribute name, so
-a refactor that drops or renames one of them breaks ``--trace 1``."""
+"""The traced benchmark wraps maxsurf functions by module or class attribute
+name, so a refactor that drops or renames one of them breaks ``--trace 1``."""
 
 import sys
 from pathlib import Path
 
 from maxsurf import expr, verify, weierstrass
+from maxsurf.cli import SurfaceConfig
+from maxsurf.extension import ExtendedSurface
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,14 +29,17 @@ def test_tracer_installs_on_every_traced_name():
         (weierstrass, "conformal_factor"),
         (weierstrass, "gauss_map"),
         (weierstrass, "surface_path"),
+        (SurfaceConfig, "from_file"),
+        (SurfaceConfig, "extended_surface"),
+        (ExtendedSurface, "evaluate"),
     ]
-    before = [getattr(mod, name) for mod, name in watched]
+    before = [vars(owner)[name] for owner, name in watched]  # a class's own entry, not a bound method
     tracer = _tracer()
     try:
         tracer.install()
-        for (mod, name), original in zip(watched, before):
-            assert getattr(mod, name) is not original, f"{mod.__name__}.{name} not wrapped"
+        for (owner, name), original in zip(watched, before):
+            assert vars(owner)[name] is not original, f"{owner.__name__}.{name} not wrapped"
     finally:
         tracer.uninstall()
-    for (mod, name), original in zip(watched, before):
-        assert getattr(mod, name) is original
+    for (owner, name), original in zip(watched, before):
+        assert vars(owner)[name] is original

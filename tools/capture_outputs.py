@@ -63,7 +63,10 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``extend`` of a lightlike contact that is tangential with |g| -> 1
     (exit 0), then ``check`` (exit 1) and ``eval`` (exit 0) of the config it
     writes: each warns that the metric degenerates along the boundary, in
-    one stderr line.
+    one stderr line;
+  - ``eval`` on the real-diameter arc of the three extensions across it, at
+    u = 0.1 and u = -0.3 (exit 0), and at its end u = 0.7 on ``timelike.ext``
+    (exit 1).
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -231,6 +234,9 @@ def commands() -> list[tuple[str, list[str]]]:
         ("check-tangential-lightlike.ext", ["check", "tangential-lightlike.ext.cfg"]),
         ("eval-tangential-lightlike.ext", ["eval", "tangential-lightlike.ext.cfg", "--at", "0.1,0.2"]),
     ]
+    for name in ("spacelike.ext", "timelike.ext", "lightlike.ext"):  # on the arc, the real diameter
+        cmds += [(f"eval-{name}-arc-u{u}", ["eval", f"{name}.cfg", f"--at={u},0"]) for u in ("0.1", "-0.3")]
+    cmds.append(("eval-timelike.ext-arc-end", ["eval", "timelike.ext.cfg", "--at=0.7,0"]))
     return cmds
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "gauss_map",
     "integrate_path",
     "integrate_paths",
-    "integrate_segments",
     "loop_periods",
     "phi",
     "phi_exprs",
@@ -512,11 +511,11 @@ def surface_tree(data: WeierstrassData, points: Sequence[complex], parents: Sequ
     no loop, so the values agree with evaluate_surface for data without
     real periods, the assumption evaluation already makes.
 
-    Each edge is one segment, or where ``_needs_path`` flags it, the path of
-    ``_build_path`` (puncture detours apply).  ``integrate_segments`` takes
-    them all at once with integrate_path's stop test; its estimates round
-    otherwise, so a panel at the edge of its tolerance may split otherwise.
-    A failing forest raises what evaluate_surface raises on the first failing edge.
+    Each edge is a straight segment, or where ``_needs_path`` flags it, the
+    polyline of ``_build_path`` (puncture detours apply); one ``_integrate_batch``
+    takes them all.  Its estimates round otherwise than integrate_path's, so a
+    panel at the edge of its tolerance may split otherwise.  A failing forest
+    raises what evaluate_surface raises on the first failing edge.
     """
     z, up = np.asarray(points, dtype=complex), np.asarray(parents, dtype=np.intp)
     if len(z) != len(up):
@@ -531,24 +530,14 @@ def surface_tree(data: WeierstrassData, points: Sequence[complex], parents: Sequ
     deepest = int(depth.max(initial=0))
     q_edge = QuadratureConfig(q.tol / (deepest + 1))
     starts = np.where(up < 0, data.z0, z[up])
-    paths, unbuilt = {}, None
+    bent, unbuilt = {}, None
     for k in np.flatnonzero(_needs_path(starts, z, data.domain.punctures)).tolist():
         try:
-            paths[k] = _build_path(starts[k], z[k], data.domain.punctures)
+            bent[k] = (_build_path(starts[k], z[k], data.domain.punctures), lambda x, y: data)
         except PathError as exc:  # raised once the edges before it are integrated
             unbuilt, z = exc, z[:k]
             break
-    counts = np.ones(len(z), dtype=np.intp)
-    counts[list(paths)] = [len(path) - 1 for path in paths.values()]
-    owner = np.repeat(np.arange(len(z)), counts)
-    a, b = starts[owner], z[owner]
-    for k, path in paths.items():  # a detour's segments replace its edge's one
-        at = owner.searchsorted(k)
-        a[at : at + counts[k]], b[at : at + counts[k]] = path[:-1], path[1:]
-    moves = a != b
-    segments = (a[moves], b[moves], q_edge.tol / counts[owner[moves]], owner[moves])
-    polyline = lambda k: (paths.get(k) or [complex(starts[k]), complex(z[k])], lambda x, y: data)  # noqa: E731
-    sums = integrate_segments([data], np.zeros(moves.sum(), dtype=np.intp), *segments, len(z), polyline, q_edge)
+    sums = _integrate_batch([data], starts[: len(z)], z, bent, q_edge)
     if unbuilt is not None:
         raise unbuilt
     X = sums.real.T.copy()
@@ -559,47 +548,55 @@ def surface_tree(data: WeierstrassData, points: Sequence[complex], parents: Sequ
 
 
 def integrate_paths(paths: Iterable[tuple[Sequence[complex], Callable]], q: QuadratureConfig) -> np.ndarray:
-    """integrate_path on many polylines at once: the integrals, (3, n).
+    """integrate_path on many polylines at once: the integrals, (3, n), of one ``_integrate_batch``.
 
     ``paths`` yields (points, side_for); ``side_for(a, b)`` is the patch whose field holds from a to b.
-    The polylines are flattened into the segments of ``integrate_segments``, each with its path's share of
-    the tolerance; a PathError raised while building them is raised after the paths built before it."""
+    A PathError raised while building them is raised after the paths built before it are integrated."""
     built, unbuilt = [], None
     try:
         built.extend(paths)
     except PathError as exc:
         unbuilt = exc
-    index, sides, rows = {}, [], []
-    for k, (points, side_for) in enumerate(built):
-        for x, y in zip(points, points[1:]):
-            if x != y:
-                patch = side_for(x, y)
-                if index.setdefault(id(patch), len(sides)) == len(sides):
-                    sides.append(patch)
-                rows.append((index[id(patch)], x, y, q.tol / max(len(points) - 1, 1), k))
-    columns = zip(*rows) if rows else [()] * 5
-    segments = [np.array(c, dtype=t) for c, t in zip(columns, (np.intp, complex, complex, float, np.intp))]
-    sums = integrate_segments(sides, *segments, len(built), built.__getitem__, q)
+    sums = _integrate_batch([], *np.zeros((2, len(built)), dtype=complex), dict(enumerate(built)), q)
     if unbuilt is not None:
         raise unbuilt
     return sums
 
 
-def integrate_segments(sides, side, a, b, tol, owner, n: int, polyline: Callable, q: QuadratureConfig) -> np.ndarray:
-    """The integrals (3, n) of n paths given as segments: from a[i] to b[i] on sides[side[i]], with tolerance
-    tol[i], after the earlier segments of path owner[i].  One _integrate_segments call takes every side's
-    segments, each side's on its patch's cached ``fg_array``, so no batch compiles a program.  It only
-    computes; a path's segment sums are added side by side, in side order, and each path with a segment
-    that did not converge is integrated again by integrate_path along ``polyline(k)`` = (points,
-    side_for), in path order, for its value or its error."""
-    seg_sum, ok = _integrate_segments([patch.fg_array for patch in sides], side, a, b, tol, MAX_DEPTH)
-    sums, failed = np.zeros((3, n), dtype=complex), np.zeros(n, dtype=bool)
+def _integrate_batch(sides: Sequence[WeierstrassData], a: np.ndarray, b: np.ndarray, bent: dict,
+                     q: QuadratureConfig) -> np.ndarray:
+    """The integrals (3, n) of n = len(a) paths: path k runs straight from a[k] to b[k] on sides[0], or
+    where ``bent`` holds k, along the polyline bent[k] = (points, side_for) of integrate_path, its sides
+    numbered after ``sides`` in the order met.  A path's segments share q.tol evenly, and one
+    _integrate_segments call takes every side's segments, each on its patch's cached ``fg_array``.  A path's
+    segment sums are added side by side, in side order; a path with a segment that did not converge is
+    integrated again by integrate_path along its polyline, in path order, for its value or its error."""
+    counts, on = np.ones(len(a), dtype=np.intp), np.zeros(len(a), dtype=bool)
+    index = {id(patch): (k, patch) for k, patch in enumerate(sides)}  # each side's number, in the order met
+    rows = []  # the bent paths' segments as (start, end, side), in path order
+    for k in sorted(bent):
+        points, side_for = bent[k]
+        for x, y in zip(points, points[1:]):
+            patch = side_for(x, y) if x != y else None  # a segment of length 0 is dropped below
+            rows.append((x, y, index.setdefault(id(patch), (len(index), patch))[0] if x != y else 0))
+        counts[k], on[k] = len(points) - 1, True
+    owner = np.repeat(np.arange(len(a)), counts)
+    sa, sb, side = a[owner], b[owner], np.zeros(len(owner), dtype=np.intp)
+    if rows:
+        at = on[owner]
+        sa[at], sb[at], side[at] = zip(*rows)
+    moves = sa != sb
+    side, owner = side[moves], owner[moves]
+    fgs = [patch.fg_array for _, patch in index.values()]
+    seg_sum, ok = _integrate_segments(fgs, side, sa[moves], sb[moves], q.tol / counts[owner], MAX_DEPTH)
+    sums, failed = np.zeros((3, len(a)), dtype=complex), np.zeros(len(a), dtype=bool)
     by_side = np.argsort(side, kind="stable")
     for c in range(3):
         np.add.at(sums[c], owner[by_side], seg_sum[c, by_side])
     failed[owner[~ok]] = True
     for k in np.flatnonzero(failed).tolist():
-        sums[:, k] = integrate_path(*polyline(k), q)[0]
+        polyline = bent[k] if k in bent else ([complex(a[k]), complex(b[k])], lambda x, y: sides[0])
+        sums[:, k] = integrate_path(*polyline, q)[0]
     return sums
 
 
@@ -619,14 +616,14 @@ _KRONROD = np.array((_WGK_CENTER,) + _WGK, dtype=complex)[:, None, None]  # of t
 _GAUSS = np.array((_WG_CENTER,) + _WG, dtype=complex)[:, None, None]  # of the centre and pairs 1, 3 and 5
 
 
-def _gk15_panels(fgs: Sequence[Callable], a: np.ndarray, b: np.ndarray, side: np.ndarray | None = None):
+def _gk15_panels(fgs: Sequence[Callable], a: np.ndarray, b: np.ndarray, side: np.ndarray):
     """_gk15 on many panels at once, of the phi field of array values of f and g.
 
     ``fgs[k](z)`` gives f and g of side k, as its patch's ``fg_array`` does.  Panel i is of side side[i],
     where ``side`` is sorted, so that each side's program runs once per chunk, on the nodes of its own
-    panels alone; with one side ``side`` may be None.  The nodes lie node-major on a (15, m) grid, and
-    each phi component on one such grid of a (3, 15, m) array.  Returns (integrals of shape (3, m), error
-    estimates).  The estimate is NaN for a panel with a non-finite phi value on any of its nodes.
+    panels alone.  The nodes lie node-major on a (15, m) grid, and each phi component on one such grid of
+    a (3, 15, m) array.  Returns (integrals of shape (3, m), error estimates).  The estimate is NaN for a
+    panel with a non-finite phi value on any of its nodes.
     """
     m = len(a)
     out = np.empty((3, m), dtype=complex)

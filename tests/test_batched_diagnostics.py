@@ -124,7 +124,7 @@ def test_check_integrates_the_point_wise_panels_in_batches(bench, monkeypatch, c
     panels, scalar = [], []
     batch = weierstrass._gk15_panels
 
-    def counted_batch(fg, a, b, side=None):
+    def counted_batch(fg, a, b, side):
         panels.append(len(a))
         return batch(fg, a, b, side)
 
@@ -155,13 +155,30 @@ def test_a_two_sided_check_runs_one_kernel_call_per_level(bench, monkeypatch, ca
     batch = weierstrass._gk15_panels
 
     for module in calls:
-        def counted_batch(fg, a, b, side=None, module=module):
+        def counted_batch(fg, a, b, side, module=module):
             calls[module] += 1
             return batch(fg, a, b, side)
 
         monkeypatch.setattr(module, "_gk15_panels", counted_batch)
     assert main(["check", str(bench / "catenoid-b07.ext.cfg")]) == 0
     assert calls == {weierstrass: 7, verify: 1}
+
+
+@pytest.mark.parametrize("argv", [["mesh", "catenoid.cfg", "--grid", "65x65", "-o", "catenoid-65.obj"],
+                                  ["check", "timelike.ext.cfg"]])
+def test_a_mesh_and_a_check_integrate_their_paths_in_one_batch(bench, monkeypatch, capsys, argv):
+    calls = []
+    batch = weierstrass._integrate_batch
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return batch(*args)
+
+    monkeypatch.setattr(weierstrass, "_integrate_batch", counted)
+    monkeypatch.chdir(bench)
+    assert main(argv) == 0
+    assert len(calls) == 1 and calls[0] > 0  # one batch, of all the command's paths
+
 
 def test_points_where_only_the_array_field_is_nan_get_the_scalar_values(monkeypatch):
     # z*1e154*1e154 overflows where |Re z| or |Im z| passes 1.797: NaN on arrays,

@@ -47,11 +47,13 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["extend-tangential-lightlike", "check-tangential-lightlike.ext", "eval-tangential-lightlike.ext"]
         + [f"eval-{name}.ext-arc-u{u}" for name in EXTENDABLE[1:] for u in ("0.1", "-0.3")]
         + ["eval-timelike.ext-arc-end"]
+        + ["extend-wrong-plane", "check-wrong-plane.ext"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
         + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS + ONE_LINE_FAULTS + SQUARE_OVERFLOWS]
         + ["matching-fault.ext.cfg", "branch-cut.ext.cfg", "tangential-lightlike.cfg", "tangential-lightlike.ext.cfg"]
+        + ["wrong-plane.ext.cfg"]
         + [f"{name}.cfg" for name in SURFACES[1:]] + ["catenoid-b07-reflected.cfg", "catenoid-b07-reflected.ext.cfg"]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) + SQUARE_OVERFLOWS
@@ -107,6 +109,8 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-squares-overflow": (1, '"max_residual": 5.551115123125783e-17,\n      "name": "quadratic_identity",\n'
                                    '      "passed": true,'),
         "check-tangential-lightlike.ext": (1, f"\n--- stderr\n{TANGENTIAL_WARNING}"),
+        "check-wrong-plane.ext": (1, '"max_residual": 4.664916170199053,\n      "name": "plane_containment",\n'
+                                  '      "passed": false,'),
     }
     for stem in ("extend-tangential-lightlike", "eval-tangential-lightlike.ext"):  # exit 0, with the one warning line
         text = (tmp_path / next(name for name in logs if name.endswith(f"-{stem}.txt"))).read_text()

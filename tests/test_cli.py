@@ -572,12 +572,14 @@ def test_config_error_names_the_field_at_fault(tmp_path, capsys, lines, err):
         # the domain is checked before the basepoint is read, and before tol
         ("domain = disk\nradius = -1\n", "field 'domain': radius must be positive"),
         ("domain = disk\nradius = -1\nz0 = 0\ntol = 0\n", "field 'domain': radius must be positive"),
+        ("domain = disk\ninner_radius = 0.3\nz0 = 2\n", "field 'domain': inner_radius not meaningful for disk"),
         # the missing one of f_minus and g_minus is named at its own place, before g_minus is read
         ("domain = upper-half-disk\nz0 = 0.5*i\nplane = 0,0,1,0\ng_minus = (\n", "field 'f_minus': missing"),
         # X0 is read before the basepoint is checked against the domain
         ("domain = disk\nz0 = 2\nX0 = 0,0\n", "field 'X0': expected x1,x2,x3"),
     ],
-    ids=["domain-before-z0", "domain-before-tol", "f_minus-before-g_minus", "X0-before-basepoint"],
+    ids=["domain-before-z0", "domain-before-tol", "inner-radius-before-z0", "f_minus-before-g_minus",
+         "X0-before-basepoint"],
 )
 def test_a_config_with_several_faults_reports_the_first_in_key_order(tmp_path, capsys, text, err):
     p = tmp_path / "faults.cfg"

@@ -66,6 +66,24 @@ def test_fit_exact_circle():
     assert locus.residual < 1e-10
 
 
+def test_fit_needs_three_points():
+    with pytest.raises(ValueError, match="need at least 3 points to fit a locus"):
+        fit_circle_or_line([0j, 1 + 0j])
+
+
+def test_a_fitted_line_points_to_positive_real_parts():
+    # drawn at angle 2.0, whose direction has Re < 0: the fit flips it
+    locus = fit_circle_or_line([0.3 + t * cmath.exp(2j) for t in np.linspace(-1, 1, 9)])
+    assert locus.kind == "line" and locus.direction.real > 0
+
+
+@pytest.mark.parametrize("kind, rho, message", [("ray", None, "boundary kind must be 'segment' or 'circle'"),
+                                                ("circle", 0.0, "circle boundary needs rho > 0")])
+def test_a_boundary_arc_is_a_segment_or_a_circle_of_positive_radius(kind, rho, message):
+    with pytest.raises(ValueError, match=message):
+        BoundaryArc(kind, rho)
+
+
 def test_fit_collinear_points_gives_line():
     pts = [complex(1.0, t) for t in np.linspace(-1, 1, 9)]
     locus = fit_circle_or_line(pts)

@@ -202,7 +202,7 @@ def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch):
     panels = []
     batch, gk15 = weierstrass._gk15_panels, weierstrass._gk15
 
-    def counted_batch(fg, a, b, side=None):
+    def counted_batch(fg, a, b, side):
         panels.extend(a)
         return batch(fg, a, b, side)
 
@@ -230,6 +230,11 @@ def test_catenoid_meshes_are_never_replayed(monkeypatch, n):
     monkeypatch.setattr(weierstrass, "integrate_path", counted)
     build_mesh(catenoid_data(), n, n)
     assert calls == []
+
+
+def test_a_mesh_grid_is_at_least_2x2():
+    with pytest.raises(ValueError, match="grid must be at least 2x2"):
+        build_mesh(catenoid_data(), 1, 5)
 
 
 def test_tree_mesh_still_raises_tolerance_error():

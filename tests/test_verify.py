@@ -158,6 +158,16 @@ def test_obstruction_spacelike_impossible():
     assert "impossible contact" in rec.details["message"]
 
 
+def test_obstruction_needs_data_or_measured_values():
+    with pytest.raises(ValueError, match="need either data or measured values"):
+        check_orthogonality_obstruction(Plane(LVector(0, 0, 1), 0.0))
+
+
+def test_a_report_has_no_check_of_an_unknown_name():
+    with pytest.raises(KeyError, match="no_such_check"):
+        full_diagnostics(catenoid_data(), GridSpec(3, 4))["no_such_check"]
+
+
 def test_obstruction_spacelike_fine_for_real_contact():
     data, plane = spacelike_fixture()
     rec = check_orthogonality_obstruction(plane, data)

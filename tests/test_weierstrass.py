@@ -331,6 +331,16 @@ def test_surface_tree_splits_tol_over_the_deepest_branch(monkeypatch):
     assert tols == [1e-10] * 4  # depth 2: three edges on the longest branch
 
 
+def test_surface_tree_needs_a_parent_for_every_point():
+    with pytest.raises(ValueError, match="points and parents must have the same length"):
+        surface_tree(catenoid_data(), [0.5, 0.6], [-1])
+
+
+def test_a_loop_needs_three_waypoints():
+    with pytest.raises(ValueError, match="a loop needs at least 3 waypoints"):
+        loop_periods(catenoid_data(), [0.5, -0.5])
+
+
 def test_surface_tree_needs_parents_first():
     with pytest.raises(ValueError):
         surface_tree(catenoid_data(), [0.5, 0.6], [1, -1])
@@ -620,7 +630,7 @@ def test_batched_segments_use_the_panels_of_the_scalar_integrator(monkeypatch, m
     sizes = []
     batch = weierstrass._gk15_panels
 
-    def counted_batch(fg, a, b, side=None):
+    def counted_batch(fg, a, b, side):
         sizes.append(len(a))
         return batch(fg, a, b, side)
 
@@ -803,8 +813,10 @@ def _reference_level_loop(field_array, a, b, tol, max_depth, levels, side):
     return sums, ok
 
 
-def _reference_integrate_segments(sides, side, a, b, tol, owner, n, polyline, q, levels):
-    """integrate_segments with a level loop per side: (path sums, segment sums, converged flags)."""
+def _reference_integrate_segments(sides, side, a, b, tol, owner, polylines, q, levels):
+    """The path batch with a level loop per side, on flattened segments: (path sums, segment sums, converged
+    flags)."""
+    n = len(polylines)
     sums, failed = np.zeros((3, n), dtype=complex), np.zeros(n, dtype=bool)
     seg_sums, oks = np.zeros((3, len(a)), dtype=complex), np.ones(len(a), dtype=bool)
     for i, patch in enumerate(sides):
@@ -816,7 +828,7 @@ def _reference_integrate_segments(sides, side, a, b, tol, owner, n, polyline, q,
         failed[owner[on][~ok]] = True
         seg_sums[:, on], oks[on] = seg_sum, ok
     for k in np.flatnonzero(failed).tolist():
-        sums[:, k] = integrate_path(*polyline(k), q)[0]
+        sums[:, k] = weierstrass.integrate_path(*polylines[k], q)[0]
     return sums, seg_sums, oks
 
 
@@ -845,31 +857,65 @@ _SIDE_SETS = _side_sets()
 
 @st.composite
 def _level_batches(draw):
-    """Sides, segments on them in a mixed order, with drawn tolerances, owners and MAX_DEPTH, and a kernel chunk
-    of 512 or 3 panels; some segments fail."""
+    """Sides, and paths on them: straight edges on the first side and polylines whose segments take drawn
+    sides, some of length 0; a drawn tolerance and MAX_DEPTH, and a kernel chunk of 512 or 3 panels.  Some
+    paths fail on a segment of ``_FAULTS``."""
     name = draw(st.sampled_from(sorted(_SIDE_SETS)))
     sides = _SIDE_SETS[name]
-    count = draw(st.integers(1, 10))
-    paths = draw(st.integers(1, max(count // 3, 1)))  # paths of several segments, whose sums keep their order
     point = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
-    rows = []
-    for _ in range(count):
-        side = draw(st.integers(0, len(sides) - 1))
-        a, b = _FAULTS[name] if draw(st.integers(0, 9)) == 0 else (draw(point), draw(point))
-        if name == "overflow" and (a, b) == _FAULTS[name]:
-            side = 1  # the growth patch
-        tol = 10.0 ** draw(st.floats(-13, -6))
-        rows.append((side, a, b, tol, draw(st.integers(0, paths - 1))))
-    columns = [np.array(c, dtype=t) for c, t in zip(zip(*rows), (np.intp, complex, complex, float, np.intp))]
-    return sides, columns, paths, draw(st.sampled_from([3, 8, 26])), draw(st.sampled_from([512, 3]))
+    ends, bent = [], {}
+    for k in range(draw(st.integers(1, 4))):
+        fault = draw(st.integers(0, 9)) == 0
+        if not draw(st.integers(0, 2)) and not (fault and name == "overflow"):  # a straight edge
+            ends.append(_FAULTS[name] if fault else (draw(point), draw(point)))
+            continue
+        points, on = [draw(point)], {}
+        for _ in range(draw(st.integers(0, 3))):
+            points.append(points[-1] if draw(st.integers(0, 9)) == 0 else draw(point))
+        if fault:
+            points = list(_FAULTS[name])
+        for x, y in zip(points, points[1:]):
+            side = 1 if fault and name == "overflow" else draw(st.integers(0, len(sides) - 1))  # the growth patch
+            on.setdefault((x, y), sides[side])
+        ends.append((0j, 0j))  # not read: the polyline takes the path's place
+        bent[k] = (points, lambda x, y, on=on: on[x, y])
+    first = [sides[0]] if len(bent) < len(ends) or draw(st.booleans()) else []
+    q = QuadratureConfig(10.0 ** draw(st.floats(-13, -6)))
+    a, b = (np.array(column, dtype=complex) for column in zip(*ends))
+    return sides, first, (a, b), bent, q, draw(st.sampled_from([3, 8, 26])), draw(st.sampled_from([512, 3]))
+
+
+def _flattened(first, a, b, bent, q):
+    """The batch's paths as the reference takes them: its sides, numbered in the order met, and its segments
+    as (side, a, b, tol, owner) arrays, with the polyline of each path."""
+    numbers, rows, polylines = {id(patch): (k, patch) for k, patch in enumerate(first)}, [], []
+    for k in range(len(a)):
+        points, side_for = bent.get(k) or ([complex(a[k]), complex(b[k])], lambda x, y: first[0])
+        for x, y in zip(points, points[1:]):
+            if x != y:
+                patch = side_for(x, y)
+                side = numbers.setdefault(id(patch), (len(numbers), patch))[0]
+                rows.append((side, x, y, q.tol / max(len(points) - 1, 1), k))
+        polylines.append((points, side_for))
+    columns = zip(*rows) if rows else [()] * 5
+    segments = [np.array(c, dtype=t) for c, t in zip(columns, (np.intp, complex, complex, float, np.intp))]
+    return [patch for _, patch in numbers.values()], segments, polylines
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_level_batches())
 def test_one_level_loop_over_all_sides_is_the_loop_per_side_bit_for_bit(batch):
-    sides, (side, a, b, tol, owner), n, max_depth, chunk = batch
-    q = QuadratureConfig()
-    polyline = lambda k: ([0.5 + 0j, 0.6 + 0j], lambda x, y: sides[0])  # noqa: E731  a replay that converges
+    sides, first, (a, b), bent, q, max_depth, chunk = batch
+    numbered, (side, sa, sb, tol, owner), polylines = _flattened(first, a, b, bent, q)
+    replays, want_replays = [], []
+
+    def replay(record):
+        def integrate(points, side_for, rq):  # a replay that converges, recording the polyline it is given
+            record.append(list(points))
+            return integrate_path([0.5 + 0j, 0.6 + 0j], lambda x, y: sides[0], rq)
+
+        return integrate
+
     levels, loops, want_levels = [], [], {}
     kernel, loop = weierstrass._gk15_panels, weierstrass._integrate_segments
 
@@ -883,14 +929,17 @@ def test_one_level_loop_over_all_sides_is_the_loop_per_side_bit_for_bit(batch):
 
     with quadrature_constants(max_depth=max_depth), pytest.MonkeyPatch.context() as patch:
         patch.setattr(weierstrass, "_CHUNK", chunk)
-        want = _reference_integrate_segments(sides, side, a, b, tol, owner, n, polyline, q, want_levels)
+        patch.setattr(weierstrass, "integrate_path", replay(want_replays))
+        want = _reference_integrate_segments(numbered, side, sa, sb, tol, owner, polylines, q, want_levels)
+        patch.setattr(weierstrass, "integrate_path", replay(replays))
         patch.setattr(weierstrass, "_gk15_panels", recorded_kernel)
         patch.setattr(weierstrass, "_integrate_segments", recorded_loop)
-        sums = weierstrass.integrate_segments(sides, side, a, b, tol, owner, n, polyline, q)
+        sums = weierstrass._integrate_batch(first, a, b, bent, q)
     (seg_sums, ok), = loops
     assert sums.tobytes() == want[0].tobytes()
     assert seg_sums.tobytes() == want[1].tobytes()
     assert ok.tolist() == want[2].tolist()
+    assert replays == want_replays
     key = lambda p: (p[0], p[1].real, p[1].imag, p[2].real, p[2].imag)  # noqa: E731
     want_levels = [sorted(want_levels[d], key=key) for d in sorted(want_levels)]
     assert [sorted(level, key=key) for level in levels] == want_levels

@@ -66,6 +66,10 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     one stderr line;
   - ``eval`` on the real-diameter arc of the three extensions across it, at
     u = 0.1 and u = -0.3 (exit 0), and at its end u = 0.7 on ``timelike.ext``
+    (exit 1);
+  - ``extend`` of the timelike config across the plane x2 = 5, which its
+    boundary (in x2 = 0.335) does not lie in (exit 0), then ``check`` of the
+    config it writes, which fails plane_containment and reflection_symmetry
     (exit 1).
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
@@ -76,12 +80,12 @@ Each command leaves ``NNN-COMMAND-TARGET.txt`` with its exit code, stdout and
 stderr; the configs, OBJ files and sidecars stay next to them.  Commands run
 inside OUTDIR with relative paths, so the files depend only on the code.
 
-``--against REV`` compares this checkout with the git revision REV: it checks
-REV out in a temporary ``git worktree`` (removed afterwards), runs REV's copy
-of this script into ``OUTDIR/base`` and this checkout's into
-``OUTDIR/change``, and prints each file that differs, was added or went
-missing, then a count of the identical ones.  It exits 1 when a file that
-both captures wrote differs, else 0.
+``--against REV`` compares this checkout with the git revision REV: it extracts
+REV with ``git archive`` into a temporary directory (removed afterwards), so
+nothing is written under ``.git``, runs REV's copy of this script into
+``OUTDIR/base`` and this checkout's into ``OUTDIR/change``, and prints each
+file that differs, was added or went missing, then a count of the identical
+ones.  It exits 1 when a file that both captures wrote differs, else 0.
 """
 
 from __future__ import annotations
@@ -91,6 +95,7 @@ import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -237,6 +242,10 @@ def commands() -> list[tuple[str, list[str]]]:
     for name in ("spacelike.ext", "timelike.ext", "lightlike.ext"):  # on the arc, the real diameter
         cmds += [(f"eval-{name}-arc-u{u}", ["eval", f"{name}.cfg", f"--at={u},0"]) for u in ("0.1", "-0.3")]
     cmds.append(("eval-timelike.ext-arc-end", ["eval", "timelike.ext.cfg", "--at=0.7,0"]))
+    cmds += [  # a plane that misses the boundary: extend accepts it, check refuses what it writes
+        ("extend-wrong-plane", ["extend", "timelike.cfg", "--plane", "0,1,0,5", "-o", "wrong-plane.ext.cfg"]),
+        ("check-wrong-plane.ext", ["check", "wrong-plane.ext.cfg"]),
+    ]
     return cmds
 
 
@@ -302,12 +311,10 @@ def against(rev: str, outdir: Path) -> int:
         if d.exists() and any(d.iterdir()):
             sys.exit(f"{d} is not empty")
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "rev"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet", str(tree), rev], check=True)
-        try:
-            subprocess.run([sys.executable, str(tree / "tools" / "capture_outputs.py"), str(base)], check=True)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], check=True)
+        tree = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
+            tar.extractall(tmp, filter="data")
+        subprocess.run([sys.executable, str(Path(tmp) / "tools" / "capture_outputs.py"), str(base)], check=True)
     capture(change)
     differ, added, missing, same = compare(base, change)
     for label, names in (("differs", differ), ("added", added), ("missing", missing)):

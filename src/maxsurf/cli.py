@@ -33,7 +33,7 @@ from . import __version__
 from .expr import Const, EvalError, ParseError, evaluate, format_expr, parse, substitute
 from .extension import CASES, DegenerateContactWarning, ExtendedSurface, ExtensionError, extend, measure_contact
 from .minkowski import LVector, Plane, plane_class
-from .verify import full_diagnostics, GridSpec
+from .verify import GridSpec, _json_text, full_diagnostics
 from .weierstrass import (
     DegenerateMetricError,
     Domain,
@@ -600,7 +600,7 @@ def cmd_extend(args) -> int:
     except ExtensionError as exc:
         sys.stderr.write(f"extension failed: {exc}\n")
         return 1
-    report = json.dumps(_extend_report(ext), sort_keys=True, indent=2) + "\n"
+    report = _json_text(_extend_report(ext)) + "\n"
     text, out = _extended_config_text(cfg, ext), args.output or (args.config + ".extended")
     try:  # opened only once the text is built, so a fault while building it leaves an earlier file as it was
         with open(out, "w", encoding="utf-8") as fh:

@@ -320,29 +320,17 @@ def compile_array(*trees: Expr) -> Callable[[np.ndarray], np.ndarray | tuple[np.
     EvalError the array holds NaN.  The converse does not hold (scalar arithmetic may pass through an
     infinity and come back finite); callers rerun non-finite elements through compile_fn.
     """
-    program, memo = _ArrayProgram(), {}
-    target = program.target()
-    roots = [program.array(program.guard(_compile(e, target, memo))) for e in trees]
-    plan = program.plan(roots)
-
-    def run(z: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
-        v = [np.asarray(z, dtype=complex)]
-        with np.errstate(all="ignore"):
-            for step, dead in plan:
-                v.append(step(v))
-                for r in dead:
-                    v[r] = None
-        return v[roots[0]] if len(roots) == 1 else tuple(v[r] for r in roots)
-
-    return run
+    program = _ArrayProgram()
+    return program.runner(program.values(*trees))
 
 
 def _compile(e: Expr, target: dict, memo: dict | None = None) -> Callable:
     """The one tree walk of every pass over a tree: ``target`` maps each node type to a builder of what
     the pass makes of that node from the node and what its children built.  The targets are compile_fn's
-    closures (_SCALAR), compile_array's registers (_ArrayProgram.target), differentiation's derivatives
-    (_DERIVATIVE), format_expr's (text, precedence) pairs (_FORMAT), and the rebuilt trees of sconj and
-    substitute (_REBUILD with their leaves).  With a ``memo`` dict, a node met again by identity is built
+    closures (_SCALAR), compile_array's registers (_ArrayProgram._target), differentiation's derivatives
+    (_DERIVATIVE) and their forward mode on registers (_ArrayProgram.derivatives), format_expr's (text,
+    precedence) pairs (_FORMAT), and the rebuilt trees of sconj and substitute (_REBUILD with their
+    leaves).  With a ``memo`` dict, a node met again by identity is built
     once; a leaf is built each time."""
     t = type(e)
     if t is Const or t is Var:
@@ -429,36 +417,91 @@ def _bits(c: complex) -> bytes:
 
 class _ArrayProgram:
     """The array target of _compile: a straight-line program over registers v, where v[0] is z and
-    each step appends one value.  A builder returns its node's register, or a Const node, which a
+    each step sets one value.  A builder returns its node's register, or a Const node, which a
     binary step takes as a Python complex scalar and any other step fills to z's shape.  +, -, *,
     negation, positive powers and numerators keep a non-finite value non-finite, while a function, a
     denominator or a negative power may make it finite (exp(-inf) = 0, 1/inf = 0), so only a computed
     value that feeds one of those, or is a result, is guarded: made NaN where it is not finite.
 
     Steps are value-numbered: an operation on the operands of an earlier step (registers, or constants
-    with the same bits) is that step's register, so a subtree written twice is computed once."""
+    with the same bits) is that step's register, so a subtree written twice is computed once.  A program
+    grows: ``values`` adds trees, and ``derivatives`` adds the derivatives of trees it holds as
+    forward-mode steps that read their value registers.  It keeps each node's register by identity,
+    so its trees must outlive it.  A ``runner`` runs the steps up to its roots'."""
 
     OPERATORS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
     def __init__(self):
         self.steps: list[Callable] = []
-        self._last: dict[int, int] = {}  # register -> the index of the last step that reads it
+        self._reads: list[tuple[int, ...]] = []  # per step, the registers it reads
         self._numbers: dict[tuple, int] = {}  # (operation, operand registers or constant bits) -> register
         self._clean = {0}  # the registers that are their own guarded value: z and its negations
+        self._memo: dict[int, object] = {}  # id(node) -> its register or Const, from every values walk
 
-    def target(self) -> dict:
+    def _target(self) -> dict:
         """The builders for _compile, made per use: kept on self, they would make a reference cycle."""
-        return {Const: lambda e: e, Var: lambda e: 0, Neg: self._neg, Pow: self._pow, Call: self._call,
-                **dict.fromkeys(self.OPERATORS, self._binary)}
+        return {Const: lambda e: e, Var: lambda e: 0, Neg: lambda e, a: self._negation(a),
+                Pow: lambda e, b: self._power(b, e.exponent), Call: lambda e, a: self._function(e.func, a),
+                **dict.fromkeys(self.OPERATORS, lambda e, left, right: self._binary(type(e), left, right))}
 
-    def plan(self, roots: list[int]) -> list[tuple[Callable, tuple[int, ...]]]:
-        """(step, registers to drop after it) per step: a register other than a root is dropped after
-        the step that reads it last, so a run holds only the values still to be read."""
-        dead = [()] * len(self.steps)
-        for r, k in self._last.items():
+    def values(self, *trees: Expr) -> list[int]:
+        """The registers of the trees' guarded values; a node an earlier call compiled is not walked again."""
+        target = self._target()
+        return [self.array(self.guard(_compile(e, target, self._memo))) for e in trees]
+
+    def derivatives(self, *trees: Expr) -> list[int]:
+        """The registers of the guarded derivatives of trees that ``values`` compiled, in forward mode:
+        _DERIVATIVE's rules and folds applied to terms instead of trees, so that each is the register
+        that compiling differentiate(tree) here would give.  A term is a register, a Const, a node of
+        the trees (standing for its value), or a Neg or Pow of a term, emitted only where it is read."""
+        def node(t, a, b):  # what does not fold is a step
+            if t is Pow:
+                return self._power(self._register(a), b)
+            return self._binary(t, self._register(a), self._register(b))
+
+        target = self._target()
+
+        def outer(e):  # the function's rule compiled with the argument's register as z; a negation stays a term
+            rule, target[Var] = _RULES_AT_Z[e.func], lambda v, a=self._register(e.arg): a
+            return Neg(_compile(rule.arg, target)) if type(rule) is Neg else _compile(rule, target)
+
+        rules, memo = _derivative_rules(node, outer), {}
+        return [self.array(self.guard(self._register(_compile(e, rules, memo)))) for e in trees]
+
+    def _register(self, t):
+        """The register, or Const, of a derivative term; a node of the trees has its value's register."""
+        k = type(t)
+        if k is int or k is Const:
+            return t
+        r = self._memo.get(id(t))
+        if r is not None:
+            return r
+        if k is Neg:
+            return self._negation(self._register(t.arg))
+        return self._power(self._register(t.base), t.exponent) if k is Pow else 0  # else z
+
+    def runner(self, roots: list[int]) -> Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]]:
+        """The function of z that runs the steps up to the last root's, in order, and returns the roots'
+        arrays (one root's array alone).  Values come before the derivatives that read them, so a run of
+        value roots is a prefix of the program, and a register other than a root is dropped after the
+        step of that prefix that reads it last.  The plan is made here, once."""
+        roots, end = tuple(roots), max(roots)
+        dead = [()] * end
+        for r, k in {r: k for k, reads in enumerate(self._reads[:end]) for r in reads}.items():  # the last reads
             if r not in roots:
                 dead[k] += (r,)
-        return list(zip(self.steps, dead))
+        plan = list(zip(self.steps[:end], dead))
+
+        def run(z: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
+            v = [np.asarray(z, dtype=complex)]
+            with np.errstate(all="ignore"):
+                for step, drop in plan:
+                    v.append(step(v))
+                    for r in drop:
+                        v[r] = None
+            return v[roots[0]] if len(roots) == 1 else tuple(v[r] for r in roots)
+
+        return run
 
     def _emit(self, step: Callable, op, a, b=None) -> int:
         """The register of op on the operands a and b (registers, or Consts): an earlier step's where its
@@ -466,11 +509,9 @@ class _ArrayProgram:
         key = (op, _bits(a.value) if type(a) is Const else a, _bits(b.value) if type(b) is Const else b)
         r = self._numbers.get(key)
         if r is None:
-            if type(a) is int:
-                self._last[a] = len(self.steps)
-            if type(b) is int:
-                self._last[b] = len(self.steps)
             self.steps.append(step)
+            reads = (a,) if type(a) is int else ()
+            self._reads.append(reads + (b,) if type(b) is int else reads)
             r = self._numbers[key] = len(self.steps)
         return r
 
@@ -484,7 +525,7 @@ class _ArrayProgram:
             return r
         return self._emit(lambda v: _finite(v[r]), _finite, r)
 
-    def _neg(self, e: Neg, a):
+    def _negation(self, a):
         if type(a) is Const:  # negation is exact, so it folds
             return Const(-a.value)
         r = self._emit(lambda v: -v[a], np.negative, a)
@@ -492,18 +533,18 @@ class _ArrayProgram:
             self._clean.add(r)
         return r
 
-    def _call(self, e: Call, a) -> int:
-        fn, i = _FUNCTIONS[e.func].array, self.array(self.guard(a))
+    def _function(self, func: str, a) -> int:
+        fn, i = _FUNCTIONS[func].array, self.array(self.guard(a))
         return self._emit(lambda v: fn(v[i]), fn, i)
 
-    def _pow(self, e: Pow, b) -> int:
-        n, i = e.exponent, self.array(self.guard(b) if e.exponent < 0 else b)
+    def _power(self, b, n: int) -> int:
+        i = self.array(self.guard(b) if n < 0 else b)
         if n == 0:  # numpy gives nan^0 = 1, but a non-finite base must give NaN
             return self._emit(lambda v: np.where(np.isfinite(v[i]), 1 + 0j, np.nan), (np.power, n), i)
         return self._emit(lambda v: v[i] ** n, (np.power, n), i)
 
-    def _binary(self, e, left, right) -> int:
-        op = self.OPERATORS[type(e)]
+    def _binary(self, t: type, left, right) -> int:
+        op = self.OPERATORS[t]
         right = self.guard(right) if op is np.divide else right
         if type(left) is Const and type(right) is Const:
             left = self.array(left)
@@ -517,10 +558,6 @@ class _ArrayProgram:
 # ---------------------------------------------------------------------------
 # differentiation
 
-def _isConst(e: Expr, v: complex) -> bool:
-    return isinstance(e, Const) and e.value == v
-
-
 def _neg(a: Expr) -> Expr:
     if isinstance(a, Const):
         return Const(-a.value)
@@ -529,46 +566,57 @@ def _neg(a: Expr) -> Expr:
     return Neg(a)
 
 
-def _add(a: Expr, b: Expr) -> Expr:
-    if _isConst(a, 0):
+def _build(t: type, a, b):
+    """The node of type t on its operands: what the derivative rules make where nothing folds."""
+    return t(a, b)
+
+
+# The folds of Const(0) and Const(1), where a Const operand is tested by type and value; the
+# constants they make are shared, as Consts are immutable.
+_ZERO, _ONE = Const(0), Const(1)
+
+
+def _add(a: Expr, b: Expr, node: Callable = _build) -> Expr:
+    if type(a) is Const and a.value == 0:
         return b
-    if _isConst(b, 0):
+    if type(b) is Const and b.value == 0:
         return a
-    return Add(a, b)
+    return node(Add, a, b)
 
 
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _isConst(b, 0):
+def _sub(a: Expr, b: Expr, node: Callable = _build) -> Expr:
+    if type(b) is Const and b.value == 0:
         return a
-    if _isConst(a, 0):
+    if type(a) is Const and a.value == 0:
         return _neg(b)
-    return Sub(a, b)
+    return node(Sub, a, b)
 
 
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _isConst(a, 0) or _isConst(b, 0):
-        return Const(0)
-    if _isConst(a, 1):
+def _mul(a: Expr, b: Expr, node: Callable = _build) -> Expr:
+    ka, kb = a.value if type(a) is Const else None, b.value if type(b) is Const else None
+    if ka == 0 or kb == 0:
+        return _ZERO
+    if ka == 1:
         return b
-    if _isConst(b, 1):
+    if kb == 1:
         return a
-    return Mul(a, b)
+    return node(Mul, a, b)
 
 
-def _div(a: Expr, b: Expr) -> Expr:
-    if _isConst(a, 0):
-        return Const(0)
-    if _isConst(b, 1):
+def _div(a: Expr, b: Expr, node: Callable = _build) -> Expr:
+    if type(a) is Const and a.value == 0:
+        return _ZERO
+    if type(b) is Const and b.value == 1:
         return a
-    return Div(a, b)
+    return node(Div, a, b)
 
 
-def _pow(b: Expr, n: int) -> Expr:
+def _pow(b: Expr, n: int, node: Callable = _build) -> Expr:
     if n == 0:
-        return Const(1)
+        return _ONE
     if n == 1:
         return b
-    return Pow(b, n)
+    return node(Pow, b, n)
 
 
 def differentiate(e: Expr) -> Expr:
@@ -582,18 +630,28 @@ def _derivative(e: Expr, memo: dict) -> Expr:
     return _compile(e, _DERIVATIVE, memo)
 
 
-# each builder has the node e and its operands' derivatives
-_DERIVATIVE: dict[type, Callable] = {
-    Const: lambda e: Const(0),
-    Var: lambda e: Const(1),
-    Neg: lambda e, da: _neg(da),
-    Add: lambda e, da, db: _add(da, db),
-    Sub: lambda e, da, db: _sub(da, db),
-    Mul: lambda e, da, db: _add(_mul(da, e.right), _mul(e.left, db)),
-    Div: lambda e, da, db: _div(_sub(_mul(da, e.right), _mul(e.left, db)), Pow(e.right, 2)),
-    Pow: lambda e, db: _mul(_mul(Const(e.exponent), _pow(e.base, e.exponent - 1)), db),  # Const(0) for x^0
-    Call: lambda e, da: _mul(_FUNCTIONS[e.func].derivative(e.arg), da),
-}
+def _derivative_rules(node: Callable, outer: Callable[[Call], Expr]) -> dict[type, Callable]:
+    """The builders of derivatives, each from the node e and its operands' derivatives.  _add, _sub,
+    _mul, _div and _pow fold Const(0) and Const(1), and ``node(type, a, b)`` makes what does not fold;
+    ``outer(e)`` is a call's outer factor, the derivative rule of its _FUNCTIONS row at e.arg.  Where
+    node builds trees these are differentiation's rules (_DERIVATIVE); where it emits steps they are
+    the forward mode of _ArrayProgram.derivatives."""
+    return {
+        Const: lambda e: _ZERO,
+        Var: lambda e: _ONE,
+        Neg: lambda e, da: _neg(da),
+        Add: lambda e, da, db: _add(da, db, node),
+        Sub: lambda e, da, db: _sub(da, db, node),
+        Mul: lambda e, da, db: _add(_mul(da, e.right, node), _mul(e.left, db, node), node),
+        Div: lambda e, da, db: _div(_sub(_mul(da, e.right, node), _mul(e.left, db, node), node), Pow(e.right, 2), node),
+        Pow: lambda e, db: _mul(_mul(Const(e.exponent), _pow(e.base, e.exponent - 1, node), node), db, node),  # 0 for x^0
+        Call: lambda e, da: _mul(outer(e), da, node),
+    }
+
+
+_DERIVATIVE = _derivative_rules(_build, lambda e: _FUNCTIONS[e.func].derivative(e.arg))
+# each function's derivative rule as a tree in z, which forward mode compiles at its argument's register
+_RULES_AT_Z = {name: row.derivative(Var()) for name, row in _FUNCTIONS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ from .expr import (
     Var,
     _derivative,
     _NormalForm,
-    compile_array,
     compile_fn,
     sconj,
     substitute,
@@ -490,12 +489,12 @@ def _locus_mismatch(fitted: CircleOrLine, expected: CircleOrLine) -> float:
 
 def _boundary_limits(data: WeierstrassData, unit_n: LVector) -> tuple[BoundaryArc, float, list[float], list[complex]]:
     """The boundary arc, c, and the limits of <N, unit_n> and of g at each of its positions, extrapolated
-    from ``boundary_samples`` by Neville's tableau; c is the mean of the <N, unit_n> limits.  Raises what
-    compile_fn and gauss_from_g raise at a sample."""
+    from ``boundary_samples`` by Neville's tableau; c is the mean of the <N, unit_n> limits.  g comes from
+    the patch program run to g alone.  Raises what compile_fn and gauss_from_g raise at a sample."""
     rho = data.domain.boundary_circle
     boundary = BoundaryArc("segment") if rho is None else BoundaryArc("circle", rho)
     z = np.array(boundary_samples(data.domain)).reshape(ARC_POSITIONS, len(_DEPTH_FRACTIONS))  # (position, depth)
-    gs = compile_array(data.g)(z)
+    gs = data._g_array(z)
     N = _gauss_arrays(gs.ravel())[0].reshape(*gs.shape, 3)
     with np.errstate(all="ignore"):
         cs = N[..., 0] * unit_n.x1 + N[..., 1] * unit_n.x2 - N[..., 2] * unit_n.x3  # lorentz_inner's arithmetic
@@ -604,23 +603,28 @@ def _match_values(f, g, df, dg) -> np.ndarray:
         return np.array([f, g, *_phi_values(f, g), df, dg, p1 + fdg * g, p2 - 1j * fdg * g, p3 + fdg])
 
 
-def _match_report(data, f_minus, g_minus) -> MatchReport:
-    """The gaps from f, g, f' and g' of each side at the arc points, in one array pass.  Where a value
-    is not finite, scalar closures redo the point; the first fault raises, in the order f, g, phi (its
-    g^2), f', g' of the report's formulas, then point by point, the original side first."""
-    pts, memo = boundary_points(data.domain), {}  # one derivative memo: f_minus holds g_minus, so f_minus' holds g_minus'
-    trees = [(f, g, _derivative(f, memo), _derivative(g, memo)) for f, g in ((data.f, data.g), (f_minus, g_minus))]
+def _match_report(plus: WeierstrassData, minus: WeierstrassData) -> MatchReport:
+    """The gaps from f, g, f' and g' of each side at the arc points, from one run of each side's program
+    with its forward-mode derivative steps.  Where a value is not finite, scalar closures redo the point,
+    compiled from derivative trees built for them alone; the first fault raises, in the order f, g, phi
+    (its g^2), f', g' of the report's formulas, then point by point, the original side first."""
+    pts = boundary_points(plus.domain)
     z = np.array(pts)
-    fgd = np.array([compile_array(*side)(z) for side in trees])  # (side, f g f' g', point)
-    redo = np.flatnonzero(~np.isfinite(_match_values(*fgd.swapaxes(0, 1))).all(axis=(0, 1))).tolist()
-    closures = [[compile_fn(e) for e in (*side, Pow(side[1], 2))] for side in trees] if redo else None
-    for j, k, s in product((0, 1, 4, 2, 3), redo, (0, 1)):
-        value = closures[s][j](pts[k])
-        if j < 4:  # 4 is phi's g^2, evaluated for its overflow
-            fgd[s, j, k] = value
-    plus, minus = _match_values(*fgd.swapaxes(0, 1)).swapaxes(0, 1)
-    with np.errstate(all="ignore"):
-        gap = np.max(np.abs(plus - minus) / (1 + np.abs(plus)), axis=1)  # NaN at any point makes the gap NaN
+    fgd = np.array([side._fgd_array(z) for side in (plus, minus)])  # (side, f g f' g', point)
+    values = _match_values(*fgd.swapaxes(0, 1))
+    redo = np.flatnonzero(~np.isfinite(values).all(axis=(0, 1))).tolist()
+    if redo:
+        memo = {}  # one derivative memo: f_minus holds g_minus, so f_minus' holds g_minus'
+        closures = [[compile_fn(e) for e in (p.f, p.g, _derivative(p.f, memo), _derivative(p.g, memo), Pow(p.g, 2))]
+                    for p in (plus, minus)]
+        for j, k, s in product((0, 1, 4, 2, 3), redo, (0, 1)):
+            value = closures[s][j](pts[k])
+            if j < 4:  # 4 is phi's g^2, evaluated for its overflow
+                fgd[s, j, k] = value
+        values = _match_values(*fgd.swapaxes(0, 1))
+    plus_values, minus_values = values.swapaxes(0, 1)
+    with np.errstate(all="ignore"):  # NaN at any point makes the gap NaN
+        gap = np.max(np.abs(plus_values - minus_values) / (1 + np.abs(plus_values)), axis=1)
     names = _MATCHED + tuple("d" + name for name in _MATCHED)
     return MatchReport(gaps=dict(zip(names, gap.tolist())), tol=MATCH_TOL, points=tuple(pts))
 
@@ -643,7 +647,7 @@ class ExtendedSurface:
     @cached_property
     def matching(self) -> MatchReport:
         """The gaps between the two sides' formulas on the arc, against MATCH_TOL."""
-        return _match_report(self.original, self.f_minus, self.g_minus)
+        return _match_report(self.original, self.minus)
 
     @property
     def case(self) -> Case:
@@ -697,16 +701,16 @@ class ExtendedSurface:
         return self.original.X0 + LVector(t1.real, t2.real, t3.real)
 
 
-def _check_reconstruction_singular(g_minus: Expr, pts: Sequence[complex], offsets: Sequence[complex]):
-    """Reject when g_minus hits any of the given values on the sample grid, skipping points where it
-    faults; one array pass finds the points near a value or not finite, and the scalar code decides there."""
+def _check_reconstruction_singular(minus: WeierstrassData, pts: Sequence[complex], offsets: Sequence[complex]):
+    """Reject when the patch's g hits any of the given values on the sample grid, skipping points where
+    it faults; one run of the patch program to g finds the points near a value or not finite, and the
+    scalar code decides there."""
     with np.errstate(invalid="ignore"):
-        gs = compile_array(g_minus)(np.array(pts, dtype=complex))
+        gs = minus._g_array(np.array(pts, dtype=complex))
         near = ~np.isfinite(gs) | (np.abs(gs[:, None] - np.array(offsets)) < 2 * SINGULAR_TOL).any(axis=1)
-    g = compile_fn(g_minus) if near.any() else None
     for z in [pts[k] for k in np.flatnonzero(near)]:
         try:
-            gv = g(complex(z))
+            gv = minus._g_fn(complex(z))
         except EvalError:
             continue
         for w in offsets:
@@ -733,7 +737,7 @@ def extend(data: WeierstrassData, plane: Plane) -> ExtendedSurface:
     g_minus = reflect_g(contact.plane_kind, data.g, case.parameter(contact), arc)
     f_minus = case.recover(arc.pullback(case.odd(data.f, data.g)), g_minus)
     normal = _NormalForm()  # one memo, so f_minus keeps sharing g_minus
-    g_minus, f_minus = normal(g_minus), normal(f_minus)
-    if case.singular:
-        _check_reconstruction_singular(g_minus, _minus_grid(data.domain, arc), case.singular)
-    return ExtendedSurface(data, contact, g_minus, f_minus)
+    ext = ExtendedSurface(data, contact, normal(g_minus), normal(f_minus))
+    if case.singular:  # on the reflected patch, whose program the matching report grows
+        _check_reconstruction_singular(ext.minus, _minus_grid(data.domain, arc), case.singular)
+    return ext

@@ -18,10 +18,10 @@ point by point, with floats moved only at round-off.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,7 +97,37 @@ class DiagnosticsReport:
             "passed": self.passed,
             "checks": [c.as_dict() for c in sorted(self.checks, key=lambda c: c.name)],
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return _json_text(payload)
+
+
+def _json_text(o, indent: str = "\n") -> str:
+    """json.dumps(o, sort_keys=True, indent=2), byte for byte, without the pure-Python encoder that
+    json falls back to for an indent: str through json's (C) ASCII escaper, int and float subclasses
+    through int.__repr__ and float.__repr__, NaN and +-inf as NaN and +-Infinity, dicts with sorted
+    keys, lists and tuples; anything else is a TypeError, as in json."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return float.__repr__(o) if math.isfinite(o) else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        return f"[{inner}{(',' + inner).join([_json_text(v, inner) for v in o])}{indent}]" if o else "[]"
+    if isinstance(o, dict):
+        items = [(k if isinstance(k, str) else _json_key(k), v) for k, v in sorted(o.items())]
+        text = (',' + inner).join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in items])
+        return f"{{{inner}{text}{indent}}}" if o else "{}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_key(k) -> str:
+    """A key that is not a str as json writes it: a bool, None, int or float as its JSON text."""
+    if k is None or isinstance(k, (int, float)):
+        return _json_text(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 # The diagnostic grid beyond its lattice size, and the checks' own thresholds.

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .expr import Add, Const, Expr, Mul, Pow, Sub, compile_array, compile_fn
+from .expr import Add, Const, Expr, Mul, Pow, Sub, _ArrayProgram, compile_fn
 from .minkowski import LVector
 
 __all__ = [
@@ -234,9 +234,29 @@ class WeierstrassData:
         return compile_fn(self.g)
 
     @cached_property
+    def _program(self) -> _ArrayProgram:
+        """The patch's one array program (the numpy target of ``expr.compile_array``), grown as the
+        patch is read: g's value steps, f's, and last the forward-mode steps of f' and g'."""
+        return _ArrayProgram()
+
+    @cached_property
+    def _g_array(self) -> Callable[[np.ndarray], np.ndarray]:
+        """g on a complex array: the patch program run to g.  The contact measurement reads it first, so
+        a load that integrates nothing on arrays (eval) compiles g alone."""
+        return self._program.runner(self._program.values(self.g))
+
+    @cached_property
     def fg_array(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """f and g on a complex array, as one ``expr.compile_array`` program built once per patch."""
-        return compile_array(self.f, self.g)
+        """f and g on a complex array: the value steps of the patch program, with no derivative step."""
+        return self._program.runner(self._program.values(self.f, self.g))
+
+    @cached_property
+    def _fgd_array(self) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
+        """f, g, f' and g' on a complex array: the patch program with the derivative steps, which read
+        the value registers; each is bit for bit the array of compile_array(f, g, differentiate(f),
+        differentiate(g)).  Only the matching report of an extension runs it."""
+        program = self._program
+        return program.runner(program.values(self.f, self.g) + program.derivatives(self.f, self.g))
 
 
 # ---------------------------------------------------------------------------
@@ -573,18 +593,21 @@ def _integrate_batch(sides: Sequence[WeierstrassData], a: np.ndarray, b: np.ndar
     integrated again by integrate_path along its polyline, in path order, for its value or its error."""
     counts, on = np.ones(len(a), dtype=np.intp), np.zeros(len(a), dtype=bool)
     index = {id(patch): (k, patch) for k, patch in enumerate(sides)}  # each side's number, in the order met
-    rows = []  # the bent paths' segments as (start, end, side), in path order
+    rows = []  # the bent paths' segments as (start, end, side, path), in path order
     for k in sorted(bent):
         points, side_for = bent[k]
         for x, y in zip(points, points[1:]):
             patch = side_for(x, y) if x != y else None  # a segment of length 0 is dropped below
-            rows.append((x, y, index.setdefault(id(patch), (len(index), patch))[0] if x != y else 0))
+            rows.append((x, y, index.setdefault(id(patch), (len(index), patch))[0] if x != y else 0, k))
         counts[k], on[k] = len(points) - 1, True
-    owner = np.repeat(np.arange(len(a)), counts)
-    sa, sb, side = a[owner], b[owner], np.zeros(len(owner), dtype=np.intp)
-    if rows:
-        at = on[owner]
-        sa[at], sb[at], side[at] = zip(*rows)
+    if rows and len(bent) == len(a):  # every path bent (integrate_paths): the rows are all the segments
+        sa, sb, side, owner = (np.array(c, dtype=t) for c, t in zip(zip(*rows), (complex, complex, np.intp, np.intp)))
+    else:
+        owner = np.repeat(np.arange(len(a)), counts)
+        sa, sb, side = a[owner], b[owner], np.zeros(len(owner), dtype=np.intp)
+        if rows:
+            at = on[owner]
+            sa[at], sb[at], side[at], _ = zip(*rows)
     moves = sa != sb
     side, owner = side[moves], owner[moves]
     fgs = [patch.fg_array for _, patch in index.values()]

@@ -28,6 +28,16 @@ def phi_array(data, z):
         return np.array(_phi_values(*data.fg_array(np.asarray(z, dtype=complex))))
 
 
+def with_formulas(data, f, g):
+    """The patch of data with the formulas f and g, as ExtendedSurface.minus holds a reflected side."""
+    return WeierstrassData(f, g, data.domain, data.z0, data.X0)
+
+
+def patch_of_g(g):
+    """A unit-disk patch with the formula g, for checks that read only a patch's g."""
+    return WeierstrassData(parse("1"), g, Domain(DomainKind.DISK), 0j, LVector(0, 0, 0))
+
+
 @contextlib.contextmanager
 def quadrature_constants(max_depth=weierstrass.MAX_DEPTH, clearance=weierstrass.CLEARANCE):
     """weierstrass.MAX_DEPTH and CLEARANCE set for a with block, which the quadrature reads at each call.

@@ -24,9 +24,9 @@ from fixtures import (
     spacelike_fixture,
     timelike_fixture,
 )
-from maxsurf import extension, verify, weierstrass
+from maxsurf import cli, expr, extension, verify, weierstrass
 from maxsurf.cli import SurfaceConfig, main
-from maxsurf.expr import EvalError, parse
+from maxsurf.expr import Const, EvalError, Var, format_expr, parse
 from maxsurf.extension import extend
 from maxsurf.minkowski import LVector
 from maxsurf.verify import GridSpec, catenoid_data, full_diagnostics, laplacian_residuals
@@ -61,7 +61,7 @@ def _surface(path: Path):
 
 def _point_wise(monkeypatch):
     nan = lambda z: np.full(np.shape(z), complex("nan+nanj"))  # noqa: E731
-    monkeypatch.setattr(weierstrass, "compile_array", lambda *trees: lambda z: tuple(nan(z) for _ in trees))
+    monkeypatch.setattr(WeierstrassData, "fg_array", property(lambda data: lambda z: (nan(z), nan(z))))
 
 
 def _assert_same_report(batched, point_wise):
@@ -178,6 +178,54 @@ def test_a_mesh_and_a_check_integrate_their_paths_in_one_batch(bench, monkeypatc
     monkeypatch.chdir(bench)
     assert main(argv) == 0
     assert len(calls) == 1 and calls[0] > 0  # one batch, of all the command's paths
+
+
+def _fresh_walks(monkeypatch):
+    """Every node a walk with a memo builds, as (node, kind): "values" for a patch program's values,
+    "derivatives" for its forward-mode steps, "trees" for symbolic differentiation."""
+    walks, walk = [], expr._compile
+
+    def counted(e, target, memo=None):
+        if memo is not None and id(e) not in memo and type(e) not in (Const, Var):
+            kind = "trees" if target is expr._DERIVATIVE else "values" if target[Var](Var()) == 0 else "derivatives"
+            walks.append((e, kind))
+        return walk(e, target, memo)
+
+    monkeypatch.setattr(expr, "_compile", counted)
+    return walks
+
+
+def _recorded(monkeypatch, owner, name):
+    """The values owner.name returns, recorded while the test runs."""
+    made, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: made.append(fn(*args)) or made[-1])
+    return made
+
+
+@pytest.mark.parametrize("argv", [["check", "timelike.ext.cfg"], ["check", "lightlike.ext.cfg"],
+                                  ["check", "spacelike.ext.cfg"], ["extend", "timelike.cfg", "-o", "again.ext.cfg"],
+                                  ["extend", "lightlike.cfg", "-o", "again.ext.cfg"]])
+def test_each_side_is_walked_once_for_values_and_once_for_derivatives(bench, monkeypatch, capsys, argv):
+    made = _recorded(monkeypatch, *((SurfaceConfig, "extended_surface") if argv[0] == "check" else (cli, "extend")))
+    walks = _fresh_walks(monkeypatch)
+    monkeypatch.chdir(bench)
+    assert main(argv) == 0
+    (ext,) = made
+    for side in (ext.original, ext.minus):
+        for tree in (side.f, side.g):
+            kinds = sorted(kind for node, kind in walks if node is tree)
+            assert kinds == ["derivatives", "values"], format_expr(tree)
+    assert not any(kind == "trees" for _, kind in walks)  # no point is redone
+
+
+@pytest.mark.parametrize("argv", [["mesh", "catenoid.cfg", "--grid", "9x9", "-o", "catenoid-9.obj"],
+                                  ["eval", "timelike.ext.cfg", "--at=0.1,-0.2"]])
+def test_mesh_and_eval_compile_no_derivative_step(bench, monkeypatch, capsys, argv):
+    derivatives = _recorded(monkeypatch, expr._ArrayProgram, "derivatives")
+    walks = _fresh_walks(monkeypatch)
+    monkeypatch.chdir(bench)
+    assert main(argv) == 0
+    assert derivatives == [] and {kind for _, kind in walks} == {"values"}
 
 
 def test_points_where_only_the_array_field_is_nan_get_the_scalar_values(monkeypatch):

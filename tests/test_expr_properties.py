@@ -48,6 +48,8 @@ from maxsurf.expr import (
     sconj,
     substitute,
 )
+from maxsurf.minkowski import LVector
+from maxsurf.weierstrass import Domain, DomainKind, WeierstrassData
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "tanh", "sqrt")
 
@@ -327,9 +329,35 @@ def test_array_leaves_are_used_as_given(tree, z, want):
 def test_matching_gaps_are_those_of_the_per_tree_guarded_evaluator(fixture, monkeypatch):
     data, plane = fixture()
     ext = extension.extend(data, plane)
-    gaps = extension._match_report(data, ext.f_minus, ext.g_minus).gaps
-    monkeypatch.setattr(extension, "compile_array", lambda *trees: lambda z: [guarded_array(t, z) for t in trees])
-    assert extension._match_report(data, ext.f_minus, ext.g_minus).gaps == gaps
+    gaps = extension._match_report(data, ext.minus).gaps
+    trees = lambda side: (side.f, side.g, differentiate(side.f), differentiate(side.g))  # noqa: E731
+    monkeypatch.setattr(WeierstrassData, "_fgd_array", property(lambda side: lambda z: [guarded_array(t, z) for t in trees(side)]))
+    assert extension._match_report(data, ext.minus).gaps == gaps
+
+
+# leaves that reach every fold of the derivative rules: the constants 0 and 1 of either sign, and
+# negations that parsing would fold into a constant or that _neg unwraps
+_folding_leaf = st.one_of(_leaf, st.sampled_from([Const(0), Const(-0.0), Const(1), Const(-1), Neg(Const(1)),
+                                                   Neg(Const(-1)), Neg(Const(0)), Neg(Var()), Neg(Neg(Var()))]))
+folding_exprs = st.recursive(_folding_leaf, _tree, max_leaves=6)
+_EDGES = [complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 0), 1e200 + 1e200j, -0.0 + 0j, 0j]
+
+
+@_PAIRS
+@given(f=folding_exprs, g=folding_exprs, shared=st.booleans(), g_first=st.booleans(),
+       zs=st.lists(st.one_of(special, lattice, points, st.sampled_from(_EDGES)), min_size=1, max_size=6))
+def test_forward_derivatives_are_the_compiled_derivative_trees_bit_for_bit(f, g, shared, g_first, zs):
+    # f may hold g by identity, as f_minus holds g_minus; g alone may be compiled first, as the contact does
+    f = Mul(f, g) if shared else f
+    data = WeierstrassData(f, g, Domain(DomainKind.DISK), 0j, LVector(0, 0, 0))
+    z = np.array(zs, dtype=complex)
+    g_alone = data._g_array(z) if g_first else None
+    values = data.fg_array(z)
+    got = data._fgd_array(z)
+    want = compile_array(f, g, differentiate(f), differentiate(g))(z)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (format_expr(f), format_expr(g))
+    assert [v.tobytes() for v in values] == [v.tobytes() for v in want[:2]]
+    assert g_alone is None or g_alone.tobytes() == want[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

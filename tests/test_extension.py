@@ -10,11 +10,12 @@ from fixtures import (
     catenoid_extension_fixture,
     lightlike_fixture,
     lightlike_tangent_fixture,
+    patch_of_g,
     quadrature_constants,
     spacelike_fixture,
     timelike_fixture,
 )
-from maxsurf import extension
+from maxsurf import weierstrass
 from maxsurf.expr import Const, Div, EvalError, Mul, Pow, Var, compile_array, compile_fn, evaluate, format_expr, parse
 from maxsurf.extension import (
     BoundaryArc,
@@ -467,15 +468,15 @@ def test_extension_dispatch():
 
 def test_singular_reconstruction_guard():
     with pytest.raises(SingularReconstructionError):
-        _check_reconstruction_singular(parse("1"), [0.1 + 0.1j], (1 + 0j,))
+        _check_reconstruction_singular(patch_of_g(parse("1")), [0.1 + 0.1j], (1 + 0j,))
 
 
 def test_singular_reconstruction_check_compiles_g_minus_once(monkeypatch):
     # 1/(z-z) is NaN in the array pass at every point, so every point is flagged, and faults at each in scalar code
     compiled = []
-    monkeypatch.setattr(extension, "compile_fn", lambda e: compiled.append(e) or compile_fn(e))
+    monkeypatch.setattr(weierstrass, "compile_fn", lambda e: compiled.append(e) or compile_fn(e))
     g_minus = parse("1/(z-z)")
-    assert _check_reconstruction_singular(g_minus, minus_points(), (1 + 0j, -1 + 0j)) is None
+    assert _check_reconstruction_singular(patch_of_g(g_minus), minus_points(), (1 + 0j, -1 + 0j)) is None
     assert compiled == [g_minus]
 
 

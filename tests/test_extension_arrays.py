@@ -15,8 +15,10 @@ from fixtures import (
     catenoid_extension_fixture,
     lightlike_fixture,
     lightlike_tangent_fixture,
+    patch_of_g,
     spacelike_fixture,
     timelike_fixture,
+    with_formulas,
 )
 from maxsurf.expr import Add, Call, Const, Div, EvalError, Mul, Sub, Var, compile_array, compile_fn, differentiate, parse
 from maxsurf.extension import (
@@ -249,7 +251,7 @@ def test_matching_matches_the_per_formula_reference(family):
     except ExtensionError:
         return  # no reflected side to match (the contact test compares these)
     gaps, points = scalar_match_report(data, ext.f_minus, ext.g_minus)
-    report = _match_report(data, ext.f_minus, ext.g_minus)
+    report = _match_report(data, ext.minus)
     assert report.points == points
     assert list(report.gaps) == list(gaps)
     for name, gap, rule in zip(gaps, gaps.values(), product_rule_gaps(data, ext.f_minus, ext.g_minus)):
@@ -375,9 +377,9 @@ def test_singular_check_skips_faults_and_reports_the_first_hit():
     g = Add(Div(Sub(Var(), Const(q)), Sub(Var(), Const(p))), Const(1))  # faults at p, equals 1 at q
     expected = outcome(scalar_singular, g, pts, (1 + 0j,))
     assert expected == (SingularReconstructionError, f"extended g takes the singular value {1 + 0j} near z = {q}")
-    assert outcome(_check_reconstruction_singular, g, pts, (1 + 0j,)) == expected
+    assert outcome(_check_reconstruction_singular, patch_of_g(g), pts, (1 + 0j,)) == expected
     # without the hit, the fault alone is skipped, not reported
-    assert _check_reconstruction_singular(Div(Const(1), Sub(Var(), Const(p))), pts, (1 + 0j, -1 + 0j)) is None
+    assert _check_reconstruction_singular(patch_of_g(Div(Const(1), Sub(Var(), Const(p)))), pts, (1 + 0j, -1 + 0j)) is None
 
 
 def uncached_minus_grid(domain, reflect):
@@ -407,7 +409,7 @@ def test_singular_check_judges_an_array_nan_by_its_scalar_value():
     pts = [0.3 - 0.2j, 0.1 - 0.5j]
     expected = (SingularReconstructionError, f"extended g takes the singular value {1 + 0j} near z = {pts[0]}")
     assert outcome(scalar_singular, g, pts, (1 + 0j,)) == expected
-    assert outcome(_check_reconstruction_singular, g, pts, (1 + 0j,)) == expected
+    assert outcome(_check_reconstruction_singular, patch_of_g(g), pts, (1 + 0j,)) == expected
 
 
 # Quotients of constants that numpy and Python divide to values a few ulps apart, on the two
@@ -439,7 +441,7 @@ def test_singular_check_decides_its_threshold_as_the_scalar_code():
     pts = [0.3 - 0.2j, 0.1 - 0.5j]
     expected = outcome(scalar_singular, _SINGULAR_STRADDLE, pts, (1 + 0j, -1 + 0j))
     assert expected[0] is SingularReconstructionError
-    assert outcome(_check_reconstruction_singular, _SINGULAR_STRADDLE, pts, (1 + 0j, -1 + 0j)) == expected
+    assert outcome(_check_reconstruction_singular, patch_of_g(_SINGULAR_STRADDLE), pts, (1 + 0j, -1 + 0j)) == expected
 
 
 def _spacelike_sides():
@@ -465,7 +467,7 @@ def test_matching_judges_an_array_nan_by_its_scalar_value(extra, nan_gaps):
     data, f_minus, g_minus = _spacelike_sides()
     odd = Add(f_minus, extra)
     gaps, _ = scalar_match_report(data, odd, g_minus)
-    report = _match_report(data, odd, g_minus)
+    report = _match_report(data, with_formulas(data, odd, g_minus))
     for name, gap in gaps.items():  # every point was redone
         got = report.gaps[name]
         assert (math.isnan(got) and math.isnan(gap)) or abs(got - gap) <= 1e-15, name
@@ -476,7 +478,7 @@ def test_matching_judges_an_array_nan_by_its_scalar_value(extra, nan_gaps):
 def test_a_nan_gap_fails_the_report_wherever_it_falls():
     # Python's max drops a NaN that does not come first; the report keeps it in any place
     data, f_minus, g_minus = _spacelike_sides()
-    report = _match_report(data, f_minus, g_minus)
+    report = _match_report(data, with_formulas(data, f_minus, g_minus))
     assert report.passed
     for name in report.gaps:
         odd = MatchReport({**report.gaps, name: math.nan}, report.tol, report.points)
@@ -501,4 +503,4 @@ def test_matching_faults_raise_as_the_per_formula_report(f_minus, g_pole, g_shif
     fm = parse(f_minus)
     expected = outcome(scalar_match_report, data, fm, gm)
     assert expected[0] is EvalError
-    assert outcome(_match_report, data, fm, gm) == expected
+    assert outcome(_match_report, data, with_formulas(data, fm, gm)) == expected

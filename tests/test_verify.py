@@ -1,9 +1,11 @@
 import cmath
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixtures import (
     bench_configs,
@@ -22,6 +24,7 @@ from maxsurf.verify import (
     GRID_SEED,
     GridSpec,
     _grid_points,
+    _json_text,
     catenoid_data,
     catenoid_reference,
     check_cross_product_normal,
@@ -333,3 +336,41 @@ def test_grid_points_drawn_in_chunks_are_those_of_all_tries_at_once(name):
     for grid in (GridSpec(), GridSpec(3, 5)):
         got = np.array(_grid_points(domain, grid), dtype=complex)
         assert got.tobytes() == np.array(all_tries_grid_points(domain, grid), dtype=complex).tobytes()
+
+
+# report payloads: every JSON type, strings with escapes and non-ASCII, the float edges json spells
+# out, and the float and int subclasses json writes by float.__repr__ and int.__repr__
+_texts = st.one_of(st.text(), st.sampled_from(["", "\"", "\\", "\n\t\r\x00\x1f\x7f", "é", "☃", "\U0001f600", "\ud800"]))
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _texts,
+    st.sampled_from([-0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf, 5e-324]),
+    st.floats().map(np.float64), st.integers(-10, 10).map(lambda n: type("Int", (int,), {})(n)),
+)
+_payloads = st.recursive(_scalars, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple), st.dictionaries(_texts, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(payload=_payloads)
+def test_the_report_writer_is_json_dumps_byte_for_byte(payload):
+    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("key", [None, True, 2, -0.5, math.nan, math.inf], ids=repr)
+def test_the_report_writer_writes_keys_as_json_dumps(key):
+    payload = {"a": {key: [1]}}
+    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    mixed = {key: 1, "b": 2}  # json sorts the keys as given, so a str key beside another kind fails
+    with pytest.raises(TypeError):
+        json.dumps(mixed, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _json_text(mixed)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), 1j, {1, 2}, object(), {(1, 2): 3}], ids=repr)
+def test_the_report_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _json_text(value)

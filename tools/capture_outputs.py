@@ -303,6 +303,14 @@ def compare(base: Path, change: Path) -> tuple[list[str], list[str], list[str], 
     return differ, sorted(files[1] - files[0]), sorted(files[0] - files[1]), len(both) - len(differ)
 
 
+def extract(rev: str, dest: str) -> None:
+    """Write the files of the git revision REV of this checkout into dest, through ``git archive``, so
+    that nothing is written under ``.git``."""
+    tree = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def against(rev: str, outdir: Path) -> int:
     """Capture REV into outdir/base and this checkout into outdir/change, print how they differ, and
     return 1 when a file both wrote differs."""
@@ -311,9 +319,7 @@ def against(rev: str, outdir: Path) -> int:
         if d.exists() and any(d.iterdir()):
             sys.exit(f"{d} is not empty")
     with tempfile.TemporaryDirectory() as tmp:
-        tree = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
-            tar.extractall(tmp, filter="data")
+        extract(rev, tmp)
         subprocess.run([sys.executable, str(Path(tmp) / "tools" / "capture_outputs.py"), str(base)], check=True)
     capture(change)
     differ, added, missing, same = compare(base, change)

@@ -318,7 +318,8 @@ def compile_array(*trees: Expr) -> Callable[[np.ndarray], np.ndarray | tuple[np.
     operation whose result is not finite yields NaN, which stays NaN up the tree; z, constants and
     their negations are used as given (exp(z) at z = -inf is 0).  Where compile_fn would raise
     EvalError the array holds NaN.  The converse does not hold (scalar arithmetic may pass through an
-    infinity and come back finite); callers rerun non-finite elements through compile_fn.
+    infinity and come back finite); callers rerun non-finite elements through compile_fn.  This is one
+    run of a fresh _ArrayProgram; a patch keeps its own program, which grows by derivative steps.
     """
     program = _ArrayProgram()
     return program.runner(program.values(*trees))
@@ -433,7 +434,7 @@ class _ArrayProgram:
 
     def __init__(self):
         self.steps: list[Callable] = []
-        self._reads: list[tuple[int, ...]] = []  # per step, the registers it reads
+        self._last: dict[int, int] = {}  # register -> the index of the last step that reads it
         self._numbers: dict[tuple, int] = {}  # (operation, operand registers or constant bits) -> register
         self._clean = {0}  # the registers that are their own guarded value: z and its negations
         self._memo: dict[int, object] = {}  # id(node) -> its register or Const, from every values walk
@@ -483,14 +484,15 @@ class _ArrayProgram:
     def runner(self, roots: list[int]) -> Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]]:
         """The function of z that runs the steps up to the last root's, in order, and returns the roots'
         arrays (one root's array alone).  Values come before the derivatives that read them, so a run of
-        value roots is a prefix of the program, and a register other than a root is dropped after the
-        step of that prefix that reads it last.  The plan is made here, once."""
+        value roots is a prefix of the program.  A register other than a root is dropped after the step
+        that reads it last, and kept to the end of the run where that step lies past the prefix.  The
+        plan is made here, once."""
         roots, end = tuple(roots), max(roots)
         dead = [()] * end
-        for r, k in {r: k for k, reads in enumerate(self._reads[:end]) for r in reads}.items():  # the last reads
-            if r not in roots:
+        for r, k in self._last.items():
+            if k < end and r not in roots:
                 dead[k] += (r,)
-        plan = list(zip(self.steps[:end], dead))
+        plan = list(zip(self.steps, dead))
 
         def run(z: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
             v = [np.asarray(z, dtype=complex)]
@@ -509,9 +511,11 @@ class _ArrayProgram:
         key = (op, _bits(a.value) if type(a) is Const else a, _bits(b.value) if type(b) is Const else b)
         r = self._numbers.get(key)
         if r is None:
+            if type(a) is int:
+                self._last[a] = len(self.steps)
+            if type(b) is int:
+                self._last[b] = len(self.steps)
             self.steps.append(step)
-            reads = (a,) if type(a) is int else ()
-            self._reads.append(reads + (b,) if type(b) is int else reads)
             r = self._numbers[key] = len(self.steps)
         return r
 

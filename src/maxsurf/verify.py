@@ -104,23 +104,35 @@ def _json_text(o, indent: str = "\n") -> str:
     """json.dumps(o, sort_keys=True, indent=2), byte for byte, without the pure-Python encoder that
     json falls back to for an indent: str through json's (C) ASCII escaper, int and float subclasses
     through int.__repr__ and float.__repr__, NaN and +-inf as NaN and +-Infinity, dicts with sorted
-    keys, lists and tuples; anything else is a TypeError, as in json."""
+    keys, lists and tuples; anything else is a TypeError, as in json.  A container writes its scalar
+    items itself, by their exact type."""
+    scalar = _JSON_SCALARS.get(type(o))
+    if scalar is not None:
+        return scalar(o)
     if isinstance(o, str):
         return encode_basestring_ascii(o)
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        return float.__repr__(o) if math.isfinite(o) else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+        return _json_float(o)
     inner = indent + "  "
     if isinstance(o, (list, tuple)):
-        return f"[{inner}{(',' + inner).join([_json_text(v, inner) for v in o])}{indent}]" if o else "[]"
+        items = [s(v) if (s := _JSON_SCALARS.get(type(v))) else _json_text(v, inner) for v in o]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if o else "[]"
     if isinstance(o, dict):
-        items = [(k if isinstance(k, str) else _json_key(k), v) for k, v in sorted(o.items())]
-        text = (',' + inner).join([f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in items])
-        return f"{{{inner}{text}{indent}}}" if o else "{}"
+        items = [f"{encode_basestring_ascii(k if isinstance(k, str) else _json_key(k))}: "
+                 f"{s(v) if (s := _JSON_SCALARS.get(type(v))) else _json_text(v, inner)}" for k, v in sorted(o.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if o else "{}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_float(o: float) -> str:
+    return float.__repr__(o) if math.isfinite(o) else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+
+
+# the JSON text of each scalar type, by exact type; a subclass of str, int or float takes _json_text's tests
+_JSON_SCALARS = {str: encode_basestring_ascii, float: _json_float, int: int.__repr__,
+                 bool: lambda o: "true" if o else "false", type(None): lambda o: "null"}
 
 
 def _json_key(k) -> str:

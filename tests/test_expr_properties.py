@@ -344,20 +344,22 @@ _EDGES = [complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 0), 1e2
 
 
 @_PAIRS
-@given(f=folding_exprs, g=folding_exprs, shared=st.booleans(), g_first=st.booleans(),
+@given(f=folding_exprs, g=folding_exprs, shared=st.booleans(), order=st.sampled_from(["g-first", "values-first", "last"]),
        zs=st.lists(st.one_of(special, lattice, points, st.sampled_from(_EDGES)), min_size=1, max_size=6))
-def test_forward_derivatives_are_the_compiled_derivative_trees_bit_for_bit(f, g, shared, g_first, zs):
-    # f may hold g by identity, as f_minus holds g_minus; g alone may be compiled first, as the contact does
+def test_forward_derivatives_are_the_compiled_derivative_trees_bit_for_bit(f, g, shared, order, zs):
+    # f may hold g by identity, as f_minus holds g_minus; g alone may be compiled first, as the contact does,
+    # or the value runs made last, as prefixes of a program whose later steps read their registers
     f = Mul(f, g) if shared else f
     data = WeierstrassData(f, g, Domain(DomainKind.DISK), 0j, LVector(0, 0, 0))
     z = np.array(zs, dtype=complex)
-    g_alone = data._g_array(z) if g_first else None
-    values = data.fg_array(z)
-    got = data._fgd_array(z)
+    runs = {name: getattr(data, name) for name in
+            {"g-first": ("_g_array", "fg_array", "_fgd_array"), "values-first": ("fg_array", "_fgd_array", "_g_array"),
+             "last": ("_fgd_array", "fg_array", "_g_array")}[order]}
     want = compile_array(f, g, differentiate(f), differentiate(g))(z)
+    got = runs["_fgd_array"](z)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (format_expr(f), format_expr(g))
-    assert [v.tobytes() for v in values] == [v.tobytes() for v in want[:2]]
-    assert g_alone is None or g_alone.tobytes() == want[1].tobytes()
+    assert [v.tobytes() for v in runs["fg_array"](z)] == [v.tobytes() for v in want[:2]]
+    assert runs["_g_array"](z).tobytes() == want[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -418,7 +418,7 @@ def _bits(c: complex) -> bytes:
 
 class _ArrayProgram:
     """The array target of _compile: a straight-line program over registers v, where v[0] is z and
-    each step sets one value.  A builder returns its node's register, or a Const node, which a
+    each step appends one value.  A builder returns its node's register, or a Const node, which a
     binary step takes as a Python complex scalar and any other step fills to z's shape.  +, -, *,
     negation, positive powers and numerators keep a non-finite value non-finite, while a function, a
     denominator or a negative power may make it finite (exp(-inf) = 0, 1/inf = 0), so only a computed

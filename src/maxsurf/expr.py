@@ -319,7 +319,7 @@ def compile_array(*trees: Expr) -> Callable[[np.ndarray], np.ndarray | tuple[np.
     their negations are used as given (exp(z) at z = -inf is 0).  Where compile_fn would raise
     EvalError the array holds NaN.  The converse does not hold (scalar arithmetic may pass through an
     infinity and come back finite); callers rerun non-finite elements through compile_fn.  This is one
-    run of a fresh _ArrayProgram; a patch keeps its own program, which grows by derivative steps.
+    run of a fresh _ArrayProgram; a patch keeps its own program, grown by the trees of f' and g'.
     """
     program = _ArrayProgram()
     return program.runner(program.values(*trees))
@@ -328,10 +328,9 @@ def compile_array(*trees: Expr) -> Callable[[np.ndarray], np.ndarray | tuple[np.
 def _compile(e: Expr, target: dict, memo: dict | None = None) -> Callable:
     """The one tree walk of every pass over a tree: ``target`` maps each node type to a builder of what
     the pass makes of that node from the node and what its children built.  The targets are compile_fn's
-    closures (_SCALAR), compile_array's registers (_ArrayProgram._target), differentiation's derivatives
-    (_DERIVATIVE) and their forward mode on registers (_ArrayProgram.derivatives), format_expr's (text,
-    precedence) pairs (_FORMAT), and the rebuilt trees of sconj and substitute (_REBUILD with their
-    leaves).  With a ``memo`` dict, a node met again by identity is built
+    closures (_SCALAR), compile_array's registers (_ArrayProgram.target), differentiation's derivatives
+    (_DERIVATIVE), format_expr's (text, precedence) pairs (_FORMAT), and the rebuilt trees of sconj and
+    substitute (_REBUILD with their leaves).  With a ``memo`` dict, a node met again by identity is built
     once; a leaf is built each time."""
     t = type(e)
     if t is Const or t is Var:
@@ -426,9 +425,8 @@ class _ArrayProgram:
 
     Steps are value-numbered: an operation on the operands of an earlier step (registers, or constants
     with the same bits) is that step's register, so a subtree written twice is computed once.  A program
-    grows: ``values`` adds trees, and ``derivatives`` adds the derivatives of trees it holds as
-    forward-mode steps that read their value registers.  It keeps each node's register by identity,
-    so its trees must outlive it.  A ``runner`` runs the steps up to its roots'."""
+    grows: each ``values`` call adds trees, and a node an earlier call compiled, by identity, is not
+    walked again.  A ``runner`` runs the steps up to its roots'."""
 
     OPERATORS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
@@ -437,54 +435,24 @@ class _ArrayProgram:
         self._last: dict[int, int] = {}  # register -> the index of the last step that reads it
         self._numbers: dict[tuple, int] = {}  # (operation, operand registers or constant bits) -> register
         self._clean = {0}  # the registers that are their own guarded value: z and its negations
-        self._memo: dict[int, object] = {}  # id(node) -> its register or Const, from every values walk
+        self._memo: dict[int, object] = {}  # id(node) -> its register or Const, from every values call
+        self._trees: list[Expr] = []  # every tree compiled, kept so that no id in _memo is reused
 
-    def _target(self) -> dict:
+    def target(self) -> dict:
         """The builders for _compile, made per use: kept on self, they would make a reference cycle."""
-        return {Const: lambda e: e, Var: lambda e: 0, Neg: lambda e, a: self._negation(a),
-                Pow: lambda e, b: self._power(b, e.exponent), Call: lambda e, a: self._function(e.func, a),
-                **dict.fromkeys(self.OPERATORS, lambda e, left, right: self._binary(type(e), left, right))}
+        return {Const: lambda e: e, Var: lambda e: 0, Neg: self._neg, Pow: self._pow, Call: self._call,
+                **dict.fromkeys(self.OPERATORS, self._binary)}
 
     def values(self, *trees: Expr) -> list[int]:
-        """The registers of the trees' guarded values; a node an earlier call compiled is not walked again."""
-        target = self._target()
+        """The registers of the trees' guarded values."""
+        target = self.target()
+        self._trees += trees
         return [self.array(self.guard(_compile(e, target, self._memo))) for e in trees]
-
-    def derivatives(self, *trees: Expr) -> list[int]:
-        """The registers of the guarded derivatives of trees that ``values`` compiled, in forward mode:
-        _DERIVATIVE's rules and folds applied to terms instead of trees, so that each is the register
-        that compiling differentiate(tree) here would give.  A term is a register, a Const, a node of
-        the trees (standing for its value), or a Neg or Pow of a term, emitted only where it is read."""
-        def node(t, a, b):  # what does not fold is a step
-            if t is Pow:
-                return self._power(self._register(a), b)
-            return self._binary(t, self._register(a), self._register(b))
-
-        target = self._target()
-
-        def outer(e):  # the function's rule compiled with the argument's register as z; a negation stays a term
-            rule, target[Var] = _RULES_AT_Z[e.func], lambda v, a=self._register(e.arg): a
-            return Neg(_compile(rule.arg, target)) if type(rule) is Neg else _compile(rule, target)
-
-        rules, memo = _derivative_rules(node, outer), {}
-        return [self.array(self.guard(self._register(_compile(e, rules, memo)))) for e in trees]
-
-    def _register(self, t):
-        """The register, or Const, of a derivative term; a node of the trees has its value's register."""
-        k = type(t)
-        if k is int or k is Const:
-            return t
-        r = self._memo.get(id(t))
-        if r is not None:
-            return r
-        if k is Neg:
-            return self._negation(self._register(t.arg))
-        return self._power(self._register(t.base), t.exponent) if k is Pow else 0  # else z
 
     def runner(self, roots: list[int]) -> Callable[[np.ndarray], np.ndarray | tuple[np.ndarray, ...]]:
         """The function of z that runs the steps up to the last root's, in order, and returns the roots'
-        arrays (one root's array alone).  Values come before the derivatives that read them, so a run of
-        value roots is a prefix of the program.  A register other than a root is dropped after the step
+        arrays (one root's array alone).  Trees compiled earlier come first, so the run of an earlier
+        call's roots is a prefix of the program.  A register other than a root is dropped after the step
         that reads it last, and kept to the end of the run where that step lies past the prefix.  The
         plan is made here, once."""
         roots, end = tuple(roots), max(roots)
@@ -529,7 +497,7 @@ class _ArrayProgram:
             return r
         return self._emit(lambda v: _finite(v[r]), _finite, r)
 
-    def _negation(self, a):
+    def _neg(self, e: Neg, a):
         if type(a) is Const:  # negation is exact, so it folds
             return Const(-a.value)
         r = self._emit(lambda v: -v[a], np.negative, a)
@@ -537,18 +505,18 @@ class _ArrayProgram:
             self._clean.add(r)
         return r
 
-    def _function(self, func: str, a) -> int:
-        fn, i = _FUNCTIONS[func].array, self.array(self.guard(a))
+    def _call(self, e: Call, a) -> int:
+        fn, i = _FUNCTIONS[e.func].array, self.array(self.guard(a))
         return self._emit(lambda v: fn(v[i]), fn, i)
 
-    def _power(self, b, n: int) -> int:
-        i = self.array(self.guard(b) if n < 0 else b)
+    def _pow(self, e: Pow, b) -> int:
+        n, i = e.exponent, self.array(self.guard(b) if e.exponent < 0 else b)
         if n == 0:  # numpy gives nan^0 = 1, but a non-finite base must give NaN
             return self._emit(lambda v: np.where(np.isfinite(v[i]), 1 + 0j, np.nan), (np.power, n), i)
         return self._emit(lambda v: v[i] ** n, (np.power, n), i)
 
-    def _binary(self, t: type, left, right) -> int:
-        op = self.OPERATORS[t]
+    def _binary(self, e, left, right) -> int:
+        op = self.OPERATORS[type(e)]
         right = self.guard(right) if op is np.divide else right
         if type(left) is Const and type(right) is Const:
             left = self.array(left)
@@ -562,6 +530,10 @@ class _ArrayProgram:
 # ---------------------------------------------------------------------------
 # differentiation
 
+def _isConst(e: Expr, v: complex) -> bool:
+    return isinstance(e, Const) and e.value == v
+
+
 def _neg(a: Expr) -> Expr:
     if isinstance(a, Const):
         return Const(-a.value)
@@ -570,57 +542,46 @@ def _neg(a: Expr) -> Expr:
     return Neg(a)
 
 
-def _build(t: type, a, b):
-    """The node of type t on its operands: what the derivative rules make where nothing folds."""
-    return t(a, b)
-
-
-# The folds of Const(0) and Const(1), where a Const operand is tested by type and value; the
-# constants they make are shared, as Consts are immutable.
-_ZERO, _ONE = Const(0), Const(1)
-
-
-def _add(a: Expr, b: Expr, node: Callable = _build) -> Expr:
-    if type(a) is Const and a.value == 0:
+def _add(a: Expr, b: Expr) -> Expr:
+    if _isConst(a, 0):
         return b
-    if type(b) is Const and b.value == 0:
+    if _isConst(b, 0):
         return a
-    return node(Add, a, b)
+    return Add(a, b)
 
 
-def _sub(a: Expr, b: Expr, node: Callable = _build) -> Expr:
-    if type(b) is Const and b.value == 0:
+def _sub(a: Expr, b: Expr) -> Expr:
+    if _isConst(b, 0):
         return a
-    if type(a) is Const and a.value == 0:
+    if _isConst(a, 0):
         return _neg(b)
-    return node(Sub, a, b)
+    return Sub(a, b)
 
 
-def _mul(a: Expr, b: Expr, node: Callable = _build) -> Expr:
-    ka, kb = a.value if type(a) is Const else None, b.value if type(b) is Const else None
-    if ka == 0 or kb == 0:
-        return _ZERO
-    if ka == 1:
+def _mul(a: Expr, b: Expr) -> Expr:
+    if _isConst(a, 0) or _isConst(b, 0):
+        return Const(0)
+    if _isConst(a, 1):
         return b
-    if kb == 1:
+    if _isConst(b, 1):
         return a
-    return node(Mul, a, b)
+    return Mul(a, b)
 
 
-def _div(a: Expr, b: Expr, node: Callable = _build) -> Expr:
-    if type(a) is Const and a.value == 0:
-        return _ZERO
-    if type(b) is Const and b.value == 1:
+def _div(a: Expr, b: Expr) -> Expr:
+    if _isConst(a, 0):
+        return Const(0)
+    if _isConst(b, 1):
         return a
-    return node(Div, a, b)
+    return Div(a, b)
 
 
-def _pow(b: Expr, n: int, node: Callable = _build) -> Expr:
+def _pow(b: Expr, n: int) -> Expr:
     if n == 0:
-        return _ONE
+        return Const(1)
     if n == 1:
         return b
-    return node(Pow, b, n)
+    return Pow(b, n)
 
 
 def differentiate(e: Expr) -> Expr:
@@ -634,28 +595,18 @@ def _derivative(e: Expr, memo: dict) -> Expr:
     return _compile(e, _DERIVATIVE, memo)
 
 
-def _derivative_rules(node: Callable, outer: Callable[[Call], Expr]) -> dict[type, Callable]:
-    """The builders of derivatives, each from the node e and its operands' derivatives.  _add, _sub,
-    _mul, _div and _pow fold Const(0) and Const(1), and ``node(type, a, b)`` makes what does not fold;
-    ``outer(e)`` is a call's outer factor, the derivative rule of its _FUNCTIONS row at e.arg.  Where
-    node builds trees these are differentiation's rules (_DERIVATIVE); where it emits steps they are
-    the forward mode of _ArrayProgram.derivatives."""
-    return {
-        Const: lambda e: _ZERO,
-        Var: lambda e: _ONE,
-        Neg: lambda e, da: _neg(da),
-        Add: lambda e, da, db: _add(da, db, node),
-        Sub: lambda e, da, db: _sub(da, db, node),
-        Mul: lambda e, da, db: _add(_mul(da, e.right, node), _mul(e.left, db, node), node),
-        Div: lambda e, da, db: _div(_sub(_mul(da, e.right, node), _mul(e.left, db, node), node), Pow(e.right, 2), node),
-        Pow: lambda e, db: _mul(_mul(Const(e.exponent), _pow(e.base, e.exponent - 1, node), node), db, node),  # 0 for x^0
-        Call: lambda e, da: _mul(outer(e), da, node),
-    }
-
-
-_DERIVATIVE = _derivative_rules(_build, lambda e: _FUNCTIONS[e.func].derivative(e.arg))
-# each function's derivative rule as a tree in z, which forward mode compiles at its argument's register
-_RULES_AT_Z = {name: row.derivative(Var()) for name, row in _FUNCTIONS.items()}
+# each builder has the node e and its operands' derivatives
+_DERIVATIVE: dict[type, Callable] = {
+    Const: lambda e: Const(0),
+    Var: lambda e: Const(1),
+    Neg: lambda e, da: _neg(da),
+    Add: lambda e, da, db: _add(da, db),
+    Sub: lambda e, da, db: _sub(da, db),
+    Mul: lambda e, da, db: _add(_mul(da, e.right), _mul(e.left, db)),
+    Div: lambda e, da, db: _div(_sub(_mul(da, e.right), _mul(e.left, db)), Pow(e.right, 2)),
+    Pow: lambda e, db: _mul(_mul(Const(e.exponent), _pow(e.base, e.exponent - 1)), db),  # Const(0) for x^0
+    Call: lambda e, da: _mul(_FUNCTIONS[e.func].derivative(e.arg), da),
+}
 
 
 # ---------------------------------------------------------------------------

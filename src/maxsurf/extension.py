@@ -605,9 +605,9 @@ def _match_values(f, g, df, dg) -> np.ndarray:
 
 def _match_report(plus: WeierstrassData, minus: WeierstrassData) -> MatchReport:
     """The gaps from f, g, f' and g' of each side at the arc points, from one run of each side's program
-    with its forward-mode derivative steps.  Where a value is not finite, scalar closures redo the point,
-    compiled from derivative trees built for them alone; the first fault raises, in the order f, g, phi
-    (its g^2), f', g' of the report's formulas, then point by point, the original side first."""
+    (``_fgd_array``).  Where a value is not finite, scalar closures redo the point; the first fault
+    raises, in the order f, g, phi (its g^2), f', g' of the report's formulas, then point by point, the
+    original side first."""
     pts = boundary_points(plus.domain)
     z = np.array(pts)
     fgd = np.array([side._fgd_array(z) for side in (plus, minus)])  # (side, f g f' g', point)

@@ -104,8 +104,8 @@ def _json_text(o, indent: str = "\n") -> str:
     """json.dumps(o, sort_keys=True, indent=2), byte for byte, without the pure-Python encoder that
     json falls back to for an indent: str through json's (C) ASCII escaper, int and float subclasses
     through int.__repr__ and float.__repr__, NaN and +-inf as NaN and +-Infinity, dicts with sorted
-    keys, lists and tuples; anything else is a TypeError, as in json.  A container writes its scalar
-    items itself, by their exact type."""
+    str keys, lists and tuples; anything else, a key that is not a str too, is a TypeError.  A container
+    writes its scalar items itself, by their exact type."""
     scalar = _JSON_SCALARS.get(type(o))
     if scalar is not None:
         return scalar(o)
@@ -120,7 +120,7 @@ def _json_text(o, indent: str = "\n") -> str:
         items = [s(v) if (s := _JSON_SCALARS.get(type(v))) else _json_text(v, inner) for v in o]
         return f"[{inner}{(',' + inner).join(items)}{indent}]" if o else "[]"
     if isinstance(o, dict):
-        items = [f"{encode_basestring_ascii(k if isinstance(k, str) else _json_key(k))}: "
+        items = [f"{encode_basestring_ascii(k)}: "
                  f"{s(v) if (s := _JSON_SCALARS.get(type(v))) else _json_text(v, inner)}" for k, v in sorted(o.items())]
         return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if o else "{}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -133,13 +133,6 @@ def _json_float(o: float) -> str:
 # the JSON text of each scalar type, by exact type; a subclass of str, int or float takes _json_text's tests
 _JSON_SCALARS = {str: encode_basestring_ascii, float: _json_float, int: int.__repr__,
                  bool: lambda o: "true" if o else "false", type(None): lambda o: "null"}
-
-
-def _json_key(k) -> str:
-    """A key that is not a str as json writes it: a bool, None, int or float as its JSON text."""
-    if k is None or isinstance(k, (int, float)):
-        return _json_text(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 # The diagnostic grid beyond its lattice size, and the checks' own thresholds.

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .expr import Add, Const, Expr, Mul, Pow, Sub, _ArrayProgram, compile_fn
+from .expr import Add, Const, Expr, Mul, Pow, Sub, _ArrayProgram, _derivative, compile_fn
 from .minkowski import LVector
 
 __all__ = [
@@ -236,7 +236,7 @@ class WeierstrassData:
     @cached_property
     def _program(self) -> _ArrayProgram:
         """The patch's one array program (the numpy target of ``expr.compile_array``), grown as the
-        patch is read: g's value steps, f's, and last the forward-mode steps of f' and g'."""
+        patch is read: g's value steps, f's, and last the steps of f' and g' that these do not hold."""
         return _ArrayProgram()
 
     @cached_property
@@ -252,11 +252,11 @@ class WeierstrassData:
 
     @cached_property
     def _fgd_array(self) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
-        """f, g, f' and g' on a complex array: the patch program with the derivative steps, which read
-        the value registers; each is bit for bit the array of compile_array(f, g, differentiate(f),
-        differentiate(g)).  Only the matching report of an extension runs it."""
-        program = self._program
-        return program.runner(program.values(self.f, self.g) + program.derivatives(self.f, self.g))
+        """f, g, f' and g' on a complex array: the patch program grown by the trees of f' and g', which
+        share f's and g's nodes and so read their value steps; each is bit for bit the array of
+        compile_array(f, g, differentiate(f), differentiate(g)).  Only the matching report runs it."""
+        program, memo = self._program, {}  # one derivative memo: a reflected f holds its g, so f' holds g'
+        return program.runner(program.values(self.f, self.g, _derivative(self.f, memo), _derivative(self.g, memo)))
 
 
 # ---------------------------------------------------------------------------
@@ -593,21 +593,18 @@ def _integrate_batch(sides: Sequence[WeierstrassData], a: np.ndarray, b: np.ndar
     integrated again by integrate_path along its polyline, in path order, for its value or its error."""
     counts, on = np.ones(len(a), dtype=np.intp), np.zeros(len(a), dtype=bool)
     index = {id(patch): (k, patch) for k, patch in enumerate(sides)}  # each side's number, in the order met
-    rows = []  # the bent paths' segments as (start, end, side, path), in path order
+    rows = []  # the bent paths' segments as (start, end, side), in path order
     for k in sorted(bent):
         points, side_for = bent[k]
         for x, y in zip(points, points[1:]):
             patch = side_for(x, y) if x != y else None  # a segment of length 0 is dropped below
-            rows.append((x, y, index.setdefault(id(patch), (len(index), patch))[0] if x != y else 0, k))
+            rows.append((x, y, index.setdefault(id(patch), (len(index), patch))[0] if x != y else 0))
         counts[k], on[k] = len(points) - 1, True
-    if rows and len(bent) == len(a):  # every path bent (integrate_paths): the rows are all the segments
-        sa, sb, side, owner = (np.array(c, dtype=t) for c, t in zip(zip(*rows), (complex, complex, np.intp, np.intp)))
-    else:
-        owner = np.repeat(np.arange(len(a)), counts)
-        sa, sb, side = a[owner], b[owner], np.zeros(len(owner), dtype=np.intp)
-        if rows:
-            at = on[owner]
-            sa[at], sb[at], side[at], _ = zip(*rows)
+    owner = np.repeat(np.arange(len(a)), counts)
+    sa, sb, side = a[owner], b[owner], np.zeros(len(owner), dtype=np.intp)
+    if rows:
+        at = on[owner]
+        sa[at], sb[at], side[at] = zip(*rows)
     moves = sa != sb
     side, owner = side[moves], owner[moves]
     fgs = [patch.fg_array for _, patch in index.values()]

@@ -346,7 +346,7 @@ _EDGES = [complex(math.inf, 0), complex(0, -math.inf), complex(math.nan, 0), 1e2
 @_PAIRS
 @given(f=folding_exprs, g=folding_exprs, shared=st.booleans(), order=st.sampled_from(["g-first", "values-first", "last"]),
        zs=st.lists(st.one_of(special, lattice, points, st.sampled_from(_EDGES)), min_size=1, max_size=6))
-def test_forward_derivatives_are_the_compiled_derivative_trees_bit_for_bit(f, g, shared, order, zs):
+def test_the_patch_program_runs_are_compile_array_of_the_derivative_trees_bit_for_bit(f, g, shared, order, zs):
     # f may hold g by identity, as f_minus holds g_minus; g alone may be compiled first, as the contact does,
     # or the value runs made last, as prefixes of a program whose later steps read their registers
     f = Mul(f, g) if shared else f

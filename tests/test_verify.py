@@ -357,15 +357,10 @@ def test_the_report_writer_is_json_dumps_byte_for_byte(payload):
     assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("key", [None, True, 2, -0.5, math.nan, math.inf], ids=repr)
-def test_the_report_writer_writes_keys_as_json_dumps(key):
-    payload = {"a": {key: [1]}}
-    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
-    mixed = {key: 1, "b": 2}  # json sorts the keys as given, so a str key beside another kind fails
-    with pytest.raises(TypeError):
-        json.dumps(mixed, sort_keys=True, indent=2)
-    with pytest.raises(TypeError):
-        _json_text(mixed)
+@pytest.mark.parametrize("key", [None, True, 2, -0.5], ids=repr)
+def test_the_report_writer_refuses_a_key_that_is_not_a_str(key):
+    with pytest.raises(TypeError):  # json would write it as text; no report has such a key
+        _json_text({"a": {key: [1]}})
 
 
 @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), 1j, {1, 2}, object(), {(1, 2): 3}], ids=repr)

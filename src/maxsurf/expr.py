@@ -530,10 +530,6 @@ class _ArrayProgram:
 # ---------------------------------------------------------------------------
 # differentiation
 
-def _isConst(e: Expr, v: complex) -> bool:
-    return isinstance(e, Const) and e.value == v
-
-
 def _neg(a: Expr) -> Expr:
     if isinstance(a, Const):
         return Const(-a.value)
@@ -542,43 +538,49 @@ def _neg(a: Expr) -> Expr:
     return Neg(a)
 
 
+# The folds of Const(0) and Const(1) test a Const operand by type and value, and the constants they
+# make are shared, as Consts are immutable: building derivative trees is most of a match report's compile.
+_ZERO, _ONE = Const(0), Const(1)
+
+
 def _add(a: Expr, b: Expr) -> Expr:
-    if _isConst(a, 0):
+    if type(a) is Const and a.value == 0:
         return b
-    if _isConst(b, 0):
+    if type(b) is Const and b.value == 0:
         return a
     return Add(a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if _isConst(b, 0):
+    if type(b) is Const and b.value == 0:
         return a
-    if _isConst(a, 0):
+    if type(a) is Const and a.value == 0:
         return _neg(b)
     return Sub(a, b)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    if _isConst(a, 0) or _isConst(b, 0):
-        return Const(0)
-    if _isConst(a, 1):
+    ka, kb = a.value if type(a) is Const else None, b.value if type(b) is Const else None
+    if ka == 0 or kb == 0:
+        return _ZERO
+    if ka == 1:
         return b
-    if _isConst(b, 1):
+    if kb == 1:
         return a
     return Mul(a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if _isConst(a, 0):
-        return Const(0)
-    if _isConst(b, 1):
+    if type(a) is Const and a.value == 0:
+        return _ZERO
+    if type(b) is Const and b.value == 1:
         return a
     return Div(a, b)
 
 
 def _pow(b: Expr, n: int) -> Expr:
     if n == 0:
-        return Const(1)
+        return _ONE
     if n == 1:
         return b
     return Pow(b, n)
@@ -597,8 +599,8 @@ def _derivative(e: Expr, memo: dict) -> Expr:
 
 # each builder has the node e and its operands' derivatives
 _DERIVATIVE: dict[type, Callable] = {
-    Const: lambda e: Const(0),
-    Var: lambda e: Const(1),
+    Const: lambda e: _ZERO,
+    Var: lambda e: _ONE,
     Neg: lambda e, da: _neg(da),
     Add: lambda e, da, db: _add(da, db),
     Sub: lambda e, da, db: _sub(da, db),

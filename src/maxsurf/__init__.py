@@ -71,7 +71,5 @@ from .verify import (
     GridSpec,
     catenoid_data,
     catenoid_reference,
-    check_cross_product_normal,
-    check_orthogonality_obstruction,
     full_diagnostics,
 )

@@ -106,7 +106,7 @@ __all__ = [
 # Thresholds of the contact measurement and the matching report.
 ANGLE_TOL = 1e-6
 """The most <N, n> may vary along the boundary for the angle to count as constant."""
-C_TOL = 1e-6
+C_TOL = 1e-3
 """|c| below this is orthogonal contact."""
 LOCUS_TOL = 1e-6
 """The relative gap allowed between the fitted and the closed-form Gauss locus."""
@@ -134,8 +134,9 @@ class ExtensionError(Exception):
 
 
 class OrthogonalContactError(ExtensionError):
-    """c = 0: the plane meets the surface orthogonally; the constant-angle
-    construction excludes this case (it belongs to symmetric reflection)."""
+    """|c| < C_TOL: the plane meets the surface orthogonally, or nearly so; the
+    constant-angle construction excludes this case (it belongs to symmetric
+    reflection)."""
 
 
 class HypothesisViolationError(ExtensionError):
@@ -326,8 +327,9 @@ class Case:
     functional L of the phi triple that reflects oddly and ``recover(L, g)`` solves it
     for f, dividing by zero where g takes a value in ``singular``.
     ``moebius(w, p)`` reflects the conjugated g through its locus, with
-    ``p = parameter(contact)``; ``locus(c, sheet, mods)`` is
-    the closed-form locus implied by c, with theta and lam.  ``circular``
+    ``p = parameter(contact)``; ``locus(c, sheet, gs)`` is
+    the closed-form locus implied by c and the boundary limits gs of g, with
+    theta and lam, and refuses a contact the row cannot extend.  ``circular``
     says whether a circular arc is supported.
     """
 
@@ -359,7 +361,7 @@ class Case:
         return self.normal, plane.d / s
 
 
-def _spacelike_locus(c, sheet, mods):
+def _spacelike_locus(c, sheet, gs):
     if abs(c) < 1 - 1e-9:
         raise HypothesisViolationError(
             f"|<N,n>| = {abs(c):.6f} < 1 is impossible against a spacelike plane"
@@ -371,17 +373,20 @@ def _spacelike_locus(c, sheet, mods):
     return CircleOrLine("circle", center=0j, radius=r_exp), theta, None
 
 
-def _timelike_locus(c, sheet, mods):
+def _timelike_locus(c, sheet, gs):
     lam = 1.0 / c
     return CircleOrLine("circle", center=-1j * lam, radius=math.sqrt(1 + lam * lam)), None, lam
 
 
-def _lightlike_locus(c, sheet, mods):
+def _lightlike_locus(c, sheet, gs):
+    gap = min(abs(g + 1) for g in gs)
+    if gap < 0.05:
+        raise HypothesisViolationError(f"degenerate lightlike contact (|g + 1| = {gap:.3e} < 0.05): X_u ^ X_v = 0")
     lam = c - 1.0
     if abs(lam) >= LAM_ZERO_TOL:
         inv = 1.0 / lam
         return CircleOrLine("circle", center=complex(-inv, 0), radius=abs(1 + inv)), None, lam
-    if min(abs(1 - m * m) for m in mods) < 0.05:
+    if min(abs(1 - abs(g) * abs(g)) for g in gs) < 0.05:
         warnings.warn(
             "lightlike tangential contact with |g| -> 1: induced metric "
             "degenerates along the boundary",
@@ -512,10 +517,12 @@ def _boundary_limits(data: WeierstrassData, unit_n: LVector) -> tuple[BoundaryAr
 def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     """Extrapolate <N, n> and g to the boundary and classify the contact.
 
-    Raises HypothesisViolationError when the angle varies by more than
-    ANGLE_TOL, OrthogonalContactError when |c| < C_TOL, and
-    GeometryMismatchError when the fitted Gauss locus disagrees with the
-    one implied by c by more than LOCUS_TOL.
+    The one obstruction rule: raises HypothesisViolationError when the
+    angle varies by more than ANGLE_TOL, when |c| < 1 against a spacelike
+    plane, or when g tends to -1 against a lightlike one (X_u ^ X_v = 0);
+    OrthogonalContactError when |c| < C_TOL; and GeometryMismatchError
+    when the fitted Gauss locus disagrees with the one implied by c by more
+    than LOCUS_TOL.
     """
     case = CASES[plane_class(plane)]
     unit_n, offset = case.normalize(plane)
@@ -525,7 +532,7 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
         raise HypothesisViolationError(f"constant-angle hypothesis violated: <N,n> varies by {deviation:.3e} about {c:.6f}")
     if abs(c) < C_TOL:
         raise OrthogonalContactError(
-            "orthogonal contact (c = 0): excluded here; such boundaries extend by "
+            f"orthogonal contact (|c| = {abs(c):.3e} < {C_TOL:g}): excluded here; such boundaries extend by "
             "symmetric reflection across the plane, which this engine does not provide"
         )
     mods = [abs(gv) for gv in g_limits]
@@ -534,7 +541,7 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
         raise HypothesisViolationError("boundary Gauss values straddle |g| = 1")
 
     locus = fit_circle_or_line(g_limits)
-    expected, theta, lam = case.locus(c, sheet, mods)
+    expected, theta, lam = case.locus(c, sheet, g_limits)
     mismatch = _locus_mismatch(locus, expected)
     if mismatch > LOCUS_TOL * (1 + (locus.radius or 1.0)):
         raise GeometryMismatchError(

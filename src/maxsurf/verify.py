@@ -7,12 +7,14 @@ Lorentzian catenoid patch f = 1/z^2, g = z on the punctured unit disk, whose
 closed form is (sinh u cos v, sinh u sin v, u) under z = e^(u+iv).
 
 The suite declares its points first (per side, where phi and g are checked
-and the harmonicity panels; the paths of path independence and of the
-containment and symmetry points), evaluates them in batches on arrays, and
-makes the records from the results in a fixed order.  The scalar phi,
-gauss_from_g, laplacian_residuals and integrate_path decide every
-non-finite value and failure, so reports and errors are those of checking
-point by point, with floats moved only at round-off.
+and the harmonicity panels, whose smallest step the cross-product normal
+reads too; the paths of path independence and of the containment and
+symmetry points), evaluates them in batches on arrays, and makes the
+records from the results in a fixed order.  The scalar phi, gauss_from_g,
+laplacian_residuals' panels and integrate_path decide every non-finite
+value and failure, so reports and errors are those of checking point by
+point, with floats moved only at round-off.  No record repeats the
+obstruction rule: an extended config loads through measure_contact.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import EvalError, compile_fn, evaluate, parse
-from .minkowski import CausalClass, LVector, Plane, lorentz_cross, plane_class
+from .expr import EvalError, compile_fn, parse
+from .minkowski import LVector
 from .weierstrass import (
     CLEARANCE,
     DegenerateMetricError,
@@ -44,10 +46,9 @@ from .weierstrass import (
     _loop_path,
     _phi_values,
     gauss_from_g,
-    integrate_path,
     integrate_paths,
 )
-from .extension import ANGLE_TOL, CASES, ExtendedSurface, _boundary_limits, boundary_points, boundary_samples
+from .extension import ANGLE_TOL, ExtendedSurface, boundary_points, boundary_samples
 
 __all__ = [
     "CheckRecord",
@@ -55,8 +56,6 @@ __all__ = [
     "GridSpec",
     "catenoid_data",
     "catenoid_reference",
-    "check_cross_product_normal",
-    "check_orthogonality_obstruction",
     "eq_zero_residual",
     "estimate_order",
     "full_diagnostics",
@@ -148,8 +147,6 @@ HARMONIC_STEPS = (1e-3, 5e-4, 2.5e-4)
 """The steps h of the discrete Laplacian whose decay harmonicity_order fits."""
 ORDER_RADII = (1e-2, 3e-3, 1e-3)
 """The circle radii over which estimate_order fits its log-log slope."""
-OBSTRUCTION_TOL = 1e-3
-"""|<N, n>| below this at the boundary flags a spacelike or timelike contact as obstructed."""
 
 
 @dataclass(frozen=True)
@@ -207,13 +204,40 @@ def laplacian_residuals(phi_fn: Callable, z: complex, h: float) -> tuple[float, 
     """Five-point discrete Laplacian of X per coordinate, via exact
     center-to-neighbor integrals of the phi field (so quadrature noise does
     not swamp the O(h^2) signal)."""
-    z = complex(z)
-    tot = [0j, 0j, 0j]
-    for d in (h, -h, 1j * h, -1j * h):
-        vals, _ = _gk15(phi_fn, z, z + d)
-        for k in range(3):
-            tot[k] += vals[k]
-    return tuple(abs(t.real) / (h * h) for t in tot)
+    return _laplacian(_stencil_panels(phi_fn, complex(z), h), h)
+
+
+def _stencil_panels(phi_fn: Callable, z: complex, h: float) -> list[list[float]]:
+    """The differences of X from z to z + h, z - h, z + ih and z - ih, one GK15 panel each."""
+    return [[v.real for v in _gk15(phi_fn, z, z + d)[0]] for d in (h, -h, 1j * h, -1j * h)]
+
+
+def _laplacian(panels: list[list[float]], h: float) -> tuple[float, float, float]:
+    """laplacian_residuals from the four stencil panels: per coordinate, |their sum| / h^2."""
+    return tuple(abs(a + b + c + d) / (h * h) for a, b, c, d in zip(*panels))
+
+
+def _cross_product_residual(panels: list[list[float]], g: complex) -> float:
+    """The relative gap between X_u ^ X_v, by central differences over the four stencil panels, and its
+    least-squares multiple of (2 Re g, 2 Im g, 1 + |g|^2), the direction of N; NaN where not finite.  Each
+    difference is scaled to a largest component of 1 first, the gap being scale-free; float arithmetic
+    overflows to inf rather than raise."""
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3), (d1, d2, d3) = panels
+    u1, u2, u3, v1, v2, v3 = a1 - b1, a2 - b2, a3 - b3, c1 - d1, c2 - d2, c3 - d3  # 2h X_u and 2h X_v
+    su, sv = max(abs(u1), abs(u2), abs(u3)) or 1.0, max(abs(v1), abs(v2), abs(v3)) or 1.0
+    u1, u2, u3, v1, v2, v3 = u1 / su, u2 / su, u3 / su, v1 / sv, v2 / sv, v3 / sv
+    x1, x2, x3 = u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u2 * v1 - u1 * v2  # lorentz_cross
+    w1, w2, w3 = 2 * g.real, 2 * g.imag, 1 + g.real * g.real + g.imag * g.imag
+    k = (x1 * w1 + x2 * w2 + x3 * w3) / (w1 * w1 + w2 * w2 + w3 * w3)
+    e1, e2, e3 = x1 - k * w1, x2 - k * w2, x3 - k * w3
+    gap, norm = math.sqrt(e1 * e1 + e2 * e2 + e3 * e3), math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    r = gap / norm if norm > 0 else gap
+    return r if r < math.inf else math.nan
+
+
+def _nan_max(values: list[float]) -> float:
+    """The largest of the values, NaN when any is NaN: the builtin max drops a NaN that is not first."""
+    return math.nan if any(v != v for v in values) else max(values)
 
 
 def harmonicity_order(
@@ -286,89 +310,6 @@ def catenoid_data(boundary_circle: float | None = None) -> WeierstrassData:
 
 
 # ---------------------------------------------------------------------------
-# individual checks
-
-def check_orthogonality_obstruction(
-    plane: Plane,
-    data: WeierstrassData | None = None,
-    *,
-    measured: Sequence[float] | None = None,
-) -> CheckRecord:
-    """Flag contacts that are impossible or degenerate when <N, n> -> 0.
-
-    ``measured`` may inject a precomputed sequence of <N(z), n> values
-    approaching the boundary, whose last finite value is the limit;
-    otherwise the limit is the contact's c from the data's boundary
-    limits, as measure_contact extrapolates them.  A genuine Gauss map
-    always has |<N, n>| >= 1 against a spacelike plane, so a vanishing
-    limit means the data cannot be a spacelike surface at all.
-    """
-    kind = plane_class(plane)
-    g_limit = None
-    if measured is not None:
-        finite = [m for m in measured if math.isfinite(m)]
-        limit = finite[-1] if finite else math.inf
-    elif data is None:
-        raise ValueError("need either data or measured values")
-    else:
-        _, limit, _, g_limits = _boundary_limits(data, CASES[kind].normalize(plane)[0])
-        g_limit = min(g_limits, key=lambda g: abs(g + 1))
-    details: dict = {"limit": limit, "plane_kind": kind.value}
-    if kind is not CausalClass.LIGHTLIKE:
-        passed = abs(limit) >= OBSTRUCTION_TOL
-        if not passed:
-            details["message"] = (
-                "impossible contact: <N,n> -> 0 against a spacelike plane would force 1+|g|^2 = 0"
-                if kind is CausalClass.SPACELIKE
-                else "orthogonal contact: symmetric-reflection case, out of scope"
-            )
-        return CheckRecord("orthogonality_obstruction", passed, abs(limit), OBSTRUCTION_TOL, details)
-    # lightlike: degenerate when g -> -1 somewhere on the boundary (|g| -> 1 there)
-    if g_limit is not None and abs(g_limit + 1) < 0.05:
-        return CheckRecord(
-            "orthogonality_obstruction",
-            False,
-            abs(g_limit + 1),
-            0.05,
-            {**details, "message": "degenerate: X_u ^ X_v = 0 (g -> -1 along the contact)"},
-        )
-    return CheckRecord("orthogonality_obstruction", True, 0.0, 0.05, details)
-
-
-def check_cross_product_normal(
-    data: WeierstrassData,
-    z: complex,
-    h: float = 1e-4,
-) -> CheckRecord:
-    """Compare the finite-difference X_u ^ X_v with the closed-form direction
-    |f|^2 (1-|g|^2) (2 Re g, 2 Im g, 1+|g|^2), fitting the overall scalar;
-    the residual passes at 100 h^2."""
-    tol = 100 * h * h
-    z = complex(z)
-
-    def diff(delta: complex) -> LVector:
-        (i1, i2, i3), _ = integrate_path((z - delta, z + delta), lambda a, b: data, QuadratureConfig())
-        return LVector(i1.real / (2 * abs(delta)), i2.real / (2 * abs(delta)), i3.real / (2 * abs(delta)))
-
-    Xu = diff(h + 0j)
-    Xv = diff(1j * h)
-    cross = lorentz_cross(Xu, Xv)
-    gv = evaluate(data.g, z)
-    fv = evaluate(data.f, z)
-    w = abs(fv) ** 2 * (1 - abs(gv) ** 2)
-    W = LVector(w * 2 * gv.real, w * 2 * gv.imag, w * (1 + abs(gv) ** 2))
-    ww = W.x1 * W.x1 + W.x2 * W.x2 + W.x3 * W.x3
-    cw = cross.x1 * W.x1 + cross.x2 * W.x2 + cross.x3 * W.x3
-    s = cw / ww if ww > 0 else 0.0
-    gap = math.sqrt(
-        (cross.x1 - s * W.x1) ** 2 + (cross.x2 - s * W.x2) ** 2 + (cross.x3 - s * W.x3) ** 2
-    )
-    norm = math.sqrt(cross.x1 ** 2 + cross.x2 ** 2 + cross.x3 ** 2)
-    resid = gap / norm if norm > 0 else gap
-    return _bound("cross_product_normal", resid, tol, {"scale": s, "h": h, "z": [z.real, z.imag]})
-
-
-# ---------------------------------------------------------------------------
 # the full suite
 
 def _stencil_centres(pts: Sequence[complex]) -> Sequence[complex]:
@@ -376,11 +317,11 @@ def _stencil_centres(pts: Sequence[complex]) -> Sequence[complex]:
     return pts[:: max(len(pts) // 3, 1)][:3]
 
 
-def _sample(sides: Sequence[tuple[WeierstrassData, Sequence[complex]]]) -> list[tuple[np.ndarray, ...]]:
+def _sample(sides: Sequence[tuple[WeierstrassData, Sequence[complex]]]) -> list[tuple]:
     """The array pass of the suite's (side, points): per side, phi (3, n) and g (n) at its points from one
-    fg_array call, and laplacian_residuals (centre, step, coordinate) at its stencil centres, the panels of
-    every side from one _gk15_panels call; NaN where not finite."""
-    hs = np.array(HARMONIC_STEPS)
+    fg_array call, and at its stencil centres the real parts of laplacian_residuals' panels as lists (centre,
+    step, panel, coordinate), those of every side from one _gk15_panels call; NaN where not finite."""
+    hs = HARMONIC_STEPS
     steps = np.outer(hs, (1, -1, 1j, -1j)).ravel()  # laplacian_residuals' four panels per h, in its order
     centres = [_stencil_centres(pts) for _, pts in sides]
     a = np.repeat(np.array([z for each in centres for z in each], dtype=complex), len(steps))
@@ -388,13 +329,11 @@ def _sample(sides: Sequence[tuple[WeierstrassData, Sequence[complex]]]) -> list[
     with np.errstate(all="ignore"):
         fgs = [patch.fg_array for patch, _ in sides]
         panels, estimates = _gk15_panels(fgs, a, a + np.tile(steps, len(a) // len(steps)), side)
-        v = panels.reshape(3, -1, len(hs), 4)
-        laplacian = np.abs((v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3]).real) / (hs * hs)
-        laplacian[:, ~np.isfinite(estimates).reshape(-1, len(hs), 4).all(axis=2)] = np.nan
-        laplacian, out, at = laplacian.transpose(1, 2, 0), [], 0
+        panels = np.where(np.isfinite(estimates), panels.real, np.nan).reshape(3, -1, len(hs), 4).transpose(1, 2, 3, 0)
+        out, at = [], 0
         for (patch, pts), each in zip(sides, centres):
             f, g = patch.fg_array(np.array(pts, dtype=complex))
-            out.append((np.array(_phi_values(f, g)), g, laplacian[at : at + len(each)]))
+            out.append((np.array(_phi_values(f, g)), g, panels[at : at + len(each)].tolist()))
             at += len(each)
     return out
 
@@ -402,7 +341,7 @@ def _sample(sides: Sequence[tuple[WeierstrassData, Sequence[complex]]]) -> list[
 def _data_checks(data: WeierstrassData, pts: Sequence[complex], sample, tag: str = "") -> list[CheckRecord]:
     """The identities of the data at pts from the side's array pass; where a
     value is not finite the scalar code decides, in point order."""
-    phi, g, laplacian = sample
+    phi, g, panels = sample
     keep = np.ones(len(pts), dtype=bool)
     for k in np.flatnonzero(~np.isfinite(phi).all(axis=0)):
         try:
@@ -429,6 +368,7 @@ def _data_checks(data: WeierstrassData, pts: Sequence[complex], sample, tag: str
             gauss_from_g(g[k])
         except (DegenerateMetricError, EvalError):
             defined[k] = False
+    centre_g = _stencil_centres(g).tolist()
     (x1, x2, x3), g = _gauss_arrays(g)[0][defined].T, g[defined]
     upper = x3 > 0
     with np.errstate(all="ignore"):
@@ -441,17 +381,27 @@ def _data_checks(data: WeierstrassData, pts: Sequence[complex], sample, tag: str
     details = {"points": len(stereo), "skipped_lower_sheet": not stereo}
     checks.append(_bound(tag + "stereo_roundtrip", max([0.0] + stereo), 1e-10, details))
 
-    hs = HARMONIC_STEPS
-    orders, residuals = [], []
-    for lap, z in zip(laplacian, _stencil_centres(pts)):
-        each = [r.tolist() if np.isfinite(r).all() else laplacian_residuals(data.field, z, h) for r, h in zip(lap, hs)]
+    hs, h = HARMONIC_STEPS, HARMONIC_STEPS[-1]
+    orders, residuals, normal = [], [], []
+    for centre, z, gz in zip(panels, _stencil_centres(pts), centre_g):
+        each = []
+        for P, step in zip(centre, hs):
+            lap = _laplacian(P, step)
+            if not sum(lap) < math.inf:  # NaN or inf where a panel is not finite: the scalar code redoes the four
+                P = _stencil_panels(data.field, z, step)
+                lap = _laplacian(P, step)
+            each.append(lap)
         order, res = _fit_order(hs, [max(r) for r in each])
         orders.append(order)
         residuals.append(max(res))
+        normal.append(_cross_product_residual(P, gz))  # the panels of the last step
     fitted = [o for o in orders if o is not None]
     worst = max(residuals) if residuals else 0.0
-    details = {"fitted_orders": fitted, "noise_floor_points": orders.count(None), "constant": worst / hs[0] ** 2}
-    checks.append(CheckRecord(tag + "harmonicity", all(o >= 1.8 for o in fitted), worst, 1.8, details))
+    details = {"fitted_orders": fitted, "noise_floor_points": orders.count(None), "constant": worst / hs[0] ** 2,
+               "max_laplacian": worst}
+    checks.append(_bound(tag + "harmonicity", _nan_max([0.0] + [1.8 - o for o in fitted]), 0.0, details))
+    details = {"h": h, "points": len(normal)}
+    checks.append(_bound(tag + "cross_product_normal", _nan_max([0.0] + normal), 100 * h * h, details))
     return checks
 
 

@@ -111,6 +111,22 @@ def catenoid_extension_fixture(b: float = -0.7):
     return data, plane
 
 
+def near_orthogonal_fixture(eps: float):
+    """f = 1, g = (z + eps i)/(1 + eps i z) against the timelike plane x2 = 0: <N, (0,1,0)> = 2 eps / (1 - eps^2)
+    along the axis, so the contact nears orthogonal as eps -> 0."""
+    dom = Domain(DomainKind.HALF_DISK, radius=0.7)
+    data = WeierstrassData(parse("1"), parse(f"(z+{eps!r}*i)/(1+{eps!r}*i*z)"), dom, 0.5j, LVector(0, 0, 0))
+    return data, Plane(LVector(0, 1, 0), 0.0)
+
+
+def degenerate_lightlike_fixture():
+    """f = e^{-iz}, g = 1/45 - (44/45) e^{iz} against the lightlike plane x1 = x3: c is about -44 and the
+    boundary limit of g at z = 0 lies 2/45 from -1, the value at which X_u ^ X_v = 0."""
+    dom = Domain(DomainKind.HALF_DISK, radius=0.7)
+    g = parse("0.022222222222222223 + 0.9777777777777777*exp(i*(z+3.141592653589793))")
+    return WeierstrassData(parse("exp(-i*z)"), g, dom, 0.5j, LVector(0, 0, 0)), Plane(LVector(1, 0, 1), 0.0)
+
+
 def catenoid_oracle(z: complex) -> tuple[float, float, float]:
     """Closed-form X for f = 1/z^2, g = z anchored at z0 = 1:
     antiderivatives (z - 1/z)/2, (i/2)(2 - z - 1/z), log z."""

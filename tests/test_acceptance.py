@@ -11,6 +11,7 @@ import numpy as np
 from fixtures import (
     catenoid_extension_fixture,
     catenoid_oracle,
+    degenerate_lightlike_fixture,
     lightlike_fixture,
     random_polynomial_data,
     spacelike_fixture,
@@ -18,11 +19,17 @@ from fixtures import (
 )
 from maxsurf.cli import CATENOID_CONFIG, main
 from maxsurf.expr import evaluate, parse
-from maxsurf.extension import BoundaryArc, extend, reflect_g
-from maxsurf.minkowski import CausalClass, LVector, Plane
+from maxsurf.extension import (
+    BoundaryArc,
+    HypothesisViolationError,
+    _spacelike_locus,
+    extend,
+    measure_contact,
+    reflect_g,
+)
+from maxsurf.minkowski import CausalClass, LVector
 from maxsurf.verify import (
     catenoid_data,
-    check_orthogonality_obstruction,
     eq_zero_residual,
     full_diagnostics,
     harmonicity_order,
@@ -222,17 +229,18 @@ def test_criterion_7_harmonicity_of_extensions():
     report(7, f"extended surfaces harmonic, fitted orders min {min(orders):.2f}", ok)
 
 
+def _refusal(build, *args) -> str:
+    """The message of the HypothesisViolationError build(*args) raises, "" when it raises none."""
+    try:
+        build(*args)
+    except HypothesisViolationError as exc:
+        return str(exc)
+    return ""
+
+
 def test_criterion_8_obstruction_checks():
-    spacelike = check_orthogonality_obstruction(
-        Plane(LVector(0, 0, 1), 0.0), measured=[0.3, 0.05, 0.004, 1e-5]
-    )
-    ok1 = (not spacelike.passed) and "impossible contact" in spacelike.details["message"]
-    dom = Domain(DomainKind.HALF_DISK, radius=0.7)
-    degenerate = WeierstrassData(
-        parse("1"), parse("-1 + 0.01*i*z"), dom, 0.5j, LVector(0, 0, 0)
-    )
-    lightlike = check_orthogonality_obstruction(Plane(LVector(1, 0, 1), 0.0), degenerate)
-    ok2 = (not lightlike.passed) and "X_u ^ X_v = 0" in lightlike.details["message"]
+    ok1 = "impossible against a spacelike plane" in _refusal(_spacelike_locus, 0.004, 1, [0.5 + 0j])
+    ok2 = "X_u ^ X_v = 0" in _refusal(measure_contact, *degenerate_lightlike_fixture())
     report(8, "obstructions: impossible spacelike contact and degenerate lightlike contact", ok1 and ok2)
 
 

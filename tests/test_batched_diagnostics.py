@@ -66,16 +66,18 @@ def _point_wise(monkeypatch):
 
 def _assert_same_report(batched, point_wise):
     """Flags, names, tolerances and integer details equal; floats at round-off:
-    quadrature residuals within 1e-3 of the tolerance, harmonicity within
-    1e-2 relative or both at the noise floor (orders within 0.01), the
-    metric factor within 1e-9."""
+    quadrature residuals within 1e-3 of the tolerance, harmonicity's
+    Laplacian within 1e-2 relative or both at the noise floor (orders and
+    their shortfall within 0.01), the metric factor within 1e-9."""
     assert batched.passed == point_wise.passed
     assert [c.name for c in batched.checks] == [c.name for c in point_wise.checks]
+    assert "cross_product_normal" in [c.name for c in batched.checks]  # compared below, as a quadrature residual
     for a, b in zip(batched.checks, point_wise.checks):
         assert (a.passed, a.tolerance, a.details.keys()) == (b.passed, b.tolerance, b.details.keys()), a.name
         if a.name.endswith("harmonicity"):
             floor = verify.HARMONIC_FLOOR
-            assert math.isclose(a.max_residual, b.max_residual, rel_tol=1e-2, abs_tol=floor)
+            assert abs(a.max_residual - b.max_residual) <= 0.01
+            assert math.isclose(a.details["max_laplacian"], b.details["max_laplacian"], rel_tol=1e-2, abs_tol=floor)
             scale = verify.HARMONIC_STEPS[0] ** 2
             assert math.isclose(a.details["constant"], b.details["constant"], rel_tol=1e-2, abs_tol=floor / scale)
             assert len(a.details["fitted_orders"]) == len(b.details["fitted_orders"])
@@ -140,7 +142,7 @@ def test_check_integrates_the_point_wise_panels_in_batches(bench, monkeypatch, c
     for module in (weierstrass, verify):
         monkeypatch.setattr(module, "_gk15_panels", counted_batch)
         counted(module, "_gk15")
-    for module in (weierstrass, extension, verify):
+    for module in (weierstrass, extension):
         counted(module, "integrate_path")
     assert main(["check", str(bench / f"{name}.cfg")]) == 0
     assert sum(panels) == PANELS[name]

@@ -13,6 +13,7 @@ INPUT_FAULTS = ("z0-log", "z0-depends-on-z", "g-overflow", "radius-overflow", "n
                 "infinite-literal", "infinite-constant")
 ONE_LINE_FAULTS = ("estimate-overflow", "off-hyperboloid", "lower-sheet-tangent", "branch-cut")
 SQUARE_OVERFLOWS = ("squares-overflow",)
+OBSTRUCTIONS = ("near-orthogonal", "degenerate-lightlike")
 USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
     "usage-unknown-command": "maxsurf: error: argument command: invalid choice: 'frobnicate' (choose from 'check',",
     "usage-eval-without-at": "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"
@@ -48,10 +49,11 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"eval-{name}.ext-arc-u{u}" for name in EXTENDABLE[1:] for u in ("0.1", "-0.3")]
         + ["eval-timelike.ext-arc-end"]
         + ["extend-wrong-plane", "check-wrong-plane.ext"]
+        + [f"extend-{name}" for name in OBSTRUCTIONS]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
-        + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS + ONE_LINE_FAULTS + SQUARE_OVERFLOWS]
+        + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS + ONE_LINE_FAULTS + SQUARE_OVERFLOWS + OBSTRUCTIONS]
         + ["matching-fault.ext.cfg", "branch-cut.ext.cfg", "tangential-lightlike.cfg", "tangential-lightlike.ext.cfg"]
         + ["wrong-plane.ext.cfg"]
         + [f"{name}.cfg" for name in SURFACES[1:]] + ["catenoid-b07-reflected.cfg", "catenoid-b07-reflected.ext.cfg"]
@@ -74,7 +76,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-overflow": (1, "error: quadrature did not converge on path to (-0.19-2.3268289183799712e-17j)"
                            " (achieved error estimate nan)\n"),
         "check-poly": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
-        "extend-orthogonal": (1, "extension failed: orthogonal contact (c = 0): excluded here;"),
+        "extend-orthogonal": (1, "extension failed: orthogonal contact (|c| = 8.580e-20 < 0.001): excluded here;"),
         "extend-varying": (1, "extension failed: constant-angle hypothesis violated: <N,n> varies by 2.228e-01 about "
                            "-1.220594\n"),
         "extend-singular": (1, "extension failed: extended g takes the singular value (1+0j) near "
@@ -109,6 +111,10 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-squares-overflow": (1, '"max_residual": 5.551115123125783e-17,\n      "name": "quadratic_identity",\n'
                                    '      "passed": true,'),
         "check-tangential-lightlike.ext": (1, f"\n--- stderr\n{TANGENTIAL_WARNING}"),
+        "extend-near-orthogonal": (1, "--- stdout\n--- stderr\nextension failed: orthogonal contact "
+                                   "(|c| = 2.000e-04 < 0.001): excluded here;"),
+        "extend-degenerate-lightlike": (1, "--- stdout\n--- stderr\nextension failed: degenerate lightlike contact "
+                                        "(|g + 1| = 4.444e-02 < 0.05): X_u ^ X_v = 0\n"),
         "check-wrong-plane.ext": (1, '"max_residual": 4.664916170199053,\n      "name": "plane_containment",\n'
                                   '      "passed": false,'),
     }

@@ -85,7 +85,7 @@ def scalar_contact(data, plane):
         )
     if abs(c) < C_TOL:
         raise OrthogonalContactError(
-            "orthogonal contact (c = 0): excluded here; such boundaries extend by "
+            f"orthogonal contact (|c| = {abs(c):.3e} < {C_TOL:g}): excluded here; such boundaries extend by "
             "symmetric reflection across the plane, which this engine does not provide"
         )
     mods = [abs(gv) for gv in g_limits]
@@ -96,7 +96,7 @@ def scalar_contact(data, plane):
     else:
         raise HypothesisViolationError("boundary Gauss values straddle |g| = 1")
     locus = fit_circle_or_line(g_limits)
-    expected, _, _ = case.locus(c, sheet, mods)
+    expected, _, _ = case.locus(c, sheet, g_limits)
     mismatch = _locus_mismatch(locus, expected)
     if mismatch > LOCUS_TOL * (1 + (locus.radius or 1.0)):
         raise GeometryMismatchError(

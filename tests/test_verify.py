@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,14 +11,25 @@ from hypothesis import given, settings, strategies as st
 from fixtures import (
     bench_configs,
     catenoid_extension_fixture,
+    degenerate_lightlike_fixture,
+    near_orthogonal_fixture,
     plane_fixture,
+    random_polynomial_data,
     spacelike_fixture,
     timelike_fixture,
 )
+from maxsurf import verify
 from maxsurf.cli import SurfaceConfig
 from maxsurf.expr import parse
-from maxsurf.extension import extend, measure_contact
-from maxsurf.minkowski import LVector, Plane
+from maxsurf.extension import (
+    C_TOL,
+    HypothesisViolationError,
+    OrthogonalContactError,
+    _spacelike_locus,
+    extend,
+    measure_contact,
+)
+from maxsurf.minkowski import LVector
 from maxsurf.verify import (
     GRID_MARGIN,
     GRID_RANDOM,
@@ -27,8 +39,8 @@ from maxsurf.verify import (
     _json_text,
     catenoid_data,
     catenoid_reference,
-    check_cross_product_normal,
-    check_orthogonality_obstruction,
+    _cross_product_residual,
+    _stencil_panels,
     eq_zero_residual,
     estimate_order,
     _puncture_square,
@@ -152,18 +164,12 @@ def test_pole_zero_pairing_rejects_simple_zero():
 
 
 # ---------------------------------------------------------------------------
-# obstruction checks
+# obstructions: the one rule of measure_contact
 
 def test_obstruction_spacelike_impossible():
-    plane = Plane(LVector(0, 0, 1), 0.0)
-    rec = check_orthogonality_obstruction(plane, measured=[0.5, 0.1, 0.01, 1e-5])
-    assert not rec.passed
-    assert "impossible contact" in rec.details["message"]
-
-
-def test_obstruction_needs_data_or_measured_values():
-    with pytest.raises(ValueError, match="need either data or measured values"):
-        check_orthogonality_obstruction(Plane(LVector(0, 0, 1), 0.0))
+    # a Gauss map has |<N, n>| >= 1 against a spacelike plane, so the row refuses a smaller |c|
+    with pytest.raises(HypothesisViolationError, match="impossible against a spacelike plane"):
+        _spacelike_locus(1e-5, 1, [0.5 + 0j])
 
 
 def test_a_report_has_no_check_of_an_unknown_name():
@@ -172,63 +178,89 @@ def test_a_report_has_no_check_of_an_unknown_name():
 
 
 def test_obstruction_spacelike_fine_for_real_contact():
-    data, plane = spacelike_fixture()
-    rec = check_orthogonality_obstruction(plane, data)
-    assert rec.passed
+    contact = measure_contact(*spacelike_fixture())
+    assert abs(abs(contact.c) - 5 / 3) < 1e-9 and contact.theta > 0
 
 
 def test_obstruction_timelike_orthogonal_out_of_scope():
-    plane = Plane(LVector(0, 1, 0), 0.0)
-    rec = check_orthogonality_obstruction(plane, measured=[0.2, 0.01, 1e-6])
-    assert not rec.passed
-    assert "out of scope" in rec.details["message"]
+    with pytest.raises(OrthogonalContactError) as exc:
+        measure_contact(*near_orthogonal_fixture(1e-4))
+    assert str(exc.value).startswith("orthogonal contact (|c| = 2.000e-04 < 0.001): excluded here;")
+    assert "symmetric reflection" in str(exc.value)
 
 
-@pytest.mark.parametrize("normal", [LVector(0, 0, 1), LVector(0, 1, 0)], ids=["spacelike", "timelike"])
-def test_obstruction_decides_at_the_tolerance_it_reports(normal):
-    plane = Plane(normal, 0.0)
-    below = check_orthogonality_obstruction(plane, measured=[0.5, 5e-4])
-    above = check_orthogonality_obstruction(plane, measured=[0.5, 2e-3])
-    assert not below.passed and above.passed
-    assert below.tolerance == above.tolerance == 1e-3
-    assert (below.max_residual, above.max_residual) == (5e-4, 2e-3)
+THRESHOLDS = {  # each row's rule just below and just above its bound, and its refusal below it
+    "spacelike": (lambda: _spacelike_locus(0.99999, 1, [0.5 + 0j]), lambda: _spacelike_locus(1.00001, 1, [0.5 + 0j]),
+                  HypothesisViolationError, r"\|<N,n>\| = 0\.999990 < 1 is impossible"),
+    "timelike": (lambda: measure_contact(*near_orthogonal_fixture(4e-4)),  # c = 8e-4
+                 lambda: measure_contact(*near_orthogonal_fixture(6e-4)),  # c = 1.2e-3
+                 OrthogonalContactError, r"\(\|c\| = 8\.000e-04 < 0\.001\)"),
+}
+
+
+@pytest.mark.parametrize("kind", list(THRESHOLDS))
+def test_obstruction_decides_at_the_tolerance_it_reports(kind):
+    below, above, error, message = THRESHOLDS[kind]
+    with pytest.raises(error, match=message):
+        below()
+    above()
 
 
 @pytest.mark.parametrize("name", sorted(bench_configs()))
 def test_the_obstruction_limit_is_the_contact_angle(name):
+    # the rule reads c, which check reports with angle_constancy
     cfg = SurfaceConfig.from_text(bench_configs()[name])
-    rec = check_orthogonality_obstruction(cfg.plane, cfg.data)
-    assert rec.passed and rec.details["limit"] == measure_contact(cfg.data, cfg.plane).c
+    contact = measure_contact(cfg.data, cfg.plane)
+    assert abs(contact.c) >= C_TOL
+    assert full_diagnostics(extend(cfg.data, cfg.plane), GridSpec(3, 4))["angle_constancy"].details["c"] == contact.c
 
 
 def test_obstruction_lightlike_degenerate():
-    dom = Domain(DomainKind.HALF_DISK, radius=0.7)
-    data = WeierstrassData(parse("1"), parse("-1 + 0.01*i*z"), dom, 0.5j, LVector(0, 0, 0))
-    rec = check_orthogonality_obstruction(Plane(LVector(1, 0, 1), 0.0), data)
-    assert not rec.passed
-    assert "X_u ^ X_v = 0" in rec.details["message"]
+    with pytest.raises(HypothesisViolationError) as exc:
+        measure_contact(*degenerate_lightlike_fixture())
+    assert str(exc.value) == "degenerate lightlike contact (|g + 1| = 4.444e-02 < 0.05): X_u ^ X_v = 0"
 
 
 # ---------------------------------------------------------------------------
 # cross product direction check
 
 def test_cross_product_normal_plane_surface():
-    rec = check_cross_product_normal(plane_fixture(), 0.2 + 0.1j, h=1e-4)
-    assert rec.passed
-    assert abs(rec.details["scale"] - 0.25) < 1e-6
+    rec = full_diagnostics(plane_fixture())["cross_product_normal"]
+    assert rec.passed and rec.max_residual == 0.0
+    assert rec.details == {"h": 2.5e-4, "points": 3}
 
 
 def test_cross_product_normal_catenoid():
-    rec = check_cross_product_normal(catenoid_data(), cmath.exp(-1), h=1e-4)
-    assert rec.passed
+    rec = full_diagnostics(catenoid_data())["cross_product_normal"]
+    assert rec.passed and rec.tolerance == 100 * 2.5e-4 * 2.5e-4
     assert rec.max_residual <= 1e-6
 
 
 def test_cross_product_residual_decays_quadratically():
-    data = catenoid_data()
-    r1 = check_cross_product_normal(data, 0.4 + 0.2j, h=2e-3).max_residual
-    r2 = check_cross_product_normal(data, 0.4 + 0.2j, h=1e-3).max_residual
+    data, z = catenoid_data(), 0.4 + 0.2j
+    r1, r2 = (_cross_product_residual(_stencil_panels(data.field, z, h), data._g_fn(z)) for h in (2e-3, 1e-3))
     assert 2.5 < r1 / r2 < 6.0
+
+
+_SAMPLE = verify._sample
+
+
+def _conjugated_at_the_centres(sides):
+    samples = _SAMPLE(sides)
+    for _, g, _ in samples:
+        centres = verify._stencil_centres(g)  # a view of the sample's g
+        centres[:] = centres.conj()
+    return samples
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_conjugated_gauss_map_fails_cross_product_normal(seed):
+    data = random_polynomial_data(np.random.default_rng(seed))
+    assert full_diagnostics(data)["cross_product_normal"].passed
+    with patch.object(verify, "_sample", _conjugated_at_the_centres):
+        report = full_diagnostics(data)
+    assert [c.name for c in report.checks if not c.passed] == ["cross_product_normal"]
 
 
 def test_path_independence_loops_around_the_catenoid_puncture():

@@ -70,7 +70,10 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``extend`` of the timelike config across the plane x2 = 5, which its
     boundary (in x2 = 0.335) does not lie in (exit 0), then ``check`` of the
     config it writes, which fails plane_containment and reflection_symmetry
-    (exit 1).
+    (exit 1);
+  - ``extend`` of two contacts that the obstruction rule refuses in one line
+    (exit 1): a timelike contact with c = 2e-4, below C_TOL, and a lightlike
+    one whose g comes within 0.05 of -1 on the boundary.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -184,6 +187,12 @@ SQUARE_OVERFLOWS = {  # name: (config, commands), run after the rest
 TANGENTIAL_CONTACT = (  # g -> 1 + 0.18i on the real axis: lightlike and tangential, with |g| -> 1
     "f = i\ng = 1 + i*(0.18 + 0.05*z)\ndomain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\nplane = 1,0,1,0\n"
 )
+OBSTRUCTIONS = {  # name: config, each refused by measure_contact; run last
+    "near-orthogonal": "f = 1\ng = (z+0.0001*i)/(1+0.0001*i*z)\ndomain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\n"
+    "plane = 0,1,0,0.2708478967605986\n",
+    "degenerate-lightlike": "f = exp(-i*z)\ng = 0.022222222222222223 + 0.9777777777777777*exp(i*(z+3.141592653589793))\n"
+    "domain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\nplane = 1,0,1,0\n",
+}
 
 
 def _original_side(surface: str, z: complex) -> bool:
@@ -246,6 +255,7 @@ def commands() -> list[tuple[str, list[str]]]:
         ("extend-wrong-plane", ["extend", "timelike.cfg", "--plane", "0,1,0,5", "-o", "wrong-plane.ext.cfg"]),
         ("check-wrong-plane.ext", ["check", "wrong-plane.ext.cfg"]),
     ]
+    cmds += [(f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]) for name in OBSTRUCTIONS]
     return cmds
 
 
@@ -284,7 +294,7 @@ def capture(outdir: Path) -> None:
     os.chdir(outdir)
     meshes = {name: text for name, (text, _) in DOMAIN_MESHES.items()}
     inputs = {name: text for name, (text, _) in {**INPUT_FAULTS, **ONE_LINE_FAULTS, **SQUARE_OVERFLOWS}.items()}
-    configs = {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs}
+    configs = {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs, **OBSTRUCTIONS}
     for name, text in {**configs, "tangential-lightlike": TANGENTIAL_CONTACT}.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")
     for k, (stem, argv) in enumerate(commands()):

@@ -395,7 +395,12 @@ def test_the_report_writer_refuses_a_key_that_is_not_a_str(key):
         _json_text({"a": {key: [1]}})
 
 
-@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), 1j, {1, 2}, object(), {(1, 2): 3}], ids=repr)
+# A bare object() gets a fixed id: its repr carries a memory address, so the test name would change every run.
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(3), np.bool_(True), 1j, {1, 2}, pytest.param(object(), id="object()"), {(1, 2): 3}],
+    ids=repr,
+)
 def test_the_report_writer_refuses_what_json_refuses(value):
     with pytest.raises(TypeError):
         json.dumps(value, sort_keys=True, indent=2)

@@ -59,7 +59,6 @@ from .extension import (
     ExtensionError,
     GeometryMismatchError,
     HypothesisViolationError,
-    OrthogonalContactError,
     SingularReconstructionError,
     extend,
     measure_contact,

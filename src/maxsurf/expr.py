@@ -637,12 +637,12 @@ def _negative(k: complex | None) -> bool:
 
 
 def _divisor(k: complex) -> Const | None:
-    """The divisor 1/k for a real 0 < k < 1 where it prints shorter than k and divides back to it
-    (x/2 for 0.5*x); else None."""
+    """The divisor 1/k for a real 0 < k < 1 where it prints shorter than k, divides back to it and has
+    a finite square, which the quotient rule takes (x/2 for 0.5*x); else None."""
     if k.imag != 0 or not 0 < k.real < 1:
         return None
     c = 1 / k.real
-    return Const(c) if 1 / c == k.real and len(_fmt_real(c)) < len(_fmt_real(k.real)) else None
+    return Const(c) if 1 / c == k.real and c * c < math.inf and len(_fmt_real(c)) < len(_fmt_real(k.real)) else None
 
 
 def _product_tree(k: complex | None, factors: list[tuple[Expr, int, int]]) -> tuple[int, Callable[[], Expr]]:

@@ -1,7 +1,7 @@
 """Analytic extension of a maximal surface across a planar boundary.
 
 Given Weierstrass data whose boundary values meet a plane at a constant
-angle c = lim <N, n> != 0, the Gauss map sends the boundary arc into a
+angle c = lim <N, n>, the Gauss map sends the boundary arc into a
 circle or line, so both g and the one linear functional L of the phi triple
 that is odd across the plane continue by Schwarz reflection, and f is
 recovered algebraically from L and the reflected g.  Every case is that one
@@ -12,7 +12,8 @@ The causal class of the plane is a row of ``CASES``:
   spacelike  (n ~ (0,0,1)):  c = +-cosh(theta); g(arc) on |w| = r and
               g_minus = r^2 / conj(g); x3 is odd, L = phi3 = f g.
   timelike   (n ~ (0,1,0)):  c = 1/lam; g(arc) on the circle centered
-              -i*lam of radius sqrt(1+lam^2); x2 is odd,
+              -i*lam of radius sqrt(1+lam^2), or for c = 0 (orthogonal
+              contact) on the line Im w = 0 and g_minus = conj(g); x2 is odd,
               L = phi2 = i f (1 - g^2) / 2.
   lightlike  (n ~ (1,0,1)):  c = 1 + lam; for lam = 0 the locus is the line
               Re w = 1 and g_minus = 2 - conj(g), otherwise the circle
@@ -92,7 +93,6 @@ __all__ = [
     "GeometryMismatchError",
     "HypothesisViolationError",
     "MatchReport",
-    "OrthogonalContactError",
     "SingularReconstructionError",
     "boundary_points",
     "boundary_samples",
@@ -106,12 +106,11 @@ __all__ = [
 # Thresholds of the contact measurement and the matching report.
 ANGLE_TOL = 1e-6
 """The most <N, n> may vary along the boundary for the angle to count as constant."""
-C_TOL = 1e-3
-"""|c| below this is orthogonal contact."""
 LOCUS_TOL = 1e-6
 """The relative gap allowed between the fitted and the closed-form Gauss locus."""
 LAM_ZERO_TOL = 1e-6
-"""A lightlike lam below this in size is 0: the locus is the line Re w = 1."""
+"""Where a row's locus is a line: a lightlike lam below this in size is 0 (the line Re w = 1), and so is
+a timelike c (orthogonal contact, the line Im w = 0)."""
 CURVATURE_TOL = 1e-6
 """A fitted circle of smaller curvature is taken for a line."""
 MATCH_TOL = 1e-7
@@ -131,12 +130,6 @@ MINUS_POINTS = 40
 
 class ExtensionError(Exception):
     pass
-
-
-class OrthogonalContactError(ExtensionError):
-    """|c| < C_TOL: the plane meets the surface orthogonally, or nearly so; the
-    constant-angle construction excludes this case (it belongs to symmetric
-    reflection)."""
 
 
 class HypothesisViolationError(ExtensionError):
@@ -296,8 +289,8 @@ class ContactData:
 
     ``c`` is the extrapolated limit of <N, n_hat> along the boundary with
     n_hat the case-normalized plane normal; ``theta`` (spacelike, via
-    cosh(theta) = |c|) or ``lam`` (timelike c = 1/lam, lightlike c = 1+lam)
-    is the case parameter; ``locus`` is the fitted image of the boundary
+    cosh(theta) = |c|) or ``lam`` (timelike c = 1/lam, None at c = 0; lightlike
+    c = 1+lam) is the case parameter; ``locus`` is the fitted image of the boundary
     under g and ``locus_mismatch`` its gap to the closed form implied by c.
     """
 
@@ -338,8 +331,8 @@ class Case:
     reflected: str
     odd: Callable[[Expr, Expr], Expr]
     recover: Callable[[Expr, Expr], Expr]
-    moebius: Callable[[Expr, float], Expr]
-    parameter: Callable[[ContactData], float]
+    moebius: Callable[[Expr, float | None], Expr]
+    parameter: Callable[[ContactData], float | None]
     singular: tuple[complex, ...]
     locus: Callable[..., tuple[CircleOrLine, float | None, float | None]]
     circular: bool
@@ -374,6 +367,8 @@ def _spacelike_locus(c, sheet, gs):
 
 
 def _timelike_locus(c, sheet, gs):
+    if abs(c) < LAM_ZERO_TOL:  # orthogonal contact: the circle's limit as lam = 1/c grows
+        return CircleOrLine("line", point=0j, direction=1 + 0j), None, None
     lam = 1.0 / c
     return CircleOrLine("circle", center=-1j * lam, radius=math.sqrt(1 + lam * lam)), None, lam
 
@@ -416,7 +411,7 @@ CASES: dict[CausalClass, Case] = {
         CausalClass.TIMELIKE, LVector(0, 1, 0), "x2",
         odd=lambda f, g: phi_exprs(f, g)[1],
         recover=lambda L, g: Div(Mul(Const(2), L), Mul(Const(1j), Sub(Const(1), Pow(g, 2)))),
-        moebius=lambda w, lam: Add(
+        moebius=lambda w, lam: w if lam is None else Add(
             Const(-1j * lam), Div(Const(1 + lam * lam), Sub(w, Const(1j * lam)))
         ),
         parameter=lambda contact: contact.lam,
@@ -520,9 +515,9 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     The one obstruction rule: raises HypothesisViolationError when the
     angle varies by more than ANGLE_TOL, when |c| < 1 against a spacelike
     plane, or when g tends to -1 against a lightlike one (X_u ^ X_v = 0);
-    OrthogonalContactError when |c| < C_TOL; and GeometryMismatchError
-    when the fitted Gauss locus disagrees with the one implied by c by more
-    than LOCUS_TOL.
+    and GeometryMismatchError when the fitted Gauss locus disagrees with the
+    one implied by c by more than LOCUS_TOL.  An orthogonal contact (c = 0)
+    is the timelike row's line Im w = 0.
     """
     case = CASES[plane_class(plane)]
     unit_n, offset = case.normalize(plane)
@@ -530,11 +525,6 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     deviation = max(abs(ci - c) for ci in c_limits)
     if deviation > ANGLE_TOL:
         raise HypothesisViolationError(f"constant-angle hypothesis violated: <N,n> varies by {deviation:.3e} about {c:.6f}")
-    if abs(c) < C_TOL:
-        raise OrthogonalContactError(
-            f"orthogonal contact (|c| = {abs(c):.3e} < {C_TOL:g}): excluded here; such boundaries extend by "
-            "symmetric reflection across the plane, which this engine does not provide"
-        )
     mods = [abs(gv) for gv in g_limits]
     sheet = 1 if all(m < 1 for m in mods) else -1 if all(m > 1 for m in mods) else 0
     if not sheet:
@@ -564,11 +554,12 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     )
 
 
-def reflect_g(kind: CausalClass, g: Expr, p: float, arc: BoundaryArc) -> Expr:
+def reflect_g(kind: CausalClass, g: Expr, p: float | None, arc: BoundaryArc) -> Expr:
     """The Schwarz reflection of g through its boundary locus across the arc.
 
     ``p`` is the case parameter: the locus radius for a spacelike plane,
-    lam for a timelike or lightlike one.
+    lam for a timelike or lightlike one; a timelike p of None (c = 0) is the
+    line Im w = 0, through which g reflects to conj(g).
     """
     return CASES[kind].moebius(arc.conj(g), p)
 

@@ -1,5 +1,7 @@
-"""A one-round smoke test of tools/ab_inprocess.py, against a commit of a copy of this checkout."""
+"""tools/ab_inprocess.py: a one-round smoke run against a commit of a copy of this checkout, and the
+loader that imports the two sides as two packages in one interpreter."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -38,3 +40,20 @@ def test_without_a_command_it_prints_its_usage():
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), "--against", "HEAD"],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 1 and "--against REV" in done.stderr
+
+
+def test_each_side_imports_its_own_copy_of_the_package(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    spec = importlib.util.spec_from_file_location("ab_inprocess", ROOT / "tools" / "ab_inprocess.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    try:
+        copy = tool.load_cli("maxsurf_ab_test_copy", tmp_path / "src")
+        here = tool.load_cli("maxsurf_ab_test_here", ROOT / "src")
+        for cli, src in ((copy, tmp_path / "src"), (here, ROOT / "src")):
+            extension = sys.modules[cli.extend.__module__]
+            assert Path(cli.__file__).parent == Path(extension.__file__).parent == src / "maxsurf"
+        assert copy.extend is not here.extend and copy.ExtensionError is not here.ExtensionError
+    finally:
+        for name in [m for m in sys.modules if m.startswith("maxsurf_ab_test_")]:
+            del sys.modules[name]

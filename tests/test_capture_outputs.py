@@ -14,6 +14,7 @@ INPUT_FAULTS = ("z0-log", "z0-depends-on-z", "g-overflow", "radius-overflow", "n
 ONE_LINE_FAULTS = ("estimate-overflow", "off-hyperboloid", "lower-sheet-tangent", "branch-cut")
 SQUARE_OVERFLOWS = ("squares-overflow",)
 OBSTRUCTIONS = ("near-orthogonal", "degenerate-lightlike")
+ORTHOGONAL_CONTACTS = ("orthogonal-identity", "orthogonal-cosine", "orthogonal-moebius")
 USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
     "usage-unknown-command": "maxsurf: error: argument command: invalid choice: 'frobnicate' (choose from 'check',",
     "usage-eval-without-at": "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"
@@ -50,12 +51,16 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["eval-timelike.ext-arc-end"]
         + ["extend-wrong-plane", "check-wrong-plane.ext"]
         + [f"extend-{name}" for name in OBSTRUCTIONS]
+        + [f"{command}-{name}{suffix}" for name in ORTHOGONAL_CONTACTS
+           for command, suffix in (("extend", ""), ("check", ".ext"), ("eval", ".ext-0"), ("eval", ".ext-1"))]
+        + ["check-half-annulus-poles", "extend-half-annulus-poles", "check-half-annulus-poles.ext"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
         + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS + ONE_LINE_FAULTS + SQUARE_OVERFLOWS + OBSTRUCTIONS]
         + ["matching-fault.ext.cfg", "branch-cut.ext.cfg", "tangential-lightlike.cfg", "tangential-lightlike.ext.cfg"]
-        + ["wrong-plane.ext.cfg"]
+        + ["wrong-plane.ext.cfg", "orthogonal.ext.cfg", "near-orthogonal.ext.cfg"]
+        + [f"{name}{ext}.cfg" for name in ORTHOGONAL_CONTACTS + ("half-annulus-poles",) for ext in ("", ".ext")]
         + [f"{name}.cfg" for name in SURFACES[1:]] + ["catenoid-b07-reflected.cfg", "catenoid-b07-reflected.ext.cfg"]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) + SQUARE_OVERFLOWS
@@ -76,7 +81,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-overflow": (1, "error: quadrature did not converge on path to (-0.19-2.3268289183799712e-17j)"
                            " (achieved error estimate nan)\n"),
         "check-poly": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
-        "extend-orthogonal": (1, "extension failed: orthogonal contact (|c| = 8.580e-20 < 0.001): excluded here;"),
+        "extend-orthogonal": (0, '"lam": null,'),
         "extend-varying": (1, "extension failed: constant-angle hypothesis violated: <N,n> varies by 2.228e-01 about "
                            "-1.220594\n"),
         "extend-singular": (1, "extension failed: extended g takes the singular value (1+0j) near "
@@ -111,13 +116,22 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-squares-overflow": (1, '"max_residual": 5.551115123125783e-17,\n      "name": "quadratic_identity",\n'
                                    '      "passed": true,'),
         "check-tangential-lightlike.ext": (1, f"\n--- stderr\n{TANGENTIAL_WARNING}"),
-        "extend-near-orthogonal": (1, "--- stdout\n--- stderr\nextension failed: orthogonal contact "
-                                   "(|c| = 2.000e-04 < 0.001): excluded here;"),
+        "extend-near-orthogonal": (1, '"lam": 4999.999949999166,'),
         "extend-degenerate-lightlike": (1, "--- stdout\n--- stderr\nextension failed: degenerate lightlike contact "
                                         "(|g + 1| = 4.444e-02 < 0.05): X_u ^ X_v = 0\n"),
         "check-wrong-plane.ext": (1, '"max_residual": 4.664916170199053,\n      "name": "plane_containment",\n'
                                   '      "passed": false,'),
+        # g crosses |g| = 1 about its pole, so the Gauss map leaves one sheet of the hyperboloid
+        "check-half-annulus-poles": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
+        "check-half-annulus-poles.ext": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
     }
+    for name in logs:  # the orthogonal contacts evaluate on the reflected side, without a warning
+        if name[4:-4].startswith("eval-orthogonal-"):
+            text = (tmp_path / name).read_text()
+            assert "\nexit 0\n" in text and text.endswith("\n--- stderr\n"), name
+    for name in ("half-annulus-poles", "half-annulus-poles.ext"):  # the declared pole pairs with f's double zero
+        text = (tmp_path / next(log for log in logs if log.endswith(f"-check-{name}.txt"))).read_text()
+        assert '"name": "pole_zero_orders",\n      "passed": true,' in text, name
     for stem in ("extend-tangential-lightlike", "eval-tangential-lightlike.ext"):  # exit 0, with the one warning line
         text = (tmp_path / next(name for name in logs if name.endswith(f"-{stem}.txt"))).read_text()
         assert "\nexit 0\n" in text and text.endswith(f"\n--- stderr\n{TANGENTIAL_WARNING}"), stem

@@ -289,14 +289,17 @@ def test_extend_varying_angle_exits_1(tmp_path, capsys):
     assert "constant-angle" in capsys.readouterr().err
 
 
-def test_extend_orthogonal_exits_1(tmp_path, capsys):
-    p = tmp_path / "orth.cfg"
+def test_extend_orthogonal_exits_0_and_its_check_passes(tmp_path, capsys):
+    # g real on the axis: c = 0 against the plane x2 = d that the boundary lies in
+    p, out = tmp_path / "orth.cfg", tmp_path / "orth.ext.cfg"
     p.write_text(
         "f = 1\ng = 0.3*cos(z)\ndomain = upper-half-disk\nradius = 0.7\n"
-        "z0 = 0.5*i\ntol = 1e-10\nplane = 0,1,0,0\n"
+        "z0 = 0.5*i\ntol = 1e-10\nplane = 0,1,0,0.22552898657150722\n"
     )
-    assert main(["extend", str(p)]) == 1
-    assert "orthogonal" in capsys.readouterr().err
+    assert main(["extend", str(p), "-o", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["contact"]["lam"] is None
+    assert main(["check", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_extend_circular_timelike_exits_1(tmp_path, capsys):

@@ -591,3 +591,12 @@ def test_a_function_of_a_constant_that_would_not_read_back_folds():
     n = _NormalForm()(e)
     assert n == Const(evaluate(e, 0j)) and evaluate(parse(format_expr(n)), 0j) == evaluate(e, 0j) == math.pi * 1j
     assert format_expr(_NormalForm()(parse("log(-1)"))) == "log(-1)"  # reads back, and prints shorter than -pi*i
+
+
+def test_a_constant_whose_reciprocal_squared_overflows_stays_a_factor():
+    # 0.5*z is z/2, but z/4.710607496712135e+195 would make the quotient rule square its divisor to inf
+    assert format_expr(_NormalForm()(parse("1+-0.5*z^2"))) == "1-z^2/2"
+    n = _NormalForm()(parse("1+-2.1228684425479528e-196*z^2"))
+    assert format_expr(n) == "1-2.1228684425479528e-196*z^2"
+    assert evaluate(differentiate(n), 0.3 + 0.2j) == evaluate(differentiate(parse("-2.1228684425479528e-196*z^2")),
+                                                              0.3 + 0.2j)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixtures import (
     SCONJ_FORMULAS,
@@ -23,7 +24,6 @@ from maxsurf.extension import (
     DegenerateContactWarning,
     GeometryMismatchError,
     HypothesisViolationError,
-    OrthogonalContactError,
     SingularReconstructionError,
     _check_reconstruction_singular,
     _locus_mismatch,
@@ -42,6 +42,7 @@ from maxsurf.weierstrass import (
     QuadratureConfig,
     ToleranceError,
     WeierstrassData,
+    evaluate_surface,
 )
 
 
@@ -164,13 +165,48 @@ def test_measure_contact_catenoid_circle():
     assert abs(math.tanh(c.theta / 2) - rho) < 1e-9
 
 
-def test_orthogonal_contact_rejected():
-    # g real on the axis makes <N, (0,1,0)> -> 0
+def test_orthogonal_contact_is_the_timelike_line():
+    # g real on the axis makes <N, (0,1,0)> -> 0: the locus is the line Im w = 0, and g reflects to conj(g)
     dom = Domain(DomainKind.HALF_DISK, radius=0.7)
     data = WeierstrassData(parse("1"), parse("0.3*cos(z)"), dom, 0.5j, LVector(0, 0, 0))
-    with pytest.raises(OrthogonalContactError) as exc:
-        measure_contact(data, Plane(LVector(0, 1, 0), 0.0))
-    assert "symmetric" in str(exc.value)
+    c = measure_contact(data, Plane(LVector(0, 1, 0), 0.22552898657150722))
+    assert abs(c.c) < 1e-15 and c.lam is None and c.theta is None
+    assert c.locus.kind == "line" and c.locus_mismatch < 1e-15
+    g_minus = reflect_g(CausalClass.TIMELIKE, data.g, c.lam, c.boundary)
+    assert format_expr(g_minus) == format_expr(c.boundary.conj(data.g))
+
+
+@st.composite
+def orthogonal_contacts(draw):
+    """Data real on the real axis: g a real quadratic of a real Moebius map whose pole lies beyond
+    |z| = 2, with |g| < 0.71 on the disk |z| < 0.7, and f a real quadratic without a zero there."""
+    b, c = draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.5, 0.5))
+    a0, a2 = draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1))
+    a1 = draw(st.sampled_from((-1, 1))) * draw(st.floats(0.1, 0.3))
+    f0, f1, f2 = draw(st.floats(0.7, 2.0)), draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+    m = f"((z+{b!r})/(1+{c!r}*z))"
+    return parse(f"{f0!r}+{f1!r}*z+{f2!r}*z^2"), parse(f"{a0!r}+{a1!r}*{m}+{a2!r}*{m}^2")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(fg=orthogonal_contacts(), zs=st.lists(st.tuples(st.floats(-0.45, 0.45), st.floats(0.02, 0.45)),
+                                           min_size=2, max_size=2))
+def test_an_orthogonal_contact_extends_to_its_mirror_image(fg, zs):
+    # real data on the axis: the reflected formulas are f and g again, and X(conj z) mirrors X(z) in x2 = d
+    f, g = fg
+    dom = Domain(DomainKind.HALF_DISK, radius=0.7)
+    data = WeierstrassData(f, g, dom, 0.5j, LVector(0, 0, 0))
+    d = evaluate_surface(data, 0j).x2
+    ext = extend(data, Plane(LVector(0, 1, 0), d))
+    assert ext.contact.lam is None and ext.matching.passed
+    formulas = [(compile_fn(e), compile_fn(minus)) for e, minus in ((f, ext.f_minus), (g, ext.g_minus))]
+    for z in [complex(u, v) for u, v in zs]:
+        for plus, minus in formulas:
+            for w in (z, z.conjugate()):
+                assert abs(minus(w) - plus(w)) <= 1e-13 * (1 + abs(plus(w)))
+        X, Y = ext.evaluate(z), ext.evaluate(z.conjugate())
+        scale = 1 + math.sqrt(X.x1 ** 2 + X.x2 ** 2 + X.x3 ** 2)
+        assert max(abs(Y.x1 - X.x1), abs(Y.x2 - (2 * d - X.x2)), abs(Y.x3 - X.x3)) <= 1e-12 * scale
 
 
 def test_varying_angle_rejected():

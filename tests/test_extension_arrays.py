@@ -28,13 +28,11 @@ from maxsurf.extension import (
     MINUS_POINTS,
     MatchReport,
     ANGLE_TOL,
-    C_TOL,
     SINGULAR_TOL,
     BoundaryArc,
     ExtensionError,
     HypothesisViolationError,
     GeometryMismatchError,
-    OrthogonalContactError,
     SingularReconstructionError,
     _check_reconstruction_singular,
     _locus_mismatch,
@@ -82,11 +80,6 @@ def scalar_contact(data, plane):
     if deviation > ANGLE_TOL:
         raise HypothesisViolationError(
             f"constant-angle hypothesis violated: <N,n> varies by {deviation:.3e} about {c:.6f}"
-        )
-    if abs(c) < C_TOL:
-        raise OrthogonalContactError(
-            f"orthogonal contact (|c| = {abs(c):.3e} < {C_TOL:g}): excluded here; such boundaries extend by "
-            "symmetric reflection across the plane, which this engine does not provide"
         )
     mods = [abs(gv) for gv in g_limits]
     if all(m < 1 for m in mods):

@@ -22,9 +22,11 @@ from maxsurf import verify
 from maxsurf.cli import SurfaceConfig
 from maxsurf.expr import parse
 from maxsurf.extension import (
-    C_TOL,
+    LAM_ZERO_TOL,
+    ExtensionError,
+    GeometryMismatchError,
     HypothesisViolationError,
-    OrthogonalContactError,
+    _lightlike_locus,
     _spacelike_locus,
     extend,
     measure_contact,
@@ -182,19 +184,34 @@ def test_obstruction_spacelike_fine_for_real_contact():
     assert abs(abs(contact.c) - 5 / 3) < 1e-9 and contact.theta > 0
 
 
-def test_obstruction_timelike_orthogonal_out_of_scope():
-    with pytest.raises(OrthogonalContactError) as exc:
-        measure_contact(*near_orthogonal_fixture(1e-4))
-    assert str(exc.value).startswith("orthogonal contact (|c| = 2.000e-04 < 0.001): excluded here;")
-    assert "symmetric reflection" in str(exc.value)
+def test_the_near_orthogonal_probe_is_measured_and_fails_matching():
+    # c = 2e-4 is a timelike contact like any other; with f = 1 the probe's boundary does not lie in
+    # a plane x2 = d, so the two sides do not match
+    data, plane = near_orthogonal_fixture(1e-4)
+    contact = measure_contact(data, plane)
+    assert abs(contact.c - 2e-4 / (1 - 1e-8)) < 1e-12 and abs(contact.lam - 5e3) < 1e-4
+    report = extend(data, plane).matching
+    assert not report.passed and 3.9e-4 < report.max_gap < 4.1e-4
+
+
+@pytest.mark.parametrize("eps", [float(f"{m}e{k}") for k in range(-9, -3) for m in (1, 2, 5)] + [1e-3])
+def test_a_near_orthogonal_contact_keeps_one_locus_kind_or_refuses(eps):
+    # c = 2 eps / (1 - eps^2): the closed form is the line Im w = 0 below LAM_ZERO_TOL and a circle
+    # above; the fitted locus must be of the same kind, or the contact is refused with one error
+    try:
+        contact = measure_contact(*near_orthogonal_fixture(eps))
+    except ExtensionError as exc:
+        assert type(exc) is GeometryMismatchError and "disagrees with circle" in str(exc)
+        return
+    assert contact.locus.kind == ("line" if contact.lam is None else "circle")
+    assert (contact.lam is None) == (abs(contact.c) < LAM_ZERO_TOL)
 
 
 THRESHOLDS = {  # each row's rule just below and just above its bound, and its refusal below it
     "spacelike": (lambda: _spacelike_locus(0.99999, 1, [0.5 + 0j]), lambda: _spacelike_locus(1.00001, 1, [0.5 + 0j]),
                   HypothesisViolationError, r"\|<N,n>\| = 0\.999990 < 1 is impossible"),
-    "timelike": (lambda: measure_contact(*near_orthogonal_fixture(4e-4)),  # c = 8e-4
-                 lambda: measure_contact(*near_orthogonal_fixture(6e-4)),  # c = 1.2e-3
-                 OrthogonalContactError, r"\(\|c\| = 8\.000e-04 < 0\.001\)"),
+    "lightlike": (lambda: _lightlike_locus(-44.0, 1, [-0.951 + 0j]), lambda: _lightlike_locus(-44.0, 1, [-0.949 + 0j]),
+                  HypothesisViolationError, r"\(\|g \+ 1\| = 4\.900e-02 < 0\.05\)"),
 }
 
 
@@ -211,7 +228,7 @@ def test_the_obstruction_limit_is_the_contact_angle(name):
     # the rule reads c, which check reports with angle_constancy
     cfg = SurfaceConfig.from_text(bench_configs()[name])
     contact = measure_contact(cfg.data, cfg.plane)
-    assert abs(contact.c) >= C_TOL
+    assert contact.locus.kind == "circle"  # none is near c = 0, where the timelike locus is a line
     assert full_diagnostics(extend(cfg.data, cfg.plane), GridSpec(3, 4))["angle_constancy"].details["c"] == contact.c
 
 

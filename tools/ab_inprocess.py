@@ -6,12 +6,14 @@ Each ARGV is one maxsurf command line (``check timelike.ext.cfg``); a bare
 ``--`` separates commands.  Paths in them are read from the current directory.
 
 REV is extracted with the capture tool's ``git archive`` helper into a
-temporary directory (removed afterwards).  Each round starts one fresh
-interpreter on REV's ``src`` and one on this checkout's, in alternating order
-(REV first in even rounds).  An interpreter imports ``maxsurf.cli``, then per
-command makes one warm-up call of ``main(argv)`` and K timed calls, with stdout
-and stderr captured, and reports the median of the K.  So a round gives each
-side one time per command.
+temporary directory (removed afterwards).  One interpreter imports REV's
+``maxsurf`` and this checkout's side by side, under two package names, and
+calls each side's ``main(argv)`` with stdout and stderr captured.  Per
+command, each side makes one warm-up call; then each round makes K pairs of
+calls, one call per side, alternating call by call, with the side that goes
+first swapped from one pair to the next.  So the two sides of a pair run
+under the same load, and a round gives each side one time per command, the
+median of its K calls.
 
 Printed per command: each side's median over the rounds with its quartiles,
 the paired ratio (the median over rounds of this checkout's time over REV's)
@@ -21,41 +23,38 @@ differs between the sides, or between calls, ends the run with exit 1.
 
 from __future__ import annotations
 
-import json
+import contextlib
+import importlib
+import importlib.util
+import io
+import itertools
 import statistics
-import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("base", "change")
 
-# One interpreter: argv[1] is the src directory, argv[2] the JSON list of commands, argv[3] the calls.
-CHILD = """
-import contextlib, io, json, sys, time
-sys.path.insert(0, sys.argv[1])
-from maxsurf.cli import main
 
-def call(argv):
+def load_cli(package: str, src: Path):
+    """The ``cli`` module of the maxsurf package under ``src``, imported as ``package``; the package's
+    own imports are relative, so each copy imports its own modules."""
+    pkg = src / "maxsurf"
+    spec = importlib.util.spec_from_file_location(package, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[package] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{package}.cli")
+
+
+def call(main, argv: list[str]) -> tuple[float, int]:
+    """One call of main(argv) with its output captured: (seconds, exit code)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         start = time.perf_counter()
         rc = main(argv)
         return time.perf_counter() - start, rc
-
-out = []
-for argv in json.loads(sys.argv[2]):
-    _, rc = call(argv)
-    times, codes = zip(*(call(argv) for _ in range(int(sys.argv[3]))))
-    out.append({"rc": sorted({rc, *codes}), "median": sorted(times)[len(times) // 2]})
-print(json.dumps(out))
-"""
-
-
-def run_side(src: Path, commands: list[list[str]], calls: int) -> list[dict]:
-    """One fresh interpreter's medians and exit codes, one per command."""
-    done = subprocess.run([sys.executable, "-c", CHILD, str(src), json.dumps(commands), str(calls)],
-                          check=True, capture_output=True, text=True)
-    return json.loads(done.stdout.splitlines()[-1])
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -70,16 +69,26 @@ def compare(rev: str, commands: list[list[str]], rounds: int, calls: int) -> int
     sys.path.insert(0, str(ROOT / "tools"))
     from capture_outputs import extract
 
-    times = {side: [[] for _ in commands] for side in ("base", "change")}
-    codes = {side: [set() for _ in commands] for side in ("base", "change")}
+    times = {side: [[] for _ in commands] for side in SIDES}
+    codes = {side: [set() for _ in commands] for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
         extract(rev, tmp)
-        srcs = {"base": Path(tmp) / "src", "change": ROOT / "src"}
-        for r in range(rounds):
-            for side in ("base", "change") if r % 2 == 0 else ("change", "base"):
-                for k, record in enumerate(run_side(srcs[side], commands, calls)):
-                    times[side][k].append(record["median"])
-                    codes[side][k].update(record["rc"])
+        mains = {side: load_cli(f"maxsurf_ab_{side}", src).main
+                 for side, src in zip(SIDES, (Path(tmp) / "src", ROOT / "src"))}
+        for k, argv in enumerate(commands):
+            for side in SIDES:  # warm-up
+                codes[side][k].add(call(mains[side], argv)[1])
+        pairs = itertools.count()
+        for _ in range(rounds):
+            for k, argv in enumerate(commands):
+                took = {side: [] for side in SIDES}
+                for _ in range(calls):
+                    for side in SIDES if next(pairs) % 2 == 0 else SIDES[::-1]:
+                        seconds, rc = call(mains[side], argv)
+                        took[side].append(seconds)
+                        codes[side][k].add(rc)
+                for side in SIDES:
+                    times[side][k].append(statistics.median(took[side]))
     status = 0
     for k, argv in enumerate(commands):
         base, change = times["base"][k], times["change"][k]

@@ -27,13 +27,13 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     ``eval`` on |g| = 1 (no normal), and ``check`` of those three configs
     (the pole passes, the overflow fails on a NaN error estimate, and
     |g| = 1 inside the disk fails gauss_hyperboloid);
-  - extensions that the contact or the reconstruction refuses (exit 1):
-    ``extend`` of an orthogonal contact, of a contact angle that varies
-    along the arc, and of a g whose reflection takes the singular value 1
-    at a point of the reflected side's sample grid; and ``check`` and
-    ``extend`` of the extended spacelike config with ``f_minus = 1/z``,
-    which faults at an arc point of the matching report (check exits 2;
-    extend rebuilds the reflected side and exits 0);
+  - ``extend`` of an orthogonal contact (c = 0, exit 0); extensions that
+    the contact or the reconstruction refuses (exit 1): ``extend`` of a
+    contact angle that varies along the arc, and of a g whose reflection
+    takes the singular value 1 at a point of the reflected side's sample
+    grid; and ``check`` and ``extend`` of the extended spacelike config with
+    ``f_minus = 1/z``, which faults at an arc point of the matching report
+    (check exits 2; extend rebuilds the reflected side and exits 0);
   - configs that must end in one line: ``check`` with a basepoint whose
     operands both fault (``z0 = log(0)/0``) and with one that depends on z
     (exit 2), ``check`` of a g whose square overflows (exit 1), ``check``
@@ -71,9 +71,17 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     boundary (in x2 = 0.335) does not lie in (exit 0), then ``check`` of the
     config it writes, which fails plane_containment and reflection_symmetry
     (exit 1);
-  - ``extend`` of two contacts that the obstruction rule refuses in one line
-    (exit 1): a timelike contact with c = 2e-4, below C_TOL, and a lightlike
-    one whose g comes within 0.05 of -1 on the boundary.
+  - ``extend`` of a timelike contact with c = 2e-4 whose boundary does not
+    lie in a plane, which fails c1_matching (exit 1), and of a lightlike one
+    whose g comes within 0.05 of -1 on the boundary, which the obstruction
+    rule refuses in one line (exit 1);
+  - three orthogonal contacts (c = 0, where g reflects through the real
+    line): ``extend``, ``check`` of the config it writes, and ``eval`` at
+    two points of the reflected side;
+  - ``check`` of a half annulus with a pole of g at a puncture (``g_poles``),
+    then ``extend`` across its diameter and ``check`` of what it writes; g
+    crosses |g| = 1 about its pole, so both checks fail gauss_hyperboloid
+    (exit 1).
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -133,7 +141,9 @@ FAULT_CONFIGS = {
 # a point of the reflected side's sample grid on the unit half disk, and its conjugate
 _ROOT, _ROOT_CONJ = "0.2888725384110351-0.40654239767553646*i", "0.2888725384110351+0.40654239767553646*i"
 EXTENSION_FAULTS = {
-    "orthogonal": "f = 1\ng = 0.3*cos(z)\ndomain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\nplane = 0,1,0,0\n",
+    # c = 0, which extends now; it keeps its place, so that later logs keep their numbers
+    "orthogonal": "f = 1\ng = 0.3*cos(z)\ndomain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\n"
+    "plane = 0,1,0,0.22552898657150722\n",
     "varying": "f = 1\ng = 0.3+0.2*z\ndomain = upper-half-disk\nradius = 0.9\nz0 = 0.5*i\nplane = 0,0,1,0\n",
     # Re g = 1 on the axis (lightlike, lam = 0), and the reflected g is 1 at _ROOT
     "singular": f"f = i\ng = 1 + 3*i*((z-({_ROOT}))*(z-({_ROOT_CONJ})))\ndomain = upper-half-disk\nradius = 1\n"
@@ -187,12 +197,25 @@ SQUARE_OVERFLOWS = {  # name: (config, commands), run after the rest
 TANGENTIAL_CONTACT = (  # g -> 1 + 0.18i on the real axis: lightlike and tangential, with |g| -> 1
     "f = i\ng = 1 + i*(0.18 + 0.05*z)\ndomain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\nplane = 1,0,1,0\n"
 )
-OBSTRUCTIONS = {  # name: config, each refused by measure_contact; run last
+OBSTRUCTIONS = {  # name: config, each refused by extend
     "near-orthogonal": "f = 1\ng = (z+0.0001*i)/(1+0.0001*i*z)\ndomain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\n"
     "plane = 0,1,0,0.2708478967605986\n",
     "degenerate-lightlike": "f = exp(-i*z)\ng = 0.022222222222222223 + 0.9777777777777777*exp(i*(z+3.141592653589793))\n"
     "domain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\nplane = 1,0,1,0\n",
 }
+_HALF = "domain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\n"
+ORTHOGONAL_CONTACTS = {  # name: config; g is real on the axis, and the plane is x2 = d where the boundary lies
+    "orthogonal-identity": "f = 1\ng = z\n" + _HALF + "plane = 0,1,0,0.2708333333333333\n",
+    "orthogonal-cosine": "f = 1+z^2\ng = 0.3*cos(z)\n" + _HALF + "plane = 0,1,0,0.2068690847387077\n",
+    "orthogonal-moebius": "f = exp(z)\ng = (z+0.3)/(1+0.3*z)\n" + _HALF + "plane = 0,1,0,0.24278245556222022\n",
+}
+ORTHOGONAL_EVALS = ("0.2,-0.3", "-0.35,-0.15")  # on the reflected side
+_POLE = "(z-(-0.2+0.6*i))"  # a pole of g at the puncture, where f has a double zero
+HALF_ANNULUS_POLES = (  # the boundary lies in x3 = 0.43166666666666664
+    f"f = i*exp(-i*z)*{_POLE}^2\ng = exp(i*z)/2*(z-(-0.2-0.6*i))/{_POLE}\ndomain = half-annulus\nradius = 0.9\n"
+    "inner_radius = 0.2\npunctures = -0.2+0.6*i\ng_poles = -0.2+0.6*i:1\nz0 = 0.3+0.5*i\nX0 = 0.1,-0.2,0.3\n"
+    "tol = 1e-9\nplane = 0,0,1,-0.43166666666666664\n"
+)
 
 
 def _original_side(surface: str, z: complex) -> bool:
@@ -256,6 +279,16 @@ def commands() -> list[tuple[str, list[str]]]:
         ("check-wrong-plane.ext", ["check", "wrong-plane.ext.cfg"]),
     ]
     cmds += [(f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]) for name in OBSTRUCTIONS]
+    for name in ORTHOGONAL_CONTACTS:
+        cmds += [(f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]),
+                 (f"check-{name}.ext", ["check", f"{name}.ext.cfg"])]
+        cmds += [(f"eval-{name}.ext-{k}", ["eval", f"{name}.ext.cfg", f"--at={at}"])
+                 for k, at in enumerate(ORTHOGONAL_EVALS)]
+    cmds += [
+        ("check-half-annulus-poles", ["check", "half-annulus-poles.cfg"]),
+        ("extend-half-annulus-poles", ["extend", "half-annulus-poles.cfg", "-o", "half-annulus-poles.ext.cfg"]),
+        ("check-half-annulus-poles.ext", ["check", "half-annulus-poles.ext.cfg"]),
+    ]
     return cmds
 
 
@@ -294,8 +327,10 @@ def capture(outdir: Path) -> None:
     os.chdir(outdir)
     meshes = {name: text for name, (text, _) in DOMAIN_MESHES.items()}
     inputs = {name: text for name, (text, _) in {**INPUT_FAULTS, **ONE_LINE_FAULTS, **SQUARE_OVERFLOWS}.items()}
-    configs = {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs, **OBSTRUCTIONS}
-    for name, text in {**configs, "tangential-lightlike": TANGENTIAL_CONTACT}.items():
+    configs = {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs, **OBSTRUCTIONS,
+               **ORTHOGONAL_CONTACTS, "tangential-lightlike": TANGENTIAL_CONTACT}
+    configs["half-annulus-poles"] = HALF_ANNULUS_POLES
+    for name, text in configs.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")
     for k, (stem, argv) in enumerate(commands()):
         if argv[1] == "catenoid-b07-reflected.cfg":  # made from what an earlier command wrote

@@ -29,12 +29,12 @@ L_minus = -conj(L(sigma(z))) conj(sigma'(z)); the row supplies the Moebius
 map applied to the conjugated g and the recovery f_minus = L_minus / h(g_minus).
 Only spacelike planes are supported across a circle.
 
-The locus g is reflected through comes from two sources.  For a spacelike
-plane it is the circle about the closed-form centre 0 with the radius FITTED
-to the boundary limits of g.  For a timelike or lightlike plane it is the
-closed-form circle or line given by lam, from the measured c.  The fit only
-cross-checks the closed form: a gap above LOCUS_TOL aborts rather than
-trusting either side silently.
+The locus g is reflected through is the row's closed form from the measured
+c: for a spacelike plane the circle about the centre 0 whose radius is the
+mean |g| of the boundary limits, which must be tanh(theta/2)^(+-1); for a
+timelike or lightlike plane the circle or line given by lam.  A boundary limit
+of g farther than LOCUS_TOL (times 1 + the radius) from that locus aborts
+rather than reflecting through a locus the boundary does not lie on.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ __all__ = [
     "boundary_points",
     "boundary_samples",
     "extend",
-    "fit_circle_or_line",
     "measure_contact",
     "reflect_g",
 ]
@@ -107,12 +106,11 @@ __all__ = [
 ANGLE_TOL = 1e-6
 """The most <N, n> may vary along the boundary for the angle to count as constant."""
 LOCUS_TOL = 1e-6
-"""The relative gap allowed between the fitted and the closed-form Gauss locus."""
-LAM_ZERO_TOL = 1e-6
+"""How far, relative to 1 + its radius, a boundary limit of g may lie from the closed-form Gauss locus."""
+LAM_ZERO_TOL = math.sqrt(np.finfo(float).eps)
 """Where a row's locus is a line: a lightlike lam below this in size is 0 (the line Re w = 1), and so is
-a timelike c (orthogonal contact, the line Im w = 0)."""
-CURVATURE_TOL = 1e-6
-"""A fitted circle of smaller curvature is taken for a line."""
+a timelike c (orthogonal contact, the line Im w = 0).  The line reflects g off by about 1.25 |c|, and the
+circle's form cancels to about eps / |c|; the two errors meet at sqrt(eps)."""
 MATCH_TOL = 1e-7
 """The largest normalized gap between the two sides on the arc that matches."""
 SINGULAR_TOL = 1e-8
@@ -137,7 +135,7 @@ class HypothesisViolationError(ExtensionError):
 
 
 class GeometryMismatchError(ExtensionError):
-    """Fitted boundary locus disagrees with the one implied by the angle,
+    """The boundary limits of g miss the locus implied by the angle,
     or the plane is not in its case-normal position."""
 
 
@@ -225,14 +223,13 @@ class BoundaryArc:
 
 @dataclass(frozen=True)
 class CircleOrLine:
-    """Fitted locus of boundary Gauss values: a circle or a straight line."""
+    """The Gauss locus of a contact: a circle or a straight line."""
 
     kind: str  # "circle" | "line"
     center: complex | None = None
     radius: float | None = None
     point: complex | None = None
     direction: complex | None = None
-    residual: float = 0.0
 
     def distance(self, w: complex) -> float:
         if self.kind == "circle":
@@ -245,44 +242,6 @@ class CircleOrLine:
         return f"line(point={self.point}, direction={self.direction})"
 
 
-def fit_circle_or_line(points: Sequence[complex]) -> CircleOrLine:
-    """Least-squares circle through the points; degrades to a line when the
-    points are collinear or the fitted curvature drops below CURVATURE_TOL."""
-    pts = [complex(p) for p in points]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points to fit a locus")
-    xs = np.array([p.real for p in pts])
-    ys = np.array([p.imag for p in pts])
-    cx, cy = xs.mean(), ys.mean()
-    M = np.column_stack([xs - cx, ys - cy])
-    sing = np.linalg.svd(M, compute_uv=False)
-    scale = max(sing[0], 1e-30)
-
-    def line_fit() -> CircleOrLine:
-        _, _, vt = np.linalg.svd(M)
-        d = complex(vt[0, 0], vt[0, 1])
-        if d.real < 0 or (d.real == 0 and d.imag < 0):
-            d = -d
-        point = complex(cx, cy)
-        resid = max(abs(((p - point) * d.conjugate()).imag) for p in pts)
-        return CircleOrLine("line", point=point, direction=d, residual=resid)
-
-    if sing[1] <= 1e-8 * scale:
-        return line_fit()
-    A = np.column_stack([xs, ys, np.ones_like(xs)])
-    b = -(xs * xs + ys * ys)
-    (a1, a2, a3), *_ = np.linalg.lstsq(A, b, rcond=None)
-    center = complex(-a1 / 2, -a2 / 2)
-    r2 = abs(center) ** 2 - a3
-    if r2 <= 0:
-        return line_fit()
-    radius = math.sqrt(r2)
-    if radius > 1.0 / CURVATURE_TOL:
-        return line_fit()
-    resid = max(abs(abs(p - center) - radius) for p in pts)
-    return CircleOrLine("circle", center=center, radius=radius, residual=resid)
-
-
 @dataclass(frozen=True)
 class ContactData:
     """Measured contact of a surface patch with a plane.
@@ -290,8 +249,8 @@ class ContactData:
     ``c`` is the extrapolated limit of <N, n_hat> along the boundary with
     n_hat the case-normalized plane normal; ``theta`` (spacelike, via
     cosh(theta) = |c|) or ``lam`` (timelike c = 1/lam, None at c = 0; lightlike
-    c = 1+lam) is the case parameter; ``locus`` is the fitted image of the boundary
-    under g and ``locus_mismatch`` its gap to the closed form implied by c.
+    c = 1+lam) is the case parameter; ``locus`` is the row's closed-form image of the
+    boundary under g and ``locus_mismatch`` the largest distance of a boundary limit of g from it.
     """
 
     plane: Plane
@@ -363,7 +322,10 @@ def _spacelike_locus(c, sheet, gs):
     if theta == 0 and sheet < 0:
         raise GeometryMismatchError(f"|<N,n>| = {abs(c):.6f} on the lower sheet puts the Gauss locus at |g| = infinity")
     r_exp = math.tanh(theta / 2) if sheet > 0 else 1.0 / math.tanh(theta / 2)
-    return CircleOrLine("circle", center=0j, radius=r_exp), theta, None
+    r = sum(map(abs, gs)) / len(gs)
+    if not abs(r - r_exp) <= LOCUS_TOL * (1 + r):
+        raise GeometryMismatchError(f"boundary |g| = {r:.9f} misses tanh(theta/2)^{sheet} = {r_exp:.9f} of c = {c:.9f}")
+    return CircleOrLine("circle", center=0j, radius=r), theta, None
 
 
 def _timelike_locus(c, sheet, gs):
@@ -478,15 +440,6 @@ def _neville(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return p[0]
 
 
-def _locus_mismatch(fitted: CircleOrLine, expected: CircleOrLine) -> float:
-    if fitted.kind != expected.kind:
-        return math.inf
-    if fitted.kind == "circle":
-        return max(abs(fitted.center - expected.center), abs(fitted.radius - expected.radius))
-    align = abs((fitted.direction * expected.direction.conjugate()).imag)
-    return max(align, expected.distance(fitted.point))
-
-
 def _boundary_limits(data: WeierstrassData, unit_n: LVector) -> tuple[BoundaryArc, float, list[float], list[complex]]:
     """The boundary arc, c, and the limits of <N, unit_n> and of g at each of its positions, extrapolated
     from ``boundary_samples`` by Neville's tableau; c is the mean of the <N, unit_n> limits.  g comes from
@@ -515,9 +468,10 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     The one obstruction rule: raises HypothesisViolationError when the
     angle varies by more than ANGLE_TOL, when |c| < 1 against a spacelike
     plane, or when g tends to -1 against a lightlike one (X_u ^ X_v = 0);
-    and GeometryMismatchError when the fitted Gauss locus disagrees with the
-    one implied by c by more than LOCUS_TOL.  An orthogonal contact (c = 0)
-    is the timelike row's line Im w = 0.
+    and GeometryMismatchError when a boundary limit of g lies farther than
+    LOCUS_TOL (times 1 + the radius) from the locus the row builds from c, or
+    at a NaN distance, or when a spacelike radius misses tanh(theta/2)^(+-1)
+    by as much.  An orthogonal contact (c = 0) is the timelike row's line Im w = 0.
     """
     case = CASES[plane_class(plane)]
     unit_n, offset = case.normalize(plane)
@@ -530,14 +484,10 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     if not sheet:
         raise HypothesisViolationError("boundary Gauss values straddle |g| = 1")
 
-    locus = fit_circle_or_line(g_limits)
-    expected, theta, lam = case.locus(c, sheet, g_limits)
-    mismatch = _locus_mismatch(locus, expected)
-    if mismatch > LOCUS_TOL * (1 + (locus.radius or 1.0)):
-        raise GeometryMismatchError(
-            f"fitted boundary locus {locus.describe()} disagrees with "
-            f"{expected.describe()} implied by c = {c:.9f} (gap {mismatch:.3e})"
-        )
+    locus, theta, lam = case.locus(c, sheet, g_limits)
+    mismatch = float(np.max([locus.distance(gv) for gv in g_limits]))  # NaN when any distance is
+    if not mismatch <= LOCUS_TOL * (1 + (locus.radius or 1.0)):
+        raise GeometryMismatchError(f"boundary g lies {mismatch:.3e} off {locus.describe()} implied by c = {c:.9f}")
     return ContactData(
         plane=plane,
         unit_normal=unit_n,

@@ -19,7 +19,7 @@ from maxsurf import weierstrass
 from maxsurf.expr import parse
 from maxsurf.minkowski import LVector, Plane
 from maxsurf.verify import catenoid_data
-from maxsurf.weierstrass import Domain, DomainKind, WeierstrassData, _phi_values
+from maxsurf.weierstrass import Domain, DomainKind, WeierstrassData, _phi_values, evaluate_surface
 
 
 def phi_array(data, z):
@@ -117,6 +117,15 @@ def near_orthogonal_fixture(eps: float):
     dom = Domain(DomainKind.HALF_DISK, radius=0.7)
     data = WeierstrassData(parse("1"), parse(f"(z+{eps!r}*i)/(1+{eps!r}*i*z)"), dom, 0.5j, LVector(0, 0, 0))
     return data, Plane(LVector(0, 1, 0), 0.0)
+
+
+def orthogonal_band_config(e: float) -> str:
+    """f = (1 + i e z)^2, g = (z + i e)/(1 + i e z) on the radius-0.7 upper half disk, against the timelike
+    plane x2 = d that its boundary lies in (d = x2 of X(0)): c = 2 e / (1 - e^2), near orthogonal as e -> 0."""
+    f, g = f"(1+{e!r}*i*z)^2", f"(z+{e!r}*i)/(1+{e!r}*i*z)"
+    data = WeierstrassData(parse(f), parse(g), Domain(DomainKind.HALF_DISK, radius=0.7), 0.5j, LVector(0, 0, 0))
+    d = evaluate_surface(data, 0j).x2
+    return f"f = {f}\ng = {g}\ndomain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\nplane = 0,1,0,{d!r}\n"
 
 
 def degenerate_lightlike_fixture():

@@ -15,6 +15,7 @@ ONE_LINE_FAULTS = ("estimate-overflow", "off-hyperboloid", "lower-sheet-tangent"
 SQUARE_OVERFLOWS = ("squares-overflow",)
 OBSTRUCTIONS = ("near-orthogonal", "degenerate-lightlike")
 ORTHOGONAL_CONTACTS = ("orthogonal-identity", "orthogonal-cosine", "orthogonal-moebius")
+LATE_CONTACTS = ("near-orthogonal-3e-08", "near-orthogonal-5e-07", "tiny-domain")
 USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
     "usage-unknown-command": "maxsurf: error: argument command: invalid choice: 'frobnicate' (choose from 'check',",
     "usage-eval-without-at": "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"
@@ -54,13 +55,15 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"{command}-{name}{suffix}" for name in ORTHOGONAL_CONTACTS
            for command, suffix in (("extend", ""), ("check", ".ext"), ("eval", ".ext-0"), ("eval", ".ext-1"))]
         + ["check-half-annulus-poles", "extend-half-annulus-poles", "check-half-annulus-poles.ext"]
+        + [f"{command}-{name}{suffix}" for name in LATE_CONTACTS for command, suffix in (("extend", ""), ("check", ".ext"))]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
         + [f"{name}.cfg" for name in EXTENSION_FAULTS + INPUT_FAULTS + ONE_LINE_FAULTS + SQUARE_OVERFLOWS + OBSTRUCTIONS]
         + ["matching-fault.ext.cfg", "branch-cut.ext.cfg", "tangential-lightlike.cfg", "tangential-lightlike.ext.cfg"]
         + ["wrong-plane.ext.cfg", "orthogonal.ext.cfg", "near-orthogonal.ext.cfg"]
-        + [f"{name}{ext}.cfg" for name in ORTHOGONAL_CONTACTS + ("half-annulus-poles",) for ext in ("", ".ext")]
+        + [f"{name}{ext}.cfg" for name in ORTHOGONAL_CONTACTS + ("half-annulus-poles",) + LATE_CONTACTS
+           for ext in ("", ".ext")]
         + [f"{name}.cfg" for name in SURFACES[1:]] + ["catenoid-b07-reflected.cfg", "catenoid-b07-reflected.ext.cfg"]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) + SQUARE_OVERFLOWS
@@ -124,6 +127,9 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         # g crosses |g| = 1 about its pole, so the Gauss map leaves one sheet of the hyperboloid
         "check-half-annulus-poles": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
         "check-half-annulus-poles.ext": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
+        # the reflected g cancels to about eps / |c| off the arc, which the Laplacian stencil amplifies
+        "check-near-orthogonal-3e-08.ext": (1, '"name": "minus_harmonicity",\n      "passed": false,'),
+        "check-near-orthogonal-5e-07.ext": (1, '"name": "minus_harmonicity",\n      "passed": false,'),
     }
     for name in logs:  # the orthogonal contacts evaluate on the reflected side, without a warning
         if name[4:-4].startswith("eval-orthogonal-"):

@@ -223,16 +223,18 @@ def _eval_values(out: str) -> list[float]:
     return [float(t) for line in out.splitlines() for t in line.split(" = ")[1].strip("()").split(",")]
 
 
-def test_extend_on_a_tiny_domain_fails_in_one_line(tmp_path, capsys):
-    # arc positions closer than 1e-9 must not merge into one tail of samples
-    p = tmp_path / "tiny.cfg"
+def test_extend_on_a_tiny_domain_keeps_its_arc_positions_apart(tmp_path, capsys):
+    # arc positions closer than 1e-9 must not merge into one tail of samples; the boundary lies in
+    # x3 = 2.5e-12, where the spacelike fixture's would lie at this scale
+    p, out = tmp_path / "tiny.cfg", str(tmp_path / "tiny.extended")
     p.write_text(
         "f = i*exp(-i*z)\ng = exp(i*z)/2\ndomain = upper-half-disk\nradius = 1e-11\n"
-        "z0 = 0.5e-11*i\nX0 = 0,0,0\ntol = 1e-10\nplane = 0,0,1,-0.25\n"
+        "z0 = 0.5e-11*i\nX0 = 0,0,0\ntol = 1e-10\nplane = 0,0,1,-2.5e-12\n"
     )
-    assert main(["extend", str(p), "-o", str(tmp_path / "tiny.extended")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("extension failed: ") and err.count("\n") == 1
+    assert main(["extend", str(p), "-o", out]) == 0
+    assert json.loads(capsys.readouterr().out)["matching"]["passed"] is True
+    assert main(["check", out]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_extend_catenoid_slice_check(tmp_path, capsys):

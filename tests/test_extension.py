@@ -16,20 +16,19 @@ from fixtures import (
     spacelike_fixture,
     timelike_fixture,
 )
-from maxsurf import weierstrass
+from maxsurf import extension, weierstrass
 from maxsurf.expr import Const, Div, EvalError, Mul, Pow, Var, compile_array, compile_fn, evaluate, format_expr, parse
 from maxsurf.extension import (
     BoundaryArc,
     CircleOrLine,
     DegenerateContactWarning,
     GeometryMismatchError,
+    LOCUS_TOL,
     HypothesisViolationError,
     SingularReconstructionError,
     _check_reconstruction_singular,
-    _locus_mismatch,
     boundary_samples,
     extend,
-    fit_circle_or_line,
     measure_contact,
     reflect_g,
 )
@@ -57,27 +56,7 @@ def minus_points(n=50, radius=0.6, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# locus fitting
-
-def test_fit_exact_circle():
-    pts = [1j + 2 * cmath.exp(1j * t) for t in np.linspace(0, 2, 9)]
-    locus = fit_circle_or_line(pts)
-    assert locus.kind == "circle"
-    assert abs(locus.center - 1j) < 1e-10
-    assert abs(locus.radius - 2) < 1e-10
-    assert locus.residual < 1e-10
-
-
-def test_fit_needs_three_points():
-    with pytest.raises(ValueError, match="need at least 3 points to fit a locus"):
-        fit_circle_or_line([0j, 1 + 0j])
-
-
-def test_a_fitted_line_points_to_positive_real_parts():
-    # drawn at angle 2.0, whose direction has Re < 0: the fit flips it
-    locus = fit_circle_or_line([0.3 + t * cmath.exp(2j) for t in np.linspace(-1, 1, 9)])
-    assert locus.kind == "line" and locus.direction.real > 0
-
+# the Gauss locus
 
 @pytest.mark.parametrize("kind, rho, message", [("ray", None, "boundary kind must be 'segment' or 'circle'"),
                                                 ("circle", 0.0, "circle boundary needs rho > 0")])
@@ -86,22 +65,21 @@ def test_a_boundary_arc_is_a_segment_or_a_circle_of_positive_radius(kind, rho, m
         BoundaryArc(kind, rho)
 
 
-def test_fit_collinear_points_gives_line():
-    pts = [complex(1.0, t) for t in np.linspace(-1, 1, 9)]
-    locus = fit_circle_or_line(pts)
-    assert locus.kind == "line"
-    assert abs(locus.direction.real) < 1e-12
-    assert abs(locus.point.real - 1.0) < 1e-12
-    assert locus.distance(1 + 5j) < 1e-12
-    assert abs(locus.distance(3 + 0j) - 2) < 1e-12
+def test_distance_from_a_line_and_a_circle():
+    line = CircleOrLine("line", point=1 + 0j, direction=1j)
+    assert line.distance(1 + 5j) < 1e-12
+    assert abs(line.distance(3 + 0j) - 2) < 1e-12
+    circle = CircleOrLine("circle", center=1j, radius=2.0)
+    assert abs(circle.distance(1j + 2.5) - 0.5) < 1e-15 and circle.distance(1j - 2) == 0
 
 
 def test_locus_mismatch_metric():
-    a = CircleOrLine("circle", center=0j, radius=1.0)
-    b = CircleOrLine("circle", center=0.1 + 0j, radius=1.05)
-    assert abs(_locus_mismatch(a, b) - 0.1) < 1e-12
-    line = CircleOrLine("line", point=1 + 0j, direction=1j)
-    assert _locus_mismatch(a, line) == math.inf
+    # the largest distance of a boundary limit of g from the row's closed-form locus
+    for data, plane in (spacelike_fixture(), timelike_fixture(), lightlike_fixture()):
+        contact = measure_contact(data, plane)
+        g_limits = extension._boundary_limits(data, contact.unit_normal)[3]
+        assert contact.locus_mismatch == max(contact.locus.distance(g) for g in g_limits)
+        assert contact.locus_mismatch < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +152,64 @@ def test_orthogonal_contact_is_the_timelike_line():
     assert c.locus.kind == "line" and c.locus_mismatch < 1e-15
     g_minus = reflect_g(CausalClass.TIMELIKE, data.g, c.lam, c.boundary)
     assert format_expr(g_minus) == format_expr(c.boundary.conj(data.g))
+
+
+def _circle(center, radius, ts):
+    return [center + radius * cmath.exp(1j * t) for t in ts]
+
+
+_R_SPACELIKE = math.tanh(math.acosh(5 / 3) / 2)
+_T9 = np.linspace(-0.5, 0.5, 9)
+LOCI = {  # row: (plane normal, c, boundary limits of g on its locus, the locus's unit normal at a limit)
+    "spacelike": ((0, 0, 1), -5 / 3, _circle(0, _R_SPACELIKE, _T9 * 6), lambda g: g / abs(g)),
+    "timelike": ((0, 1, 0), 1.0, _circle(-1j, math.sqrt(2), _T9 + math.pi / 2), lambda g: (g + 1j) / abs(g + 1j)),
+    "timelike-line": ((0, 1, 0), 0.0, [complex(t) for t in _T9], lambda g: 1j),
+    "lightlike": ((1, 0, 1), -1.0, _circle(0.5, 0.5, _T9 * 5 + math.pi), lambda g: (g - 0.5) / abs(g - 0.5)),
+    "lightlike-line": ((1, 0, 1), 1.0, [1 + 1j * t for t in _T9 + 0.8], lambda g: 1 + 0j),
+}
+
+
+def _contact_from_limits(monkeypatch, normal, c, g_limits):
+    """measure_contact on boundary limits given in place of the extrapolated ones."""
+    limits = (BoundaryArc("segment"), c, [c] * len(g_limits), list(g_limits))
+    monkeypatch.setattr(extension, "_boundary_limits", lambda data, unit_n: limits)
+    return measure_contact(spacelike_fixture()[0], Plane(LVector(*normal), 0.0))
+
+
+@pytest.mark.parametrize("row", list(LOCI))
+def test_a_boundary_limit_off_the_locus_is_refused_at_the_tolerance(monkeypatch, row):
+    # one limit moved off the closed-form locus by a multiple of LOCUS_TOL (1 + r), r = 1 for a line
+    normal, c, gs, unit = LOCI[row]
+    locus = _contact_from_limits(monkeypatch, normal, c, gs).locus
+    bound = LOCUS_TOL * (1 + (locus.radius or 1.0))
+    # the spacelike radius is the mean |g|, which the moved limit pulls by 1/9 of its step
+    step = bound * (9 / 8 if row == "spacelike" else 1)
+    moved = list(gs)
+    moved[3] += 0.5 * step * unit(gs[3])
+    assert _contact_from_limits(monkeypatch, normal, c, moved).locus_mismatch <= 0.5 * bound * (1 + 1e-9)
+    moved[3] += 1.5 * step * unit(gs[3])
+    with pytest.raises(GeometryMismatchError, match=f"boundary g lies {2 * bound:.3e} off {locus.kind}"):
+        _contact_from_limits(monkeypatch, normal, c, moved)
+
+
+def test_a_spacelike_radius_off_tanh_half_theta_is_refused_at_the_tolerance(monkeypatch):
+    # every limit on a circle about 0, of a radius off the one c implies
+    normal, c, gs, _ = LOCI["spacelike"]
+    bound = LOCUS_TOL * (1 + _R_SPACELIKE)
+
+    def scaled(k):
+        return [g * (1 + k * bound / _R_SPACELIKE) for g in gs]
+
+    assert _contact_from_limits(monkeypatch, normal, c, scaled(0.5)).locus_mismatch < 1e-15
+    with pytest.raises(GeometryMismatchError, match=r"boundary \|g\| = 0\.500003000 misses tanh\(theta/2\)\^1"):
+        _contact_from_limits(monkeypatch, normal, c, scaled(2))
+
+
+def test_a_nan_distance_from_the_locus_is_refused(monkeypatch):
+    # an infinite limit on the line Re w = 1 is at a NaN distance from it
+    normal, c, gs, _ = LOCI["lightlike-line"]
+    with pytest.raises(GeometryMismatchError, match="boundary g lies nan off line"):
+        _contact_from_limits(monkeypatch, normal, c, gs[:-1] + [complex(1, math.inf)])
 
 
 @st.composite
@@ -363,8 +399,8 @@ def test_half_plane_identity_for_lightlike_reconstruction():
 EMITTED_FORMULAS = [
     (
         spacelike_fixture,
-        "0.9999999999999929*i*exp(i*z)*exp(-i*z)^2",
-        "0.5000000000000036/exp(-i*z)",
+        "1.0000000000000016*i*exp(i*z)*exp(-i*z)^2",
+        "0.4999999999999992/exp(-i*z)",
     ),
     (
         timelike_fixture,

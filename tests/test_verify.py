@@ -13,6 +13,7 @@ from fixtures import (
     catenoid_extension_fixture,
     degenerate_lightlike_fixture,
     near_orthogonal_fixture,
+    orthogonal_band_config,
     plane_fixture,
     random_polynomial_data,
     spacelike_fixture,
@@ -23,8 +24,6 @@ from maxsurf.cli import SurfaceConfig
 from maxsurf.expr import parse
 from maxsurf.extension import (
     LAM_ZERO_TOL,
-    ExtensionError,
-    GeometryMismatchError,
     HypothesisViolationError,
     _lightlike_locus,
     _spacelike_locus,
@@ -194,21 +193,23 @@ def test_the_near_orthogonal_probe_is_measured_and_fails_matching():
     assert not report.passed and 3.9e-4 < report.max_gap < 4.1e-4
 
 
-@pytest.mark.parametrize("eps", [float(f"{m}e{k}") for k in range(-9, -3) for m in (1, 2, 5)] + [1e-3])
+ORTHOGONAL_BAND = sorted({float(f"{m}e{k}") for k in range(-9, -3) for m in (1, 2, 5)} | {1e-3}
+                         | {1e-10, 3e-9, 1.2e-8, 3e-8, 3e-7})
+
+
+@pytest.mark.parametrize("eps", ORTHOGONAL_BAND)
 def test_a_near_orthogonal_contact_keeps_one_locus_kind_or_refuses(eps):
-    # c = 2 eps / (1 - eps^2): the closed form is the line Im w = 0 below LAM_ZERO_TOL and a circle
-    # above; the fitted locus must be of the same kind, or the contact is refused with one error
-    try:
-        contact = measure_contact(*near_orthogonal_fixture(eps))
-    except ExtensionError as exc:
-        assert type(exc) is GeometryMismatchError and "disagrees with circle" in str(exc)
-        return
-    assert contact.locus.kind == ("line" if contact.lam is None else "circle")
-    assert (contact.lam is None) == (abs(contact.c) < LAM_ZERO_TOL)
+    # c = 2 eps / (1 - eps^2): the locus is the line Im w = 0 below LAM_ZERO_TOL and a circle above,
+    # and on either side of that bound the two sides match
+    cfg = SurfaceConfig.from_text(orthogonal_band_config(eps))
+    ext = extend(cfg.data, cfg.plane)
+    assert ext.matching.passed, ext.matching.max_gap
+    assert (ext.contact.lam is None) == (abs(ext.contact.c) < LAM_ZERO_TOL)
 
 
 THRESHOLDS = {  # each row's rule just below and just above its bound, and its refusal below it
-    "spacelike": (lambda: _spacelike_locus(0.99999, 1, [0.5 + 0j]), lambda: _spacelike_locus(1.00001, 1, [0.5 + 0j]),
+    "spacelike": (lambda: _spacelike_locus(0.99999, 1, [0.5 + 0j]),
+                  lambda: _spacelike_locus(1.00001, 1, [complex(math.tanh(math.acosh(1.00001) / 2))]),
                   HypothesisViolationError, r"\|<N,n>\| = 0\.999990 < 1 is impossible"),
     "lightlike": (lambda: _lightlike_locus(-44.0, 1, [-0.951 + 0j]), lambda: _lightlike_locus(-44.0, 1, [-0.949 + 0j]),
                   HypothesisViolationError, r"\(\|g \+ 1\| = 4\.900e-02 < 0\.05\)"),

@@ -81,7 +81,12 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``check`` of a half annulus with a pole of g at a puncture (``g_poles``),
     then ``extend`` across its diameter and ``check`` of what it writes; g
     crosses |g| = 1 about its pole, so both checks fail gauss_hyperboloid
-    (exit 1).
+    (exit 1);
+  - ``extend`` and ``check`` of two nearly orthogonal timelike contacts,
+    ``f = (1+i e z)^2``, ``g = (z+i e)/(1+i e z)`` at e = 3e-8 and 5e-7
+    (c = 2e/(1-e^2), reflected through the closed-form circle; extend exits
+    0, and check fails minus_harmonicity), and of a half disk of radius
+    1e-11, whose arc positions lie closer than 1e-9 (both exit 0).
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -216,6 +221,15 @@ HALF_ANNULUS_POLES = (  # the boundary lies in x3 = 0.43166666666666664
     "inner_radius = 0.2\npunctures = -0.2+0.6*i\ng_poles = -0.2+0.6*i:1\nz0 = 0.3+0.5*i\nX0 = 0.1,-0.2,0.3\n"
     "tol = 1e-9\nplane = 0,0,1,-0.43166666666666664\n"
 )
+LATE_CONTACTS = {  # name: config, each extended and its output checked after the rest
+    # f = (1+i e z)^2, g = (z+i e)/(1+i e z); the boundary lies in x2 = x2 of X(0)
+    "near-orthogonal-3e-08": "f = (1+3e-08*i*z)^2\ng = (z+3e-08*i)/(1+3e-08*i*z)\n" + _HALF
+    + "plane = 0,1,0,0.2708333333333336\n",
+    "near-orthogonal-5e-07": "f = (1+5e-07*i*z)^2\ng = (z+5e-07*i)/(1+5e-07*i*z)\n" + _HALF
+    + "plane = 0,1,0,0.27083333333340104\n",
+    "tiny-domain": "f = i*exp(-i*z)\ng = exp(i*z)/2\ndomain = upper-half-disk\nradius = 1e-11\nz0 = 0.5e-11*i\n"
+    "X0 = 0,0,0\ntol = 1e-10\nplane = 0,0,1,-2.5e-12\n",
+}
 
 
 def _original_side(surface: str, z: complex) -> bool:
@@ -289,6 +303,9 @@ def commands() -> list[tuple[str, list[str]]]:
         ("extend-half-annulus-poles", ["extend", "half-annulus-poles.cfg", "-o", "half-annulus-poles.ext.cfg"]),
         ("check-half-annulus-poles.ext", ["check", "half-annulus-poles.ext.cfg"]),
     ]
+    for name in LATE_CONTACTS:
+        cmds += [(f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]),
+                 (f"check-{name}.ext", ["check", f"{name}.ext.cfg"])]
     return cmds
 
 
@@ -328,7 +345,7 @@ def capture(outdir: Path) -> None:
     meshes = {name: text for name, (text, _) in DOMAIN_MESHES.items()}
     inputs = {name: text for name, (text, _) in {**INPUT_FAULTS, **ONE_LINE_FAULTS, **SQUARE_OVERFLOWS}.items()}
     configs = {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs, **OBSTRUCTIONS,
-               **ORTHOGONAL_CONTACTS, "tangential-lightlike": TANGENTIAL_CONTACT}
+               **ORTHOGONAL_CONTACTS, "tangential-lightlike": TANGENTIAL_CONTACT, **LATE_CONTACTS}
     configs["half-annulus-poles"] = HALF_ANNULUS_POLES
     for name, text in configs.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")

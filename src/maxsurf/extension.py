@@ -107,10 +107,10 @@ ANGLE_TOL = 1e-6
 """The most <N, n> may vary along the boundary for the angle to count as constant."""
 LOCUS_TOL = 1e-6
 """How far, relative to 1 + its radius, a boundary limit of g may lie from the closed-form Gauss locus."""
-LAM_ZERO_TOL = math.sqrt(np.finfo(float).eps)
+LAM_ZERO_TOL = 1e-6
 """Where a row's locus is a line: a lightlike lam below this in size is 0 (the line Re w = 1), and so is
-a timelike c (orthogonal contact, the line Im w = 0).  The line reflects g off by about 1.25 |c|, and the
-circle's form cancels to about eps / |c|; the two errors meet at sqrt(eps)."""
+a timelike c (orthogonal contact, the line Im w = 0).  The line reflects g off by about 1.25 |c|, so a
+timelike contact with |c| between about 5e-8 and this bound fails matching (ROADMAP item 7)."""
 MATCH_TOL = 1e-7
 """The largest normalized gap between the two sides on the arc that matches."""
 SINGULAR_TOL = 1e-8

@@ -8,6 +8,8 @@ closed-form oracle (the original data itself).
 
 import cmath
 import contextlib
+import functools
+import importlib.util
 import math
 import sys
 from pathlib import Path
@@ -19,7 +21,7 @@ from maxsurf import weierstrass
 from maxsurf.expr import parse
 from maxsurf.minkowski import LVector, Plane
 from maxsurf.verify import catenoid_data
-from maxsurf.weierstrass import Domain, DomainKind, WeierstrassData, _phi_values, evaluate_surface
+from maxsurf.weierstrass import Domain, DomainKind, WeierstrassData, _phi_values
 
 
 def phi_array(data, z):
@@ -119,13 +121,24 @@ def near_orthogonal_fixture(eps: float):
     return data, Plane(LVector(0, 1, 0), 0.0)
 
 
+@functools.cache
+def capture_tool():
+    """``tools/capture_outputs.py`` as a module, with sys.path as it was before its import put src/ and
+    perfbench/ on it."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "capture_outputs.py"
+    spec = importlib.util.spec_from_file_location("capture_outputs", tool)
+    module, path = importlib.util.module_from_spec(spec), list(sys.path)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
 def orthogonal_band_config(e: float) -> str:
-    """f = (1 + i e z)^2, g = (z + i e)/(1 + i e z) on the radius-0.7 upper half disk, against the timelike
-    plane x2 = d that its boundary lies in (d = x2 of X(0)): c = 2 e / (1 - e^2), near orthogonal as e -> 0."""
-    f, g = f"(1+{e!r}*i*z)^2", f"(z+{e!r}*i)/(1+{e!r}*i*z)"
-    data = WeierstrassData(parse(f), parse(g), Domain(DomainKind.HALF_DISK, radius=0.7), 0.5j, LVector(0, 0, 0))
-    d = evaluate_surface(data, 0j).x2
-    return f"f = {f}\ng = {g}\ndomain = upper-half-disk\nradius = 0.7\nz0 = 0.5*i\nplane = 0,1,0,{d!r}\n"
+    """The capture tool's near-orthogonal band contact: f = (1 + i e z)^2, g = (z + i e)/(1 + i e z) on the
+    radius-0.7 upper half disk against the plane x2 = x2 of X(0), with c = 2 e / (1 - e^2)."""
+    return capture_tool().orthogonal_band(e)
 
 
 def degenerate_lightlike_fixture():

@@ -84,9 +84,11 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     (exit 1);
   - ``extend`` and ``check`` of two nearly orthogonal timelike contacts,
     ``f = (1+i e z)^2``, ``g = (z+i e)/(1+i e z)`` at e = 3e-8 and 5e-7
-    (c = 2e/(1-e^2), reflected through the closed-form circle; extend exits
-    0, and check fails minus_harmonicity), and of a half disk of radius
-    1e-11, whose arc positions lie closer than 1e-9 (both exit 0).
+    (c = 2e/(1-e^2)): at 3e-8 g is reflected through the line Im w = 0, so
+    extend fails matching and check fails boundary_locus (exit 1); at 5e-7
+    through the closed-form circle, so extend exits 0 and check fails
+    minus_harmonicity; then of a half disk of radius 1e-11, whose arc
+    positions lie closer than 1e-9 (both exit 0).
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -120,7 +122,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from maxsurf.cli import main  # noqa: E402
+from maxsurf.cli import SurfaceConfig, main  # noqa: E402
+from maxsurf.weierstrass import evaluate_surface  # noqa: E402
 from workloads import BASE_CONFIGS, EXTENDABLE, RHO, SURFACES, sample_point  # noqa: E402
 
 EVAL_POINTS = 10  # per side of the arc
@@ -221,12 +224,19 @@ HALF_ANNULUS_POLES = (  # the boundary lies in x3 = 0.43166666666666664
     "inner_radius = 0.2\npunctures = -0.2+0.6*i\ng_poles = -0.2+0.6*i:1\nz0 = 0.3+0.5*i\nX0 = 0.1,-0.2,0.3\n"
     "tol = 1e-9\nplane = 0,0,1,-0.43166666666666664\n"
 )
+
+
+def orthogonal_band(e: float) -> str:
+    """f = (1 + i e z)^2, g = (z + i e)/(1 + i e z) on the radius-0.7 upper half disk, against the timelike
+    plane x2 = d that its boundary lies in (d = x2 of X(0)): c = 2 e / (1 - e^2), near orthogonal as e -> 0."""
+    head = f"f = (1+{e!r}*i*z)^2\ng = (z+{e!r}*i)/(1+{e!r}*i*z)\n" + _HALF
+    return head + f"plane = 0,1,0,{evaluate_surface(SurfaceConfig.from_text(head).data, 0j).x2!r}\n"
+
+
 LATE_CONTACTS = {  # name: config, each extended and its output checked after the rest
-    # f = (1+i e z)^2, g = (z+i e)/(1+i e z); the boundary lies in x2 = x2 of X(0)
-    "near-orthogonal-3e-08": "f = (1+3e-08*i*z)^2\ng = (z+3e-08*i)/(1+3e-08*i*z)\n" + _HALF
-    + "plane = 0,1,0,0.2708333333333336\n",
-    "near-orthogonal-5e-07": "f = (1+5e-07*i*z)^2\ng = (z+5e-07*i)/(1+5e-07*i*z)\n" + _HALF
-    + "plane = 0,1,0,0.27083333333340104\n",
+    "near-orthogonal-3e-08": orthogonal_band(3e-8),
+    "near-orthogonal-5e-07": orthogonal_band(5e-7),
+    # the config of tests/test_cli.py::test_extend_on_a_tiny_domain_keeps_its_arc_positions_apart
     "tiny-domain": "f = i*exp(-i*z)\ng = exp(i*z)/2\ndomain = upper-half-disk\nradius = 1e-11\nz0 = 0.5e-11*i\n"
     "X0 = 0,0,0\ntol = 1e-10\nplane = 0,0,1,-2.5e-12\n",
 }

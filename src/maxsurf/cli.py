@@ -42,7 +42,6 @@ from .weierstrass import (
     QuadratureConfig,
     SurfaceError,
     WeierstrassData,
-    _HALF_KINDS,
     _gauss_arrays,
     _phi_values,
     conformal_factor,
@@ -238,10 +237,10 @@ class SurfaceConfig:
             raise ConfigError("config", str(exc)) from None
         return cls.from_text(text)
 
-    def extended_surface(self) -> ExtendedSurface | None:
-        """Rebuild the extension from a config carrying minus formulas."""
+    def extended_surface(self) -> WeierstrassData | ExtendedSurface:
+        """The config's one surface: its patch, or the extension its minus formulas and plane rebuild."""
         if self.minus_exprs is None:
-            return None
+            return self.data
         if self.plane is None:
             raise ConfigError("plane", "extended config needs the plane")
         fm, gm, reflected = self.minus_exprs
@@ -501,24 +500,23 @@ def cmd_check(args) -> int:
         grid = GridSpec(n_radial=n1, n_angular=n2)
     cfg = SurfaceConfig.from_file(args.config)
     q = _quadrature(args.tol, cfg)
-    target = cfg.extended_surface() or cfg.data
-    report = full_diagnostics(target, grid, q)
+    report = full_diagnostics(cfg.extended_surface(), grid, q)
     _stdout(report.to_json() + "\n")
     return 0 if report.passed else 1
 
 
 def cmd_eval(args) -> int:
     cfg = SurfaceConfig.from_file(args.config)
-    u, v = _numbers(args.at, "--at", "u,v")
-    z = complex(u, v)
+    at, *more = args.at
+    if more:
+        raise ConfigError("--at", f"given {len(args.at)} times; eval takes one point")
+    z = complex(*_numbers(at, "--at", "u,v"))
     q = _quadrature(args.tol, cfg)
-    ext, dom, r = cfg.extended_surface(), cfg.data.domain, abs(u)
-    # inside a half kind's diameter, the arc it is extended across, a point is on the original side
-    on_arc = v == 0 and dom.kind in _HALF_KINDS and r < dom.radius and (r > dom.inner_radius or not dom.inner_radius)
-    if not (dom.contains(z) or ext is not None and (dom.contains(ext.reflect(z)) or on_arc)):
-        sys.stderr.write(f"error: point {z} outside the {'domain' if ext is None else 'assembled domain'}\n")
+    surface = cfg.extended_surface()
+    if not surface.contains(z):
+        sys.stderr.write(f"error: point {z} outside the {surface.region}\n")
         return 1
-    X, side = (evaluate_surface(cfg.data, z, q), cfg.data) if ext is None else (ext.evaluate(z, q), ext.side(z))
+    X, side = evaluate_surface(surface, z, q), surface.side(z)
     _stdout(f"X = ({_f17(X.x1)}, {_f17(X.x2)}, {_f17(X.x3)})\n")
     lam = conformal_factor(side, z)
     try:
@@ -655,7 +653,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate the surface at a point")
     p_eval.add_argument("config")
-    p_eval.add_argument("--at", required=True, help="parameter point u,v")
+    p_eval.add_argument("--at", required=True, action="append", help="parameter point u,v")
     p_eval.add_argument("--tol", type=float, default=None)
     p_eval.set_defaults(fn=cmd_eval)
 
@@ -680,10 +678,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse would read a negative u in "--at -0.1,0.2" as an option
-    for i, tok in enumerate(argv[:-1]):
-        if tok == "--at":
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--at":
             argv[i : i + 2] = [f"--at={argv[i + 1]}"]
-            break
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -35,6 +35,11 @@ mean |g| of the boundary limits, which must be tanh(theta/2)^(+-1); for a
 timelike or lightlike plane the circle or line given by lam.  A boundary limit
 of g farther than LOCUS_TOL (times 1 + the radius) from that locus aborts
 rather than reflecting through a locus the boundary does not lie on.
+
+An ``ExtendedSurface`` is the surface of two sides, as a ``WeierstrassData``
+patch is the surface of one: both answer ``original``, ``side(z)``,
+``path(z)``, ``contains(z)``, ``contact`` and ``region``, so one
+``evaluate_surface`` integrates either and ``full_diagnostics`` checks either.
 """
 
 from __future__ import annotations
@@ -71,13 +76,13 @@ from .weierstrass import (
     GAUSS_EPS,
     Domain,
     DomainKind,
-    QuadratureConfig,
     WeierstrassData,
+    _HALF_KINDS,
     _build_path,
     _gauss_arrays,
     _phi_values,
+    evaluate_surface,
     gauss_from_g,
-    integrate_path,
     phi_exprs,
 )
 
@@ -583,14 +588,17 @@ class ExtendedSurface:
 
     The two sides agree to first order on the boundary arc (see
     ``matching``, measured on first use, so evaluation alone never builds
-    it); evaluation integrates the side-appropriate triple along a path
-    split at the arc, so the assembled X is continuous across it.
+    it); evaluation integrates the side-appropriate triple along ``path(z)``,
+    split at the arc, so the assembled X is continuous across it.  A patch
+    is the surface of one side, so ``evaluate_surface`` takes either.
     """
 
     original: WeierstrassData
     contact: ContactData
     g_minus: Expr
     f_minus: Expr
+    region = "assembled domain"
+    evaluate = evaluate_surface
 
     @cached_property
     def matching(self) -> MatchReport:
@@ -623,6 +631,12 @@ class ExtendedSurface:
         """The Weierstrass data that holds at z: the original or the reflected side."""
         return self.original if self.contact.boundary.on_original_side(complex(z)) else self.minus
 
+    def contains(self, z: complex) -> bool:
+        """The assembled domain: the domain, its reflection, and a half kind's diameter (the arc) inside its radii."""
+        z, dom = complex(z), self.original.domain
+        on_arc = z.imag == 0 and dom.kind in _HALF_KINDS and dom._in_region(abs(z.real), 1.0)
+        return dom.contains(z) or dom.contains(self.reflect(z)) or on_arc
+
     @cached_property
     def _punctures(self) -> tuple[complex, ...]:
         punctures = self.original.domain.punctures
@@ -632,7 +646,7 @@ class ExtendedSurface:
                 pts.append(q)
         return tuple(pts)
 
-    def _path(self, z: complex) -> tuple[list[complex], Callable]:
+    def path(self, z: complex) -> tuple[list[complex], Callable]:
         """The polyline of X(z), around the punctures and with a knot wherever
         it crosses the arc, and the side whose data holds on each segment."""
         points = _build_path(self.original.z0, complex(z), self._punctures)
@@ -642,11 +656,6 @@ class ExtendedSurface:
             knots += sorted(arc.crossings(a, b), key=lambda w: abs(w - a))
             knots.append(b)
         return knots, lambda a, b: self.side(0.5 * (a + b))
-
-    def evaluate(self, z: complex, q: QuadratureConfig = QuadratureConfig()) -> LVector:
-        """X(z) on the assembled domain, anchored at the original basepoint."""
-        (t1, t2, t3), _ = integrate_path(*self._path(z), q)
-        return self.original.X0 + LVector(t1.real, t2.real, t3.real)
 
 
 def _check_reconstruction_singular(minus: WeierstrassData, pts: Sequence[complex], offsets: Sequence[complex]):

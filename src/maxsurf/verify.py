@@ -15,6 +15,10 @@ laplacian_residuals' panels and integrate_path decide every non-finite
 value and failure, so reports and errors are those of checking point by
 point, with floats moved only at round-off.  No record repeats the
 obstruction rule: an extended config loads through measure_contact.
+
+The suite takes a patch or an extended surface alike and asks it one
+question, whether it has a contact, before it adds the reflected side's
+data checks and the extension records.
 """
 
 from __future__ import annotations
@@ -410,9 +414,9 @@ def _bound(name: str, residual: float, tolerance: float, details: dict) -> Check
     return CheckRecord(name, residual <= tolerance, residual, tolerance, details)
 
 
-def _path_independence_check(data: WeierstrassData, pts: list, q: QuadratureConfig, ext, zs: list) -> tuple:
+def _path_independence_check(data: WeierstrassData, pts: list, q: QuadratureConfig, surface, zs: list) -> tuple:
     """A straight path against one bent beside it, to two grid points, and a
-    loop around each puncture, in one batch with the paths of ``ext`` to
+    loop around each puncture, in one batch with the paths of ``surface`` to
     ``zs``, whose values X it returns too.  After a failure it integrates
     its own paths alone, and when they pass it returns the batch's exception
     as X, for the check that reads X to raise in its turn."""
@@ -438,7 +442,7 @@ def _path_independence_check(data: WeierstrassData, pts: list, q: QuadratureConf
             yield _loop_path(data, _puncture_square(data.domain, p)), side
 
     try:
-        sums, failed = integrate_paths(chain(paths(), (ext._path(z) for z in zs)), q), None
+        sums, failed = integrate_paths(chain(paths(), (surface.path(z) for z in zs)), q), None
     except (SurfaceError, EvalError) as exc:
         sums, failed = integrate_paths(paths(), q), exc
     sums = sums.real.T
@@ -487,35 +491,27 @@ def _pole_zero_check(data: WeierstrassData) -> CheckRecord:
     return CheckRecord("pole_zero_orders", ok, worst, 0.25, {"poles": detail})
 
 
-def full_diagnostics(obj: WeierstrassData | ExtendedSurface, grid: GridSpec = GridSpec(),
+def full_diagnostics(surface: WeierstrassData | ExtendedSurface, grid: GridSpec = GridSpec(),
                      q: QuadratureConfig = QuadratureConfig()) -> DiagnosticsReport:
-    """Run every applicable check; failures are report entries, not raises."""
-    ext = obj if isinstance(obj, ExtendedSurface) else None
-    data = obj if ext is None else ext.original
-    sides, arc, pairs = _point_sets(data, ext, grid)
+    """Run every applicable check on a patch or an extended surface; failures are report entries, not raises.
+    With a contact, the data checks take the grid's original side and the reflected approach band too."""
+    data = surface.original
+    pts, arc, pairs = _grid_points(data.domain, grid), [], []
+    sides = [(data, pts)]
+    if surface.contact is not None:
+        band = boundary_samples(data.domain, depths=(0.1, 0.05, 0.02, 0.012, 0.004))
+        pts = np.array(pts)[surface.contact.boundary.on_original_side(np.array(pts))].tolist()
+        sides = [(data, pts), (surface.minus, [surface.reflect(w) for w in band])]
+        arc, pairs = boundary_points(data.domain)[:5], list(_stencil_centres(pts))  # grid points lie in the domain
     samples = _sample(sides)
-    pts = sides[0][1]
     checks = _data_checks(data, pts, samples[0])
-    zs = arc + [w for z in pairs for w in (z, ext.reflect(z))]
-    record, X = _path_independence_check(data, pts, q, ext, zs)
+    zs = arc + [w for z in pairs for w in (z, surface.reflect(z))]
+    record, X = _path_independence_check(data, pts, q, surface, zs)
     checks += [record, _pole_zero_check(data)]
-    if ext is not None:
+    if surface.contact is not None:
         checks.extend(_data_checks(*sides[1], samples[1], tag="minus_"))
-        checks.extend(_extension_checks(ext, zs, len(arc), X, q))
+        checks.extend(_extension_checks(surface, zs, len(arc), X, q))
     return DiagnosticsReport(checks)
-
-
-def _point_sets(data: WeierstrassData, ext: ExtendedSurface | None, grid: GridSpec) -> tuple[list, list, list]:
-    """(side, points) of each data check: the grid (on the original side of
-    an arc) and the reflections of an approach band, where the continuation
-    is spacelike; the containment points; the points symmetry reflects."""
-    pts = _grid_points(data.domain, grid)
-    if ext is None:
-        return [(data, pts)], [], []
-    band = boundary_samples(data.domain, depths=(0.1, 0.05, 0.02, 0.012, 0.004))
-    pts = np.array(pts)[ext.contact.boundary.on_original_side(np.array(pts))].tolist()
-    sides = [(data, pts), (ext.minus, [ext.reflect(w) for w in band])]
-    return sides, boundary_points(data.domain)[:5], list(_stencil_centres(pts))  # grid points lie in the domain
 
 
 def _extension_checks(ext: ExtendedSurface, zs: list, n_arc: int, X, q: QuadratureConfig) -> list[CheckRecord]:
@@ -529,7 +525,7 @@ def _extension_checks(ext: ExtendedSurface, zs: list, n_arc: int, X, q: Quadratu
     checks.append(CheckRecord("c1_matching", matching.passed, matching.max_gap, matching.tol, details))
 
     # plane containment at the arc points zs[:n_arc], then reflection symmetry of the pairs after them
-    if isinstance(X, Exception):  # the batch failed on a path of ext
+    if isinstance(X, Exception):  # the batch failed on a path of the extended surface
         raise X
     X = [LVector(*row) for row in X.tolist()]
     contain = max([0.0] + [abs(ext.reflected_value(x)) for x in X[:n_arc]])  # the plane equation residual

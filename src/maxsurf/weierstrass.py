@@ -200,7 +200,7 @@ class WeierstrassData:
     ``g_poles`` declares poles of g among the domain punctures as
     (location, order) pairs; at a pole of order m of g, f must carry a zero
     of order 2m for the patch to be regular, which the verify module checks
-    numerically.
+    numerically.  A patch is the surface of one side; ``extension.ExtendedSurface`` has two.
     """
 
     f: Expr
@@ -209,6 +209,8 @@ class WeierstrassData:
     z0: complex
     X0: LVector
     g_poles: tuple[tuple[complex, int], ...] = ()
+    contact = None  # class attributes, not fields: a patch has no contact
+    region = "domain"
 
     def __post_init__(self):
         object.__setattr__(self, "z0", complex(self.z0))
@@ -221,6 +223,19 @@ class WeierstrassData:
                 raise ValueError("pole order must be >= 1")
             if not any(abs(p - q) <= 1e-9 for q in self.domain.punctures):
                 raise ValueError(f"declared pole {p} is not a domain puncture")
+
+    @property
+    def original(self) -> "WeierstrassData":
+        return self
+
+    def side(self, z: complex) -> "WeierstrassData":
+        return self
+
+    def path(self, z: complex) -> tuple[list[complex], Callable]:
+        return _build_path(self.z0, complex(z), self.domain.punctures), lambda a, b: self
+
+    def contains(self, z: complex) -> bool:
+        return self.domain.contains(z)
 
     @cached_property
     def field(self) -> Callable[[complex], tuple[complex, complex, complex]]:
@@ -489,17 +504,18 @@ def integrate_path(
     return (tot1, tot2, tot3), err
 
 
-def surface_path(data: WeierstrassData, z: complex, q: QuadratureConfig = QuadratureConfig()) -> SurfaceValue:
-    """Evaluate X(z) and report the integration path and achieved error estimate."""
-    points = _build_path(data.z0, complex(z), data.domain.punctures)
-    (t1, t2, t3), err = integrate_path(points, lambda a, b: data, q)
-    X = LVector(data.X0.x1 + t1.real, data.X0.x2 + t2.real, data.X0.x3 + t3.real)
+def surface_path(surface, z: complex, q: QuadratureConfig = QuadratureConfig()) -> SurfaceValue:
+    """Evaluate X(z) along ``surface.path(z)``, a patch's or an extended surface's, from the original X0,
+    and report the integration path and achieved error estimate."""
+    points, side_for = surface.path(z)
+    (t1, t2, t3), err = integrate_path(points, side_for, q)
+    X = surface.original.X0 + LVector(t1.real, t2.real, t3.real)
     return SurfaceValue(X, tuple(points), err)
 
 
-def evaluate_surface(data: WeierstrassData, z: complex, q: QuadratureConfig = QuadratureConfig()) -> LVector:
-    """X(z) = X0 + Re Integral of (phi1, phi2, phi3) from z0 to z."""
-    return surface_path(data, z, q).value
+def evaluate_surface(surface, z: complex, q: QuadratureConfig = QuadratureConfig()) -> LVector:
+    """X(z) = X0 + Re Integral of (phi1, phi2, phi3) from z0 to z, on a patch or an extended surface."""
+    return surface_path(surface, z, q).value
 
 
 def _needs_path(s: np.ndarray, t: np.ndarray, punctures) -> np.ndarray:

@@ -24,7 +24,7 @@ from fixtures import (
     spacelike_fixture,
     timelike_fixture,
 )
-from maxsurf import cli, expr, extension, verify, weierstrass
+from maxsurf import cli, expr, verify, weierstrass
 from maxsurf.cli import SurfaceConfig, main
 from maxsurf.expr import Const, EvalError, Var, format_expr, parse
 from maxsurf.extension import extend
@@ -56,7 +56,7 @@ def bench(tmp_path_factory):
 
 def _surface(path: Path):
     cfg = SurfaceConfig.from_file(str(path))
-    return cfg.extended_surface() or cfg.data
+    return cfg.extended_surface()
 
 
 def _point_wise(monkeypatch):
@@ -142,8 +142,7 @@ def test_check_integrates_the_point_wise_panels_in_batches(bench, monkeypatch, c
     for module in (weierstrass, verify):
         monkeypatch.setattr(module, "_gk15_panels", counted_batch)
         counted(module, "_gk15")
-    for module in (weierstrass, extension):
-        counted(module, "integrate_path")
+    counted(weierstrass, "integrate_path")
     assert main(["check", str(bench / f"{name}.cfg")]) == 0
     assert sum(panels) == PANELS[name]
     assert scalar == []
@@ -268,14 +267,14 @@ def test_a_failing_evaluation_raises_in_the_turn_of_its_check(monkeypatch):
     # and symmetry points in one batch; a failure there must not preempt a check
     # that runs before containment
     ext = extend(*timelike_fixture())
-    path = type(ext)._path
+    path = type(ext).path
 
     def no_path_below_the_arc(self, z):
         if z.imag < 0:
             raise PathError("no path to the reflected side")
         return path(self, z)
 
-    monkeypatch.setattr(type(ext), "_path", no_path_below_the_arc)
+    monkeypatch.setattr(type(ext), "path", no_path_below_the_arc)
     with pytest.raises(PathError, match="reflected side"):
         full_diagnostics(ext)
     monkeypatch.setattr(type(ext), "matching", property(lambda self: 1 / 0))
@@ -288,7 +287,7 @@ def test_a_failing_batch_builds_each_extension_path_once(monkeypatch, fault):
     # the batch's exception is kept and raised in containment's turn, after c1_matching reads the
     # matching; no path is built or integrated a second time to raise it again
     ext = extend(*timelike_fixture())
-    data, path, matching = ext.original, type(ext)._path, type(ext).matching
+    data, path, matching = ext.original, type(ext).path, type(ext).matching
     faulting = WeierstrassData(parse("1/(z-z)"), data.g, data.domain, data.z0, data.X0)
     built, read = [], []
 
@@ -299,7 +298,7 @@ def test_a_failing_batch_builds_each_extension_path_once(monkeypatch, fault):
         knots, side_for = path(self, z)
         return knots, lambda a, b: faulting if (a + b).imag < 0 else side_for(a, b)
 
-    monkeypatch.setattr(type(ext), "_path", faulting_below_the_arc)
+    monkeypatch.setattr(type(ext), "path", faulting_below_the_arc)
     monkeypatch.setattr(type(ext), "matching", property(lambda self: read.append(self) or matching.func(self)))
     with pytest.raises((PathError, EvalError)) as raised:
         full_diagnostics(ext)

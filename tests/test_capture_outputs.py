@@ -57,6 +57,8 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
            for command, suffix in (("extend", ""), ("check", ".ext"), ("eval", ".ext-0"), ("eval", ".ext-1"))]
         + ["check-half-annulus-poles", "extend-half-annulus-poles", "check-half-annulus-poles.ext"]
         + [f"{command}-{name}{suffix}" for name in LATE_CONTACTS for command, suffix in (("extend", ""), ("check", ".ext"))]
+        + ["eval-catenoid-repeated-at", "eval-catenoid-outside"]
+        + [f"eval-half-annulus-poles.ext-arc-{at}" for at in ("u0.5", "u-0.5", "end")]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
@@ -133,6 +135,13 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-near-orthogonal-3e-08.ext": (1, '"name": "boundary_locus",\n      "passed": false,'),
         # the reflected g cancels to about eps / |c| off the arc, which the Laplacian stencil amplifies
         "check-near-orthogonal-5e-07.ext": (1, '"name": "minus_harmonicity",\n      "passed": false,'),
+        "eval-catenoid-repeated-at": (2, "--- stdout\n--- stderr\nconfig error: field '--at': given 2 times; eval takes"
+                                      " one point\n"),
+        "eval-catenoid-outside": (1, "--- stdout\n--- stderr\nerror: point (2+0j) outside the domain\n"),
+        "eval-half-annulus-poles.ext-arc-u0.5": (0, "\nconformal_factor = "),
+        "eval-half-annulus-poles.ext-arc-u-0.5": (0, "\nconformal_factor = "),
+        "eval-half-annulus-poles.ext-arc-end": (1, "--- stdout\n--- stderr\nerror: point (0.9+0j) outside the assembled "
+                                                "domain\n"),
     }
     for name in logs:  # the orthogonal contacts evaluate on the reflected side, without a warning
         if name[4:-4].startswith("eval-orthogonal-"):

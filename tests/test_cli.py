@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import json
 import math
 import os
@@ -7,12 +8,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS, bench_configs, bench_oracles
-from maxsurf import cli, extension
+from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS, bench_configs, bench_oracles, capture_tool
+from maxsurf import cli, extension, verify
 from maxsurf.cli import CATENOID_CONFIG, SurfaceConfig, main
 from maxsurf.minkowski import LVector, lorentz_inner
+from maxsurf.weierstrass import _HALF_KINDS
 
 PLANE_CONFIG = """\
 f = 1
@@ -172,7 +175,7 @@ def test_extend_timelike_roundtrip(timelike_cfg, tmp_path, capsys):
     # the emitted config reloads into an assembled surface
     cfg = SurfaceConfig.from_file(out_path)
     ext = cfg.extended_surface()
-    assert ext is not None
+    assert ext.contact is not None  # the extension, not the plain patch
     from maxsurf.weierstrass import evaluate_surface
 
     z = complex(0.2, -0.3)
@@ -470,6 +473,59 @@ def test_eval_negative_u_parses_like_the_equals_form(plane_cfg, capsys):
     assert capsys.readouterr().out == spaced
     xs = [float(t) for t in spaced.splitlines()[0][5:-1].split(",")]
     assert abs(xs[0] + 0.05) < 1e-12  # x1 = Re z / 2 on the plane fixture
+
+
+@pytest.mark.parametrize("ats", [["--at=0.5,0.3", "--at=0.4,0.2"], ["--at", "0.5,0.3", "--at", "-0.4,0.2"],
+                                 ["--at", "-0.5,0.3", "--at=-0.5,0.3"]], ids=["equals", "spaced", "same-point"])
+def test_a_repeated_at_exits_2_without_dropping_a_point(catenoid_cfg, capsys, ats):
+    assert main(["eval", catenoid_cfg, *ats]) == 2
+    assert capsys.readouterr() == ("", "config error: field '--at': given 2 times; eval takes one point\n")
+
+
+def _parent_eval_rule(cfg, ext, z: complex) -> bool:
+    """eval's membership rule as cmd_eval wrote it before surfaces answered ``contains``: the domain, and on
+    an extended config (``ext`` not None) the domain's reflection and a half kind's diameter inside its radii."""
+    u, v = z.real, z.imag
+    dom, r = cfg.data.domain, abs(u)
+    on_arc = v == 0 and dom.kind in _HALF_KINDS and r < dom.radius and (r > dom.inner_radius or not dom.inner_radius)
+    return dom.contains(z) or ext is not None and (dom.contains(ext.reflect(z)) or on_arc)
+
+
+@pytest.fixture(scope="module")
+def membership_configs(tmp_path_factory):
+    """The five bench surfaces and the extended half annulus with a pole of g, as config files by name."""
+    tool, out = capture_tool(), tmp_path_factory.mktemp("membership")
+    for name, text in {**tool.BASE_CONFIGS, "half-annulus-poles": tool.HALF_ANNULUS_POLES}.items():
+        (out / f"{name}.cfg").write_text(text)
+        if name != "catenoid":
+            assert main(["extend", str(out / f"{name}.cfg"), "-o", str(out / f"{name}.ext.cfg")]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", ["catenoid", "catenoid-b07.ext", "spacelike.ext", "timelike.ext", "lightlike.ext",
+                                  "half-annulus-poles.ext"])
+def test_a_surface_contains_what_eval_accepted(membership_configs, capsys, name):
+    capsys.readouterr()
+    cfg = SurfaceConfig.from_file(str(membership_configs / f"{name}.cfg"))
+    surface, dom = cfg.extended_surface(), cfg.data.domain
+    reflect = complex.conjugate if surface.contact is None else surface.reflect  # the plain catenoid's mirror points
+    R, r0 = dom.radius, dom.inner_radius
+    edges = [R, r0, math.nextafter(R, 0), math.nextafter(r0, R), math.nextafter(r0, 0)]
+    diameter = [s * u for u in [*edges, *np.linspace(0, R, 9)[1:-1].tolist()] for s in (1, -1)]
+    grid = verify._grid_points(dom, verify.GridSpec())
+    rho = dom.boundary_circle or 0.5
+    points = (
+        [complex(u) for u in diameter]
+        + [complex(0, s * u) for u in edges for s in (1, -1)]
+        + [p for q in dom.punctures for p in (q, q.conjugate(), reflect(q))]
+        + grid + [reflect(z) for z in grid]
+        + [rho * cmath.exp(1j * t) for t in np.linspace(0, 2 * math.pi, 8, endpoint=False).tolist()]
+        + [0j, complex(2 * R, 0), complex(0, -2 * R)]
+    )
+    got = [surface.contains(z) for z in points]
+    assert got == [_parent_eval_rule(cfg, None if surface.contact is None else surface, z) for z in points]
+    assert True in got and False in got
+    assert surface.region == ("domain" if name == "catenoid" else "assembled domain")
 
 
 def test_eval_extended_catenoid_center_is_outside(tmp_path, capsys):

@@ -197,7 +197,9 @@ def test_detour_mesh_detours_a_root_path_and_forest_edges(monkeypatch):
     assert any(path[0] != data.z0 for path in detours)
 
 
-def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch):
+# GK15 panels of the catenoid mesh: 33x33 has 1,088 grid edges, 33 of them halved once; 65x65 has 4,224, none halved
+@pytest.mark.parametrize("n, expected", [(33, 1154), (65, 4224)], ids=["33x33", "65x65"])
+def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch, n, expected):
     # panels of the batched kernel; a scalar panel here can only come from an edge replayed by integrate_path
     panels = []
     batch, gk15 = weierstrass._gk15_panels, weierstrass._gk15
@@ -212,9 +214,9 @@ def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch):
 
     monkeypatch.setattr(weierstrass, "_gk15_panels", counted_batch)
     monkeypatch.setattr(weierstrass, "_gk15", counted)
-    build_mesh(catenoid_data(), 33, 33)
-    assert 0 < len(panels) <= 2 * 33 * 33
-    assert len(panels) == 1154  # 1,088 grid edges, 33 of them halved once
+    build_mesh(catenoid_data(), n, n)
+    assert 0 < len(panels) <= 2 * n * n
+    assert len(panels) == expected
 
 
 @pytest.mark.parametrize("n", [65, 33])

@@ -88,7 +88,11 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     extend fails matching and check fails boundary_locus (exit 1); at 5e-7
     through the closed-form circle, so extend exits 0 and check fails
     minus_harmonicity; then of a half disk of radius 1e-11, whose arc
-    positions lie closer than 1e-9 (both exit 0).
+    positions lie closer than 1e-9 (both exit 0);
+  - ``eval`` of the catenoid with ``--at`` given twice (exit 2, no point
+    dropped) and outside its domain (exit 1); then ``eval`` on the diameter of
+    the extended half annulus, inside its radii at u = 0.5 and u = -0.5
+    (exit 0) and at u = radius (exit 1).
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -316,6 +320,13 @@ def commands() -> list[tuple[str, list[str]]]:
     for name in LATE_CONTACTS:
         cmds += [(f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]),
                  (f"check-{name}.ext", ["check", f"{name}.ext.cfg"])]
+    cmds += [
+        ("eval-catenoid-repeated-at", ["eval", "catenoid.cfg", "--at=0.5,0.3", "--at=0.4,0.2"]),
+        ("eval-catenoid-outside", ["eval", "catenoid.cfg", "--at=2,0"]),
+    ]
+    arc = "half-annulus-poles.ext"  # its diameter: the two halves between the radii, then the outer end
+    cmds += [(f"eval-{arc}-arc-u{u}", ["eval", f"{arc}.cfg", f"--at={u},0"]) for u in ("0.5", "-0.5")]
+    cmds.append((f"eval-{arc}-arc-end", ["eval", f"{arc}.cfg", "--at=0.9,0"]))
     return cmds
 
 

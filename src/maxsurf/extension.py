@@ -7,33 +7,32 @@ that is odd across the plane continue by Schwarz reflection, and f is
 recovered algebraically from L and the reflected g.  Every case is that one
 construction; two independent axes supply its parameters.
 
-The causal class of the plane is a row of ``CASES``:
+The causal class of the plane is a row of ``CASES``.  Each row's locus is
+one generalized circle a|w|^2 + 2 Re(conj(b) w) + c' = 0, built from c:
 
-  spacelike  (n ~ (0,0,1)):  c = +-cosh(theta); g(arc) on |w| = r and
-              g_minus = r^2 / conj(g); x3 is odd, L = phi3 = f g.
-  timelike   (n ~ (0,1,0)):  c = 1/lam; g(arc) on the circle centered
-              -i*lam of radius sqrt(1+lam^2), or for c = 0 (orthogonal
-              contact) on the line Im w = 0 and g_minus = conj(g); x2 is odd,
-              L = phi2 = i f (1 - g^2) / 2.
-  lightlike  (n ~ (1,0,1)):  c = 1 + lam; for lam = 0 the locus is the line
-              Re w = 1 and g_minus = 2 - conj(g), otherwise the circle
-              centered -1/lam of radius |1 + 1/lam|; psi = x1 - x3 is odd,
-              L = phi1 - phi3 = f (1 - g)^2 / 2.
+  spacelike  (n ~ (0,0,1)):  c = +-cosh(theta); (1, 0, -r^2), the circle
+              |w| = r, g_minus = r^2 / conj(g); x3 is odd, L = phi3 = f g.
+  timelike   (n ~ (0,1,0)):  (c, i, -c), g_minus = (w + ic)/(1 + icw) with
+              w = conj(g), exactly conj(g) at c = 0 (orthogonal contact, the
+              line Im w = 0); x2 is odd, L = phi2 = i f (1 - g^2) / 2.
+  lightlike  (n ~ (1,0,1)):  c = 1 + lam; (lam, 1, -lam - 2), g_minus =
+              (2 + lam - w)/(1 + lam w), 2 - conj(g) at lam = 0 (the line
+              Re w = 1); psi = x1 - x3 is odd, L = phi1 - phi3 = f (1 - g)^2 / 2.
 
 The shape of the boundary arc is a ``BoundaryArc``: the real diameter with
 the domain reflection sigma(z) = conj(z), or a circle |z| = rho with the
 inversion sigma(z) = rho^2 / conj(z), which extends annular data (rings
 around a conelike vertex) across the contact circle.  The arc supplies the
 conjugation conj(e(sigma(z))) and the odd pull-back of L,
-L_minus = -conj(L(sigma(z))) conj(sigma'(z)); the row supplies the Moebius
-map applied to the conjugated g and the recovery f_minus = L_minus / h(g_minus).
+L_minus = -conj(L(sigma(z))) conj(sigma'(z)); the row supplies the locus, whose
+own reflection maps the conjugated g, and the recovery f_minus = L_minus / h(g_minus).
 Only spacelike planes are supported across a circle.
 
 The locus g is reflected through is the row's closed form from the measured
-c: for a spacelike plane the circle about the centre 0 whose radius is the
-mean |g| of the boundary limits, which must be tanh(theta/2)^(+-1); for a
-timelike or lightlike plane the circle or line given by lam.  A boundary limit
-of g farther than LOCUS_TOL (times 1 + the radius) from that locus aborts
+c; a spacelike radius is the mean |g| of the boundary limits, whose
+(1 + r^2)/|1 - r^2| must be |c| to ANGLE_TOL.  One form holds circles and
+lines, so no threshold turns one into the other.  A boundary limit w of g
+farther than LOCUS_TOL (times 1 + min(|w|, radius)) from that locus aborts
 rather than reflecting through a locus the boundary does not lie on.
 
 An ``ExtendedSurface`` is the surface of two sides, as a ``WeierstrassData``
@@ -55,7 +54,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import (
-    Add,
     Const,
     Div,
     EvalError,
@@ -65,8 +63,12 @@ from .expr import (
     Pow,
     Sub,
     Var,
+    _add,
     _derivative,
+    _div,
+    _mul,
     _NormalForm,
+    _readable,
     compile_fn,
     sconj,
     substitute,
@@ -111,11 +113,7 @@ __all__ = [
 ANGLE_TOL = 1e-6
 """The most <N, n> may vary along the boundary for the angle to count as constant."""
 LOCUS_TOL = 1e-6
-"""How far, relative to 1 + its radius, a boundary limit of g may lie from the closed-form Gauss locus."""
-LAM_ZERO_TOL = 1e-6
-"""Where a row's locus is a line: a lightlike lam below this in size is 0 (the line Re w = 1), and so is
-a timelike c (orthogonal contact, the line Im w = 0).  The line reflects g off by about 1.25 |c|, so a
-timelike contact with |c| between about 5e-8 and this bound fails matching (ROADMAP item 7)."""
+"""How far a boundary limit w of g may lie from the closed-form Gauss locus, relative to 1 + min(|w|, radius)."""
 MATCH_TOL = 1e-7
 """The largest normalized gap between the two sides on the arc that matches."""
 SINGULAR_TOL = 1e-8
@@ -228,23 +226,41 @@ class BoundaryArc:
 
 @dataclass(frozen=True)
 class CircleOrLine:
-    """The Gauss locus of a contact: a circle or a straight line."""
+    """The Gauss locus of a contact: the generalized circle a|w|^2 + 2 Re(conj(b) w) + c = 0, with a and c
+    real.  It is the circle about -b/a of radius sqrt(|b|^2 - a c)/|a|, or a line where a = 0; the one
+    form holds both, and a circle that grows into a line passes through no threshold."""
 
-    kind: str  # "circle" | "line"
-    center: complex | None = None
-    radius: float | None = None
-    point: complex | None = None
-    direction: complex | None = None
+    a: float
+    b: complex
+    c: float
+
+    @property
+    def radius(self) -> float:
+        """sqrt(|b|^2 - a c)/|a|, infinite for a line."""
+        return math.sqrt(abs(self.b) ** 2 - self.a * self.c) / abs(self.a) if self.a else math.inf
 
     def distance(self, w: complex) -> float:
-        if self.kind == "circle":
-            return abs(abs(w - self.center) - self.radius)
-        return abs((((w - self.point)) * self.direction.conjugate()).imag)
+        """The distance of w from the locus, exact for a circle and a line alike:
+        |a|w|^2 + 2 Re(conj(b) w) + c| / (|a w + b| + sqrt(|b|^2 - a c))."""
+        a, b, c = self.a, self.b, self.c
+        value = a * abs(w) ** 2 + 2 * (b.conjugate() * w).real + c
+        return abs(value) / (abs(a * w + b) + math.sqrt(abs(b) ** 2 - a * c))
+
+    def mismatch(self, w: complex) -> float:
+        """The distance of w relative to 1 + min(|w|, radius), the one scale a value of g is held to."""
+        return self.distance(w) / (1 + min(abs(w), self.radius))
+
+    def reflect(self, w: Expr) -> Expr:
+        """The reflection of w through the locus, -(b w + c)/(a w + conj(b)), divided through by conj(b),
+        or by a where b = 0, with its zero terms and unit factors left out; each constant reads back
+        from its printed form bit for bit."""
+        a, b, c = self.a, self.b, self.c
+        d = b.conjugate() if b else a
+        num = _add(Const(_readable(-c / d)), _mul(Const(_readable(-b / d)), w))
+        return _div(num, _add(Const(_readable(b.conjugate() / d)), _mul(Const(_readable(a / d)), w)))
 
     def describe(self) -> str:
-        if self.kind == "circle":
-            return f"circle(center={self.center}, radius={self.radius})"
-        return f"line(point={self.point}, direction={self.direction})"
+        return f"generalized circle (a, b, c) = ({self.a!r}, {self.b!r}, {self.c!r})"
 
 
 @dataclass(frozen=True)
@@ -253,9 +269,10 @@ class ContactData:
 
     ``c`` is the extrapolated limit of <N, n_hat> along the boundary with
     n_hat the case-normalized plane normal; ``theta`` (spacelike, via
-    cosh(theta) = |c|) or ``lam`` (timelike c = 1/lam, None at c = 0; lightlike
-    c = 1+lam) is the case parameter; ``locus`` is the row's closed-form image of the
-    boundary under g and ``locus_mismatch`` the largest distance of a boundary limit of g from it.
+    cosh(theta) = |c|) or ``lam`` (timelike 1/c, None at c = 0 exactly; lightlike
+    c - 1) reports the case parameter; ``locus`` is the row's closed-form image of the
+    boundary under g, built from c, and ``locus_mismatch`` the largest ``locus.mismatch``
+    of a boundary limit of g.
     """
 
     plane: Plane
@@ -283,11 +300,10 @@ class Case:
     coordinate that reflects oddly, <X, normal> up to sign.  ``odd(f, g)`` is the
     functional L of the phi triple that reflects oddly and ``recover(L, g)`` solves it
     for f, dividing by zero where g takes a value in ``singular``.
-    ``moebius(w, p)`` reflects the conjugated g through its locus, with
-    ``p = parameter(contact)``; ``locus(c, sheet, gs)`` is
-    the closed-form locus implied by c and the boundary limits gs of g, with
-    theta and lam, and refuses a contact the row cannot extend.  ``circular``
-    says whether a circular arc is supported.
+    ``locus(c, sheet, gs)`` is the closed-form locus implied by c and the
+    boundary limits gs of g, whose own reflection continues the conjugated g,
+    with theta and lam, and refuses a contact the row cannot extend.
+    ``circular`` says whether a circular arc is supported.
     """
 
     kind: CausalClass
@@ -295,8 +311,6 @@ class Case:
     reflected: str
     odd: Callable[[Expr, Expr], Expr]
     recover: Callable[[Expr, Expr], Expr]
-    moebius: Callable[[Expr, float | None], Expr]
-    parameter: Callable[[ContactData], float | None]
     singular: tuple[complex, ...]
     locus: Callable[..., tuple[CircleOrLine, float | None, float | None]]
     circular: bool
@@ -326,18 +340,17 @@ def _spacelike_locus(c, sheet, gs):
     theta = math.acosh(max(abs(c), 1.0))
     if theta == 0 and sheet < 0:
         raise GeometryMismatchError(f"|<N,n>| = {abs(c):.6f} on the lower sheet puts the Gauss locus at |g| = infinity")
-    r_exp = math.tanh(theta / 2) if sheet > 0 else 1.0 / math.tanh(theta / 2)
     r = sum(map(abs, gs)) / len(gs)
-    if not abs(r - r_exp) <= LOCUS_TOL * (1 + r):
-        raise GeometryMismatchError(f"boundary |g| = {r:.9f} misses tanh(theta/2)^{sheet} = {r_exp:.9f} of c = {c:.9f}")
-    return CircleOrLine("circle", center=0j, radius=r), theta, None
+    cosh = (1 + r * r) / abs(1 - r * r)  # cosh(theta) of the radius tanh(theta/2)^(+-1), in c's own unit
+    if not abs(cosh - abs(c)) <= ANGLE_TOL:
+        raise GeometryMismatchError(f"boundary |g| = {r:.9f} gives (1 + |g|^2)/|1 - |g|^2| = {cosh:.9f}, "
+                                    f"which misses |c| = {abs(c):.9f}")
+    return CircleOrLine(1.0, 0j, -r * r), theta, None
 
 
 def _timelike_locus(c, sheet, gs):
-    if abs(c) < LAM_ZERO_TOL:  # orthogonal contact: the circle's limit as lam = 1/c grows
-        return CircleOrLine("line", point=0j, direction=1 + 0j), None, None
-    lam = 1.0 / c
-    return CircleOrLine("circle", center=-1j * lam, radius=math.sqrt(1 + lam * lam)), None, lam
+    # c |w|^2 + 2 Im w - c = 0: about -i/c, of radius sqrt(1 + 1/c^2), and the line Im w = 0 at c = 0
+    return CircleOrLine(c, 1j, -c), None, 1.0 / c if c else None
 
 
 def _lightlike_locus(c, sheet, gs):
@@ -345,24 +358,16 @@ def _lightlike_locus(c, sheet, gs):
     if gap < 0.05:
         raise HypothesisViolationError(f"degenerate lightlike contact (|g + 1| = {gap:.3e} < 0.05): X_u ^ X_v = 0")
     lam = c - 1.0
-    if abs(lam) >= LAM_ZERO_TOL:
-        inv = 1.0 / lam
-        return CircleOrLine("circle", center=complex(-inv, 0), radius=abs(1 + inv)), None, lam
-    if min(abs(1 - abs(g) * abs(g)) for g in gs) < 0.05:
+    # tangential, as far as c is known: within ANGLE_TOL of 1
+    if abs(lam) <= ANGLE_TOL and min(abs(1 - abs(g) * abs(g)) for g in gs) < 0.05:
         warnings.warn(
             "lightlike tangential contact with |g| -> 1: induced metric "
             "degenerates along the boundary",
             DegenerateContactWarning,
             stacklevel=3,
         )
-    return CircleOrLine("line", point=1 + 0j, direction=1j), None, 0.0
-
-
-def _lightlike_moebius(w: Expr, lam: float) -> Expr:
-    if lam == 0:
-        return Sub(Const(2), w)
-    inv = 1.0 / lam
-    return Add(Const(complex(-inv)), Div(Const((1 + inv) ** 2), Add(w, Const(complex(inv)))))
+    # lam |w|^2 + 2 Re w - lam - 2 = 0: about -1/lam, of radius |1 + 1/lam|, and the line Re w = 1 at lam = 0
+    return CircleOrLine(lam, 1 + 0j, -lam - 2), None, lam
 
 
 CASES: dict[CausalClass, Case] = {
@@ -370,26 +375,18 @@ CASES: dict[CausalClass, Case] = {
         CausalClass.SPACELIKE, LVector(0, 0, 1), "x3",
         odd=lambda f, g: Mul(f, g),
         recover=lambda L, g: Div(L, g),
-        moebius=lambda w, r: Div(Const(r * r), w),
-        parameter=lambda contact: contact.locus.radius,
         singular=(), locus=_spacelike_locus, circular=True,
     ),
     CausalClass.TIMELIKE: Case(
         CausalClass.TIMELIKE, LVector(0, 1, 0), "x2",
         odd=lambda f, g: phi_exprs(f, g)[1],
         recover=lambda L, g: Div(Mul(Const(2), L), Mul(Const(1j), Sub(Const(1), Pow(g, 2)))),
-        moebius=lambda w, lam: w if lam is None else Add(
-            Const(-1j * lam), Div(Const(1 + lam * lam), Sub(w, Const(1j * lam)))
-        ),
-        parameter=lambda contact: contact.lam,
         singular=(1 + 0j, -1 + 0j), locus=_timelike_locus, circular=False,
     ),
     CausalClass.LIGHTLIKE: Case(
         CausalClass.LIGHTLIKE, LVector(1, 0, 1), "psi",
         odd=lambda f, g: Mul(Const(0.5), Mul(f, Pow(Sub(Const(1), g), 2))),
         recover=lambda L, g: Div(Mul(Const(2), L), Pow(Sub(Const(1), g), 2)),
-        moebius=_lightlike_moebius,
-        parameter=lambda contact: contact.lam,
         singular=(1 + 0j,), locus=_lightlike_locus, circular=False,
     ),
 }
@@ -473,10 +470,11 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     The one obstruction rule: raises HypothesisViolationError when the
     angle varies by more than ANGLE_TOL, when |c| < 1 against a spacelike
     plane, or when g tends to -1 against a lightlike one (X_u ^ X_v = 0);
-    and GeometryMismatchError when a boundary limit of g lies farther than
-    LOCUS_TOL (times 1 + the radius) from the locus the row builds from c, or
-    at a NaN distance, or when a spacelike radius misses tanh(theta/2)^(+-1)
-    by as much.  An orthogonal contact (c = 0) is the timelike row's line Im w = 0.
+    and GeometryMismatchError when a boundary limit w of g lies farther than
+    LOCUS_TOL (times 1 + min(|w|, radius)) from the locus the row builds from c,
+    or at a NaN distance, or when the cosh(theta) of a spacelike radius misses |c|
+    by more than ANGLE_TOL.  An orthogonal contact (c = 0) is the timelike locus at
+    c = 0, the line Im w = 0.
     """
     case = CASES[plane_class(plane)]
     unit_n, offset = case.normalize(plane)
@@ -490,9 +488,10 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
         raise HypothesisViolationError("boundary Gauss values straddle |g| = 1")
 
     locus, theta, lam = case.locus(c, sheet, g_limits)
-    mismatch = float(np.max([locus.distance(gv) for gv in g_limits]))  # NaN when any distance is
-    if not mismatch <= LOCUS_TOL * (1 + (locus.radius or 1.0)):
-        raise GeometryMismatchError(f"boundary g lies {mismatch:.3e} off {locus.describe()} implied by c = {c:.9f}")
+    mismatch = float(np.max([locus.mismatch(gv) for gv in g_limits]))  # NaN when any distance is
+    if not mismatch <= LOCUS_TOL:
+        raise GeometryMismatchError(f"boundary g lies {mismatch:.3e} (relative) off {locus.describe()} "
+                                    f"implied by c = {c:.9f}")
     return ContactData(
         plane=plane,
         unit_normal=unit_n,
@@ -509,14 +508,10 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     )
 
 
-def reflect_g(kind: CausalClass, g: Expr, p: float | None, arc: BoundaryArc) -> Expr:
-    """The Schwarz reflection of g through its boundary locus across the arc.
-
-    ``p`` is the case parameter: the locus radius for a spacelike plane,
-    lam for a timelike or lightlike one; a timelike p of None (c = 0) is the
-    line Im w = 0, through which g reflects to conj(g).
-    """
-    return CASES[kind].moebius(arc.conj(g), p)
+def reflect_g(g: Expr, locus: CircleOrLine, arc: BoundaryArc) -> Expr:
+    """The Schwarz reflection of g through its boundary locus across the arc: the locus's own
+    reflection of the conjugated g (r^2/conj(g) on a circle about 0, conj(g) on the line Im w = 0)."""
+    return locus.reflect(arc.conj(g))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +686,7 @@ def extend(data: WeierstrassData, plane: Plane) -> ExtendedSurface:
     case, arc = CASES[contact.plane_kind], contact.boundary
     if not arc.admits(case):
         raise ExtensionError(f"circular extension handles spacelike planes only, not {case.kind.value}")
-    g_minus = reflect_g(contact.plane_kind, data.g, case.parameter(contact), arc)
+    g_minus = reflect_g(data.g, contact.locus, arc)
     f_minus = case.recover(arc.pullback(case.odd(data.f, data.g)), g_minus)
     normal = _NormalForm()  # one memo, so f_minus keeps sharing g_minus
     ext = ExtendedSurface(data, contact, normal(g_minus), normal(f_minus))

@@ -518,9 +518,9 @@ def _extension_checks(ext: ExtendedSurface, zs: list, n_arc: int, X, q: Quadratu
     contact, matching = ext.contact, ext.matching
     checks = [_bound("angle_constancy", contact.deviation, ANGLE_TOL, {"c": contact.c, "sheet": contact.sheet})]
     gm = ext.minus._g_fn
-    locus_res = max([0.0] + [contact.locus.distance(gm(complex(u))) for u in matching.points])
+    locus_res = max([0.0] + [contact.locus.mismatch(gm(complex(u))) for u in matching.points])
     details = {"locus": contact.locus.describe(), "mismatch_vs_closed_form": contact.locus_mismatch}
-    checks.append(_bound("boundary_locus", locus_res, 1e-8 * (1 + (contact.locus.radius or 1.0)), details))
+    checks.append(_bound("boundary_locus", locus_res, 1e-8, details))
     details = {"gaps": dict(sorted(matching.gaps.items()))}
     checks.append(CheckRecord("c1_matching", matching.passed, matching.max_gap, matching.tol, details))
 

@@ -141,6 +141,19 @@ def orthogonal_band_config(e: float) -> str:
     return capture_tool().orthogonal_band(e)
 
 
+def tangent_band_config(lam: float) -> str:
+    """The capture tool's near-tangential lightlike contact: f = i (gamma (z+1.5) + 1)^2,
+    g = (i (z+1.5) + 1)/(gamma (z+1.5) + 1) with gamma = -i lam/(lam+2), against the plane x1 - x3 = x1 - x3 of
+    X(0), with c = 1 + lam."""
+    return capture_tool().tangent_band(lam)
+
+
+def lower_sheet_config(theta: float) -> str:
+    """The capture tool's spacelike contact on the lower sheet: f = k (1 - i z)^2, g = m i (1 + i z)/(k (1 - i z))
+    with k = 1 - cosh(theta), m = -sinh(theta), against the plane x3 = x3 of X(0), with |c| = cosh(theta)."""
+    return capture_tool().lower_sheet(theta)
+
+
 def degenerate_lightlike_fixture():
     """f = e^{-iz}, g = 1/45 - (44/45) e^{iz} against the lightlike plane x1 = x3: c is about -44 and the
     boundary limit of g at z = 0 lies 2/45 from -1, the value at which X_u ^ X_v = 0."""

@@ -21,13 +21,14 @@ from maxsurf.cli import CATENOID_CONFIG, main
 from maxsurf.expr import evaluate, parse
 from maxsurf.extension import (
     BoundaryArc,
+    CircleOrLine,
     HypothesisViolationError,
     _spacelike_locus,
     extend,
     measure_contact,
     reflect_g,
 )
-from maxsurf.minkowski import CausalClass, LVector
+from maxsurf.minkowski import LVector
 from maxsurf.verify import (
     catenoid_data,
     eq_zero_residual,
@@ -120,8 +121,8 @@ def test_criterion_3_spacelike_catenoid_slab():
 
 def test_criterion_4_timelike_self_symmetric():
     data, _ = timelike_fixture()
-    lam = 1.0
-    g_minus = reflect_g(CausalClass.TIMELIKE, data.g, lam, BoundaryArc("segment"))
+    lam = 1.0  # c = 1/lam: the locus c |w|^2 + 2 Im w - c = 0
+    g_minus = reflect_g(data.g, CircleOrLine(1 / lam, 1j, -1 / lam), BoundaryArc("segment"))
     rng = np.random.default_rng(104)
     worst = 0.0
     pts = 0
@@ -144,8 +145,8 @@ def test_criterion_4_timelike_self_symmetric():
 
 def test_criterion_5_lightlike_self_symmetric_and_identity():
     data, _ = lightlike_fixture()
-    lam = -2.0
-    g_minus = reflect_g(CausalClass.LIGHTLIKE, data.g, lam, BoundaryArc("segment"))
+    lam = -2.0  # the locus lam |w|^2 + 2 Re w - lam - 2 = 0
+    g_minus = reflect_g(data.g, CircleOrLine(lam, 1 + 0j, -lam - 2), BoundaryArc("segment"))
     rng = np.random.default_rng(105)
     worst = 0.0
     pts = 0
@@ -175,20 +176,20 @@ def test_criterion_5_lightlike_self_symmetric_and_identity():
 def test_criterion_6_involutions():
     seg = BoundaryArc("segment")
     rng = np.random.default_rng(106)
-    cases = {
+    cases = {  # each fixture's locus: |w| = 1/2, the timelike c = 1, the lightlike lam = -2, |w| = e^-0.7
         "spacelike": (
-            spacelike_fixture()[0].g, lambda g: reflect_g(CausalClass.SPACELIKE, g, 0.5, seg)
+            spacelike_fixture()[0].g, lambda g: reflect_g(g, CircleOrLine(1.0, 0j, -0.25), seg)
         ),
         "timelike": (
-            timelike_fixture()[0].g, lambda g: reflect_g(CausalClass.TIMELIKE, g, 1.0, seg)
+            timelike_fixture()[0].g, lambda g: reflect_g(g, CircleOrLine(1.0, 1j, -1.0), seg)
         ),
         "lightlike": (
-            lightlike_fixture()[0].g, lambda g: reflect_g(CausalClass.LIGHTLIKE, g, -2.0, seg)
+            lightlike_fixture()[0].g, lambda g: reflect_g(g, CircleOrLine(-2.0, 1 + 0j, 0.0), seg)
         ),
         "circular": (
             catenoid_data().g,
             lambda g: reflect_g(
-                CausalClass.SPACELIKE, g, math.exp(-0.7), BoundaryArc("circle", math.exp(-0.7))
+                g, CircleOrLine(1.0, 0j, -math.exp(-0.7) ** 2), BoundaryArc("circle", math.exp(-0.7))
             ),
         ),
     }

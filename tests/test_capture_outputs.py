@@ -17,6 +17,12 @@ SQUARE_OVERFLOWS = ("squares-overflow",)
 OBSTRUCTIONS = ("near-orthogonal", "degenerate-lightlike")
 ORTHOGONAL_CONTACTS = ("orthogonal-identity", "orthogonal-cosine", "orthogonal-moebius")
 LATE_CONTACTS = ("near-orthogonal-3e-08", "near-orthogonal-5e-07", "tiny-domain")
+NEAR_LINE_CONTACTS = {  # name: what runs on the config its extend writes
+    "near-orthogonal-1e-08": ("eval",),
+    "near-tangent-1e-07": ("check", "eval"),
+    "near-tangent-1e-08": ("check", "eval"),
+    "lower-sheet-1e-06": ("check",),
+}
 USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
     "usage-unknown-command": "maxsurf: error: argument command: invalid choice: 'frobnicate' (choose from 'check',",
     "usage-eval-without-at": "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"
@@ -59,6 +65,8 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"{command}-{name}{suffix}" for name in LATE_CONTACTS for command, suffix in (("extend", ""), ("check", ".ext"))]
         + ["eval-catenoid-repeated-at", "eval-catenoid-outside"]
         + [f"eval-half-annulus-poles.ext-arc-{at}" for at in ("u0.5", "u-0.5", "end")]
+        + [stem for name, runs in NEAR_LINE_CONTACTS.items()
+           for stem in [f"extend-{name}"] + [f"{command}-{name}.ext" for command in runs]]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
@@ -66,7 +74,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["matching-fault.ext.cfg", "branch-cut.ext.cfg", "tangential-lightlike.cfg", "tangential-lightlike.ext.cfg"]
         + ["wrong-plane.ext.cfg", "orthogonal.ext.cfg", "near-orthogonal.ext.cfg"]
         + [f"{name}{ext}.cfg" for name in ORTHOGONAL_CONTACTS + ("half-annulus-poles",) + LATE_CONTACTS
-           for ext in ("", ".ext")]
+           + tuple(NEAR_LINE_CONTACTS) for ext in ("", ".ext")]
         + [f"{name}.cfg" for name in SURFACES[1:]] + ["catenoid-b07-reflected.cfg", "catenoid-b07-reflected.ext.cfg"]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) + SQUARE_OVERFLOWS
@@ -87,7 +95,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-overflow": (1, "error: quadrature did not converge on path to (-0.19-2.3268289183799712e-17j)"
                            " (achieved error estimate nan)\n"),
         "check-poly": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
-        "extend-orthogonal": (0, '"lam": null,'),
+        "extend-orthogonal": (0, '"lam": 1.165524573159063e+19,'),  # 1/c, c = 8.6e-20 measured
         "extend-varying": (1, "extension failed: constant-angle hypothesis violated: <N,n> varies by 2.228e-01 about "
                            "-1.220594\n"),
         "extend-singular": (1, "extension failed: extended g takes the singular value (1+0j) near "
@@ -130,11 +138,10 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         # g crosses |g| = 1 about its pole, so the Gauss map leaves one sheet of the hyperboloid
         "check-half-annulus-poles": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
         "check-half-annulus-poles.ext": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
-        # c = 6e-8 is below LAM_ZERO_TOL: the line Im w = 0 reflects g off by about 2 |c|, so the sides miss
-        "extend-near-orthogonal-3e-08": (1, '"passed": false,\n    "tolerance": 1e-07'),
-        "check-near-orthogonal-3e-08.ext": (1, '"name": "boundary_locus",\n      "passed": false,'),
-        # the reflected g cancels to about eps / |c| off the arc, which the Laplacian stencil amplifies
-        "check-near-orthogonal-5e-07.ext": (1, '"name": "minus_harmonicity",\n      "passed": false,'),
+        # g reflects through the timelike locus of c itself, near the line Im w = 0 or not
+        "extend-near-orthogonal-3e-08": (0, '"passed": true,\n    "tolerance": 1e-07'),
+        "check-near-orthogonal-3e-08.ext": (0, '"name": "boundary_locus",\n      "passed": true,'),
+        "check-near-orthogonal-5e-07.ext": (0, '"name": "minus_harmonicity",\n      "passed": true,'),
         "eval-catenoid-repeated-at": (2, "--- stdout\n--- stderr\nconfig error: field '--at': given 2 times; eval takes"
                                       " one point\n"),
         "eval-catenoid-outside": (1, "--- stdout\n--- stderr\nerror: point (2+0j) outside the domain\n"),
@@ -143,8 +150,8 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "eval-half-annulus-poles.ext-arc-end": (1, "--- stdout\n--- stderr\nerror: point (0.9+0j) outside the assembled "
                                                 "domain\n"),
     }
-    for name in logs:  # the orthogonal contacts evaluate on the reflected side, without a warning
-        if name[4:-4].startswith("eval-orthogonal-"):
+    for name in logs:  # the orthogonal and near-line contacts evaluate on the reflected side, without a warning
+        if name[4:-4].startswith(("eval-orthogonal-", "eval-near-")):
             text = (tmp_path / name).read_text()
             assert "\nexit 0\n" in text and text.endswith("\n--- stderr\n"), name
     for name in ("half-annulus-poles", "half-annulus-poles.ext"):  # the declared pole pairs with f's double zero

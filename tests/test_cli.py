@@ -295,14 +295,16 @@ def test_extend_varying_angle_exits_1(tmp_path, capsys):
 
 
 def test_extend_orthogonal_exits_0_and_its_check_passes(tmp_path, capsys):
-    # g real on the axis: c = 0 against the plane x2 = d that the boundary lies in
+    # g real on the axis: c = 0 against the plane x2 = d that the boundary lies in, measured to
+    # round-off, and lam reports 1/c (null only at c = 0 exactly)
     p, out = tmp_path / "orth.cfg", tmp_path / "orth.ext.cfg"
     p.write_text(
         "f = 1\ng = 0.3*cos(z)\ndomain = upper-half-disk\nradius = 0.7\n"
         "z0 = 0.5*i\ntol = 1e-10\nplane = 0,1,0,0.22552898657150722\n"
     )
     assert main(["extend", str(p), "-o", str(out)]) == 0
-    assert json.loads(capsys.readouterr().out)["contact"]["lam"] is None
+    contact = json.loads(capsys.readouterr().out)["contact"]
+    assert abs(contact["c"]) < 1e-15 and contact["lam"] == (1 / contact["c"] if contact["c"] else None)
     assert main(["check", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from fixtures import (
 from maxsurf import extension, weierstrass
 from maxsurf.expr import Const, Div, EvalError, Mul, Pow, Var, compile_array, compile_fn, evaluate, format_expr, parse
 from maxsurf.extension import (
+    ANGLE_TOL,
+    CASES,
     BoundaryArc,
     CircleOrLine,
     DegenerateContactWarning,
@@ -69,11 +72,16 @@ def test_a_boundary_arc_is_a_segment_or_a_circle_of_positive_radius(kind, rho, m
 
 
 def test_distance_from_a_line_and_a_circle():
-    line = CircleOrLine("line", point=1 + 0j, direction=1j)
+    line = CircleOrLine(0.0, 1 + 0j, -2.0)  # 2 Re w - 2 = 0: the line Re w = 1
     assert line.distance(1 + 5j) < 1e-12
     assert abs(line.distance(3 + 0j) - 2) < 1e-12
-    circle = CircleOrLine("circle", center=1j, radius=2.0)
-    assert abs(circle.distance(1j + 2.5) - 0.5) < 1e-15 and circle.distance(1j - 2) == 0
+    assert line.radius == math.inf and line.mismatch(3 + 0j) == 2 / 4  # the scale 1 + |w|
+    circle = CircleOrLine(1.0, -1j, -3.0)  # |w - i|^2 = 4
+    assert abs(circle.distance(1j + 2.5) - 0.5) < 1e-15 and circle.distance(1j - 2) < 1e-15
+    assert circle.radius == 2 and circle.mismatch(1j + 2.5) == circle.distance(1j + 2.5) / 3  # 1 + min(|w|, 2)
+    # the timelike circle of c = 1e-12, of radius about 1e12, is the line Im w = 0 to within 1e-12 about 0
+    for w in (0.3 + 0.2j, -0.5 - 0.1j):
+        assert abs(CircleOrLine(1e-12, 1j, -1e-12).distance(w) - abs(w.imag)) < 1e-12
 
 
 def test_locus_mismatch_metric():
@@ -81,7 +89,7 @@ def test_locus_mismatch_metric():
     for data, plane in (spacelike_fixture(), timelike_fixture(), lightlike_fixture()):
         contact = measure_contact(data, plane)
         g_limits = extension._boundary_limits(data, contact.unit_normal)[3]
-        assert contact.locus_mismatch == max(contact.locus.distance(g) for g in g_limits)
+        assert contact.locus_mismatch == max(contact.locus.mismatch(g) for g in g_limits)
         assert contact.locus_mismatch < 1e-13
 
 
@@ -95,8 +103,7 @@ def test_measure_contact_spacelike_fixture():
     assert abs(c.c + 5 / 3) < 1e-8
     assert c.deviation < 1e-8
     assert c.sheet == 1
-    assert c.locus.kind == "circle"
-    assert abs(c.locus.center) < 1e-9
+    assert (c.locus.a, c.locus.b) == (1, 0)  # a circle about 0
     assert abs(c.locus.radius - 0.5) < 1e-9
     # cosh(theta) = 5/3 forces tanh(theta/2) = 1/2 on the upper sheet
     assert abs(math.cosh(c.theta) - 5 / 3) < 1e-8
@@ -110,7 +117,7 @@ def test_measure_contact_timelike_fixture():
     assert c.plane_kind is CausalClass.TIMELIKE
     assert abs(c.c - 1.0) < 1e-6
     assert abs(c.lam - 1.0) < 1e-6
-    assert abs(c.locus.center + 1j) < 1e-6
+    assert c.locus == CircleOrLine(c.c, 1j, -c.c)  # about -i/c
     assert abs(c.locus.radius - math.sqrt(2)) < 1e-6
 
 
@@ -120,18 +127,17 @@ def test_measure_contact_lightlike_fixture():
     assert c.plane_kind is CausalClass.LIGHTLIKE
     assert abs(c.c + 1.0) < 1e-7
     assert abs(c.lam + 2.0) < 1e-7
-    assert abs(c.locus.center - 0.5) < 1e-7
+    assert c.locus == CircleOrLine(c.lam, 1 + 0j, -c.lam - 2)  # about -1/lam
     assert abs(c.locus.radius - 0.5) < 1e-7
 
 
 def test_measure_contact_lightlike_tangent_fixture():
     data, plane = lightlike_tangent_fixture()
     c = measure_contact(data, plane)
-    assert c.lam == 0.0
+    assert abs(c.lam) < 1e-14 and c.lam == c.c - 1  # measured, not rounded to 0
     assert c.sheet == -1
-    assert c.locus.kind == "line"
-    assert abs(c.locus.point.real - 1.0) < 1e-7
-    assert abs(c.locus.direction.real) < 1e-7
+    assert c.locus == CircleOrLine(c.lam, 1 + 0j, -c.lam - 2)  # the line Re w = 1 to round-off
+    assert c.locus.radius > 1e14 and c.locus.distance(1 + 1j) < 1e-14
 
 
 def test_measure_contact_catenoid_circle():
@@ -142,19 +148,24 @@ def test_measure_contact_catenoid_circle():
     assert abs(c.c + (1 + rho**2) / (1 - rho**2)) < 1e-9
     assert c.deviation < 1e-8
     assert abs(c.locus.radius - rho) < 1e-12
-    assert abs(c.locus.center) < 1e-12
+    assert (c.locus.a, c.locus.b) == (1, 0)
     assert abs(math.tanh(c.theta / 2) - rho) < 1e-9
 
 
 def test_orthogonal_contact_is_the_timelike_line():
-    # g real on the axis makes <N, (0,1,0)> -> 0: the locus is the line Im w = 0, and g reflects to conj(g)
+    # g real on the axis makes <N, (0,1,0)> -> 0: the timelike locus of that c is the line Im w = 0 to
+    # round-off, through which g reflects to conj(g); at c = 0 exactly the reflection is conj(g) itself
     dom = Domain(DomainKind.HALF_DISK, radius=0.7)
     data = WeierstrassData(parse("1"), parse("0.3*cos(z)"), dom, 0.5j, LVector(0, 0, 0))
     c = measure_contact(data, Plane(LVector(0, 1, 0), 0.22552898657150722))
-    assert abs(c.c) < 1e-15 and c.lam is None and c.theta is None
-    assert c.locus.kind == "line" and c.locus_mismatch < 1e-15
-    g_minus = reflect_g(CausalClass.TIMELIKE, data.g, c.lam, c.boundary)
-    assert format_expr(g_minus) == format_expr(c.boundary.conj(data.g))
+    assert abs(c.c) < 1e-15 and c.lam == 1 / c.c and c.theta is None
+    assert c.locus == CircleOrLine(c.c, 1j, -c.c) and c.locus_mismatch < 1e-15
+    conj_g = compile_fn(c.boundary.conj(data.g))
+    g_minus = compile_fn(reflect_g(data.g, c.locus, c.boundary))
+    assert all(abs(g_minus(z) - conj_g(z)) < 1e-15 for z in minus_points(10, radius=0.7))
+    line = CASES[CausalClass.TIMELIKE].locus(0.0, 1, [])
+    assert line == (CircleOrLine(0.0, 1j, -0.0), None, None)
+    assert format_expr(reflect_g(data.g, line[0], c.boundary)) == format_expr(c.boundary.conj(data.g))
 
 
 def _circle(center, radius, ts):
@@ -181,37 +192,43 @@ def _contact_from_limits(monkeypatch, normal, c, g_limits):
 
 @pytest.mark.parametrize("row", list(LOCI))
 def test_a_boundary_limit_off_the_locus_is_refused_at_the_tolerance(monkeypatch, row):
-    # one limit moved off the closed-form locus by a multiple of LOCUS_TOL (1 + r), r = 1 for a line
+    # two limits moved off the closed-form locus, to either side, each by a multiple of LOCUS_TOL times
+    # its own scale 1 + min(|w|, R), R infinite for a line; the spacelike mean radius stays where it was
     normal, c, gs, unit = LOCI[row]
-    locus = _contact_from_limits(monkeypatch, normal, c, gs).locus
-    bound = LOCUS_TOL * (1 + (locus.radius or 1.0))
-    # the spacelike radius is the mean |g|, which the moved limit pulls by 1/9 of its step
-    step = bound * (9 / 8 if row == "spacelike" else 1)
-    moved = list(gs)
-    moved[3] += 0.5 * step * unit(gs[3])
-    assert _contact_from_limits(monkeypatch, normal, c, moved).locus_mismatch <= 0.5 * bound * (1 + 1e-9)
-    moved[3] += 1.5 * step * unit(gs[3])
-    with pytest.raises(GeometryMismatchError, match=f"boundary g lies {2 * bound:.3e} off {locus.kind}"):
-        _contact_from_limits(monkeypatch, normal, c, moved)
+    radius = _contact_from_limits(monkeypatch, normal, c, gs).locus.radius
+
+    def moved(k):
+        out = list(gs)
+        for j, side in ((3, k), (5, -k)):
+            out[j] += side * LOCUS_TOL * (1 + min(abs(gs[j]), radius)) * unit(gs[j])
+        return out
+
+    mismatch = _contact_from_limits(monkeypatch, normal, c, moved(0.5)).locus_mismatch
+    assert mismatch == pytest.approx(0.5 * LOCUS_TOL, rel=1e-5)
+    with pytest.raises(GeometryMismatchError, match=r"boundary g lies 2\.000e-06 \(relative\) off generalized circle"):
+        _contact_from_limits(monkeypatch, normal, c, moved(2))
 
 
 def test_a_spacelike_radius_off_tanh_half_theta_is_refused_at_the_tolerance(monkeypatch):
-    # every limit on a circle about 0, of a radius off the one c implies
+    # every limit on a circle about 0 whose radius r gives (1 + r^2)/|1 - r^2|, the cosh(theta) of
+    # tanh(theta/2), off |c| by a multiple of ANGLE_TOL
     normal, c, gs, _ = LOCI["spacelike"]
-    bound = LOCUS_TOL * (1 + _R_SPACELIKE)
 
     def scaled(k):
-        return [g * (1 + k * bound / _R_SPACELIKE) for g in gs]
+        cosh = abs(c) + k * ANGLE_TOL
+        return [g * (math.sqrt((cosh - 1) / (cosh + 1)) / _R_SPACELIKE) for g in gs]
 
     assert _contact_from_limits(monkeypatch, normal, c, scaled(0.5)).locus_mismatch < 1e-15
-    with pytest.raises(GeometryMismatchError, match=r"boundary \|g\| = 0\.500003000 misses tanh\(theta/2\)\^1"):
+    message = re.escape("boundary |g| = 0.500000562 gives (1 + |g|^2)/|1 - |g|^2| = 1.666668667, "
+                        "which misses |c| = 1.666666667")
+    with pytest.raises(GeometryMismatchError, match=message):
         _contact_from_limits(monkeypatch, normal, c, scaled(2))
 
 
 def test_a_nan_distance_from_the_locus_is_refused(monkeypatch):
     # an infinite limit on the line Re w = 1 is at a NaN distance from it
     normal, c, gs, _ = LOCI["lightlike-line"]
-    with pytest.raises(GeometryMismatchError, match="boundary g lies nan off line"):
+    with pytest.raises(GeometryMismatchError, match=r"boundary g lies nan \(relative\) off generalized circle"):
         _contact_from_limits(monkeypatch, normal, c, gs[:-1] + [complex(1, math.inf)])
 
 
@@ -237,7 +254,7 @@ def test_an_orthogonal_contact_extends_to_its_mirror_image(fg, zs):
     data = WeierstrassData(f, g, dom, 0.5j, LVector(0, 0, 0))
     d = evaluate_surface(data, 0j).x2
     ext = extend(data, Plane(LVector(0, 1, 0), d))
-    assert ext.contact.lam is None and ext.matching.passed
+    assert abs(ext.contact.c) < 1e-15 and ext.matching.passed
     formulas = [(compile_fn(e), compile_fn(minus)) for e, minus in ((f, ext.f_minus), (g, ext.g_minus))]
     for z in [complex(u, v) for u, v in zs]:
         for plus, minus in formulas:
@@ -287,18 +304,19 @@ def test_degenerate_lightlike_contact_warns():
 # the reflection formulas fix their locus and are involutive
 
 def test_spacelike_reflection_fixes_circle_and_involutes():
-    g = parse("exp(i*z)/2")
-    gm = reflect_g(CausalClass.SPACELIKE, g, 0.5, BoundaryArc("segment"))
+    g, circle = parse("exp(i*z)/2"), CircleOrLine(1.0, 0j, -0.25)  # |w| = 1/2
+    gm = reflect_g(g, circle, BoundaryArc("segment"))
+    assert gm == Div(Const(0.25), parse("exp(-i*z)/2"))  # r^2/conj(g)
     for u in np.linspace(-0.6, 0.6, 7):
         assert abs(abs(evaluate(gm, u)) - 0.5) < 1e-12
-    g2 = reflect_g(CausalClass.SPACELIKE, gm, 0.5, BoundaryArc("segment"))
+    g2 = reflect_g(gm, circle, BoundaryArc("segment"))
     for z in minus_points(20):
         assert abs(evaluate(g2, z) - evaluate(g, z)) < 1e-12
 
 
 def test_timelike_reflection_fixes_circle():
     g = parse("-i + sqrt(2)*i*exp(i*z)")
-    gm = reflect_g(CausalClass.TIMELIKE, g, 1.0, BoundaryArc("segment"))
+    gm = reflect_g(g, CircleOrLine(1.0, 1j, -1.0), BoundaryArc("segment"))  # the timelike locus of c = 1
     for u in np.linspace(-0.5, 0.5, 7):
         w = evaluate(gm, u)
         assert abs(w.real**2 + (w.imag + 1) ** 2 - 2) < 1e-12
@@ -306,7 +324,8 @@ def test_timelike_reflection_fixes_circle():
 
 def test_lightlike_line_reflection_fixes_axis():
     g = parse("1 + i*(1 + z/4)")
-    gm = reflect_g(CausalClass.LIGHTLIKE, g, 0.0, BoundaryArc("segment"))
+    gm = reflect_g(g, CircleOrLine(0.0, 1 + 0j, -2.0), BoundaryArc("segment"))  # lam = 0: Re w = 1, g to 2 - conj(g)
+    assert format_expr(gm) == "2+-1*(1+-i*(1+z/4))"
     for u in np.linspace(-0.5, 0.5, 7):
         assert abs(evaluate(gm, u).real - 1.0) < 1e-14
 
@@ -407,18 +426,18 @@ EMITTED_FORMULAS = [
     ),
     (
         timelike_fixture,
-        "exp(i*z)*(1-(i-i*sqrt(2)*exp(-i*z))^2)/(1-(-1.0000000000002045*i+2.000000000000409/(i-i*sqrt(2)*exp(-i*z)-1.0000000000002045*i))^2)",
-        "-1.0000000000002045*i+2.000000000000409/(i-i*sqrt(2)*exp(-i*z)-1.0000000000002045*i)",
+        "exp(i*z)*(1-(i-i*sqrt(2)*exp(-i*z))^2)/(1-((0.9999999999997955*i+(i-i*sqrt(2)*exp(-i*z)))/(1+0.9999999999997955*i*(i-i*sqrt(2)*exp(-i*z))))^2)",
+        "(0.9999999999997955*i+(i-i*sqrt(2)*exp(-i*z)))/(1+0.9999999999997955*i*(i-i*sqrt(2)*exp(-i*z)))",
     ),
     (
         lightlike_fixture,
-        "-exp(i*z)*(1-(1-i*exp(-i*z))/2)^2/(1-(0.5000000000000044+0.24999999999999556/((1-i*exp(-i*z))/2-0.5000000000000044)))^2",
-        "0.5000000000000044+0.24999999999999556/((1-i*exp(-i*z))/2-0.5000000000000044)",
+        "-exp(i*z)*(1-(1-i*exp(-i*z))/2)^2/(1-(1.7763568394002505e-14-(1-i*exp(-i*z))/2)/(1-0.9999999999999911*(1-i*exp(-i*z))))^2",
+        "(1.7763568394002505e-14-(1-i*exp(-i*z))/2)/(1-0.9999999999999911*(1-i*exp(-i*z)))",
     ),
     (
         lightlike_tangent_fixture,
-        "i*(1-(1-i*(1+z/4)))^2/(1-(2-(1-i*(1+z/4))))^2",
-        "2-(1-i*(1+z/4))",
+        "i*(1-(1-i*(1+z/4)))^2/(1-(1.9999999999999984-(1-i*(1+z/4)))/(1-(1-i*(1+z/4))/643371375338642.2))^2",
+        "(1.9999999999999984-(1-i*(1+z/4)))/(1-(1-i*(1+z/4))/643371375338642.2)",
     ),
     (
         catenoid_extension_fixture,
@@ -441,10 +460,17 @@ def _nodes(e):
     return 1 + sum(_nodes(getattr(e, name)) for name in ("arg", "left", "right", "base") if hasattr(e, name))
 
 
+def _unreduced(ext):
+    """(f_minus, g_minus) as the case row and the locus's reflection build them, before the normal form."""
+    data, case, arc = ext.original, ext.case, ext.contact.boundary
+    g_minus = reflect_g(data.g, ext.contact.locus, arc)
+    return case.recover(arc.pullback(case.odd(data.f, data.g)), g_minus), g_minus
+
+
 @pytest.mark.parametrize("fixture", [c[0] for c in EMITTED_FORMULAS], ids=lambda fx: fx.__name__)
 def test_emitted_formulas_are_no_longer_than_the_unreduced_ones(fixture):
     ext = extend(*fixture())
-    for old, new in zip(UNREDUCED_FORMULAS[fixture.__name__], (ext.f_minus, ext.g_minus)):
+    for old, new in zip(map(format_expr, _unreduced(ext)), (ext.f_minus, ext.g_minus)):
         text = format_expr(new)
         assert len(text) <= len(old)
         assert _nodes(parse(text)) <= _nodes(parse(old)) and _nodes(new) <= _nodes(parse(old))
@@ -582,9 +608,7 @@ def test_extend_circular_involution():
     data, plane = catenoid_extension_fixture(b=-0.7)
     ext = extend(data, plane)
     rho = math.exp(-0.7)
-    g2 = reflect_g(
-        CausalClass.SPACELIKE, ext.g_minus, ext.contact.locus.radius, BoundaryArc("circle", rho)
-    )
+    g2 = reflect_g(ext.g_minus, ext.contact.locus, BoundaryArc("circle", rho))
     rng = np.random.default_rng(5)
     for _ in range(30):
         z = cmath.rect(rng.uniform(0.55, 0.95), rng.uniform(-math.pi, math.pi))

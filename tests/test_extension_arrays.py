@@ -87,10 +87,11 @@ def scalar_contact(data, plane):
     else:
         raise HypothesisViolationError("boundary Gauss values straddle |g| = 1")
     locus, _, _ = case.locus(c, sheet, g_limits)
-    distances = [locus.distance(gv) for gv in g_limits]
-    mismatch = math.nan if any(map(math.isnan, distances)) else max(distances)
-    if not mismatch <= LOCUS_TOL * (1 + (locus.radius or 1.0)):
-        raise GeometryMismatchError(f"boundary g lies {mismatch:.3e} off {locus.describe()} implied by c = {c:.9f}")
+    mismatches = [locus.distance(gv) / (1 + min(abs(gv), locus.radius)) for gv in g_limits]
+    mismatch = math.nan if any(map(math.isnan, mismatches)) else max(mismatches)
+    if not mismatch <= LOCUS_TOL:
+        raise GeometryMismatchError(f"boundary g lies {mismatch:.3e} (relative) off {locus.describe()} "
+                                    f"implied by c = {c:.9f}")
     return c, deviation, sheet, locus, mismatch
 
 
@@ -279,7 +280,7 @@ def test_the_reflected_side_reflects_back_to_the_data(family):
     except ExtensionError:
         return
     case, arc = ext.case, ext.contact.boundary
-    g2 = reflect_g(case.kind, ext.g_minus, case.parameter(ext.contact), arc)
+    g2 = reflect_g(ext.g_minus, ext.contact.locus, arc)
     f2 = case.recover(arc.pullback(case.odd(ext.f_minus, ext.g_minus)), g2)
     points = boundary_samples(data.domain, depths=(0.6, 0.3, 0.1, 0.02))
     assert all(arc.on_original_side(z) for z in points)

@@ -5,6 +5,7 @@ import math
 from unittest.mock import patch
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,19 +13,20 @@ from fixtures import (
     bench_configs,
     catenoid_extension_fixture,
     degenerate_lightlike_fixture,
+    lower_sheet_config,
     near_orthogonal_fixture,
     orthogonal_band_config,
     plane_fixture,
     random_polynomial_data,
     spacelike_fixture,
+    tangent_band_config,
     timelike_fixture,
 )
 from maxsurf import verify
-from maxsurf.cli import SurfaceConfig
+from maxsurf.cli import SurfaceConfig, main
 from maxsurf.expr import parse
 from maxsurf.extension import (
-    LAM_ZERO_TOL,
-    MATCH_TOL,
+    CircleOrLine,
     HypothesisViolationError,
     _lightlike_locus,
     _spacelike_locus,
@@ -200,17 +202,81 @@ ORTHOGONAL_BAND = sorted({float(f"{m}e{k}") for k in range(-9, -3) for m in (1, 
 
 @pytest.mark.parametrize("eps", ORTHOGONAL_BAND)
 def test_a_near_orthogonal_contact_keeps_one_locus_kind_or_refuses(eps):
-    # c = 2 eps / (1 - eps^2): the contact's one locus is the line Im w = 0 below LAM_ZERO_TOL and a circle
-    # above; the circle matches, and the line only refuses, off by about 2 |c| (ROADMAP item 7's band)
+    # c = 2 eps / (1 - eps^2): at every size of c the contact's one locus is the timelike form of c itself,
+    # which is the line Im w = 0 at c = 0 only, and g reflected through it matches (ROADMAP item 7's band)
     cfg = SurfaceConfig.from_text(orthogonal_band_config(eps))
     ext = extend(cfg.data, cfg.plane)
     contact = ext.contact
-    assert (contact.locus.kind == "line") == (contact.lam is None) == (abs(contact.c) < LAM_ZERO_TOL)
-    if contact.lam is not None:
-        assert ext.matching.passed, ext.matching.max_gap
-    else:
-        assert abs(ext.matching.max_gap - 2 * abs(contact.c)) < 0.1 * abs(contact.c)
-        assert ext.matching.passed == (ext.matching.max_gap <= MATCH_TOL)
+    assert contact.locus == CircleOrLine(contact.c, 1j, -contact.c) and contact.lam == 1 / contact.c
+    assert ext.matching.passed, ext.matching.max_gap
+
+
+def _band_polynomials(e):
+    """f, f g and f g^2 of the timelike band, f = (1 + i e z)^2 and g = (z + i e)/(1 + i e z), by coefficient."""
+    a, b = (1, 1j * e), (1j * e, 1)
+    return P.polymul(a, a), P.polymul(a, b), P.polymul(b, b)
+
+
+def _tangent_polynomials(lam):
+    """f, f g and f g^2 of the lightlike band, f = i (gamma (z+1.5) + 1)^2 and g = (i (z+1.5) + 1)/(gamma (z+1.5) + 1),
+    with the gamma = -i lam/(lam+2) the config writes."""
+    gamma = complex(0, -lam / (lam + 2))
+    a, b = (1.5 * gamma + 1, gamma), (1.5j + 1, 1j)
+    return 1j * P.polymul(a, a), 1j * P.polymul(a, b), 1j * P.polymul(b, b)
+
+
+def _lower_sheet_polynomials(theta):
+    """f, f g and f g^2 of f = k (1 - i z)^2 and g = m i (1 + i z)/(k (1 - i z)), with the k = 1 - cosh(theta) and
+    m = -sinh(theta) the config writes (1 - cosh(theta) rounds, so the oracle takes the same k)."""
+    k, m = 1 - math.cosh(theta), -math.sinh(theta)
+    return k * P.polymul((1, -1j), (1, -1j)), 1j * m * np.array([1, 0, 1]), -m * m / k * P.polymul((1, 1j), (1, 1j))
+
+
+def _closed_form_X(polynomials, z0, z):
+    """X(z) from X(z0) = 0 for phi = (f (1 + g^2)/2, i f (1 - g^2)/2, f g), whose antiderivatives are polynomial."""
+    f, fg, fg2 = polynomials
+    phis = (P.polyadd(f, fg2) / 2, 0.5j * P.polysub(f, fg2), fg)
+    return [(P.polyval(z, P.polyint(p)) - P.polyval(z0, P.polyint(p))).real for p in phis]
+
+
+def _extends_to_its_closed_form(tmp_path, capsys, text, polynomials, z0):
+    """extend exits 0 with matching passed, check of the written file passes, and eval on the reflected side is
+    within 10 tol (1 + |X|) of the closed form, where the data is the continuation of itself."""
+    cfg, out = tmp_path / "contact.cfg", tmp_path / "contact.ext.cfg"
+    cfg.write_text(text)
+    assert main(["extend", str(cfg), "-o", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["matching"]["passed"]
+    assert main(["check", str(out)]) == 0, [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]
+                                            if not c["passed"]]
+    capsys.readouterr()
+    tol = SurfaceConfig.from_text(text).tol
+    for z in (0.2 - 0.3j, -0.35 - 0.15j):
+        assert main(["eval", str(out), f"--at={z.real!r},{z.imag!r}"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        X = [float(x) for x in line.removeprefix("X = (").removesuffix(")").split(", ")]
+        want = _closed_form_X(polynomials, z0, z)
+        assert max(abs(a - b) for a, b in zip(X, want)) <= 10 * tol * (1 + math.hypot(*X)), (z, X, want)
+
+
+_NEAR_LINE = [s * m for m in (1e-10, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6, 1e-4, 1e-2) for s in (1, -1)]
+_LINE_ROWS = {  # row: its band's config and closed form, c = 2 e/(1 - e^2) and c = 1 + lam
+    "timelike": (orthogonal_band_config, _band_polynomials),
+    "lightlike": (tangent_band_config, _tangent_polynomials),
+}
+
+
+@pytest.mark.parametrize("row, p", [(row, p) for row in _LINE_ROWS for p in _NEAR_LINE])
+def test_a_contact_near_a_line_locus_extends_to_its_closed_form(tmp_path, capsys, row, p):
+    # g reflects through the row's one regular locus form, with no threshold where a circle turns into a line
+    config, polynomials = _LINE_ROWS[row]
+    _extends_to_its_closed_form(tmp_path, capsys, config(p), polynomials(p), 0.5j)
+
+
+@pytest.mark.parametrize("theta", [3e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5])
+def test_a_lower_sheet_contact_near_c_1_extends_to_its_closed_form(tmp_path, capsys, theta):
+    # |g| = coth(theta/2) is about 2/theta: the radius rule in cosh(theta) holds it where acosh would lose
+    # half of c's digits
+    _extends_to_its_closed_form(tmp_path, capsys, lower_sheet_config(theta), _lower_sheet_polynomials(theta), 0.3j)
 
 
 THRESHOLDS = {  # each row's rule just below and just above its bound, and its refusal below it
@@ -235,7 +301,7 @@ def test_the_obstruction_limit_is_the_contact_angle(name):
     # the rule reads c, which check reports with angle_constancy
     cfg = SurfaceConfig.from_text(bench_configs()[name])
     contact = measure_contact(cfg.data, cfg.plane)
-    assert contact.locus.kind == "circle"  # none is near c = 0, where the timelike locus is a line
+    assert math.isfinite(contact.locus.radius)  # none is near c = 0, where the timelike locus is a line
     assert full_diagnostics(extend(cfg.data, cfg.plane), GridSpec(3, 4))["angle_constancy"].details["c"] == contact.c
 
 

@@ -84,15 +84,19 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     (exit 1);
   - ``extend`` and ``check`` of two nearly orthogonal timelike contacts,
     ``f = (1+i e z)^2``, ``g = (z+i e)/(1+i e z)`` at e = 3e-8 and 5e-7
-    (c = 2e/(1-e^2)): at 3e-8 g is reflected through the line Im w = 0, so
-    extend fails matching and check fails boundary_locus (exit 1); at 5e-7
-    through the closed-form circle, so extend exits 0 and check fails
-    minus_harmonicity; then of a half disk of radius 1e-11, whose arc
+    (c = 2e/(1-e^2)), whose g reflects through the timelike locus form of
+    that c (all exit 0); then of a half disk of radius 1e-11, whose arc
     positions lie closer than 1e-9 (both exit 0);
   - ``eval`` of the catenoid with ``--at`` given twice (exit 2, no point
     dropped) and outside its domain (exit 1); then ``eval`` on the diameter of
     the extended half annulus, inside its radii at u = 0.5 and u = -0.5
-    (exit 0) and at u = radius (exit 1).
+    (exit 0) and at u = radius (exit 1);
+  - contacts whose locus is nearly a line or, in the unit of c, nearly
+    singular (each exit 0): ``extend`` of the timelike band at e = 1e-8 and
+    ``eval`` on its reflected side; ``extend``, ``check`` and ``eval`` of
+    the lightlike band ``tangent_band`` at lam = 1e-7 and 1e-8 (c = 1 + lam);
+    ``extend`` and ``check`` of the spacelike contact ``lower_sheet`` at
+    theta = 1e-6, where |g| = coth(theta/2) is about 2e6.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -114,6 +118,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -237,12 +242,41 @@ def orthogonal_band(e: float) -> str:
     return head + f"plane = 0,1,0,{evaluate_surface(SurfaceConfig.from_text(head).data, 0j).x2!r}\n"
 
 
+def tangent_band(lam: float) -> str:
+    """f = i (gamma (z+1.5) + 1)^2, g = (i (z+1.5) + 1)/(gamma (z+1.5) + 1) with gamma = -i lam/(lam+2) on the
+    radius-0.7 upper half disk, against the lightlike plane x1 - x3 = d that its boundary lies in (d = x1 - x3
+    of X(0)): g sends the axis into the locus of c = 1 + lam, tangential as lam -> 0."""
+    gamma = f"{-lam / (lam + 2)!r}*i"
+    head = f"f = i*({gamma}*(z+1.5)+1)^2\ng = (i*(z+1.5)+1)/({gamma}*(z+1.5)+1)\n" + _HALF
+    X = evaluate_surface(SurfaceConfig.from_text(head).data, 0j)
+    return head + f"plane = 1,0,1,{X.x1 - X.x3!r}\n"
+
+
+def lower_sheet(theta: float) -> str:
+    """f = k (1 - i z)^2, g = m i (1 + i z)/(k (1 - i z)) with k = 1 - cosh(theta) and m = -sinh(theta) on the
+    radius-0.6 upper half disk, against the spacelike plane x3 = x3 of X(0): |g| = coth(theta/2) on the axis,
+    the lower sheet's contact at |c| = cosh(theta), near |c| = 1 as theta -> 0."""
+    k, m = 1 - math.cosh(theta), -math.sinh(theta)
+    head = (f"f = {k!r}*(1-i*z)^2\ng = ({m!r}*i*(1+i*z))/({k!r}*(1-i*z))\n"
+            "domain = upper-half-disk\nradius = 0.6\nz0 = 0.3*i\n")
+    return head + f"plane = 0,0,1,{-evaluate_surface(SurfaceConfig.from_text(head).data, 0j).x3!r}\n"
+
+
 LATE_CONTACTS = {  # name: config, each extended and its output checked after the rest
     "near-orthogonal-3e-08": orthogonal_band(3e-8),
     "near-orthogonal-5e-07": orthogonal_band(5e-7),
     # the config of tests/test_cli.py::test_extend_on_a_tiny_domain_keeps_its_arc_positions_apart
     "tiny-domain": "f = i*exp(-i*z)\ng = exp(i*z)/2\ndomain = upper-half-disk\nradius = 1e-11\nz0 = 0.5e-11*i\n"
     "X0 = 0,0,0\ntol = 1e-10\nplane = 0,0,1,-2.5e-12\n",
+}
+
+
+_REFLECTED = "--at=0.2,-0.3"  # a point of the reflected side of the upper half disks
+NEAR_LINE_CONTACTS = {  # name: (config, what runs on the config its extend writes), run last
+    "near-orthogonal-1e-08": (orthogonal_band(1e-8), [["eval", _REFLECTED]]),
+    "near-tangent-1e-07": (tangent_band(1e-7), [["check"], ["eval", _REFLECTED]]),
+    "near-tangent-1e-08": (tangent_band(1e-8), [["check"], ["eval", _REFLECTED]]),
+    "lower-sheet-1e-06": (lower_sheet(1e-6), [["check"]]),
 }
 
 
@@ -327,6 +361,9 @@ def commands() -> list[tuple[str, list[str]]]:
     arc = "half-annulus-poles.ext"  # its diameter: the two halves between the radii, then the outer end
     cmds += [(f"eval-{arc}-arc-u{u}", ["eval", f"{arc}.cfg", f"--at={u},0"]) for u in ("0.5", "-0.5")]
     cmds.append((f"eval-{arc}-arc-end", ["eval", f"{arc}.cfg", "--at=0.9,0"]))
+    for name, (_, runs) in NEAR_LINE_CONTACTS.items():
+        cmds.append((f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]))
+        cmds += [(f"{command}-{name}.ext", [command, f"{name}.ext.cfg", *args]) for command, *args in runs]
     return cmds
 
 
@@ -364,7 +401,8 @@ def capture(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
     meshes = {name: text for name, (text, _) in DOMAIN_MESHES.items()}
-    inputs = {name: text for name, (text, _) in {**INPUT_FAULTS, **ONE_LINE_FAULTS, **SQUARE_OVERFLOWS}.items()}
+    inputs = {name: text for name, (text, _) in
+              {**INPUT_FAULTS, **ONE_LINE_FAULTS, **SQUARE_OVERFLOWS, **NEAR_LINE_CONTACTS}.items()}
     configs = {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs, **OBSTRUCTIONS,
                **ORTHOGONAL_CONTACTS, "tangential-lightlike": TANGENTIAL_CONTACT, **LATE_CONTACTS}
     configs["half-annulus-poles"] = HALF_ANNULUS_POLES

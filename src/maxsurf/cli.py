@@ -5,7 +5,7 @@ Commands (exit codes: 0 pass, 1 hypothesis or check failure, 2 input error):
     maxsurf check CONFIG            run the diagnostic suite, print JSON
     maxsurf eval CONFIG --at u,v    print X, N and the conformal factor
     maxsurf extend CONFIG -o OUT    extend across the configured plane
-    maxsurf mesh CONFIG --grid NxM -o OUT.obj   triangulated export
+    maxsurf mesh CONFIG --grid NxM -o OUT.obj   triangulated export of the config's surface
     maxsurf catenoid                print the built-in reference config
 
 Config files are flat key = value text, their keys declared once in ``_KEYS``;
@@ -296,7 +296,8 @@ class SurfaceMesh:
     shape: tuple[int, int]
 
 
-def _mesh_parameters(domain: Domain, mesh_range):
+def _mesh_parameters(surface, mesh_range):
+    domain = surface.original.domain
     polar = domain.kind in (DomainKind.ANNULUS, DomainKind.PUNCTURED_DISK)
     if mesh_range is not None:
         return polar, mesh_range
@@ -304,8 +305,9 @@ def _mesh_parameters(domain: Domain, mesh_range):
     if polar:
         r0 = domain.inner_radius if domain.inner_radius > 0 else 0.05 * R
         return True, (r0, R, -math.pi, math.pi)
-    if domain.kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS):
-        return False, (-0.7 * R, 0.7 * R, 0.05 * R, 0.7 * R)
+    if domain.kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS):  # mirrored where another side holds below
+        mirrored = surface.side(-0.5j * R) is not surface.original
+        return False, (-0.7 * R, 0.7 * R, -0.7 * R if mirrored else 0.05 * R, 0.7 * R)
     s = 0.7 * R
     return False, (-s, s, -s, s)
 
@@ -346,36 +348,37 @@ def _grid_forest(points: np.ndarray, valid: np.ndarray, nv: int, z0: complex):
 
 
 def build_mesh(
-    data: WeierstrassData,
+    surface: WeierstrassData | ExtendedSurface,
     nu: int,
     nv: int,
     mask_eps: float = 1e-8,
     q: QuadratureConfig = QuadratureConfig(),
     mesh_range=None,
 ) -> SurfaceMesh:
-    """Evaluate an nu x nv parameter grid and triangulate unmasked cells.
+    """Evaluate an nu x nv parameter grid of a patch or an extended surface and triangulate unmasked cells.
 
-    The grid is an outer product of rows and columns; its vertices inside
-    the domain closure (``Domain.contains_many``) are valid.  X is summed
-    down a breadth-first spanning forest of grid edges between valid
-    vertices: a root (the valid vertex of its component nearest z0) is
-    integrated from z0, every other vertex from its parent along the grid
+    The grid is an outer product of rows and columns; its vertices in the
+    closure of the surface's ``contains`` (``surface.sides``) are valid.  X
+    is summed down a breadth-first spanning forest of grid edges between
+    valid vertices: a root (the valid vertex of its component nearest z0)
+    is integrated from z0, every other vertex from its parent along the grid
     edge between them, with tol / (forest depth + 1) per edge so each
     vertex still meets tol (``weierstrass.surface_tree``: all edges in one
     array batch and, where it fails, the failed edges one by one through
     integrate_path, so a failing mesh raises what its first failing edge
-    raises).  The conformal factor and Gauss normal of all valid vertices
-    come from one array evaluation of the field and of g; a vertex with a
-    non-finite value there is redone by conformal_factor and gauss_map.
-    The mesh holds arrays (see ``SurfaceMesh``).
+    raises).  The conformal factor and Gauss normal of the valid vertices
+    come from one array evaluation of the field and of g per side, on the
+    data of the side that holds there; a vertex with a non-finite value
+    there is redone by conformal_factor and gauss_map.  The mesh holds
+    arrays (see ``SurfaceMesh``).
 
     Cells touching a vertex with conformal factor below mask_eps (the
-    degenerate locus |g| = 1) or a vertex outside the domain closure are
-    masked and carry no triangles.
+    degenerate locus |g| = 1) or an invalid vertex are masked and carry no
+    triangles.
     """
     if nu < 2 or nv < 2:
         raise ValueError("grid must be at least 2x2")
-    polar, (a0, a1, b0, b1) = _mesh_parameters(data.domain, mesh_range)
+    polar, (a0, a1, b0, b1) = _mesh_parameters(surface, mesh_range)
     a = a0 + (a1 - a0) * np.arange(nu)[:, None] / (nu - 1)
     b = b0 + (b1 - b0) * np.arange(nv) / (nv - 1)
     if polar:  # the radii times each column's cosine and sine
@@ -383,13 +386,15 @@ def build_mesh(
     z = np.empty((nu, nv), dtype=complex)
     z.real, z.imag = a, b
     z = z.ravel()
-    inside = data.domain.contains_many(z, closed=True)
-    order, parents = _grid_forest(z, inside, nv, data.z0)
+    sides = surface.sides(z)
+    inside = np.logical_or.reduce([at for _, at in sides])
+    order, parents = _grid_forest(z, inside, nv, surface.original.z0)
     vertices = np.zeros((len(z), 3))
-    vertices[order] = surface_tree(data, z[order], parents, q)
+    vertices[order] = surface_tree(surface, z[order], parents, q)
     conformal = np.zeros(len(z))
     gauss = np.full((len(z), 3), np.nan)
-    conformal[inside], gauss[inside] = _vertex_attributes(data, z[inside])
+    for side, at in sides:
+        conformal[at], gauss[at] = _vertex_attributes(side, z[at])
     # a cell is masked when a corner is outside or degenerate (a NaN factor is not below mask_eps)
     keep = (inside & ~(conformal < mask_eps)).reshape(nu, nv)
     cells = keep[:-1, :-1] & keep[:-1, 1:] & keep[1:, :-1] & keep[1:, 1:]
@@ -613,10 +618,8 @@ def cmd_extend(args) -> int:
 def cmd_mesh(args) -> int:
     nu, nv = _parse_grid(args.grid, 2)
     cfg = SurfaceConfig.from_file(args.config)
-    if cfg.minus_exprs is not None:
-        raise ConfigError("config", "mesh supports plain surface configs only")
     q = _quadrature(args.tol, cfg)
-    mesh = build_mesh(cfg.data, nu, nv, cfg.mask_eps, q, cfg.mesh_range)
+    mesh = build_mesh(cfg.extended_surface(), nu, nv, cfg.mask_eps, q, cfg.mesh_range)
     sha = _config_sha(cfg)
     try:
         write_obj(mesh, args.output, sha, cfg.mask_eps)

@@ -37,8 +37,9 @@ rather than reflecting through a locus the boundary does not lie on.
 
 An ``ExtendedSurface`` is the surface of two sides, as a ``WeierstrassData``
 patch is the surface of one: both answer ``original``, ``side(z)``,
-``path(z)``, ``contains(z)``, ``contact`` and ``region``, so one
-``evaluate_surface`` integrates either and ``full_diagnostics`` checks either.
+``path(a, b)``, ``contains(z)``, ``contact`` and ``region``, and on arrays
+``bent(a, b)`` and ``sides(z)``, so one ``evaluate_surface`` integrates either,
+``full_diagnostics`` checks either and ``cli.build_mesh`` meshes either.
 """
 
 from __future__ import annotations
@@ -627,10 +628,18 @@ class ExtendedSurface:
         return self.original if self.contact.boundary.on_original_side(complex(z)) else self.minus
 
     def contains(self, z: complex) -> bool:
-        """The assembled domain: the domain, its reflection, and a half kind's diameter (the arc) inside its radii."""
+        """The assembled domain: the domain, its reflection, and a half kind's diameter (the arc) inside its radii;
+        across a circle, also points off the surface (|z| >= R on the original side, |z| <= rho^2/R beyond)."""
         z, dom = complex(z), self.original.domain
         on_arc = z.imag == 0 and dom.kind in _HALF_KINDS and dom._in_region(abs(z.real), 1.0)
         return dom.contains(z) or dom.contains(self.reflect(z)) or on_arc
+
+    def sides(self, z: np.ndarray) -> list[tuple[WeierstrassData, np.ndarray]]:
+        """Each side with the mask of the points of an array where it holds, in the closure of contains."""
+        dom, here = self.original.domain, self.contact.boundary.on_original_side(z)
+        mirror = np.array([self.reflect(w) for w in z.tolist()], dtype=complex)
+        inside = dom.contains_many(z, closed=True) | dom.contains_many(mirror, closed=True)
+        return [(self.original, inside & here), (self.minus, inside & ~here)]
 
     @cached_property
     def _punctures(self) -> tuple[complex, ...]:
@@ -641,16 +650,20 @@ class ExtendedSurface:
                 pts.append(q)
         return tuple(pts)
 
-    def path(self, z: complex) -> tuple[list[complex], Callable]:
-        """The polyline of X(z), around the punctures and with a knot wherever
+    def path(self, a: complex, b: complex) -> tuple[list[complex], Callable]:
+        """The polyline from a to b, around the punctures and with a knot wherever
         it crosses the arc, and the side whose data holds on each segment."""
-        points = _build_path(self.original.z0, complex(z), self._punctures)
+        points = _build_path(a, b, self._punctures)
         arc = self.contact.boundary
         knots = [points[0]]
         for a, b in zip(points, points[1:]):
             knots += sorted(arc.crossings(a, b), key=lambda w: abs(w - a))
             knots.append(b)
         return knots, lambda a, b: self.side(0.5 * (a + b))
+
+    def bent(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Every path: only path(a, b), which splits an edge at the arc, tells which stay on the original side."""
+        return np.ones(len(a), dtype=bool)
 
 
 def _check_reconstruction_singular(minus: WeierstrassData, pts: Sequence[complex], offsets: Sequence[complex]):

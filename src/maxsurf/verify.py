@@ -43,7 +43,6 @@ from .weierstrass import (
     QuadratureConfig,
     SurfaceError,
     WeierstrassData,
-    _build_path,
     _gauss_arrays,
     _gk15,
     _gk15_panels,
@@ -430,19 +429,18 @@ def _path_independence_check(data: WeierstrassData, pts: list, q: QuadratureConf
         legs.append((z, [w for w in bends if all(abs(w - p) > CLEARANCE for p in punctures)][:1]))
 
     def paths():
-        side = lambda a, b: data  # noqa: E731
         for z, bend in legs:
-            yield _build_path(data.z0, z, punctures), side
+            yield data.path(data.z0, z)
             for alt in bend:
-                yield _build_path(data.z0, alt, punctures), side
-                yield _build_path(alt, z, punctures), side
+                yield data.path(data.z0, alt)
+                yield data.path(alt, z)
         # two paths that do not enclose a puncture between them cannot see a
         # period, so also integrate once around each puncture
         for p in punctures:
-            yield _loop_path(data, _puncture_square(data.domain, p)), side
+            yield _loop_path(data, _puncture_square(data.domain, p)), lambda a, b: data
 
     try:
-        sums, failed = integrate_paths(chain(paths(), (surface.path(z) for z in zs)), q), None
+        sums, failed = integrate_paths(chain(paths(), (surface.path(data.z0, z) for z in zs)), q), None
     except (SurfaceError, EvalError) as exc:
         sums, failed = integrate_paths(paths(), q), exc
     sums = sums.real.T

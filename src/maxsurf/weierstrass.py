@@ -200,7 +200,8 @@ class WeierstrassData:
     ``g_poles`` declares poles of g among the domain punctures as
     (location, order) pairs; at a pole of order m of g, f must carry a zero
     of order 2m for the patch to be regular, which the verify module checks
-    numerically.  A patch is the surface of one side; ``extension.ExtendedSurface`` has two.
+    numerically.  A patch is the surface of one side; ``extension.ExtendedSurface`` has two.  Both answer
+    one protocol, which evaluate_surface, surface_tree and the verify and cli modules read.
     """
 
     f: Expr
@@ -231,11 +232,19 @@ class WeierstrassData:
     def side(self, z: complex) -> "WeierstrassData":
         return self
 
-    def path(self, z: complex) -> tuple[list[complex], Callable]:
-        return _build_path(self.z0, complex(z), self.domain.punctures), lambda a, b: self
+    def path(self, a: complex, b: complex) -> tuple[list[complex], Callable]:
+        return _build_path(a, b, self.domain.punctures), lambda x, y: self
+
+    def bent(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Where path(a, b), elementwise, is not the straight segment on the original side: where it detours."""
+        return _needs_path(a, b, self.domain.punctures)
 
     def contains(self, z: complex) -> bool:
         return self.domain.contains(z)
+
+    def sides(self, z: np.ndarray) -> list[tuple["WeierstrassData", np.ndarray]]:
+        """Each side with the mask of the points of an array where it holds, in the closure of contains."""
+        return [(self, self.domain.contains_many(z, closed=True))]
 
     @cached_property
     def field(self) -> Callable[[complex], tuple[complex, complex, complex]]:
@@ -505,9 +514,9 @@ def integrate_path(
 
 
 def surface_path(surface, z: complex, q: QuadratureConfig = QuadratureConfig()) -> SurfaceValue:
-    """Evaluate X(z) along ``surface.path(z)``, a patch's or an extended surface's, from the original X0,
-    and report the integration path and achieved error estimate."""
-    points, side_for = surface.path(z)
+    """Evaluate X(z) along ``surface.path(z0, z)``, a patch's or an extended surface's, from the original
+    X0, and report the integration path and achieved error estimate."""
+    points, side_for = surface.path(surface.original.z0, z)
     (t1, t2, t3), err = integrate_path(points, side_for, q)
     X = surface.original.X0 + LVector(t1.real, t2.real, t3.real)
     return SurfaceValue(X, tuple(points), err)
@@ -534,10 +543,10 @@ def _needs_path(s: np.ndarray, t: np.ndarray, punctures) -> np.ndarray:
     return flag
 
 
-def surface_tree(data: WeierstrassData, points: Sequence[complex], parents: Sequence[int],
+def surface_tree(surface, points: Sequence[complex], parents: Sequence[int],
                  q: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
-    """X at every point as an (n, 3) array, accumulated down a spanning
-    forest of short edges.
+    """X at every point of a patch or an extended surface as an (n, 3)
+    array, accumulated down a spanning forest of short edges.
 
     ``parents[k]`` is the index of the point that point k is integrated
     from and must be smaller than k; -1 marks a root, integrated from z0.
@@ -547,8 +556,9 @@ def surface_tree(data: WeierstrassData, points: Sequence[complex], parents: Sequ
     no loop, so the values agree with evaluate_surface for data without
     real periods, the assumption evaluation already makes.
 
-    Each edge is a straight segment, or where ``_needs_path`` flags it, the
-    polyline of ``_build_path`` (puncture detours apply); one ``_integrate_batch``
+    Each edge is a straight segment on the original side, or where
+    ``surface.bent`` flags it, the polyline ``surface.path`` builds (puncture
+    detours apply, and a crossing of the arc splits it); one ``_integrate_batch``
     takes them all.  Its estimates round otherwise than integrate_path's, so a
     panel at the edge of its tolerance may split otherwise.  A failing forest
     raises what evaluate_surface raises on the first failing edge.
@@ -565,11 +575,12 @@ def surface_tree(data: WeierstrassData, points: Sequence[complex], parents: Sequ
         above[live] = above[above[live]]
     deepest = int(depth.max(initial=0))
     q_edge = QuadratureConfig(q.tol / (deepest + 1))
+    data = surface.original
     starts = np.where(up < 0, data.z0, z[up])
     bent, unbuilt = {}, None
-    for k in np.flatnonzero(_needs_path(starts, z, data.domain.punctures)).tolist():
+    for k in np.flatnonzero(surface.bent(starts, z)).tolist():
         try:
-            bent[k] = (_build_path(starts[k], z[k], data.domain.punctures), lambda x, y: data)
+            bent[k] = surface.path(starts[k], z[k])
         except PathError as exc:  # raised once the edges before it are integrated
             unbuilt, z = exc, z[:k]
             break

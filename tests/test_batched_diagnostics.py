@@ -269,10 +269,10 @@ def test_a_failing_evaluation_raises_in_the_turn_of_its_check(monkeypatch):
     ext = extend(*timelike_fixture())
     path = type(ext).path
 
-    def no_path_below_the_arc(self, z):
-        if z.imag < 0:
+    def no_path_below_the_arc(self, a, b):
+        if b.imag < 0:
             raise PathError("no path to the reflected side")
-        return path(self, z)
+        return path(self, a, b)
 
     monkeypatch.setattr(type(ext), "path", no_path_below_the_arc)
     with pytest.raises(PathError, match="reflected side"):
@@ -291,11 +291,11 @@ def test_a_failing_batch_builds_each_extension_path_once(monkeypatch, fault):
     faulting = WeierstrassData(parse("1/(z-z)"), data.g, data.domain, data.z0, data.X0)
     built, read = [], []
 
-    def faulting_below_the_arc(self, z):
-        built.append(z)
-        if z.imag < 0 and fault == "path":
+    def faulting_below_the_arc(self, a, b):
+        built.append(b)
+        if b.imag < 0 and fault == "path":
             raise PathError("no path to the reflected side")
-        knots, side_for = path(self, z)
+        knots, side_for = path(self, a, b)
         return knots, lambda a, b: faulting if (a + b).imag < 0 else side_for(a, b)
 
     monkeypatch.setattr(type(ext), "path", faulting_below_the_arc)

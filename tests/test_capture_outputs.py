@@ -67,6 +67,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"eval-half-annulus-poles.ext-arc-{at}" for at in ("u0.5", "u-0.5", "end")]
         + [stem for name, runs in NEAR_LINE_CONTACTS.items()
            for stem in [f"extend-{name}"] + [f"{command}-{name}.ext" for command in runs]]
+        + [f"mesh-{name}" for name in SURFACES[1:]]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
@@ -77,7 +78,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
            + tuple(NEAR_LINE_CONTACTS) for ext in ("", ".ext")]
         + [f"{name}.cfg" for name in SURFACES[1:]] + ["catenoid-b07-reflected.cfg", "catenoid-b07-reflected.ext.cfg"]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
-        + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) + SQUARE_OVERFLOWS
+        + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) + SQUARE_OVERFLOWS + SURFACES[1:]
            for ext in ("", ".attrs.json")]
     )
     for name in logs:
@@ -160,9 +161,9 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
     for stem in ("extend-tangential-lightlike", "eval-tangential-lightlike.ext"):  # exit 0, with the one warning line
         text = (tmp_path / next(name for name in logs if name.endswith(f"-{stem}.txt"))).read_text()
         assert "\nexit 0\n" in text and text.endswith(f"\n--- stderr\n{TANGENTIAL_WARNING}"), stem
-    # each log by its command's name: a listed one against its entry, every other extend, check and
-    # domain mesh with exit 0
-    domain_meshes = [f"mesh-{m}" for m in DOMAIN_MESHES]
+    # each log by its command's name: a listed one against its entry, every other extend, check, domain
+    # mesh and extended mesh with exit 0
+    domain_meshes = [f"mesh-{m}" for m in DOMAIN_MESHES + SURFACES[1:]]
     for name in logs:
         stem, text = name[4:-4], (tmp_path / name).read_text()
         if stem in failing:

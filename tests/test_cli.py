@@ -1152,12 +1152,15 @@ def test_a_config_without_a_known_domain_exits_2_in_one_line(tmp_path, capsys, d
     assert capsys.readouterr() == ("", f"config error: field 'domain': {err}\n")
 
 
-def test_mesh_of_an_extended_config_exits_2(timelike_cfg, tmp_path, capsys):
+def test_mesh_of_an_extended_config_exits_0(timelike_cfg, tmp_path, capsys):
+    # the extended surface, on both sides of the plane x2 = d: the half disk's window mirrored across its arc
     _extend_to(timelike_cfg, str(tmp_path / "timelike.ext.cfg"), capsys)
     out = tmp_path / "x.obj"
-    assert main(["mesh", str(tmp_path / "timelike.ext.cfg"), "-o", str(out)]) == 2
-    assert capsys.readouterr() == ("", "config error: field 'config': mesh supports plain surface configs only\n")
-    assert not out.exists()
+    assert main(["mesh", str(tmp_path / "timelike.ext.cfg"), "-o", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out}: 289 vertices, 512 triangles, 0 masked cells\n", "")
+    d = 2 * math.sinh(0.5) - math.sqrt(2) / 2
+    x2 = [float(line.split()[2]) for line in out.read_text().splitlines() if line.startswith("v ")]
+    assert min(x2) < d - 0.1 and max(x2) > d + 0.1 and (tmp_path / "x.obj.attrs.json").exists()
 
 
 @pytest.mark.parametrize("radius", ["1.3", "2.0"])

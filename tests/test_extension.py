@@ -683,22 +683,22 @@ def test_a_puncture_of_the_original_side_is_avoided_at_its_reflection():
     ext, plain, q = extend(punctured, plane), extend(data, plane), QuadratureConfig()
     assert ext._punctures == (0.1 + 0.5j, 0.1 - 0.5j)
     for z, waypoint in ((0.11 - 0.6j, 0.15 - 0.495j), (0.09 - 0.62j, 0.05 - 0.504j)):
-        knots, _ = ext.path(z)
+        knots, _ = ext.path(punctured.z0, z)
         assert abs(knots[-2] - waypoint) < 1e-3 and abs(knots[-2] - (0.1 - 0.5j)) == pytest.approx(CLEARANCE)
         got, want = ext.evaluate(z, q), plain.evaluate(z, q)
         assert max(abs(a - b) for a, b in zip(got.as_tuple(), want.as_tuple())) <= 10 * q.tol
 
 
 def test_a_patch_is_the_surface_of_one_side_for_the_one_integrator():
-    # surface_path integrates a patch's path(z) as it integrates an extension's path split at the arc
+    # surface_path integrates a patch's path(z0, z) as it integrates an extension's path split at the arc
     data, plane = spacelike_fixture()
     ext, z = extend(data, plane), 0.2 - 0.3j
     assert data.original is data and data.side(z) is data and data.contact is None and data.region == "domain"
-    points, side_for = data.path(z)
+    points, side_for = data.path(data.z0, z)
     assert points == _build_path(data.z0, z, data.domain.punctures) and side_for(data.z0, z) is data
     assert not data.contains(z) and ext.contains(z) and ext.region == "assembled domain"
     assert ExtendedSurface.evaluate is evaluate_surface
-    knots, side_for = ext.path(z)
+    knots, side_for = ext.path(data.z0, z)
     value = surface_path(ext, z)
     assert value.waypoints == tuple(knots) and value.value == ext.evaluate(z)
     assert len(knots) == 3 and knots[1].imag == 0 and side_for(knots[1], z) is ext.minus  # split on the diameter

@@ -1,7 +1,9 @@
 """build_mesh: vertices accumulated along a spanning forest of grid edges.
 
 Every vertex must agree with a direct evaluate_surface call within 10*tol,
-and the masking must be exactly that of meshing vertex by vertex.
+and the masking must be exactly that of meshing vertex by vertex.  An
+extended surface is meshed on both sides of its arc, each vertex with the
+data of its side.
 """
 
 import hashlib
@@ -14,10 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import quadrature_constants, spacelike_fixture
+from fixtures import bench_configs, quadrature_constants, spacelike_fixture
 from maxsurf import __version__, cli, weierstrass
 from maxsurf.cli import (
     CATENOID_CONFIG,
+    SurfaceConfig,
     SurfaceMesh,
     _grid_forest,
     _mesh_parameters,
@@ -26,9 +29,11 @@ from maxsurf.cli import (
     write_sidecar,
 )
 from maxsurf.expr import EvalError, parse
+from maxsurf.extension import extend
 from maxsurf.minkowski import LVector
-from maxsurf.verify import catenoid_data
+from maxsurf.verify import catenoid_data, catenoid_reference
 from maxsurf.weierstrass import (
+    DegenerateMetricError,
     Domain,
     DomainKind,
     QuadratureConfig,
@@ -36,11 +41,12 @@ from maxsurf.weierstrass import (
     WeierstrassData,
     conformal_factor,
     evaluate_surface,
+    gauss_map,
 )
 
 
-def _grid(data, nu, nv, mesh_range=None):
-    polar, (a0, a1, b0, b1) = _mesh_parameters(data.domain, mesh_range)
+def _grid(surface, nu, nv, mesh_range=None):
+    polar, (a0, a1, b0, b1) = _mesh_parameters(surface, mesh_range)
     pts = []
     for i in range(nu):
         a = a0 + (a1 - a0) * i / (nu - 1)
@@ -216,6 +222,17 @@ def test_catenoid_mesh_costs_at_most_two_panels_per_vertex(monkeypatch, n, expec
     monkeypatch.setattr(weierstrass, "_gk15", counted)
     build_mesh(catenoid_data(), n, n)
     assert 0 < len(panels) <= 2 * n * n
+    assert len(panels) == expected
+
+
+# GK15 panels of the extended bench meshes at 33x33: one per edge, and on catenoid-b07 the edges the arc splits
+@pytest.mark.parametrize("name, expected", [("catenoid-b07", 1187), ("spacelike", 1089), ("timelike", 1089),
+                                            ("lightlike", 1089)])
+def test_extended_mesh_panel_counts(monkeypatch, extended_configs, name, expected):
+    panels, batch = [], weierstrass._gk15_panels
+    monkeypatch.setattr(weierstrass, "_gk15_panels", lambda fg, a, b, side: panels.extend(a) or batch(fg, a, b, side))
+    monkeypatch.setattr(weierstrass, "integrate_path", lambda *args: pytest.fail("an edge was replayed"))
+    build_mesh(extended_configs[name][1], 33, 33)
     assert len(panels) == expected
 
 
@@ -407,3 +424,101 @@ def test_window_without_a_valid_vertex_masks_every_cell(tmp_path, capsys):
     }
     sidecar = tmp_path / "outside.obj.attrs.json"
     assert sidecar.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# extended surfaces: the config's one surface, meshed across its arc
+
+_EXTENDED = ("catenoid-b07", "spacelike", "timelike", "lightlike")
+
+
+@pytest.fixture(scope="module")
+def extended_configs(tmp_path_factory):
+    """The four extended bench configs by base name: the path of the config ``extend`` writes, and its surface."""
+    out, configs = tmp_path_factory.mktemp("extended"), {}
+    for name, text in bench_configs().items():
+        (out / f"{name}.cfg").write_text(text)
+        path = str(out / f"{name}.ext.cfg")
+        assert main(["extend", str(out / f"{name}.cfg"), "-o", path]) == 0
+        configs[name] = path, SurfaceConfig.from_file(path).extended_surface()
+    return configs
+
+
+def _sides(surface, pts):
+    """Per grid point of an extended surface: 1 on the original side, -1 on the reflected one, 0 where the
+    mesh has no vertex; a vertex is in the closure of contains, here within 1e-12 of it."""
+    (_, here), (_, there) = surface.sides(np.array(pts))
+    sides = here.astype(int) - there.astype(int)
+    assert [bool(s) for s in sides] == [surface.contains(z) or surface.contains(z * (1 - 1e-12)) for z in pts]
+    return sides.tolist()
+
+
+def test_extended_catenoid_mesh_matches_the_closed_form_on_both_sides(extended_configs):
+    # the reflected formulas reproduce f = 1/z^2, g = z, so X = catenoid_reference(log|z|, arg z) on both sides
+    surface = extended_configs["catenoid-b07"][1]
+    mesh, pts = build_mesh(surface, 33, 33), _grid(surface, 33, 33)
+    rho = surface.original.domain.boundary_circle
+    assert {abs(z) < rho for z in pts} == {False, True} and all(_sides(surface, pts))
+    for z, X in zip(pts, mesh.vertices.tolist()):
+        ref = catenoid_reference(math.log(abs(z)), math.atan2(z.imag, z.real)).as_tuple()
+        assert max(abs(a - b) for a, b in zip(X, ref)) <= 1e-13 * (1 + max(map(abs, ref)))
+
+
+@pytest.mark.parametrize("name", _EXTENDED)
+def test_extended_mesh_matches_per_vertex_evaluation(extended_configs, name):
+    surface, q = extended_configs[name][1], QuadratureConfig(tol=1e-10)
+    mesh, pts = build_mesh(surface, 33, 33, q=q), _grid(surface, 33, 33)
+    sides = _sides(surface, pts)
+    assert {1, -1} <= set(sides)  # vertices on both sides of the arc
+    for z, side, X in zip(pts, sides, mesh.vertices):
+        if side:
+            ref = np.array(evaluate_surface(surface, z, q).as_tuple())
+            assert np.abs(X - ref).max() <= 10 * q.tol * (1 + np.abs(ref).max())
+        else:
+            assert X.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_a_half_disk_extension_mirrors_its_window(extended_configs):
+    surface, R = extended_configs["spacelike"][1], 0.9
+    assert cli._mesh_parameters(surface, None) == (False, (-0.7 * R, 0.7 * R, -0.7 * R, 0.7 * R))
+    assert cli._mesh_parameters(surface.original, None) == (False, (-0.7 * R, 0.7 * R, 0.05 * R, 0.7 * R))
+    assert cli._mesh_parameters(extended_configs["catenoid-b07"][1], None) == (True, (0.05, 1.0, -math.pi, math.pi))
+
+
+def _assert_side_attributes(surface, pts, sides, conformal, gauss):
+    """Each vertex's conformal factor and normal are those of the data of its side, within round-off."""
+    for z, side, lam, N in zip(pts, sides, conformal, gauss):
+        if not side:
+            assert lam == 0.0 and N is None
+            continue
+        data = surface.side(z)
+        assert data is (surface.original if side > 0 else surface.minus)
+        assert lam == pytest.approx(conformal_factor(data, z), rel=1e-13)
+        try:
+            assert N == pytest.approx(gauss_map(data, z).as_tuple(), rel=1e-13, abs=1e-15)
+        except DegenerateMetricError:
+            assert N is None
+
+
+def test_extended_mesh_vertices_read_the_data_of_their_side():
+    # reflected formulas unlike the original's, so a vertex shows which side's data it read
+    doctored = replace(extend(*spacelike_fixture()), f_minus=parse("1+z"), g_minus=parse("z/3+0.2*i"))
+    mesh, pts = build_mesh(doctored, 9, 13), _grid(doctored, 9, 13)
+    sides = _sides(doctored, pts)
+    assert set(sides) == {1, -1}
+    gauss = [None if math.isnan(N[0]) else N for N in mesh.gauss.tolist()]
+    _assert_side_attributes(doctored, pts, sides, mesh.conformal.tolist(), gauss)
+
+
+@pytest.mark.parametrize("name", _EXTENDED)
+def test_cli_meshes_an_extended_config_with_the_data_of_each_side(tmp_path, capsys, extended_configs, name):
+    cfg, surface = extended_configs[name]
+    for n in (33, 65):
+        out = tmp_path / f"{name}-{n}.obj"
+        assert main(["mesh", cfg, "--grid", f"{n}x{n}", "-o", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {out}: {n * n} vertices, ")
+    pts = _grid(surface, 33, 33)
+    attrs = json.loads((tmp_path / f"{name}-33.obj.attrs.json").read_text())["vertices"]
+    assert len(attrs) == len(pts)
+    conformal, gauss = [a["conformal_factor"] for a in attrs], [a["gauss"] for a in attrs]
+    _assert_side_attributes(surface, pts, _sides(surface, pts), conformal, gauss)

@@ -96,7 +96,9 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     ``eval`` on its reflected side; ``extend``, ``check`` and ``eval`` of
     the lightlike band ``tangent_band`` at lam = 1e-7 and 1e-8 (c = 1 + lam);
     ``extend`` and ``check`` of the spacelike contact ``lower_sheet`` at
-    theta = 1e-6, where |g| = coth(theta/2) is about 2e6.
+    theta = 1e-6, where |g| = coth(theta/2) is about 2e6;
+  - last, ``mesh`` (9x9) of the four extensions, the surface on both sides
+    of its arc, so that no earlier file is renumbered.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -364,6 +366,8 @@ def commands() -> list[tuple[str, list[str]]]:
     for name, (_, runs) in NEAR_LINE_CONTACTS.items():
         cmds.append((f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]))
         cmds += [(f"{command}-{name}.ext", [command, f"{name}.ext.cfg", *args]) for command, *args in runs]
+    cmds += [(f"mesh-{name}.ext", ["mesh", f"{name}.ext.cfg", "--grid", "9x9", "-o", f"{name}.ext.obj"])
+             for name in EXTENDABLE]
     return cmds
 
 

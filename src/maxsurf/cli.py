@@ -534,8 +534,8 @@ def cmd_eval(args) -> int:
 
 
 def _extended_config_text(cfg: SurfaceConfig, ext: ExtendedSurface) -> str:
-    """The extended config: in table order, each key this map gives a text (so no mesh key, and none of
-    inner_radius, boundary_circle, punctures or g_poles that the domain lacks)."""
+    """The extended config: in table order, each key this map gives a text (so none of inner_radius,
+    boundary_circle, punctures or g_poles that the domain lacks, and no mesh key the source left at its default)."""
     data, p = ext.original, ext.contact.plane
     dom = data.domain
     text = {
@@ -554,6 +554,8 @@ def _extended_config_text(cfg: SurfaceConfig, ext: ExtendedSurface) -> str:
         "f_minus": format_expr(ext.f_minus),
         "g_minus": format_expr(ext.g_minus),
         "reflected": ext.reflected,
+        "mesh_range": ",".join(map(_f17, cfg.mesh_range or ())),
+        "mask_eps": "" if cfg.mask_eps == _OTHER_KEYS["mask_eps"][1] else _f17(cfg.mask_eps),
     }
     lines = [f"{key} = {text[key]}" for key in _KEYS if text.get(key)]
     return "# extended surface emitted by maxsurf extend\n" + "\n".join(lines) + "\n"

@@ -37,9 +37,11 @@ rather than reflecting through a locus the boundary does not lie on.
 
 An ``ExtendedSurface`` is the surface of two sides, as a ``WeierstrassData``
 patch is the surface of one: both answer ``original``, ``side(z)``,
-``path(a, b)``, ``contains(z)``, ``contact`` and ``region``, and on arrays
-``bent(a, b)`` and ``sides(z)``, so one ``evaluate_surface`` integrates either,
-``full_diagnostics`` checks either and ``cli.build_mesh`` meshes either.
+``path(a, b)`` (a polyline whose every segment lies on one side),
+``contains(z)``, ``contact`` and ``region``, and on arrays ``bent(a, b)`` and
+``sides(z)``.  Every integrator takes a segment on the side at its midpoint,
+so one ``evaluate_surface`` integrates either, ``full_diagnostics`` checks
+either and ``cli.build_mesh`` meshes either.
 """
 
 from __future__ import annotations
@@ -167,10 +169,6 @@ class BoundaryArc:
             raise ValueError("boundary kind must be 'segment' or 'circle'")
         if self.kind == "circle" and (self.rho is None or self.rho <= 0):
             raise ValueError("circle boundary needs rho > 0")
-
-    def admits(self, case: "Case") -> bool:
-        """Whether the extension across this arc is backed for the case."""
-        return self.kind == "segment" or case.circular
 
     def conj(self, e: Expr) -> Expr:
         """Schwarz conjugation across the arc: z -> conj(e(sigma(z)))."""
@@ -304,7 +302,6 @@ class Case:
     ``locus(c, sheet, gs)`` is the closed-form locus implied by c and the
     boundary limits gs of g, whose own reflection continues the conjugated g,
     with theta and lam, and refuses a contact the row cannot extend.
-    ``circular`` says whether a circular arc is supported.
     """
 
     kind: CausalClass
@@ -314,7 +311,6 @@ class Case:
     recover: Callable[[Expr, Expr], Expr]
     singular: tuple[complex, ...]
     locus: Callable[..., tuple[CircleOrLine, float | None, float | None]]
-    circular: bool
 
     def normalize(self, plane: Plane) -> tuple[LVector, float]:
         """The case-normal normal and the plane's offset along it.
@@ -376,19 +372,19 @@ CASES: dict[CausalClass, Case] = {
         CausalClass.SPACELIKE, LVector(0, 0, 1), "x3",
         odd=lambda f, g: Mul(f, g),
         recover=lambda L, g: Div(L, g),
-        singular=(), locus=_spacelike_locus, circular=True,
+        singular=(), locus=_spacelike_locus,
     ),
     CausalClass.TIMELIKE: Case(
         CausalClass.TIMELIKE, LVector(0, 1, 0), "x2",
         odd=lambda f, g: phi_exprs(f, g)[1],
         recover=lambda L, g: Div(Mul(Const(2), L), Mul(Const(1j), Sub(Const(1), Pow(g, 2)))),
-        singular=(1 + 0j, -1 + 0j), locus=_timelike_locus, circular=False,
+        singular=(1 + 0j, -1 + 0j), locus=_timelike_locus,
     ),
     CausalClass.LIGHTLIKE: Case(
         CausalClass.LIGHTLIKE, LVector(1, 0, 1), "psi",
         odd=lambda f, g: Mul(Const(0.5), Mul(f, Pow(Sub(Const(1), g), 2))),
         recover=lambda L, g: Div(Mul(Const(2), L), Pow(Sub(Const(1), g), 2)),
-        singular=(1 + 0j,), locus=_lightlike_locus, circular=False,
+        singular=(1 + 0j,), locus=_lightlike_locus,
     ),
 }
 
@@ -584,9 +580,10 @@ class ExtendedSurface:
 
     The two sides agree to first order on the boundary arc (see
     ``matching``, measured on first use, so evaluation alone never builds
-    it); evaluation integrates the side-appropriate triple along ``path(z)``,
-    split at the arc, so the assembled X is continuous across it.  A patch
-    is the surface of one side, so ``evaluate_surface`` takes either.
+    it); evaluation integrates along ``path(z0, z)``, split at the arc, each
+    segment on the triple of ``side`` at its midpoint, so the assembled X is
+    continuous across it.  A patch is the surface of one side, so
+    ``evaluate_surface`` takes either.
     """
 
     original: WeierstrassData
@@ -650,16 +647,15 @@ class ExtendedSurface:
                 pts.append(q)
         return tuple(pts)
 
-    def path(self, a: complex, b: complex) -> tuple[list[complex], Callable]:
+    def path(self, a: complex, b: complex) -> list[complex]:
         """The polyline from a to b, around the punctures and with a knot wherever
-        it crosses the arc, and the side whose data holds on each segment."""
+        it crosses the arc, so that each segment lies on one side: the side at its midpoint."""
         points = _build_path(a, b, self._punctures)
         arc = self.contact.boundary
         knots = [points[0]]
         for a, b in zip(points, points[1:]):
-            knots += sorted(arc.crossings(a, b), key=lambda w: abs(w - a))
-            knots.append(b)
-        return knots, lambda a, b: self.side(0.5 * (a + b))
+            knots += sorted(arc.crossings(a, b), key=lambda w: abs(w - a)) + [b]
+        return knots
 
     def bent(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Every path: only path(a, b), which splits an edge at the arc, tells which stay on the original side."""
@@ -697,7 +693,7 @@ def extend(data: WeierstrassData, plane: Plane) -> ExtendedSurface:
     the normal form of ``expr._NormalForm``."""
     contact = measure_contact(data, plane)
     case, arc = CASES[contact.plane_kind], contact.boundary
-    if not arc.admits(case):
+    if arc.kind == "circle" and case.kind is not CausalClass.SPACELIKE:
         raise ExtensionError(f"circular extension handles spacelike planes only, not {case.kind.value}")
     g_minus = reflect_g(data.g, contact.locus, arc)
     f_minus = case.recover(arc.pullback(case.odd(data.f, data.g)), g_minus)

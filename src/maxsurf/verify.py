@@ -430,17 +430,17 @@ def _path_independence_check(data: WeierstrassData, pts: list, q: QuadratureConf
 
     def paths():
         for z, bend in legs:
-            yield data.path(data.z0, z)
+            yield data, data.path(data.z0, z)
             for alt in bend:
-                yield data.path(data.z0, alt)
-                yield data.path(alt, z)
+                yield data, data.path(data.z0, alt)
+                yield data, data.path(alt, z)
         # two paths that do not enclose a puncture between them cannot see a
         # period, so also integrate once around each puncture
         for p in punctures:
-            yield _loop_path(data, _puncture_square(data.domain, p)), lambda a, b: data
+            yield data, _loop_path(data, _puncture_square(data.domain, p))
 
     try:
-        sums, failed = integrate_paths(chain(paths(), (surface.path(data.z0, z) for z in zs)), q), None
+        sums, failed = integrate_paths(chain(paths(), ((surface, surface.path(data.z0, z)) for z in zs)), q), None
     except (SurfaceError, EvalError) as exc:
         sums, failed = integrate_paths(paths(), q), exc
     sums = sums.real.T

@@ -201,7 +201,8 @@ class WeierstrassData:
     (location, order) pairs; at a pole of order m of g, f must carry a zero
     of order 2m for the patch to be regular, which the verify module checks
     numerically.  A patch is the surface of one side; ``extension.ExtendedSurface`` has two.  Both answer
-    one protocol, which evaluate_surface, surface_tree and the verify and cli modules read.
+    one protocol, which evaluate_surface, surface_tree and the verify and cli modules read: ``path(a, b)``
+    is a polyline, and every integrator takes each of its segments on ``side`` at the segment's midpoint.
     """
 
     f: Expr
@@ -232,8 +233,8 @@ class WeierstrassData:
     def side(self, z: complex) -> "WeierstrassData":
         return self
 
-    def path(self, a: complex, b: complex) -> tuple[list[complex], Callable]:
-        return _build_path(a, b, self.domain.punctures), lambda x, y: self
+    def path(self, a: complex, b: complex) -> list[complex]:
+        return _build_path(a, b, self.domain.punctures)
 
     def bent(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Where path(a, b), elementwise, is not the straight segment on the original side: where it detours."""
@@ -485,15 +486,15 @@ class SurfaceValue:
 
 
 def integrate_path(
-    points: Sequence[complex], side_for: Callable, q: QuadratureConfig
+    surface, points: Sequence[complex], q: QuadratureConfig
 ) -> tuple[tuple[complex, complex, complex], float]:
-    """Integral of a phi field along a polyline: (triple, error estimate).
+    """Integral of a surface's phi field along a polyline: (triple, error estimate).
 
-    ``(points, side_for)`` is the polyline form of every path integral:
-    ``side_for(a, b)`` is the patch whose ``field`` holds from a to b.  The
-    tolerance is split evenly over the segments; when any segment misses its
-    share within MAX_DEPTH halvings, ToleranceError reports the estimate for
-    the path.
+    The segment from a to b is integrated on the ``field`` of
+    ``surface.side(0.5 * (a + b))``, the data at its midpoint; the polylines
+    of ``surface.path`` keep each segment on one side.  The tolerance is
+    split evenly over the segments; when any segment misses its share within
+    MAX_DEPTH halvings, ToleranceError reports the estimate for the path.
     """
     tol_each = q.tol / max(len(points) - 1, 1)
     tot1 = tot2 = tot3 = 0j
@@ -502,7 +503,7 @@ def integrate_path(
     for a, b in zip(points, points[1:]):
         if a == b:
             continue
-        (i1, i2, i3), e, good = _integrate_segment(side_for(a, b).field, a, b, tol_each, MAX_DEPTH)
+        (i1, i2, i3), e, good = _integrate_segment(surface.side(0.5 * (a + b)).field, a, b, tol_each, MAX_DEPTH)
         tot1 += i1
         tot2 += i2
         tot3 += i3
@@ -516,8 +517,8 @@ def integrate_path(
 def surface_path(surface, z: complex, q: QuadratureConfig = QuadratureConfig()) -> SurfaceValue:
     """Evaluate X(z) along ``surface.path(z0, z)``, a patch's or an extended surface's, from the original
     X0, and report the integration path and achieved error estimate."""
-    points, side_for = surface.path(surface.original.z0, z)
-    (t1, t2, t3), err = integrate_path(points, side_for, q)
+    points = surface.path(surface.original.z0, z)
+    (t1, t2, t3), err = integrate_path(surface, points, q)
     X = surface.original.X0 + LVector(t1.real, t2.real, t3.real)
     return SurfaceValue(X, tuple(points), err)
 
@@ -558,9 +559,10 @@ def surface_tree(surface, points: Sequence[complex], parents: Sequence[int],
 
     Each edge is a straight segment on the original side, or where
     ``surface.bent`` flags it, the polyline ``surface.path`` builds (puncture
-    detours apply, and a crossing of the arc splits it); one ``_integrate_batch``
-    takes them all.  Its estimates round otherwise than integrate_path's, so a
-    panel at the edge of its tolerance may split otherwise.  A failing forest
+    detours apply, and a crossing of the arc splits it), whose segments take
+    the side at their midpoints; one ``_integrate_batch`` takes them all.
+    Its estimates round otherwise than integrate_path's, so a panel at the
+    edge of its tolerance may split otherwise.  A failing forest
     raises what evaluate_surface raises on the first failing edge.
     """
     z, up = np.asarray(points, dtype=complex), np.asarray(parents, dtype=np.intp)
@@ -580,11 +582,11 @@ def surface_tree(surface, points: Sequence[complex], parents: Sequence[int],
     bent, unbuilt = {}, None
     for k in np.flatnonzero(surface.bent(starts, z)).tolist():
         try:
-            bent[k] = surface.path(starts[k], z[k])
+            bent[k] = surface, surface.path(starts[k], z[k])
         except PathError as exc:  # raised once the edges before it are integrated
             unbuilt, z = exc, z[:k]
             break
-    sums = _integrate_batch([data], starts[: len(z)], z, bent, q_edge)
+    sums = _integrate_batch(surface, starts[: len(z)], z, bent, q_edge)
     if unbuilt is not None:
         raise unbuilt
     X = sums.real.T.copy()
@@ -594,55 +596,54 @@ def surface_tree(surface, points: Sequence[complex], parents: Sequence[int],
     return np.array(data.X0.as_tuple()) + X
 
 
-def integrate_paths(paths: Iterable[tuple[Sequence[complex], Callable]], q: QuadratureConfig) -> np.ndarray:
+def integrate_paths(paths: Iterable[tuple[object, Sequence[complex]]], q: QuadratureConfig) -> np.ndarray:
     """integrate_path on many polylines at once: the integrals, (3, n), of one ``_integrate_batch``.
 
-    ``paths`` yields (points, side_for); ``side_for(a, b)`` is the patch whose field holds from a to b.
-    A PathError raised while building them is raised after the paths built before it are integrated."""
+    ``paths`` yields (surface, points) pairs, each as integrate_path takes it; the first surface's original
+    is side 0 of the batch.  A PathError raised while building them is raised after the paths built before
+    it are integrated."""
     built, unbuilt = [], None
     try:
         built.extend(paths)
     except PathError as exc:
         unbuilt = exc
-    sums = _integrate_batch([], *np.zeros((2, len(built)), dtype=complex), dict(enumerate(built)), q)
+    ends = np.zeros(len(built), dtype=complex)  # no path is straight, so no end is read
+    sums = _integrate_batch(built[0][0], ends, ends, dict(enumerate(built)), q) if built else np.zeros((3, 0), complex)
     if unbuilt is not None:
         raise unbuilt
     return sums
 
 
-def _integrate_batch(sides: Sequence[WeierstrassData], a: np.ndarray, b: np.ndarray, bent: dict,
-                     q: QuadratureConfig) -> np.ndarray:
-    """The integrals (3, n) of n = len(a) paths: path k runs straight from a[k] to b[k] on sides[0], or
-    where ``bent`` holds k, along the polyline bent[k] = (points, side_for) of integrate_path, its sides
-    numbered after ``sides`` in the order met.  A path's segments share q.tol evenly, and one
-    _integrate_segments call takes every side's segments, each on its patch's cached ``fg_array``.  A path's
-    segment sums are added side by side, in side order; a path with a segment that did not converge is
-    integrated again by integrate_path along its polyline, in path order, for its value or its error."""
-    counts, on = np.ones(len(a), dtype=np.intp), np.zeros(len(a), dtype=bool)
-    index = {id(patch): (k, patch) for k, patch in enumerate(sides)}  # each side's number, in the order met
-    rows = []  # the bent paths' segments as (start, end, side), in path order
+def _integrate_batch(surface, a: np.ndarray, b: np.ndarray, bent: dict, q: QuadratureConfig) -> np.ndarray:
+    """The integrals (3, n) of n = len(a) paths: path k runs straight from a[k] to b[k] on surface.original,
+    or where ``bent`` holds k, along the polyline bent[k] = (surface, points) of integrate_path.  The straight
+    rows and beside them the polylines' segment rows, on sides numbered from surface.original in the order
+    met, go to one _integrate_segments call; a path's segments share q.tol evenly and add in side order.
+    A path with a segment that did not converge is integrated again by integrate_path, in path order."""
+    index = {id(surface.original): (0, surface.original)}  # each side's number, in the order met
+    rows = []  # the polylines' segments of nonzero length as (start, end, side, path, tolerance), in path order
     for k in sorted(bent):
-        points, side_for = bent[k]
+        on, points = bent[k]
+        share = q.tol / max(len(points) - 1, 1)
         for x, y in zip(points, points[1:]):
-            patch = side_for(x, y) if x != y else None  # a segment of length 0 is dropped below
-            rows.append((x, y, index.setdefault(id(patch), (len(index), patch))[0] if x != y else 0))
-        counts[k], on[k] = len(points) - 1, True
-    owner = np.repeat(np.arange(len(a)), counts)
-    sa, sb, side = a[owner], b[owner], np.zeros(len(owner), dtype=np.intp)
-    if rows:
-        at = on[owner]
-        sa[at], sb[at], side[at] = zip(*rows)
-    moves = sa != sb
-    side, owner = side[moves], owner[moves]
+            if x != y:
+                patch = on.side(0.5 * (x + y))
+                rows.append((x, y, index.setdefault(id(patch), (len(index), patch))[0], k, share))
+    straight = a != b  # an edge of length 0 adds nothing
+    straight[list(bent)] = False
+    own = np.flatnonzero(straight)
+    heads = (a[own], b[own], np.zeros(len(own), dtype=np.intp), own, np.full(len(own), q.tol))  # the straight rows
+    sa, sb, side, owner, tol = (np.concatenate((head, np.array(tail, dtype=head.dtype)))  # column by column
+                                for head, tail in zip(heads, zip(*rows) if rows else ((),) * 5))
     fgs = [patch.fg_array for _, patch in index.values()]
-    seg_sum, ok = _integrate_segments(fgs, side, sa[moves], sb[moves], q.tol / counts[owner], MAX_DEPTH)
+    seg_sum, ok = _integrate_segments(fgs, side, sa, sb, tol, MAX_DEPTH)
     sums, failed = np.zeros((3, len(a)), dtype=complex), np.zeros(len(a), dtype=bool)
     by_side = np.argsort(side, kind="stable")
     for c in range(3):
         np.add.at(sums[c], owner[by_side], seg_sum[c, by_side])
     failed[owner[~ok]] = True
     for k in np.flatnonzero(failed).tolist():
-        polyline = bent[k] if k in bent else ([complex(a[k]), complex(b[k])], lambda x, y: sides[0])
+        polyline = bent[k] if k in bent else (surface.original, [complex(a[k]), complex(b[k])])
         sums[:, k] = integrate_path(*polyline, q)[0]
     return sums
 
@@ -755,11 +756,11 @@ def loop_periods(data: WeierstrassData, loop: Sequence[complex],
     automatically).  The catenoid's loop around the puncture, for instance,
     has periods (0, 0, 2 pi i): purely imaginary, so X stays well defined.
     """
-    return integrate_path(_loop_path(data, loop), lambda a, b: data, q)[0]
+    return integrate_path(data, _loop_path(data, loop), q)[0]
 
 
-def _loop_path(data: WeierstrassData, loop: Sequence[complex]) -> list[complex]:
-    """The closed polyline through the loop's waypoints, detouring around the punctures."""
+def _loop_path(surface, loop: Sequence[complex]) -> list[complex]:
+    """The closed polyline through the loop's waypoints: the legs ``surface.path`` builds between them."""
     pts = [complex(w) for w in loop]
     if len(pts) < 3:
         raise ValueError("a loop needs at least 3 waypoints")
@@ -767,5 +768,5 @@ def _loop_path(data: WeierstrassData, loop: Sequence[complex]) -> list[complex]:
         pts.append(pts[0])
     path = [pts[0]]
     for a, b in zip(pts, pts[1:]):
-        path += _build_path(a, b, data.domain.punctures)[1:]
+        path += surface.path(a, b)[1:]
     return path

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fixtures import capture_tool
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "capture_outputs.py"
@@ -68,6 +70,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [stem for name, runs in NEAR_LINE_CONTACTS.items()
            for stem in [f"extend-{name}"] + [f"{command}-{name}.ext" for command in runs]]
         + [f"mesh-{name}" for name in SURFACES[1:]]
+        + ["extend-mesh-keys", "mesh-mesh-keys.ext"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
@@ -79,7 +82,8 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"{name}.cfg" for name in SURFACES[1:]] + ["catenoid-b07-reflected.cfg", "catenoid-b07-reflected.ext.cfg"]
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) + SQUARE_OVERFLOWS + SURFACES[1:]
-           for ext in ("", ".attrs.json")]
+           + ("mesh-keys.ext",) for ext in ("", ".attrs.json")]
+        + ["mesh-keys.cfg", "mesh-keys.ext.cfg"]
     )
     for name in logs:
         if name[4:-4] in USAGE_FAULTS:
@@ -150,6 +154,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "eval-half-annulus-poles.ext-arc-u-0.5": (0, "\nconformal_factor = "),
         "eval-half-annulus-poles.ext-arc-end": (1, "--- stdout\n--- stderr\nerror: point (0.9+0j) outside the assembled "
                                                 "domain\n"),
+        "mesh-mesh-keys.ext": (0, "wrote mesh-keys.ext.obj: 25 vertices, 32 triangles, 0 masked cells\n--- stderr\n"),
     }
     for name in logs:  # the orthogonal and near-line contacts evaluate on the reflected side, without a warning
         if name[4:-4].startswith(("eval-orthogonal-", "eval-near-")):
@@ -171,6 +176,9 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
             assert f"\nexit {code}\n" in text and line in text, name
         elif stem.startswith(("extend-", "check-")) or stem in domain_meshes:
             assert "\nexit 0\n" in text, name
+    # extend carries the source's mesh keys into the config that the last mesh reads
+    assert (tmp_path / "mesh-keys.ext.cfg").read_text().endswith(
+        "\nmesh_range = -0.5,0.5,-0.40000000000000002,0.40000000000000002\nmask_eps = 9.9999999999999995e-07\n")
     # the reflected side of the extended catenoid reflects back to the catenoid's data, at round-off
     back = dict(line.split(" = ", 1) for line in (tmp_path / "catenoid-b07-reflected.ext.cfg").read_text().splitlines()
                 if " = " in line)
@@ -191,3 +199,30 @@ def test_compare_lists_the_files_that_differ_were_added_and_went_missing(tmp_pat
     compare = capture_tool().compare
     assert compare(base, change) == (["differs.txt"], ["new.txt"], ["gone.cfg"], 2)
     assert compare(base, base) == ([], [], [], 4)
+
+
+@pytest.mark.parametrize("change, code, summary", [
+    ({"same.txt": "x", "kept.txt": "y"}, 0, "2 identical, 0 differ, 0 added, 0 missing"),
+    ({"same.txt": "x", "kept.txt": "y", "new.txt": ""}, 0, "2 identical, 0 differ, 1 added, 0 missing"),
+    ({"same.txt": "x"}, 1, "1 identical, 0 differ, 0 added, 1 missing"),
+    ({"same.txt": "x", "kept.txt": "z"}, 1, "1 identical, 1 differ, 0 added, 0 missing"),
+], ids=["identical", "added", "missing", "differs"])
+def test_against_exits_1_when_a_file_differs_or_went_missing(tmp_path, monkeypatch, capsys, change, code, summary):
+    # a capture file that REV wrote and this checkout did not is a dropped command, not a pass
+    tool = capture_tool()
+
+    def extract(rev, dest):  # REV's copy of the tool writes the base capture
+        script = Path(dest) / "tools" / "capture_outputs.py"
+        script.parent.mkdir(parents=True)
+        script.write_text("import pathlib, sys\nout = pathlib.Path(sys.argv[1])\nout.mkdir(parents=True)\n"
+                          "(out / 'same.txt').write_text('x')\n(out / 'kept.txt').write_text('y')\n")
+
+    def capture(outdir):
+        outdir.mkdir(parents=True)
+        for name, text in change.items():
+            (outdir / name).write_text(text)
+
+    monkeypatch.setattr(tool, "extract", extract)
+    monkeypatch.setattr(tool, "capture", capture)
+    assert tool.against("REV", tmp_path / "out") == code
+    assert capsys.readouterr().out.endswith(summary + "\n")

@@ -15,7 +15,7 @@ from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS, bench_configs, bench_or
 from maxsurf import cli, extension, verify
 from maxsurf.cli import CATENOID_CONFIG, SurfaceConfig, main
 from maxsurf.minkowski import LVector, lorentz_inner
-from maxsurf.weierstrass import _HALF_KINDS
+from maxsurf.weierstrass import _HALF_KINDS, QuadratureConfig
 
 PLANE_CONFIG = """\
 f = 1
@@ -1161,6 +1161,26 @@ def test_mesh_of_an_extended_config_exits_0(timelike_cfg, tmp_path, capsys):
     d = 2 * math.sinh(0.5) - math.sqrt(2) / 2
     x2 = [float(line.split()[2]) for line in out.read_text().splitlines() if line.startswith("v ")]
     assert min(x2) < d - 0.1 and max(x2) > d + 0.1 and (tmp_path / "x.obj.attrs.json").exists()
+
+
+def test_extend_writes_the_mesh_keys_that_a_mesh_of_its_config_reads(timelike_cfg, tmp_path, capsys):
+    # the source's window and a mask off the default reach the extended config; the default mask is not written
+    plain = cli.parse_config_text(_extend_to(timelike_cfg, str(tmp_path / "plain.ext.cfg"), capsys))
+    assert "mesh_range" not in plain and "mask_eps" not in plain
+    window, source = (-0.5, 0.5, -0.4, 0.4), tmp_path / "keyed.cfg"
+    source.write_text(Path(timelike_cfg).read_text() + "mesh_range = -0.5,0.5,-0.4,0.4\nmask_eps = 1e-6\n")
+    text = _extend_to(str(source), str(tmp_path / "keyed.ext.cfg"), capsys)
+    assert text.endswith("reflected = x2\nmesh_range = -0.5,0.5,-0.40000000000000002,0.40000000000000002\n"
+                         "mask_eps = 9.9999999999999995e-07\n")
+    cfg = SurfaceConfig.from_file(str(tmp_path / "keyed.ext.cfg"))
+    assert cfg.mesh_range == window and cfg.mask_eps == 1e-6
+    out = tmp_path / "keyed.obj"
+    assert main(["mesh", str(tmp_path / "keyed.ext.cfg"), "--grid", "5x5", "-o", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out}: 25 vertices, 32 triangles, 0 masked cells\n", "")
+    lines = out.read_text().splitlines()
+    assert lines[2] == "# grid 5x5 mask_eps 9.9999999999999995e-07"
+    want = cli.build_mesh(cfg.extended_surface(), 5, 5, 1e-6, QuadratureConfig(cfg.tol), window).vertices
+    assert [list(map(float, line.split()[1:])) for line in lines if line.startswith("v ")] == want.tolist()
 
 
 @pytest.mark.parametrize("radius", ["1.3", "2.0"])

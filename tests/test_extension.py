@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fixtures import (
     SCONJ_FORMULAS,
     UNREDUCED_FORMULAS,
+    bench_configs,
     catenoid_extension_fixture,
     lightlike_fixture,
     lightlike_tangent_fixture,
@@ -18,6 +19,7 @@ from fixtures import (
     timelike_fixture,
 )
 from maxsurf import extension, weierstrass
+from maxsurf.cli import SurfaceConfig
 from maxsurf.expr import Const, Div, EvalError, Mul, Pow, Var, compile_array, compile_fn, evaluate, format_expr, parse
 from maxsurf.extension import (
     ANGLE_TOL,
@@ -683,25 +685,48 @@ def test_a_puncture_of_the_original_side_is_avoided_at_its_reflection():
     ext, plain, q = extend(punctured, plane), extend(data, plane), QuadratureConfig()
     assert ext._punctures == (0.1 + 0.5j, 0.1 - 0.5j)
     for z, waypoint in ((0.11 - 0.6j, 0.15 - 0.495j), (0.09 - 0.62j, 0.05 - 0.504j)):
-        knots, _ = ext.path(punctured.z0, z)
+        knots = ext.path(punctured.z0, z)
         assert abs(knots[-2] - waypoint) < 1e-3 and abs(knots[-2] - (0.1 - 0.5j)) == pytest.approx(CLEARANCE)
         got, want = ext.evaluate(z, q), plain.evaluate(z, q)
         assert max(abs(a - b) for a, b in zip(got.as_tuple(), want.as_tuple())) <= 10 * q.tol
 
 
 def test_a_patch_is_the_surface_of_one_side_for_the_one_integrator():
-    # surface_path integrates a patch's path(z0, z) as it integrates an extension's path split at the arc
+    # surface_path integrates a patch's path(z0, z) as it integrates an extension's path split at the arc,
+    # each segment on the side at its midpoint
     data, plane = spacelike_fixture()
     ext, z = extend(data, plane), 0.2 - 0.3j
     assert data.original is data and data.side(z) is data and data.contact is None and data.region == "domain"
-    points, side_for = data.path(data.z0, z)
-    assert points == _build_path(data.z0, z, data.domain.punctures) and side_for(data.z0, z) is data
+    assert data.path(data.z0, z) == _build_path(data.z0, z, data.domain.punctures)
     assert not data.contains(z) and ext.contains(z) and ext.region == "assembled domain"
     assert ExtendedSurface.evaluate is evaluate_surface
-    knots, side_for = ext.path(data.z0, z)
+    knots = ext.path(data.z0, z)
     value = surface_path(ext, z)
     assert value.waypoints == tuple(knots) and value.value == ext.evaluate(z)
-    assert len(knots) == 3 and knots[1].imag == 0 and side_for(knots[1], z) is ext.minus  # split on the diameter
+    assert len(knots) == 3 and knots[1].imag == 0  # split on the diameter
+    assert ext.side(0.5 * (data.z0 + knots[1])) is data and ext.side(0.5 * (knots[1] + z)) is ext.minus
+
+
+_BENCH_EXTENSIONS = {name: extend(cfg.data, cfg.plane)
+                     for name, cfg in ((name, SurfaceConfig.from_text(text)) for name, text in bench_configs().items())}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_BENCH_EXTENSIONS)), st.data())
+def test_each_segment_of_a_path_lies_on_the_side_at_its_midpoint(name, data):
+    # the integrators take a segment on the side at its midpoint: path(a, b) splits at the arc so that the
+    # side holds along the whole segment; a patch's path is the puncture detour alone
+    ext = _BENCH_EXTENSIONS[name]
+    box = st.complex_numbers(max_magnitude=1.2 * ext.original.domain.radius, allow_nan=False, allow_infinity=False)
+    a, b = data.draw(box.filter(ext.contains)), data.draw(box.filter(ext.contains))
+    knots = ext.path(a, b)
+    assert knots[0] == a and knots[-1] == b
+    for x, y in zip(knots, knots[1:]):
+        side = ext.side(0.5 * (x + y))
+        assert ext.side(x + 0.25 * (y - x)) is side and ext.side(x + 0.75 * (y - x)) is side, (x, y)
+    patch = ext.original
+    a, b = data.draw(box.filter(patch.contains)), data.draw(box.filter(patch.contains))
+    assert patch.path(a, b) == _build_path(a, b, patch.domain.punctures)
 
 
 # ---------------------------------------------------------------------------

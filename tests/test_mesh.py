@@ -242,9 +242,9 @@ def test_catenoid_meshes_are_never_replayed(monkeypatch, n):
     calls = []
     scalar = weierstrass.integrate_path
 
-    def counted(points, side_for, q):
+    def counted(surface, points, q):
         calls.append(points)
-        return scalar(points, side_for, q)
+        return scalar(surface, points, q)
 
     monkeypatch.setattr(weierstrass, "integrate_path", counted)
     build_mesh(catenoid_data(), n, n)

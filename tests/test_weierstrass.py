@@ -280,6 +280,13 @@ def test_evaluation_at_nan_raises_path_error():
         evaluate_surface(catenoid_data(), complex(math.nan, 0))
 
 
+def _one_side(field):
+    """A surface of one side, whose phi field is ``field``."""
+    side = SimpleNamespace(field=field)
+    side.side = lambda z: side
+    return side
+
+
 def test_nan_field_stops_after_one_panel():
     calls = []
 
@@ -288,7 +295,7 @@ def test_nan_field_stops_after_one_panel():
         return (math.nan, math.nan, math.nan)
 
     with pytest.raises(ToleranceError):
-        integrate_path([0j, 1 + 0j], lambda a, b: SimpleNamespace(field=field), QuadratureConfig())
+        integrate_path(_one_side(field), [0j, 1 + 0j], QuadratureConfig())
     assert len(calls) == 15  # one GK15 panel, no bisection
 
 
@@ -304,7 +311,7 @@ def test_nan_in_one_component_raises(slot):
         return tuple(out)
 
     with pytest.raises(ToleranceError):
-        integrate_path([0j, 1 + 0j], lambda a, b: SimpleNamespace(field=field), QuadratureConfig())
+        integrate_path(_one_side(field), [0j, 1 + 0j], QuadratureConfig())
     assert len(calls) == 15
 
 
@@ -679,9 +686,9 @@ def test_surface_tree_gives_the_scalar_values_where_only_the_array_field_is_nan(
 def test_failed_batch_is_replayed_once_edge_by_edge(monkeypatch):
     paths, scalar = [], weierstrass.integrate_path
 
-    def counted_path(points, side_for, q):
+    def counted_path(surface, points, q):
         paths.append(points)
-        return scalar(points, side_for, q)
+        return scalar(surface, points, q)
 
     monkeypatch.setattr(weierstrass, "integrate_path", counted_path)
     points, parents = _REAL_TREE
@@ -699,9 +706,9 @@ def test_only_the_failed_edges_are_replayed(monkeypatch):
     assert np.isfinite(phi_array(data, [1.0 + 0j])).all()
     paths, scalar = [], weierstrass.integrate_path
 
-    def counted_path(points, side_for, q):
+    def counted_path(surface, points, q):
         paths.append(points)
-        return scalar(points, side_for, q)
+        return scalar(surface, points, q)
 
     monkeypatch.setattr(weierstrass, "integrate_path", counted_path)
     got = surface_tree(data, points, parents)
@@ -747,7 +754,7 @@ def test_an_overflowed_estimate_raises_after_one_panel(monkeypatch):
 
     monkeypatch.setattr(weierstrass, "_gk15", overflowed)
     with pytest.raises(ToleranceError, match=r"achieved error estimate inf\)$"):
-        integrate_path([0j, 1 + 0j], lambda a, b: SimpleNamespace(field=None), QuadratureConfig())
+        integrate_path(_one_side(None), [0j, 1 + 0j], QuadratureConfig())
     assert len(calls) == 1
 
 
@@ -857,46 +864,49 @@ _SIDE_SETS = _side_sets()
 
 @st.composite
 def _level_batches(draw):
-    """Sides, and paths on them: straight edges on the first side and polylines whose segments take drawn
-    sides, some of length 0; a drawn tolerance and MAX_DEPTH, and a kernel chunk of 512 or 3 panels.  Some
-    paths fail on a segment of ``_FAULTS``."""
+    """Sides, and paths on them: straight edges on the first side and polylines on a surface whose side at
+    each segment's midpoint is drawn, some segments of length 0; a drawn tolerance and MAX_DEPTH, and a kernel
+    chunk of 512 or 3 panels.  Some paths fail on a segment of ``_FAULTS``."""
     name = draw(st.sampled_from(sorted(_SIDE_SETS)))
     sides = _SIDE_SETS[name]
     point = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
-    ends, bent = [], {}
+    ends, bent, on = [], {}, {}
+    drawn = SimpleNamespace(side=lambda z: on[z])  # the side drawn at each midpoint
     for k in range(draw(st.integers(1, 4))):
         fault = draw(st.integers(0, 9)) == 0
         if not draw(st.integers(0, 2)) and not (fault and name == "overflow"):  # a straight edge
             ends.append(_FAULTS[name] if fault else (draw(point), draw(point)))
             continue
-        points, on = [draw(point)], {}
+        points = [draw(point)]
         for _ in range(draw(st.integers(0, 3))):
             points.append(points[-1] if draw(st.integers(0, 9)) == 0 else draw(point))
         if fault:
             points = list(_FAULTS[name])
         for x, y in zip(points, points[1:]):
             side = 1 if fault and name == "overflow" else draw(st.integers(0, len(sides) - 1))  # the growth patch
-            on.setdefault((x, y), sides[side])
+            on.setdefault(0.5 * (x + y), sides[side])
         ends.append((0j, 0j))  # not read: the polyline takes the path's place
-        bent[k] = (points, lambda x, y, on=on: on[x, y])
-    first = [sides[0]] if len(bent) < len(ends) or draw(st.booleans()) else []
+        bent[k] = (drawn, points)
     q = QuadratureConfig(10.0 ** draw(st.floats(-13, -6)))
     a, b = (np.array(column, dtype=complex) for column in zip(*ends))
-    return sides, first, (a, b), bent, q, draw(st.sampled_from([3, 8, 26])), draw(st.sampled_from([512, 3]))
+    surface = SimpleNamespace(original=sides[0])
+    return surface, (a, b), bent, q, draw(st.sampled_from([3, 8, 26])), draw(st.sampled_from([512, 3]))
 
 
-def _flattened(first, a, b, bent, q):
-    """The batch's paths as the reference takes them: its sides, numbered in the order met, and its segments
-    as (side, a, b, tol, owner) arrays, with the polyline of each path."""
-    numbers, rows, polylines = {id(patch): (k, patch) for k, patch in enumerate(first)}, [], []
-    for k in range(len(a)):
-        points, side_for = bent.get(k) or ([complex(a[k]), complex(b[k])], lambda x, y: first[0])
+def _flattened(surface, a, b, bent, q):
+    """The batch's paths as the reference takes them: its sides, numbered from surface.original in the order
+    met, and its segments as (side, a, b, tol, owner) arrays, the straight edges first and then the polylines'
+    segments, each in path order; with the polyline of each path."""
+    data = surface.original
+    numbers, rows = {id(data): (0, data)}, []
+    polylines = [bent.get(k) or (data, [complex(a[k]), complex(b[k])]) for k in range(len(a))]
+    for k in sorted(range(len(a)), key=lambda k: k in bent):
+        on, points = polylines[k]
         for x, y in zip(points, points[1:]):
             if x != y:
-                patch = side_for(x, y)
+                patch = on.side(0.5 * (x + y))
                 side = numbers.setdefault(id(patch), (len(numbers), patch))[0]
                 rows.append((side, x, y, q.tol / max(len(points) - 1, 1), k))
-        polylines.append((points, side_for))
     columns = zip(*rows) if rows else [()] * 5
     segments = [np.array(c, dtype=t) for c, t in zip(columns, (np.intp, complex, complex, float, np.intp))]
     return [patch for _, patch in numbers.values()], segments, polylines
@@ -905,14 +915,14 @@ def _flattened(first, a, b, bent, q):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_level_batches())
 def test_one_level_loop_over_all_sides_is_the_loop_per_side_bit_for_bit(batch):
-    sides, first, (a, b), bent, q, max_depth, chunk = batch
-    numbered, (side, sa, sb, tol, owner), polylines = _flattened(first, a, b, bent, q)
+    surface, (a, b), bent, q, max_depth, chunk = batch
+    numbered, (side, sa, sb, tol, owner), polylines = _flattened(surface, a, b, bent, q)
     replays, want_replays = [], []
 
     def replay(record):
-        def integrate(points, side_for, rq):  # a replay that converges, recording the polyline it is given
+        def integrate(on, points, rq):  # a replay that converges, recording the polyline it is given
             record.append(list(points))
-            return integrate_path([0.5 + 0j, 0.6 + 0j], lambda x, y: sides[0], rq)
+            return integrate_path(surface.original, [0.5 + 0j, 0.6 + 0j], rq)
 
         return integrate
 
@@ -934,7 +944,7 @@ def test_one_level_loop_over_all_sides_is_the_loop_per_side_bit_for_bit(batch):
         patch.setattr(weierstrass, "integrate_path", replay(replays))
         patch.setattr(weierstrass, "_gk15_panels", recorded_kernel)
         patch.setattr(weierstrass, "_integrate_segments", recorded_loop)
-        sums = weierstrass._integrate_batch(first, a, b, bent, q)
+        sums = weierstrass._integrate_batch(surface, a, b, bent, q)
     (seg_sums, ok), = loops
     assert sums.tobytes() == want[0].tobytes()
     assert seg_sums.tobytes() == want[1].tobytes()

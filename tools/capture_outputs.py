@@ -97,8 +97,11 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     the lightlike band ``tangent_band`` at lam = 1e-7 and 1e-8 (c = 1 + lam);
     ``extend`` and ``check`` of the spacelike contact ``lower_sheet`` at
     theta = 1e-6, where |g| = coth(theta/2) is about 2e6;
-  - last, ``mesh`` (9x9) of the four extensions, the surface on both sides
-    of its arc, so that no earlier file is renumbered.
+  - ``mesh`` (9x9) of the four extensions, the surface on both sides of its
+    arc;
+  - last, so that no earlier file is renumbered, ``extend`` of the timelike
+    config with a ``mesh_range`` and a ``mask_eps``, which it writes into the
+    extended config, and ``mesh`` (5x5) of that config, which reads both.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -113,7 +116,8 @@ REV with ``git archive`` into a temporary directory (removed afterwards), so
 nothing is written under ``.git``, runs REV's copy of this script into
 ``OUTDIR/base`` and this checkout's into ``OUTDIR/change``, and prints each
 file that differs, was added or went missing, then a count of the identical
-ones.  It exits 1 when a file that both captures wrote differs, else 0.
+ones.  It exits 1 when a file that both captures wrote differs or a file that
+REV wrote is missing (a dropped command), else 0.
 """
 
 from __future__ import annotations
@@ -272,6 +276,7 @@ LATE_CONTACTS = {  # name: config, each extended and its output checked after th
     "X0 = 0,0,0\ntol = 1e-10\nplane = 0,0,1,-2.5e-12\n",
 }
 
+MESH_KEYS = BASE_CONFIGS["timelike"] + "mesh_range = -0.5,0.5,-0.4,0.4\nmask_eps = 1e-6\n"
 
 _REFLECTED = "--at=0.2,-0.3"  # a point of the reflected side of the upper half disks
 NEAR_LINE_CONTACTS = {  # name: (config, what runs on the config its extend writes), run last
@@ -368,6 +373,8 @@ def commands() -> list[tuple[str, list[str]]]:
         cmds += [(f"{command}-{name}.ext", [command, f"{name}.ext.cfg", *args]) for command, *args in runs]
     cmds += [(f"mesh-{name}.ext", ["mesh", f"{name}.ext.cfg", "--grid", "9x9", "-o", f"{name}.ext.obj"])
              for name in EXTENDABLE]
+    cmds += [("extend-mesh-keys", ["extend", "mesh-keys.cfg", "-o", "mesh-keys.ext.cfg"]),
+             ("mesh-mesh-keys.ext", ["mesh", "mesh-keys.ext.cfg", "--grid", "5x5", "-o", "mesh-keys.ext.obj"])]
     return cmds
 
 
@@ -409,7 +416,7 @@ def capture(outdir: Path) -> None:
               {**INPUT_FAULTS, **ONE_LINE_FAULTS, **SQUARE_OVERFLOWS, **NEAR_LINE_CONTACTS}.items()}
     configs = {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs, **OBSTRUCTIONS,
                **ORTHOGONAL_CONTACTS, "tangential-lightlike": TANGENTIAL_CONTACT, **LATE_CONTACTS}
-    configs["half-annulus-poles"] = HALF_ANNULUS_POLES
+    configs["half-annulus-poles"], configs["mesh-keys"] = HALF_ANNULUS_POLES, MESH_KEYS
     for name, text in configs.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")
     for k, (stem, argv) in enumerate(commands()):
@@ -438,7 +445,7 @@ def extract(rev: str, dest: str) -> None:
 
 def against(rev: str, outdir: Path) -> int:
     """Capture REV into outdir/base and this checkout into outdir/change, print how they differ, and
-    return 1 when a file both wrote differs."""
+    return 1 when a file both wrote differs or one REV wrote is missing."""
     base, change = outdir / "base", outdir / "change"
     for d in (base, change):
         if d.exists() and any(d.iterdir()):
@@ -452,7 +459,7 @@ def against(rev: str, outdir: Path) -> int:
         for name in names:
             print(f"{label}: {name}")
     print(f"{same} identical, {len(differ)} differ, {len(added)} added, {len(missing)} missing")
-    return 1 if differ else 0
+    return 1 if differ or missing else 0
 
 
 if __name__ == "__main__":

@@ -28,12 +28,15 @@ L_minus = -conj(L(sigma(z))) conj(sigma'(z)); the row supplies the locus, whose
 own reflection maps the conjugated g, and the recovery f_minus = L_minus / h(g_minus).
 Only spacelike planes are supported across a circle.
 
-The locus g is reflected through is the row's closed form from the measured
-c; a spacelike radius is the mean |g| of the boundary limits, whose
-(1 + r^2)/|1 - r^2| must be |c| to ANGLE_TOL.  One form holds circles and
-lines, so no threshold turns one into the other.  A boundary limit w of g
-farther than LOCUS_TOL (times 1 + min(|w|, radius)) from that locus aborts
-rather than reflecting through a locus the boundary does not lie on.
+<N, n> and g are measured on the arc itself, at its ARC_POSITIONS
+``boundary_points``, where the formulas take their boundary limits as
+values; c is the mean of the <N, n> values.  The locus g is reflected
+through is the row's closed form from c; a spacelike radius is the mean |g|
+of the boundary limits, whose (1 + r^2)/|1 - r^2| must be |c| to ANGLE_TOL.
+One form holds circles and lines, so no threshold turns one into the other.
+A boundary limit w of g farther than LOCUS_TOL (times 1 + min(|w|, radius))
+from that locus aborts rather than reflecting through a locus the boundary
+does not lie on.
 
 An ``ExtendedSurface`` is the surface of two sides, as a ``WeierstrassData``
 patch is the surface of one: both answer ``original``, ``side(z)``,
@@ -195,14 +198,11 @@ class BoundaryArc:
         return () if self.kind == "segment" else (0j,)
 
     def on_original_side(self, z: complex | np.ndarray) -> bool | np.ndarray:
-        return self.approach(z) >= 0
-
-    def approach(self, z: complex | np.ndarray) -> float | np.ndarray:
-        """Signed distance parameter of z (a number or an array) from the arc, 0 on it;
-        |z| is np.hypot, which rounds as abs does, so an array holds each number's value."""
+        """Whether z (a number or an array) lies on the original side or on the arc; |z| is np.hypot,
+        which rounds as abs does, so an array holds each number's value."""
         if self.kind == "segment":
-            return z.imag
-        return np.hypot(z.real, z.imag) - self.rho
+            return z.imag >= 0
+        return np.hypot(z.real, z.imag) >= self.rho
 
     def crossings(self, a: complex, b: complex) -> list[complex]:
         """Interior points where the segment from a to b crosses the arc."""
@@ -266,12 +266,12 @@ class CircleOrLine:
 class ContactData:
     """Measured contact of a surface patch with a plane.
 
-    ``c`` is the extrapolated limit of <N, n_hat> along the boundary with
+    ``c`` is the mean of <N, n_hat> over the arc's ``boundary_points`` with
     n_hat the case-normalized plane normal; ``theta`` (spacelike, via
-    cosh(theta) = |c|) or ``lam`` (timelike 1/c, None at c = 0 exactly; lightlike
-    c - 1) reports the case parameter; ``locus`` is the row's closed-form image of the
-    boundary under g, built from c, and ``locus_mismatch`` the largest ``locus.mismatch``
-    of a boundary limit of g.
+    cosh(theta) = |c|) or ``lam`` (timelike 1/c, None whenever c is exactly 0, as it
+    is for data real on the axis; lightlike c - 1) reports the case parameter;
+    ``locus`` is the row's closed-form image of the boundary under g, built from c,
+    and ``locus_mismatch`` the largest ``locus.mismatch`` of a boundary limit of g.
     """
 
     plane: Plane
@@ -390,10 +390,7 @@ CASES: dict[CausalClass, Case] = {
 
 
 # ---------------------------------------------------------------------------
-# sampling and extrapolation
-
-_DEPTH_FRACTIONS = (0.016, 0.012, 0.009, 0.006, 0.004, 0.0025, 0.0015)
-
+# sampling
 
 def boundary_points(domain: Domain) -> list[complex]:
     """ARC_POSITIONS points on the boundary arc itself (v = 0, or |z| = rho)."""
@@ -412,14 +409,10 @@ def boundary_points(domain: Domain) -> list[complex]:
     return [complex(u, 0.0) for u in np.linspace(-span * domain.radius, span * domain.radius, n)]
 
 
-def boundary_samples(domain: Domain, depths: Sequence[float] = _DEPTH_FRACTIONS) -> list[complex]:
-    """Interior points approaching the boundary arc, grouped by arc position.
-
-    For each of the ``boundary_points``, in arc order, the sample set
-    contains a tail of points at the given depth fractions of the domain
-    scale, in the order given, suited to polynomial extrapolation of
-    boundary limits.
-    """
+def boundary_samples(domain: Domain, depths: Sequence[float]) -> list[complex]:
+    """Interior points approaching the boundary arc, grouped by arc position: for each of the
+    ``boundary_points``, in arc order, one point at each of the depth fractions of the domain scale,
+    in the order given."""
     base, d = np.array(boundary_points(domain))[:, None], np.asarray(depths, dtype=float)
     out = np.empty((len(base), len(d)), dtype=complex)
     if domain.boundary_circle is not None:  # (rho (1 + d)) * (zb / |zb|), by parts as complex arithmetic rounds it
@@ -430,39 +423,27 @@ def boundary_samples(domain: Domain, depths: Sequence[float] = _DEPTH_FRACTIONS)
     return out.ravel().tolist()
 
 
-def _neville(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The interpolating polynomials through (ts, vals) along their first axis, evaluated at t = 0;
-    each tableau column is one array step, with the arithmetic of the scalar recurrence."""
-    p, n = vals, len(ts)
-    for k in range(1, n):
-        p = (ts[: n - k] * p[1:] - ts[k:] * p[:-1]) / (ts[: n - k] - ts[k:])
-    return p[0]
-
-
 def _boundary_limits(data: WeierstrassData, unit_n: LVector) -> tuple[BoundaryArc, float, list[float], list[complex]]:
-    """The boundary arc, c, and the limits of <N, unit_n> and of g at each of its positions, extrapolated
-    from ``boundary_samples`` by Neville's tableau; c is the mean of the <N, unit_n> limits.  g comes from
-    the patch program run to g alone.  Raises what compile_fn and gauss_from_g raise at a sample."""
+    """The boundary arc, c, and the values of <N, unit_n> and of g at its ``boundary_points``; c is the
+    mean of the <N, unit_n> values.  g comes from the patch program run to g alone; where a value is not
+    finite or |g| lies within 2 GAUSS_EPS of 1, the scalar code decides the point, in point order, and
+    raises what compile_fn and gauss_from_g raise there."""
     rho = data.domain.boundary_circle
     boundary = BoundaryArc("segment") if rho is None else BoundaryArc("circle", rho)
-    z = np.array(boundary_samples(data.domain)).reshape(ARC_POSITIONS, len(_DEPTH_FRACTIONS))  # (position, depth)
-    gs = data._g_array(z)
-    N = _gauss_arrays(gs.ravel())[0].reshape(*gs.shape, 3)
+    z = boundary_points(data.domain)
+    gs = data._g_array(np.array(z))
+    N = _gauss_arrays(gs)[0]
     with np.errstate(all="ignore"):
-        cs = N[..., 0] * unit_n.x1 + N[..., 1] * unit_n.x2 - N[..., 2] * unit_n.x3  # lorentz_inner's arithmetic
+        cs = N[:, 0] * unit_n.x1 + N[:, 1] * unit_n.x2 - N[:, 2] * unit_n.x3  # lorentz_inner's arithmetic
         near = np.abs(1 - np.abs(gs) ** 2) < 2 * GAUSS_EPS  # where gauss_from_g may refuse g
-    for k in np.flatnonzero((near | ~np.isfinite(cs)).any(axis=1)).tolist():  # the scalar code decides, in order
-        gs[k] = list(map(data._g_fn, z[k].tolist()))
-        cs[k] = [lorentz_inner(gauss_from_g(gv), unit_n) for gv in gs[k].tolist()]
-    # real and imaginary parts apart: for finite values the arithmetic of a complex tableau over real ts
-    with np.errstate(all="ignore"):
-        limits = _neville(np.tile(boundary.approach(z).T, 3), np.hstack((gs.real.T, gs.imag.T, cs.T))).reshape(3, -1)
-    c_limits = limits[2].tolist()
-    return boundary, float(np.mean(c_limits)), c_limits, (limits[0] + 1j * limits[1]).tolist()
+    for k in np.flatnonzero(near | ~np.isfinite(cs)).tolist():
+        gs[k] = data._g_fn(z[k])
+        cs[k] = lorentz_inner(gauss_from_g(gs[k]), unit_n)
+    return boundary, float(np.mean(cs)), cs.tolist(), gs.tolist()
 
 
 def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
-    """Extrapolate <N, n> and g to the boundary and classify the contact.
+    """Measure <N, n> and g on the boundary arc and classify the contact.
 
     The one obstruction rule: raises HypothesisViolationError when the
     angle varies by more than ANGLE_TOL, when |c| < 1 against a spacelike

@@ -200,8 +200,8 @@ SCONJ_FORMULAS = {
         "0.2500000000000018/(sconj(exp(i*z))/2)",
     ),
     "timelike_fixture": (
-        "2*-(-0.5*i*(sconj(exp(-i*z))*(1-(i+sconj(sqrt(2))*-i*sconj(exp(i*z)))^2)))/(i*(1-(-1.0000000000002045*i+2.000000000000409/(i+sconj(sqrt(2))*-i*sconj(exp(i*z))-1.0000000000002045*i))^2))",
-        "-1.0000000000002045*i+2.000000000000409/(i+sconj(sqrt(2))*-i*sconj(exp(i*z))-1.0000000000002045*i)",
+        "2*-(-0.5*i*(sconj(exp(-i*z))*(1-(i+sconj(sqrt(2))*-i*sconj(exp(i*z)))^2)))/(i*(1-(-0.9999999999999996*i+1.9999999999999991/(i+sconj(sqrt(2))*-i*sconj(exp(i*z))-0.9999999999999996*i))^2))",
+        "-0.9999999999999996*i+1.9999999999999991/(i+sconj(sqrt(2))*-i*sconj(exp(i*z))-0.9999999999999996*i)",
     ),
     "lightlike_fixture": (
         "2*-(0.5*(sconj(exp(-i*z))*(1-(1+-i*sconj(exp(i*z)))/2)^2))/(1-(0.5000000000000044+0.24999999999999556/((1+-i*sconj(exp(i*z)))/2+-0.5000000000000044)))^2",
@@ -221,15 +221,18 @@ SCONJ_FORMULAS = {
 # The reflected formulas (f_minus, g_minus) that extended configs carried
 # before extend wrote them in normal form: the trees the case formulas
 # build, printed unreduced.  Each parses to the tree its SCONJ_FORMULAS
-# entry parses to, and such configs still load and pass check.
+# entry parses to, and such configs still load and pass check.  The timelike
+# pair carries the constants its form -i lam + (1 + lam^2)/(w - i lam) takes
+# from the c measured on the arc (lam = 1/c), so it differs from the emitted
+# pair by the normal form alone.
 UNREDUCED_FORMULAS = {
     "spacelike_fixture": (
         "-(-i*exp(i*z)*(exp(-i*z)/2))/(0.2500000000000018/(exp(-i*z)/2))",
         "0.2500000000000018/(exp(-i*z)/2)",
     ),
     "timelike_fixture": (
-        "2*-(-0.5*i*(exp(i*z)*(1-(i+sqrt(2)*-i*exp(-i*z))^2)))/(i*(1-(-1.0000000000002045*i+2.000000000000409/(i+sqrt(2)*-i*exp(-i*z)-1.0000000000002045*i))^2))",
-        "-1.0000000000002045*i+2.000000000000409/(i+sqrt(2)*-i*exp(-i*z)-1.0000000000002045*i)",
+        "2*-(-0.5*i*(exp(i*z)*(1-(i+sqrt(2)*-i*exp(-i*z))^2)))/(i*(1-(-0.9999999999999996*i+1.9999999999999991/(i+sqrt(2)*-i*exp(-i*z)-0.9999999999999996*i))^2))",
+        "-0.9999999999999996*i+1.9999999999999991/(i+sqrt(2)*-i*exp(-i*z)-0.9999999999999996*i)",
     ),
     "lightlike_fixture": (
         "2*-(0.5*(exp(i*z)*(1-(1+-i*exp(-i*z))/2)^2))/(1-(0.5000000000000044+0.24999999999999556/((1+-i*exp(-i*z))/2+-0.5000000000000044)))^2",

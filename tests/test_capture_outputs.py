@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -100,7 +101,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-overflow": (1, "error: quadrature did not converge on path to (-0.19-2.3268289183799712e-17j)"
                            " (achieved error estimate nan)\n"),
         "check-poly": (1, '"name": "gauss_hyperboloid",\n      "passed": false,'),
-        "extend-orthogonal": (0, '"lam": 1.165524573159063e+19,'),  # 1/c, c = 8.6e-20 measured
+        "extend-orthogonal": (0, '"c": 0.0,\n    "deviation": 0.0,\n    "lam": null,'),  # g is real on the arc
         "extend-varying": (1, "extension failed: constant-angle hypothesis violated: <N,n> varies by 2.228e-01 about "
                            "-1.220594\n"),
         "extend-singular": (1, "extension failed: extended g takes the singular value (1+0j) near "
@@ -125,8 +126,8 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
                                    " (achieved error estimate inf)\n"),
         "check-off-hyperboloid": (1, "--- stdout\n--- stderr\nerror: quadrature did not converge on path to "
                                   "(-19-2.326828918379971e-15j) (achieved error estimate 3.158e+34)\n"),
-        "extend-lower-sheet-tangent": (1, "--- stdout\n--- stderr\nextension failed: |<N,n>| = 1.000000 on the lower "
-                                       "sheet puts the Gauss locus at |g| = infinity\n"),
+        "extend-lower-sheet-tangent": (1, "--- stdout\n--- stderr\nextension failed: constant-angle hypothesis "
+                                       "violated: <N,n> varies by 1.287e+00 about 1.160903\n"),
         "extend-branch-cut": (0, '"passed": true'),
         "check-branch-cut.ext": (0, '\n  "passed": true\n}\n--- stderr\n'),
         "eval-squares-overflow": (0, "\nconformal_factor = inf\n--- stderr\n"),
@@ -135,7 +136,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "check-squares-overflow": (1, '"max_residual": 5.551115123125783e-17,\n      "name": "quadratic_identity",\n'
                                    '      "passed": true,'),
         "check-tangential-lightlike.ext": (1, f"\n--- stderr\n{TANGENTIAL_WARNING}"),
-        "extend-near-orthogonal": (1, '"lam": 4999.999949999166,'),
+        "extend-near-orthogonal": (1, '"lam": 4999.999949999999,'),  # (1 - e^2)/(2 e), e = 1e-4
         "extend-degenerate-lightlike": (1, "--- stdout\n--- stderr\nextension failed: degenerate lightlike contact "
                                         "(|g + 1| = 4.444e-02 < 0.05): X_u ^ X_v = 0\n"),
         "check-wrong-plane.ext": (1, '"max_residual": 4.664916170199053,\n      "name": "plane_containment",\n'
@@ -179,11 +180,10 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
     # extend carries the source's mesh keys into the config that the last mesh reads
     assert (tmp_path / "mesh-keys.ext.cfg").read_text().endswith(
         "\nmesh_range = -0.5,0.5,-0.40000000000000002,0.40000000000000002\nmask_eps = 9.9999999999999995e-07\n")
-    # the reflected side of the extended catenoid reflects back to the catenoid's data, at round-off
+    # the reflected side of the extended catenoid reflects back to the catenoid's data
     back = dict(line.split(" = ", 1) for line in (tmp_path / "catenoid-b07-reflected.ext.cfg").read_text().splitlines()
                 if " = " in line)
-    assert back["f_minus"].endswith("/z^2") and back["g_minus"].endswith("*z"), back
-    assert abs(float(back["f_minus"][:-4]) - 1) < 1e-13 and abs(float(back["g_minus"][:-2]) - 1) < 1e-13
+    assert (back["f_minus"], back["g_minus"]) == ("z^-2", "z"), back
 
 
 def test_compare_lists_the_files_that_differ_were_added_and_went_missing(tmp_path):
@@ -226,3 +226,50 @@ def test_against_exits_1_when_a_file_differs_or_went_missing(tmp_path, monkeypat
     monkeypatch.setattr(tool, "capture", capture)
     assert tool.against("REV", tmp_path / "out") == code
     assert capsys.readouterr().out.endswith(summary + "\n")
+
+
+def _log(code, stdout=""):
+    return f"$ maxsurf check s.cfg\nexit {code}\n--- stdout\n{stdout}--- stderr\n"
+
+
+def _report(matching, plane):
+    checks = [{"name": "c1_matching", "passed": matching}, {"name": "plane_containment", "passed": plane}]
+    return json.dumps({"checks": checks, "matching": {"passed": matching}, "passed": matching and plane}, indent=2) + "\n"
+
+
+def test_against_prints_the_exit_codes_and_verdicts_that_changed(tmp_path, monkeypatch, capsys):
+    # under each differing log, what it decides differently; the count of both comes before the file count
+    tool = capture_tool()
+    base = {"001-check-a.txt": _log(0, _report(True, True)), "002-check-b.txt": _log(1, _report(True, False)),
+            "003-mesh-c.txt": _log(0, "wrote c.obj\n"), "c.obj": "v 0 0 0\n"}
+    change = {"001-check-a.txt": _log(1, _report(False, True)), "002-check-b.txt": _log(1, _report(True, False) + " "),
+              "003-mesh-c.txt": _log(2), "c.obj": "v 0 0 1\n"}
+
+    def extract(rev, dest):
+        script = Path(dest) / "tools" / "capture_outputs.py"
+        script.parent.mkdir(parents=True)
+        script.write_text(f"import pathlib, sys\nout = pathlib.Path(sys.argv[1])\nout.mkdir(parents=True)\n"
+                          f"for name, text in {base!r}.items():\n    (out / name).write_text(text)\n")
+
+    def capture(outdir):
+        outdir.mkdir(parents=True)
+        for name, text in change.items():
+            (outdir / name).write_text(text)
+
+    monkeypatch.setattr(tool, "extract", extract)
+    monkeypatch.setattr(tool, "capture", capture)
+    assert tool.against("REV", tmp_path / "out") == 1
+    assert capsys.readouterr().out == (
+        "differs: 001-check-a.txt\n"
+        "  exit 0 -> 1\n"
+        "  passed report: true -> false\n"
+        "  passed checks/c1_matching: true -> false\n"
+        "  passed matching: true -> false\n"
+        "differs: 002-check-b.txt\n"
+        "differs: 003-mesh-c.txt\n"
+        "  exit 0 -> 2\n"
+        "differs: c.obj\n"
+        '2 exit-code changes, 3 "passed" changes\n'
+        "0 identical, 4 differ, 0 added, 0 missing\n"
+    )
+    assert tool.verdicts("not a log") == (None, {})

@@ -960,7 +960,7 @@ def test_extended_config_off_the_contact_plane_exits_1(tmp_path, capsys, command
     assert main([command[0], cfg, *command[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: constant-angle hypothesis violated: <N,n> varies by 7.855e-01 about -0.000000\n"
+    assert captured.err == "error: constant-angle hypothesis violated: <N,n> varies by 7.855e-01 about 0.000000\n"
 
 
 @pytest.mark.parametrize("command", [["check"], ["eval", "--at=0.2,0.3"]])
@@ -1007,7 +1007,7 @@ _FAULTS = {
     "overflow": "f = (log(1e200+z))^-1\ng = z\ndomain = upper-half-disk\nradius = 1e150\nz0 = 0.9\n",
     # N leaves the hyperboloid by more than stereo_inverse accepts at points of the check grid
     "off-hyperboloid": "f = z\ng = (tanh(z))^-3\ndomain = disk\nradius = 100\nz0 = 0.1\n",
-    # |g| is huge on the arc, so c = 1 on the lower sheet and theta = 0
+    # |g| is huge on the arc but cosh(1) at u = 0, so the angle varies along it
     "lower-sheet-tangent": "f = sin(z^-400)\ng = z + cosh(z^0)\ndomain = annulus\nradius = 1e150\n"
     "inner_radius = 0.5\nz0 = 1\nplane = 0,0,1,0.3\n",
 }
@@ -1039,7 +1039,7 @@ def test_a_lower_sheet_tangent_contact_fails_extend_in_one_line(tmp_path, capsys
     monkeypatch.chdir(tmp_path)
     Path("tangent.cfg").write_text(_FAULTS["lower-sheet-tangent"])
     assert main(["extend", "tangent.cfg", "-o", "out.cfg"]) == 1
-    err = "extension failed: |<N,n>| = 1.000000 on the lower sheet puts the Gauss locus at |g| = infinity\n"
+    err = "extension failed: constant-angle hypothesis violated: <N,n> varies by 1.287e+00 about 1.160903\n"
     assert capsys.readouterr() == ("", err)
     assert not Path("out.cfg").exists()
 

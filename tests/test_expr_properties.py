@@ -461,17 +461,23 @@ def test_each_pass_of_the_walk_equals_its_recursive_reference(e, w):
     assert all(node is w for node in _at_leaves(e, substitute(e, w)))
 
 
-@pytest.mark.parametrize("fixture", [timelike_fixture, lightlike_fixture], ids=lambda fx: fx.__name__)
-def test_the_derivative_of_f_minus_holds_that_of_g_minus(fixture):
-    # _match_report differentiates f_minus, then g_minus, with one memo; across a timelike or lightlike
-    # plane f_minus holds g_minus by identity, so f_minus' holds g_minus'
+@pytest.mark.parametrize("fixture, shared", [(timelike_fixture, None), (lightlike_fixture, "1-i*exp(-i*z)")],
+                         ids=["timelike_fixture", "lightlike_fixture"])
+def test_the_derivative_of_f_minus_holds_that_of_g_minus(fixture, shared):
+    # _match_report differentiates f_minus, then g_minus, with one memo, so f_minus' holds the derivative of
+    # each subtree that f_minus holds of g_minus.  Across a timelike plane f_minus holds g_minus itself.
+    # Across the lightlike fixture's plane (lam = -2) g_minus is -0.5*X/Y, and the normal form writes the
+    # recovery's 1 - g_minus as the new product 1 + 0.5*X/Y, so the largest subtree they share is X
     data, plane = fixture()
     ext = extension.extend(data, plane)
-    assert any(t is ext.g_minus for t in _subtrees(ext.f_minus))
+    core = ext.g_minus if shared is None else next(t for t in _subtrees(ext.g_minus) if format_expr(t) == shared)
+    assert any(t is core for t in _subtrees(ext.f_minus))
+    assert (shared is None) == any(t is ext.g_minus for t in _subtrees(ext.f_minus))
     memo = {}
     df = expr._derivative(ext.f_minus, memo)
     dg = expr._derivative(ext.g_minus, memo)
-    assert any(t is dg for t in _subtrees(df))
+    dcore = expr._derivative(core, memo)
+    assert any(t is dcore for t in _subtrees(df)) and any(t is dcore for t in _subtrees(dg))
     assert df == _derivative(ext.f_minus, {}) and dg == _derivative(ext.g_minus, {})
 
 

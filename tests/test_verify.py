@@ -201,7 +201,7 @@ ORTHOGONAL_BAND = sorted({float(f"{m}e{k}") for k in range(-9, -3) for m in (1, 
 
 
 @pytest.mark.parametrize("eps", ORTHOGONAL_BAND)
-def test_a_near_orthogonal_contact_keeps_one_locus_kind_or_refuses(eps):
+def test_a_near_orthogonal_contact_reflects_through_the_timelike_form_of_c(eps):
     # c = 2 eps / (1 - eps^2): at every size of c the contact's one locus is the timelike form of c itself,
     # which is the line Im w = 0 at c = 0 only, and g reflected through it matches (ROADMAP item 7's band)
     cfg = SurfaceConfig.from_text(orthogonal_band_config(eps))

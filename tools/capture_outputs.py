@@ -47,14 +47,14 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``extend`` of the extended catenoid's reflected side back across the same
     plane: ``catenoid-b07-reflected.cfg`` is the emitted
     ``catenoid-b07.ext.cfg`` with its ``f_minus`` and ``g_minus`` as f and g,
-    so the formulas it writes are the catenoid's again, at round-off;
+    so the formulas it writes are the catenoid's again;
   - configs that must end in one line (exit 1) where they once ended in a
     traceback or wrote non-finite vertices: ``check`` and ``mesh`` (5x5) of an
     f whose quadrature estimate overflows to inf, ``check`` of a g whose normal
-    leaves the hyperboloid, and ``extend`` of a contact with |c| = 1 on the
-    lower sheet; then ``extend`` of the spacelike config with g's constant
-    on log's branch cut (``log(-1)``) and ``check`` of the config it writes,
-    which passes;
+    leaves the hyperboloid, and ``extend`` of a lower-sheet contact whose
+    |g| is huge on the arc but cosh(1) at its middle, so the angle varies;
+    then ``extend`` of the spacelike config with g's constant on log's branch
+    cut (``log(-1)``) and ``check`` of the config it writes, which passes;
   - ``eval`` and ``mesh`` (5x5) of an f of size 1e180, where every |phi_k|^2
     overflows and their sum, once inf - inf = NaN, reads inf as the closed
     form |f|^2 (1 - |g|^2)^2 / 2 does; then ``check`` of it (exit 1), whose
@@ -116,14 +116,18 @@ REV with ``git archive`` into a temporary directory (removed afterwards), so
 nothing is written under ``.git``, runs REV's copy of this script into
 ``OUTDIR/base`` and this checkout's into ``OUTDIR/change``, and prints each
 file that differs, was added or went missing, then a count of the identical
-ones.  It exits 1 when a file that both captures wrote differs or a file that
-REV wrote is missing (a dropped command), else 0.
+ones.  Under each command log (``.txt``) that differs it prints an ``exit a -> b``
+line when the exit code changed and a ``passed PATH: a -> b`` line for each JSON
+record of stdout whose "passed" value changed, and before the count of files a
+count of both.  It exits 1 when a file that both captures wrote differs or a
+file that REV wrote is missing (a dropped command), else 0.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -435,6 +439,44 @@ def compare(base: Path, change: Path) -> tuple[list[str], list[str], list[str], 
     return differ, sorted(files[1] - files[0]), sorted(files[0] - files[1]), len(both) - len(differ)
 
 
+def verdicts(text: str) -> tuple[str | None, dict[str, bool]]:
+    """A command log's exit code (None if the text is not a log) and the "passed" value of each JSON
+    record on its stdout, by the record's path: "report" for the whole report, else its keys joined
+    by "/", a list entry named by its "name" where it has one."""
+    lines = text.split("\n", 2)
+    if len(lines) < 3 or not lines[1].startswith("exit "):
+        return None, {}
+    stdout = text.partition("\n--- stdout\n")[2].partition("--- stderr\n")[0]
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return lines[1][5:], {}
+    found = {}
+
+    def walk(node, path):
+        if isinstance(node, list):
+            for k, item in enumerate(node):
+                label = item.get("name", k) if isinstance(item, dict) else k
+                walk(item, f"{path}/{label}")
+        elif isinstance(node, dict):
+            if isinstance(node.get("passed"), bool):
+                found[path or "report"] = node["passed"]
+            for key, value in node.items():
+                walk(value, f"{path}/{key}" if path else key)
+
+    walk(report, "")
+    return lines[1][5:], found
+
+
+def verdict_changes(base: str, change: str) -> list[str]:
+    """How two logs of one command part in what they decide: an "exit a -> b" line when the exit code
+    changed, then one "passed PATH: a -> b" line per record in both whose "passed" value changed."""
+    (code0, passed0), (code1, passed1) = verdicts(base), verdicts(change)
+    out = [f"exit {code0} -> {code1}"] if code0 != code1 else []
+    return out + [f"passed {path}: {json.dumps(passed0[path])} -> {json.dumps(passed1[path])}"
+                  for path in passed0 if path in passed1 and passed0[path] != passed1[path]]
+
+
 def extract(rev: str, dest: str) -> None:
     """Write the files of the git revision REV of this checkout into dest, through ``git archive``, so
     that nothing is written under ``.git``."""
@@ -455,9 +497,16 @@ def against(rev: str, outdir: Path) -> int:
         subprocess.run([sys.executable, str(Path(tmp) / "tools" / "capture_outputs.py"), str(base)], check=True)
     capture(change)
     differ, added, missing, same = compare(base, change)
+    changes = []
     for label, names in (("differs", differ), ("added", added), ("missing", missing)):
         for name in names:
             print(f"{label}: {name}")
+            if label == "differs" and name.endswith(".txt"):
+                lines = verdict_changes((base / name).read_text(), (change / name).read_text())
+                changes += lines
+                print("".join(f"  {line}\n" for line in lines), end="")
+    exits = sum(line.startswith("exit ") for line in changes)
+    print(f'{exits} exit-code changes, {len(changes) - exits} "passed" changes')
     print(f"{same} identical, {len(differ)} differ, {len(added)} added, {len(missing)} missing")
     return 1 if differ or missing else 0
 

@@ -631,6 +631,12 @@ def _reads_back(v: complex) -> bool:
     return math.copysign(1, v.real) == math.copysign(1, w.real) and math.copysign(1, v.imag) == math.copysign(1, w.imag)
 
 
+def _as_read(e: Expr) -> Expr:
+    """A finite constant with the signs of zero its printed form reads back with; any other tree as it is."""
+    kept = type(e) is not Const or not cmath.isfinite(e.value) or _reads_back(e.value)
+    return e if kept else Const(_readable(e.value))
+
+
 def _negative(k: complex | None) -> bool:
     """Whether the constant k prints with a leading minus."""
     return k is not None and (k.real < 0 if k.imag == 0 else k.real == 0 and k.imag < 0)
@@ -699,7 +705,9 @@ class _NormalForm:
     written reads back from its printed form bit for bit, signs of zero included; a fold of constants
     alone that would not (-1.5+0.5 is -1+0j, while -1 reads as -(1+0j)) stays unfolded.  Sums are not
     distributed over and their terms are not collected; a right operand whose constant prints with a
-    minus flips the sum's sign instead (a+-2*z is a-2*z).  No floating-point gcd is taken and no
+    minus flips the sum's sign instead (a+-2*z is a-2*z).  A constant term of a sum, folded or not,
+    is taken as it reads back (the 1-0j of sconj is 1), so sums that only a written file would make
+    equal are one factor: sconj(1-z^2)/(1-z^2) is 1.  No floating-point gcd is taken and no
     function identity applied.  A chain of products is written as its collected product where that
     has fewer nodes than the chain with its leaves reduced, and stays that chain otherwise, so a
     normal form never has more nodes than its input.  Values move at round-off: folded constants and
@@ -810,8 +818,10 @@ class _NormalForm:
         return self._factor(e if tree is e.arg else Call(e.func, tree), arg[1] + 1)
 
     def _sum(self, t: type, left: list, right: list) -> list:
-        tl, tr = self._tree(left), self._tree(right)
+        tl, tr = _as_read(self._tree(left)), _as_read(self._tree(right))
         sl, sr, k, factors = left[1], *right[1:4]
+        if type(tr) is Const and cmath.isfinite(tr.value):  # the right constant as it reads back
+            k = tr.value
         if type(tl) is Const and type(tr) is Const:
             v = tl.value + k if t is Add else tl.value - k
             if cmath.isfinite(v) and _reads_back(v):

@@ -81,13 +81,11 @@ from .expr import (
 )
 from .minkowski import CausalClass, LVector, Plane, lorentz_inner, plane_class
 from .weierstrass import (
-    GAUSS_EPS,
     Domain,
     DomainKind,
     WeierstrassData,
     _HALF_KINDS,
     _build_path,
-    _gauss_arrays,
     _phi_values,
     evaluate_surface,
     gauss_from_g,
@@ -425,21 +423,15 @@ def boundary_samples(domain: Domain, depths: Sequence[float]) -> list[complex]:
 
 def _boundary_limits(data: WeierstrassData, unit_n: LVector) -> tuple[BoundaryArc, float, list[float], list[complex]]:
     """The boundary arc, c, and the values of <N, unit_n> and of g at its ``boundary_points``; c is the
-    mean of the <N, unit_n> values.  g comes from the patch program run to g alone; where a value is not
-    finite or |g| lies within 2 GAUSS_EPS of 1, the scalar code decides the point, in point order, and
-    raises what compile_fn and gauss_from_g raise there."""
+    mean of the <N, unit_n> values.  Each point is read through the patch's closures (``_g_fn``,
+    gauss_from_g, lorentz_inner), in point order, so the first fault raises what they raise there."""
     rho = data.domain.boundary_circle
     boundary = BoundaryArc("segment") if rho is None else BoundaryArc("circle", rho)
-    z = boundary_points(data.domain)
-    gs = data._g_array(np.array(z))
-    N = _gauss_arrays(gs)[0]
-    with np.errstate(all="ignore"):
-        cs = N[:, 0] * unit_n.x1 + N[:, 1] * unit_n.x2 - N[:, 2] * unit_n.x3  # lorentz_inner's arithmetic
-        near = np.abs(1 - np.abs(gs) ** 2) < 2 * GAUSS_EPS  # where gauss_from_g may refuse g
-    for k in np.flatnonzero(near | ~np.isfinite(cs)).tolist():
-        gs[k] = data._g_fn(z[k])
-        cs[k] = lorentz_inner(gauss_from_g(gs[k]), unit_n)
-    return boundary, float(np.mean(cs)), cs.tolist(), gs.tolist()
+    cs, gs = [], []
+    for z in boundary_points(data.domain):
+        gs.append(data._g_fn(z))
+        cs.append(lorentz_inner(gauss_from_g(gs[-1]), unit_n))
+    return boundary, float(np.mean(cs)), cs, gs
 
 
 def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
@@ -614,8 +606,10 @@ class ExtendedSurface:
 
     def sides(self, z: np.ndarray) -> list[tuple[WeierstrassData, np.ndarray]]:
         """Each side with the mask of the points of an array where it holds, in the closure of contains."""
-        dom, here = self.original.domain, self.contact.boundary.on_original_side(z)
-        mirror = np.array([self.reflect(w) for w in z.tolist()], dtype=complex)
+        arc, dom = self.contact.boundary, self.original.domain
+        here = arc.on_original_side(z)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a circle's centre maps to no point a domain holds
+            mirror = z.conj() if arc.kind == "segment" else arc.rho * arc.rho / z.conj()
         inside = dom.contains_many(z, closed=True) | dom.contains_many(mirror, closed=True)
         return [(self.original, inside & here), (self.minus, inside & ~here)]
 
@@ -644,13 +638,9 @@ class ExtendedSurface:
 
 
 def _check_reconstruction_singular(minus: WeierstrassData, pts: Sequence[complex], offsets: Sequence[complex]):
-    """Reject when the patch's g hits any of the given values on the sample grid, skipping points where
-    it faults; one run of the patch program to g finds the points near a value or not finite, and the
-    scalar code decides there."""
-    with np.errstate(invalid="ignore"):
-        gs = minus._g_array(np.array(pts, dtype=complex))
-        near = ~np.isfinite(gs) | (np.abs(gs[:, None] - np.array(offsets)) < 2 * SINGULAR_TOL).any(axis=1)
-    for z in [pts[k] for k in np.flatnonzero(near)]:
+    """Reject when the patch's g (its ``_g_fn`` closure) hits any of the given values on the sample grid,
+    in point order, skipping points where it faults."""
+    for z in pts:
         try:
             gv = minus._g_fn(complex(z))
         except EvalError:
@@ -680,6 +670,6 @@ def extend(data: WeierstrassData, plane: Plane) -> ExtendedSurface:
     f_minus = case.recover(arc.pullback(case.odd(data.f, data.g)), g_minus)
     normal = _NormalForm()  # one memo, so f_minus keeps sharing g_minus
     ext = ExtendedSurface(data, contact, normal(g_minus), normal(f_minus))
-    if case.singular:  # on the reflected patch, whose program the matching report grows
+    if case.singular:  # on the reflected patch, whose g closure its field reuses
         _check_reconstruction_singular(ext.minus, _minus_grid(data.domain, arc), case.singular)
     return ext

@@ -255,24 +255,20 @@ class WeierstrassData:
 
     @cached_property
     def _g_fn(self) -> Callable[[complex], complex]:
-        """g as the compile_fn closure of ``field``, built once per patch."""
+        """g as the compile_fn closure of ``field``, the contact and the singular check, built once per patch."""
         return compile_fn(self.g)
 
     @cached_property
     def _program(self) -> _ArrayProgram:
-        """The patch's one array program (the numpy target of ``expr.compile_array``), grown as the
-        patch is read: g's value steps, f's, and last the steps of f' and g' that these do not hold."""
+        """The patch's one array program (the numpy target of ``expr.compile_array``), grown from f and
+        g: their value steps, then the steps of f' and g' that these do not hold.  Nothing that eval
+        reads builds it: the contact reads its 9 points through the closures."""
         return _ArrayProgram()
 
     @cached_property
-    def _g_array(self) -> Callable[[np.ndarray], np.ndarray]:
-        """g on a complex array: the patch program run to g.  The contact measurement reads it first, so
-        a load that integrates nothing on arrays (eval) compiles g alone."""
-        return self._program.runner(self._program.values(self.g))
-
-    @cached_property
     def fg_array(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """f and g on a complex array: the value steps of the patch program, with no derivative step."""
+        """f and g on a complex array (quadrature, mesh normals, the diagnostic grid): the value steps
+        of the patch program, with no derivative step."""
         return self._program.runner(self._program.values(self.f, self.g))
 
     @cached_property

@@ -269,7 +269,20 @@ def test_against_prints_the_exit_codes_and_verdicts_that_changed(tmp_path, monke
         "differs: 003-mesh-c.txt\n"
         "  exit 0 -> 2\n"
         "differs: c.obj\n"
+        "  numbers only: 1 changed, max rel 1.0e+00\n"
         '2 exit-code changes, 3 "passed" changes\n'
         "0 identical, 4 differ, 0 added, 0 missing\n"
     )
     assert tool.verdicts("not a log") == (None, {})
+
+
+def test_a_change_of_numbers_alone_prints_their_count_and_largest_relative_change():
+    # a round-off change reads apart from a change of text; a sign is text, not part of a number
+    numbers = capture_tool().number_changes
+    base = "c = -1.666666666666667, deviation 2.2e-16, theta 1.0986122886681098, n 9\n"
+    change = "c = -1.6666666666666667, deviation 0.0, theta 1.0986122886681096, n 9\n"
+    assert numbers(base, change) == "numbers only: 3 changed, max rel 1.0e+00"
+    assert numbers("x = 1.0, y = 2.0", "x = 1.0, y = 2.0000000000000004") == "numbers only: 1 changed, max rel 2.2e-16"
+    assert numbers("v 0 0 1e-3", "v 0 0 0.001") == "numbers only: 1 changed, max rel 0.0e+00"
+    assert numbers("x = 1.5", "x = -1.5") is None
+    assert numbers("passed: true", "passed: false") is None

@@ -1,7 +1,8 @@
-"""The extension stages run as array passes: the contact measurement, the C1
-matching report and the singularity check, each against a scalar reference
-kept here (the per-point, per-formula code they replace), on fixture families
-with drawn parameters and on faults that only the scalar path can judge."""
+"""The extension stages against scalar references kept here (the per-point,
+per-formula code): the C1 matching report and the side masks, which run as
+array passes, and the contact measurement and the singularity check, which
+read their few points through the patch's closures, on fixture families with
+drawn parameters and on faults that only the scalar path can judge."""
 
 import cmath
 import math
@@ -177,11 +178,6 @@ families = st.one_of(
 _PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-def _close(a: float, b: float) -> bool:
-    """Equal, or both finite and within 1e-15 absolute (round-off)."""
-    return a == b or (math.isfinite(a) and math.isfinite(b) and abs(a - b) <= 1e-15)
-
-
 @_PROPERTY
 @given(family=families)
 def test_contact_matches_the_scalar_reference(family):
@@ -194,7 +190,7 @@ def test_contact_matches_the_scalar_reference(family):
         assert got == expected
         return
     (c0, dev0, sheet0, locus0, mis0), (c1, dev1, sheet1, locus1, mis1) = expected, got
-    assert _close(c1, c0) and _close(dev1, dev0) and _close(mis1, mis0)
+    assert (c1, dev1, mis1) == (c0, dev0, mis0)  # the contact runs the reference's arithmetic
     assert sheet1 == sheet0
     assert locus1 == locus0  # built from arc values of the same arithmetic
 
@@ -345,6 +341,26 @@ def test_contact_judges_an_array_nan_by_its_scalar_value():
     g = Add(data.g, _OVERFLOWED_ZERO)
     odd = WeierstrassData(data.f, g, data.domain, data.z0, data.X0)
     assert contact_fields(odd, plane) == scalar_contact(odd, plane) == contact_fields(data, plane)
+
+
+def scalar_sides(ext, z):
+    """ExtendedSurface.sides' masks with the mirror built point by point by the arc's scalar reflect."""
+    dom, here = ext.original.domain, ext.contact.boundary.on_original_side(z)
+    mirror = np.array([ext.reflect(w) for w in z.tolist()], dtype=complex)
+    inside = dom.contains_many(z, closed=True) | dom.contains_many(mirror, closed=True)
+    return [inside & here, inside & ~here]
+
+
+@pytest.mark.parametrize("fixture", [catenoid_extension_fixture, spacelike_fixture], ids=["circle", "segment"])
+def test_sides_on_arrays_hold_the_masks_of_the_scalar_reflection(fixture):
+    ext = extend(*fixture())
+    R = ext.original.domain.radius
+    a = np.linspace(-1.2 * R, 1.2 * R, 65)
+    z = (a[:, None] + 1j * a).ravel()
+    assert 0j in z.tolist()  # the centre, which a circle sends to infinity
+    got = [at for _, at in ext.sides(z)]
+    assert [m.tolist() for m in got] == [m.tolist() for m in scalar_sides(ext, z)]
+    assert got[0].any() and got[1].any()
 
 
 def test_singular_check_skips_faults_and_reports_the_first_hit():

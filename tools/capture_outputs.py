@@ -119,8 +119,11 @@ file that differs, was added or went missing, then a count of the identical
 ones.  Under each command log (``.txt``) that differs it prints an ``exit a -> b``
 line when the exit code changed and a ``passed PATH: a -> b`` line for each JSON
 record of stdout whose "passed" value changed, and before the count of files a
-count of both.  It exits 1 when a file that both captures wrote differs or a
-file that REV wrote is missing (a dropped command), else 0.
+count of both.  Under each differing file whose text is the same once its
+numbers are masked it prints ``numbers only: N changed, max rel R``, so that a
+change at round-off reads apart from a change of text.  It exits 1 when a
+file that both captures wrote differs or a file that REV wrote is missing (a
+dropped command), else 0.
 """
 
 from __future__ import annotations
@@ -130,6 +133,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -477,6 +481,19 @@ def verdict_changes(base: str, change: str) -> list[str]:
                   for path in passed0 if path in passed1 and passed0[path] != passed1[path]]
 
 
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")  # unsigned: a sign stays in the text
+
+
+def number_changes(base: str, change: str) -> str | None:
+    """For two texts that are equal once every number is masked, a "numbers only: N changed, max rel R"
+    line: how many numbers changed and the largest |a - b| / max(|a|, |b|) among them; else None."""
+    if _NUMBER.sub("#", base) != _NUMBER.sub("#", change):
+        return None
+    pairs = [(float(a), float(b)) for a, b in zip(_NUMBER.findall(base), _NUMBER.findall(change)) if a != b]
+    rel = max((abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0 for a, b in pairs), default=0.0)
+    return f"numbers only: {len(pairs)} changed, max rel {rel:.1e}"
+
+
 def extract(rev: str, dest: str) -> None:
     """Write the files of the git revision REV of this checkout into dest, through ``git archive``, so
     that nothing is written under ``.git``."""
@@ -501,10 +518,12 @@ def against(rev: str, outdir: Path) -> int:
     for label, names in (("differs", differ), ("added", added), ("missing", missing)):
         for name in names:
             print(f"{label}: {name}")
-            if label == "differs" and name.endswith(".txt"):
-                lines = verdict_changes((base / name).read_text(), (change / name).read_text())
+            if label == "differs":
+                texts = (base / name).read_text(), (change / name).read_text()
+                lines = verdict_changes(*texts) if name.endswith(".txt") else []
                 changes += lines
-                print("".join(f"  {line}\n" for line in lines), end="")
+                numbers = number_changes(*texts)
+                print("".join(f"  {line}\n" for line in lines + ([numbers] if numbers else [])), end="")
     exits = sum(line.startswith("exit ") for line in changes)
     print(f'{exits} exit-code changes, {len(changes) - exits} "passed" changes')
     print(f"{same} identical, {len(differ)} differ, {len(added)} added, {len(missing)} missing")

@@ -11,6 +11,7 @@ printing of a small closed language:
     power  := atom ['^' ['-'] digits]
     atom   := number | 'i' | 'z' | name '(' expr ')' | '(' expr ')'
 
+At most 100 brackets (``_NESTING``), those of calls included, may be open at once.
 Functions: exp, log, sin, cos, sinh, cosh, tanh, sqrt.  log and sqrt use
 principal branches.  Exponents are integer literals; write exp(w*log(z)) for
 anything else.  The input syntax also accepts ``sconj(e)``, the Schwarz
@@ -31,7 +32,7 @@ import cmath
 import math
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -79,59 +80,94 @@ class EvalError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: complex
+class _Slotted:
+    """An immutable value with slots (the tree nodes, and LVector) that its __init__ sets once: equal by exact
+    type and fields, hashed by its fields, printed as a dataclass, rebuilt by copy and pickle through __init__."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
+    __slots__ = __match_args__ = ()
 
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
-@dataclass(frozen=True)
-class Var:
-    pass
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
 
+    def __hash__(self):
+        return hash(self._fields())
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
 
+    def __reduce__(self):
+        return type(self), self._fields()
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Const(_Slotted):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: complex):
+        _set_value(self, complex(value))
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Var(_Slotted):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Neg(_Slotted):
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: "Expr"):
+        _set_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expr"
+class _Binary(_Slotted):
+    __slots__ = __match_args__ = ("left", "right")
 
+    def __init__(self, left: "Expr", right: "Expr"):
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+class Add(_Binary):
+    __slots__ = ()
+
+
+class Sub(_Binary):
+    __slots__ = ()
+
+
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+
+class Pow(_Slotted):
+    __slots__ = __match_args__ = ("base", "exponent")
+
+    def __init__(self, base: "Expr", exponent: int):
+        _set_base(self, base)
+        _set_exponent(self, exponent)
+
+
+class Call(_Slotted):
+    __slots__ = __match_args__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: "Expr"):
+        _set_func(self, func)
+        _set_call_arg(self, arg)
+
+
+# the slots' own setters, through which __init__ sets each field once: __setattr__ refuses
+_set_value, _set_arg, _set_left, _set_right = Const.value.__set__, Neg.arg.__set__, _Binary.left.__set__, _Binary.right.__set__
+_set_base, _set_exponent, _set_func, _set_call_arg = Pow.base.__set__, Pow.exponent.__set__, Call.func.__set__, Call.arg.__set__
 
 Expr = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
 
@@ -186,111 +222,86 @@ def substitute(e: Expr, w: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # parsing
 
-_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_EXPONENT = re.compile(r"-?\d+")
+# a token and the whitespace after it; an exponent also with the whitespace before it
+_NUMBER = re.compile(r"(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)[ \t]*")
+_NAME = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)[ \t]*")
+_EXPONENT = re.compile(r"[ \t]*(?:(-?\d+)[ \t]*)?")
 # the node of each binary operator's symbol, for sums and for products
 _SUMS, _PRODUCTS = ({symbol: node for node, (symbol, q) in _OPERATOR_SYNTAX.items() if q == p} for p in (_P_ADD, _P_MUL))
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def _peek(self) -> str | None:
-        self._ws()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def _expect(self, ch: str):
-        if self._peek() != ch:
-            raise ParseError(self.pos, f"'{ch}'")
-        self.pos += 1
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while (node := _SUMS.get(self._peek())) is not None:
-            self.pos += 1
-            e = node(e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while (node := _PRODUCTS.get(self._peek())) is not None:
-            self.pos += 1
-            e = node(e, self.factor())
-        return e
-
-    def factor(self) -> Expr:
-        if self._peek() == "-":
-            self.pos += 1
-            e = self.factor()
-            # fold signed literals so printed constants re-parse structurally
-            if isinstance(e, Const):
-                return Const(-e.value)
-            return Neg(e)
-        return self.power()
-
-    def power(self) -> Expr:
-        e = self.atom()
-        if self._peek() == "^":
-            self.pos += 1
-            self._ws()
-            m = _EXPONENT.match(self.text, self.pos)
-            if m is None:
-                raise ParseError(self.pos, "integer exponent")
-            self.pos = m.end()
-            return Pow(e, int(m.group()))
-        return e
-
-    def atom(self) -> Expr:
-        ch = self._peek()
-        if ch is None:
-            raise ParseError(self.pos, "operand")
-        if ch == "(":
-            self.pos += 1
-            e = self.expr()
-            self._expect(")")
-            return e
-        if ch.isdecimal():  # as \d: '²' is a digit to str.isdigit, but not decimal
-            m = _NUMBER.match(self.text, self.pos)
-            x = float(m.group())
-            if not math.isfinite(x):  # 1e999 reads as inf
-                raise ParseError(self.pos, "finite number")
-            self.pos = m.end()
-            return Const(complex(x))
-        m = _NAME.match(self.text, self.pos)
-        if m is None:
-            raise ParseError(self.pos, "operand")
-        name = m.group()
-        start = self.pos
-        self.pos = m.end()
-        if name == "z":
-            return Var()
-        if name == "i":
-            return Const(1j)
-        if name == "sconj" or name in _FUNCTIONS:
-            self._expect("(")
-            e = self.expr()
-            self._expect(")")
-            return sconj(e) if name == "sconj" else Call(name, e)
-        raise ParseError(start, "known function or variable")
+_NESTING = 100  # brackets open at once, calls' included: each costs three frames of the descent below
 
 
 def parse(text: str) -> Expr:
     """Parse an expression string, raising ParseError with the fault offset."""
-    p = _Parser(text)
-    e = p.expr()
-    p._ws()
-    if p.pos != len(text):
-        raise ParseError(p.pos, "end of input")
+    e, i = _sum(text + "\0", 0, 0)  # the NUL past the end matches no token, so a lookahead needs no bounds test
+    if i != len(text):
+        raise ParseError(i, "end of input")
     return e
+
+
+# Each level reads s from offset i with depth brackets open and returns its tree and the offset past its whitespace.
+def _sum(s: str, i: int, depth: int) -> tuple[Expr, int]:
+    e, i = _product(s, i, depth)
+    while (node := _SUMS.get(s[i])) is not None:
+        right, i = _product(s, i + 1, depth)
+        e = node(e, right)
+    return e, i
+
+
+def _product(s: str, i: int, depth: int) -> tuple[Expr, int]:
+    e, i = _factor(s, i, depth)
+    while (node := _PRODUCTS.get(s[i])) is not None:
+        right, i = _factor(s, i + 1, depth)
+        e = node(e, right)
+    return e, i
+
+
+def _factor(s: str, i: int, depth: int) -> tuple[Expr, int]:
+    """factor, power and atom of the grammar, as one level, from the whitespace before it."""
+    signs = 0
+    while (c := s[i]) in " \t-":
+        signs += c == "-"
+        i += 1
+    e = name = None
+    if c.isdecimal():  # as \d: '²' is a digit to str.isdigit, but not decimal
+        m = _NUMBER.match(s, i)
+        x = float(m[1])
+        if not math.isfinite(x):  # 1e999 reads as inf
+            raise ParseError(i, "finite number")
+        e, i = Const(x), m.end()
+    elif c != "(":
+        m = _NAME.match(s, i)
+        if m is None:
+            raise ParseError(i, "operand")
+        name = m[1]
+        if name == "z":
+            e = Var()
+        elif name == "i":
+            e = Const(1j)
+        elif name != "sconj" and name not in _FUNCTIONS:
+            raise ParseError(i, "known function or variable")
+        elif s[m.end()] != "(":
+            raise ParseError(m.end(), "'('")
+        i = m.end()
+    if e is None:  # s[i] is the '(' of a bracket or of a call
+        if depth == _NESTING:
+            raise ParseError(i, f"at most {_NESTING} nested brackets")
+        e, i = _sum(s, i + 1, depth + 1)
+        if s[i] != ")":
+            raise ParseError(i, "')'")
+        i += 1
+        while s[i] in " \t":
+            i += 1
+        if name is not None:
+            e = sconj(e) if name == "sconj" else Call(name, e)
+    if s[i] == "^":
+        m = _EXPONENT.match(s, i + 1)
+        if m[1] is None:
+            raise ParseError(m.end(), "integer exponent")
+        e, i = Pow(e, int(m[1])), m.end()
+    for _ in range(signs):  # fold signed literals so printed constants re-parse structurally
+        e = Const(-e.value) if type(e) is Const else Neg(e)
+    return e, i
 
 
 # ---------------------------------------------------------------------------
@@ -473,58 +484,61 @@ class _ArrayProgram:
 
         return run
 
-    def _emit(self, step: Callable, op, a, b=None) -> int:
+    def _emit(self, op, a, b=None) -> int:
         """The register of op on the operands a and b (registers, or Consts): an earlier step's where its
-        operation and operands are the same, else a new step, ``step``."""
+        operation and operands are the same, else a new step's, built only then."""
         key = (op, _bits(a.value) if type(a) is Const else a, _bits(b.value) if type(b) is Const else b)
         r = self._numbers.get(key)
         if r is None:
-            if type(a) is int:
-                self._last[a] = len(self.steps)
-            if type(b) is int:
-                self._last[b] = len(self.steps)
-            self.steps.append(step)
+            self._last.update({x: len(self.steps) for x in (a, b) if type(x) is int})
+            self.steps.append(_step(op, a, b))
             r = self._numbers[key] = len(self.steps)
         return r
 
     def array(self, r) -> int:
         """r's register; a Const is filled to the shape of z."""
-        return self._emit(lambda v, c=r.value: np.full(v[0].shape, c), np.full, 0, r) if type(r) is Const else r
+        return self._emit(np.full_like, 0, r) if type(r) is Const else r
 
     def guard(self, r):
         """r, or for a computed value the register of its guarded value."""
         if type(r) is Const or r in self._clean:
             return r
-        return self._emit(lambda v: _finite(v[r]), _finite, r)
+        return self._emit(_finite, r)
 
     def _neg(self, e: Neg, a):
         if type(a) is Const:  # negation is exact, so it folds
             return Const(-a.value)
-        r = self._emit(lambda v: -v[a], np.negative, a)
+        r = self._emit(np.negative, a)
         if a in self._clean:
             self._clean.add(r)
         return r
 
     def _call(self, e: Call, a) -> int:
-        fn, i = _FUNCTIONS[e.func].array, self.array(self.guard(a))
-        return self._emit(lambda v: fn(v[i]), fn, i)
+        return self._emit(_FUNCTIONS[e.func].array, self.array(self.guard(a)))
 
     def _pow(self, e: Pow, b) -> int:
-        n, i = e.exponent, self.array(self.guard(b) if e.exponent < 0 else b)
-        if n == 0:  # numpy gives nan^0 = 1, but a non-finite base must give NaN
-            return self._emit(lambda v: np.where(np.isfinite(v[i]), 1 + 0j, np.nan), (np.power, n), i)
-        return self._emit(lambda v: v[i] ** n, (np.power, n), i)
+        return self._emit((np.power, e.exponent), self.array(self.guard(b) if e.exponent < 0 else b))
 
     def _binary(self, e, left, right) -> int:
         op = self.OPERATORS[type(e)]
         right = self.guard(right) if op is np.divide else right
         if type(left) is Const and type(right) is Const:
             left = self.array(left)
-        if type(left) is Const:
-            return self._emit(lambda v, c=left.value: op(c, v[right]), op, left, right)
-        if type(right) is Const:
-            return self._emit(lambda v, c=right.value: op(v[left], c), op, left, right)
-        return self._emit(lambda v: op(v[left], v[right]), op, left, right)
+        return self._emit(op, left, right)
+
+
+def _step(op, a, b) -> Callable[[list], np.ndarray]:
+    """The step of _ArrayProgram that computes op, a function or (np.power, n), on the operands of _emit."""
+    if type(op) is tuple:
+        n = op[1]  # numpy gives nan^0 = 1, but a non-finite base must give NaN
+        return (lambda v: v[a] ** n) if n else lambda v: np.where(np.isfinite(v[a]), 1 + 0j, np.nan)
+    if b is None:
+        return lambda v: op(v[a])
+    if type(a) is Const:
+        return lambda v, c=a.value: op(c, v[b])
+    if type(b) is Const:
+        return lambda v, c=b.value: op(v[a], c)
+    return lambda v: op(v[a], v[b])
 
 
 # ---------------------------------------------------------------------------
@@ -770,13 +784,14 @@ class _NormalForm:
         return _product_tree(k, [(*trees[key], n) for key, n in factors.items()])
 
     def _chain(self, e: Expr) -> Expr:
-        """The chain of products at e with its leaves reduced; a negated constant folds, as parse folds -c."""
+        """The chain of products at e with its leaves reduced, each constant as it reads back; a negated
+        constant folds, as parse folds -c."""
         t, r = type(e), self._memo[id(e)][1]
         if not (t is Neg or t is Pow or t is Mul or t is Div) or r[0] is not None:
-            return self._tree(r)
+            return _as_read(self._tree(r))
         if t is Neg:
             x = self._chain(e.arg)
-            return Const(-x.value) if type(x) is Const else e if x is e.arg else Neg(x)
+            return _as_read(Const(-x.value)) if type(x) is Const else e if x is e.arg else Neg(x)
         if t is Pow:
             x = self._chain(e.base)
             return e if x is e.base else Pow(x, e.exponent)

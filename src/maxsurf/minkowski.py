@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
+
+from .expr import _Slotted
 
 __all__ = [
     "CausalClass",
@@ -19,20 +22,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LVector:
+class LVector(_Slotted):
     """Point or vector of L^3; the metric is x1*y1 + x2*y2 - x3*y3."""
 
-    x1: float
-    x2: float
-    x3: float
+    __slots__ = __match_args__ = ("x1", "x2", "x3")
 
-    def __post_init__(self):
-        for name in ("x1", "x2", "x3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite component {name}={v}")
-            object.__setattr__(self, name, v)
+    def __init__(self, x1: float, x2: float, x3: float):
+        x1, x2, x3 = float(x1), float(x2), float(x3)
+        if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
+            name, v = next((name, v) for name, v in zip(self.__match_args__, (x1, x2, x3)) if not isfinite(v))
+            raise ValueError(f"non-finite component {name}={v}")
+        _set_x1(self, x1)
+        _set_x2(self, x2)
+        _set_x3(self, x3)
 
     def __add__(self, other: "LVector") -> "LVector":
         return LVector(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
@@ -50,6 +52,9 @@ class LVector:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x1, self.x2, self.x3)
+
+
+_set_x1, _set_x2, _set_x3 = LVector.x1.__set__, LVector.x2.__set__, LVector.x3.__set__
 
 
 class CausalClass(Enum):

@@ -122,17 +122,22 @@ def near_orthogonal_fixture(eps: float):
 
 
 @functools.cache
-def capture_tool():
-    """``tools/capture_outputs.py`` as a module, with sys.path as it was before its import put src/ and
-    perfbench/ on it."""
-    tool = Path(__file__).resolve().parents[1] / "tools" / "capture_outputs.py"
-    spec = importlib.util.spec_from_file_location("capture_outputs", tool)
-    module, path = importlib.util.module_from_spec(spec), list(sys.path)
+def tool(name: str):
+    """``tools/NAME.py`` as a module, with sys.path as it was before its import put src/ (and perfbench/)
+    on it."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module, before = importlib.util.module_from_spec(spec), list(sys.path)
     try:
         spec.loader.exec_module(module)
     finally:
-        sys.path[:] = path
+        sys.path[:] = before
     return module
+
+
+def capture_tool():
+    """``tools/capture_outputs.py`` as a module."""
+    return tool("capture_outputs")
 
 
 def orthogonal_band_config(e: float) -> str:

@@ -71,7 +71,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [stem for name, runs in NEAR_LINE_CONTACTS.items()
            for stem in [f"extend-{name}"] + [f"{command}-{name}.ext" for command in runs]]
         + [f"mesh-{name}" for name in SURFACES[1:]]
-        + ["extend-mesh-keys", "mesh-mesh-keys.ext"]
+        + ["extend-mesh-keys", "mesh-mesh-keys.ext", "eval-nested-100", "eval-nested-101"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
@@ -84,7 +84,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"catenoid-{n}.obj{ext}" for n in (65, 33) for ext in ("", ".attrs.json")]
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) + SQUARE_OVERFLOWS + SURFACES[1:]
            + ("mesh-keys.ext",) for ext in ("", ".attrs.json")]
-        + ["mesh-keys.cfg", "mesh-keys.ext.cfg"]
+        + ["mesh-keys.cfg", "mesh-keys.ext.cfg", "nested-100.cfg", "nested-101.cfg"]
     )
     for name in logs:
         if name[4:-4] in USAGE_FAULTS:
@@ -156,6 +156,9 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "eval-half-annulus-poles.ext-arc-end": (1, "--- stdout\n--- stderr\nerror: point (0.9+0j) outside the assembled "
                                                 "domain\n"),
         "mesh-mesh-keys.ext": (0, "wrote mesh-keys.ext.obj: 25 vertices, 32 triangles, 0 masked cells\n--- stderr\n"),
+        "eval-nested-100": (0, "\nconformal_factor = "),
+        "eval-nested-101": (2, "--- stdout\n--- stderr\nconfig error: field 'g': at offset 403: expected at most 100 "
+                            "nested brackets\n"),
     }
     for name in logs:  # the orthogonal and near-line contacts evaluate on the reflected side, without a warning
         if name[4:-4].startswith(("eval-orthogonal-", "eval-near-")):

@@ -14,6 +14,7 @@ import pytest
 from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS, bench_configs, bench_oracles, capture_tool
 from maxsurf import cli, extension, verify
 from maxsurf.cli import CATENOID_CONFIG, SurfaceConfig, main
+from maxsurf.expr import _NESTING, compile_fn, evaluate, format_expr, parse
 from maxsurf.minkowski import LVector, lorentz_inner
 from maxsurf.weierstrass import _HALF_KINDS, QuadratureConfig
 
@@ -663,6 +664,27 @@ def test_a_digit_that_is_not_decimal_is_a_config_error(tmp_path, capsys, f, offs
     p.write_text(f"f = {f}\ng = z/2\ndomain = disk\nz0 = 0.5\n")
     assert main(["eval", str(p), "--at", "0.1,0.2"]) == 2
     assert capsys.readouterr() == ("", f"config error: field 'f': at offset {offset}: expected operand\n")
+
+
+def test_the_deepest_nesting_the_parser_accepts_formats_compiles_and_evaluates(tmp_path, capsys):
+    deepest = "sin(" * _NESTING + "z" + ")" * _NESTING
+    g = parse(deepest)
+    assert format_expr(g) == deepest and compile_fn(g)(0.1 + 0.2j) == evaluate(g, 0.1 + 0.2j)
+    p = tmp_path / "nested.cfg"
+    p.write_text(f"f = 1\ng = {deepest}\ndomain = disk\nradius = 0.5\nz0 = 0\n")
+    assert main(["eval", str(p), "--at", "0.1,0.2"]) == 0
+    assert capsys.readouterr().out.startswith("X = (")
+
+
+@pytest.mark.parametrize("opener", ["(", "sin(", "sconj( "])
+def test_nesting_past_the_bound_is_one_config_error_line(tmp_path, capsys, opener):
+    g = opener * (_NESTING + 1) + "z" + ")" * (_NESTING + 1)
+    p = tmp_path / "nested.cfg"
+    p.write_text(f"f = 1\ng = {g}\ndomain = disk\nradius = 0.5\nz0 = 0\n")
+    assert main(["eval", str(p), "--at", "0.1,0.2"]) == 2
+    offset = len(opener) * _NESTING + opener.index("(")
+    assert capsys.readouterr() == ("", f"config error: field 'g': at offset {offset}: expected at most "
+                                       f"{_NESTING} nested brackets\n")
 
 
 def test_a_decimal_digit_of_another_script_reads_as_its_value(tmp_path, capsys):

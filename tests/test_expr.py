@@ -1,9 +1,13 @@
 import cmath
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
+import maxsurf.expr
 from maxsurf.expr import (
     _FUNCTIONS,
     Add,
@@ -25,6 +29,7 @@ from maxsurf.expr import (
     sconj,
     substitute,
 )
+from maxsurf.minkowski import LVector
 
 CORPUS = [
     "z",
@@ -337,6 +342,59 @@ def test_exprs_are_immutable_and_hashable():
     with pytest.raises(Exception):
         e.left = Const(0)
     assert hash(e) == hash(parse("z^2+i"))
+    with pytest.raises(FrozenInstanceError):
+        del e.right
+    assert copy.deepcopy(e) == e == pickle.loads(pickle.dumps(e)) and repr(e) == repr(parse("z^2+i"))
+
+
+_z, _i = Var(), Const(1j)
+# one value of each node type and LVector, with the repr a frozen dataclass of its fields prints
+VALUES = [
+    (Const(2), "Const(value=(2+0j))"),
+    (_z, "Var()"),
+    (Neg(_z), "Neg(arg=Var())"),
+    (Add(_z, _i), "Add(left=Var(), right=Const(value=1j))"),
+    (Sub(_z, _i), "Sub(left=Var(), right=Const(value=1j))"),
+    (Mul(_z, _i), "Mul(left=Var(), right=Const(value=1j))"),
+    (Div(_z, _i), "Div(left=Var(), right=Const(value=1j))"),
+    (Pow(_z, -2), "Pow(base=Var(), exponent=-2)"),
+    (Call("sin", _z), "Call(func='sin', arg=Var())"),
+    (LVector(0, 0, 1), "LVector(x1=0.0, x2=0.0, x3=1.0)"),
+]
+
+
+@pytest.mark.parametrize("value, text", VALUES, ids=[text.split("(")[0] for _, text in VALUES])
+def test_each_value_type_is_frozen_hashable_and_copies_as_a_dataclass_did(value, text):
+    assert repr(value) == text
+    twin = eval(text, {**vars(maxsurf.expr), "LVector": LVector})
+    assert twin == value and hash(twin) == hash(value) and twin is not value
+    assert all(value != other for other, _ in VALUES if other is not value)
+    fields = value.__match_args__ or ("anything",)
+    for name in fields:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+    for copied in (copy.deepcopy(value), copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value and hash(copied) == hash(value)
+        assert repr(copied) == text
+    assert repr(value) == text  # unchanged by the attempts above
+
+
+def test_equality_is_by_exact_type_and_fields():
+    assert Add(_z, _i) != Sub(_z, _i) and Mul(_z, _i) != Div(_z, _i)
+    assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+    assert Pow(_z, 2) != Pow(_z, 3) and Call("sin", _z) != Call("cos", _z)
+    assert parse("sin(z)^2-1/z") == parse("sin(z) ^ 2 - 1 / z") and {parse("z+1"), parse("z + 1")} == {parse("z+1")}
+    assert Const(1) == Const(1 + 0j) and type(Const(1).value) is complex
+
+
+def test_an_lvector_holds_finite_floats():
+    v = LVector(0, 0, 1)
+    assert [type(x) for x in v.as_tuple()] == [float] * 3 and v.as_tuple() == (0.0, 0.0, 1.0)
+    for parts, name in (((math.inf, 0, 0), "x1=inf"), ((0, math.nan, 0), "x2=nan"), ((1, 2, -math.inf), "x3=-inf")):
+        with pytest.raises(ValueError, match=f"non-finite component {name}"):
+            LVector(*parts)
 
 
 # sconj conjugates constants only, which is exact because every function of

@@ -648,7 +648,7 @@ def test_no_factor_of_a_reflected_quotient_stays_above_and_below_the_line(f, g):
     assert not both, (format_expr(f), format_expr(g), both)
 
 
-@pytest.mark.parametrize("text", ["log(-2+z)", "log(-2-z)", "log(z-2)", "log(-2-z^2)", "sqrt(-2-z)"])
+@pytest.mark.parametrize("text", ["log(-2+z)", "log(-2-z)", "log(z-2)", "log(-2-z^2)", "sqrt(-2-z)", "log(-2+0.5*z)"])
 def test_a_constant_term_on_a_branch_cut_evaluates_as_the_written_form(text):
     # sconj makes -2 = -(2+0j) into -2+0j, which prints as -2 and reads back as -2-0j; on the cut the two
     # lie apart (log by 2*pi*i).  A tree as a config reads it evaluates as before, and the one sconj

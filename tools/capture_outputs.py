@@ -99,9 +99,12 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     theta = 1e-6, where |g| = coth(theta/2) is about 2e6;
   - ``mesh`` (9x9) of the four extensions, the surface on both sides of its
     arc;
-  - last, so that no earlier file is renumbered, ``extend`` of the timelike
-    config with a ``mesh_range`` and a ``mask_eps``, which it writes into the
-    extended config, and ``mesh`` (5x5) of that config, which reads both.
+  - ``extend`` of the timelike config with a ``mesh_range`` and a
+    ``mask_eps``, which it writes into the extended config, and ``mesh``
+    (5x5) of that config, which reads both;
+  - last, so that no earlier file is renumbered, ``eval`` of a g nested in
+    as many calls as the parser's bracket bound allows (exit 0) and in one
+    more (exit 2, one line).
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -285,6 +288,9 @@ LATE_CONTACTS = {  # name: config, each extended and its output checked after th
 }
 
 MESH_KEYS = BASE_CONFIGS["timelike"] + "mesh_range = -0.5,0.5,-0.4,0.4\nmask_eps = 1e-6\n"
+NESTING = 100  # the parser's bound on brackets open at once
+NESTED = {f"nested-{n}": f"f = 1\ng = {'sin(' * n}z{')' * n}\ndomain = disk\nradius = 0.5\nz0 = 0\n"
+          for n in (NESTING, NESTING + 1)}
 
 _REFLECTED = "--at=0.2,-0.3"  # a point of the reflected side of the upper half disks
 NEAR_LINE_CONTACTS = {  # name: (config, what runs on the config its extend writes), run last
@@ -383,6 +389,7 @@ def commands() -> list[tuple[str, list[str]]]:
              for name in EXTENDABLE]
     cmds += [("extend-mesh-keys", ["extend", "mesh-keys.cfg", "-o", "mesh-keys.ext.cfg"]),
              ("mesh-mesh-keys.ext", ["mesh", "mesh-keys.ext.cfg", "--grid", "5x5", "-o", "mesh-keys.ext.obj"])]
+    cmds += [(f"eval-{name}", ["eval", f"{name}.cfg", "--at=0.1,0.2"]) for name in NESTED]
     return cmds
 
 
@@ -423,7 +430,7 @@ def capture(outdir: Path) -> None:
     inputs = {name: text for name, (text, _) in
               {**INPUT_FAULTS, **ONE_LINE_FAULTS, **SQUARE_OVERFLOWS, **NEAR_LINE_CONTACTS}.items()}
     configs = {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs, **OBSTRUCTIONS,
-               **ORTHOGONAL_CONTACTS, "tangential-lightlike": TANGENTIAL_CONTACT, **LATE_CONTACTS}
+               **ORTHOGONAL_CONTACTS, "tangential-lightlike": TANGENTIAL_CONTACT, **LATE_CONTACTS, **NESTED}
     configs["half-annulus-poles"], configs["mesh-keys"] = HALF_ANNULUS_POLES, MESH_KEYS
     for name, text in configs.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .expr import Const, EvalError, ParseError, evaluate, format_expr, parse, substitute
+from .expr import _HEIGHT, _NESTING, Const, EvalError, ParseError, evaluate, format_expr, parse, substitute
 from .extension import CASES, DegenerateContactWarning, ExtendedSurface, ExtensionError, extend, measure_contact
 from .minkowski import LVector, Plane, plane_class
 from .verify import GridSpec, _json_text, full_diagnostics
@@ -42,6 +42,7 @@ from .weierstrass import (
     QuadratureConfig,
     SurfaceError,
     WeierstrassData,
+    _HALF_KINDS,
     _gauss_arrays,
     _phi_values,
     conformal_factor,
@@ -305,9 +306,8 @@ def _mesh_parameters(surface, mesh_range):
     if polar:
         r0 = domain.inner_radius if domain.inner_radius > 0 else 0.05 * R
         return True, (r0, R, -math.pi, math.pi)
-    if domain.kind in (DomainKind.HALF_DISK, DomainKind.HALF_ANNULUS):  # mirrored where another side holds below
-        mirrored = surface.side(-0.5j * R) is not surface.original
-        return False, (-0.7 * R, 0.7 * R, -0.7 * R if mirrored else 0.05 * R, 0.7 * R)
+    if domain.kind in _HALF_KINDS:  # mirrored where a contact reflects it below the diameter
+        return False, (-0.7 * R, 0.7 * R, -0.7 * R if surface.contact is not None else 0.05 * R, 0.7 * R)
     s = 0.7 * R
     return False, (-s, s, -s, s)
 
@@ -551,14 +551,26 @@ def _extended_config_text(cfg: SurfaceConfig, ext: ExtendedSurface) -> str:
         "X0": f"{_f17(data.X0.x1)},{_f17(data.X0.x2)},{_f17(data.X0.x3)}",
         "tol": _f17(cfg.tol),
         "plane": f"{_f17(p.n.x1)},{_f17(p.n.x2)},{_f17(p.n.x3)},{_f17(p.d)}",
-        "f_minus": format_expr(ext.f_minus),
-        "g_minus": format_expr(ext.g_minus),
+        "f_minus": _read_back(format_expr(ext.f_minus), "f_minus"),
+        "g_minus": _read_back(format_expr(ext.g_minus), "g_minus"),
         "reflected": ext.reflected,
         "mesh_range": ",".join(map(_f17, cfg.mesh_range or ())),
         "mask_eps": "" if cfg.mask_eps == _OTHER_KEYS["mask_eps"][1] else _f17(cfg.mask_eps),
     }
     lines = [f"{key} = {text[key]}" for key in _KEYS if text.get(key)]
     return "# extended surface emitted by maxsurf extend\n" + "\n".join(lines) + "\n"
+
+
+def _read_back(text: str, key: str) -> str:
+    """A reflected formula's text, refused with an ExtensionError where the parser would refuse it when
+    its file is read.  Each nested operation and each open bracket takes an operator character, so a
+    text with no more of them than the parser's bounds needs no parse."""
+    if sum(map(text.count, "+-*/^(")) > min(_NESTING, _HEIGHT):
+        try:
+            parse(text)
+        except ParseError as exc:
+            raise ExtensionError(f"{key} would not read back: {exc}") from None
+    return text
 
 
 def _fmt_complex(z: complex) -> str:
@@ -602,11 +614,12 @@ def cmd_extend(args) -> int:
         raise ConfigError("plane", "missing (config key or --plane)")
     try:
         ext = extend(cfg.data, plane)
+        report = _json_text(_extend_report(ext)) + "\n"
+        text = _extended_config_text(cfg, ext)
     except ExtensionError as exc:
         sys.stderr.write(f"extension failed: {exc}\n")
         return 1
-    report = _json_text(_extend_report(ext)) + "\n"
-    text, out = _extended_config_text(cfg, ext), args.output or (args.config + ".extended")
+    out = args.output or (args.config + ".extended")
     try:  # opened only once the text is built, so a fault while building it leaves an earlier file as it was
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

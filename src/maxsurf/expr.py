@@ -11,7 +11,9 @@ printing of a small closed language:
     power  := atom ['^' ['-'] digits]
     atom   := number | 'i' | 'z' | name '(' expr ')' | '(' expr ')'
 
-At most 100 brackets (``_NESTING``), those of calls included, may be open at once.
+At most 100 brackets (``_NESTING``), those of calls included, may be open at once, and at most
+200 operations (``_HEIGHT``: operators, signs, powers and calls) nested in the tree, from its root
+to any leaf.
 Functions: exp, log, sin, cos, sinh, cosh, tanh, sqrt.  log and sqrt use
 principal branches.  Exponents are integer literals; write exp(w*log(z)) for
 anything else.  The input syntax also accepts ``sconj(e)``, the Schwarz
@@ -229,36 +231,51 @@ _EXPONENT = re.compile(r"[ \t]*(?:(-?\d+)[ \t]*)?")
 # the node of each binary operator's symbol, for sums and for products
 _SUMS, _PRODUCTS = ({symbol: node for node, (symbol, q) in _OPERATOR_SYNTAX.items() if q == p} for p in (_P_ADD, _P_MUL))
 _NESTING = 100  # brackets open at once, calls' included: each costs three frames of the descent below
+# operations nested in a tree, its height: every walk of a tree (compile_fn and its closures, the array program,
+# differentiate, _NormalForm, format_expr, == and hash) recurses on it, the normal form two frames a level
+_HEIGHT = 200
 
 
 def parse(text: str) -> Expr:
     """Parse an expression string, raising ParseError with the fault offset."""
-    e, i = _sum(text + "\0", 0, 0)  # the NUL past the end matches no token, so a lookahead needs no bounds test
+    e, i, _ = _sum(text + "\0", 0, 0)  # the NUL past the end matches no token, so a lookahead needs no bounds test
     if i != len(text):
         raise ParseError(i, "end of input")
     return e
 
 
-# Each level reads s from offset i with depth brackets open and returns its tree and the offset past its whitespace.
-def _sum(s: str, i: int, depth: int) -> tuple[Expr, int]:
-    e, i = _product(s, i, depth)
+def _too_high(at: int) -> ParseError:
+    """The fault of the operation at offset ``at``, the first whose node stands higher than _HEIGHT."""
+    return ParseError(at, f"at most {_HEIGHT} nested operations")
+
+
+# Each level reads s from offset i with depth brackets open and returns its tree, the offset past its whitespace
+# and the tree's height.
+def _sum(s: str, i: int, depth: int) -> tuple[Expr, int, int]:
+    e, i, h = _product(s, i, depth)
     while (node := _SUMS.get(s[i])) is not None:
-        right, i = _product(s, i + 1, depth)
-        e = node(e, right)
-    return e, i
+        right, j, r = _product(s, i + 1, depth)
+        h = (h if h > r else r) + 1
+        if h > _HEIGHT:
+            raise _too_high(i)
+        e, i = node(e, right), j
+    return e, i, h
 
 
-def _product(s: str, i: int, depth: int) -> tuple[Expr, int]:
-    e, i = _factor(s, i, depth)
+def _product(s: str, i: int, depth: int) -> tuple[Expr, int, int]:
+    e, i, h = _factor(s, i, depth)
     while (node := _PRODUCTS.get(s[i])) is not None:
-        right, i = _factor(s, i + 1, depth)
-        e = node(e, right)
-    return e, i
+        right, j, r = _factor(s, i + 1, depth)
+        h = (h if h > r else r) + 1
+        if h > _HEIGHT:
+            raise _too_high(i)
+        e, i = node(e, right), j
+    return e, i, h
 
 
-def _factor(s: str, i: int, depth: int) -> tuple[Expr, int]:
+def _factor(s: str, i: int, depth: int) -> tuple[Expr, int, int]:
     """factor, power and atom of the grammar, as one level, from the whitespace before it."""
-    signs = 0
+    signs, start, h = 0, i, 0
     while (c := s[i]) in " \t-":
         signs += c == "-"
         i += 1
@@ -286,22 +303,34 @@ def _factor(s: str, i: int, depth: int) -> tuple[Expr, int]:
     if e is None:  # s[i] is the '(' of a bracket or of a call
         if depth == _NESTING:
             raise ParseError(i, f"at most {_NESTING} nested brackets")
-        e, i = _sum(s, i + 1, depth + 1)
+        e, i, h = _sum(s, i + 1, depth + 1)
         if s[i] != ")":
             raise ParseError(i, "')'")
         i += 1
         while s[i] in " \t":
             i += 1
-        if name is not None:
-            e = sconj(e) if name == "sconj" else Call(name, e)
+        if name == "sconj":
+            e = sconj(e)
+        elif name is not None:
+            if h == _HEIGHT:
+                raise _too_high(m.start())  # at the call's name
+            e, h = Call(name, e), h + 1
     if s[i] == "^":
         m = _EXPONENT.match(s, i + 1)
         if m[1] is None:
             raise ParseError(m.end(), "integer exponent")
-        e, i = Pow(e, int(m[1])), m.end()
-    for _ in range(signs):  # fold signed literals so printed constants re-parse structurally
-        e = Const(-e.value) if type(e) is Const else Neg(e)
-    return e, i
+        if h == _HEIGHT:
+            raise _too_high(i)
+        e, i, h = Pow(e, int(m[1])), m.end(), h + 1
+    if signs:
+        if type(e) is Const:  # fold signed literals so printed constants re-parse structurally
+            return (Const(-e.value) if signs % 2 else e), i, 0
+        if h + signs > _HEIGHT:  # at the sign whose Neg stands at _HEIGHT + 1, the last sign's being innermost
+            raise _too_high([k for k in range(start, i) if s[k] == "-"][h + signs - _HEIGHT - 1])
+        for _ in range(signs):
+            e = Neg(e)
+        h += signs
+    return e, i, h
 
 
 # ---------------------------------------------------------------------------

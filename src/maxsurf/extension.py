@@ -26,7 +26,7 @@ around a conelike vertex) across the contact circle.  The arc supplies the
 conjugation conj(e(sigma(z))) and the odd pull-back of L,
 L_minus = -conj(L(sigma(z))) conj(sigma'(z)); the row supplies the locus, whose
 own reflection maps the conjugated g, and the recovery f_minus = L_minus / h(g_minus).
-Only spacelike planes are supported across a circle.
+Only spacelike planes are supported across a circle; measure_contact refuses others.
 
 <N, n> and g are measured on the arc itself, at its ARC_POSITIONS
 ``boundary_points``, where the formulas take their boundary limits as
@@ -116,8 +116,9 @@ __all__ = [
 # Thresholds of the contact measurement and the matching report.
 ANGLE_TOL = 1e-6
 """The most <N, n> may vary along the boundary for the angle to count as constant."""
-LOCUS_TOL = 1e-6
-"""How far a boundary limit w of g may lie from the closed-form Gauss locus, relative to 1 + min(|w|, radius)."""
+LOCUS_TOL = 1e-8
+"""How far a value w of g on the arc may lie from the closed-form Gauss locus, relative to 1 + min(|w|, radius):
+the contact holds g to it, and check's boundary_locus the reflected g."""
 MATCH_TOL = 1e-7
 """The largest normalized gap between the two sides on the arc that matches."""
 SINGULAR_TOL = 1e-8
@@ -443,8 +444,8 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     and GeometryMismatchError when a boundary limit w of g lies farther than
     LOCUS_TOL (times 1 + min(|w|, radius)) from the locus the row builds from c,
     or at a NaN distance, or when the cosh(theta) of a spacelike radius misses |c|
-    by more than ANGLE_TOL.  An orthogonal contact (c = 0) is the timelike locus at
-    c = 0, the line Im w = 0.
+    by more than ANGLE_TOL; last, ExtensionError for a circle arc against a plane that
+    is not spacelike.  An orthogonal contact (c = 0) is the timelike locus at c = 0, Im w = 0.
     """
     case = CASES[plane_class(plane)]
     unit_n, offset = case.normalize(plane)
@@ -462,6 +463,8 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     if not mismatch <= LOCUS_TOL:
         raise GeometryMismatchError(f"boundary g lies {mismatch:.3e} (relative) off {locus.describe()} "
                                     f"implied by c = {c:.9f}")
+    if boundary.kind == "circle" and case.kind is not CausalClass.SPACELIKE:
+        raise ExtensionError(f"circular extension handles spacelike planes only, not {case.kind.value}")
     return ContactData(
         plane=plane,
         unit_normal=unit_n,
@@ -664,8 +667,6 @@ def extend(data: WeierstrassData, plane: Plane) -> ExtendedSurface:
     the normal form of ``expr._NormalForm``."""
     contact = measure_contact(data, plane)
     case, arc = CASES[contact.plane_kind], contact.boundary
-    if arc.kind == "circle" and case.kind is not CausalClass.SPACELIKE:
-        raise ExtensionError(f"circular extension handles spacelike planes only, not {case.kind.value}")
     g_minus = reflect_g(data.g, contact.locus, arc)
     f_minus = case.recover(arc.pullback(case.odd(data.f, data.g)), g_minus)
     normal = _NormalForm()  # one memo, so f_minus keeps sharing g_minus

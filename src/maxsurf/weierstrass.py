@@ -492,14 +492,11 @@ def integrate_path(
     split evenly over the segments; when any segment misses its share within
     MAX_DEPTH halvings, ToleranceError reports the estimate for the path.
     """
-    tol_each = q.tol / max(len(points) - 1, 1)
     tot1 = tot2 = tot3 = 0j
     err = 0.0
     ok = True
-    for a, b in zip(points, points[1:]):
-        if a == b:
-            continue
-        (i1, i2, i3), e, good = _integrate_segment(surface.side(0.5 * (a + b)).field, a, b, tol_each, MAX_DEPTH)
+    for a, b, patch, share in _segments(surface, points, q.tol):
+        (i1, i2, i3), e, good = _integrate_segment(patch.field, a, b, share, MAX_DEPTH)
         tot1 += i1
         tot2 += i2
         tot3 += i3
@@ -508,6 +505,15 @@ def integrate_path(
     if not ok:
         raise ToleranceError(f"quadrature did not converge on path to {points[-1]}", err)
     return (tot1, tot2, tot3), err
+
+
+def _segments(surface, points: Sequence[complex], tol: float):
+    """Each segment of a polyline with its data, ``surface.side`` at its midpoint, and its share of tol,
+    split evenly over the segments: one of length 0 is skipped, but counts in the split."""
+    share = tol / max(len(points) - 1, 1)
+    for a, b in zip(points, points[1:]):
+        if a != b:
+            yield a, b, surface.side(0.5 * (a + b)), share
 
 
 def surface_path(surface, z: complex, q: QuadratureConfig = QuadratureConfig()) -> SurfaceValue:
@@ -619,12 +625,8 @@ def _integrate_batch(surface, a: np.ndarray, b: np.ndarray, bent: dict, q: Quadr
     index = {id(surface.original): (0, surface.original)}  # each side's number, in the order met
     rows = []  # the polylines' segments of nonzero length as (start, end, side, path, tolerance), in path order
     for k in sorted(bent):
-        on, points = bent[k]
-        share = q.tol / max(len(points) - 1, 1)
-        for x, y in zip(points, points[1:]):
-            if x != y:
-                patch = on.side(0.5 * (x + y))
-                rows.append((x, y, index.setdefault(id(patch), (len(index), patch))[0], k, share))
+        for x, y, patch, share in _segments(*bent[k], q.tol):
+            rows.append((x, y, index.setdefault(id(patch), (len(index), patch))[0], k, share))
     straight = a != b  # an edge of length 0 adds nothing
     straight[list(bent)] = False
     own = np.flatnonzero(straight)

@@ -10,6 +10,7 @@ import cmath
 import contextlib
 import functools
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -122,6 +123,21 @@ def near_orthogonal_fixture(eps: float):
 
 
 @functools.cache
+def tree_height(e) -> int:
+    """The operations on the longest path from the root of a tree to a leaf, counted without recursion."""
+    best, stack = 0, [(e, 0)]
+    while stack:
+        node, h = stack.pop()
+        best = max(best, h)
+        stack += [(getattr(node, name), h + 1) for name in ("arg", "left", "right", "base") if hasattr(node, name)]
+    return best
+
+
+def bracket_depth(text: str) -> int:
+    """The most brackets a text holds open at once."""
+    return max(itertools.accumulate((c == "(") - (c == ")") for c in text), default=0)
+
+
 def tool(name: str):
     """``tools/NAME.py`` as a module, with sys.path as it was before its import put src/ (and perfbench/)
     on it."""

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from fixtures import capture_tool
+from maxsurf.expr import _HEIGHT
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "capture_outputs.py"
 
@@ -32,6 +33,9 @@ USAGE_FAULTS = {  # argparse's fault lines, each with exit 2
     "maxsurf eval: error: the following arguments are required: --at\n",
     "usage-mesh-without-output": "maxsurf mesh: error: the following arguments are required: -o/--output\n",
 }
+LOCUS_OFFSETS = ("locus-1e-07", "locus-3e-08")
+PAIRS = ("pairs-48", "pairs-49")
+SHAPES = tuple(f"{shape}-{n}" for shape in ("sum", "product", "signs") for n in (_HEIGHT, _HEIGHT + 1))
 TANGENTIAL_WARNING = ("warning: lightlike tangential contact with |g| -> 1: induced metric degenerates along the "
                       "boundary\n")
 
@@ -72,6 +76,9 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
            for stem in [f"extend-{name}"] + [f"{command}-{name}.ext" for command in runs]]
         + [f"mesh-{name}" for name in SURFACES[1:]]
         + ["extend-mesh-keys", "mesh-mesh-keys.ext", "eval-nested-100", "eval-nested-101"]
+        + [f"extend-{name}" for name in LOCUS_OFFSETS] + ["check-locus-3e-08.ext"]
+        + [f"{command}-arc-rule.ext" for command in ("eval", "check", "mesh")]
+        + [f"extend-{name}" for name in PAIRS] + ["eval-pairs-48.ext"] + [f"eval-{name}" for name in SHAPES]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
@@ -85,6 +92,8 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"{name}.obj{ext}" for name in DOMAIN_MESHES + ("density-overflow",) + SQUARE_OVERFLOWS + SURFACES[1:]
            + ("mesh-keys.ext",) for ext in ("", ".attrs.json")]
         + ["mesh-keys.cfg", "mesh-keys.ext.cfg", "nested-100.cfg", "nested-101.cfg"]
+        + [f"{name}.cfg" for name in LOCUS_OFFSETS + PAIRS + SHAPES]
+        + ["locus-3e-08.ext.cfg", "arc-rule.ext.cfg", "pairs-48.ext.cfg"]
     )
     for name in logs:
         if name[4:-4] in USAGE_FAULTS:
@@ -159,6 +168,17 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         "eval-nested-100": (0, "\nconformal_factor = "),
         "eval-nested-101": (2, "--- stdout\n--- stderr\nconfig error: field 'g': at offset 403: expected at most 100 "
                             "nested brackets\n"),
+        "extend-locus-1e-07": (1, "--- stdout\n--- stderr\nextension failed: boundary g lies 2.752e-08 (relative) off "),
+        # g lies 8.3e-9 off its locus, within LOCUS_TOL; the plane misses the boundary by 6.7e-9 (ROADMAP item 12)
+        "check-locus-3e-08.ext": (1, '"max_residual": 6.67016308852908e-09,\n      "name": "plane_containment",\n'
+                                  '      "passed": false,'),
+        **{f"{command}-arc-rule.ext": (1, "--- stdout\n--- stderr\nerror: circular extension handles spacelike planes "
+                                          "only, not timelike\n") for command in ("eval", "check", "mesh")},
+        "extend-pairs-49": (1, "--- stdout\n--- stderr\nextension failed: f_minus would not read back: at offset 944: "
+                            "expected at most 100 nested brackets\n"),
+        **{f"eval-{name}": (0, "\nconformal_factor = ") for name in SHAPES[::2]},
+        **{f"eval-{name}": (2, f"--- stdout\n--- stderr\nconfig error: field 'f': at offset {offset}: expected at most "
+                               f"{_HEIGHT} nested operations\n") for name, offset in zip(SHAPES[1::2], (405, 405, 0))},
     }
     for name in logs:  # the orthogonal and near-line contacts evaluate on the reflected side, without a warning
         if name[4:-4].startswith(("eval-orthogonal-", "eval-near-")):

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS, bench_configs, bench_oracles, capture_tool
+from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS, bench_configs, bench_oracles, bracket_depth, capture_tool
 from maxsurf import cli, extension, verify
 from maxsurf.cli import CATENOID_CONFIG, SurfaceConfig, main
-from maxsurf.expr import _NESTING, compile_fn, evaluate, format_expr, parse
+from maxsurf.expr import _HEIGHT, _NESTING, compile_fn, evaluate, format_expr, parse
 from maxsurf.minkowski import LVector, lorentz_inner
 from maxsurf.weierstrass import _HALF_KINDS, QuadratureConfig
 
@@ -1239,3 +1240,131 @@ def test_check_skips_a_grid_point_where_the_data_has_a_pole(tmp_path, capsys, f,
     gauss = records["gauss_hyperboloid"]
     assert math.isfinite(gauss["max_residual"])
     assert gauss["details"] == ({"one_sheet": False, "sheet": -1} if failed else {"one_sheet": True, "sheet": 1})
+
+
+# ---------------------------------------------------------------------------
+# one rule set for extended configs: what extend writes, the loader and check read alike
+
+_G_SHIFT_BASES = ("spacelike", "timelike", "lightlike")  # the bench bases on a half disk
+
+
+def _shifted_g(base: str, tail: str) -> str:
+    config = bench_configs()[base]
+    g = next(line for line in config.splitlines() if line.startswith("g = "))
+    return config.replace(g, g + tail)
+
+
+def _run(argv, capsys):
+    return (main(argv), *capsys.readouterr())
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(_G_SHIFT_BASES), exponent=st.floats(-10, -5), unit=st.sampled_from(("+", "-", "+i*", "-i*")))
+def test_a_file_extend_writes_passes_boundary_locus_and_a_refusal_is_one_line(tmp_path, capsys, base, exponent, unit):
+    # g moved by delta*u, delta log-uniform in [1e-10, 1e-5] and u one of 1, -1, i and -i
+    src, out = tmp_path / "shifted.cfg", tmp_path / "shifted.ext.cfg"
+    src.write_text(_shifted_g(base, f"{unit}{10 ** exponent!r}"))
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code, stdout, stderr = _run(["extend", str(src), "-o", str(out)], capsys)
+    if code == 0:
+        code, stdout, _ = _run(["check", str(out)], capsys)
+        locus = next(c for c in json.loads(stdout)["checks"] if c["name"] == "boundary_locus")
+        assert locus["passed"] and locus["tolerance"] == extension.LOCUS_TOL
+    elif not out.exists():  # a refusal; a failed matching report writes the file and exits 1 too
+        assert code == 1 and stdout == "" and stderr.count("\n") == 1 and stderr.startswith("extension failed: ")
+
+
+@pytest.mark.parametrize("base, tail, mismatch", [
+    ("spacelike", "+3.1622776601683795e-08*i", "1.242e-08"), ("spacelike", "-3.1622776601683795e-08*i", "1.242e-08"),
+    ("timelike", "+5.623413251903491e-08", "1.547e-08"), ("timelike", "-5.623413251903491e-08", "1.547e-08"),
+    ("timelike", "+1e-07", "2.752e-08"), ("timelike", "-1e-07", "2.752e-08"),
+    ("lightlike", "+3.1622776601683795e-08", "1.344e-08"), ("lightlike", "-3.1622776601683795e-08", "1.344e-08"),
+    ("lightlike", "+3.1622776601683795e-08*i", "1.408e-08"), ("lightlike", "-3.1622776601683795e-08*i", "1.408e-08"),
+])
+def test_a_boundary_that_check_would_fail_on_its_locus_is_refused_by_extend(tmp_path, capsys, base, tail, mismatch):
+    # these extended with exit 0 while the contact held g to 1e-6, and check failed boundary_locus on the file
+    src, out = tmp_path / "shifted.cfg", tmp_path / "shifted.ext.cfg"
+    src.write_text(_shifted_g(base, tail))
+    code, stdout, stderr = _run(["extend", str(src), "-o", str(out)], capsys)
+    assert (code, stdout) == (1, "") and not out.exists()
+    assert stderr.startswith(f"extension failed: boundary g lies {mismatch} (relative) off ") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["eval", "--at=0.3,0.1"], ["check"], ["mesh", "--grid", "9x9", "-o", "ring.obj"]])
+def test_a_circle_arc_against_a_timelike_plane_is_refused_on_load(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("ring.ext.cfg").write_text(capture_tool().ARC_RULE)
+    command, *args = argv
+    assert _run([command, "ring.ext.cfg", *args], capsys) == (
+        1, "", "error: circular extension handles spacelike planes only, not timelike\n")
+    assert not Path("ring.obj").exists()
+
+
+def test_extend_writes_no_reflected_formula_that_the_parser_would_refuse(tmp_path, capsys, monkeypatch):
+    # g in 48 pairs of exp(log(...)) writes an f_minus of 100 nested brackets; one pair more writes 102
+    monkeypatch.chdir(tmp_path)
+    for name, text in capture_tool().PAIRS.items():
+        Path(f"{name}.cfg").write_text(text)
+    assert _run(["extend", "pairs-49.cfg", "-o", "pairs-49.ext.cfg"], capsys) == (
+        1, "", "extension failed: f_minus would not read back: at offset 944: expected at most 100 nested brackets\n")
+    assert not Path("pairs-49.ext.cfg").exists()
+    assert _run(["extend", "pairs-48.cfg", "-o", "pairs-48.ext.cfg"], capsys)[0] == 0
+    f_minus = format_expr(SurfaceConfig.from_file("pairs-48.ext.cfg").minus_exprs[0])
+    assert bracket_depth(f_minus) == _NESTING
+    code, stdout, stderr = _run(["eval", "pairs-48.ext.cfg", "--at=0.2,-0.3"], capsys)
+    assert code == 0 and stdout.startswith("X = (") and stderr == ""
+
+
+def test_the_read_back_check_parses_only_a_text_with_more_operators_than_the_bounds(monkeypatch):
+    parsed = []
+    monkeypatch.setattr(cli, "parse", lambda text: parsed.append(text))
+    short, long = "+".join(["z"] * (min(_NESTING, _HEIGHT) + 1)), "+".join(["z"] * (min(_NESTING, _HEIGHT) + 2))
+    assert cli._read_back(short, "f_minus") == short and parsed == []
+    assert cli._read_back(long, "f_minus") == long and parsed == [long]
+
+
+_EVERY_COMMAND = """\
+import contextlib, io, sys
+from maxsurf.cli import main
+
+for name in sys.argv[1:]:
+    for argv in (["eval", "--at=0.3,0.1"], ["check"], ["mesh", "--grid", "9x9", "-o", name + ".obj"],
+                 ["extend", "-o", name + ".ext.cfg"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([argv[0], name + ".cfg", *argv[1:]])
+        print(name, argv[0], code, err.getvalue().count("\\n"), err.getvalue().strip())
+"""
+
+
+def test_the_deepest_formula_of_each_shape_runs_every_command_at_the_default_recursion_limit(tmp_path):
+    # in a fresh interpreter: f of the timelike base as high, or as deeply bracketed, as the parser allows
+    f, pairs = "exp(-i*z)", (_NESTING - 2) // 2  # f is two operations high and one bracket deep
+    configs = {name: text for name, text in capture_tool().SHAPES.items() if name.endswith(f"-{_HEIGHT}")}
+    calls = "sqrt(" + "exp(log(" * pairs + f + "))" * pairs + ")^2"
+    configs["calls"] = bench_configs()["timelike"].replace(f"f = {f}", f"f = {calls}")
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, *configs], cwd=tmp_path, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, text=True, timeout=300)
+    assert done.returncode == 0 and done.stderr == ""
+    outcomes = {tuple(line.split(" ", 2)[:2]): line.split(" ", 2)[2] for line in done.stdout.splitlines()}
+    assert len(outcomes) == 16
+    for (name, command), outcome in outcomes.items():
+        if (name, command) == (f"sum-{_HEIGHT}", "extend"):  # its f_minus holds f two operations down
+            assert outcome == (f"1 1 extension failed: f_minus would not read back: at offset 406: expected at most "
+                               f"{_HEIGHT} nested operations"), name
+        else:
+            assert outcome == "0 0 ", (name, command)
+
+
+@pytest.mark.parametrize("shape, offset", [("sum", 2 * _HEIGHT + 5), ("product", 2 * _HEIGHT + 5), ("signs", 0)])
+def test_one_operation_past_the_deepest_formula_is_one_config_error_line(tmp_path, capsys, shape, offset):
+    p = tmp_path / "past.cfg"
+    p.write_text(capture_tool().SHAPES[f"{shape}-{_HEIGHT + 1}"])
+    for argv in (["eval", str(p), "--at=0.3,0.1"], ["check", str(p)], ["extend", str(p), "-o", str(p) + ".ext"]):
+        assert _run(argv, capsys) == (
+            2, "", f"config error: field 'f': at offset {offset}: expected at most {_HEIGHT} nested operations\n")

@@ -19,7 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import catenoid_extension_fixture, lightlike_fixture, spacelike_fixture, timelike_fixture
+from fixtures import (
+    bracket_depth,
+    catenoid_extension_fixture,
+    lightlike_fixture,
+    spacelike_fixture,
+    timelike_fixture,
+    tree_height,
+)
 from maxsurf import expr, extension
 from maxsurf.expr import (
     _FUNCTIONS,
@@ -661,3 +668,19 @@ def test_a_constant_term_on_a_branch_cut_evaluates_as_the_written_form(text):
         assert [repr(evaluate(n, z)) for z in cut] == [repr(evaluate(written, z)) for z in cut]
         if e is read:
             assert [repr(evaluate(n, z)) for z in cut] == [repr(evaluate(e, z)) for z in cut]
+
+
+# constants of any kind, as the normal form writes them, and negations of constants, which parse folds
+_written_leaf = st.one_of(
+    st.just(Var()), st.sampled_from([0.5, -1.5, 1j, -1j, 2.5j, -0.5j, 1 - 1j, -2 + 0.25j, 0.5 + 2j]).map(Const)
+)
+_written = st.recursive(_written_leaf, lambda c: st.one_of(_tree(c), c.map(Neg)), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(e=_written)
+def test_a_printed_formula_has_an_operator_character_per_nested_operation_and_open_bracket(e):
+    # the rule by which extend's read-back check parses only a text with more of them than the parser's bounds
+    text = format_expr(e)
+    count = sum(map(text.count, "+-*/^("))
+    assert tree_height(parse(text)) <= count and bracket_depth(text) <= count

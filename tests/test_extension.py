@@ -217,7 +217,7 @@ def test_a_boundary_limit_off_the_locus_is_refused_at_the_tolerance(monkeypatch,
 
     mismatch = _contact_from_limits(monkeypatch, normal, c, moved(0.5)).locus_mismatch
     assert mismatch == pytest.approx(0.5 * LOCUS_TOL, rel=1e-5)
-    with pytest.raises(GeometryMismatchError, match=r"boundary g lies 2\.000e-06 \(relative\) off generalized circle"):
+    with pytest.raises(GeometryMismatchError, match=rf"boundary g lies {re.escape(f'{2 * LOCUS_TOL:.3e}')} \(relative\) off generalized circle"):
         _contact_from_limits(monkeypatch, normal, c, moved(2))
 
 

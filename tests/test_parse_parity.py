@@ -1,11 +1,12 @@
 """expr.parse against the reference parser of tools/parse_parity.py: the same tree, constant bits
-included, or the same ParseError offset and expected text, on every input; and its nesting bound."""
+included, or the same ParseError offset and expected text, on every input; and its bounds on nested
+brackets and on nested operations."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import tool
-from maxsurf.expr import _NESTING, Call, ParseError, Var, parse
+from fixtures import tool, tree_height
+from maxsurf.expr import _HEIGHT, _NESTING, Call, Neg, ParseError, Var, parse
 
 TOOL = tool("parse_parity")
 _SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -81,3 +82,38 @@ def test_only_brackets_open_at_once_count_and_the_bound_is_the_same_deep_in_a_ca
         assert tree == Var()
         with pytest.raises(ParseError, match=f"at offset {4 * _NESTING + 3}: expected at most"):
             at_depth(n, past)
+
+
+# shape: (the text of a tree n operations high, the offset of the operation that stands at n when n = _HEIGHT + 1)
+_SHAPES = {
+    "sum": (lambda n: "+".join(["z"] * (n + 1)), 2 * _HEIGHT + 1),
+    "difference of calls": (lambda n: "-".join(["sin(z)"] * n), 7 * (_HEIGHT - 1) + 6),
+    "product": (lambda n: "z" + "*1" * n, 2 * _HEIGHT + 1),
+    "signs": (lambda n: "-" * n + "z", 0),
+    "spaced signs": (lambda n: "- \t" * n + "z", 0),
+    "signs over a power": (lambda n: "-" * (n - 1) + "z^2", 0),
+    "a sum over signs": (lambda n: "z+" + "-" * (n - 1) + "z", 1),
+    "a sum in calls": (lambda n: "exp(" * 50 + "+".join(["z"] * (n - 49)) + ")" * 50, 0),
+    "powers of a sum": (lambda n: "(" * 50 + "+".join(["z"] * (n - 49)) + ")^2" * 50, 50 + 2 * (_HEIGHT - 48) - 1 + 3 * 49 + 1),
+    "sconj of a sum": (lambda n: "sconj(" + "+".join(["z"] * (n + 1)) + ")", 6 + 2 * _HEIGHT + 1),
+}
+
+
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_operations_nest_to_the_bound_and_the_next_one_is_refused_at_its_offset(shape):
+    make, offset = _SHAPES[shape]
+    deepest = parse(make(_HEIGHT))
+    assert tree_height(deepest) == _HEIGHT
+    with pytest.raises(ParseError) as exc:
+        parse(make(_HEIGHT + 1))
+    assert (exc.value.offset, exc.value.expected) == (offset, f"at most {_HEIGHT} nested operations")
+
+
+def test_signs_on_a_number_fold_and_stand_no_higher():
+    assert parse("-" * (_HEIGHT + 1) + "2") == parse("-2")
+    assert parse("-" * (_HEIGHT + 2) + "2") == parse("2")
+    tree = parse("-" * _HEIGHT + "z")
+    for _ in range(_HEIGHT):
+        assert type(tree) is Neg
+        tree = tree.arg
+    assert tree == Var()

@@ -102,9 +102,20 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
   - ``extend`` of the timelike config with a ``mesh_range`` and a
     ``mask_eps``, which it writes into the extended config, and ``mesh``
     (5x5) of that config, which reads both;
-  - last, so that no earlier file is renumbered, ``eval`` of a g nested in
-    as many calls as the parser's bracket bound allows (exit 0) and in one
-    more (exit 2, one line).
+  - ``eval`` of a g nested in as many calls as the parser's bracket bound
+    allows (exit 0) and in one more (exit 2, one line);
+  - last, so that no earlier file is renumbered: ``extend`` of the timelike
+    config with 1e-7 added to g, whose boundary misses its locus by more than
+    LOCUS_TOL (exit 1, one line), and with 3e-8 added (exit 0), then ``check``
+    of the config that writes (exit 1: it fails plane_containment alone);
+    ``eval``, ``check`` and ``mesh`` of an extended config across a circle
+    against a timelike plane, which the contact refuses on load (exit 1, one
+    line); ``extend`` of the timelike config with g wrapped in 48 pairs of
+    ``exp(log(...))`` (exit 0), whose reflected formulas nest 100 brackets,
+    ``eval`` of the config it writes, and in 49 pairs (exit 1, one line: its
+    f_minus would not read back); and ``eval`` of the timelike config whose f
+    is a sum, a product and a run of signs as high as the parser's bound on
+    nested operations allows (exit 0), and one level higher (exit 2).
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -149,6 +160,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from maxsurf.cli import SurfaceConfig, main  # noqa: E402
+from maxsurf.expr import _HEIGHT, _NESTING  # noqa: E402
 from maxsurf.weierstrass import evaluate_surface  # noqa: E402
 from workloads import BASE_CONFIGS, EXTENDABLE, RHO, SURFACES, sample_point  # noqa: E402
 
@@ -288,9 +300,25 @@ LATE_CONTACTS = {  # name: config, each extended and its output checked after th
 }
 
 MESH_KEYS = BASE_CONFIGS["timelike"] + "mesh_range = -0.5,0.5,-0.4,0.4\nmask_eps = 1e-6\n"
-NESTING = 100  # the parser's bound on brackets open at once
 NESTED = {f"nested-{n}": f"f = 1\ng = {'sin(' * n}z{')' * n}\ndomain = disk\nradius = 0.5\nz0 = 0\n"
-          for n in (NESTING, NESTING + 1)}
+          for n in (_NESTING, _NESTING + 1)}
+
+_G = "g = -i + sqrt(2)*i*exp(i*z)"  # the timelike config's g
+LOCUS_OFFSETS = {  # name: the timelike config with a constant added to g, off its locus by 2.75e-8 and 8.3e-9
+    f"locus-{d}": BASE_CONFIGS["timelike"].replace(_G, f"{_G}+{d}") for d in ("1e-07", "3e-08")
+}
+ARC_RULE = (  # the plane is timelike: a circle arc extends across spacelike planes only
+    "f = 1\ng = -i + sqrt(2)*i*exp(0.1*i*(z/0.5 + 0.5/z))\ndomain = annulus\nradius = 1\ninner_radius = 0.2\n"
+    "boundary_circle = 0.5\nz0 = 0.8\nplane = 0,1,0,0\nf_minus = 1\ng_minus = -i + sqrt(2)*i*exp(0.1*i*(z/0.5 + 0.5/z))\n"
+)
+PAIRS = {f"pairs-{n}": BASE_CONFIGS["timelike"].replace(_G, f"g = {'exp(log(' * n}{_G[4:]}{'))' * n}") for n in (48, 49)}
+_F = "exp(-i*z)"  # the timelike config's f, two operations high
+SHAPES = {  # name: the timelike config with f as high as the parser allows, or one operation higher
+    f"{shape}-{_HEIGHT + k}": BASE_CONFIGS["timelike"].replace(f"f = {_F}", f"f = {make(_HEIGHT - 2 + k)}")
+    for shape, make in (("sum", lambda n: _F + "+0" * n), ("product", lambda n: _F + "*1" * n),
+                        ("signs", lambda n: "-" * n + _F))
+    for k in (0, 1)
+}
 
 _REFLECTED = "--at=0.2,-0.3"  # a point of the reflected side of the upper half disks
 NEAR_LINE_CONTACTS = {  # name: (config, what runs on the config its extend writes), run last
@@ -390,6 +418,13 @@ def commands() -> list[tuple[str, list[str]]]:
     cmds += [("extend-mesh-keys", ["extend", "mesh-keys.cfg", "-o", "mesh-keys.ext.cfg"]),
              ("mesh-mesh-keys.ext", ["mesh", "mesh-keys.ext.cfg", "--grid", "5x5", "-o", "mesh-keys.ext.obj"])]
     cmds += [(f"eval-{name}", ["eval", f"{name}.cfg", "--at=0.1,0.2"]) for name in NESTED]
+    cmds += [(f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]) for name in LOCUS_OFFSETS]
+    cmds.append(("check-locus-3e-08.ext", ["check", "locus-3e-08.ext.cfg"]))
+    cmds += [(f"{command}-arc-rule.ext", [command, "arc-rule.ext.cfg", *args])
+             for command, *args in (("eval", "--at=0.3,0.1"), ("check",), ("mesh", "--grid", "9x9", "-o", "arc-rule.obj"))]
+    cmds += [(f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]) for name in PAIRS]
+    cmds.append(("eval-pairs-48.ext", ["eval", "pairs-48.ext.cfg", _REFLECTED]))
+    cmds += [(f"eval-{name}", ["eval", f"{name}.cfg", "--at=0.3,0.1"]) for name in SHAPES]
     return cmds
 
 
@@ -430,7 +465,8 @@ def capture(outdir: Path) -> None:
     inputs = {name: text for name, (text, _) in
               {**INPUT_FAULTS, **ONE_LINE_FAULTS, **SQUARE_OVERFLOWS, **NEAR_LINE_CONTACTS}.items()}
     configs = {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs, **OBSTRUCTIONS,
-               **ORTHOGONAL_CONTACTS, "tangential-lightlike": TANGENTIAL_CONTACT, **LATE_CONTACTS, **NESTED}
+               **ORTHOGONAL_CONTACTS, "tangential-lightlike": TANGENTIAL_CONTACT, **LATE_CONTACTS, **NESTED,
+               **LOCUS_OFFSETS, "arc-rule.ext": ARC_RULE, **PAIRS, **SHAPES}
     configs["half-annulus-poles"], configs["mesh-keys"] = HALF_ANNULUS_POLES, MESH_KEYS
     for name, text in configs.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")

@@ -18,9 +18,10 @@ Each input must give the same tree on both sides, every constant compared by
 its ``struct``-packed bits, or a ``ParseError`` at the same offset with the
 same expected text.  Prints the counts of identical trees, identical errors
 and mismatches (the first few mismatches in full) and exits 1 on any
-mismatch.  Inputs nest far fewer brackets than the parser's bound of 100,
-past which the two part by design: ``parse`` refuses what the reference
-parsed, or overflowed the stack on.
+mismatch.  Inputs nest far fewer brackets than the parser's bound of 100
+and far fewer operations than its bound of 200, past either of which the two
+part by design: ``parse`` refuses what the reference parsed, or overflowed
+the stack on.
 """
 
 from __future__ import annotations

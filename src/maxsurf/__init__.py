@@ -51,7 +51,6 @@ from .weierstrass import (
 )
 from .extension import (
     CASES,
-    BoundaryArc,
     CircleOrLine,
     ContactData,
     DegenerateContactWarning,

@@ -596,7 +596,7 @@ def _extend_report(ext: ExtendedSurface) -> dict:
             "sheet": c.sheet,
             "locus": c.locus.describe(),
             "locus_mismatch": c.locus_mismatch,
-            "boundary": c.boundary.kind,
+            "boundary": "circle" if c.boundary.a else "segment",
         },
         "matching": {
             "passed": ext.matching.passed,

@@ -19,13 +19,15 @@ one generalized circle a|w|^2 + 2 Re(conj(b) w) + c' = 0, built from c:
               (2 + lam - w)/(1 + lam w), 2 - conj(g) at lam = 0 (the line
               Re w = 1); psi = x1 - x3 is odd, L = phi1 - phi3 = f (1 - g)^2 / 2.
 
-The shape of the boundary arc is a ``BoundaryArc``: the real diameter with
-the domain reflection sigma(z) = conj(z), or a circle |z| = rho with the
-inversion sigma(z) = rho^2 / conj(z), which extends annular data (rings
-around a conelike vertex) across the contact circle.  The arc supplies the
-conjugation conj(e(sigma(z))) and the odd pull-back of L,
-L_minus = -conj(L(sigma(z))) conj(sigma'(z)); the row supplies the locus, whose
-own reflection maps the conjugated g, and the recovery f_minus = L_minus / h(g_minus).
+The boundary arc is a ``CircleOrLine`` too: the real diameter 2 Im z = 0,
+whose domain reflection is sigma(z) = conj(z), or a circle |z| = rho, whose
+inversion sigma(z) = rho^2 / conj(z) extends annular data (rings around a
+conelike vertex) across the contact circle.  One formula of the form serves
+both: the conjugation conj(e(sigma(z))) is sconj(e) composed with the
+holomorphic conj o sigma, the odd pull-back of L is L_minus =
+-conj(L(sigma(z))) (conj o sigma)'(z), and the sign of the form tells the
+sides apart; the row supplies the locus, whose own reflection maps the
+conjugated g, and the recovery f_minus = L_minus / h(g_minus).
 Only spacelike planes are supported across a circle; measure_contact refuses others.
 
 <N, n> and g are measured on the arc itself, at its ARC_POSITIONS
@@ -94,7 +96,6 @@ from .weierstrass import (
 
 __all__ = [
     "CASES",
-    "BoundaryArc",
     "Case",
     "CircleOrLine",
     "ContactData",
@@ -156,77 +157,16 @@ class DegenerateContactWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class BoundaryArc:
-    """The arc carrying the boundary curve: the real diameter or |z| = rho.
-
-    The arc fixes the domain reflection sigma: z -> conj(z) on the segment,
-    z -> rho^2 / conj(z) on the circle, whose outer side is the original.
-    """
-
-    kind: str  # "segment" | "circle"
-    rho: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("segment", "circle"):
-            raise ValueError("boundary kind must be 'segment' or 'circle'")
-        if self.kind == "circle" and (self.rho is None or self.rho <= 0):
-            raise ValueError("circle boundary needs rho > 0")
-
-    def conj(self, e: Expr) -> Expr:
-        """Schwarz conjugation across the arc: z -> conj(e(sigma(z)))."""
-        if self.kind == "segment":
-            return sconj(e)
-        return substitute(sconj(e), Div(Const(self.rho * self.rho), Var()))
-
-    def pullback(self, L: Expr) -> Expr:
-        """Odd reflection of the form L dz: -conj(L(sigma(z))) conj(sigma'(z))."""
-        if self.kind == "segment":
-            return Neg(sconj(L))
-        return Mul(self.conj(L), Div(Const(self.rho * self.rho), Pow(Var(), 2)))
-
-    def reflect(self, z: complex) -> complex:
-        if self.kind == "segment":
-            return z.conjugate()
-        if z == 0:
-            return complex(math.inf)  # the inversion sends the center to infinity
-        return self.rho * self.rho / z.conjugate()
-
-    @property
-    def poles(self) -> tuple[complex, ...]:
-        """Where sigma itself is singular."""
-        return () if self.kind == "segment" else (0j,)
-
-    def on_original_side(self, z: complex | np.ndarray) -> bool | np.ndarray:
-        """Whether z (a number or an array) lies on the original side or on the arc; |z| is np.hypot,
-        which rounds as abs does, so an array holds each number's value."""
-        if self.kind == "segment":
-            return z.imag >= 0
-        return np.hypot(z.real, z.imag) >= self.rho
-
-    def crossings(self, a: complex, b: complex) -> list[complex]:
-        """Interior points where the segment from a to b crosses the arc."""
-        d = b - a
-        if self.kind == "segment":
-            crosses = (a.imag > 0) != (b.imag > 0) and a.imag != b.imag
-            ts = [a.imag / (a.imag - b.imag)] if crosses else []
-        else:
-            aa = (d * d.conjugate()).real
-            bb = 2 * (a * d.conjugate()).real
-            cc = (a * a.conjugate()).real - self.rho * self.rho
-            disc = bb * bb - 4 * aa * cc
-            if aa == 0 or disc <= 0:
-                ts = []
-            else:
-                root = math.sqrt(disc)
-                ts = [(-bb - root) / (2 * aa), (-bb + root) / (2 * aa)]
-        return [a + t * d for t in ts if 1e-12 < t < 1 - 1e-12]
-
-
-@dataclass(frozen=True)
 class CircleOrLine:
-    """The Gauss locus of a contact: the generalized circle a|w|^2 + 2 Re(conj(b) w) + c = 0, with a and c
-    real.  It is the circle about -b/a of radius sqrt(|b|^2 - a c)/|a|, or a line where a = 0; the one
-    form holds both, and a circle that grows into a line passes through no threshold."""
+    """The generalized circle a|w|^2 + 2 Re(conj(b) w) + c = 0, with a and c real: the Gauss locus of a
+    contact, and the boundary arc of the domain.  It is the circle about -b/a of radius
+    sqrt(|b|^2 - a c)/|a|, or a line where a = 0; the one form holds both, and a circle that grows into a
+    line passes through no threshold.
+
+    As the arc it fixes the domain reflection sigma, its own inversion: z -> conj(z) across the real
+    diameter (0, i, 0), which is 2 Im z = 0, and z -> rho^2 / conj(z) across |z| = rho, (1, 0, -rho^2).
+    The side where the form is positive or zero (Im z >= 0, |z| >= rho) is the original.
+    """
 
     a: float
     b: complex
@@ -260,6 +200,66 @@ class CircleOrLine:
     def describe(self) -> str:
         return f"generalized circle (a, b, c) = ({self.a!r}, {self.b!r}, {self.c!r})"
 
+    def _value(self, z):
+        """The form at a number or at each point of an array.  A line's value leaves a|z|^2 out, so its
+        sign holds where |z|^2 overflows, which would make 0 * inf a NaN."""
+        linear = 2 * (self.b.real * z.real + self.b.imag * z.imag) + self.c
+        return self.a * (z.real * z.real + z.imag * z.imag) + linear if self.a else linear
+
+    def _conj_sigma(self) -> Expr:
+        """conj(sigma(z)), which is holomorphic: the conjugate form's reflection of z, so z across the
+        real diameter and rho^2/z across |z| = rho."""
+        return CircleOrLine(self.a, self.b.conjugate(), self.c).reflect(Var())
+
+    def conj(self, e: Expr) -> Expr:
+        """Schwarz conjugation across the arc: z -> conj(e(sigma(z)))."""
+        return substitute(sconj(e), self._conj_sigma())
+
+    def pullback(self, L: Expr) -> Expr:
+        """Odd reflection of the form L dz across the arc: -conj(L(sigma(z))) (conj o sigma)'(z)."""
+        return Neg(_mul(self.conj(L), _derivative(self._conj_sigma(), {})))
+
+    def mirror(self, z: complex | np.ndarray) -> complex | np.ndarray:
+        """sigma(z) = -(b conj(z) + c)/(a conj(z) + conj(b)) at a number or at each point of an array.  On
+        a number the centre of a circle maps to complex(inf); in an array, to a value that is not finite."""
+        w = z.conjugate()
+        num, den = -(self.b * w + self.c), self.a * w + self.b.conjugate()
+        if isinstance(z, complex):
+            return num / den if den else complex(math.inf)
+        with np.errstate(all="ignore"):
+            return num / den
+
+    @property
+    def poles(self) -> tuple[complex, ...]:
+        """Where sigma itself is singular: the centre of a circle, 0j - b/a, so that it is 0j, not -0j."""
+        return (0j - self.b / self.a,) if self.a else ()
+
+    def on_original_side(self, z: complex | np.ndarray) -> bool | np.ndarray:
+        """Whether z (a number or an array) lies on the original side or on the arc: the form is >= 0, where
+        in an array a square past the float range is inf."""
+        if isinstance(z, complex):
+            return self._value(z) >= 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._value(z) >= 0
+
+    def crossings(self, p: complex, q: complex) -> list[complex]:
+        """Interior points where the segment from p to q crosses the arc: the roots in t of the form at
+        p + t (q - p), a quadratic A t^2 + B t + C, or B t + C where a = 0."""
+        d, C = q - p, self._value(p)
+        if self.a:
+            A = self.a * (d * d.conjugate()).real
+            B = 2 * (self.a * (p * d.conjugate()).real + (self.b.conjugate() * d).real)
+            disc = B * B - 4 * A * C
+            if A == 0 or disc <= 0:
+                ts = []
+            else:
+                root = math.sqrt(disc)
+                ts = [(-B - root) / (2 * A), (-B + root) / (2 * A)]
+        else:
+            B = 2 * (self.b.real * d.real + self.b.imag * d.imag)
+            ts = [-C / B] if B else []
+        return [p + t * d for t in ts if 1e-12 < t < 1 - 1e-12]
+
 
 @dataclass(frozen=True)
 class ContactData:
@@ -282,7 +282,7 @@ class ContactData:
     sheet: int
     locus: CircleOrLine
     locus_mismatch: float
-    boundary: BoundaryArc
+    boundary: CircleOrLine
     theta: float | None = None
     lam: float | None = None
 
@@ -422,12 +422,13 @@ def boundary_samples(domain: Domain, depths: Sequence[float]) -> list[complex]:
     return out.ravel().tolist()
 
 
-def _boundary_limits(data: WeierstrassData, unit_n: LVector) -> tuple[BoundaryArc, float, list[float], list[complex]]:
-    """The boundary arc, c, and the values of <N, unit_n> and of g at its ``boundary_points``; c is the
-    mean of the <N, unit_n> values.  Each point is read through the patch's closures (``_g_fn``,
-    gauss_from_g, lorentz_inner), in point order, so the first fault raises what they raise there."""
+def _boundary_limits(data: WeierstrassData, unit_n: LVector) -> tuple[CircleOrLine, float, list[float], list[complex]]:
+    """The boundary arc (the real diameter, or the domain's boundary circle), c, and the values of
+    <N, unit_n> and of g at its ``boundary_points``; c is the mean of the <N, unit_n> values.  Each point is
+    read through the patch's closures (``_g_fn``, gauss_from_g, lorentz_inner), in point order, so the first
+    fault raises what they raise there."""
     rho = data.domain.boundary_circle
-    boundary = BoundaryArc("segment") if rho is None else BoundaryArc("circle", rho)
+    boundary = CircleOrLine(0.0, 1j, 0.0) if rho is None else CircleOrLine(1.0, 0j, -rho * rho)
     cs, gs = [], []
     for z in boundary_points(data.domain):
         gs.append(data._g_fn(z))
@@ -463,7 +464,7 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     if not mismatch <= LOCUS_TOL:
         raise GeometryMismatchError(f"boundary g lies {mismatch:.3e} (relative) off {locus.describe()} "
                                     f"implied by c = {c:.9f}")
-    if boundary.kind == "circle" and case.kind is not CausalClass.SPACELIKE:
+    if boundary.a and case.kind is not CausalClass.SPACELIKE:
         raise ExtensionError(f"circular extension handles spacelike planes only, not {case.kind.value}")
     return ContactData(
         plane=plane,
@@ -481,7 +482,7 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
     )
 
 
-def reflect_g(g: Expr, locus: CircleOrLine, arc: BoundaryArc) -> Expr:
+def reflect_g(g: Expr, locus: CircleOrLine, arc: CircleOrLine) -> Expr:
     """The Schwarz reflection of g through its boundary locus across the arc: the locus's own
     reflection of the conjugated g (r^2/conj(g) on a circle about 0, conj(g) on the line Im w = 0)."""
     return locus.reflect(arc.conj(g))
@@ -583,7 +584,7 @@ class ExtendedSurface:
         return self.case.reflected
 
     def reflect(self, z: complex) -> complex:
-        return self.contact.boundary.reflect(complex(z))
+        return self.contact.boundary.mirror(complex(z))
 
     @cached_property
     def minus(self) -> WeierstrassData:
@@ -611,9 +612,7 @@ class ExtendedSurface:
         """Each side with the mask of the points of an array where it holds, in the closure of contains."""
         arc, dom = self.contact.boundary, self.original.domain
         here = arc.on_original_side(z)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a circle's centre maps to no point a domain holds
-            mirror = z.conj() if arc.kind == "segment" else arc.rho * arc.rho / z.conj()
-        inside = dom.contains_many(z, closed=True) | dom.contains_many(mirror, closed=True)
+        inside = dom.contains_many(z, closed=True) | dom.contains_many(arc.mirror(z), closed=True)
         return [(self.original, inside & here), (self.minus, inside & ~here)]
 
     @cached_property
@@ -654,12 +653,12 @@ def _check_reconstruction_singular(minus: WeierstrassData, pts: Sequence[complex
 
 
 @lru_cache(maxsize=64)
-def _minus_grid(domain: Domain, arc: BoundaryArc) -> tuple[complex, ...]:
+def _minus_grid(domain: Domain, arc: CircleOrLine) -> tuple[complex, ...]:
     """The reflected side's sample grid: the arc's images of seeded points of the domain's upper half;
     it depends only on the domain and the arc, so each pair draws it once per process."""
     R = domain.radius
     z = np.random.default_rng(2).uniform((-R, 0), R, size=(50 * MINUS_POINTS, 2)).view(complex)[:, 0]
-    return tuple(arc.reflect(w) for w in z[domain.contains_many(z) & (z.imag > 1e-3 * R)][:MINUS_POINTS].tolist())
+    return tuple(arc.mirror(w) for w in z[domain.contains_many(z) & (z.imag > 1e-3 * R)][:MINUS_POINTS].tolist())
 
 
 def extend(data: WeierstrassData, plane: Plane) -> ExtendedSurface:

@@ -122,6 +122,22 @@ def near_orthogonal_fixture(eps: float):
     return data, Plane(LVector(0, 1, 0), 0.0)
 
 
+# (kind, inner radius, boundary_circle, message): a circle on a half kind, whose arc is its diameter, and on a
+# full kind one that is not strictly between the inner radius (0 on a disk) and the radius 1
+BOUNDARY_CIRCLE_REFUSALS = [
+    *[(kind, inner, 0.5, "boundary_circle only applies to full kinds")
+      for kind, inner in (("upper-half-disk", 0.0), ("half-annulus", 0.2))],
+    *[(kind, inner, rho, "boundary_circle must lie inside the domain")
+      for kind, inner, rho in (("disk", 0.0, 0.0), ("disk", 0.0, -0.3), ("disk", 0.0, 1.0), ("disk", 0.0, 1.5),
+                               ("annulus", 0.2, 0.2), ("annulus", 0.2, 0.1))],
+]
+
+
+def boundary_circle_config(kind: str, inner: float, rho: float) -> str:
+    ring = f"inner_radius = {inner!r}\n" if inner else ""
+    return f"f = 1\ng = z\ndomain = {kind}\nradius = 1\n{ring}boundary_circle = {rho!r}\nz0 = 0.6*i\n"
+
+
 @functools.cache
 def tree_height(e) -> int:
     """The operations on the longest path from the root of a tree to a leaf, counted without recursion."""

@@ -20,7 +20,6 @@ from fixtures import (
 from maxsurf.cli import CATENOID_CONFIG, main
 from maxsurf.expr import evaluate, parse
 from maxsurf.extension import (
-    BoundaryArc,
     CircleOrLine,
     HypothesisViolationError,
     _spacelike_locus,
@@ -122,7 +121,7 @@ def test_criterion_3_spacelike_catenoid_slab():
 def test_criterion_4_timelike_self_symmetric():
     data, _ = timelike_fixture()
     lam = 1.0  # c = 1/lam: the locus c |w|^2 + 2 Im w - c = 0
-    g_minus = reflect_g(data.g, CircleOrLine(1 / lam, 1j, -1 / lam), BoundaryArc("segment"))
+    g_minus = reflect_g(data.g, CircleOrLine(1 / lam, 1j, -1 / lam), CircleOrLine(0.0, 1j, 0.0))
     rng = np.random.default_rng(104)
     worst = 0.0
     pts = 0
@@ -146,7 +145,7 @@ def test_criterion_4_timelike_self_symmetric():
 def test_criterion_5_lightlike_self_symmetric_and_identity():
     data, _ = lightlike_fixture()
     lam = -2.0  # the locus lam |w|^2 + 2 Re w - lam - 2 = 0
-    g_minus = reflect_g(data.g, CircleOrLine(lam, 1 + 0j, -lam - 2), BoundaryArc("segment"))
+    g_minus = reflect_g(data.g, CircleOrLine(lam, 1 + 0j, -lam - 2), CircleOrLine(0.0, 1j, 0.0))
     rng = np.random.default_rng(105)
     worst = 0.0
     pts = 0
@@ -174,7 +173,7 @@ def test_criterion_5_lightlike_self_symmetric_and_identity():
 
 
 def test_criterion_6_involutions():
-    seg = BoundaryArc("segment")
+    seg, circle = CircleOrLine(0.0, 1j, 0.0), CircleOrLine(1.0, 0j, -math.exp(-0.7) ** 2)  # the arcs
     rng = np.random.default_rng(106)
     cases = {  # each fixture's locus: |w| = 1/2, the timelike c = 1, the lightlike lam = -2, |w| = e^-0.7
         "spacelike": (
@@ -188,9 +187,7 @@ def test_criterion_6_involutions():
         ),
         "circular": (
             catenoid_data().g,
-            lambda g: reflect_g(
-                g, CircleOrLine(1.0, 0j, -math.exp(-0.7) ** 2), BoundaryArc("circle", math.exp(-0.7))
-            ),
+            lambda g: reflect_g(g, circle, circle),
         ),
     }
     worst = 0.0

@@ -79,6 +79,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + [f"extend-{name}" for name in LOCUS_OFFSETS] + ["check-locus-3e-08.ext"]
         + [f"{command}-arc-rule.ext" for command in ("eval", "check", "mesh")]
         + [f"extend-{name}" for name in PAIRS] + ["eval-pairs-48.ext"] + [f"eval-{name}" for name in SHAPES]
+        + ["extend-annulus-arc"] + [f"eval-annulus-arc.ext-{k}" for k in range(5)] + ["mesh-annulus-arc.ext"]
     )
     assert sorted(set(names) - set(logs)) == sorted(
         [f"{name}.cfg" for name in ("catenoid",) + EXTENDABLE + DOMAIN_MESHES + ("pole", "overflow", "poly")]
@@ -94,6 +95,7 @@ def test_capture_outputs_writes_one_file_per_command(tmp_path):
         + ["mesh-keys.cfg", "mesh-keys.ext.cfg", "nested-100.cfg", "nested-101.cfg"]
         + [f"{name}.cfg" for name in LOCUS_OFFSETS + PAIRS + SHAPES]
         + ["locus-3e-08.ext.cfg", "arc-rule.ext.cfg", "pairs-48.ext.cfg"]
+        + ["annulus-arc.cfg", "annulus-arc.ext.cfg", "annulus-arc.ext.obj", "annulus-arc.ext.obj.attrs.json"]
     )
     for name in logs:
         if name[4:-4] in USAGE_FAULTS:

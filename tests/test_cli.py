@@ -12,10 +12,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fixtures import SCONJ_FORMULAS, UNREDUCED_FORMULAS, bench_configs, bench_oracles, bracket_depth, capture_tool
+from fixtures import (
+    BOUNDARY_CIRCLE_REFUSALS,
+    SCONJ_FORMULAS,
+    UNREDUCED_FORMULAS,
+    bench_configs,
+    bench_oracles,
+    boundary_circle_config,
+    bracket_depth,
+    capture_tool,
+)
 from maxsurf import cli, extension, verify
 from maxsurf.cli import CATENOID_CONFIG, SurfaceConfig, main
-from maxsurf.expr import _HEIGHT, _NESTING, compile_fn, evaluate, format_expr, parse
+from maxsurf.expr import _HEIGHT, _NESTING, Mul, compile_fn, differentiate, evaluate, format_expr, parse, substitute
 from maxsurf.minkowski import LVector, lorentz_inner
 from maxsurf.weierstrass import _HALF_KINDS, QuadratureConfig
 
@@ -91,6 +100,14 @@ def test_check_missing_field_exits_2(tmp_path, capsys):
     p.write_text("g = z\ndomain = disk\nz0 = 0\n")
     assert main(["check", str(p)]) == 2
     assert "'f'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, inner, rho, message", BOUNDARY_CIRCLE_REFUSALS)
+def test_eval_refuses_a_boundary_circle_off_a_full_domain_in_one_line(tmp_path, capsys, kind, inner, rho, message):
+    p = tmp_path / "circle.cfg"
+    p.write_text(boundary_circle_config(kind, inner, rho))
+    assert main(["eval", str(p), "--at=0.5,0.5"]) == 2
+    assert capsys.readouterr().err == f"config error: field 'domain': {message}\n"
 
 
 def test_check_unknown_key_exits_2(tmp_path, capsys):
@@ -266,6 +283,54 @@ def test_extend_catenoid_slice_check(tmp_path, capsys):
         Xp = ext.evaluate(ext.reflect(zk))
         assert abs(Xm.x3 - a) < 1e-7
         assert abs(Xp.x3 - (2 * b - a)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# a Möbius change of the parameter, z = T(w): (f(T) T', g(T)) with the punctures and z0 moved by T^-1 is the
+# same surface, X and N at w those at T(w), which runs the detours and the arc through another chart
+
+def _mobius_gap(path, z, want, capsys) -> float:
+    """The gap of X and N that eval prints at z from want's, relative to 1 + |X|."""
+    assert main(["eval", str(path), f"--at={z.real!r},{z.imag!r}"]) == 0
+    got = _eval_values(capsys.readouterr().out)[:6]
+    return math.dist(got, want) / (1 + math.hypot(*want[:3]))
+
+
+def test_the_catenoid_in_a_moved_chart_is_the_catenoid(tmp_path, capsys):
+    # T(w) = (w+0.3)/(1+0.3w) fixes z0 = 1 and moves the puncture to -0.3
+    p, q = tmp_path / "catenoid.cfg", tmp_path / "moved.cfg"
+    p.write_text(CATENOID_CONFIG)
+    q.write_text("f = 0.91/(z+0.3)^2\ng = (z+0.3)/(1+0.3*z)\ndomain = punctured-disk\nradius = 1\npunctures = -0.3\n"
+                 "z0 = 1\nX0 = 0,0,0\ntol = 1e-10\n")
+    for w in (0.5 + 0.3j, -0.4 + 0.2j, 0.1 - 0.6j, -0.2 - 0.25j):
+        z = (w + 0.3) / (1 + 0.3 * w)
+        assert main(["eval", str(p), f"--at={z.real!r},{z.imag!r}"]) == 0
+        assert _mobius_gap(q, w, _eval_values(capsys.readouterr().out)[:6], capsys) <= 1e-12
+    assert main(["check", str(q)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_the_timelike_extension_in_a_moved_chart_is_the_same_surface(tmp_path, capsys):
+    # the real T(w) = (w+0.2)/(1+0.2w/0.49) keeps the upper half disk of radius 0.7 and its diameter
+    T = parse("(z+0.2)/(1+0.2*z/0.49)")
+    base = bench_configs()["timelike"]
+    data = SurfaceConfig.from_text(base).data
+    moved = (base.replace("f = exp(-i*z)", f"f = {format_expr(Mul(substitute(data.f, T), differentiate(T)))}")
+             .replace("g = -i + sqrt(2)*i*exp(i*z)", f"g = {format_expr(substitute(data.g, T))}")
+             .replace("z0 = 0.5*i", "z0 = (0.5*i-0.2)/(1-0.2*0.5*i/0.49)"))
+    paths = {}
+    for name, text in (("timelike", base), ("moved", moved)):
+        (tmp_path / f"{name}.cfg").write_text(text)
+        paths[name] = tmp_path / f"{name}.ext.cfg"
+        assert main(["extend", str(tmp_path / f"{name}.cfg"), "-o", str(paths[name])]) == 0
+        assert json.loads(capsys.readouterr().out)["matching"]["passed"] is True
+        assert main(["check", str(paths[name])]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+    for z in (0.1 + 0.2j, 0.3 + 0.1j, 0.1 - 0.2j, 0.3 - 0.1j):  # both sides of the arc
+        assert main(["eval", str(paths["timelike"]), f"--at={z.real!r},{z.imag!r}"]) == 0
+        want = _eval_values(capsys.readouterr().out)[:6]
+        w = (z - 0.2) / (1 - 0.2 * z / 0.49)
+        assert _mobius_gap(paths["moved"], w, want, capsys) <= 1e-12
 
 
 def test_eval_extended_config_minus_side(timelike_cfg, tmp_path, capsys):

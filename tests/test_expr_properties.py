@@ -646,7 +646,7 @@ def test_no_factor_of_a_reflected_quotient_stays_above_and_below_the_line(f, g):
             evaluate(e, 0.3 + 0.2j)
         except EvalError:
             return  # a constant subtree that faults keeps its product as one opaque factor
-    arc, case = extension.BoundaryArc("segment"), extension.CASES[CausalClass.TIMELIKE]
+    arc, case = extension.CircleOrLine(0.0, 1j, 0.0), extension.CASES[CausalClass.TIMELIKE]
     g_minus = extension.reflect_g(g, case.locus(0.0, 1, [0j])[0], arc)
     normal = _NormalForm()  # one memo, as extend's
     normal(g_minus)

@@ -24,7 +24,6 @@ from maxsurf.expr import Const, Div, EvalError, Pow, Var, compile_array, compile
 from maxsurf.extension import (
     ANGLE_TOL,
     CASES,
-    BoundaryArc,
     CircleOrLine,
     DegenerateContactWarning,
     ExtendedSurface,
@@ -53,6 +52,9 @@ from maxsurf.weierstrass import (
 )
 
 
+DIAMETER = CircleOrLine(0.0, 1j, 0.0)  # the real diameter as the boundary arc, 2 Im z = 0
+
+
 def minus_points(n=50, radius=0.6, seed=0):
     rng = np.random.default_rng(seed)
     pts = []
@@ -65,13 +67,6 @@ def minus_points(n=50, radius=0.6, seed=0):
 
 # ---------------------------------------------------------------------------
 # the Gauss locus
-
-@pytest.mark.parametrize("kind, rho, message", [("ray", None, "boundary kind must be 'segment' or 'circle'"),
-                                                ("circle", 0.0, "circle boundary needs rho > 0")])
-def test_a_boundary_arc_is_a_segment_or_a_circle_of_positive_radius(kind, rho, message):
-    with pytest.raises(ValueError, match=message):
-        BoundaryArc(kind, rho)
-
 
 def test_distance_from_a_line_and_a_circle():
     line = CircleOrLine(0.0, 1 + 0j, -2.0)  # 2 Re w - 2 = 0: the line Re w = 1
@@ -156,7 +151,7 @@ def test_measure_contact_catenoid_circle():
     data, plane = catenoid_extension_fixture(b=-0.7)
     rho = math.exp(-0.7)
     c = measure_contact(data, plane)
-    assert c.boundary == BoundaryArc("circle", rho)
+    assert c.boundary == CircleOrLine(1.0, 0j, -rho * rho)
     assert abs(c.c + (1 + rho**2) / (1 - rho**2)) < 1e-9
     assert c.deviation < 1e-8
     assert abs(c.locus.radius - rho) < 1e-12
@@ -197,7 +192,7 @@ LOCI = {  # row: (plane normal, c, boundary limits of g on its locus, the locus'
 
 def _contact_from_limits(monkeypatch, normal, c, g_limits):
     """measure_contact on boundary limits given in place of the extrapolated ones."""
-    limits = (BoundaryArc("segment"), c, [c] * len(g_limits), list(g_limits))
+    limits = (DIAMETER, c, [c] * len(g_limits), list(g_limits))
     monkeypatch.setattr(extension, "_boundary_limits", lambda data, unit_n: limits)
     return measure_contact(spacelike_fixture()[0], Plane(LVector(*normal), 0.0))
 
@@ -318,18 +313,18 @@ def test_degenerate_lightlike_contact_warns():
 
 def test_spacelike_reflection_fixes_circle_and_involutes():
     g, circle = parse("exp(i*z)/2"), CircleOrLine(1.0, 0j, -0.25)  # |w| = 1/2
-    gm = reflect_g(g, circle, BoundaryArc("segment"))
+    gm = reflect_g(g, circle, DIAMETER)
     assert gm == Div(Const(0.25), parse("exp(-i*z)/2"))  # r^2/conj(g)
     for u in np.linspace(-0.6, 0.6, 7):
         assert abs(abs(evaluate(gm, u)) - 0.5) < 1e-12
-    g2 = reflect_g(gm, circle, BoundaryArc("segment"))
+    g2 = reflect_g(gm, circle, DIAMETER)
     for z in minus_points(20):
         assert abs(evaluate(g2, z) - evaluate(g, z)) < 1e-12
 
 
 def test_timelike_reflection_fixes_circle():
     g = parse("-i + sqrt(2)*i*exp(i*z)")
-    gm = reflect_g(g, CircleOrLine(1.0, 1j, -1.0), BoundaryArc("segment"))  # the timelike locus of c = 1
+    gm = reflect_g(g, CircleOrLine(1.0, 1j, -1.0), DIAMETER)  # the timelike locus of c = 1
     for u in np.linspace(-0.5, 0.5, 7):
         w = evaluate(gm, u)
         assert abs(w.real**2 + (w.imag + 1) ** 2 - 2) < 1e-12
@@ -337,7 +332,7 @@ def test_timelike_reflection_fixes_circle():
 
 def test_lightlike_line_reflection_fixes_axis():
     g = parse("1 + i*(1 + z/4)")
-    gm = reflect_g(g, CircleOrLine(0.0, 1 + 0j, -2.0), BoundaryArc("segment"))  # lam = 0: Re w = 1, g to 2 - conj(g)
+    gm = reflect_g(g, CircleOrLine(0.0, 1 + 0j, -2.0), DIAMETER)  # lam = 0: Re w = 1, g to 2 - conj(g)
     assert format_expr(gm) == "2+-1*(1+-i*(1+z/4))"
     for u in np.linspace(-0.5, 0.5, 7):
         assert abs(evaluate(gm, u).real - 1.0) < 1e-14
@@ -570,7 +565,8 @@ def test_emitted_formulas_evaluate_like_the_trees_extend_built(fixture):
 def test_extension_dispatch():
     data, plane = catenoid_extension_fixture()
     ext = extend(data, plane)
-    assert ext.contact.boundary.kind == "circle"
+    rho = math.exp(-0.7)
+    assert ext.contact.boundary == CircleOrLine(1.0, 0j, -rho * rho)
     data2, plane2 = timelike_fixture()
     assert extend(data2, plane2).reflected == "x2"
     data3, plane3 = lightlike_fixture()
@@ -618,7 +614,7 @@ def test_extend_circular_involution():
     data, plane = catenoid_extension_fixture(b=-0.7)
     ext = extend(data, plane)
     rho = math.exp(-0.7)
-    g2 = reflect_g(ext.g_minus, ext.contact.locus, BoundaryArc("circle", rho))
+    g2 = reflect_g(ext.g_minus, ext.contact.locus, CircleOrLine(1.0, 0j, -rho * rho))
     rng = np.random.default_rng(5)
     for _ in range(30):
         z = cmath.rect(rng.uniform(0.55, 0.95), rng.uniform(-math.pi, math.pi))

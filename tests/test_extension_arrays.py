@@ -30,7 +30,7 @@ from maxsurf.extension import (
     MatchReport,
     ANGLE_TOL,
     SINGULAR_TOL,
-    BoundaryArc,
+    CircleOrLine,
     ExtensionError,
     HypothesisViolationError,
     GeometryMismatchError,
@@ -290,16 +290,17 @@ def _nudge(x: float, ulps: int) -> float:
                     min_size=1, max_size=40),
 )
 def test_array_and_scalar_side_tests_agree_on_the_arc(rho, points):
-    # every point lies within 2 ulps of |z| = rho, where np.abs and abs can part
-    arc = BoundaryArc("circle", rho)
+    # every point lies within 2 ulps of |z| = rho, where the sign of |z|^2 - rho^2 turns on round-off
+    arc = CircleOrLine(1.0, 0j, -rho * rho)
     zs = [complex(_nudge(rho * math.cos(t), i), _nudge(rho * math.sin(t), j)) for t, i, j in points]
     zs += [cmath.rect(rho, t) for t in np.linspace(-3, 3, 16).tolist()]
     assert arc.on_original_side(np.array(zs)).tolist() == [bool(arc.on_original_side(z)) for z in zs]
 
 
 def test_array_side_test_on_the_segment_is_the_sign_of_the_imaginary_part():
-    arc = BoundaryArc("segment")
-    zs = [0.3 + 0j, 0.3 - 0j, complex(0.1, -1e-300), complex(0.1, 5e-324), complex(-2, math.nan)]
+    arc = CircleOrLine(0.0, 1j, 0.0)
+    zs = [0.3 + 0j, 0.3 - 0j, complex(0.1, -1e-300), complex(0.1, 5e-324), complex(-2, math.nan),
+          complex(1e200, -5e-324), complex(-1e200, 1e300)]  # |z|^2 overflows, and a line never squares z
     assert arc.on_original_side(np.array(zs)).tolist() == [arc.on_original_side(z) for z in zs]
 
 
@@ -344,7 +345,7 @@ def test_contact_judges_an_array_nan_by_its_scalar_value():
 
 
 def scalar_sides(ext, z):
-    """ExtendedSurface.sides' masks with the mirror built point by point by the arc's scalar reflect."""
+    """ExtendedSurface.sides' masks with the mirror built point by point by the scalar reflect."""
     dom, here = ext.original.domain, ext.contact.boundary.on_original_side(z)
     mirror = np.array([ext.reflect(w) for w in z.tolist()], dtype=complex)
     inside = dom.contains_many(z, closed=True) | dom.contains_many(mirror, closed=True)
@@ -365,7 +366,7 @@ def test_sides_on_arrays_hold_the_masks_of_the_scalar_reflection(fixture):
 
 def test_singular_check_skips_faults_and_reports_the_first_hit():
     data, plane = catenoid_extension_fixture()
-    pts = _minus_grid(data.domain, BoundaryArc("segment"))
+    pts = _minus_grid(data.domain, CircleOrLine(0.0, 1j, 0.0))
     p, q = pts[3], pts[11]
     g = Add(Div(Sub(Var(), Const(q)), Sub(Var(), Const(p))), Const(1))  # faults at p, equals 1 at q
     expected = outcome(scalar_singular, g, pts, (1 + 0j,))
@@ -393,8 +394,8 @@ def test_the_cached_minus_grid_holds_the_uncached_points_bit_for_bit(make, p):
     arc = measure_contact(data, plane).boundary
     grid = _minus_grid(data.domain, arc)
     assert len(grid) == MINUS_POINTS
-    assert _bits(grid) == _bits(uncached_minus_grid(data.domain, arc.reflect))
-    assert _minus_grid(Domain(**vars(data.domain)), BoundaryArc(arc.kind, arc.rho)) is grid  # drawn once
+    assert _bits(grid) == _bits(uncached_minus_grid(data.domain, arc.mirror))
+    assert _minus_grid(Domain(**vars(data.domain)), CircleOrLine(arc.a, arc.b, arc.c)) is grid  # drawn once
 
 
 def test_singular_check_judges_an_array_nan_by_its_scalar_value():

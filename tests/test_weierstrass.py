@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import catenoid_oracle, phi_array, plane_fixture, quadrature_constants, random_polynomial_data
+from fixtures import (
+    BOUNDARY_CIRCLE_REFUSALS,
+    catenoid_oracle,
+    phi_array,
+    plane_fixture,
+    quadrature_constants,
+    random_polynomial_data,
+)
 from maxsurf import weierstrass
 from maxsurf.expr import Call, Const, Div, EvalError, Mul, Var, compile_array, parse
 from maxsurf.minkowski import LVector, lorentz_inner
@@ -136,6 +143,12 @@ def test_domain_validation():
     for radius in (1e308, math.inf):
         with pytest.raises(ValueError, match="diameter overflows"):
             Domain(DomainKind.DISK, radius=radius)
+
+
+@pytest.mark.parametrize("kind, inner, rho, message", BOUNDARY_CIRCLE_REFUSALS)
+def test_a_boundary_circle_off_a_full_domain_is_refused(kind, inner, rho, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Domain(kind, radius=1.0, inner_radius=inner, boundary_circle=rho)
 
 
 def test_basepoint_must_lie_in_closure():

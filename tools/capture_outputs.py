@@ -113,9 +113,13 @@ Writes the base configs of ``perfbench/workloads.py`` into OUTDIR, then runs
     line); ``extend`` of the timelike config with g wrapped in 48 pairs of
     ``exp(log(...))`` (exit 0), whose reflected formulas nest 100 brackets,
     ``eval`` of the config it writes, and in 49 pairs (exit 1, one line: its
-    f_minus would not read back); and ``eval`` of the timelike config whose f
+    f_minus would not read back); ``eval`` of the timelike config whose f
     is a sum, a product and a run of signs as high as the parser's bound on
-    nested operations allows (exit 0), and one level higher (exit 2).
+    nested operations allows (exit 0), and one level higher (exit 2); and
+    the catenoid on an annulus with no puncture at 0, extended across the
+    circle where it meets x3 = -0.7 (``extend``, ``eval`` at five points on
+    both sides and a 17x17 ``mesh``, all exit 0): the circle's centre is no
+    puncture of the domain, so the path detours around it as the arc's pole.
 
 An exception that escapes ``main`` is recorded as ``exit uncaught``, with its
 type and message as the last line of stderr, so that a checkout that ends
@@ -320,6 +324,12 @@ SHAPES = {  # name: the timelike config with f as high as the parser allows, or 
     for k in (0, 1)
 }
 
+ANNULUS_ARC = (  # the catenoid on an annulus: the arc's centre, 0, is not a puncture of the domain
+    "f = 1/z^2\ng = z\ndomain = annulus\nradius = 1\ninner_radius = 0.2\nz0 = 1\nX0 = 0,0,0\ntol = 1e-10\n"
+    f"plane = 0,0,1,0.7\nboundary_circle = {RHO!r}\n"
+)
+ANNULUS_ARC_EVALS = ("0.3,0.1", "-0.35,0.2", "0.7,-0.2", "-0.1,-0.45", "0.25,0.04")
+
 _REFLECTED = "--at=0.2,-0.3"  # a point of the reflected side of the upper half disks
 NEAR_LINE_CONTACTS = {  # name: (config, what runs on the config its extend writes), run last
     "near-orthogonal-1e-08": (orthogonal_band(1e-8), [["eval", _REFLECTED]]),
@@ -425,6 +435,11 @@ def commands() -> list[tuple[str, list[str]]]:
     cmds += [(f"extend-{name}", ["extend", f"{name}.cfg", "-o", f"{name}.ext.cfg"]) for name in PAIRS]
     cmds.append(("eval-pairs-48.ext", ["eval", "pairs-48.ext.cfg", _REFLECTED]))
     cmds += [(f"eval-{name}", ["eval", f"{name}.cfg", "--at=0.3,0.1"]) for name in SHAPES]
+    cmds.append(("extend-annulus-arc", ["extend", "annulus-arc.cfg", "-o", "annulus-arc.ext.cfg"]))
+    cmds += [(f"eval-annulus-arc.ext-{k}", ["eval", "annulus-arc.ext.cfg", f"--at={at}"])
+             for k, at in enumerate(ANNULUS_ARC_EVALS)]
+    cmds.append(("mesh-annulus-arc.ext",
+                 ["mesh", "annulus-arc.ext.cfg", "--grid", "17x17", "-o", "annulus-arc.ext.obj"]))
     return cmds
 
 
@@ -466,7 +481,7 @@ def capture(outdir: Path) -> None:
               {**INPUT_FAULTS, **ONE_LINE_FAULTS, **SQUARE_OVERFLOWS, **NEAR_LINE_CONTACTS}.items()}
     configs = {**BASE_CONFIGS, **meshes, **FAULT_CONFIGS, **EXTENSION_FAULTS, **inputs, **OBSTRUCTIONS,
                **ORTHOGONAL_CONTACTS, "tangential-lightlike": TANGENTIAL_CONTACT, **LATE_CONTACTS, **NESTED,
-               **LOCUS_OFFSETS, "arc-rule.ext": ARC_RULE, **PAIRS, **SHAPES}
+               **LOCUS_OFFSETS, "arc-rule.ext": ARC_RULE, **PAIRS, **SHAPES, "annulus-arc": ANNULUS_ARC}
     configs["half-annulus-poles"], configs["mesh-keys"] = HALF_ANNULUS_POLES, MESH_KEYS
     for name, text in configs.items():
         Path(f"{name}.cfg").write_text(text, encoding="utf-8")

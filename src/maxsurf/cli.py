@@ -220,10 +220,11 @@ class SurfaceConfig:
             data = WeierstrassData(f, g, domain, z0, X0)
         except ValueError as exc:
             raise ConfigError("z0", str(exc)) from None
-        try:
-            data = replace(data, g_poles=g_poles)
-        except ValueError as exc:
-            raise ConfigError("g_poles", str(exc)) from None
+        if g_poles:  # a second build checks them, once the basepoint is known to hold
+            try:
+                data = replace(data, g_poles=g_poles)
+            except ValueError as exc:
+                raise ConfigError("g_poles", str(exc)) from None
         paired = _MINUS_KEYS if not raw.keys().isdisjoint(_MINUS_KEYS) else ()
         tol, plane, fm, gm, reflected, mesh_range, mask_eps = _read(raw, _OTHER_KEYS, paired)
         minus = None if fm is None else (fm, gm, reflected)
@@ -690,17 +691,29 @@ def _parser() -> argparse.ArgumentParser:
 
     p_cat = sub.add_parser("catenoid", help="print the built-in reference config")
     p_cat.set_defaults(fn=cmd_catenoid)
+    parser.commands = sub.choices  # each command's own parser, by name, for main's dispatch
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; returns its exit code.  A line that starts with a command name is parsed by
+    that command's own parser, and what it leaves over is refused by the top-level parser's
+    ``unrecognized arguments`` error, as the top-level parse would; any other line (empty, -h, an option
+    or an unknown name first) goes to the top-level parser.  So every usage and error line is argparse's."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse would read a negative u in "--at -0.1,0.2" as an option
     for i in reversed(range(len(argv) - 1)):
         if argv[i] == "--at":
             argv[i : i + 2] = [f"--at={argv[i + 1]}"]
+    parser = _parser()
     try:
-        args = _parser().parse_args(argv)
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0) and 2
     with warnings.catch_warnings():

@@ -83,6 +83,7 @@ from .expr import (
 )
 from .minkowski import CausalClass, LVector, Plane, lorentz_inner, plane_class
 from .weierstrass import (
+    GAUSS_EPS,
     Domain,
     DomainKind,
     WeierstrassData,
@@ -172,9 +173,9 @@ class CircleOrLine:
     b: complex
     c: float
 
-    @property
+    @cached_property
     def radius(self) -> float:
-        """sqrt(|b|^2 - a c)/|a|, infinite for a line."""
+        """sqrt(|b|^2 - a c)/|a|, infinite for a line; worked out once per form."""
         return math.sqrt(abs(self.b) ** 2 - self.a * self.c) / abs(self.a) if self.a else math.inf
 
     def distance(self, w: complex) -> float:
@@ -212,8 +213,9 @@ class CircleOrLine:
         return CircleOrLine(self.a, self.b.conjugate(), self.c).reflect(Var())
 
     def conj(self, e: Expr) -> Expr:
-        """Schwarz conjugation across the arc: z -> conj(e(sigma(z)))."""
-        return substitute(sconj(e), self._conj_sigma())
+        """Schwarz conjugation across the arc: z -> conj(e(sigma(z))), sconj(e) itself where conj o sigma is z."""
+        sigma = self._conj_sigma()
+        return sconj(e) if isinstance(sigma, Var) else substitute(sconj(e), sigma)
 
     def pullback(self, L: Expr) -> Expr:
         """Odd reflection of the form L dz across the arc: -conj(L(sigma(z))) (conj o sigma)'(z)."""
@@ -425,14 +427,21 @@ def boundary_samples(domain: Domain, depths: Sequence[float]) -> list[complex]:
 def _boundary_limits(data: WeierstrassData, unit_n: LVector) -> tuple[CircleOrLine, float, list[float], list[complex]]:
     """The boundary arc (the real diameter, or the domain's boundary circle), c, and the values of
     <N, unit_n> and of g at its ``boundary_points``; c is the mean of the <N, unit_n> values.  Each point is
-    read through the patch's closures (``_g_fn``, gauss_from_g, lorentz_inner), in point order, so the first
-    fault raises what they raise there."""
+    read in point order: g through the patch's ``_g_fn``, and <N, unit_n> as lorentz_inner(gauss_from_g(g),
+    unit_n), by their float operations in their order, so its bits are theirs.  Where |g|^2 is not finite or
+    1 - |g|^2 is within GAUSS_EPS of 0, gauss_from_g itself is called, so the first fault raises what it raises."""
     rho = data.domain.boundary_circle
     boundary = CircleOrLine(0.0, 1j, 0.0) if rho is None else CircleOrLine(1.0, 0j, -rho * rho)
+    n1, n2, n3 = unit_n.x1, unit_n.x2, unit_n.x3
     cs, gs = [], []
     for z in boundary_points(data.domain):
-        gs.append(data._g_fn(z))
-        cs.append(lorentz_inner(gauss_from_g(gs[-1]), unit_n))
+        w = data._g_fn(z)
+        gs.append(w)
+        ww = w.real * w.real + w.imag * w.imag
+        den = 1.0 - ww
+        if abs(den) < GAUSS_EPS or not math.isfinite(ww):
+            gauss_from_g(w)  # which raises there
+        cs.append(2 * w.real / den * n1 + 2 * w.imag / den * n2 - (1 + ww) / den * n3)
     return boundary, float(np.mean(cs)), cs, gs
 
 

@@ -249,9 +249,16 @@ class WeierstrassData:
 
     @cached_property
     def field(self) -> Callable[[complex], tuple[complex, complex, complex]]:
-        """The phi triple as a compiled function of z, built once per patch."""
+        """The phi triple as a compiled function of z, built once per patch: _phi_values' arithmetic on
+        the values of f and g, written out in one frame, so its bits and its fault (f's first) are the same."""
         ff, gg = compile_fn(self.f), self._g_fn
-        return lambda z: _phi_values(ff(z), gg(z))
+
+        def field(z):
+            fv, gv = ff(z), gg(z)
+            g2 = gv * gv
+            return 0.5 * fv * (1 + g2), 0.5j * fv * (1 - g2), fv * gv
+
+        return field
 
     @cached_property
     def _g_fn(self) -> Callable[[complex], complex]:
@@ -385,32 +392,32 @@ def _worst(a: float, b: float, c: float) -> float:
     return max(a, b, c) if a == a and b == b and c == c else math.nan
 
 
+_PAIRS = tuple(zip(_XGK, _WGK, (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
+"""The seven node pairs +-x of a GK15 panel: (x, Kronrod weight, Gauss weight or 0 where x is no Gauss node)."""
+
+
 def _gk15(fn, a: complex, b: complex):
-    """One Gauss-Kronrod panel of the complex line integral of a 3-tuple field."""
+    """One Gauss-Kronrod panel of the complex line integral of a 3-tuple field.  The field is read at the
+    centre, then at c - h x and c + h x for each pair of _PAIRS in turn; each pair's sum is formed once and
+    added, weighted, to the Kronrod sums, and to the Gauss sums where it has a Gauss weight."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    f0 = fn(c)
-    k1 = _WGK_CENTER * f0[0]
-    k2 = _WGK_CENTER * f0[1]
-    k3 = _WGK_CENTER * f0[2]
-    g1 = _WG_CENTER * f0[0]
-    g2 = _WG_CENTER * f0[1]
-    g3 = _WG_CENTER * f0[2]
-    for j, x in enumerate(_XGK):
+    f1, f2, f3 = fn(c)
+    k1, k2, k3 = _WGK_CENTER * f1, _WGK_CENTER * f2, _WGK_CENTER * f3
+    g1, g2, g3 = _WG_CENTER * f1, _WG_CENTER * f2, _WG_CENTER * f3
+    for x, wk, wg in _PAIRS:
         dz = h * x
-        fa = fn(c - dz)
-        fb = fn(c + dz)
-        w = _WGK[j]
-        k1 += w * (fa[0] + fb[0])
-        k2 += w * (fa[1] + fb[1])
-        k3 += w * (fa[2] + fb[2])
-        if j % 2 == 1:
-            wg = _WG[j // 2]
-            g1 += wg * (fa[0] + fb[0])
-            g2 += wg * (fa[1] + fb[1])
-            g3 += wg * (fa[2] + fb[2])
-    scale = abs(h)
-    err = scale * _worst(abs(k1 - g1), abs(k2 - g2), abs(k3 - g3))
+        a1, a2, a3 = fn(c - dz)
+        b1, b2, b3 = fn(c + dz)
+        s1, s2, s3 = a1 + b1, a2 + b2, a3 + b3
+        k1 += wk * s1
+        k2 += wk * s2
+        k3 += wk * s3
+        if wg:
+            g1 += wg * s1
+            g2 += wg * s2
+            g3 += wg * s3
+    err = abs(h) * _worst(abs(k1 - g1), abs(k2 - g2), abs(k3 - g3))
     return (h * k1, h * k2, h * k3), err
 
 

@@ -2,6 +2,7 @@
 loader that imports the two sides as two packages in one interpreter."""
 
 import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -33,7 +34,18 @@ def test_one_round_times_each_command_on_both_sides(tmp_path):
         assert block[0].strip().startswith("HEAD: median") and block[1].strip().startswith("this checkout: median")
         assert block[0].endswith("exit [0]") and block[1].endswith("exit [0]")
         assert block[2].startswith("  paired ratio ") and block[2].endswith(" of 1 rounds")
-    assert len(lines) == 8
+    assert re.fullmatch(r"geometric mean of the paired ratios \d+\.\d{4} over 2 commands, "
+                        r"this checkout faster in [012] of 2 commands", lines[8])
+    assert len(lines) == 9
+
+
+def test_the_summary_line_is_the_geometric_mean_and_the_count_of_faster_commands():
+    summary = tool().summary
+    assert summary([0.5, 2.0]) == ("geometric mean of the paired ratios 1.0000 over 2 commands, "
+                                   "this checkout faster in 1 of 2 commands")
+    assert summary([0.9, 0.9, 0.9]).startswith("geometric mean of the paired ratios 0.9000 over 3 commands, ")
+    assert summary([1.0, 1.0, 0.25]).endswith("faster in 1 of 3 commands")  # a ratio of 1 is not faster
+    assert summary([1.0, 1.0, 0.125]).startswith("geometric mean of the paired ratios 0.5000 ")
 
 
 def test_without_a_command_it_prints_its_usage():
@@ -42,14 +54,20 @@ def test_without_a_command_it_prints_its_usage():
     assert done.returncode == 1 and "--against REV" in done.stderr
 
 
+def tool():
+    """This checkout's tools/ab_inprocess.py as a module."""
+    spec = importlib.util.spec_from_file_location("ab_inprocess", ROOT / "tools" / "ab_inprocess.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_each_side_imports_its_own_copy_of_the_package(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    spec = importlib.util.spec_from_file_location("ab_inprocess", ROOT / "tools" / "ab_inprocess.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    ab = tool()
     try:
-        copy = tool.load_cli("maxsurf_ab_test_copy", tmp_path / "src")
-        here = tool.load_cli("maxsurf_ab_test_here", ROOT / "src")
+        copy = ab.load_cli("maxsurf_ab_test_copy", tmp_path / "src")
+        here = ab.load_cli("maxsurf_ab_test_here", ROOT / "src")
         for cli, src in ((copy, tmp_path / "src"), (here, ROOT / "src")):
             extension = sys.modules[cli.extend.__module__]
             assert Path(cli.__file__).parent == Path(extension.__file__).parent == src / "maxsurf"

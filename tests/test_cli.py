@@ -1017,6 +1017,36 @@ def test_the_reused_parser_carries_no_state_between_calls(catenoid_cfg, tmp_path
     assert help_out.startswith("usage: maxsurf ")
 
 
+_TOP_USAGE = "usage: maxsurf [-h] {check,eval,extend,mesh,catenoid} ...\n"
+_CHOICES = "(choose from 'check', 'eval', 'extend', 'mesh', 'catenoid')"
+_USAGE_PARITY = [  # argv with {cfg} for a config path, exit code, stderr, the first line of stdout
+    ([], 2, _TOP_USAGE + "maxsurf: error: the following arguments are required: command\n", ""),
+    (["-h"], 0, "", _TOP_USAGE),
+    (["eval", "-h"], 0, "", "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"),
+    (["frobnicate"], 2, _TOP_USAGE + f"maxsurf: error: argument command: invalid choice: 'frobnicate' {_CHOICES}\n", ""),
+    (["ev", "{cfg}", "--at=0,0"], 2, _TOP_USAGE + f"maxsurf: error: argument command: invalid choice: 'ev' {_CHOICES}\n", ""),
+    (["--tol", "1", "eval", "{cfg}", "--at=0,0"], 2,
+     _TOP_USAGE + f"maxsurf: error: argument command: invalid choice: '1' {_CHOICES}\n", ""),
+    (["check", "{cfg}", "--stats"], 2, _TOP_USAGE + "maxsurf: error: unrecognized arguments: --stats\n", ""),
+    (["eval", "{cfg}"], 2, "usage: maxsurf eval [-h] --at AT [--tol TOL] config\n"
+     "maxsurf eval: error: the following arguments are required: --at\n", ""),
+    (["mesh", "{cfg}"], 2, "usage: maxsurf mesh [-h] [--grid GRID] -o OUTPUT [--tol TOL] config\n"
+     "maxsurf mesh: error: the following arguments are required: -o/--output\n", ""),
+    (["eval", "{cfg}", "--at=0.1,0.1", "extra"], 2, _TOP_USAGE + "maxsurf: error: unrecognized arguments: extra\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, out", _USAGE_PARITY, ids=[" ".join(case[0]) or "empty" for case in _USAGE_PARITY])
+def test_main_keeps_argparse_usage_and_error_lines(argv, code, err, out, catenoid_cfg, capsys, monkeypatch):
+    """A command's own parser takes a line that starts with its name, the top-level parser any other
+    line, and leftovers get the top-level ``unrecognized arguments`` line, as one top-level parse gave."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage at the terminal's width
+    assert main([a.format(cfg=catenoid_cfg) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out.startswith(out) and (captured.out == "") == (out == "")
+
+
 # ---------------------------------------------------------------------------
 # exit paths pinned line for line
 

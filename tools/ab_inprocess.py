@@ -17,8 +17,10 @@ median of its K calls.
 
 Printed per command: each side's median over the rounds with its quartiles,
 the paired ratio (the median over rounds of this checkout's time over REV's)
-and the number of rounds this checkout was faster.  A command whose exit code
-differs between the sides, or between calls, ends the run with exit 1.
+and the number of rounds this checkout was faster.  A last line sums up the
+run: the geometric mean of the commands' paired ratios, and the number of
+commands whose paired ratio is below 1.  A command whose exit code differs
+between the sides, or between calls, ends the run with exit 1.
 """
 
 from __future__ import annotations
@@ -65,6 +67,13 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def summary(ratios: list[float]) -> str:
+    """The run's last line: the geometric mean of the commands' paired ratios, and how many are below 1."""
+    faster = sum(r < 1 for r in ratios)
+    return (f"geometric mean of the paired ratios {statistics.geometric_mean(ratios):.4f} over {len(ratios)} commands, "
+            f"this checkout faster in {faster} of {len(ratios)} commands")
+
+
 def compare(rev: str, commands: list[list[str]], rounds: int, calls: int) -> int:
     sys.path.insert(0, str(ROOT / "tools"))
     from capture_outputs import extract
@@ -89,7 +98,7 @@ def compare(rev: str, commands: list[list[str]], rounds: int, calls: int) -> int
                         codes[side][k].add(rc)
                 for side in SIDES:
                     times[side][k].append(statistics.median(took[side]))
-    status = 0
+    status, ratios = 0, []
     for k, argv in enumerate(commands):
         base, change = times["base"][k], times["change"][k]
         print(" ".join(argv))
@@ -97,11 +106,13 @@ def compare(rev: str, commands: list[list[str]], rounds: int, calls: int) -> int
             q1, q2, q3 = (1e3 * t for t in quartiles(times[side][k]))
             print(f"  {label:>14}: median {q2:.4f} ms  quartiles [{q1:.4f}, {q3:.4f}]  exit {sorted(codes[side][k])}")
         ratio = statistics.median(c / b for b, c in zip(base, change))
+        ratios.append(ratio)
         won = sum(c < b for b, c in zip(base, change))
         print(f"  paired ratio {ratio:.4f}, this checkout faster in {won} of {len(base)} rounds")
         if len(codes["base"][k] | codes["change"][k]) != 1:
             print("  exit codes differ")
             status = 1
+    print(summary(ratios))
     return status
 
 

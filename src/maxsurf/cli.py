@@ -27,10 +27,8 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import __version__
-from .expr import _HEIGHT, _NESTING, Const, EvalError, ParseError, evaluate, format_expr, parse, substitute
+from .expr import _HEIGHT, _NESTING, Const, EvalError, ParseError, _LazyNumpy, evaluate, format_expr, parse, substitute
 from .extension import CASES, DegenerateContactWarning, ExtendedSurface, ExtensionError, extend, measure_contact
 from .minkowski import LVector, Plane, plane_class
 from .verify import GridSpec, _json_text, full_diagnostics
@@ -50,6 +48,8 @@ from .weierstrass import (
     gauss_map,
     surface_tree,
 )
+
+np = _LazyNumpy(globals())
 
 __all__ = ["ConfigError", "SurfaceConfig", "SurfaceMesh", "build_mesh", "main"]
 

@@ -37,7 +37,25 @@ import struct
 from dataclasses import FrozenInstanceError
 from typing import Callable, NamedTuple, Union
 
-import numpy as np
+
+class _LazyNumpy:
+    """numpy, imported on the first attribute read.  A module binds ``np = _LazyNumpy(globals())``; that
+    read imports numpy and rebinds the module's ``np`` to numpy itself, so later reads cost nothing extra,
+    and a process that never touches an array (eval, catenoid, a config error) never imports numpy."""
+
+    __slots__ = ("_scope",)
+
+    def __init__(self, scope: dict):
+        self._scope = scope
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._scope["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "Add",
@@ -184,15 +202,16 @@ class _Function(NamedTuple):
     derivative: Callable[[Expr], Expr]  # as a tree in its argument a (the chain rule's outer factor)
 
 
+# each array function looks its ufunc up when it is called, so that building the table imports no numpy
 _FUNCTIONS: dict[str, _Function] = {
-    "exp": _Function(cmath.exp, np.exp, lambda a: Call("exp", a)),
-    "log": _Function(cmath.log, np.log, lambda a: Div(Const(1), a)),
-    "sin": _Function(cmath.sin, np.sin, lambda a: Call("cos", a)),
-    "cos": _Function(cmath.cos, np.cos, lambda a: _neg(Call("sin", a))),
-    "sinh": _Function(cmath.sinh, np.sinh, lambda a: Call("cosh", a)),
-    "cosh": _Function(cmath.cosh, np.cosh, lambda a: Call("sinh", a)),
-    "tanh": _Function(cmath.tanh, np.tanh, lambda a: _sub(Const(1), Pow(Call("tanh", a), 2))),
-    "sqrt": _Function(cmath.sqrt, np.sqrt, lambda a: Div(Const(0.5), Call("sqrt", a))),
+    "exp": _Function(cmath.exp, lambda x: np.exp(x), lambda a: Call("exp", a)),
+    "log": _Function(cmath.log, lambda x: np.log(x), lambda a: Div(Const(1), a)),
+    "sin": _Function(cmath.sin, lambda x: np.sin(x), lambda a: Call("cos", a)),
+    "cos": _Function(cmath.cos, lambda x: np.cos(x), lambda a: _neg(Call("sin", a))),
+    "sinh": _Function(cmath.sinh, lambda x: np.sinh(x), lambda a: Call("cosh", a)),
+    "cosh": _Function(cmath.cosh, lambda x: np.cosh(x), lambda a: Call("sinh", a)),
+    "tanh": _Function(cmath.tanh, lambda x: np.tanh(x), lambda a: _sub(Const(1), Pow(Call("tanh", a), 2))),
+    "sqrt": _Function(cmath.sqrt, lambda x: np.sqrt(x), lambda a: Div(Const(0.5), Call("sqrt", a))),
 }
 
 # the target of _compile that rebuilds each node from its rebuilt children; sconj and substitute add the leaves
@@ -468,9 +487,8 @@ class _ArrayProgram:
     grows: each ``values`` call adds trees, and a node an earlier call compiled, by identity, is not
     walked again.  A ``runner`` runs the steps up to its roots'."""
 
-    OPERATORS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
-
     def __init__(self):
+        self.operators = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}  # numpy's, per program
         self.steps: list[Callable] = []
         self._last: dict[int, int] = {}  # register -> the index of the last step that reads it
         self._numbers: dict[tuple, int] = {}  # (operation, operand registers or constant bits) -> register
@@ -481,7 +499,7 @@ class _ArrayProgram:
     def target(self) -> dict:
         """The builders for _compile, made per use: kept on self, they would make a reference cycle."""
         return {Const: lambda e: e, Var: lambda e: 0, Neg: self._neg, Pow: self._pow, Call: self._call,
-                **dict.fromkeys(self.OPERATORS, self._binary)}
+                **dict.fromkeys(self.operators, self._binary)}
 
     def values(self, *trees: Expr) -> list[int]:
         """The registers of the trees' guarded values."""
@@ -549,7 +567,7 @@ class _ArrayProgram:
         return self._emit((np.power, e.exponent), self.array(self.guard(b) if e.exponent < 0 else b))
 
     def _binary(self, e, left, right) -> int:
-        op = self.OPERATORS[type(e)]
+        op = self.operators[type(e)]
         right = self.guard(right) if op is np.divide else right
         if type(left) is Const and type(right) is Const:
             left = self.array(left)

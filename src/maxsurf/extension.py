@@ -59,8 +59,6 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .expr import (
     Const,
     Div,
@@ -74,6 +72,7 @@ from .expr import (
     _add,
     _derivative,
     _div,
+    _LazyNumpy,
     _mul,
     _NormalForm,
     _readable,
@@ -94,6 +93,8 @@ from .weierstrass import (
     gauss_from_g,
     phi_exprs,
 )
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "CASES",
@@ -393,21 +394,31 @@ CASES: dict[CausalClass, Case] = {
 # ---------------------------------------------------------------------------
 # sampling
 
+def _linspace(start: float, stop: float, n: int, endpoint: bool = True) -> list[float]:
+    """np.linspace(start, stop, n, endpoint=endpoint) for n >= 2, bit for bit, by numpy's own arithmetic:
+    k * step + start with step = (stop - start) / div, or (k / div) * (stop - start) + start where that
+    step is 0, and the last point set to stop where it is an endpoint."""
+    div = n - 1 if endpoint else n
+    delta = stop - start
+    step = delta / div
+    ys = [k / div * delta + start for k in range(n)] if step == 0 else [k * step + start for k in range(n)]
+    if endpoint:
+        ys[-1] = stop
+    return ys
+
+
 def boundary_points(domain: Domain) -> list[complex]:
     """ARC_POSITIONS points on the boundary arc itself (v = 0, or |z| = rho)."""
     n, span = ARC_POSITIONS, ARC_SPAN
     if domain.boundary_circle is not None:
         rho = domain.boundary_circle
-        return [rho * cmath.exp(1j * t) for t in np.linspace(-math.pi, math.pi, n, endpoint=False)]
+        return [rho * cmath.exp(1j * t) for t in _linspace(-math.pi, math.pi, n, endpoint=False)]
     if domain.kind is DomainKind.HALF_ANNULUS:
         lo, hi = domain.inner_radius, domain.radius
         mid, half = 0.5 * (lo + hi), 0.5 * span * (hi - lo)
-        us = np.concatenate(
-            [np.linspace(-mid - half, -mid + half, n // 2),
-             np.linspace(mid - half, mid + half, n - n // 2)]
-        )
+        us = _linspace(-mid - half, -mid + half, n // 2) + _linspace(mid - half, mid + half, n - n // 2)
         return [complex(u, 0.0) for u in us]
-    return [complex(u, 0.0) for u in np.linspace(-span * domain.radius, span * domain.radius, n)]
+    return [complex(u, 0.0) for u in _linspace(-span * domain.radius, span * domain.radius, n)]
 
 
 def boundary_samples(domain: Domain, depths: Sequence[float]) -> list[complex]:
@@ -442,7 +453,20 @@ def _boundary_limits(data: WeierstrassData, unit_n: LVector) -> tuple[CircleOrLi
         if abs(den) < GAUSS_EPS or not math.isfinite(ww):
             gauss_from_g(w)  # which raises there
         cs.append(2 * w.real / den * n1 + 2 * w.imag / den * n2 - (1 + ww) / den * n3)
-    return boundary, float(np.mean(cs)), cs, gs
+    return boundary, _mean9(cs), cs, gs
+
+
+def _mean9(x: Sequence[float]) -> float:
+    """np.mean of nine floats, bit for bit: numpy's pairwise sum (its block of eight, then the ninth) added
+    to the 0.0 its reduction starts from, which turns a sum of nine -0.0 into 0.0, over 9."""
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = x
+    return (0.0 + (((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))) + c8) / 9
+
+
+def _nan_max(values: Sequence[float]) -> float:
+    """The largest of the values, NaN when any is NaN: the builtin max drops a NaN that is not first.  On
+    floats that are not -0.0 it is np.max, bit for bit."""
+    return math.nan if any(v != v for v in values) else max(values)
 
 
 def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
@@ -469,7 +493,7 @@ def measure_contact(data: WeierstrassData, plane: Plane) -> ContactData:
         raise HypothesisViolationError("boundary Gauss values straddle |g| = 1")
 
     locus, theta, lam = case.locus(c, sheet, g_limits)
-    mismatch = float(np.max([locus.mismatch(gv) for gv in g_limits]))  # NaN when any distance is
+    mismatch = _nan_max([locus.mismatch(gv) for gv in g_limits])
     if not mismatch <= LOCUS_TOL:
         raise GeometryMismatchError(f"boundary g lies {mismatch:.3e} (relative) off {locus.describe()} "
                                     f"implied by c = {c:.9f}")
@@ -515,7 +539,7 @@ class MatchReport:
     @property
     def max_gap(self) -> float:
         """The largest gap, NaN when any gap is NaN."""
-        return float(np.max(list(self.gaps.values())))
+        return _nan_max(list(self.gaps.values()))
 
     @property
     def passed(self) -> bool:

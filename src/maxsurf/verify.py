@@ -30,9 +30,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .expr import EvalError, compile_fn, parse
+from .expr import EvalError, _LazyNumpy, compile_fn, parse
 from .minkowski import LVector
 from .weierstrass import (
     CLEARANCE,
@@ -53,7 +51,9 @@ from .weierstrass import (
     gauss_from_g,
     integrate_paths,
 )
-from .extension import ANGLE_TOL, LOCUS_TOL, ExtendedSurface, boundary_points, boundary_samples
+from .extension import ANGLE_TOL, LOCUS_TOL, ExtendedSurface, _nan_max, boundary_points, boundary_samples
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "CheckRecord",
@@ -238,11 +238,6 @@ def _cross_product_residual(panels: list[list[float]], g: complex) -> float:
     gap, norm = math.sqrt(e1 * e1 + e2 * e2 + e3 * e3), math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
     r = gap / norm if norm > 0 else gap
     return r if r < math.inf else math.nan
-
-
-def _nan_max(values: list[float]) -> float:
-    """The largest of the values, NaN when any is NaN: the builtin max drops a NaN that is not first."""
-    return math.nan if any(v != v for v in values) else max(values)
 
 
 def harmonicity_order(
@@ -518,7 +513,7 @@ def _extension_checks(ext: ExtendedSurface, zs: list, n_arc: int, X, q: Quadratu
     contact, matching = ext.contact, ext.matching
     checks = [_bound("angle_constancy", contact.deviation, ANGLE_TOL, {"c": contact.c, "sheet": contact.sheet})]
     gm = ext.minus._g_fn
-    locus_res = float(np.max([contact.locus.mismatch(gm(complex(u))) for u in matching.points]))  # NaN when any is
+    locus_res = _nan_max([contact.locus.mismatch(gm(complex(u))) for u in matching.points])
     details = {"locus": contact.locus.describe(), "mismatch_vs_closed_form": contact.locus_mismatch}
     checks.append(_bound("boundary_locus", locus_res, LOCUS_TOL, details))
     details = {"gaps": dict(sorted(matching.gaps.items()))}

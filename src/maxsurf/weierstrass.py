@@ -24,13 +24,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-from .expr import Add, Const, Expr, Mul, Pow, Sub, _ArrayProgram, _derivative, compile_fn
+from .expr import Add, Const, Expr, Mul, Pow, Sub, _ArrayProgram, _derivative, _LazyNumpy, compile_fn
 from .minkowski import LVector
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "DegenerateMetricError",
@@ -172,12 +172,16 @@ class PhiTriple:
         never the NaN of inf - inf."""
         a, b, c = abs(self.phi1), abs(self.phi2), abs(self.phi3)
         d = a * a + b * b - c * c
-        lost = d - d != 0  # where d is not finite; a number pays no numpy call to learn it
-        if lost if isinstance(d, float) else lost.any():
+        lost = d - d != 0  # where d is not finite
+        if isinstance(d, float):  # a number's branch in float arithmetic, which neither raises nor warns
+            if lost and (m := _worst(a, b, c)) < math.inf:
+                u, v, w = a / m, b / m, c / m
+                d = m * (m * (u * u + v * v - w * w))
+        elif lost.any():
             m = np.maximum(np.maximum(a, b), c)
             with np.errstate(all="ignore"):
                 u, v, w = a / m, b / m, c / m
-                d = np.where(lost & (m < math.inf), m * (m * (u * u + v * v - w * w)), d)[()]
+                d = np.where(lost & (m < math.inf), m * (m * (u * u + v * v - w * w)), d)
         return d
 
 
@@ -661,12 +665,15 @@ On the two sides of the timelike extension, as check reads it back, both sides' 
 grid peak at 0.86 MB for their 0.49 MB, and a chunk of 256 panels of each side at 0.96 MB (tracemalloc),
 where one program of both sides that kept every step to the end of its run took 6.41 and 6.57 MB."""
 
-# The 15 Kronrod nodes of a panel on [-1, 1]: the centre, the seven -x, then the seven +x, so each
-# pair's two values lie in two contiguous blocks.  Nodes and weights are complex (x + 0j, as numpy
-# would cast them), so that no product casts through a buffer.
-_NODES = np.array([0.0] + [-x for x in _XGK] + list(_XGK), dtype=complex)[:, None]
-_KRONROD = np.array((_WGK_CENTER,) + _WGK, dtype=complex)[:, None, None]  # of the centre and the seven pairs
-_GAUSS = np.array((_WG_CENTER,) + _WG, dtype=complex)[:, None, None]  # of the centre and pairs 1, 3 and 5
+@cache
+def _panel_tables():
+    """The 15 Kronrod nodes of a panel on [-1, 1]: the centre, the seven -x, then the seven +x, so each
+    pair's two values lie in two contiguous blocks; the Kronrod weights of the centre and the seven pairs;
+    and the Gauss weights of the centre and pairs 1, 3 and 5.  Nodes and weights are complex (x + 0j, as
+    numpy would cast them), so that no product casts through a buffer.  Built on first use."""
+    return (np.array([0.0] + [-x for x in _XGK] + list(_XGK), dtype=complex)[:, None],
+            np.array((_WGK_CENTER,) + _WGK, dtype=complex)[:, None, None],
+            np.array((_WG_CENTER,) + _WG, dtype=complex)[:, None, None])
 
 
 def _gk15_panels(fgs: Sequence[Callable], a: np.ndarray, b: np.ndarray, side: np.ndarray):
@@ -678,7 +685,7 @@ def _gk15_panels(fgs: Sequence[Callable], a: np.ndarray, b: np.ndarray, side: np
     a (3, 15, m) array.  Returns (integrals of shape (3, m), error estimates).  The estimate is NaN for a
     panel with a non-finite phi value on any of its nodes.
     """
-    m = len(a)
+    m, (nodes, kronrod, gauss_weights) = len(a), _panel_tables()
     out = np.empty((3, m), dtype=complex)
     err = np.empty(m)
     for s in range(0, m, _CHUNK):
@@ -686,14 +693,14 @@ def _gk15_panels(fgs: Sequence[Callable], a: np.ndarray, b: np.ndarray, side: np
         c = 0.5 * (ca + cb)
         h = 0.5 * (cb - ca)
         if len(fgs) == 1:
-            f, g = fgs[0](c + _NODES * h)
+            f, g = fgs[0](c + nodes * h)
         else:  # each side's program on its own run of panels, whose nodes it computes as the grid has them
             f, g = np.empty((15, len(c)), dtype=complex), np.empty((15, len(c)), dtype=complex)
             ends = np.searchsorted(side[s : s + _CHUNK], np.arange(len(fgs) + 1)).tolist()
             for k, fg in enumerate(fgs):
                 lo, hi = ends[k], ends[k + 1]
                 if lo < hi:
-                    f[:, lo:hi], g[:, lo:hi] = fg(c[lo:hi] + _NODES * h[lo:hi])
+                    f[:, lo:hi], g[:, lo:hi] = fg(c[lo:hi] + nodes * h[lo:hi])
         # _phi_values' products, in its operand order, each in place in its component's contiguous grid:
         # numpy buffers a strided operand, and its complex product of strided operands rounds otherwise
         phi = np.empty((3,) + f.shape, dtype=complex)
@@ -710,8 +717,8 @@ def _gk15_panels(fgs: Sequence[Callable], a: np.ndarray, b: np.ndarray, side: np
         np.add(phi[:, 1:8], phi[:, 8:], out=sums[1:].transpose(1, 0, 2))
         gauss = np.take(sums, (0, 2, 4, 6), axis=0)
         # weighted, then added in order along the leading axis, as _gk15 adds
-        k = np.add.reduce(np.multiply(_KRONROD, sums, out=sums))
-        gauss = np.add.reduce(np.multiply(_GAUSS, gauss, out=gauss))
+        k = np.add.reduce(np.multiply(kronrod, sums, out=sums))
+        gauss = np.add.reduce(np.multiply(gauss_weights, gauss, out=gauss))
         out[:, s : s + _CHUNK] = h * k
         finite = np.isfinite(phi).all(axis=(0, 1))
         err[s : s + _CHUNK] = np.where(finite, np.abs(h) * np.abs(k - gauss).max(axis=0), np.nan)

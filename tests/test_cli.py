@@ -1463,3 +1463,39 @@ def test_one_operation_past_the_deepest_formula_is_one_config_error_line(tmp_pat
     for argv in (["eval", str(p), "--at=0.3,0.1"], ["check", str(p)], ["extend", str(p), "-o", str(p) + ".ext"]):
         assert _run(argv, capsys) == (
             2, "", f"config error: field 'f': at offset {offset}: expected at most {_HEIGHT} nested operations\n")
+
+
+_NUMPY_AFTER_EACH = """\
+import contextlib, io, json, sys
+from maxsurf.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(code, "numpy" in sys.modules)
+"""
+
+
+def test_eval_catenoid_and_error_exits_never_import_numpy_and_check_does(membership_configs):
+    # one fresh interpreter: numpy comes in on the first array use, which only check, extend and mesh make
+    out = membership_configs
+    (out / "overflow.cfg").write_text("f = 1e200/z^2\ng = z\ndomain = punctured-disk\nradius = 1\nz0 = 1\n")
+    (out / "unknown-key.cfg").write_text(PLANE_CONFIG + "colour = red\n")
+    sides = {"catenoid": ("0.5,0.2", "0.3,-0.2"), "catenoid-b07.ext": ("0.6,0.2", "0.3,-0.1")}
+    evals = [["eval", str(out / f"{name}.cfg"), f"--at={at}"]
+             for name in ("catenoid", "catenoid-b07.ext", "spacelike.ext", "timelike.ext", "lightlike.ext")
+             for at in sides.get(name, ("0.3,0.2", "0.3,-0.2"))]
+    commands = [
+        (evals, 0),
+        ([["eval", str(out / "overflow.cfg"), "--at=0.5,0.1"], ["catenoid"]], 0),
+        ([["eval", str(out / "unknown-key.cfg"), "--at=0.1,0.1"]], 2),
+        ([["eval", str(out / "catenoid.cfg"), "--at=3,0"]], 1),
+        ([["check", str(out / "timelike.ext.cfg")]], 0),
+    ]
+    argvs = [argv for group, _ in commands for argv in group]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _NUMPY_AFTER_EACH, json.dumps(argvs)], cwd=out, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, text=True, timeout=300)
+    assert done.returncode == 0 and done.stderr == ""
+    want = [f"{code} False" for group, code in commands[:-1] for _ in group] + ["0 True"]
+    assert done.stdout.splitlines() == want

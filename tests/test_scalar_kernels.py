@@ -1,9 +1,10 @@
 """The scalar hot path of a one-point eval is bit for bit its plain reference formulas.
 
 ``WeierstrassData.field`` writes the phi triple out in one frame, ``_gk15`` walks a table of node pairs,
-and ``extension._boundary_limits`` works <N, n> out in plain float arithmetic.  Each is checked here
-against the reference it replaced, kept below as it was written: the same bits on every draw, and the
-same exception, type and message, where the reference raises.
+and ``extension._boundary_limits`` works <N, n> out in plain float arithmetic; the contact's arc points,
+their mean and its worst locus mismatch are numpy's linspace, mean and max written in floats, so that
+eval imports no numpy.  Each is checked here against the reference it replaced, kept below as it was
+written: the same bits on every draw, and the same exception, type and message, where the reference raises.
 """
 
 import cmath
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fixtures import bench_configs
 from maxsurf import extension, weierstrass
@@ -230,3 +231,87 @@ def test_the_contact_s_values_are_lorentz_inner_of_gauss_from_g(values, unit_n, 
         assert arc == ref_arc and bits([c] + cs) == bits([ref_c] + ref_cs) and bits(gs) == bits(ref_gs)
     else:
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# the contact's arc points, their mean and its worst locus mismatch, in floats
+
+
+def reference_boundary_points(domain):
+    """boundary_points as it was: np.linspace's points."""
+    n, span = extension.ARC_POSITIONS, extension.ARC_SPAN
+    if domain.boundary_circle is not None:
+        rho = domain.boundary_circle
+        return [rho * cmath.exp(1j * t) for t in np.linspace(-math.pi, math.pi, n, endpoint=False)]
+    if domain.kind is DomainKind.HALF_ANNULUS:
+        lo, hi = domain.inner_radius, domain.radius
+        mid, half = 0.5 * (lo + hi), 0.5 * span * (hi - lo)
+        us = np.concatenate(
+            [np.linspace(-mid - half, -mid + half, n // 2),
+             np.linspace(mid - half, mid + half, n - n // 2)]
+        )
+        return [complex(u, 0.0) for u in us]
+    return [complex(u, 0.0) for u in np.linspace(-span * domain.radius, span * domain.radius, n)]
+
+
+_radius = st.floats(-300, 300).map(lambda e: 10.0**e)  # log-uniform in [1e-300, 1e300]
+_share = st.one_of(st.floats(1e-12, 1, exclude_max=True), st.just(None))  # None: the float next below the radius
+
+
+def _domain(draw):
+    kind, radius, share = draw(st.sampled_from(["diameter", "half-annulus", "circle"])), draw(_radius), draw(_share)
+    inner = math.nextafter(radius, 0) if share is None else radius * share
+    if kind == "diameter":
+        return Domain(DomainKind.HALF_DISK, radius=radius)
+    if kind == "half-annulus":
+        return Domain(DomainKind.HALF_ANNULUS, radius=radius, inner_radius=inner)
+    assume(inner < radius)
+    return Domain(DomainKind.DISK, radius=radius, boundary_circle=inner)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(domain=st.composite(_domain)())
+def test_the_arc_points_are_numpy_s_linspace_points(domain):
+    assert bits(extension.boundary_points(domain)) == bits(reference_boundary_points(domain))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(start=_finite, stop=_finite, n=st.integers(2, 24), endpoint=st.booleans())
+@example(start=0.0, stop=5e-324, n=9, endpoint=True)  # the step underflows to 0: numpy's (k / div) * delta,
+@example(start=0.0, stop=2.5e-323, n=21, endpoint=True)  # which here rounds apart from (k * delta) / div
+@example(start=-1e-323, stop=1e-323, n=9, endpoint=False)
+def test_linspace_is_numpy_s_linspace(start, stop, n, endpoint):
+    with np.errstate(all="ignore"):  # a span past the float range makes 0 * inf
+        want = np.linspace(start, stop, n, endpoint=endpoint).tolist()
+    assert bits(extension._linspace(start, stop, n, endpoint)) == bits(want)
+
+
+_summand = st.one_of(st.floats(), st.floats(-1e3, 1e3), st.floats(1e307, 1.7976931348623157e308),
+                     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.7976931348623157e308,
+                                      -1.7976931348623157e308, 5e-324, -5e-324]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(x=st.lists(_summand, min_size=9, max_size=9))
+@example(x=[-0.0] * 9)  # numpy's sum starts from 0.0, so nine -0.0 give 0.0
+@example(x=[1e308, 1e308, -1e308, -1e308, 0.0, 0.0, 0.0, 0.0, 0.0])  # the pairs' order decides an overflow
+@example(x=[1.0, 1e16, -1e16, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+def test_the_mean_of_nine_is_np_mean(x):
+    with np.errstate(all="ignore"):  # inf - inf in numpy's sum
+        want = float(np.mean(x))
+    assert bits([extension._mean9(x)]) == bits([want])
+
+
+_mismatch = st.one_of(st.floats(0), st.sampled_from([0.0, math.inf, math.nan, 1e-300, 1e300]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.lists(_mismatch, min_size=9, max_size=9))
+@example(x=[0.0] * 8 + [math.nan])
+@example(x=[math.nan] + [math.inf] * 8)
+def test_the_worst_mismatch_is_np_max(x):
+    """Over what a mismatch may be: a float >= 0 (never -0.0, being a ratio of absolute values), inf or NaN."""
+    assert bits([extension._nan_max(x)]) == bits([float(np.max(x))])

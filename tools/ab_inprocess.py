@@ -116,7 +116,9 @@ def compare(rev: str, commands: list[list[str]], rounds: int, calls: int) -> int
     return status
 
 
-def main(argv: list[str]) -> int:
+def parse_line(argv: list[str], names: set[str], usage: str) -> tuple[dict[str, str], list[list[str]]]:
+    """The options before the first bare ``--`` (``--against`` and some of ``names``, each with a value) and
+    the commands after it, one per ``--``; exits with ``usage`` when either is missing or malformed."""
     head, commands = argv, []
     if "--" in argv:
         cut = argv.index("--")
@@ -127,8 +129,13 @@ def main(argv: list[str]) -> int:
                 commands.append(rest[:cut])
             rest = rest[cut + 1:]
     options = dict(zip(head[::2], head[1::2]))
-    if not commands or len(head) % 2 or "--against" not in options or set(options) - {"--against", "--rounds", "--calls"}:
-        sys.exit(__doc__)
+    if not commands or len(head) % 2 or "--against" not in options or set(options) - names - {"--against"}:
+        sys.exit(usage)
+    return options, commands
+
+
+def main(argv: list[str]) -> int:
+    options, commands = parse_line(argv, {"--rounds", "--calls"}, __doc__)
     rounds, calls = int(options.get("--rounds", 10)), int(options.get("--calls", 20))
     if rounds < 1 or calls < 1:
         sys.exit("--rounds and --calls must be at least 1")
